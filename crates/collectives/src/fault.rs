@@ -3,7 +3,7 @@
 //! Two halves live here:
 //!
 //! * **Typed errors.** [`CommError`] is the structured cause every fallible
-//!   collective surfaces (`try_wait`, `try_exchange`, `regroup`). The
+//!   collective surfaces (`try_wait`, `try_barrier`, `regroup`). The
 //!   panicking wrappers don't format it into a string — they panic with a
 //!   [`CommPanic`] payload, so the launcher (and any recovery driver) can
 //!   *downcast* the cause instead of sniffing panic messages. A user panic
@@ -11,8 +11,8 @@
 //!   misclassified as a secondary comm failure.
 //!
 //! * **Deterministic fault injection.** A [`FaultPlan`] is
-//!   schedule-addressable: "rank `r` dies before its `n`-th nonblocking
-//!   collective / mid-chunk-claim inside its `n`-th wait / on entry to its
+//!   schedule-addressable: "rank `r` dies before its `n`-th collective /
+//!   mid-chunk-claim inside its `n`-th wait / on entry to its
 //!   `n`-th wait". The counters are driven by the rank's *own* program
 //!   order (issue and wait entries), not by timing, so every failure
 //!   interleaving in the test matrix reproduces exactly. The launcher arms
@@ -80,7 +80,9 @@ pub fn comm_error_of(payload: &(dyn Any + Send)) -> Option<CommError> {
 /// order — never by cross-rank timing.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum FaultPoint {
-    /// Die before depositing the rank's `n`-th nonblocking collective.
+    /// Die before depositing the rank's `n`-th collective (every kind counts:
+    /// barrier, broadcast, `all_gather_vec` and `split` are engine
+    /// collectives too).
     BeforeIssue(usize),
     /// On entry to the rank's `n`-th blocking wait: claim one pipeline chunk
     /// of the awaited round and die *without running it* — the nastiest
@@ -201,7 +203,7 @@ pub(crate) fn take_fired() -> Option<InjectedFault> {
     FIRED.with(|c| c.take())
 }
 
-/// Called at the top of every nonblocking `issue`; dies if this is the
+/// Called at the top of every engine `issue`; dies if this is the
 /// armed `BeforeIssue` count.
 pub(crate) fn probe_issue() {
     let hit = ARM.with(|a| {

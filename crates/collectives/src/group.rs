@@ -14,12 +14,17 @@
 //! * **Blocking** (`all_reduce_sum`, …) — thin `issue + wait` wrappers over
 //!   the same engine, kept for call sites with nothing to overlap.
 //!
+//! `barrier`, `broadcast`, `all_gather_vec` and `split` are gathers on the
+//! same engine too (along a new leading axis, always over the f32 wire), so
+//! every collective shares one issue path, one failure surface and one
+//! `FaultPlan` count.
+//!
 //! All reductions are performed in rank order within every chunk, so
 //! results are bit-identical across ranks, across runs, and across the
 //! blocking/nonblocking flavors.
 
-use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::{BTreeSet, HashMap};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
@@ -28,22 +33,21 @@ use parking_lot::{Condvar, Mutex};
 use dchag_tensor::ops;
 use dchag_tensor::Tensor;
 
-use crate::transport;
+use crate::transport::{self, gid_split, gid_world};
 
-use crate::fault::CommError;
-use crate::nonblocking::{self, CollKind, CommPrecision, CommRequest};
-use crate::thread_comm::CommCore;
+use crate::fault::{comm_panic, CommError};
+use crate::nonblocking::{self, CollKind, CommPrecision, CommRequest, Engine, COMM_CHUNK_ELEMS};
 use crate::topology::Topology;
 use crate::traffic::{CollOp, TrafficLog};
 
 /// Shared blackboard for the survivor-side regroup barrier.
 ///
 /// Survivors that detected a failure rendezvous here *outside* any poisoned
-/// core: each inserts its global rank into `arrived`; once every non-failed
-/// rank is present, whichever survivor holds the lock builds one fresh
-/// [`CommCore`] for the survivor set and publishes it as `built`. Departing
-/// survivors drain the build; the last one clears it so the board is ready
-/// for a future failure.
+/// engine: each inserts its global rank into `arrived`; once every
+/// non-failed rank is present, whichever survivor holds the lock builds one
+/// fresh [`Engine`] for the survivor set and publishes it as `built`.
+/// Departing survivors drain the build; the last one clears it so the board
+/// is ready for a future failure.
 #[derive(Default)]
 struct RegroupBoard {
     /// Regroup rounds started so far (monotone; incremented at build time,
@@ -51,19 +55,25 @@ struct RegroupBoard {
     round: u64,
     /// Global ranks waiting for the current round's build.
     arrived: BTreeSet<usize>,
-    /// `(round, survivor global ranks, fresh core)` of the in-drain build.
-    built: Option<(u64, Vec<usize>, Arc<CommCore>)>,
+    /// `(round, survivor global ranks, fresh engine)` of the in-drain build.
+    built: Option<(u64, Vec<usize>, Arc<Engine>)>,
     /// Survivors that have taken the current build.
     departed: usize,
 }
 
 /// State shared by every communicator of one world: the traffic log, the
-/// physical topology, a registry of live cores (for panic poisoning), and
-/// the failure/regroup bookkeeping.
+/// physical topology, the pipeline chunk size, a registry of live engines
+/// (for panic poisoning), and the failure/regroup bookkeeping.
 pub struct WorldShared {
     pub log: Arc<TrafficLog>,
     pub topo: Topology,
-    cores: Mutex<Vec<Weak<CommCore>>>,
+    engines: Mutex<Vec<Weak<Engine>>>,
+    /// Elements per pipeline chunk for this world's collectives, read once
+    /// per round when its schedule freezes.
+    chunk_elems: AtomicUsize,
+    /// Thread-transport split groups being built: gid → (shared engine,
+    /// members yet to take it).
+    splits: Mutex<HashMap<u64, (Arc<Engine>, usize)>>,
     /// Global ranks known dead (marked by the launcher on panic, or by the
     /// regroup deadline on no-show). Grows monotonically for the world's
     /// lifetime — a declared-dead rank never rejoins.
@@ -80,7 +90,9 @@ impl WorldShared {
         Arc::new(WorldShared {
             log: TrafficLog::new(),
             topo,
-            cores: Mutex::new(Vec::new()),
+            engines: Mutex::new(Vec::new()),
+            chunk_elems: AtomicUsize::new(COMM_CHUNK_ELEMS),
+            splits: Mutex::new(HashMap::new()),
             failed: Mutex::new(BTreeSet::new()),
             epoch: AtomicU64::new(0),
             board: Mutex::new(RegroupBoard::default()),
@@ -88,24 +100,27 @@ impl WorldShared {
         })
     }
 
-    pub fn register_core(&self, core: &Arc<CommCore>) {
-        self.cores.lock().push(Arc::downgrade(core));
+    pub(crate) fn register_engine(&self, engine: &Arc<Engine>) {
+        self.engines.lock().push(Arc::downgrade(engine));
     }
 
-    /// Poison every live core with `cause` so blocked peers fail fast
+    /// Elements per pipeline chunk currently in force for new collectives.
+    pub(crate) fn chunk_elems(&self) -> usize {
+        self.chunk_elems.load(Ordering::Relaxed)
+    }
+
+    /// Poison every live engine with `cause` so blocked peers fail fast
     /// instead of hanging, and mark all their in-flight rounds aborted in
     /// the traffic log (their partial chunk stamps must not skew α-β fits).
     pub fn poison_all(&self, cause: CommError) {
-        for core in self.cores.lock().iter() {
-            if let Some(c) = core.upgrade() {
-                c.poison(cause);
-                c.engine().abort_inflight(&self.log);
-            }
+        for engine in self.engines.lock().iter().filter_map(Weak::upgrade) {
+            engine.poison(cause);
+            engine.abort_inflight(&self.log);
         }
     }
 
     /// Record `rank` as dead and wake any regroup waiters so their survivor
-    /// set shrinks. Called by the launcher before poisoning.
+    /// set shrinks.
     pub fn mark_failed(&self, rank: usize) {
         {
             self.failed.lock().insert(rank);
@@ -114,6 +129,22 @@ impl WorldShared {
         // other way around, board → failed).
         let _g = self.board.lock();
         self.board_cv.notify_all();
+    }
+
+    /// Declare global rank `rank` dead — the one place a root failure is
+    /// recorded, whoever detects it (the launcher, or a socket signal):
+    /// log `why` with the typed cause, poison every live engine, and mark
+    /// the roster. A survivor that only learns of the death from a
+    /// poisoned issue therefore still finds it on the audit trail.
+    ///
+    /// Poison strictly before the mark: a regroup excludes `rank` only
+    /// once it is marked, so the fresh engine it builds can never be
+    /// poisoned by this (already handled) death.
+    pub(crate) fn declare_failed(&self, rank: usize, why: &str) {
+        let cause = CommError::PeerFailed { rank, epoch: self.epoch() };
+        self.log.record_fault(format!("{why}: {cause}"));
+        self.poison_all(cause);
+        self.mark_failed(rank);
     }
 
     /// Global ranks known dead, ascending.
@@ -132,31 +163,51 @@ impl WorldShared {
         self.epoch.store(epoch, Ordering::SeqCst);
     }
 
+    /// The engine of thread-transport split group `gid`: the first member
+    /// to arrive creates it, and the last member to take it removes the
+    /// entry — the registry holds it until then, so a member that drops its
+    /// handle early cannot strand the others.
+    fn split_engine(&self, gid: u64, members: usize) -> Arc<Engine> {
+        let mut splits = self.splits.lock();
+        let (engine, left) = splits.entry(gid).or_insert_with(|| {
+            let engine = Engine::new(members, gid);
+            self.register_engine(&engine);
+            (engine, members)
+        });
+        let engine = engine.clone();
+        *left -= 1;
+        if *left == 0 {
+            splits.remove(&gid);
+        }
+        engine
+    }
+
     /// Survivor-side regroup barrier (see [`Communicator::regroup`]).
     ///
     /// Waits up to `deadline` for every not-yet-failed rank to arrive; ranks
     /// still missing at the deadline are declared failed (which shrinks the
     /// expected set — a lone survivor regroups to a world of one). Returns
-    /// the agreed survivor set (global ranks, ascending) and the fresh core,
-    /// or `Err` if this rank was itself declared failed by its peers.
+    /// the agreed survivor set (global ranks, ascending) and the fresh
+    /// engine, or `Err` if this rank was itself declared failed by its
+    /// peers.
     pub(crate) fn regroup(
         &self,
         me: usize,
         deadline: Duration,
-    ) -> Result<(Vec<usize>, Arc<CommCore>), CommError> {
+    ) -> Result<(Vec<usize>, Arc<Engine>), CommError> {
         let start = Instant::now();
         let mut board = self.board.lock();
         let target = board.round;
         board.arrived.insert(me);
         self.board_cv.notify_all();
         loop {
-            if let Some((built_round, survivors, core)) = &board.built {
+            if let Some((built_round, survivors, engine)) = &board.built {
                 if *built_round == target {
                     if !survivors.contains(&me) {
                         // Peers hit their deadline and moved on without us.
                         return Err(CommError::Poisoned);
                     }
-                    let out = (survivors.clone(), core.clone());
+                    let out = (survivors.clone(), engine.clone());
                     board.departed += 1;
                     if board.departed == out.0.len() {
                         board.built = None;
@@ -179,14 +230,14 @@ impl WorldShared {
             if expected.iter().all(|r| board.arrived.contains(r)) {
                 // Everyone live is here — whoever holds the lock builds (the
                 // mutex serializes; no designated-builder election needed).
-                let core = CommCore::new(expected.len());
-                self.register_core(&core);
+                let epoch = self.epoch.fetch_add(1, Ordering::SeqCst) + 1;
+                let engine = Engine::new(expected.len(), gid_world(epoch));
+                self.register_engine(&engine);
                 for r in &expected {
                     board.arrived.remove(r);
                 }
-                board.built = Some((board.round, expected, core));
+                board.built = Some((board.round, expected, engine));
                 board.round += 1;
-                self.epoch.fetch_add(1, Ordering::SeqCst);
                 self.board_cv.notify_all();
                 continue;
             }
@@ -211,49 +262,56 @@ impl WorldShared {
 pub struct Communicator {
     rank: usize,
     group_ranks: Vec<usize>,
-    core: Arc<CommCore>,
+    engine: Arc<Engine>,
     world: Arc<WorldShared>,
-    /// Wire precision for the chunked nonblocking collectives issued
-    /// through this handle (exchange-path collectives move `Arc` clones and
-    /// are unaffected). Handles of the same group may only mix precisions
-    /// if every rank still issues each *collective* with the same one.
+    /// Wire precision for the chunked collectives issued through this
+    /// handle (the metadata gathers — barrier, broadcast, `all_gather_vec`,
+    /// `split` — always use the f32 wire). Handles of the same group may
+    /// only mix precisions if every rank still issues each *collective*
+    /// with the same one.
     precision: CommPrecision,
     /// TCP transport send side, when this group spans real sockets: every
     /// local contribution is additionally fanned out to the remote members,
-    /// whose receiver threads deposit it into their replica cores. `None`
+    /// whose receiver threads deposit it into their replica engines. `None`
     /// on the in-process thread transport.
     remote: Option<Arc<transport::GroupLink>>,
 }
 
 impl Communicator {
-    /// Used by the launcher to build the world group.
-    pub(crate) fn new_world(rank: usize, size: usize, core: Arc<CommCore>, world: Arc<WorldShared>) -> Self {
-        Communicator {
-            rank,
-            group_ranks: (0..size).collect(),
-            core,
-            world,
-            precision: CommPrecision::F32,
-            remote: None,
-        }
-    }
-
-    /// Used by the TCP launcher: the same world group, but with a transport
-    /// link fanning local contributions out to the remote replicas.
-    pub(crate) fn new_tcp_world(
+    /// Used by the launchers to build the world group (`link` on TCP).
+    pub(crate) fn new_world(
         rank: usize,
         size: usize,
-        core: Arc<CommCore>,
+        engine: Arc<Engine>,
         world: Arc<WorldShared>,
-        link: Arc<transport::GroupLink>,
+        link: Option<Arc<transport::GroupLink>>,
     ) -> Self {
         Communicator {
             rank,
             group_ranks: (0..size).collect(),
-            core,
+            engine,
             world,
             precision: CommPrecision::F32,
-            remote: Some(link),
+            remote: link,
+        }
+    }
+
+    /// A handle on another group of this world (split or regroup result),
+    /// keeping this handle's precision.
+    fn member_of(
+        &self,
+        rank: usize,
+        group_ranks: Vec<usize>,
+        engine: Arc<Engine>,
+        remote: Option<Arc<transport::GroupLink>>,
+    ) -> Communicator {
+        Communicator {
+            rank,
+            group_ranks,
+            engine,
+            world: self.world.clone(),
+            precision: self.precision,
+            remote,
         }
     }
 
@@ -273,6 +331,25 @@ impl Communicator {
         self.precision
     }
 
+    /// Elements per pipeline chunk this world's collectives currently use
+    /// (default [`COMM_CHUNK_ELEMS`]).
+    pub fn chunk_elems(&self) -> usize {
+        self.world.chunk_elems()
+    }
+
+    /// Install a pipeline chunk size (in f32 elements, clamped to ≥ 1) for
+    /// every group of this world; returns the previous value.
+    ///
+    /// The value is read **once per collective**, when the last depositing
+    /// rank freezes the chunk schedule, so every rank of a round sees the
+    /// same schedule regardless of when the planner ran. Chunk boundaries
+    /// never change reduction results (reduction is elementwise in rank
+    /// order), only pipeline granularity. On TCP every process owns its
+    /// world, so every rank must install the same value.
+    pub fn set_chunk_elems(&self, elems: usize) -> usize {
+        self.world.chunk_elems.swap(elems.max(1), Ordering::Relaxed)
+    }
+
     /// Rank within this group.
     #[inline]
     pub fn rank(&self) -> usize {
@@ -282,7 +359,7 @@ impl Communicator {
     /// Group size.
     #[inline]
     pub fn size(&self) -> usize {
-        self.core.size()
+        self.engine.size()
     }
 
     /// Global (world) rank of this member.
@@ -309,10 +386,10 @@ impl Communicator {
         self.world.topo.is_intra_node(&self.group_ranks)
     }
 
-    /// Nonblocking rounds still tracked by this group's engine (in flight
-    /// or not yet retired by every rank) — diagnostics and leak tests.
+    /// Rounds still tracked by this group's engine (incomplete and not yet
+    /// dropped by every rank) — diagnostics and leak tests.
     pub fn inflight_rounds(&self) -> usize {
-        self.core.engine().rounds_len()
+        self.engine.rounds_len()
     }
 
     fn record(&self, op: CollOp, payload_bytes: usize) -> Option<usize> {
@@ -326,41 +403,51 @@ impl Communicator {
         }
     }
 
-    fn issue(&self, kind: CollKind, t: &Tensor) -> CommRequest {
-        // The logical payload reflects what this wire actually carries: a
-        // bf16 wire halves the sendbuf bytes (the α-β fit and per-op byte
-        // totals read this).
-        let seq = self.record(kind.op(), t.numel() * self.precision.elem_bytes());
-        let req = nonblocking::issue(
-            &self.core,
-            self.rank,
-            kind,
-            self.precision,
-            t,
-            seq,
-            self.world.log.clone(),
-        );
+    /// The one issue path every collective takes: log the call as `op`
+    /// (`None`: not logged), deposit `t` into the engine over `precision`'s
+    /// wire, and fan it out to the remote members on TCP.
+    fn try_issue_as(
+        &self,
+        op: Option<(CollOp, usize)>,
+        kind: CollKind,
+        precision: CommPrecision,
+        t: &Tensor,
+    ) -> Result<CommRequest, CommError> {
+        let seq = op.and_then(|(op, payload_bytes)| self.record(op, payload_bytes));
+        let req =
+            nonblocking::try_issue(&self.engine, self.rank, kind, precision, t, seq, &self.world)?;
         if let Some(link) = &self.remote {
-            link.send_issue(req.seq(), kind, self.precision, t);
+            link.send_issue(req.seq(), kind, precision, t);
         }
-        req
+        Ok(req)
     }
 
     fn try_issue(&self, kind: CollKind, t: &Tensor) -> Result<CommRequest, CommError> {
-        let seq = self.record(kind.op(), t.numel() * self.precision.elem_bytes());
-        let req = nonblocking::try_issue(
-            &self.core,
-            self.rank,
-            kind,
-            self.precision,
-            t,
-            seq,
-            self.world.log.clone(),
-        )?;
-        if let Some(link) = &self.remote {
-            link.send_issue(req.seq(), kind, self.precision, t);
-        }
-        Ok(req)
+        // The logical payload reflects what this wire actually carries: a
+        // bf16 wire halves the sendbuf bytes (the α-β fit and per-op byte
+        // totals read this).
+        let payload_bytes = t.numel() * self.precision.elem_bytes();
+        self.try_issue_as(Some((kind.op(), payload_bytes)), kind, self.precision, t)
+    }
+
+    fn issue(&self, kind: CollKind, t: &Tensor) -> CommRequest {
+        self.try_issue(kind, t).unwrap_or_else(|e| comm_panic(e))
+    }
+
+    /// Issue a gather of `t` along a new leading axis (`[size, t.dims()..]`
+    /// once waited). These calls carry metadata, not gradients, so they
+    /// always use the f32 wire: values cross exactly whatever precision
+    /// this handle carries. Every rank must pass the same shape (checked
+    /// at deposit).
+    fn try_issue_exact(
+        &self,
+        op: Option<(CollOp, usize)>,
+        t: &Tensor,
+    ) -> Result<CommRequest, CommError> {
+        let mut dims = vec![1];
+        dims.extend_from_slice(t.dims());
+        let kind = CollKind::AllGatherCat { axis: 0 };
+        self.try_issue_as(op, kind, CommPrecision::F32, &t.reshape(&dims))
     }
 
     // ----- nonblocking collectives ------------------------------------------
@@ -394,17 +481,14 @@ impl Communicator {
     // ----- blocking collectives ---------------------------------------------
 
     /// Gather each rank's tensor; returns all contributions in rank order.
-    /// (Exchange path: payloads move by `Arc` clone, no chunk pipeline.)
+    /// Every rank must pass the same shape; values cross the f32 wire
+    /// exactly, whatever this handle's precision.
     pub fn all_gather_vec(&self, t: &Tensor) -> Vec<Tensor> {
-        self.record(CollOp::AllGather, t.size_bytes());
-        if let Some(link) = &self.remote {
-            link.send_exchange(transport::ExchangePayload::Tensor(t));
-        }
-        let out = self.core.exchange(self.rank, Box::new(t.clone()));
-        self.exchange_complete();
-        out.iter()
-            .map(|p| p.downcast_ref::<Tensor>().expect("tensor payload").clone())
-            .collect()
+        let all = self
+            .try_issue_exact(Some((CollOp::AllGather, t.size_bytes())), t)
+            .and_then(|req| req.try_wait(None))
+            .unwrap_or_else(|e| comm_panic(e));
+        (0..self.size()).map(|r| part_of(&all, r, t)).collect()
     }
 
     /// Blocking [`Communicator::iall_gather_cat`].
@@ -428,34 +512,30 @@ impl Communicator {
         self.ireduce_scatter_sum(t).wait()
     }
 
-    /// Broadcast from `root`: only the root's tensor is used; other ranks may
-    /// pass anything shaped arbitrarily (conventionally their stale copy).
+    /// Broadcast from `root`: only the root's tensor is used; every other
+    /// rank passes a tensor of the same shape (conventionally its stale
+    /// copy). The value crosses the f32 wire exactly, whatever this
+    /// handle's precision.
     pub fn broadcast(&self, t: &Tensor, root: usize) -> Tensor {
         assert!(root < self.size());
-        self.record(CollOp::Broadcast, t.size_bytes());
-        if let Some(link) = &self.remote {
-            link.send_exchange(transport::ExchangePayload::Tensor(t));
-        }
-        let out = self.core.exchange(self.rank, Box::new(t.clone()));
-        self.exchange_complete();
-        out[root].downcast_ref::<Tensor>().unwrap().clone()
+        let all = self
+            .try_issue_exact(Some((CollOp::Broadcast, t.size_bytes())), t)
+            .and_then(|req| req.try_wait(None))
+            .unwrap_or_else(|e| comm_panic(e));
+        part_of(&all, root, t)
     }
 
     /// Synchronization barrier.
     pub fn barrier(&self) {
-        self.record(CollOp::Barrier, 0);
-        if let Some(link) = &self.remote {
-            link.send_exchange(transport::ExchangePayload::Unit);
-        }
-        let _ = self.core.exchange(self.rank, Box::new(()));
-        self.exchange_complete();
+        self.try_barrier(None).unwrap_or_else(|e| comm_panic(e))
     }
 
     // ----- fallible collectives ---------------------------------------------
     //
     // Deadline-bounded, `Result`-returning flavors for callers that recover
     // from peer failure (see `regroup`). `deadline: None` still fails fast
-    // on poison; `Some(d)` additionally detects hung peers.
+    // on poison; `Some(d)` additionally detects hung peers. On `Err` the
+    // collective's result is lost; the caller's next move is `regroup`.
 
     /// Fallible blocking [`Communicator::all_reduce_sum`].
     pub fn try_all_reduce_sum(
@@ -491,24 +571,11 @@ impl Communicator {
         self.try_issue(CollKind::AllGatherCat { axis }, t)?.try_wait(deadline)
     }
 
-    /// Fallible, deadline-bounded [`Communicator::barrier`].
+    /// Fallible, deadline-bounded [`Communicator::barrier`]: a gather of
+    /// zero elements.
     pub fn try_barrier(&self, deadline: Option<Duration>) -> Result<(), CommError> {
-        self.record(CollOp::Barrier, 0);
-        if let Some(link) = &self.remote {
-            link.send_exchange(transport::ExchangePayload::Unit);
-        }
-        let out = self.core.try_exchange(self.rank, Box::new(()), deadline).map(|_| ());
-        if out.is_ok() {
-            self.exchange_complete();
-        }
-        out
-    }
-
-    /// Mark the outstanding exchange-path send consumed (TCP transport).
-    fn exchange_complete(&self) {
-        if let Some(link) = &self.remote {
-            link.exchange_complete();
-        }
+        let empty = Tensor::zeros([0]);
+        self.try_issue_exact(Some((CollOp::Barrier, 0)), &empty)?.try_wait(deadline).map(|_| ())
     }
 
     // ----- elastic regroup --------------------------------------------------
@@ -522,122 +589,79 @@ impl Communicator {
     /// the returned world handle). Waits up to `deadline` for peers; ranks
     /// missing at the deadline are declared failed too, so cascading
     /// failures converge instead of hanging. Returns a fresh communicator
-    /// with ranks renumbered in survivor order (old cores stay poisoned and
-    /// are abandoned), or `Err` if this rank was evicted by its peers'
+    /// with ranks renumbered in survivor order (old engines stay poisoned
+    /// and are abandoned), or `Err` if this rank was evicted by its peers'
     /// deadline.
     ///
     /// [`split`]: Communicator::split
     pub fn regroup(&self, deadline: Duration) -> Result<Communicator, CommError> {
         let me = self.global_rank();
         let before = self.world.topo.world_size - self.world.failed_ranks().len();
-        if let Some(link) = &self.remote {
+        let (survivors, rank, engine, link) = match &self.remote {
             // TCP transport: agreement happens over the wire (proposal
             // union with deadline eviction), not on the shared board.
-            let (survivors, rank, core, new_link) = link.endpoint().regroup_survivors(deadline)?;
-            self.world.log.record_fault(format!(
-                "regroup epoch {}: world {before} -> {} (global rank {me} is now rank {rank})",
-                self.world.epoch(),
-                survivors.len(),
-            ));
-            return Ok(Communicator {
-                rank,
-                group_ranks: survivors,
-                core,
-                world: self.world.clone(),
-                precision: self.precision,
-                remote: Some(new_link),
-            });
-        }
-        let (survivors, core) = self.world.regroup(me, deadline)?;
-        let rank = survivors
-            .iter()
-            .position(|&r| r == me)
-            .expect("regroup returned Ok without me in the survivor set");
+            Some(link) => {
+                let (survivors, rank, engine, link) =
+                    link.endpoint().regroup_survivors(deadline)?;
+                (survivors, rank, engine, Some(link))
+            }
+            None => {
+                let (survivors, engine) = self.world.regroup(me, deadline)?;
+                let rank = survivors
+                    .iter()
+                    .position(|&r| r == me)
+                    .expect("regroup returned Ok without me in the survivor set");
+                (survivors, rank, engine, None)
+            }
+        };
         self.world.log.record_fault(format!(
             "regroup epoch {}: world {before} -> {} (global rank {me} is now rank {rank})",
             self.world.epoch(),
             survivors.len(),
         ));
-        Ok(Communicator {
-            rank,
-            group_ranks: survivors,
-            core,
-            world: self.world.clone(),
-            precision: self.precision,
-            remote: None,
-        })
+        Ok(self.member_of(rank, survivors, engine, link))
     }
 
     // ----- group management -------------------------------------------------
 
     /// Split the group: members passing the same `color` form a new group,
     /// ordered by their rank in the parent group (`MPI_Comm_split` with
-    /// key = parent rank).
+    /// key = parent rank). `color` must be below 2^24: it crosses the wire
+    /// as an exact f32.
     pub fn split(&self, color: usize) -> Communicator {
-        // Phase 1: everyone shares its color.
-        if let Some(link) = &self.remote {
-            link.send_exchange(transport::ExchangePayload::Num(color as u64));
-        }
-        let colors = self.core.exchange(self.rank, Box::new(color));
-        self.exchange_complete();
-        let colors: Vec<usize> = colors
-            .iter()
-            .map(|p| *p.downcast_ref::<usize>().unwrap())
-            .collect();
-
-        let members: Vec<usize> = (0..self.size()).filter(|&r| colors[r] == color).collect();
-        let my_new_rank = members.iter().position(|&r| r == self.rank).unwrap();
-        let leader = members[0];
-
-        if let Some(link) = &self.remote {
-            // Phase 2 (TCP): no publish round needed — every member derives
-            // the same split group id locally (parent gid × split counter ×
-            // color) and builds its own full-size replica core.
-            let split_seq = link.next_split_seq();
-            let gid = transport::gid_split(link.gid(), split_seq, color as u64);
-            let core = if members.len() == 1 {
-                CommCore::new(1)
-            } else {
-                CommCore::new_remote(members.len())
-            };
-            self.world.register_core(&core);
-            let group_ranks: Vec<usize> =
-                members.iter().map(|&r| self.group_ranks[r]).collect();
-            let sub_link =
-                link.endpoint().register_group(gid, group_ranks.clone(), my_new_rank, core.clone());
-            return Communicator {
-                rank: my_new_rank,
-                group_ranks,
-                core,
-                world: self.world.clone(),
-                precision: self.precision,
-                remote: Some(sub_link),
-            };
-        }
-
-        // Phase 2: each color's leader creates and publishes the new core.
-        let contribution: Option<Arc<CommCore>> = if self.rank == leader {
-            let core = CommCore::new(members.len());
-            self.world.register_core(&core);
-            Some(core)
-        } else {
-            None
-        };
-        let published = self.core.exchange(self.rank, Box::new(contribution));
-        let new_core = published[leader]
-            .downcast_ref::<Option<Arc<CommCore>>>()
-            .unwrap()
-            .clone()
-            .expect("leader published a core");
-
+        assert!(color < 1 << 24, "split color {color} must be below 2^24");
+        // Phase 1: everyone shares its color (an exact f32 gather).
+        let req = self
+            .try_issue_exact(None, &Tensor::full([1], color as f32))
+            .unwrap_or_else(|e| comm_panic(e));
+        // The gather's engine sequence number is identical on every member
+        // and distinct per split of this group: with the parent's id and the
+        // color it names the new group, so no second round is needed.
+        let gid = gid_split(self.engine.gid(), req.seq(), color as u64);
+        let colors = req.wait();
+        let members: Vec<usize> =
+            (0..self.size()).filter(|&r| colors.data()[r] == color as f32).collect();
+        let rank = members.iter().position(|&r| r == self.rank).expect("own color matches");
         let group_ranks: Vec<usize> = members.iter().map(|&r| self.group_ranks[r]).collect();
-        Communicator {
-            rank: my_new_rank,
-            group_ranks,
-            core: new_core,
-            world: self.world.clone(),
-            precision: self.precision,
-            remote: None,
-        }
+
+        // Phase 2: threads share one engine per group; a TCP member builds
+        // its own full-size replica and registers its route.
+        let (engine, link) = match &self.remote {
+            None => (self.world.split_engine(gid, members.len()), None),
+            Some(link) => {
+                let engine = Engine::new(members.len(), gid);
+                self.world.register_engine(&engine);
+                let ep = link.endpoint();
+                let link = ep.register_group(group_ranks.clone(), rank, engine.clone());
+                (engine, Some(link))
+            }
+        };
+        self.member_of(rank, group_ranks, engine, link)
     }
+}
+
+/// Rank `r`'s part of a `[size, like.dims()..]` metadata gather.
+fn part_of(all: &Tensor, r: usize, like: &Tensor) -> Tensor {
+    let n = like.numel();
+    Tensor::from_vec(all.data()[r * n..(r + 1) * n].to_vec(), like.shape().clone())
 }

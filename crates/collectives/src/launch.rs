@@ -2,9 +2,10 @@
 //!
 //! Each thread gets its own [`MemCounter`] installed as the allocation
 //! tracker, so per-rank memory is observable exactly as a per-GPU allocator
-//! would report it. If any rank panics, it is marked failed on the world's
-//! failure roster and every live process group is poisoned with a typed
-//! [`CommError::PeerFailed`]; the launcher re-panics with the root-cause
+//! would report it. If any rank panics, it is declared failed on the world
+//! (audit-trail record, failure roster) and every live process group is
+//! poisoned with a typed [`crate::CommError::PeerFailed`]; the launcher
+//! re-panics with the root-cause
 //! payload (secondary comm unwinds are identified by *downcasting* the
 //! typed [`crate::fault::CommPanic`] payload, never by sniffing panic
 //! messages).
@@ -18,10 +19,11 @@ use std::sync::Arc;
 
 use dchag_tensor::device::{set_tracker, MemCounter};
 
-use crate::fault::{self, comm_error_of, CommError, FaultPlan};
+use crate::fault::{self, comm_error_of, FaultPlan};
 use crate::group::{Communicator, WorldShared};
-use crate::thread_comm::CommCore;
+use crate::nonblocking::Engine;
 use crate::topology::Topology;
+use crate::transport::gid_world;
 use crate::traffic::TrafficLog;
 
 /// Per-rank execution context handed to the rank closure.
@@ -70,15 +72,16 @@ where
     let world_size = topo.world_size;
     assert!(world_size > 0);
     let world = WorldShared::new(topo);
-    let core = CommCore::new(world_size);
-    world.register_core(&core);
+    let engine = Engine::new(world_size, gid_world(0));
+    world.register_engine(&engine);
     let traffic = world.log.clone();
     let mems: Vec<Arc<MemCounter>> = (0..world_size).map(|_| MemCounter::new()).collect();
 
     let results: Vec<std::thread::Result<T>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..world_size)
             .map(|rank| {
-                let comm = Communicator::new_world(rank, world_size, core.clone(), world.clone());
+                let comm =
+                    Communicator::new_world(rank, world_size, engine.clone(), world.clone(), None);
                 let mem = mems[rank].clone();
                 let world = world.clone();
                 let point = plan.for_rank(rank);
@@ -103,13 +106,9 @@ where
                         // A typed CommPanic is a *secondary* casualty (this
                         // rank died because a peer did); anything else —
                         // user panic or injected fault — is a root failure:
-                        // mark it dead and wake peers before unwinding.
+                        // declare it dead and wake peers before unwinding.
                         if comm_error_of(e.as_ref()).is_none() {
-                            world.mark_failed(rank);
-                            world.poison_all(CommError::PeerFailed {
-                                rank,
-                                epoch: world.epoch(),
-                            });
+                            world.declare_failed(rank, &format!("launcher: rank {rank} unwound"));
                         }
                     }
                     out
@@ -228,6 +227,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::CommError;
     use dchag_tensor::Tensor;
 
     #[test]

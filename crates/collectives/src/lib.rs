@@ -2,8 +2,8 @@
 //!
 //! Simulated multi-rank communication substrate for the D-CHAG
 //! reproduction: OS threads stand in for GPUs, and NCCL/RCCL-style
-//! collectives (AllGather, AllReduce, ReduceScatter, Broadcast, Barrier) are
-//! deterministic rendezvous exchanges.
+//! collectives (AllGather, AllReduce, ReduceScatter, Broadcast, Barrier)
+//! all run on one deterministic chunked engine ([`nonblocking`]).
 //!
 //! What is preserved from the real thing:
 //! * collective *semantics* — what data every rank contributes and receives;
@@ -14,9 +14,9 @@
 //!   topology), which is how tests assert the paper's "no backward-pass
 //!   communication" claim.
 //!
-//! What is intentionally different: transport. Payloads move by `Arc` clone
-//! through shared memory; the analytical α-β cost model in `dchag-perf` is
-//! responsible for timing, not this crate.
+//! What is intentionally different: transport. Payloads move through shared
+//! memory (or loopback TCP, see [`transport`]); the analytical α-β cost
+//! model in `dchag-perf` is responsible for timing, not this crate.
 //!
 //! Failure is a first-class citizen (see the crate README's "Failure
 //! model"): every blocking primitive has a fallible, deadline-bounded
@@ -28,7 +28,6 @@ pub mod fault;
 pub mod group;
 pub mod launch;
 pub mod nonblocking;
-pub mod thread_comm;
 pub mod topology;
 pub mod traffic;
 pub mod transport;
@@ -40,9 +39,7 @@ pub use group::{Communicator, WorldShared};
 pub use launch::{
     run_ranks, run_ranks_faulty, run_topology, run_topology_faulty, FaultyRun, RankCtx, WorldRun,
 };
-pub use nonblocking::{
-    comm_chunk_elems, set_comm_chunk_elems, CommPrecision, CommRequest, COMM_CHUNK_ELEMS,
-};
+pub use nonblocking::{CommPrecision, CommRequest, COMM_CHUNK_ELEMS};
 pub use topology::Topology;
 pub use traffic::{
     ChunkEvent, CollEvent, CollOp, FaultEvent, TrafficLog, TransportEvent, TransportEventKind,
@@ -211,5 +208,64 @@ mod tests {
             run.outputs,
             vec![1.0, 1.0, 5.0, 5.0, 9.0, 9.0, 13.0, 13.0]
         );
+    }
+
+    #[test]
+    fn single_rank_metadata_collectives_return_own_payload() {
+        // A one-rank round freezes at its own deposit: nothing to wait for.
+        let run = run_ranks(1, |ctx| {
+            let t = Tensor::from_vec(vec![41.0, 42.0], [2]);
+            let parts = ctx.comm.all_gather_vec(&t);
+            let b = ctx.comm.broadcast(&t, 0);
+            ctx.comm.barrier();
+            let solo = ctx.comm.split(7);
+            (parts.len(), parts[0].to_vec(), b.to_vec(), solo.size())
+        });
+        assert_eq!(run.outputs, vec![(1, vec![41.0, 42.0], vec![41.0, 42.0], 1)]);
+    }
+
+    #[test]
+    fn metadata_collectives_are_exact_on_a_bf16_handle() {
+        // Metadata rides the f32 wire whatever the handle's precision: a
+        // bf16 wire would round 65535 and 1 + 2^-20, and would merge colors
+        // 300 and 301 (one bf16 value) into one group.
+        let exact = vec![65535.0, 1.0 + 2f32.powi(-20)];
+        let run = run_ranks(4, |ctx| {
+            let r = ctx.comm.rank();
+            let bf = ctx.comm.with_precision(CommPrecision::Bf16);
+            let t = if r == 2 { Tensor::from_vec(exact.clone(), [2]) } else { Tensor::zeros([2]) };
+            let got = bf.broadcast(&t, 2).to_vec();
+            let sub = bf.split(300 + r % 2);
+            (got, sub.group_ranks().to_vec(), sub.precision())
+        });
+        for (r, (got, members, precision)) in run.outputs.into_iter().enumerate() {
+            assert_eq!(got, exact);
+            assert_eq!(members, if r % 2 == 0 { vec![0, 2] } else { vec![1, 3] });
+            assert_eq!(precision, CommPrecision::Bf16, "the split keeps the handle's wire");
+        }
+    }
+
+    #[test]
+    fn split_member_dropping_its_handle_early_strands_no_peer() {
+        // Rank 0 fires one collective on its sub-communicator and drops both
+        // the moment `split` returns, while peers may still be inside `split`
+        // looking the group up: they must find the very engine rank 0 used.
+        let run = run_ranks(3, |ctx| {
+            (0..50)
+                .map(|_| {
+                    let sub = ctx.comm.split(0);
+                    let req = sub.iall_reduce_sum(&Tensor::full([1], ctx.comm.rank() as f32 + 1.0));
+                    if ctx.comm.rank() == 0 {
+                        drop((req, sub));
+                        6.0
+                    } else {
+                        req.wait().item()
+                    }
+                })
+                .collect::<Vec<f32>>()
+        });
+        for out in run.outputs {
+            assert!(out.iter().all(|&s| s == 6.0), "{out:?}");
+        }
     }
 }

@@ -1,33 +1,33 @@
-//! Nonblocking chunked collectives: the comm/compute-overlap engine.
+//! Nonblocking chunked collectives: the one collectives engine.
 //!
-//! The blocking rendezvous in [`crate::thread_comm`] stalls every rank at
-//! each collective — the overlap gap the cross-cloud training literature
-//! attacks with chunked pipelining. This module replaces the rendezvous
-//! *data path* with an issue/wait protocol:
+//! Every collective of a process group — the tensor collectives, and the
+//! barrier, broadcast, `all_gather_vec` and `split` metadata exchanges
+//! built on its gather — runs through one issue/wait protocol, the
+//! chunked pipelining the cross-cloud training literature uses to overlap
+//! communication with compute:
 //!
 //! * `issue` deposits this rank's contribution and returns a [`CommRequest`]
 //!   immediately — the caller keeps computing;
 //! * once the last rank has deposited, the collective's tensor is split into
 //!   a **shape-derived chunk schedule** ([`COMM_CHUNK_ELEMS`] elements per
-//!   chunk) and the chunks become claimable work items;
+//!   chunk by default) and the chunks become claimable work items;
 //! * ranks inside [`CommRequest::wait`] / [`CommRequest::test`] claim chunks
 //!   with an atomic counter and reduce/copy them cooperatively, so the
 //!   reduction of a bucket proceeds while other ranks are still computing —
 //!   and is performed **once** across the group instead of redundantly per
-//!   rank as the rendezvous path did.
+//!   rank.
 //!
 //! Reductions walk contributions in rank order within every chunk, and the
 //! chunk schedule depends only on the tensor shape — never on thread count
-//! or timing — so results are bitwise identical to the blocking path at any
-//! parallelism. Every completed chunk stamps a
-//! [`crate::traffic::ChunkEvent`] (ready/done timestamps + ring-model wire
-//! bytes), which is how the overlap fraction is *measured* rather than
-//! assumed.
+//! or timing — so results are bitwise identical at any parallelism. Every
+//! completed chunk stamps a [`crate::traffic::ChunkEvent`] (ready/done
+//! timestamps + ring-model wire bytes), which is how the overlap fraction
+//! is *measured* rather than assumed.
 //!
 //! Collectives are matched across ranks by a per-rank issue counter: the
-//! i-th nonblocking collective issued on a communicator must be the same
-//! logical collective on every rank (the SPMD invariant the blocking path
-//! already relied on); kind and shape are validated at deposit time.
+//! i-th collective issued on a communicator must be the same logical
+//! collective on every rank (the SPMD invariant); kind and shape are
+//! validated at deposit time.
 
 use std::cell::UnsafeCell;
 use std::collections::HashMap;
@@ -42,7 +42,7 @@ use dchag_tensor::ops;
 use dchag_tensor::{Shape, Tensor};
 
 use crate::fault::{self, CommError, FaultPoint};
-use crate::thread_comm::CommCore;
+use crate::group::WorldShared;
 use crate::traffic::{ChunkEvent, CollOp, TrafficLog};
 
 /// Unsuccessful condvar polls before a deadline-bounded wait parks (the
@@ -50,36 +50,17 @@ use crate::traffic::{ChunkEvent, CollOp, TrafficLog};
 /// nanoseconds is caught without a syscall).
 const WAIT_SPINS: u32 = 64;
 
-/// Elements per pipeline chunk (64 KiB of f32): small enough that a bucket
-/// splits into several overlappable stages, large enough that the per-chunk
-/// claim/stamp overhead is noise. Part of the shape-derived schedule — do
-/// not make this depend on thread count.
+/// Default elements per pipeline chunk (64 KiB of f32): small enough that a
+/// bucket splits into several overlappable stages, large enough that the
+/// per-chunk claim/stamp overhead is noise. Part of the shape-derived
+/// schedule — do not make this depend on thread count.
 ///
-/// This is the **fixed fallback**; a planner that knows the fabric's α-β
-/// parameters can install a derived value via [`set_comm_chunk_elems`]
-/// (see `dchag_perf::comm::optimal_chunk_elems` and the installer in
+/// Every world starts at this value; a planner that knows the fabric's
+/// α-β parameters can install a derived one per world via
+/// [`crate::Communicator::set_chunk_elems`] (see
+/// `dchag_perf::comm::optimal_chunk_elems` and the installers in
 /// `dchag_parallel`).
 pub const COMM_CHUNK_ELEMS: usize = 16 * 1024;
-
-/// Process-wide pipeline chunk size, defaulting to [`COMM_CHUNK_ELEMS`].
-static CHUNK_ELEMS: AtomicUsize = AtomicUsize::new(COMM_CHUNK_ELEMS);
-
-/// Elements per pipeline chunk currently in force for new collectives.
-pub fn comm_chunk_elems() -> usize {
-    CHUNK_ELEMS.load(Ordering::Relaxed)
-}
-
-/// Install an α-β-derived pipeline chunk size (in f32 elements, clamped to
-/// ≥ 1); returns the previous value so tests and planners can restore it.
-///
-/// The value is read **once per collective**, when the last depositing rank
-/// freezes the chunk schedule, so every rank of a round sees the same
-/// schedule regardless of when the planner ran. Chunk boundaries never
-/// change reduction results (reduction is elementwise in rank order), only
-/// pipeline granularity.
-pub fn set_comm_chunk_elems(elems: usize) -> usize {
-    CHUNK_ELEMS.swap(elems.max(1), Ordering::Relaxed)
-}
 
 /// Which collective a round performs.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -182,8 +163,7 @@ struct Frozen {
     /// Flat start offset of each rank's region in the gather output.
     gather_offsets: Vec<usize>,
     /// Rank-identical results (all-reduce, all-gather) are materialized
-    /// once by the first finisher and `Arc`-cloned by the rest — the same
-    /// shared-memory transport the exchange path uses.
+    /// once by the first finisher and `Arc`-cloned by the rest.
     result: OnceLock<Tensor>,
     ready_us: f64,
 }
@@ -237,8 +217,16 @@ struct EngineState {
     rounds: HashMap<u64, RoundEntry>,
 }
 
-/// Per-process-group nonblocking engine, owned by a [`CommCore`].
+/// One process group's collectives engine, shared by every handle on the
+/// group in this process: all `size` ranks on the thread transport, the
+/// local rank's full-size replica on TCP (remote ranks deposit through
+/// [`deposit_remote`]).
 pub(crate) struct Engine {
+    size: usize,
+    /// Group id: identical on every member, distinct per group — derived,
+    /// never exchanged (`transport::{gid_world, gid_split}`). TCP frames
+    /// route by it; thread-transport splits find their shared engine by it.
+    gid: u64,
     state: Mutex<EngineState>,
     cv: Condvar,
     poisoned: AtomicBool,
@@ -248,8 +236,11 @@ pub(crate) struct Engine {
 }
 
 impl Engine {
-    pub(crate) fn new(size: usize) -> Self {
-        Engine {
+    pub(crate) fn new(size: usize, gid: u64) -> Arc<Self> {
+        assert!(size > 0, "process group must be non-empty");
+        Arc::new(Engine {
+            size,
+            gid,
             state: Mutex::new(EngineState {
                 next_seq: vec![0; size],
                 rounds: HashMap::new(),
@@ -257,10 +248,22 @@ impl Engine {
             cv: Condvar::new(),
             poisoned: AtomicBool::new(false),
             poison_cause: OnceLock::new(),
-        }
+        })
     }
 
-    /// Wake all engine waiters so they fail fast instead of hanging.
+    #[inline]
+    pub(crate) fn size(&self) -> usize {
+        self.size
+    }
+
+    #[inline]
+    pub(crate) fn gid(&self) -> u64 {
+        self.gid
+    }
+
+    /// Mark the group broken (`cause` says why) and wake every waiter, which
+    /// then fails with the cause instead of hanging. The first cause wins;
+    /// later poisons keep the original root attribution.
     pub(crate) fn poison(&self, cause: CommError) {
         let _g = self.state.lock();
         let _ = self.poison_cause.set(cause);
@@ -291,7 +294,7 @@ impl Engine {
         }
     }
 
-    /// Rounds currently tracked (in flight or not yet retired by every
+    /// Rounds currently tracked (incomplete and not yet dropped by every
     /// rank) — diagnostics and leak tests.
     pub(crate) fn rounds_len(&self) -> usize {
         self.state.lock().rounds.len()
@@ -320,7 +323,7 @@ impl Engine {
 /// peers still complete); the result is simply discarded and the rank's
 /// share of the round bookkeeping is retired by `Drop`.
 pub struct CommRequest {
-    core: Arc<CommCore>,
+    engine: Arc<Engine>,
     log: Arc<TrafficLog>,
     round: Arc<Round>,
     rank: usize,
@@ -328,93 +331,26 @@ pub struct CommRequest {
     retired: bool,
 }
 
-/// Panicking wrapper over [`try_issue`] (poison surfaces as a typed
-/// [`crate::fault::CommPanic`] unwind).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn issue(
-    core: &Arc<CommCore>,
-    rank: usize,
-    kind: CollKind,
-    precision: CommPrecision,
-    t: &Tensor,
-    event_seq: Option<usize>,
-    log: Arc<TrafficLog>,
-) -> CommRequest {
-    try_issue(core, rank, kind, precision, t, event_seq, log)
-        .unwrap_or_else(|e| fault::comm_panic(e))
-}
-
-/// Deposit `t` as `rank`'s contribution to its next collective on this core
-/// and return the request handle. `event_seq` attributes chunk events to the
-/// logical traffic-log entry (recorded by group rank 0). Fails if the group
-/// is already poisoned; SPMD violations (kind/shape/precision mismatch)
-/// remain panics — they are program bugs, not runtime faults.
-#[allow(clippy::too_many_arguments)]
+/// Deposit `t` as `rank`'s contribution to its next collective on this
+/// engine and return the request handle. `event_seq` attributes chunk
+/// events to the logical traffic-log entry (recorded by group rank 0).
+/// Fails if the group is already poisoned; SPMD violations
+/// (kind/shape/precision mismatch) remain panics — they are program bugs,
+/// not runtime faults.
 pub(crate) fn try_issue(
-    core: &Arc<CommCore>,
+    engine: &Arc<Engine>,
     rank: usize,
     kind: CollKind,
     precision: CommPrecision,
     t: &Tensor,
     event_seq: Option<usize>,
-    log: Arc<TrafficLog>,
+    world: &WorldShared,
 ) -> Result<CommRequest, CommError> {
     fault::probe_issue();
-    let engine = core.engine();
-    let group = core.size();
-    let mut st = engine.state.lock();
-    engine.check_live()?;
-    let seq = st.next_seq[rank];
-    st.next_seq[rank] += 1;
-
-    let entry = st.rounds.entry(seq).or_insert_with(|| RoundEntry {
-        arrived: 0,
-        retired: 0,
-        contribs: vec![None; group],
-        shared: Arc::new(Round {
-            kind,
-            precision,
-            group,
-            seq,
-            frozen: OnceLock::new(),
-            next_chunk: AtomicUsize::new(0),
-            done_chunks: AtomicUsize::new(0),
-            complete: AtomicBool::new(false),
-            stamps: Mutex::new(Stamps {
-                issued_us: log.now_us(),
-                event_seq: None,
-            }),
-        }),
-    });
-    assert_eq!(
-        entry.shared.kind, kind,
-        "rank {rank} issued {kind:?} at collective #{seq} but a peer issued {:?} — \
-         nonblocking collectives must be issued in the same order on every rank",
-        entry.shared.kind
-    );
-    assert_eq!(
-        entry.shared.precision, precision,
-        "rank {rank} issued collective #{seq} with {precision:?} wire but a peer used {:?} — \
-         every rank of a group must agree on the wire precision",
-        entry.shared.precision
-    );
-    validate_contribution(kind, group, &entry.contribs, t);
-    debug_assert!(entry.contribs[rank].is_none(), "rank {rank} double-issue at #{seq}");
-    entry.contribs[rank] = Some(t.clone());
-    entry.arrived += 1;
-    if let Some(es) = event_seq {
-        entry.shared.stamps.lock().event_seq = Some(es);
-    }
-    let round = entry.shared.clone();
-    if entry.arrived == group {
-        let contribs: Vec<Tensor> = entry.contribs.iter_mut().map(|c| c.take().unwrap()).collect();
-        freeze(&round, contribs, log.now_us());
-        engine.cv.notify_all();
-    }
-    drop(st);
+    let (round, seq) = deposit(engine, rank, kind, precision, t, event_seq, world, false)?;
     Ok(CommRequest {
-        core: core.clone(),
-        log,
+        engine: engine.clone(),
+        log: world.log.clone(),
         round,
         rank,
         seq,
@@ -431,15 +367,32 @@ pub(crate) fn try_issue(
 /// here. Returns the engine-assigned sequence number so the transport can
 /// cross-check it against the frame's wire sequence.
 pub(crate) fn deposit_remote(
-    core: &Arc<CommCore>,
+    engine: &Engine,
     rank: usize,
     kind: CollKind,
     precision: CommPrecision,
     t: &Tensor,
-    log: &TrafficLog,
+    world: &WorldShared,
 ) -> Result<u64, CommError> {
-    let engine = core.engine();
-    let group = core.size();
+    deposit(engine, rank, kind, precision, t, None, world, true).map(|(_, seq)| seq)
+}
+
+/// The one deposit path behind [`try_issue`] and [`deposit_remote`]: match
+/// `rank`'s next collective to its round, validate it against the peers'
+/// contributions, and freeze the chunk schedule when it is the last.
+#[allow(clippy::too_many_arguments)]
+fn deposit(
+    engine: &Engine,
+    rank: usize,
+    kind: CollKind,
+    precision: CommPrecision,
+    t: &Tensor,
+    event_seq: Option<usize>,
+    world: &WorldShared,
+    remote: bool,
+) -> Result<(Arc<Round>, u64), CommError> {
+    let group = engine.size;
+    let who = if remote { "remote rank" } else { "rank" };
     let mut st = engine.state.lock();
     engine.check_live()?;
     let seq = st.next_seq[rank];
@@ -459,41 +412,46 @@ pub(crate) fn deposit_remote(
             done_chunks: AtomicUsize::new(0),
             complete: AtomicBool::new(false),
             stamps: Mutex::new(Stamps {
-                issued_us: log.now_us(),
+                issued_us: world.log.now_us(),
                 event_seq: None,
             }),
         }),
     });
     assert_eq!(
         entry.shared.kind, kind,
-        "remote rank {rank} sent {kind:?} at collective #{seq} but this process issued {:?} — \
+        "{who} {rank} issued {kind:?} at collective #{seq} but a peer issued {:?} — \
          nonblocking collectives must be issued in the same order on every rank",
         entry.shared.kind
     );
     assert_eq!(
         entry.shared.precision, precision,
-        "remote rank {rank} sent collective #{seq} with {precision:?} wire but this process \
-         used {:?} — every rank of a group must agree on the wire precision",
+        "{who} {rank} issued collective #{seq} with {precision:?} wire but a peer used {:?} — \
+         every rank of a group must agree on the wire precision",
         entry.shared.precision
     );
     validate_contribution(kind, group, &entry.contribs, t);
-    debug_assert!(entry.contribs[rank].is_none(), "remote rank {rank} double-deposit at #{seq}");
+    debug_assert!(entry.contribs[rank].is_none(), "{who} {rank} double-deposit at #{seq}");
     entry.contribs[rank] = Some(t.clone());
     entry.arrived += 1;
-    entry.retired += 1;
+    if remote {
+        entry.retired += 1;
+    }
+    if let Some(es) = event_seq {
+        entry.shared.stamps.lock().event_seq = Some(es);
+    }
     let round = entry.shared.clone();
     let fully_retired = entry.retired == group;
     if entry.arrived == group {
         let contribs: Vec<Tensor> = entry.contribs.iter_mut().map(|c| c.take().unwrap()).collect();
-        freeze(&round, contribs, log.now_us());
+        freeze(&round, contribs, world.chunk_elems(), world.log.now_us());
         engine.cv.notify_all();
     }
-    if fully_retired {
-        // The local rank already dropped its request (fire-and-forget):
-        // nobody in this process will read the result, so release the round.
+    // A round no waiter can still need leaves the table: an empty one is
+    // complete at freeze; a fire-and-forget one was dropped by every rank.
+    if fully_retired || round.complete.load(Ordering::Acquire) {
         st.rounds.remove(&seq);
     }
-    Ok(seq)
+    Ok((round, seq))
 }
 
 fn validate_contribution(kind: CollKind, group: usize, existing: &[Option<Tensor>], t: &Tensor) {
@@ -528,12 +486,12 @@ fn validate_contribution(kind: CollKind, group: usize, existing: &[Option<Tensor
 }
 
 /// Build the shape-derived chunk schedule and the output buffer; publish the
-/// round as runnable. Called under the engine lock by the last depositor.
-fn freeze(round: &Arc<Round>, contribs: Vec<Tensor>, ready_us: f64) {
-    // One read per round: every rank that helps run this collective works
-    // off the schedule frozen here, so a planner swapping the chunk size
-    // concurrently can never split one round across two granularities.
-    let chunk_elems = comm_chunk_elems();
+/// round as runnable. Called under the engine lock by the last depositor,
+/// with the world's chunk size read once for this round: every rank that
+/// helps run it works off the schedule frozen here, so a planner swapping
+/// the size concurrently can never split one round across two
+/// granularities.
+fn freeze(round: &Arc<Round>, contribs: Vec<Tensor>, chunk_elems: usize, ready_us: f64) {
     let mut chunks = Vec::new();
     let mut gather_offsets = Vec::new();
     let out_len = match round.kind {
@@ -605,8 +563,8 @@ fn run_chunk(round: &Round, frozen: &Frozen, c: &Chunk) {
             // Decode-and-reduce: each rank's contribution takes the value
             // it carried across the wire (identity for f32, a bf16 round
             // trip for the half-width wire), then plain f32 adds in rank
-            // order — bitwise identical to the rendezvous path's
-            // whole-tensor `ops::add` chain on the same wire values.
+            // order — bitwise identical to a whole-tensor `ops::add` chain
+            // on the same wire values.
             let first = &frozen.contribs[0].data()[c.src_off..c.src_off + c.len];
             for (o, &x) in out.iter_mut().zip(first) {
                 *o = p.decode_sent(x);
@@ -627,13 +585,12 @@ fn run_chunk(round: &Round, frozen: &Frozen, c: &Chunk) {
     }
 }
 
-/// Claim and run up to `max` chunks of any runnable round on this core
+/// Claim and run up to `max` chunks of any runnable round on this engine
 /// (oldest first). Returns whether any work was done. This is the
 /// cooperative scheduler: every rank that waits — or polls via `test` —
 /// drives forward whichever collective is ready, so reductions complete
 /// while slower ranks are still computing.
-fn try_progress(core: &CommCore, log: &TrafficLog, max: usize) -> bool {
-    let engine = core.engine();
+fn try_progress(engine: &Engine, log: &TrafficLog, max: usize) -> bool {
     let target: Option<Arc<Round>> = {
         let st = engine.state.lock();
         st.rounds
@@ -670,7 +627,10 @@ fn try_progress(core: &CommCore, log: &TrafficLog, max: usize) -> bool {
         let done = round.done_chunks.fetch_add(1, Ordering::AcqRel) + 1;
         if done == n_chunks {
             round.complete.store(true, Ordering::Release);
-            let _g = engine.state.lock();
+            // Every rank deposited and every chunk ran: no waiter needs the
+            // table entry any more (requests hold the round itself).
+            let mut st = engine.state.lock();
+            st.rounds.remove(&round.seq);
             engine.cv.notify_all();
         }
     }
@@ -698,8 +658,8 @@ impl CommRequest {
         if self.round.complete.load(Ordering::Acquire) {
             return Ok(true);
         }
-        self.core.engine().check_live()?;
-        try_progress(&self.core, &self.log, 1);
+        self.engine.check_live()?;
+        try_progress(&self.engine, &self.log, 1);
         Ok(self.round.complete.load(Ordering::Acquire))
     }
 
@@ -707,7 +667,7 @@ impl CommRequest {
     /// (cooperative progress for callers that interleave compute).
     pub fn progress(&self) {
         if !self.round.complete.load(Ordering::Acquire) {
-            try_progress(&self.core, &self.log, usize::MAX);
+            try_progress(&self.engine, &self.log, usize::MAX);
         }
     }
 
@@ -718,8 +678,7 @@ impl CommRequest {
             return;
         }
         self.retired = true;
-        let engine = self.core.engine();
-        let mut st = engine.state.lock();
+        let mut st = self.engine.state.lock();
         if let Some(entry) = st.rounds.get_mut(&self.seq) {
             entry.retired += 1;
             if entry.retired == self.round.group {
@@ -771,7 +730,7 @@ impl CommRequest {
             }
             fault::die(rank, point);
         }
-        let engine = self.core.engine();
+        let engine = &self.engine;
         let start = Instant::now();
         let mut spins = 0u32;
         let mut ticks = 0u32;
@@ -795,7 +754,7 @@ impl CommRequest {
                 }
             }
             ticks = ticks.wrapping_add(1);
-            if try_progress(&self.core, &self.log, usize::MAX) {
+            if try_progress(engine, &self.log, usize::MAX) {
                 continue;
             }
             let mut st = engine.state.lock();
@@ -895,10 +854,6 @@ impl Drop for CommRequest {
 mod tests {
     use super::*;
     use crate::launch::run_ranks;
-
-    /// Serializes tests that read or write the process-wide chunk size
-    /// (cargo runs tests concurrently in one process).
-    static CHUNK_CFG_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     #[test]
     fn iall_reduce_matches_blocking_across_chunk_boundaries() {
@@ -1035,32 +990,32 @@ mod tests {
 
     #[test]
     fn adaptive_chunk_size_reshapes_schedule_and_restores() {
-        let _guard = CHUNK_CFG_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        assert_eq!(comm_chunk_elems(), COMM_CHUNK_ELEMS, "default is the fixed constant");
-        let prev = set_comm_chunk_elems(4096);
-        assert_eq!(prev, COMM_CHUNK_ELEMS);
         let run = run_ranks(2, |ctx| {
+            // Every rank installs the same size before its next issue.
+            ctx.comm.set_chunk_elems(4096);
             let n = 4096 * 3 + 5; // 4 chunks under the installed size
             let req = ctx.comm.iall_reduce_sum(&Tensor::full([n], 1.0));
             let out = req.wait();
             ctx.comm.barrier();
             (out.data().iter().all(|&x| x == 2.0), ctx.comm.traffic().chunk_events().len())
         });
-        set_comm_chunk_elems(prev);
         for (ok, chunks) in run.outputs {
             assert!(ok, "reduction unchanged by chunk granularity");
             assert_eq!(chunks, 4);
         }
-        // Degenerate install is clamped, never zero.
-        let prev = set_comm_chunk_elems(0);
-        assert_eq!(comm_chunk_elems(), 1);
-        set_comm_chunk_elems(prev);
-        assert_eq!(comm_chunk_elems(), COMM_CHUNK_ELEMS);
+        // The size is per world: a fresh world starts at the fixed constant.
+        // A degenerate install is clamped, never zero; restore is exact.
+        let run = run_ranks(1, |ctx| {
+            let prev = ctx.comm.set_chunk_elems(0);
+            let clamped = ctx.comm.chunk_elems();
+            ctx.comm.set_chunk_elems(prev);
+            (prev, clamped, ctx.comm.chunk_elems())
+        });
+        assert_eq!(run.outputs, vec![(COMM_CHUNK_ELEMS, 1, COMM_CHUNK_ELEMS)]);
     }
 
     #[test]
     fn chunk_events_stamped_once_per_chunk() {
-        let _guard = CHUNK_CFG_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let run = run_ranks(2, |ctx| {
             let n = COMM_CHUNK_ELEMS * 2 + 7; // 3 chunks
             let req = ctx.comm.iall_reduce_sum(&Tensor::ones([n]));
@@ -1156,7 +1111,6 @@ mod tests {
 
     #[test]
     fn bf16_wire_halves_bytes_on_wire_exactly() {
-        let _guard = CHUNK_CFG_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         for &w in &[2usize, 4] {
             let wire_for = |precision: CommPrecision| {
                 let run = run_ranks(w, |ctx| {
@@ -1285,5 +1239,79 @@ mod tests {
             // second collective never matched by rank 0
             ctx.comm.iall_reduce_sum(&Tensor::ones([4])).wait().at(0)
         });
+    }
+
+    /// An engine of `size` ranks in a throwaway world, for tests that drive
+    /// deposits directly.
+    fn bare_engine(size: usize) -> (Arc<Engine>, Arc<WorldShared>) {
+        let world = WorldShared::new(crate::Topology::frontier(size));
+        let engine = Engine::new(size, 0);
+        world.register_engine(&engine);
+        (engine, world)
+    }
+
+    fn ones_issue(engine: &Arc<Engine>, world: &WorldShared, rank: usize, v: f32) -> CommRequest {
+        let t = Tensor::full([1], v);
+        try_issue(engine, rank, CollKind::AllReduceSum, CommPrecision::F32, &t, None, world)
+            .expect("live engine")
+    }
+
+    #[test]
+    fn fault_first_poison_cause_wins() {
+        let (engine, world) = bare_engine(2);
+        world.poison_all(CommError::PeerFailed { rank: 0, epoch: 3 });
+        world.poison_all(CommError::Poisoned);
+        let (t, kind) = (Tensor::ones([1]), CollKind::AllReduceSum);
+        let err = try_issue(&engine, 1, kind, CommPrecision::F32, &t, None, &world);
+        let err = err.err().expect("poisoned engine refuses deposits");
+        assert_eq!(err, CommError::PeerFailed { rank: 0, epoch: 3 });
+    }
+
+    #[test]
+    fn remote_deposits_race_ahead_without_mixing_rounds() {
+        // A replica engine (one local rank) whose remote peer runs three
+        // full rounds ahead before the local rank issues at all: rounds are
+        // matched by sequence number, never mixing contributions.
+        let (engine, world) = bare_engine(2);
+        for round in 0..3u64 {
+            let t = Tensor::full([1], 100.0 + round as f32);
+            let kind = CollKind::AllReduceSum;
+            let seq = deposit_remote(&engine, 1, kind, CommPrecision::F32, &t, &world);
+            assert_eq!(seq, Ok(round));
+        }
+        for round in 0..3 {
+            let sum = ones_issue(&engine, &world, 0, round as f32).wait();
+            assert_eq!(sum.item(), 100.0 + 2.0 * round as f32);
+        }
+        assert_eq!(engine.rounds_len(), 0, "completed rounds leave the table");
+    }
+
+    #[test]
+    fn remote_deposit_into_poisoned_core_is_dropped() {
+        let (engine, world) = bare_engine(2);
+        world.poison_all(CommError::PeerFailed { rank: 1, epoch: 0 });
+        let t = Tensor::ones([1]);
+        let kind = CollKind::AllReduceSum;
+        let got = deposit_remote(&engine, 1, kind, CommPrecision::F32, &t, &world);
+        assert_eq!(got, Err(CommError::PeerFailed { rank: 1, epoch: 0 }));
+        assert_eq!(engine.rounds_len(), 0);
+    }
+
+    #[test]
+    fn poison_wakes_waiters_with_typed_cause() {
+        let (engine, world) = bare_engine(2);
+        let req = ones_issue(&engine, &world, 0, 1.0);
+        let (parked_tx, parked_rx) = std::sync::mpsc::channel();
+        let waiter = std::thread::spawn(move || {
+            parked_tx.send(()).expect("test thread listens");
+            req.try_wait(None)
+        });
+        parked_rx.recv().expect("waiter started");
+        // Let the waiter spin out and park on the condvar before the poison
+        // lands (poison before parking is covered by the live check too).
+        std::thread::sleep(Duration::from_millis(20));
+        world.poison_all(CommError::PeerFailed { rank: 1, epoch: 0 });
+        let got = waiter.join().expect("waiter returns, never panics");
+        assert_eq!(got.err(), Some(CommError::PeerFailed { rank: 1, epoch: 0 }));
     }
 }

@@ -67,6 +67,9 @@ pub struct CollEvent {
 /// ranks share one clock and the overlap window can be reconstructed.
 #[derive(Clone, Debug)]
 pub struct ChunkEvent {
+    /// The engine collective that moved the chunk: broadcast and
+    /// `all_gather_vec` run as gathers, so their chunks say `AllGather`
+    /// while `coll_seq` points at the logical event.
     pub op: CollOp,
     /// `seq` of the parent [`CollEvent`] (`usize::MAX` while unattributed —
     /// only possible if the recording rank never deposited, which cannot
@@ -299,9 +302,10 @@ impl TrafficLog {
         self.chunk_events.lock().clone()
     }
 
-    /// Total ring-model bytes moved by the pipelined (chunked) path. The
-    /// exchange-path collectives (broadcast, barrier, `all_gather_vec`,
-    /// `split`) move payloads by `Arc` clone and do not contribute.
+    /// Total ring-model bytes moved by chunked rounds. Every collective runs
+    /// on the chunk engine, so barrier, broadcast and `all_gather_vec`
+    /// contribute their gathers' ring-model bytes too (a barrier gathers
+    /// zero elements, so it adds none; `split`'s color gather adds a few).
     pub fn bytes_on_wire(&self) -> usize {
         self.wire_bytes.load(Ordering::Relaxed)
     }

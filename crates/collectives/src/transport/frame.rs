@@ -17,8 +17,11 @@ use crate::nonblocking::{CollKind, CommPrecision};
 /// garbage length prefix allocates gigabytes.
 pub const MAGIC: u32 = 0x4443_4847;
 
-/// Wire protocol version; bumped on any frame-layout change.
-pub const VERSION: u16 = 1;
+/// Wire protocol version; bumped on any frame-layout change. Version 2
+/// dropped version 1's rendezvous-exchange data path (barrier tokens,
+/// split colors) — every data frame now names the engine collective it
+/// feeds — and renumbered the data-frame kind and body tags.
+pub const VERSION: u16 = 2;
 
 /// Upper bound on one frame's body (64 MiB): a corrupt or hostile length
 /// prefix surfaces as a codec error instead of an allocation.
@@ -35,37 +38,25 @@ impl std::fmt::Display for CodecError {
     }
 }
 
-/// Payload of a data frame. The body kind doubles as the wire precision
-/// for chunked collectives: a [`CommPrecision::Bf16`] round really travels
-/// as 2-byte values ([`WireBody::Bf16`]), not as rounded f32s.
+/// Payload of a data frame. The body kind doubles as the wire precision:
+/// a [`CommPrecision::Bf16`] round really travels as 2-byte values
+/// ([`WireBody::Bf16`]), not as rounded f32s.
 #[derive(Clone, Debug, PartialEq)]
 pub enum WireBody {
-    /// Barrier token.
-    Unit,
-    /// Small scalar metadata (split colors).
-    Num(u64),
     /// Full-width tensor data.
     F32(Vec<f32>),
     /// Half-width tensor data (raw bf16 bits).
     Bf16(Vec<u16>),
 }
 
-/// Which data path a frame feeds: the blocking rendezvous exchange or the
-/// nonblocking chunked engine (with its collective kind).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WirePath {
-    Exchange,
-    Issue(CollKind),
-}
-
 /// One remote contribution: rank `sender` (a *group* rank) of group
-/// `group` deposits `body` as its `seq`-th frame on `path`.
+/// `group` deposits `body` as its `seq`-th collective, a `kind`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct DataFrame {
     pub group: u64,
     pub sender: u32,
     pub seq: u64,
-    pub path: WirePath,
+    pub kind: CollKind,
     pub dims: Vec<usize>,
     pub body: WireBody,
 }
@@ -74,8 +65,8 @@ impl DataFrame {
     /// The wire precision this frame's body implies.
     pub fn precision(&self) -> CommPrecision {
         match self.body {
+            WireBody::F32(_) => CommPrecision::F32,
             WireBody::Bf16(_) => CommPrecision::Bf16,
-            _ => CommPrecision::F32,
         }
     }
 }
@@ -146,33 +137,27 @@ pub fn encode_frame(f: &Frame) -> Vec<u8> {
             put_u64(&mut b, d.group);
             put_u32(&mut b, d.sender);
             put_u64(&mut b, d.seq);
-            let (path, axis) = match d.path {
-                WirePath::Exchange => (0u8, 0usize),
-                WirePath::Issue(CollKind::AllReduceSum) => (1, 0),
-                WirePath::Issue(CollKind::ReduceScatterSum) => (2, 0),
-                WirePath::Issue(CollKind::AllGatherCat { axis }) => (3, axis),
+            let (kind, axis) = match d.kind {
+                CollKind::AllReduceSum => (0u8, 0usize),
+                CollKind::ReduceScatterSum => (1, 0),
+                CollKind::AllGatherCat { axis } => (2, axis),
             };
-            b.push(path);
+            b.push(kind);
             put_u32(&mut b, axis as u32);
             b.push(d.dims.len() as u8);
             for &dim in &d.dims {
                 put_u32(&mut b, dim as u32);
             }
             match &d.body {
-                WireBody::Unit => b.push(0),
-                WireBody::Num(n) => {
-                    b.push(1);
-                    put_u64(&mut b, *n);
-                }
                 WireBody::F32(v) => {
-                    b.push(2);
+                    b.push(0);
                     put_u64(&mut b, v.len() as u64);
                     for &x in v {
                         put_u32(&mut b, x.to_bits());
                     }
                 }
                 WireBody::Bf16(v) => {
-                    b.push(3);
+                    b.push(1);
                     put_u64(&mut b, v.len() as u64);
                     for &x in v {
                         put_u16(&mut b, x);
@@ -265,14 +250,13 @@ fn decode_body(body: &[u8]) -> Result<Frame, CodecError> {
             let group = c.u64()?;
             let sender = c.u32()?;
             let seq = c.u64()?;
-            let path_tag = c.u8()?;
+            let kind_tag = c.u8()?;
             let axis = c.u32()? as usize;
-            let path = match path_tag {
-                0 => WirePath::Exchange,
-                1 => WirePath::Issue(CollKind::AllReduceSum),
-                2 => WirePath::Issue(CollKind::ReduceScatterSum),
-                3 => WirePath::Issue(CollKind::AllGatherCat { axis }),
-                t => return Err(CodecError(format!("bad data path tag {t}"))),
+            let kind = match kind_tag {
+                0 => CollKind::AllReduceSum,
+                1 => CollKind::ReduceScatterSum,
+                2 => CollKind::AllGatherCat { axis },
+                t => return Err(CodecError(format!("bad collective kind tag {t}"))),
             };
             let ndim = c.u8()? as usize;
             let mut dims = Vec::with_capacity(ndim);
@@ -280,9 +264,7 @@ fn decode_body(body: &[u8]) -> Result<Frame, CodecError> {
                 dims.push(c.u32()? as usize);
             }
             let body = match c.u8()? {
-                0 => WireBody::Unit,
-                1 => WireBody::Num(c.u64()?),
-                2 => {
+                0 => {
                     let n = c.u64()? as usize;
                     let raw = c.take(n.saturating_mul(4))?;
                     WireBody::F32(
@@ -291,7 +273,7 @@ fn decode_body(body: &[u8]) -> Result<Frame, CodecError> {
                             .collect(),
                     )
                 }
-                3 => {
+                1 => {
                     let n = c.u64()? as usize;
                     let raw = c.take(n.saturating_mul(2))?;
                     WireBody::Bf16(
@@ -302,7 +284,7 @@ fn decode_body(body: &[u8]) -> Result<Frame, CodecError> {
                 }
                 t => return Err(CodecError(format!("bad body kind tag {t}"))),
             };
-            Frame::Data(DataFrame { group, sender, seq, path, dims, body })
+            Frame::Data(DataFrame { group, sender, seq, kind, dims, body })
         }
         TAG_ACK => Frame::Ack { group: c.u64()?, upto: c.u64()? },
         TAG_HEARTBEAT => Frame::Heartbeat,
@@ -428,7 +410,7 @@ mod tests {
                 group: 0xDEAD_BEEF,
                 sender: 3,
                 seq: 41,
-                path: WirePath::Issue(CollKind::AllGatherCat { axis: 1 }),
+                kind: CollKind::AllGatherCat { axis: 1 },
                 dims: vec![2, 5],
                 body: WireBody::F32(vec![1.5, -0.25, f32::MIN_POSITIVE]),
             }),
@@ -436,15 +418,15 @@ mod tests {
                 group: 1,
                 sender: 0,
                 seq: 0,
-                path: WirePath::Exchange,
-                dims: vec![],
-                body: WireBody::Unit,
+                kind: CollKind::AllGatherCat { axis: 0 },
+                dims: vec![1, 0],
+                body: WireBody::F32(vec![]),
             }),
             Frame::Data(DataFrame {
                 group: 2,
                 sender: 1,
                 seq: 3,
-                path: WirePath::Issue(CollKind::ReduceScatterSum),
+                kind: CollKind::ReduceScatterSum,
                 dims: vec![8],
                 body: WireBody::Bf16(vec![0x3F80, 0xBF00, 0x0000]),
             }),
@@ -464,7 +446,7 @@ mod tests {
             group: 3,
             sender: 1,
             seq: 12,
-            path: WirePath::Issue(CollKind::AllReduceSum),
+            kind: CollKind::AllReduceSum,
             dims: vec![3],
             body: WireBody::F32(vec![0.1, 0.2, 0.3]),
         });
@@ -552,6 +534,9 @@ mod tests {
         assert!(validate_handshake(&wrong_version, expect)
             .unwrap_err()
             .contains("version mismatch"));
+        // A version-1 peer still speaks the rendezvous-exchange frames.
+        let v1 = Frame::Handshake { version: 1, world: 4, epoch: 2, rank: 3 };
+        assert!(validate_handshake(&v1, expect).unwrap_err().contains("version mismatch"));
         assert!(validate_handshake(&Frame::Heartbeat, expect)
             .unwrap_err()
             .contains("expected handshake"));

@@ -22,7 +22,7 @@ use super::{gid_world, Endpoint, TcpConfig, Transport, TransportFaultPlan};
 use crate::fault::{describe_payload, FaultPlan};
 use crate::group::{Communicator, WorldShared};
 use crate::launch::{silence_expected_fault_panics, RankCtx};
-use crate::thread_comm::CommCore;
+use crate::nonblocking::Engine;
 use crate::topology::Topology;
 use crate::traffic::TrafficLog;
 
@@ -36,7 +36,7 @@ pub struct TcpRun<T> {
 }
 
 /// Bring up one rank's world: endpoint over the pre-bound listener, local
-/// replica core for the whole group, world group registered at `epoch`.
+/// replica engine for the whole group, world group registered at `epoch`.
 fn build_rank(
     world_size: usize,
     cfg: TcpConfig,
@@ -50,10 +50,10 @@ fn build_rank(
     world.set_epoch(epoch);
     let ep = Endpoint::new(world.clone(), cfg, rank, listener, addrs, epoch, plan.get(rank));
     ep.start();
-    let core = if world_size == 1 { CommCore::new(1) } else { CommCore::new_remote(world_size) };
-    world.register_core(&core);
-    let link = ep.register_group(gid_world(epoch), (0..world_size).collect(), rank, core.clone());
-    let comm = Communicator::new_tcp_world(rank, world_size, core, world.clone(), link);
+    let engine = Engine::new(world_size, gid_world(epoch));
+    world.register_engine(&engine);
+    let link = ep.register_group((0..world_size).collect(), rank, engine.clone());
+    let comm = Communicator::new_world(rank, world_size, engine, world.clone(), Some(link));
     (comm, world, ep)
 }
 

@@ -1,14 +1,15 @@
-//! Real rank-to-rank transport: TCP sockets behind the same exchange
-//! contract `thread_comm` provides in-process.
+//! Real rank-to-rank transport: TCP sockets behind the same collectives
+//! engine the thread transport runs in-process.
 //!
-//! Every TCP process hosts a **full-size local replica** of the group state:
-//! a [`CommCore`] of the whole group where only the local rank issues
-//! collectives (`local_ranks == 1`). Receiver threads deposit remote
-//! contributions through the exact same `deposit_remote` seams the thread
-//! transport's peer threads would use, so the nonblocking engine, chunk
-//! schedules, `CommPrecision` handling, and the `TrafficLog` run *unmodified*
-//! over real sockets — loopback results are bitwise equal to thread ranks by
-//! construction, not by luck.
+//! Every TCP process hosts a **full-size local replica** of each group's
+//! collectives engine, where only the local rank issues collectives. There
+//! is one wire path: every collective — tensor collectives and the barrier,
+//! broadcast, `all_gather_vec` and `split` gathers alike — is fanned out
+//! as one sequenced data frame per peer, and receiver threads deposit it
+//! through the engine's `deposit_remote` seam exactly as a peer thread's
+//! issue would. The chunk schedules, `CommPrecision` handling, and the
+//! `TrafficLog` therefore run *unmodified* over real sockets — loopback
+//! results are bitwise equal to thread ranks by construction, not by luck.
 //!
 //! Robustness model (the headline):
 //! - length-prefixed frames with a versioned handshake (rank, epoch, world
@@ -47,12 +48,11 @@ use parking_lot::{Condvar, Mutex};
 
 use crate::fault::CommError;
 use crate::group::WorldShared;
-use crate::nonblocking::{self, CollKind, CommPrecision};
-use crate::thread_comm::{CommCore, Payload};
+use crate::nonblocking::{self, CollKind, CommPrecision, Engine};
 use crate::traffic::TransportEventKind;
 use frame::{
     encode_frame, validate_handshake, DataFrame, Frame, FrameReader, HandshakeExpect, WireBody,
-    WirePath, VERSION,
+    VERSION,
 };
 
 // ----- configuration --------------------------------------------------------
@@ -60,7 +60,7 @@ use frame::{
 /// Which rank-to-rank transport a world runs over.
 #[derive(Clone, Debug)]
 pub enum Transport {
-    /// In-process thread ranks (the default; zero-copy `Arc` exchange).
+    /// In-process thread ranks (the default; one shared engine per group).
     Thread,
     /// Real TCP sockets (loopback or multi-host-shaped), one process-like
     /// endpoint per rank. Collective results are bitwise equal to `Thread`.
@@ -207,14 +207,15 @@ fn splitmix64(mut x: u64) -> u64 {
 }
 
 /// Group id of the world group at `epoch`. Identical on every rank, distinct
-/// per epoch, so frames from before a regroup route to the abandoned core's
-/// pending bucket instead of corrupting the new group.
+/// per epoch, so frames from before a regroup route to the abandoned
+/// engine's pending bucket instead of corrupting the new group.
 pub(crate) fn gid_world(epoch: u64) -> u64 {
     splitmix64(0x5743_4841_4757_4c44 ^ splitmix64(epoch))
 }
 
-/// Group id of the `split_seq`-th split of `parent` for `color`. Every
-/// member computes the same id locally — no leader publish round needed.
+/// Group id of the split of `parent` whose color gather ran as engine round
+/// `split_seq`, for `color`. Every member computes the same id locally — no
+/// leader publish round needed, on either transport.
 pub(crate) fn gid_split(parent: u64, split_seq: u64, color: u64) -> u64 {
     splitmix64(parent ^ splitmix64(splitmix64(split_seq) ^ color))
 }
@@ -232,9 +233,9 @@ enum PeerStatus {
 
 struct QItem {
     bytes: Arc<Vec<u8>>,
-    /// `(group, seq<<1 | path_bit)` for data frames — the exact code the
-    /// receiver echoes in its `Ack`. `None` for control frames (never
-    /// retransmitted; regroup robustness comes from periodic re-broadcast).
+    /// `(group, seq)` for data frames — what the receiver echoes in its
+    /// `Ack`. `None` for control frames (never retransmitted; regroup
+    /// robustness comes from periodic re-broadcast).
     ack_key: Option<(u64, u64)>,
     /// Close the connection after writing this item (Bye, injected garbage).
     close_after: bool,
@@ -283,15 +284,14 @@ impl PeerState {
     }
 }
 
-/// Routing entry for one registered group: the local replica core plus
+/// Routing entry for one registered group: the local replica engine plus
 /// per-sender next-expected-sequence watermarks (exactly-once, in-order
 /// delivery even across retransmits).
 struct GroupRoute {
-    core: Arc<CommCore>,
+    engine: Arc<Engine>,
     /// World ranks by group rank.
     members: Vec<usize>,
-    exch_next: Mutex<Vec<u64>>,
-    issue_next: Mutex<Vec<u64>>,
+    next: Mutex<Vec<u64>>,
 }
 
 /// One rank's TCP endpoint: listener, per-peer connections with heartbeat
@@ -324,9 +324,9 @@ pub struct Endpoint {
 }
 
 /// Outcome of a successful wire regroup: surviving old ranks (in old-rank
-/// order), this endpoint's new rank, the fresh replica core for the new
+/// order), this endpoint's new rank, the fresh replica engine for the new
 /// world, and the rebuilt transport link at the bumped epoch.
-pub(crate) type RegroupedWorld = (Vec<usize>, usize, Arc<CommCore>, Arc<GroupLink>);
+pub(crate) type RegroupedWorld = (Vec<usize>, usize, Arc<Engine>, Arc<GroupLink>);
 
 impl Endpoint {
     pub fn new(
@@ -391,21 +391,21 @@ impl Endpoint {
 
     // ----- registration -----------------------------------------------------
 
-    /// Install the routing entry for a group and drain any frames that
-    /// arrived before registration. Returns the send-side handle.
+    /// Install the routing entry for the group `engine` serves (routed by
+    /// its gid) and drain any frames that arrived before registration.
+    /// Returns the send-side handle.
     pub(crate) fn register_group(
         self: &Arc<Self>,
-        gid: u64,
         members: Vec<usize>,
         my_rank: usize,
-        core: Arc<CommCore>,
+        engine: Arc<Engine>,
     ) -> Arc<GroupLink> {
         debug_assert_eq!(members[my_rank], self.me);
+        let gid = engine.gid();
         let rt = Arc::new(GroupRoute {
-            core,
+            engine,
             members: members.clone(),
-            exch_next: Mutex::new(vec![0; members.len()]),
-            issue_next: Mutex::new(vec![0; members.len()]),
+            next: Mutex::new(vec![0; members.len()]),
         });
         // Lock order groups → pending matches `on_data`, so buffering and
         // draining cannot race a frame into a stranded bucket.
@@ -417,22 +417,15 @@ impl Endpoint {
         for (peer, d) in buffered {
             self.dispatch_data(&rt, peer, d);
         }
-        Arc::new(GroupLink {
-            ep: self.clone(),
-            gid,
-            members,
-            me: my_rank,
-            exchange_seq: AtomicU64::new(0),
-            exchange_outstanding: AtomicBool::new(false),
-            split_seq: AtomicU64::new(0),
-        })
+        Arc::new(GroupLink { ep: self.clone(), gid, members, me: my_rank })
     }
 
     // ----- failure mapper ---------------------------------------------------
 
     /// The single funnel from every socket-level signal to the typed error
-    /// surface: record the fault, mark the rank failed, poison all live
-    /// cores with `PeerFailed{rank, epoch}`. Idempotent per peer.
+    /// surface: declare the peer failed on the world (audit-trail record,
+    /// roster, and `PeerFailed{rank, epoch}` poison of every live engine).
+    /// Idempotent per peer.
     fn fail_peer(&self, peer: usize, why: &str) {
         let Some(ps) = &self.peers[peer] else { return };
         {
@@ -442,10 +435,7 @@ impl Endpoint {
             }
             *st = PeerStatus::Failed;
         }
-        let epoch = self.epoch();
-        self.world.log.record_fault(format!("transport: peer rank {peer} {why}"));
-        self.world.mark_failed(peer);
-        self.world.poison_all(CommError::PeerFailed { rank: peer, epoch });
+        self.world.declare_failed(peer, &format!("transport: peer rank {peer} {why}"));
         ps.cv.notify_all();
         self.regroup_cv.notify_all();
     }
@@ -468,7 +458,7 @@ impl Endpoint {
     fn disturb_all_inflight(&self) {
         let routes: Vec<Arc<GroupRoute>> = self.groups.lock().values().cloned().collect();
         for rt in routes {
-            rt.core.engine().disturb_inflight(&self.world.log);
+            rt.engine.disturb_inflight(&self.world.log);
         }
     }
 
@@ -1060,17 +1050,8 @@ impl Endpoint {
 
     // ----- dispatch ---------------------------------------------------------
 
-    fn ack_code(d: &DataFrame) -> u64 {
-        let path_bit = match d.path {
-            WirePath::Exchange => 0,
-            WirePath::Issue(_) => 1,
-        };
-        (d.seq << 1) | path_bit
-    }
-
     fn on_data(self: &Arc<Self>, peer: usize, d: DataFrame) {
-        let group = d.group;
-        let code = Self::ack_code(&d);
+        let (group, seq) = (d.group, d.seq);
         let route = {
             let g = self.groups.lock();
             match g.get(&group) {
@@ -1089,11 +1070,11 @@ impl Endpoint {
         }
         // Ack in all cases (dispatched, buffered, or deduped): the frame is
         // durably on this side, so the sender can drop it from `unacked`.
-        self.enqueue_ctrl(peer, &Frame::Ack { group, upto: code });
+        self.enqueue_ctrl(peer, &Frame::Ack { group, upto: seq });
     }
 
     /// Deliver one in-order, exactly-once data frame into the local replica
-    /// core. Duplicates (retransmits already seen) are dropped silently; a
+    /// engine. Duplicates (retransmits already seen) are dropped silently; a
     /// sequence gap means the ordered-delivery invariant broke — poison.
     fn dispatch_data(self: &Arc<Self>, rt: &Arc<GroupRoute>, peer: usize, d: DataFrame) {
         let sender = d.sender as usize;
@@ -1102,68 +1083,40 @@ impl Endpoint {
             return;
         }
         {
-            let mut wm = match d.path {
-                WirePath::Exchange => rt.exch_next.lock(),
-                WirePath::Issue(_) => rt.issue_next.lock(),
-            };
-            if d.seq < wm[sender] {
+            let mut next = rt.next.lock();
+            if d.seq < next[sender] {
                 return; // duplicate of an already-delivered frame
             }
-            if d.seq > wm[sender] {
+            if d.seq > next[sender] {
                 self.world.log.record_fault(format!(
                     "transport: sequence gap from rank {peer} (group {:#x}: got {}, expected {})",
-                    d.group, d.seq, wm[sender]
+                    d.group, d.seq, next[sender]
                 ));
                 self.world.poison_all(CommError::Poisoned);
                 return;
             }
-            wm[sender] += 1;
+            next[sender] += 1;
         }
         let precision = d.precision();
-        let decode_tensor = |dims: &[usize], body: WireBody| -> Option<Tensor> {
-            let v: Vec<f32> = match body {
-                WireBody::F32(v) => v,
-                WireBody::Bf16(v) => v.into_iter().map(bf16_to_f32).collect(),
-                WireBody::Unit | WireBody::Num(_) => return None,
-            };
-            if dims.iter().product::<usize>() != v.len() {
-                return None;
-            }
-            Some(Tensor::from_vec(v, dims))
+        let v: Vec<f32> = match d.body {
+            WireBody::F32(v) => v,
+            WireBody::Bf16(v) => v.into_iter().map(bf16_to_f32).collect(),
         };
-        match d.path {
-            WirePath::Exchange => {
-                let payload: Payload = match d.body {
-                    WireBody::Unit => Box::new(()),
-                    WireBody::Num(n) => Box::new(n as usize),
-                    body => match decode_tensor(&d.dims, body) {
-                        Some(t) => Box::new(t),
-                        None => {
-                            self.fail_peer(peer, "sent a tensor frame with inconsistent dims");
-                            return;
-                        }
-                    },
-                };
-                rt.core.deposit_remote(sender, payload);
+        if d.dims.iter().product::<usize>() != v.len() {
+            self.fail_peer(peer, "sent a tensor frame with inconsistent dims");
+            return;
+        }
+        let t = Tensor::from_vec(v, d.dims.as_slice());
+        match nonblocking::deposit_remote(&rt.engine, sender, d.kind, precision, &t, &self.world) {
+            Ok(seq) if seq == d.seq => {}
+            Ok(seq) => {
+                self.world.log.record_fault(format!(
+                    "transport: engine seq {seq} disagrees with wire seq {} from rank {peer}",
+                    d.seq
+                ));
+                self.world.poison_all(CommError::Poisoned);
             }
-            WirePath::Issue(kind) => {
-                let Some(t) = decode_tensor(&d.dims, d.body) else {
-                    self.fail_peer(peer, "sent a tensor frame with inconsistent dims");
-                    return;
-                };
-                match nonblocking::deposit_remote(&rt.core, sender, kind, precision, &t, &self.world.log)
-                {
-                    Ok(seq) if seq == d.seq => {}
-                    Ok(seq) => {
-                        self.world.log.record_fault(format!(
-                            "transport: engine seq {seq} disagrees with wire seq {} from rank {peer}",
-                            d.seq
-                        ));
-                        self.world.poison_all(CommError::Poisoned);
-                    }
-                    Err(_) => {} // core already poisoned — deposit dropped
-                }
-            }
+            Err(_) => {} // engine already poisoned — deposit dropped
         }
     }
 
@@ -1255,14 +1208,10 @@ impl Endpoint {
                 self.agreed.lock().insert(target, mine.clone());
                 self.proposals.lock().retain(|&e, _| e > target);
                 let my_rank = survivors.iter().position(|&r| r == self.me).expect("me survives");
-                let core = if survivors.len() == 1 {
-                    CommCore::new(1)
-                } else {
-                    CommCore::new_remote(survivors.len())
-                };
-                self.world.register_core(&core);
-                let link = self.register_group(gid_world(target), survivors.clone(), my_rank, core.clone());
-                return Ok((survivors, my_rank, core, link));
+                let engine = Engine::new(survivors.len(), gid_world(target));
+                self.world.register_engine(&engine);
+                let link = self.register_group(survivors.clone(), my_rank, engine.clone());
+                return Ok((survivors, my_rank, engine, link));
             }
             let waited = start.elapsed();
             if waited >= deadline && !evicted_pass {
@@ -1376,18 +1325,10 @@ impl Endpoint {
 
 // ----- send-side group handle -----------------------------------------------
 
-/// Payload of one exchange-path frame (blocking collectives move whole
-/// values; tensors always travel as f32 on this path).
-pub(crate) enum ExchangePayload<'a> {
-    Unit,
-    Num(u64),
-    Tensor(&'a Tensor),
-}
-
 /// The send side of one registered group: fans a local contribution out to
 /// every remote member as sequenced data frames. The matching local deposit
-/// goes through the ordinary `CommCore` path, so the engine never knows
-/// which transport is underneath.
+/// goes through the ordinary engine path, so the engine never knows which
+/// transport is underneath.
 pub(crate) struct GroupLink {
     ep: Arc<Endpoint>,
     gid: u64,
@@ -1395,13 +1336,6 @@ pub(crate) struct GroupLink {
     members: Vec<usize>,
     /// Our group rank.
     me: usize,
-    exchange_seq: AtomicU64,
-    /// True while an exchange-path send has not yet been consumed by a
-    /// completed local exchange. A timed-out `try_exchange` rolls back only
-    /// the *local* deposit — the remote replicas already hold ours — so a
-    /// retry must not resend (it would double-deposit one round ahead).
-    exchange_outstanding: AtomicBool,
-    split_seq: AtomicU64,
 }
 
 impl GroupLink {
@@ -1409,42 +1343,9 @@ impl GroupLink {
         &self.ep
     }
 
-    pub(crate) fn gid(&self) -> u64 {
-        self.gid
-    }
-
-    /// Monotone per-handle split counter — identical on every member since
-    /// splits are collective and issued in program order.
-    pub(crate) fn next_split_seq(&self) -> u64 {
-        self.split_seq.fetch_add(1, Ordering::SeqCst)
-    }
-
-    /// Send one exchange-path contribution to every remote member. A no-op
-    /// while a previous exchange send is still unconsumed (timed-out
-    /// `try_exchange` being retried — the remote deposit is already there).
-    pub(crate) fn send_exchange(&self, p: ExchangePayload<'_>) {
-        if self.exchange_outstanding.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        let seq = self.exchange_seq.fetch_add(1, Ordering::SeqCst);
-        if !self.ep.fault_gate() {
-            return;
-        }
-        let (dims, body) = match p {
-            ExchangePayload::Unit => (Vec::new(), WireBody::Unit),
-            ExchangePayload::Num(n) => (Vec::new(), WireBody::Num(n)),
-            ExchangePayload::Tensor(t) => (t.dims().to_vec(), WireBody::F32(t.data().to_vec())),
-        };
-        self.fan_out(seq, WirePath::Exchange, dims, body);
-    }
-
-    /// The local exchange completed — the outstanding send was consumed.
-    pub(crate) fn exchange_complete(&self) {
-        self.exchange_outstanding.store(false, Ordering::SeqCst);
-    }
-
-    /// Send one nonblocking-engine contribution (`seq` is the engine
-    /// sequence the local `issue` was assigned — cross-checked on receive).
+    /// Send one contribution (`seq` is the engine sequence the local
+    /// `issue` was assigned — cross-checked on receive) to every remote
+    /// member.
     pub(crate) fn send_issue(&self, seq: u64, kind: CollKind, precision: CommPrecision, t: &Tensor) {
         if !self.ep.fault_gate() {
             return;
@@ -1459,14 +1360,6 @@ impl GroupLink {
                 WireBody::Bf16(t.data().iter().map(|&x| f32_to_bf16(x)).collect())
             }
         };
-        self.fan_out(seq, WirePath::Issue(kind), t.dims().to_vec(), body);
-    }
-
-    fn fan_out(&self, seq: u64, path: WirePath, dims: Vec<usize>, body: WireBody) {
-        let path_bit = match path {
-            WirePath::Exchange => 0,
-            WirePath::Issue(_) => 1,
-        };
         for (gr, &wr) in self.members.iter().enumerate() {
             if gr == self.me {
                 continue;
@@ -1475,11 +1368,11 @@ impl GroupLink {
                 group: self.gid,
                 sender: self.me as u32,
                 seq,
-                path,
-                dims: dims.clone(),
+                kind,
+                dims: t.dims().to_vec(),
                 body: body.clone(),
             };
-            self.ep.enqueue_data(wr, d, (self.gid, (seq << 1) | path_bit));
+            self.ep.enqueue_data(wr, d, (self.gid, seq));
         }
     }
 }
@@ -1545,6 +1438,29 @@ mod tests {
         });
         for out in run.outputs {
             assert_eq!(out.expect("clean run"), vec![0.0, 1.0, 2.0]);
+        }
+    }
+
+    #[test]
+    fn successive_same_color_splits_are_distinct_groups_on_both_transports() {
+        for transport in [Transport::Thread, Transport::Tcp(TcpConfig::default())] {
+            let run = run_transport_ranks(&transport, 2, |ctx| {
+                let (a, b) = (ctx.comm.split(0), ctx.comm.split(0));
+                let one = 1.0 + ctx.comm.rank() as f32;
+                // Opposite issue orders: were `a` and `b` one group, each
+                // rank's first issue would pair with the other's and mix.
+                let (ra, rb) = if ctx.comm.rank() == 0 {
+                    let ra = a.iall_reduce_sum(&Tensor::full([1], one));
+                    (ra, b.iall_reduce_sum(&Tensor::full([1], 10.0 * one)))
+                } else {
+                    let rb = b.iall_reduce_sum(&Tensor::full([1], 10.0 * one));
+                    (a.iall_reduce_sum(&Tensor::full([1], one)), rb)
+                };
+                (ra.wait().item(), rb.wait().item())
+            });
+            for out in run.outputs {
+                assert_eq!(out.expect("rank ok"), (3.0, 30.0), "{transport:?}");
+            }
         }
     }
 }

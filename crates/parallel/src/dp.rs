@@ -97,14 +97,15 @@ pub fn adaptive_bucket_elems(total_elems: usize, world: usize) -> usize {
     dchag_perf::comm::optimal_bucket_elems(&machine, total_elems, world, wire)
 }
 
-/// Derive and install the α-β comm sizes for this process: the DDP bucket
-/// for `(total_elems, world)` and, via
-/// [`dchag_collectives::set_comm_chunk_elems`], the pipeline chunk size a
-/// bucket-sized all-reduce wants. Returns `(bucket_elems, chunk_elems)` —
-/// also what the collectives bench records in `BENCH_kernels.json`. The
-/// fixed constants remain the fallback for anything the model cannot
-/// size (degenerate worlds, empty stores).
-pub fn apply_adaptive_comm_sizing(total_elems: usize, world: usize) -> (usize, usize) {
+/// Derive and install the α-β comm sizes for `comm`'s world: the DDP
+/// bucket for `(total_elems, comm.size())` and, via
+/// [`Communicator::set_chunk_elems`], the pipeline chunk size a bucket-sized
+/// all-reduce wants. Returns `(bucket_elems, chunk_elems)` — also what the
+/// collectives bench records in `BENCH_kernels.json`. The fixed constants
+/// remain the fallback for anything the model cannot size (degenerate
+/// worlds, empty stores).
+pub fn apply_adaptive_comm_sizing(comm: &Communicator, total_elems: usize) -> (usize, usize) {
+    let world = comm.size();
     let bucket = adaptive_bucket_elems(total_elems, world);
     let chunk = if world <= 1 {
         dchag_collectives::COMM_CHUNK_ELEMS
@@ -113,7 +114,7 @@ pub fn apply_adaptive_comm_sizing(total_elems: usize, world: usize) -> (usize, u
         let wire = dchag_perf::comm::wire_for_group(&machine, world, true);
         dchag_perf::comm::optimal_chunk_elems(&machine, bucket as f64 * 4.0, world, wire)
     };
-    dchag_collectives::set_comm_chunk_elems(chunk);
+    comm.set_chunk_elems(chunk);
     (bucket, chunk)
 }
 
@@ -171,8 +172,8 @@ pub fn measured_alpha_beta(log: &dchag_collectives::TrafficLog) -> Option<(f64, 
 }
 
 /// Close the α-β loop on hosts that are not Frontier: fit the fabric from
-/// the traffic log ([`measured_alpha_beta`]) and install bucket/chunk
-/// sizes derived from the *measured* machine
+/// the traffic log ([`measured_alpha_beta`]) and install, on `comm`'s
+/// world, bucket/chunk sizes derived from the *measured* machine
 /// ([`dchag_perf::MachineSpec::measured`]) instead of the spec-sheet
 /// constants. Returns the installed `(bucket_elems, chunk_elems)`, or
 /// `None` — leaving whatever sizing is in force untouched — when the log
@@ -183,12 +184,12 @@ pub fn measured_alpha_beta(log: &dchag_collectives::TrafficLog) -> Option<(f64, 
 /// The fit is rank-symmetric (every rank reads the same shared log), so
 /// installing it preserves the SPMD invariant bucketed DDP relies on.
 pub fn apply_measured_comm_sizing(
+    comm: &Communicator,
     log: &dchag_collectives::TrafficLog,
     total_elems: usize,
-    world: usize,
 ) -> Option<(usize, usize)> {
-    let (bucket, chunk) = measured_comm_sizes(log, total_elems, world)?;
-    dchag_collectives::set_comm_chunk_elems(chunk);
+    let (bucket, chunk) = measured_comm_sizes(log, total_elems, comm.size())?;
+    comm.set_chunk_elems(chunk);
     Some((bucket, chunk))
 }
 
@@ -224,8 +225,9 @@ pub fn measured_comm_sizes(
 /// bitwise-parity invariant dies). So rank 0 alone fits, and the result
 /// rides a broadcast: every rank installs exactly the bytes rank 0
 /// derived. Sizes cross the wire as `u16` halves widened to `f32` — every
-/// value exactly representable, so the trip is lossless over either
-/// transport and either [`dchag_collectives::CommPrecision`].
+/// value exactly representable, and a broadcast always rides the f32 wire,
+/// so the trip is lossless over either transport and whatever
+/// [`dchag_collectives::CommPrecision`] the handle carries.
 ///
 /// Call [`CommTuner::maybe_refresh`] once per training step **between**
 /// steps (the schedule-freeze boundary: no collectives in flight, next
@@ -277,7 +279,7 @@ impl CommTuner {
         let dec = |hi: f32, lo: f32| ((hi as usize) << 16) | (lo as usize);
         let bucket = dec(got[1], got[2]).max(1);
         let chunk = dec(got[3], got[4]).max(1);
-        dchag_collectives::set_comm_chunk_elems(chunk);
+        self.comm.set_chunk_elems(chunk);
         self.current = Some((bucket, chunk));
         Some((bucket, chunk))
     }
@@ -448,15 +450,8 @@ mod tests {
     use dchag_collectives::{run_ranks, ChunkEvent, CollOp};
     use dchag_tensor::Rng;
 
-    /// Serializes tests that read or write the process-wide chunk size
-    /// (cargo runs tests of one binary concurrently).
-    static CHUNK_CFG_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
     #[test]
     fn measured_alpha_beta_fits_real_chunk_timestamps() {
-        // The chunk-count assertion below depends on the process-wide
-        // chunk size staying at its default for the duration.
-        let _guard = CHUNK_CFG_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         // Pipelined all-reduces of strongly varying payload: the
         // per-round (bytes, wall) samples then have a slope lever far
         // above timer noise, so the fit is reliably identifiable.
@@ -481,36 +476,47 @@ mod tests {
 
     #[test]
     fn measured_sizing_installs_and_falls_back() {
-        let _guard = CHUNK_CFG_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let prev = dchag_collectives::comm_chunk_elems();
-        // Unidentifiable log: nothing installed, Frontier constants stay.
-        let log = dchag_collectives::TrafficLog::new();
-        assert!(apply_measured_comm_sizing(&log, 30_000_000, 4).is_none());
-        assert_eq!(dchag_collectives::comm_chunk_elems(), prev);
         // Synthetic identifiable log (exact α-β samples).
-        let (alpha, bw) = (10e-6, 20e9);
-        // One single-chunk round per sample (rounds are the fit's unit).
-        for (i, &bytes) in [65536usize, 65536, 65536, 65536, 16384, 32768].iter().enumerate() {
-            log.record_chunk(ChunkEvent {
-                op: CollOp::AllReduce,
-                coll_seq: i,
-                chunk: 0,
-                bytes_on_wire: bytes,
-                issued_us: 0.0,
-                ready_us: 0.0,
-                done_us: (alpha + bytes as f64 / bw) * 1e6,
-            });
-        }
-        let (bucket, chunk) =
-            apply_measured_comm_sizing(&log, 30_000_000, 4).expect("identifiable log");
-        assert!(bucket > 0 && chunk > 0 && chunk <= bucket);
-        assert_eq!(dchag_collectives::comm_chunk_elems(), chunk, "installed");
-        // Deterministic in the log: the SPMD invariant.
-        assert_eq!(apply_measured_comm_sizing(&log, 30_000_000, 4), Some((bucket, chunk)));
+        let identifiable = || {
+            let log = dchag_collectives::TrafficLog::new();
+            let (alpha, bw) = (10e-6, 20e9);
+            // One single-chunk round per sample (rounds are the fit's unit).
+            for (i, &bytes) in [65536usize, 65536, 65536, 65536, 16384, 32768].iter().enumerate() {
+                log.record_chunk(ChunkEvent {
+                    op: CollOp::AllReduce,
+                    coll_seq: i,
+                    chunk: 0,
+                    bytes_on_wire: bytes,
+                    issued_us: 0.0,
+                    ready_us: 0.0,
+                    done_us: (alpha + bytes as f64 / bw) * 1e6,
+                });
+            }
+            log
+        };
+        let run = run_ranks(4, |ctx| {
+            let comm = &ctx.comm;
+            let prev = comm.chunk_elems();
+            // Unidentifiable log: nothing installed, Frontier constants stay.
+            let empty = dchag_collectives::TrafficLog::new();
+            assert!(apply_measured_comm_sizing(comm, &empty, 30_000_000).is_none());
+            assert_eq!(comm.chunk_elems(), prev);
+            let log = identifiable();
+            let (bucket, chunk) =
+                apply_measured_comm_sizing(comm, &log, 30_000_000).expect("identifiable log");
+            assert!(bucket > 0 && chunk > 0 && chunk <= bucket);
+            assert_eq!(comm.chunk_elems(), chunk, "installed");
+            // Deterministic in the log: the SPMD invariant.
+            assert_eq!(apply_measured_comm_sizing(comm, &log, 30_000_000), Some((bucket, chunk)));
+            // Degenerate inputs keep hands off.
+            assert!(apply_measured_comm_sizing(comm, &log, 0).is_none());
+        });
+        assert_eq!(run.outputs.len(), 4);
         // Degenerate worlds keep hands off.
-        assert!(apply_measured_comm_sizing(&log, 30_000_000, 1).is_none());
-        assert!(apply_measured_comm_sizing(&log, 0, 4).is_none());
-        dchag_collectives::set_comm_chunk_elems(prev);
+        let run = run_ranks(1, |ctx| {
+            apply_measured_comm_sizing(&ctx.comm, &identifiable(), 30_000_000).is_none()
+        });
+        assert_eq!(run.outputs, vec![true]);
     }
 
     #[test]
@@ -565,8 +571,6 @@ mod tests {
 
     #[test]
     fn comm_tuner_installs_rank0_fit_on_every_rank_over_tcp() {
-        let _guard = CHUNK_CFG_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let prev = dchag_collectives::comm_chunk_elems();
         // Over TCP every rank owns a private log with private timestamps,
         // so local fits genuinely disagree — the broadcast is what makes
         // the installed sizes rank-symmetric.
@@ -585,12 +589,11 @@ mod tests {
                     }
                 }
                 assert_eq!(tuner.sizes().map(|(b, _)| b), Some(tuner.bucket_or(0)));
+                // Installed on this rank's own world.
+                assert_eq!(tuner.sizes().map(|(_, c)| c), Some(ctx.comm.chunk_elems()));
                 landed
             },
         );
-        // Restore the process-wide chunk size *before* asserting, so a
-        // failure here cannot leak a tuned size into sibling tests.
-        dchag_collectives::set_comm_chunk_elems(prev);
         let outs: Vec<_> = run.outputs.into_iter().map(|o| o.expect("rank ok")).collect();
         // Refresh cadence is every 3rd call (steps 2 and 5); the step-2
         // attempt may broadcast "not identifiable yet" (only 3 rounds
@@ -669,17 +672,23 @@ mod tests {
 
     #[test]
     fn apply_adaptive_sizing_installs_and_reports() {
-        let _guard = CHUNK_CFG_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let prev = dchag_collectives::comm_chunk_elems();
-        let (bucket, chunk) = apply_adaptive_comm_sizing(30_000_000, 8);
-        assert!(bucket > 0 && chunk > 0);
-        assert!(chunk <= bucket, "a bucket holds at least one chunk");
-        assert_eq!(dchag_collectives::comm_chunk_elems(), chunk, "installed");
+        let run = run_ranks(8, |ctx| {
+            let (bucket, chunk) = apply_adaptive_comm_sizing(&ctx.comm, 30_000_000);
+            assert!(bucket > 0 && chunk > 0);
+            assert!(chunk <= bucket, "a bucket holds at least one chunk");
+            assert_eq!(ctx.comm.chunk_elems(), chunk, "installed");
+        });
+        assert_eq!(run.outputs.len(), 8);
         // world ≤ 1: fixed chunk fallback installed.
-        let (b1, c1) = apply_adaptive_comm_sizing(30_000_000, 1);
+        let run = run_ranks(1, |ctx| {
+            ctx.comm.set_chunk_elems(7);
+            let sizes = apply_adaptive_comm_sizing(&ctx.comm, 30_000_000);
+            (sizes, ctx.comm.chunk_elems())
+        });
+        let ((b1, c1), installed) = run.outputs[0];
         assert_eq!(b1, DDP_BUCKET_ELEMS);
         assert_eq!(c1, dchag_collectives::COMM_CHUNK_ELEMS);
-        dchag_collectives::set_comm_chunk_elems(prev);
+        assert_eq!(installed, c1);
     }
 
     #[test]
@@ -849,9 +858,6 @@ mod tests {
     #[test]
     fn ddp_bf16_wire_halves_bytes_on_wire() {
         use dchag_collectives::CommPrecision;
-        // bytes_on_wire totals depend on the process-wide chunk size only
-        // through per-chunk integer rounding; pin it for the comparison.
-        let _guard = CHUNK_CFG_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let bytes_for = |precision: CommPrecision| -> usize {
             let run = run_ranks(2, move |ctx| {
                 let comm = ctx.comm.with_precision(precision);

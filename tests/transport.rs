@@ -116,10 +116,16 @@ fn tcp_gone_dark_peer_is_peerfailed_for_survivors_timeout_for_itself() {
         assert_eq!(ctx.comm.all_reduce_sum(&Tensor::ones([8])).to_vec(), vec![3.0; 8]);
         if r == victim {
             // Our own sends are black-holed: nothing completes, nobody is
-            // blamed — the local surface is a plain deadline Timeout.
+            // blamed — the local surface is a plain deadline Timeout. Every
+            // collective shares one engine sequence, so the victim issues
+            // the survivors' collectives in their order: the peers'
+            // all-reduce may already have landed here before we went dark,
+            // but no peer ever reaches the barrier.
+            let deadline = Some(Duration::from_secs(2));
             let err = ctx
                 .comm
-                .try_barrier(Some(Duration::from_secs(2)))
+                .try_all_reduce_sum(&Tensor::ones([8]), deadline)
+                .and_then(|_| ctx.comm.try_barrier(deadline))
                 .expect_err("a dark endpoint cannot complete a barrier");
             assert!(matches!(err, CommError::Timeout { .. }), "victim saw {err:?}");
             return "victim-timeout".to_string();

@@ -14,7 +14,7 @@
 use dchag_collectives::nonblocking::CollKind;
 use dchag_collectives::transport::frame::{
     encode_frame, validate_handshake, DataFrame, Frame, FrameReader, HandshakeExpect, WireBody,
-    WirePath, VERSION,
+    VERSION,
 };
 use proptest::prelude::{prop_assert, prop_assert_eq, proptest, ProptestConfig};
 
@@ -49,10 +49,8 @@ impl Gen {
     }
 
     fn body(&mut self) -> WireBody {
-        match self.below(4) {
-            0 => WireBody::Unit,
-            1 => WireBody::Num(self.next()),
-            2 => {
+        match self.below(2) {
+            0 => {
                 let n = self.below(64) as usize;
                 WireBody::F32((0..n).map(|_| self.f32_finite()).collect())
             }
@@ -84,20 +82,17 @@ impl Gen {
             },
             5 => Frame::Bye,
             _ => {
-                let path = match self.below(4) {
-                    0 => WirePath::Exchange,
-                    1 => WirePath::Issue(CollKind::AllReduceSum),
-                    2 => WirePath::Issue(CollKind::ReduceScatterSum),
-                    _ => WirePath::Issue(CollKind::AllGatherCat {
-                        axis: self.below(4) as usize,
-                    }),
+                let kind = match self.below(3) {
+                    0 => CollKind::AllReduceSum,
+                    1 => CollKind::ReduceScatterSum,
+                    _ => CollKind::AllGatherCat { axis: self.below(4) as usize },
                 };
                 let ndims = self.below(4) as usize;
                 Frame::Data(DataFrame {
                     group: self.next(),
                     sender: self.below(64) as u32,
                     seq: self.below(1 << 30),
-                    path,
+                    kind,
                     dims: (0..ndims).map(|_| 1 + self.below(8) as usize).collect(),
                     body: self.body(),
                 })
