@@ -43,65 +43,9 @@ fn bench_aggregation_sweep(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_dchag_vs_baseline_step(c: &mut Criterion) {
-    use dchag_collectives::run_ranks;
-    use dchag_core::build_mae;
-    use dchag_model::{AdamW, MaeModel, ModelConfig, PatchMask};
-
-    let cfg = ModelConfig::tiny(16);
-    let mut g = c.benchmark_group("mae_train_step");
-    g.bench_function("baseline_1gpu", |bench| {
-        let mut store = ParamStore::new();
-        let mut rng = Rng::new(5);
-        let mae = MaeModel::new(
-            &mut store,
-            &mut rng,
-            &cfg,
-            3,
-            TreeConfig::tree0(UnitKind::CrossAttention),
-        );
-        let imgs = Tensor::randn([2, 16, 16, 16], 0.5, &mut Rng::new(7));
-        let mask = PatchMask::random(cfg.num_patches(), 0.5, &mut Rng::new(8));
-        let mut opt = AdamW::new(1e-3);
-        bench.iter(|| {
-            let loss = dchag_core::train_step(&mut store, &mut opt, 1.0, None, |bind| {
-                let (loss, _) = mae.forward_loss(bind, &imgs, &mask);
-                loss
-            });
-            black_box(loss)
-        })
-    });
-    g.bench_function("dchag_2gpu", |bench| {
-        bench.iter(|| {
-            let cfg = cfg.clone();
-            let run = run_ranks(2, move |ctx| {
-                let mut store = ParamStore::new();
-                let mut rng = Rng::new(5);
-                let mae = build_mae(
-                    &mut store,
-                    &mut rng,
-                    &cfg,
-                    3,
-                    TreeConfig::tree0(UnitKind::Linear),
-                    &ctx.comm,
-                );
-                let imgs = Tensor::randn([2, 16, 16, 16], 0.5, &mut Rng::new(7));
-                let mask = PatchMask::random(cfg.num_patches(), 0.5, &mut Rng::new(8));
-                let mut opt = AdamW::new(1e-3);
-                dchag_core::train_step(&mut store, &mut opt, 1.0, None, |bind| {
-                    let (loss, _) = mae.forward_loss(bind, &imgs, &mask);
-                    loss
-                })
-            });
-            black_box(run.outputs)
-        })
-    });
-    g.finish();
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_aggregation_sweep, bench_dchag_vs_baseline_step
+    targets = bench_aggregation_sweep
 }
 criterion_main!(benches);

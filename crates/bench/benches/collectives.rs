@@ -525,8 +525,8 @@ fn emit_collectives_json(_c: &mut Criterion) {
 
     // Topology-measured α-β: fit the running host's fabric from this
     // run's own chunk timestamps (varying payloads give the slope its
-    // lever) and record the fit next to the sizes it would install, so
-    // the Frontier cold-start constants are auditable against reality.
+    // lever), so the Frontier constants of the cost model are auditable
+    // against reality.
     {
         let run = run_ranks(4, |ctx| {
             for round in 0..10 {
@@ -537,24 +537,15 @@ fn emit_collectives_json(_c: &mut Criterion) {
             dchag_parallel::measured_alpha_beta(ctx.comm.traffic().as_ref())
         });
         let line = match run.outputs[0] {
-            Some((alpha, bw)) => {
-                let machine = dchag_perf::MachineSpec::measured(alpha, bw);
-                let chunk = dchag_perf::comm::optimal_chunk_elems(
-                    &machine,
-                    30_000_000.0 * 4.0 / 8.0, // the w4 adaptive bucket's payload
-                    4,
-                    dchag_perf::comm::Wire::Intra,
-                );
-                format!(
-                    "\"measured_alpha_beta\": {{ \"alpha_us\": {:.3}, \"bw_mb_s\": {:.1}, \
-                     \"chunk_elems_derived_w4\": {chunk}, \"threads\": {threads} }}",
-                    alpha * 1e6,
-                    bw / 1e6
-                )
-            }
+            Some((alpha, bw)) => format!(
+                "\"measured_alpha_beta\": {{ \"alpha_us\": {:.3}, \"bw_mb_s\": {:.1}, \
+                 \"threads\": {threads} }}",
+                alpha * 1e6,
+                bw / 1e6
+            ),
             None => format!(
                 "\"measured_alpha_beta\": {{ \"fit\": null, \"threads\": {threads}, \
-                 \"note\": \"unidentifiable sample set; Frontier constants in force\" }}"
+                 \"note\": \"unidentifiable sample set\" }}"
             ),
         };
         lines.push(line);
@@ -564,32 +555,6 @@ fn emit_collectives_json(_c: &mut Criterion) {
         "\"allreduce_1MiB_w4_bytes_on_wire\": {{ \"bytes_on_wire\": {} }}",
         measured_wire_bytes(4)
     ));
-
-    // α-β-derived bucket/chunk sizes (what `DdpBinder::new` /
-    // `apply_adaptive_comm_sizing` pick) next to the fixed fallbacks, so
-    // the planner's choices are auditable per host. Derivation only — the
-    // measured scenarios above keep the fixed chunk size for
-    // run-over-run comparability.
-    {
-        let total = 30_000_000usize; // ~30M-param reference model
-        let mut fields = Vec::new();
-        for &world in &[2usize, 4, 8] {
-            let bucket = dchag_parallel::adaptive_bucket_elems(total, world);
-            let machine = dchag_perf::MachineSpec::frontier();
-            let wire = dchag_perf::comm::wire_for_group(&machine, world, true);
-            let chunk =
-                dchag_perf::comm::optimal_chunk_elems(&machine, bucket as f64 * 4.0, world, wire);
-            fields.push(format!(
-                "\"bucket_elems_30M_w{world}\": {bucket}, \"chunk_elems_w{world}\": {chunk}"
-            ));
-        }
-        lines.push(format!(
-            "\"adaptive_sizing\": {{ {}, \"fixed_bucket_elems\": {}, \"fixed_chunk_elems\": {} }}",
-            fields.join(", "),
-            dchag_parallel::dp::DDP_BUCKET_ELEMS,
-            dchag_collectives::COMM_CHUNK_ELEMS,
-        ));
-    }
 
     let mut body = String::from("{\n");
     for (i, l) in lines.iter().enumerate() {

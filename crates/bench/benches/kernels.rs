@@ -712,7 +712,7 @@ fn emit_kernels_json(_c: &mut Criterion) {
     let desc = "Seed scalar kernels (before) vs explicit-SIMD blocked GEMM + fused transformer \
                 kernels (after); ns per call, median; gflops = effective after-side GFLOP/s. The \
                 simd section records the runtime-detected ISA the after numbers ran on. \
-                gemm_ragged_*/bmm_ragged_batch/pack_a_gather entries instead use the PR-4 \
+                gemm_ragged_*/bmm_ragged_batch/pack_a_gather entries instead use the earlier \
                 edge-spill kernel (scalar gather packing, scratch-spill edge stores, kept \
                 runnable in bench_api) as the before side, isolating the masked-tail + SIMD-pack \
                 + batched-grid rework; pack_a_gather splits pack time out of the pack-bound \
@@ -722,9 +722,8 @@ fn emit_kernels_json(_c: &mut Criterion) {
                 bench --bench collectives`) compares blocking vs pipelined chunked collectives, \
                 reports the measured comm/compute overlap fraction with the host's thread count \
                 recorded next to it (single_core=true means the pipeline can only eliminate \
-                rendezvous stalls, so ~0 overlap is expected, not a regression), records the \
-                alpha-beta-derived adaptive bucket/chunk sizes next to the fixed fallbacks, and \
-                fits measured_alpha_beta from the run's own TrafficLog chunk timestamps. The \
+                rendezvous stalls, so ~0 overlap is expected, not a regression), and fits \
+                measured_alpha_beta from the run's own TrafficLog chunk timestamps. The \
                 bf16 section compares f32-stored vs bf16-stored operands through the identical \
                 serial blocked f32-accumulating GEMM driver on pack-bandwidth-bound shapes \
                 (convert-on-pack: half the streamed bytes), and the f32 vs bf16 collectives \

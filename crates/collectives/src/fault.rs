@@ -3,7 +3,9 @@
 //! Two halves live here:
 //!
 //! * **Typed errors.** [`CommError`] is the structured cause every fallible
-//!   collective surfaces (`try_wait`, `try_barrier`, `regroup`). The
+//!   collective surfaces — the whole fallible surface is
+//!   `CommRequest::{try_wait, try_test}`, `Communicator::try_all_reduce_sum`,
+//!   `Communicator::try_barrier` and `Communicator::regroup`. The
 //!   panicking wrappers don't format it into a string — they panic with a
 //!   [`CommPanic`] payload, so the launcher (and any recovery driver) can
 //!   *downcast* the cause instead of sniffing panic messages. A user panic

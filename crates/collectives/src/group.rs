@@ -24,7 +24,7 @@
 //! blocking/nonblocking flavors.
 
 use std::collections::{BTreeSet, HashMap};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
@@ -36,7 +36,7 @@ use dchag_tensor::Tensor;
 use crate::transport::{self, gid_split, gid_world};
 
 use crate::fault::{comm_panic, CommError};
-use crate::nonblocking::{self, CollKind, CommPrecision, CommRequest, Engine, COMM_CHUNK_ELEMS};
+use crate::nonblocking::{self, CollKind, CommPrecision, CommRequest, Engine};
 use crate::topology::Topology;
 use crate::traffic::{CollOp, TrafficLog};
 
@@ -62,15 +62,12 @@ struct RegroupBoard {
 }
 
 /// State shared by every communicator of one world: the traffic log, the
-/// physical topology, the pipeline chunk size, a registry of live engines
-/// (for panic poisoning), and the failure/regroup bookkeeping.
+/// physical topology, a registry of live engines (for panic poisoning),
+/// and the failure/regroup bookkeeping.
 pub struct WorldShared {
     pub log: Arc<TrafficLog>,
     pub topo: Topology,
     engines: Mutex<Vec<Weak<Engine>>>,
-    /// Elements per pipeline chunk for this world's collectives, read once
-    /// per round when its schedule freezes.
-    chunk_elems: AtomicUsize,
     /// Thread-transport split groups being built: gid → (shared engine,
     /// members yet to take it).
     splits: Mutex<HashMap<u64, (Arc<Engine>, usize)>>,
@@ -91,7 +88,6 @@ impl WorldShared {
             log: TrafficLog::new(),
             topo,
             engines: Mutex::new(Vec::new()),
-            chunk_elems: AtomicUsize::new(COMM_CHUNK_ELEMS),
             splits: Mutex::new(HashMap::new()),
             failed: Mutex::new(BTreeSet::new()),
             epoch: AtomicU64::new(0),
@@ -102,11 +98,6 @@ impl WorldShared {
 
     pub(crate) fn register_engine(&self, engine: &Arc<Engine>) {
         self.engines.lock().push(Arc::downgrade(engine));
-    }
-
-    /// Elements per pipeline chunk currently in force for new collectives.
-    pub(crate) fn chunk_elems(&self) -> usize {
-        self.chunk_elems.load(Ordering::Relaxed)
     }
 
     /// Poison every live engine with `cause` so blocked peers fail fast
@@ -331,25 +322,6 @@ impl Communicator {
         self.precision
     }
 
-    /// Elements per pipeline chunk this world's collectives currently use
-    /// (default [`COMM_CHUNK_ELEMS`]).
-    pub fn chunk_elems(&self) -> usize {
-        self.world.chunk_elems()
-    }
-
-    /// Install a pipeline chunk size (in f32 elements, clamped to ≥ 1) for
-    /// every group of this world; returns the previous value.
-    ///
-    /// The value is read **once per collective**, when the last depositing
-    /// rank freezes the chunk schedule, so every rank of a round sees the
-    /// same schedule regardless of when the planner ran. Chunk boundaries
-    /// never change reduction results (reduction is elementwise in rank
-    /// order), only pipeline granularity. On TCP every process owns its
-    /// world, so every rank must install the same value.
-    pub fn set_chunk_elems(&self, elems: usize) -> usize {
-        self.world.chunk_elems.swap(elems.max(1), Ordering::Relaxed)
-    }
-
     /// Rank within this group.
     #[inline]
     pub fn rank(&self) -> usize {
@@ -544,31 +516,6 @@ impl Communicator {
         deadline: Option<Duration>,
     ) -> Result<Tensor, CommError> {
         self.try_issue(CollKind::AllReduceSum, t)?.try_wait(deadline)
-    }
-
-    /// Fallible blocking [`Communicator::reduce_scatter_sum`].
-    pub fn try_reduce_scatter_sum(
-        &self,
-        t: &Tensor,
-        deadline: Option<Duration>,
-    ) -> Result<Tensor, CommError> {
-        assert!(
-            t.dims()[0].is_multiple_of(self.size()),
-            "reduce_scatter axis 0 ({}) not divisible by group size {}",
-            t.dims()[0],
-            self.size()
-        );
-        self.try_issue(CollKind::ReduceScatterSum, t)?.try_wait(deadline)
-    }
-
-    /// Fallible blocking [`Communicator::all_gather_cat`].
-    pub fn try_all_gather_cat(
-        &self,
-        t: &Tensor,
-        axis: usize,
-        deadline: Option<Duration>,
-    ) -> Result<Tensor, CommError> {
-        self.try_issue(CollKind::AllGatherCat { axis }, t)?.try_wait(deadline)
     }
 
     /// Fallible, deadline-bounded [`Communicator::barrier`]: a gather of

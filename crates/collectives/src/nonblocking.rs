@@ -50,16 +50,14 @@ use crate::traffic::{ChunkEvent, CollOp, TrafficLog};
 /// nanoseconds is caught without a syscall).
 const WAIT_SPINS: u32 = 64;
 
-/// Default elements per pipeline chunk (64 KiB of f32): small enough that a
+/// Elements per pipeline chunk (64 KiB of f32): small enough that a
 /// bucket splits into several overlappable stages, large enough that the
-/// per-chunk claim/stamp overhead is noise. Part of the shape-derived
-/// schedule — do not make this depend on thread count.
+/// per-chunk claim/stamp overhead is noise.
 ///
-/// Every world starts at this value; a planner that knows the fabric's
-/// α-β parameters can install a derived one per world via
-/// [`crate::Communicator::set_chunk_elems`] (see
-/// `dchag_perf::comm::optimal_chunk_elems` and the installers in
-/// `dchag_parallel`).
+/// Every collective of every world uses this one value, so a round's chunk
+/// schedule is a function of its shapes alone: every rank, over either
+/// transport, freezes the same schedule with nothing to agree on at run
+/// time. Do not make it depend on thread count or on any per-rank state.
 pub const COMM_CHUNK_ELEMS: usize = 16 * 1024;
 
 /// Which collective a round performs.
@@ -443,7 +441,7 @@ fn deposit(
     let fully_retired = entry.retired == group;
     if entry.arrived == group {
         let contribs: Vec<Tensor> = entry.contribs.iter_mut().map(|c| c.take().unwrap()).collect();
-        freeze(&round, contribs, world.chunk_elems(), world.log.now_us());
+        freeze(&round, contribs, world.log.now_us());
         engine.cv.notify_all();
     }
     // A round no waiter can still need leaves the table: an empty one is
@@ -485,13 +483,10 @@ fn validate_contribution(kind: CollKind, group: usize, existing: &[Option<Tensor
     }
 }
 
-/// Build the shape-derived chunk schedule and the output buffer; publish the
-/// round as runnable. Called under the engine lock by the last depositor,
-/// with the world's chunk size read once for this round: every rank that
-/// helps run it works off the schedule frozen here, so a planner swapping
-/// the size concurrently can never split one round across two
-/// granularities.
-fn freeze(round: &Arc<Round>, contribs: Vec<Tensor>, chunk_elems: usize, ready_us: f64) {
+/// Build the shape-derived chunk schedule ([`COMM_CHUNK_ELEMS`]-sized
+/// chunks) and the output buffer; publish the round as runnable. Called
+/// under the engine lock by the last depositor.
+fn freeze(round: &Arc<Round>, contribs: Vec<Tensor>, ready_us: f64) {
     let mut chunks = Vec::new();
     let mut gather_offsets = Vec::new();
     let out_len = match round.kind {
@@ -499,7 +494,7 @@ fn freeze(round: &Arc<Round>, contribs: Vec<Tensor>, chunk_elems: usize, ready_u
             let numel = contribs[0].numel();
             let mut off = 0;
             while off < numel {
-                let len = chunk_elems.min(numel - off);
+                let len = COMM_CHUNK_ELEMS.min(numel - off);
                 chunks.push(Chunk { src: 0, src_off: off, dst_off: off, len });
                 off += len;
             }
@@ -512,7 +507,7 @@ fn freeze(round: &Arc<Round>, contribs: Vec<Tensor>, chunk_elems: usize, ready_u
                 let numel = c.numel();
                 let mut off = 0;
                 while off < numel {
-                    let len = chunk_elems.min(numel - off);
+                    let len = COMM_CHUNK_ELEMS.min(numel - off);
                     chunks.push(Chunk { src: r, src_off: off, dst_off: base + off, len });
                     off += len;
                 }
@@ -986,32 +981,6 @@ mod tests {
         for n in run.outputs {
             assert_eq!(n, 0, "dropped requests must not leak rounds");
         }
-    }
-
-    #[test]
-    fn adaptive_chunk_size_reshapes_schedule_and_restores() {
-        let run = run_ranks(2, |ctx| {
-            // Every rank installs the same size before its next issue.
-            ctx.comm.set_chunk_elems(4096);
-            let n = 4096 * 3 + 5; // 4 chunks under the installed size
-            let req = ctx.comm.iall_reduce_sum(&Tensor::full([n], 1.0));
-            let out = req.wait();
-            ctx.comm.barrier();
-            (out.data().iter().all(|&x| x == 2.0), ctx.comm.traffic().chunk_events().len())
-        });
-        for (ok, chunks) in run.outputs {
-            assert!(ok, "reduction unchanged by chunk granularity");
-            assert_eq!(chunks, 4);
-        }
-        // The size is per world: a fresh world starts at the fixed constant.
-        // A degenerate install is clamped, never zero; restore is exact.
-        let run = run_ranks(1, |ctx| {
-            let prev = ctx.comm.set_chunk_elems(0);
-            let clamped = ctx.comm.chunk_elems();
-            ctx.comm.set_chunk_elems(prev);
-            (prev, clamped, ctx.comm.chunk_elems())
-        });
-        assert_eq!(run.outputs, vec![(COMM_CHUNK_ELEMS, 1, COMM_CHUNK_ELEMS)]);
     }
 
     #[test]

@@ -175,7 +175,7 @@ impl<E: EncoderBackbone> MaeModel<E> {
         let encoded = self.enc.encode(bind, &visible);
         let pred = self.decode(bind, &encoded, mask);
 
-        let target = tape.constant(self.target_patches(images));
+        let target = tape.leaf(self.target_patches(images));
         let loss_mask = self.loss_mask(images.dims()[0], mask);
         let loss = tape.masked_mse(&pred, &target, &loss_mask);
         (loss, pred)

@@ -87,7 +87,7 @@ impl PatchTokenizer {
         let patches = ops::patchify(images, self.patch); // [B, C, P, p²]
         let np = (h / self.patch) * (w / self.patch);
         let pp = self.patch * self.patch;
-        let pv = tape.constant(patches);
+        let pv = tape.leaf(patches);
 
         let mut tokens = Vec::with_capacity(self.per_channel.len());
         for (i, ct) in self.per_channel.iter().enumerate() {

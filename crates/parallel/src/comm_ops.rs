@@ -19,7 +19,7 @@
 
 use dchag_collectives::{CommRequest, Communicator};
 use dchag_tensor::ops;
-use dchag_tensor::{Tape, Tensor, Var};
+use dchag_tensor::{Tape, Var};
 
 /// Backward rule of a pending gather.
 #[derive(Clone, Copy)]
@@ -48,44 +48,16 @@ impl PendingGatherVar {
     /// Complete the gather and record the tape node carrying its adjoint.
     pub fn wait(self, tape: &Tape) -> Var {
         let PendingGatherVar { req, xid, rank, axis, local, comm, adjoint } = self;
-        record_gather(tape, req.wait(), xid, rank, axis, local, comm, adjoint)
-    }
-
-    /// Fallible, deadline-bounded [`wait`](PendingGatherVar::wait) for
-    /// recovery-aware callers: the gather's failure surfaces as a typed
-    /// error instead of a panic, and nothing is recorded on the tape (the
-    /// step is abandoned and replayed after regroup).
-    pub fn try_wait(
-        self,
-        tape: &Tape,
-        deadline: Option<std::time::Duration>,
-    ) -> Result<Var, dchag_collectives::CommError> {
-        let PendingGatherVar { req, xid, rank, axis, local, comm, adjoint } = self;
-        let gathered = req.try_wait(deadline)?;
-        Ok(record_gather(tape, gathered, xid, rank, axis, local, comm, adjoint))
-    }
-}
-
-/// Record a completed gather on the tape with its backward rule.
-#[allow(clippy::too_many_arguments)]
-fn record_gather(
-    tape: &Tape,
-    gathered: Tensor,
-    xid: usize,
-    rank: usize,
-    axis: usize,
-    local: usize,
-    comm: Communicator,
-    adjoint: GatherAdjoint,
-) -> Var {
-    match adjoint {
-        GatherAdjoint::Slice => tape.custom(gathered, move |g, emit| {
-            emit(xid, ops::slice(g, axis, rank * local, local));
-        }),
-        GatherAdjoint::ReduceSlice => tape.custom(gathered, move |g, emit| {
-            let summed = comm.all_reduce_sum(g);
-            emit(xid, ops::slice(&summed, axis, rank * local, local));
-        }),
+        let gathered = req.wait();
+        match adjoint {
+            GatherAdjoint::Slice => tape.custom(gathered, move |g, emit| {
+                emit(xid, ops::slice(g, axis, rank * local, local));
+            }),
+            GatherAdjoint::ReduceSlice => tape.custom(gathered, move |g, emit| {
+                let summed = comm.all_reduce_sum(g);
+                emit(xid, ops::slice(&summed, axis, rank * local, local));
+            }),
+        }
     }
 }
 
@@ -198,7 +170,7 @@ pub fn collectives_during<R>(comm: &Communicator, f: impl FnOnce() -> R) -> (R, 
 mod tests {
     use super::*;
     use dchag_collectives::{run_ranks, CollOp};
-    use dchag_tensor::Rng;
+    use dchag_tensor::{Rng, Tensor};
 
     #[test]
     fn f_and_g_are_conjugate() {

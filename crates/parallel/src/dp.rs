@@ -51,72 +51,44 @@ impl DataParallel {
     /// The Some/None pattern must be identical across ranks (it is, because
     /// every replica runs the same program).
     pub fn sync_grads(&self, grads: &mut [Option<Tensor>]) {
-        if self.comm.size() == 1 {
-            return;
-        }
-        let total: usize = grads.iter().flatten().map(|g| g.numel()).sum();
-        if total == 0 {
-            return;
-        }
-        let mut flat = Vec::with_capacity(total);
-        for g in grads.iter().flatten() {
-            flat.extend_from_slice(g.data());
-        }
-        let reduced = self.comm.all_reduce_mean(&Tensor::from_vec(flat, [total]));
-        let mut off = 0;
-        for g in grads.iter_mut().flatten() {
-            let n = g.numel();
-            let chunk = reduced.data()[off..off + n].to_vec();
-            *g = Tensor::from_vec(chunk, g.shape().clone());
-            off += n;
-        }
+        all_reduce_flat(&self.comm, grads, 1.0 / self.comm.size() as f32);
     }
 }
 
-/// Fixed fallback bucket size for the overlapped gradient sync: 1 MiB of
-/// f32 — 16 pipeline chunks per bucket, small enough that several buckets
-/// are in flight over a transformer backward. [`DdpBinder::new`] prefers
-/// the α-β-derived size from [`adaptive_bucket_elems`]; this constant is
-/// the degenerate-input fallback and the `with_bucket` escape hatch.
+/// Sum the Some-gradients across `comm` with one AllReduce over their
+/// parameter-order concatenation, then unflatten in place with every
+/// element multiplied by `scale` — `1/n` averages, exactly like
+/// `ops::scale` after the sum; `1.0` leaves the sum unchanged. A no-op
+/// (no collective) on a single rank or when every gradient is None.
+pub(crate) fn all_reduce_flat(comm: &Communicator, grads: &mut [Option<Tensor>], scale: f32) {
+    if comm.size() == 1 {
+        return;
+    }
+    let total: usize = grads.iter().flatten().map(|g| g.numel()).sum();
+    if total == 0 {
+        return;
+    }
+    let mut flat = Vec::with_capacity(total);
+    for g in grads.iter().flatten() {
+        flat.extend_from_slice(g.data());
+    }
+    let reduced = comm.all_reduce_sum(&Tensor::from_vec(flat, [total]));
+    let mut off = 0;
+    for g in grads.iter_mut().flatten() {
+        let n = g.numel();
+        let chunk = reduced.data()[off..off + n].iter().map(|&x| scale * x).collect();
+        *g = Tensor::from_vec(chunk, g.shape().clone());
+        off += n;
+    }
+}
+
+/// Bucket size of the overlapped gradient sync: 1 MiB of f32 — 16
+/// pipeline chunks per bucket, small enough that several buckets are in
+/// flight over a transformer backward. [`DdpBinder::new`] uses it;
+/// [`DdpBinder::with_bucket`] pins another size. The bucket size never
+/// changes the result: every element is summed in rank order whichever
+/// bucket carries it.
 pub const DDP_BUCKET_ELEMS: usize = 256 * 1024;
-
-/// α-β-adaptive DDP bucket size for a model of `total_elems` parameters
-/// reduced across `world` ranks, from the Frontier interconnect model
-/// (`dchag_perf::comm::optimal_bucket_elems`): α-bound fabrics get larger
-/// buckets (latency amortized), bandwidth-bound ones smaller buckets (more
-/// overlap stages), capped so ≥ 8 buckets pipeline over a full backward.
-/// Falls back to [`DDP_BUCKET_ELEMS`] for degenerate inputs. Deterministic
-/// in `(total_elems, world)`, so every rank derives the same value — the
-/// SPMD invariant bucketing relies on.
-pub fn adaptive_bucket_elems(total_elems: usize, world: usize) -> usize {
-    if world <= 1 || total_elems == 0 {
-        return DDP_BUCKET_ELEMS;
-    }
-    let machine = dchag_perf::MachineSpec::frontier();
-    let wire = dchag_perf::comm::wire_for_group(&machine, world, true);
-    dchag_perf::comm::optimal_bucket_elems(&machine, total_elems, world, wire)
-}
-
-/// Derive and install the α-β comm sizes for `comm`'s world: the DDP
-/// bucket for `(total_elems, comm.size())` and, via
-/// [`Communicator::set_chunk_elems`], the pipeline chunk size a bucket-sized
-/// all-reduce wants. Returns `(bucket_elems, chunk_elems)` — also what the
-/// collectives bench records in `BENCH_kernels.json`. The fixed constants
-/// remain the fallback for anything the model cannot size (degenerate
-/// worlds, empty stores).
-pub fn apply_adaptive_comm_sizing(comm: &Communicator, total_elems: usize) -> (usize, usize) {
-    let world = comm.size();
-    let bucket = adaptive_bucket_elems(total_elems, world);
-    let chunk = if world <= 1 {
-        dchag_collectives::COMM_CHUNK_ELEMS
-    } else {
-        let machine = dchag_perf::MachineSpec::frontier();
-        let wire = dchag_perf::comm::wire_for_group(&machine, world, true);
-        dchag_perf::comm::optimal_chunk_elems(&machine, bucket as f64 * 4.0, world, wire)
-    };
-    comm.set_chunk_elems(chunk);
-    (bucket, chunk)
-}
 
 /// α and bandwidth of the **running host's** comm fabric, fit from the
 /// chunk timestamps a [`dchag_collectives::TrafficLog`] already records.
@@ -131,8 +103,8 @@ pub fn apply_adaptive_comm_sizing(comm: &Communicator, total_elems: usize) -> (u
 /// bandwidth. The first few collectives of a run suffice, provided their
 /// payloads vary — DDP's ragged tail bucket supplies that naturally.
 /// `None` until the log holds an identifiable sample set (≥ 4 rounds of
-/// ≥ 2 distinct sizes); callers stay on the
-/// [`MachineSpec::frontier`](dchag_perf::MachineSpec::frontier) constants.
+/// ≥ 2 distinct sizes). A measurement only: nothing sizes collectives
+/// from it.
 pub fn measured_alpha_beta(log: &dchag_collectives::TrafficLog) -> Option<(f64, f64)> {
     use std::collections::BTreeMap;
     // (bytes, ready_us, last_done_us) per round. `ready_us` is stamped
@@ -141,7 +113,7 @@ pub fn measured_alpha_beta(log: &dchag_collectives::TrafficLog) -> Option<(f64, 
     // than merged into one fake round. BTreeMap, not HashMap: the fit
     // sums f64 terms in sample order, so iteration order is part of the
     // result's rounding — seq order keeps the fit identical on every
-    // rank (the SPMD claim below) and across repeated calls.
+    // rank reading the same log, and across repeated calls.
     let mut rounds: BTreeMap<usize, (f64, f64, f64)> = BTreeMap::new();
     for e in log.chunk_events() {
         if e.coll_seq == usize::MAX {
@@ -169,131 +141,6 @@ pub fn measured_alpha_beta(log: &dchag_collectives::TrafficLog) -> Option<(f64, 
         .map(|&(bytes, ready, done)| (bytes, (done - ready).max(0.0) * 1e-6))
         .collect();
     dchag_perf::comm::estimate_alpha_beta(&samples)
-}
-
-/// Close the α-β loop on hosts that are not Frontier: fit the fabric from
-/// the traffic log ([`measured_alpha_beta`]) and install, on `comm`'s
-/// world, bucket/chunk sizes derived from the *measured* machine
-/// ([`dchag_perf::MachineSpec::measured`]) instead of the spec-sheet
-/// constants. Returns the installed `(bucket_elems, chunk_elems)`, or
-/// `None` — leaving whatever sizing is in force untouched — when the log
-/// cannot yet identify the model or the inputs are degenerate (then
-/// [`apply_adaptive_comm_sizing`]'s Frontier-based derivation remains the
-/// cold-start behavior).
-///
-/// The fit is rank-symmetric (every rank reads the same shared log), so
-/// installing it preserves the SPMD invariant bucketed DDP relies on.
-pub fn apply_measured_comm_sizing(
-    comm: &Communicator,
-    log: &dchag_collectives::TrafficLog,
-    total_elems: usize,
-) -> Option<(usize, usize)> {
-    let (bucket, chunk) = measured_comm_sizes(log, total_elems, comm.size())?;
-    comm.set_chunk_elems(chunk);
-    Some((bucket, chunk))
-}
-
-/// The compute-only half of [`apply_measured_comm_sizing`]: fit the fabric
-/// and derive `(bucket_elems, chunk_elems)` without installing anything.
-/// [`CommTuner`] uses this on the fitting rank so the *broadcast* result —
-/// not each rank's local fit — is what gets installed everywhere.
-pub fn measured_comm_sizes(
-    log: &dchag_collectives::TrafficLog,
-    total_elems: usize,
-    world: usize,
-) -> Option<(usize, usize)> {
-    if world <= 1 || total_elems == 0 {
-        return None;
-    }
-    let (alpha, bw) = measured_alpha_beta(log)?;
-    let machine = dchag_perf::MachineSpec::measured(alpha, bw);
-    // A measured machine carries one fabric on both wires; Intra keeps the
-    // group-size bookkeeping out of it.
-    let wire = dchag_perf::comm::Wire::Intra;
-    let bucket = dchag_perf::comm::optimal_bucket_elems(&machine, total_elems, world, wire);
-    let chunk = dchag_perf::comm::optimal_chunk_elems(&machine, bucket as f64 * 4.0, world, wire);
-    Some((bucket, chunk))
-}
-
-/// Online α-β refresh: periodically refit the fabric from the **live**
-/// traffic log and re-install DDP bucket/chunk sizes, mid-run.
-///
-/// Rank symmetry is the whole design problem here. Over the thread
-/// transport every rank reads one shared log, but over TCP each process
-/// has its *own* log with its own timestamps — per-rank fits disagree, and
-/// installing a rank-local fit would desynchronize chunk schedules (DDP's
-/// bitwise-parity invariant dies). So rank 0 alone fits, and the result
-/// rides a broadcast: every rank installs exactly the bytes rank 0
-/// derived. Sizes cross the wire as `u16` halves widened to `f32` — every
-/// value exactly representable, and a broadcast always rides the f32 wire,
-/// so the trip is lossless over either transport and whatever
-/// [`dchag_collectives::CommPrecision`] the handle carries.
-///
-/// Call [`CommTuner::maybe_refresh`] once per training step **between**
-/// steps (the schedule-freeze boundary: no collectives in flight, next
-/// step not yet issued). Off-cycle steps cost nothing; on-cycle steps cost
-/// one world broadcast of 5 floats.
-pub struct CommTuner {
-    comm: Communicator,
-    total_elems: usize,
-    every: usize,
-    step: usize,
-    current: Option<(usize, usize)>,
-}
-
-impl CommTuner {
-    /// `every == 0` disables refresh (the tuner becomes inert).
-    pub fn new(comm: &Communicator, total_elems: usize, every: usize) -> Self {
-        CommTuner { comm: comm.clone(), total_elems, every, step: 0, current: None }
-    }
-
-    /// Advance one step; on refresh steps, fit on rank 0, broadcast, and
-    /// install the agreed sizes on every rank. Returns the newly installed
-    /// `(bucket_elems, chunk_elems)` when a refresh landed this step.
-    pub fn maybe_refresh(&mut self, log: &dchag_collectives::TrafficLog) -> Option<(usize, usize)> {
-        self.step += 1;
-        if self.every == 0 || !self.step.is_multiple_of(self.every) || self.comm.size() <= 1 {
-            return None;
-        }
-        let proposal = if self.comm.rank() == 0 {
-            measured_comm_sizes(log, self.total_elems, self.comm.size())
-        } else {
-            None
-        };
-        // [ok, bucket_hi, bucket_lo, chunk_hi, chunk_lo] — u16 halves as
-        // exact f32s. Non-root contributions are ignored by broadcast.
-        let enc = |v: usize| ((v >> 16) as u16 as f32, (v & 0xffff) as u16 as f32);
-        let wire = match proposal {
-            Some((b, c)) => {
-                let (bh, bl) = enc(b);
-                let (ch, cl) = enc(c);
-                vec![1.0, bh, bl, ch, cl]
-            }
-            None => vec![0.0; 5],
-        };
-        let got = self.comm.broadcast(&Tensor::from_vec(wire, [5]), 0);
-        let got = got.to_vec();
-        if got[0] != 1.0 {
-            return None; // rank 0's log can't identify the model yet
-        }
-        let dec = |hi: f32, lo: f32| ((hi as usize) << 16) | (lo as usize);
-        let bucket = dec(got[1], got[2]).max(1);
-        let chunk = dec(got[3], got[4]).max(1);
-        self.comm.set_chunk_elems(chunk);
-        self.current = Some((bucket, chunk));
-        Some((bucket, chunk))
-    }
-
-    /// The most recently installed sizes, if any refresh has landed.
-    pub fn sizes(&self) -> Option<(usize, usize)> {
-        self.current
-    }
-
-    /// Bucket size for the next [`DdpBinder::with_bucket`], falling back
-    /// to `default` until the first refresh lands.
-    pub fn bucket_or(&self, default: usize) -> usize {
-        self.current.map_or(default, |(b, _)| b)
-    }
 }
 
 struct InflightBucket {
@@ -353,13 +200,10 @@ pub struct DdpBinder<'a> {
 }
 
 impl<'a> DdpBinder<'a> {
-    /// Bucket size derived from the α-β model for this store's total
-    /// parameter count and the communicator's world size
-    /// ([`adaptive_bucket_elems`]; identical on every rank). Use
-    /// [`with_bucket`](DdpBinder::with_bucket) to pin an explicit size.
+    /// Binder with [`DDP_BUCKET_ELEMS`]-sized buckets. Use
+    /// [`with_bucket`](DdpBinder::with_bucket) to pin another size.
     pub fn new(tape: &'a Tape, store: &'a ParamStore, comm: &Communicator) -> Self {
-        let bucket = adaptive_bucket_elems(store.num_params(), comm.size());
-        Self::with_bucket(tape, store, comm, bucket)
+        Self::with_bucket(tape, store, comm, DDP_BUCKET_ELEMS)
     }
 
     /// Explicit bucket size in f32 elements (must match across ranks).
@@ -475,51 +319,6 @@ mod tests {
     }
 
     #[test]
-    fn measured_sizing_installs_and_falls_back() {
-        // Synthetic identifiable log (exact α-β samples).
-        let identifiable = || {
-            let log = dchag_collectives::TrafficLog::new();
-            let (alpha, bw) = (10e-6, 20e9);
-            // One single-chunk round per sample (rounds are the fit's unit).
-            for (i, &bytes) in [65536usize, 65536, 65536, 65536, 16384, 32768].iter().enumerate() {
-                log.record_chunk(ChunkEvent {
-                    op: CollOp::AllReduce,
-                    coll_seq: i,
-                    chunk: 0,
-                    bytes_on_wire: bytes,
-                    issued_us: 0.0,
-                    ready_us: 0.0,
-                    done_us: (alpha + bytes as f64 / bw) * 1e6,
-                });
-            }
-            log
-        };
-        let run = run_ranks(4, |ctx| {
-            let comm = &ctx.comm;
-            let prev = comm.chunk_elems();
-            // Unidentifiable log: nothing installed, Frontier constants stay.
-            let empty = dchag_collectives::TrafficLog::new();
-            assert!(apply_measured_comm_sizing(comm, &empty, 30_000_000).is_none());
-            assert_eq!(comm.chunk_elems(), prev);
-            let log = identifiable();
-            let (bucket, chunk) =
-                apply_measured_comm_sizing(comm, &log, 30_000_000).expect("identifiable log");
-            assert!(bucket > 0 && chunk > 0 && chunk <= bucket);
-            assert_eq!(comm.chunk_elems(), chunk, "installed");
-            // Deterministic in the log: the SPMD invariant.
-            assert_eq!(apply_measured_comm_sizing(comm, &log, 30_000_000), Some((bucket, chunk)));
-            // Degenerate inputs keep hands off.
-            assert!(apply_measured_comm_sizing(comm, &log, 0).is_none());
-        });
-        assert_eq!(run.outputs.len(), 4);
-        // Degenerate worlds keep hands off.
-        let run = run_ranks(1, |ctx| {
-            apply_measured_comm_sizing(&ctx.comm, &identifiable(), 30_000_000).is_none()
-        });
-        assert_eq!(run.outputs, vec![true]);
-    }
-
-    #[test]
     fn disturbed_rounds_are_excluded_from_fit() {
         // Two logs: `clean` holds six well-behaved samples; `noisy` holds
         // the same six plus a reconnect-disturbed round whose wall time is
@@ -570,59 +369,6 @@ mod tests {
     }
 
     #[test]
-    fn comm_tuner_installs_rank0_fit_on_every_rank_over_tcp() {
-        // Over TCP every rank owns a private log with private timestamps,
-        // so local fits genuinely disagree — the broadcast is what makes
-        // the installed sizes rank-symmetric.
-        let run = dchag_collectives::run_tcp_ranks(
-            2,
-            dchag_collectives::TcpConfig::default(),
-            |ctx| {
-                let mut tuner = CommTuner::new(&ctx.comm, 30_000_000, 3);
-                let mut landed = Vec::new();
-                for step in 0..6 {
-                    let n = dchag_collectives::COMM_CHUNK_ELEMS * (1 + 7 * (step % 2));
-                    let _ = ctx.comm.iall_reduce_sum(&Tensor::ones([n])).wait();
-                    ctx.comm.barrier(); // schedule-freeze boundary
-                    if let Some(sizes) = tuner.maybe_refresh(ctx.comm.traffic()) {
-                        landed.push((step, sizes));
-                    }
-                }
-                assert_eq!(tuner.sizes().map(|(b, _)| b), Some(tuner.bucket_or(0)));
-                // Installed on this rank's own world.
-                assert_eq!(tuner.sizes().map(|(_, c)| c), Some(ctx.comm.chunk_elems()));
-                landed
-            },
-        );
-        let outs: Vec<_> = run.outputs.into_iter().map(|o| o.expect("rank ok")).collect();
-        // Refresh cadence is every 3rd call (steps 2 and 5); the step-2
-        // attempt may broadcast "not identifiable yet" (only 3 rounds
-        // logged), but by step 5 the fit must land.
-        for out in &outs {
-            assert!(!out.is_empty(), "at least one refresh landed");
-            assert_eq!(out.last().unwrap().0, 5, "step-5 refresh landed: {out:?}");
-            assert!(out.iter().all(|(s, _)| *s == 2 || *s == 5));
-        }
-        // Rank symmetry: both ranks installed identical sizes despite
-        // fitting from different logs.
-        assert_eq!(outs[0], outs[1]);
-    }
-
-    #[test]
-    fn comm_tuner_is_inert_when_disabled_or_solo() {
-        let run = run_ranks(1, |ctx| {
-            let mut t = CommTuner::new(&ctx.comm, 1_000, 1);
-            t.maybe_refresh(ctx.comm.traffic()).is_none() && t.sizes().is_none()
-        });
-        assert_eq!(run.outputs, vec![true]);
-        let run = run_ranks(2, |ctx| {
-            let mut t = CommTuner::new(&ctx.comm, 1_000, 0);
-            (0..4).all(|_| t.maybe_refresh(ctx.comm.traffic()).is_none()) && t.bucket_or(7) == 7
-        });
-        assert_eq!(run.outputs, vec![true, true]);
-    }
-
-    #[test]
     fn fault_aborted_rounds_do_not_skew_alpha_beta_fit() {
         // Same synthetic exact-model log as above, plus one wildly skewed
         // round (tiny payload, huge wall time — the shape a peer death
@@ -655,40 +401,6 @@ mod tests {
         assert_ne!(measured_alpha_beta(&log), Some(clean));
         log.mark_round_aborted(6);
         assert_eq!(measured_alpha_beta(&log), Some(clean), "aborted round dropped from fit");
-    }
-
-    #[test]
-    fn adaptive_bucket_fallbacks_and_determinism() {
-        // Degenerate inputs fall back to the fixed constant.
-        assert_eq!(adaptive_bucket_elems(0, 8), DDP_BUCKET_ELEMS);
-        assert_eq!(adaptive_bucket_elems(10_000_000, 1), DDP_BUCKET_ELEMS);
-        // Real inputs: deterministic, bounded, and leaving several buckets
-        // in flight for a full-size model.
-        let total = 30_000_000;
-        let b = adaptive_bucket_elems(total, 8);
-        assert_eq!(b, adaptive_bucket_elems(total, 8), "SPMD: same on every rank");
-        assert!(b >= 64 * 1024 && total / b >= 3, "bucket {b}");
-    }
-
-    #[test]
-    fn apply_adaptive_sizing_installs_and_reports() {
-        let run = run_ranks(8, |ctx| {
-            let (bucket, chunk) = apply_adaptive_comm_sizing(&ctx.comm, 30_000_000);
-            assert!(bucket > 0 && chunk > 0);
-            assert!(chunk <= bucket, "a bucket holds at least one chunk");
-            assert_eq!(ctx.comm.chunk_elems(), chunk, "installed");
-        });
-        assert_eq!(run.outputs.len(), 8);
-        // world ≤ 1: fixed chunk fallback installed.
-        let run = run_ranks(1, |ctx| {
-            ctx.comm.set_chunk_elems(7);
-            let sizes = apply_adaptive_comm_sizing(&ctx.comm, 30_000_000);
-            (sizes, ctx.comm.chunk_elems())
-        });
-        let ((b1, c1), installed) = run.outputs[0];
-        assert_eq!(b1, DDP_BUCKET_ELEMS);
-        assert_eq!(c1, dchag_collectives::COMM_CHUNK_ELEMS);
-        assert_eq!(installed, c1);
     }
 
     #[test]

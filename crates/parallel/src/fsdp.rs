@@ -251,22 +251,6 @@ impl<'a> FsdpBinder<'a> {
         }
         self.stash.borrow().clone()
     }
-
-    /// Fallible, deadline-bounded [`sharded_grads`](FsdpBinder::sharded_grads)
-    /// for recovery-aware training loops. On `Err` the not-yet-waited
-    /// reduce-scatters are dropped — the step is abandoned wholesale (the
-    /// group is poisoned or hung; the driver regroups and replays the step
-    /// from a checkpoint, so partial gradients must not survive).
-    pub fn try_sharded_grads(
-        &self,
-        deadline: Option<std::time::Duration>,
-    ) -> Result<Vec<Option<Tensor>>, dchag_collectives::CommError> {
-        let pending: Vec<_> = self.pending_rs.borrow_mut().drain(..).collect();
-        for (i, req) in pending {
-            self.stash.borrow_mut()[i] = Some(req.try_wait(deadline)?);
-        }
-        Ok(self.stash.borrow().clone())
-    }
 }
 
 impl Binder for FsdpBinder<'_> {

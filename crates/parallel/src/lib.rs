@@ -26,10 +26,7 @@ pub mod tp;
 
 pub use comm_ops::{all_gather_cat, grad_mean, local_chunk, tp_f, tp_g};
 pub use dist_token::{partition_channels, DistTokenizer};
-pub use dp::{
-    adaptive_bucket_elems, apply_adaptive_comm_sizing, apply_measured_comm_sizing,
-    measured_alpha_beta, measured_comm_sizes, CommTuner, DataParallel,
-};
+pub use dp::{measured_alpha_beta, DataParallel};
 pub use fsdp::{FsdpBinder, FsdpParams};
 pub use groups::{refit_grid, GridCoord, HybridGroups};
 pub use sp::{gather_sequence, scatter_sequence, SpBlock, SpGradSync, SpViT};

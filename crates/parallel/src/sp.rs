@@ -155,29 +155,7 @@ impl SpGradSync {
 
     /// Sum gradients across the SP group (one bucketed AllReduce).
     pub fn sync(&self, grads: &mut [Option<dchag_tensor::Tensor>]) {
-        if self.comm.size() == 1 {
-            return;
-        }
-        let total: usize = grads.iter().flatten().map(|g| g.numel()).sum();
-        if total == 0 {
-            return;
-        }
-        let mut flat = Vec::with_capacity(total);
-        for g in grads.iter().flatten() {
-            flat.extend_from_slice(g.data());
-        }
-        let reduced = self
-            .comm
-            .all_reduce_sum(&dchag_tensor::Tensor::from_vec(flat, [total]));
-        let mut off = 0;
-        for g in grads.iter_mut().flatten() {
-            let n = g.numel();
-            *g = dchag_tensor::Tensor::from_vec(
-                reduced.data()[off..off + n].to_vec(),
-                g.shape().clone(),
-            );
-            off += n;
-        }
+        crate::dp::all_reduce_flat(&self.comm, grads, 1.0);
     }
 }
 
@@ -257,7 +235,7 @@ mod tests {
         let bind = LocalBinder::new(&tape, &store);
         let xv = tape.leaf(x.clone());
         let y = vit.forward(&bind, &xv);
-        let rv = tape.constant(r.clone());
+        let rv = tape.leaf(r.clone());
         let loss = tape.sum_all(&tape.mul(&y, &rv));
         let grads = tape.backward(&loss);
         let want: Vec<Option<Tensor>> = bind.grads(&grads);
@@ -270,7 +248,7 @@ mod tests {
             let bind = LocalBinder::new(&tape, &store);
             let xv = tape.leaf(x.clone());
             let y = vit.forward(&bind, &ctx.comm, &xv);
-            let rv = tape.constant(r.clone());
+            let rv = tape.leaf(r.clone());
             let loss = tape.sum_all(&tape.mul(&y, &rv));
             let grads = tape.backward(&loss);
             let mut pg = bind.grads(&grads);

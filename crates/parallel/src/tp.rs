@@ -429,7 +429,7 @@ mod tests {
         let bind = LocalBinder::new(&tape, &store);
         let xv = tape.leaf(x.clone());
         let y = vit.forward(&bind, &xv);
-        let rv = tape.constant(r.clone());
+        let rv = tape.leaf(r.clone());
         let loss = tape.sum_all(&tape.mul(&y, &rv));
         let want = tape.backward(&loss).get(&xv).unwrap().clone();
         assert!(want.max_abs() > 1e-3, "readout must be non-degenerate");
@@ -452,7 +452,7 @@ mod tests {
             let bind = LocalBinder::new(&tape, &store);
             let xv = tape.leaf(x.clone());
             let y = vit.forward(&bind, &ctx.comm, &xv);
-            let rv = tape.constant(r.clone());
+            let rv = tape.leaf(r.clone());
             let loss = tape.sum_all(&tape.mul(&y, &rv));
             let g = tape.backward(&loss).get(&xv).unwrap().clone();
             g.rel_l2_diff(&want)

@@ -118,10 +118,8 @@ pub fn overlap_fraction(blocking: f64, pipelined: f64, comm: f64) -> f64 {
 /// points, no size variation (a schedule of identical chunks has no lever
 /// arm on the slope — the tail chunk usually provides it), or a
 /// non-positive fitted slope (noise dominating the bandwidth term).
-/// Callers keep their cold-start constants in that case. A slightly
-/// negative fitted intercept (fast fabrics + timer noise) is clamped to a
-/// nanosecond rather than rejected, so the derived chunk sizing stays
-/// finite.
+/// A slightly negative fitted intercept (fast fabrics + timer noise) is
+/// clamped to a nanosecond rather than rejected, so α stays positive.
 pub fn estimate_alpha_beta(samples: &[(f64, f64)]) -> Option<(f64, f64)> {
     const MIN_SAMPLES: usize = 4;
     const ALPHA_FLOOR: f64 = 1e-9;
@@ -156,64 +154,6 @@ pub fn estimate_alpha_beta(samples: &[(f64, f64)]) -> Option<(f64, f64)> {
     }
     let alpha = ((st - slope * sb) / n).max(ALPHA_FLOOR);
     Some((alpha, 1.0 / slope))
-}
-
-// ----- adaptive chunk / bucket sizing --------------------------------------
-
-/// Pipeline chunk count that minimizes end-to-end chunked all-reduce time
-/// including the one-chunk fill/drain ([`overlapped_time`]'s `comm/chunks`
-/// term): `T(c) ≈ B + c·A + B/c` with `B` the bandwidth term and `A` the
-/// per-chunk latency rounds, minimized at `c* = √(B/A)`.
-///
-/// α-bound messages (small `B/A`) collapse to one chunk — pipelining them
-/// only multiplies latency; bandwidth-bound messages split into more
-/// chunks so compute can hide the transfer. Clamped to `[1, 64]`.
-pub fn optimal_chunk_count(machine: &MachineSpec, bytes: f64, g: usize, wire: Wire) -> usize {
-    if g <= 1 || bytes <= 0.0 {
-        return 1;
-    }
-    let steps = (g - 1) as f64;
-    let bw_term = 2.0 * steps * (bytes / g as f64 / bw(machine, wire));
-    let alpha_round = 2.0 * steps * alpha(machine, wire);
-    ((bw_term / alpha_round).sqrt().round() as usize).clamp(1, 64)
-}
-
-/// α-β-derived pipeline chunk size in f32 elements for a `bytes`-sized
-/// all-reduce: the message split into [`optimal_chunk_count`] chunks
-/// (α-bound → fewer, larger chunks; bandwidth-bound → more, smaller ones),
-/// rounded up to a 1 Ki-element granule so schedules stay cache-friendly
-/// and identical across ranks.
-pub fn optimal_chunk_elems(machine: &MachineSpec, bytes: f64, g: usize, wire: Wire) -> usize {
-    let elems = (bytes / 4.0).ceil().max(1.0) as usize;
-    let chunks = optimal_chunk_count(machine, bytes, g, wire);
-    let granule = 1024;
-    elems.div_ceil(chunks).div_ceil(granule) * granule
-}
-
-/// α-β-derived DDP gradient-bucket size in f32 elements for a model of
-/// `total_elems` parameters reduced over `g` ranks.
-///
-/// Two pressures: a bucket's ring all-reduce should be
-/// bandwidth-dominated (latency ≤ ~20% of its cost, which sets a floor of
-/// `α·g·bw` bytes — α-bound fabrics want *larger* buckets), and enough
-/// buckets must exist for the issue pipeline to overlap with backward
-/// compute (≥ 8 in flight for a full-size model, which caps the bucket at
-/// `total/8`). The floor wins for small models — a bucket smaller than the
-/// latency floor spends its time in rendezvous, not on the wire.
-pub fn optimal_bucket_elems(machine: &MachineSpec, total_elems: usize, g: usize, wire: Wire) -> usize {
-    const LAT_FRACTION: f64 = 0.2;
-    const MIN_BUCKETS: usize = 8;
-    const MIN_ELEMS: usize = 64 * 1024;
-    const MAX_ELEMS: usize = 8 * 1024 * 1024;
-    if g <= 1 || total_elems == 0 {
-        return MIN_ELEMS;
-    }
-    // Latency fraction f of T = 2(g−1)(b/(g·bw) + α) gives
-    // b ≥ (1−f)/f · α·g·bw bytes.
-    let floor_bytes = (1.0 - LAT_FRACTION) / LAT_FRACTION * alpha(machine, wire) * g as f64 * bw(machine, wire);
-    let floor_elems = (floor_bytes / 4.0) as usize;
-    let overlap_cap = (total_elems / MIN_BUCKETS).max(MIN_ELEMS);
-    floor_elems.clamp(MIN_ELEMS, MAX_ELEMS).min(overlap_cap)
 }
 
 #[cfg(test)]
@@ -326,7 +266,7 @@ mod tests {
     #[test]
     fn alpha_beta_fit_clamps_negative_intercept() {
         // Slight timer skew can pull the intercept below zero; the fit
-        // clamps α instead of failing so sizing stays derivable.
+        // clamps α instead of failing, so a noisy log still yields a fit.
         let bw = 10e9;
         let samples: Vec<(f64, f64)> = [1e4f64, 2e4, 3e4, 4e4]
             .iter()
@@ -335,77 +275,5 @@ mod tests {
         let (a, w) = estimate_alpha_beta(&samples).unwrap();
         assert!(a > 0.0 && a <= 1e-6, "α clamped small, got {a}");
         assert!(w > 0.0);
-    }
-
-    #[test]
-    fn measured_machine_drives_sizing() {
-        // A fabric measured 100× slower than Frontier wants smaller
-        // pipeline chunks for the same payload (bandwidth term shrinks
-        // relative to α… actually α measured huge ⇒ fewer chunks). Pin
-        // the directional behaviors.
-        let slow_alpha = MachineSpec::measured(1e-3, 35e9);
-        let frontier = m();
-        let bytes = 4.0 * 1024.0 * 1024.0;
-        assert!(
-            optimal_chunk_count(&slow_alpha, bytes, 4, Wire::Intra)
-                <= optimal_chunk_count(&frontier, bytes, 4, Wire::Intra),
-            "α-bound measured fabric pipelines less"
-        );
-        let fat_pipe = MachineSpec::measured(8e-6, 350e9);
-        assert!(
-            optimal_bucket_elems(&fat_pipe, 30_000_000, 4, Wire::Intra)
-                >= optimal_bucket_elems(&frontier, 30_000_000, 4, Wire::Intra),
-            "higher measured bandwidth raises the latency-floor bucket"
-        );
-        // Both wires carry the measured numbers, so wire attribution
-        // cannot skew a measured-machine derivation.
-        assert_eq!(slow_alpha.alpha_intra, slow_alpha.alpha_inter);
-        assert_eq!(slow_alpha.intra_bw, slow_alpha.inter_bw);
-    }
-
-    #[test]
-    fn chunk_count_tracks_alpha_beta_regimes() {
-        // Degenerate groups never pipeline.
-        assert_eq!(optimal_chunk_count(&m(), 1e9, 1, Wire::Intra), 1);
-        // α-bound tiny message: one chunk (pipelining only multiplies α).
-        assert_eq!(optimal_chunk_count(&m(), 4.0 * 256.0, 8, Wire::Inter), 1);
-        // Bandwidth-bound: chunk count grows with the message…
-        let small = optimal_chunk_count(&m(), 1e6, 8, Wire::Intra);
-        let large = optimal_chunk_count(&m(), 64e6, 8, Wire::Intra);
-        assert!(large > small, "{large} vs {small}");
-        // …and is capped.
-        assert!(optimal_chunk_count(&m(), 1e12, 8, Wire::Intra) <= 64);
-    }
-
-    #[test]
-    fn chunk_elems_larger_when_alpha_bound() {
-        // Same message: the high-α inter-node wire wants larger chunks
-        // than the low-α intra-node wire.
-        let bytes = 16e6;
-        let intra = optimal_chunk_elems(&m(), bytes, 8, Wire::Intra);
-        let inter = optimal_chunk_elems(&m(), bytes, 8, Wire::Inter);
-        assert!(inter >= intra, "inter {inter} vs intra {intra}");
-        // Granular and covering: chunks × size ≥ message.
-        let count = optimal_chunk_count(&m(), bytes, 8, Wire::Intra);
-        assert!(intra.is_multiple_of(1024) && intra * count >= (bytes / 4.0) as usize);
-    }
-
-    #[test]
-    fn bucket_elems_floor_cap_and_fallback() {
-        let total = 30_000_000; // ~30M-param model
-        let b = optimal_bucket_elems(&m(), total, 8, Wire::Intra);
-        assert!((64 * 1024..=8 * 1024 * 1024).contains(&b));
-        // Enough buckets in flight to overlap.
-        assert!(total / b >= 3, "bucket {b} leaves too few buckets");
-        // Small models fall to the overlap cap, never below the minimum.
-        let small = optimal_bucket_elems(&m(), 200_000, 8, Wire::Intra);
-        assert_eq!(small, 64 * 1024);
-        // Degenerate inputs: fixed fallback.
-        assert_eq!(optimal_bucket_elems(&m(), 0, 8, Wire::Intra), 64 * 1024);
-        assert_eq!(optimal_bucket_elems(&m(), total, 1, Wire::Intra), 64 * 1024);
-        // Higher-α wire never wants smaller buckets.
-        let inter = optimal_bucket_elems(&m(), 1_000_000_000, 8, Wire::Inter);
-        let intra = optimal_bucket_elems(&m(), 1_000_000_000, 8, Wire::Intra);
-        assert!(inter >= intra);
     }
 }

@@ -59,23 +59,6 @@ impl MachineSpec {
         }
     }
 
-    /// A machine whose interconnect parameters were *measured* on the
-    /// running host (fit from `TrafficLog` chunk timestamps via
-    /// `dchag_perf::comm::estimate_alpha_beta`) instead of assumed from
-    /// the Frontier spec sheet. Both wires carry the measured values —
-    /// a single-host thread fabric has one topology — so wire attribution
-    /// can never skew a derivation; compute/memory fields keep the
-    /// Frontier reference numbers, which the comm-sizing paths do not
-    /// read.
-    pub fn measured(alpha_s: f64, bw_bytes_per_s: f64) -> Self {
-        let mut m = MachineSpec::frontier();
-        m.intra_bw = bw_bytes_per_s;
-        m.inter_bw = bw_bytes_per_s;
-        m.alpha_intra = alpha_s;
-        m.alpha_inter = alpha_s;
-        m
-    }
-
     /// Usable HBM per GPU in bytes.
     pub fn mem_cap(&self) -> f64 {
         self.gpu.hbm_bytes * self.usable_fraction

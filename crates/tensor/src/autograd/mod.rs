@@ -84,12 +84,6 @@ impl Tape {
         self.push(value, None)
     }
 
-    /// Record a value that should be treated as a constant: gradients are
-    /// still tracked internally but the value has no upstream inputs.
-    pub fn constant(&self, value: Tensor) -> Var {
-        self.leaf(value)
-    }
-
     /// Cut the graph: the result has the same value but no history.
     pub fn detach(&self, v: &Var) -> Var {
         self.leaf(v.value.clone())

@@ -365,7 +365,7 @@ impl Tape {
         let mask_sum = mask.sum().max(1.0);
         let d = self.sub(a, b);
         let sq = self.mul(&d, &d);
-        let m = self.constant(mask.clone());
+        let m = self.leaf(mask.clone());
         let masked = self.mul(&sq, &m);
         let s = self.sum_all(&masked);
         self.scale(&s, 1.0 / mask_sum)
@@ -709,7 +709,7 @@ mod tests {
         let x = tape.leaf(Tensor::from_vec(vec![0.1, -1.7, 3.3], [1, 3]));
         let q = tape.to_dtype(&x, DType::Bf16);
         assert_eq!(q.value().dtype(), DType::Bf16);
-        let ones = tape.constant(Tensor::full(crate::shape::Shape::new(&[3, 1]), 1.0));
+        let ones = tape.leaf(Tensor::full(crate::shape::Shape::new(&[3, 1]), 1.0));
         let loss = tape.matmul(&q, &ones);
         let grads = tape.backward(&loss);
         // dL/dq = 1 per element; straight-through forwards it exactly.

@@ -10,7 +10,8 @@
 //!   carries a CRC32, and the file ends in a whole-file CRC32 footer, so
 //!   *any* torn write or bit flip surfaces as a typed [`CheckpointError`] —
 //!   never as silently wrong tensors. Version-1 files (params-only, f32,
-//!   unchecksummed) still load.
+//!   unchecksummed) are refused with
+//!   [`CheckpointError::UnsupportedVersion`].
 //! * **[`CheckpointDir`]** ([`dir`]): the atomic on-disk protocol —
 //!   write-to-temp → fsync → rename → directory-fsync per shard, a
 //!   versioned manifest committing each step (world size, grid axes,
@@ -315,7 +316,7 @@ impl Snapshot {
         write_v2(self)
     }
 
-    /// Deserialize (v2 or legacy v1), validating every checksum.
+    /// Deserialize format-v2 bytes, validating every checksum.
     pub fn from_bytes(bytes: &[u8]) -> Result<Snapshot, CheckpointError> {
         read_snapshot(bytes)
     }
@@ -555,7 +556,7 @@ fn write_v2(snap: &Snapshot) -> Vec<u8> {
 }
 
 // ---------------------------------------------------------------------------
-// Readers (v2 + legacy v1)
+// Readers (v2)
 // ---------------------------------------------------------------------------
 
 fn read_tensor_raw(b: &mut Bytes) -> Result<Tensor, CheckpointError> {
@@ -680,41 +681,21 @@ fn read_v2(bytes: &[u8]) -> Result<Snapshot, CheckpointError> {
     Ok(snap)
 }
 
-/// Legacy v1: `count | (name, ndim, dims, f32 data)*`, no checksums.
-fn read_v1(bytes: &[u8]) -> Result<Snapshot, CheckpointError> {
-    let mut b = Bytes::new(bytes);
-    b.take(8)?; // magic + version
-    let count = b.u32()? as usize;
-    let mut entries = Vec::with_capacity(count.min(1 << 16));
-    for _ in 0..count {
-        let name = b.string()?;
-        let value = read_tensor_raw(&mut b)?;
-        entries.push(SnapEntry { name, value, shard: None });
-    }
-    if b.remaining() != 0 {
-        return Err(CheckpointError::Malformed(format!(
-            "{} trailing bytes after v1 entries",
-            b.remaining()
-        )));
-    }
-    Ok(Snapshot { entries, optim: None, step: 0, rng: None })
-}
-
-/// Parse a checkpoint byte stream of either format version.
+/// Parse a format-v2 checkpoint byte stream; any other version is
+/// [`CheckpointError::UnsupportedVersion`].
 pub fn read_snapshot(bytes: &[u8]) -> Result<Snapshot, CheckpointError> {
     let mut b = Bytes::new(bytes);
     if b.take(4)? != MAGIC {
         return Err(CheckpointError::BadMagic);
     }
     match b.u32()? {
-        1 => read_v1(bytes),
         2 => read_v2(bytes),
         v => Err(CheckpointError::UnsupportedVersion(v)),
     }
 }
 
 // ---------------------------------------------------------------------------
-// Store-level convenience API (kept from v1; now v2-writing and typed)
+// Store-level convenience API (v2-writing, typed errors)
 // ---------------------------------------------------------------------------
 
 /// Serialize every parameter of `store` to `w` (format v2, params-only;
@@ -724,7 +705,7 @@ pub fn save_store(store: &ParamStore, w: &mut impl Write) -> Result<(), Checkpoi
     w.write_all(&bytes).map_err(|e| io_err("write checkpoint", e))
 }
 
-/// Read all entries from `r` (v1 or v2).
+/// Read all entries from `r` (format v2).
 pub fn read_entries(r: &mut impl Read) -> Result<Vec<CheckpointEntry>, CheckpointError> {
     let mut bytes = Vec::new();
     r.read_to_end(&mut bytes).map_err(|e| io_err("read checkpoint", e))?;
@@ -1024,8 +1005,8 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_v1_files_still_load() {
-        // A v1 file written byte-for-byte in the legacy layout:
+    fn checkpoint_v1_files_are_refused() {
+        // A v1 file written byte-for-byte in the retired layout:
         // magic | version=1 | count | (name_len, name, ndim, dims, f32 data)*
         let values = [1.5f32, -2.25, 3.0, 0.125, -0.5, 10.0];
         let mut v1 = Vec::new();
@@ -1043,10 +1024,11 @@ mod tests {
 
         let mut store = ParamStore::new();
         store.add("w", Tensor::zeros([3, 2]));
-        let n = load_store(&mut store, &mut v1.as_slice()).unwrap();
-        assert_eq!(n, 1);
+        let err = load_store(&mut store, &mut v1.as_slice()).unwrap_err();
+        assert!(matches!(err, CheckpointError::UnsupportedVersion(1)), "{err}");
+        // Nothing was restored.
         let id = store.ids().next().unwrap();
-        assert_eq!(store.get(id).to_vec(), values);
+        assert_eq!(store.get(id).to_vec(), vec![0.0; 6]);
     }
 
     #[test]

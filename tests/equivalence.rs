@@ -62,7 +62,7 @@ fn tp_vit_equivalence_forward_and_grad() {
     let bind = LocalBinder::new(&tape, &store);
     let xv = tape.leaf(x.clone());
     let y = vit.forward(&bind, &xv);
-    let rv = tape.constant(readout.clone());
+    let rv = tape.leaf(readout.clone());
     let loss = tape.sum_all(&tape.mul(&y, &rv));
     let want_y = y.value().clone();
     let want_g = tape.backward(&loss).get(&xv).unwrap().clone();
@@ -88,7 +88,7 @@ fn tp_vit_equivalence_forward_and_grad() {
             let bind = LocalBinder::new(&tape, &store);
             let xv = tape.leaf(x.clone());
             let y = vit.forward(&bind, &ctx.comm, &xv);
-            let rv = tape.constant(readout.clone());
+            let rv = tape.leaf(readout.clone());
             let loss = tape.sum_all(&tape.mul(&y, &rv));
             let g = tape.backward(&loss).get(&xv).unwrap().clone();
             (y.value().rel_l2_diff(&want_y), g.rel_l2_diff(&want_g))
