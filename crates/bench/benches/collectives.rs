@@ -416,27 +416,38 @@ fn dp_parity(world: usize) -> bool {
     run.outputs.into_iter().all(|ok| ok)
 }
 
-/// FSDP: prefetched binder + async reduce-scatter must reproduce the
-/// on-demand path's post-step parameters bitwise.
+/// FSDP: a unit-sharded step with the loss pre-scaled by 1/world must
+/// reproduce the overlapped DP step's post-step parameters bitwise (the
+/// check `tests/overlap.rs` makes at 2 and 4 ranks: a power-of-two rescale
+/// of the same rank-order sums, and AdamW is elementwise on either layout).
 fn fsdp_parity(world: usize) -> bool {
-    let step = |ctx: &RankCtx, prefetch: bool| -> Vec<Vec<f32>> {
+    let run = run_ranks(world, |ctx| {
+        let x = dp_batch(ctx.comm.rank());
         let mut store = ParamStore::new();
         let layers = dp_model(&mut store);
         let mut fsdp = FsdpParams::from_store(&store, &ctx.comm);
+
         let tape = Tape::new();
-        let bind = if prefetch {
-            FsdpBinder::with_prefetch(&tape, &fsdp)
-        } else {
-            FsdpBinder::new(&tape, &fsdp)
-        };
-        let loss = dp_forward(&bind, &tape, &layers, dp_batch(ctx.comm.rank()));
+        let ddp = DdpBinder::with_bucket(&tape, &store, &ctx.comm, DP_BUCKET);
+        let loss = dp_forward(&ddp, &tape, &layers, x.clone());
         let _ = tape.backward(&loss);
-        let g = bind.sharded_grads();
-        let mut opt = AdamW::new(0.01);
-        opt.step(&mut fsdp.shard_store, &g);
-        (0..fsdp.len()).map(|i| fsdp.gather_full(i).to_vec()).collect()
-    };
-    let run = run_ranks(world, move |ctx| step(&ctx, false) == step(&ctx, true));
+        let dp_grads = ddp.finish();
+        AdamW::new(0.01).step(&mut store, &dp_grads);
+
+        let tape = Tape::new();
+        let bind = FsdpBinder::new(&tape, &fsdp);
+        let loss = dp_forward(&bind, &tape, &layers, x);
+        let loss = tape.scale(&loss, 1.0 / ctx.comm.size() as f32);
+        let _ = tape.backward(&loss);
+        let fsdp_grads = bind.sharded_grads();
+        AdamW::new(0.01).step(&mut fsdp.shard_store, &fsdp_grads);
+
+        let same = store
+            .iter()
+            .enumerate()
+            .all(|(i, (_, _, v))| fsdp.gather_full(i).to_vec() == v.to_vec());
+        same
+    });
     run.outputs.into_iter().all(|ok| ok)
 }
 

@@ -85,9 +85,10 @@ pub(crate) fn all_reduce_flat(comm: &Communicator, grads: &mut [Option<Tensor>],
 /// Bucket size of the overlapped gradient sync: 1 MiB of f32 — 16
 /// pipeline chunks per bucket, small enough that several buckets are in
 /// flight over a transformer backward. [`DdpBinder::new`] uses it;
-/// [`DdpBinder::with_bucket`] pins another size. The bucket size never
-/// changes the result: every element is summed in rank order whichever
-/// bucket carries it.
+/// [`DdpBinder::with_bucket`] pins another size. It also sizes FSDP's flat
+/// units ([`crate::fsdp`]): a unit closes once it holds this many
+/// elements. Neither size ever changes the result: every element is summed
+/// in rank order whichever bucket or unit carries it.
 pub const DDP_BUCKET_ELEMS: usize = 256 * 1024;
 
 /// α and bandwidth of the **running host's** comm fabric, fit from the

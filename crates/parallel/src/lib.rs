@@ -7,8 +7,9 @@
 //!   column/row-parallel linears, head-sharded attention, the `f`/`g`
 //!   autograd collectives, and an embedding-sharded cross-attention
 //!   aggregator for D-CHAG's final shared layer.
-//! * [`fsdp`] — fully-sharded data parallelism: flattened parameter shards,
-//!   AllGather-on-bind forward, ReduceScatter gradients, sharded Adam state.
+//! * [`fsdp`] — fully-sharded data parallelism: per-parameter shards moved
+//!   in flat units (one AllGather per unit on bind, next unit prefetched;
+//!   one ReduceScatter per unit in backward), sharded Adam state.
 //! * [`dp`] — replica data parallelism with one bucketed gradient AllReduce.
 //! * [`dist_token`] — distributed channel tokenization alone (paper §3.1),
 //!   the negative result of Fig. 8.

@@ -62,7 +62,8 @@ fn fsdp_padding_path_exact_on_three_ranks() {
         let mut diffs = Vec::new();
         for (i, g) in sharded.iter().enumerate() {
             let g = g.as_ref().expect("grad present");
-            let full_padded = ctx.comm.all_gather_cat(g, 0);
+            // Matrix shards are [1, s]; gather them flat.
+            let full_padded = ctx.comm.all_gather_cat(&g.reshape(&[g.numel()]), 0);
             let numel = want[i].numel();
             let flat = dchag_tensor::ops::slice(&full_padded, 0, 0, numel);
             diffs.push(flat.reshape(want[i].dims()).max_abs_diff(&want[i]));

@@ -2,10 +2,12 @@
 //!
 //! 1. distributed tokenization ≡ single-device baseline (exact),
 //! 2. TP model ≡ single-device model (forward and input gradient),
-//! 3. FSDP ≡ DP ≡ single-device big-batch training step.
+//! 3. FSDP ≡ DP ≡ single-device big-batch training step, with and
+//!    without weight decay.
 
 use dchag::prelude::*;
 use dchag_collectives::run_ranks;
+use dchag_core::{train_step, train_step_fsdp, TrainConfig};
 use dchag_model::layers::Linear;
 use dchag_model::{AdamW, ChannelEmbed, PatchTokenizer, ViTEncoder};
 use dchag_parallel::{DataParallel, DistTokenizer, FsdpBinder, FsdpParams, TpViT};
@@ -188,5 +190,59 @@ fn fsdp_dp_single_device_training_agree() {
     });
     for d in run.outputs {
         assert!(d < 1e-5, "FSDP vs single-device diff {d}");
+    }
+}
+
+/// FSDP keeps AdamW's decoupled weight decay: matrix shards are stored
+/// `[1, s]`, so the "decay only ndim >= 2" rule reaches them. Three
+/// `train_step_fsdp` steps on two ranks match unsharded `train_step` on the
+/// global batch, and differ from the same run without decay.
+#[test]
+fn fsdp_weight_decay_matches_unsharded_train_step() {
+    let cfg = TrainConfig { lr: 0.01, weight_decay: 0.1, clip: f32::INFINITY };
+    let mut rng = Rng::new(89);
+    let batches: Vec<Vec<Tensor>> = (0..3)
+        .map(|_| (0..2).map(|_| Tensor::randn([4, 6], 1.0, &mut rng)).collect())
+        .collect();
+
+    let unsharded = |weight_decay: f32| -> Vec<f32> {
+        let mut store = ParamStore::new();
+        let (l1, l2) = two_layer(&mut store);
+        let mut opt = TrainConfig { weight_decay, ..cfg.clone() }.optimizer();
+        for b in &batches {
+            let full = ops::concat(&[&b[0], &b[1]], 0);
+            train_step(&mut store, &mut opt, cfg.clip, None, |bind| {
+                forward_loss(bind, &l1, &l2, &full)
+            });
+        }
+        store.iter().flat_map(|(_, _, v)| v.to_vec()).collect()
+    };
+    let want = unsharded(cfg.weight_decay);
+    let undecayed = unsharded(0.0);
+
+    let run = run_ranks(2, |ctx| {
+        let mut store = ParamStore::new();
+        let (l1, l2) = two_layer(&mut store);
+        let mut fsdp = FsdpParams::from_store(&store, &ctx.comm);
+        let mut opt = cfg.optimizer();
+        for b in &batches {
+            train_step_fsdp(&mut fsdp, &mut opt, cfg.clip, None, |bind| {
+                let l = forward_loss(bind, &l1, &l2, &b[ctx.comm.rank()]);
+                // shard losses average to the global mean
+                bind.tape().scale(&l, 1.0 / ctx.comm.size() as f32)
+            });
+        }
+        (0..fsdp.len())
+            .flat_map(|i| fsdp.gather_full(i).to_vec())
+            .collect::<Vec<f32>>()
+    });
+    let max_diff = |a: &[f32], b: &[f32]| {
+        a.iter().zip(b).map(|(x, y)| (x - y).abs()).fold(0.0f32, f32::max)
+    };
+    for got in run.outputs {
+        let d = max_diff(&got, &want);
+        assert!(d < 1e-5, "FSDP vs unsharded with weight decay: diff {d}");
+        let d0 = max_diff(&got, &undecayed);
+        assert!(d0 > 1e-4, "weight decay must move the FSDP step (diff {d0})");
     }
 }

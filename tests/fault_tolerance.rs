@@ -57,11 +57,13 @@ fn wl_dp(ctx: &RankCtx) {
 fn wl_fsdp(ctx: &RankCtx) {
     let mut store = ParamStore::new();
     let mut rng = Rng::new(5);
-    let lin = Linear::new(&mut store, &mut rng, "l", 4, 2, true);
+    // The 512×512 weight fills one FSDP unit (`DDP_BUCKET_ELEMS` elements)
+    // and the bias forms a second: two gathers, then two reduce-scatters.
+    let lin = Linear::new(&mut store, &mut rng, "l", 512, 512, true);
     let fsdp = FsdpParams::from_store(&store, &ctx.comm);
     let tape = Tape::new();
     let bind = FsdpBinder::new(&tape, &fsdp);
-    let xv = tape.leaf(Tensor::ones([2, 4]));
+    let xv = tape.leaf(Tensor::ones([2, 512]));
     let y = lin.forward(&bind, &xv);
     let loss = tape.sum_all(&y);
     let _ = tape.backward(&loss);

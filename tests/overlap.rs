@@ -6,8 +6,9 @@
 //! 2. a full DP training step through the overlapped `DdpBinder` produces
 //!    **bitwise-identical** parameters to the blocking
 //!    `sync_grads` path at 1/2/4 ranks;
-//! 3. the same for FSDP with forward prefetch + nonblocking backward
-//!    reduce-scatter vs the on-demand path at 1/2/4 ranks;
+//! 3. an FSDP step (unit gathers with next-unit prefetch, unit
+//!    reduce-scatters issued during backward) equals the DP step bitwise
+//!    at 2/4 ranks;
 //! 4. a rank that panics with collectives in flight poisons the group: no
 //!    deadlock, root cause propagated.
 
@@ -130,8 +131,8 @@ fn dp_overlapped_step_bitwise_matches_blocking_at_1_2_4_ranks() {
 
 // ----- FSDP determinism ------------------------------------------------------
 
-/// Two FSDP steps; prefetch + nonblocking reduce-scatter vs on-demand.
-fn fsdp_train(ctx: &RankCtx, prefetch: bool) -> Vec<Vec<f32>> {
+/// Two FSDP steps; returns post-step parameter bytes.
+fn fsdp_train(ctx: &RankCtx) -> Vec<Vec<f32>> {
     let mut store = ParamStore::new();
     let layers = build_layers(&mut store);
     let mut fsdp = FsdpParams::from_store(&store, &ctx.comm);
@@ -142,11 +143,7 @@ fn fsdp_train(ctx: &RankCtx, prefetch: bool) -> Vec<Vec<f32>> {
         let mut drng = Rng::new(1000 + step * 10 + ctx.comm.rank() as u64);
         let x = Tensor::randn([6, DIM], 1.0, &mut drng);
         let tape = Tape::new();
-        let bind = if prefetch {
-            FsdpBinder::with_prefetch(&tape, &fsdp)
-        } else {
-            FsdpBinder::new(&tape, &fsdp)
-        };
+        let bind = FsdpBinder::new(&tape, &fsdp);
         let loss = forward(&bind, &tape, &layers, x);
         let loss = tape.scale(&loss, 1.0 / ctx.comm.size() as f32);
         let _ = tape.backward(&loss);
@@ -154,19 +151,6 @@ fn fsdp_train(ctx: &RankCtx, prefetch: bool) -> Vec<Vec<f32>> {
         opt.step(&mut fsdp.shard_store, &g);
     }
     (0..fsdp.len()).map(|i| fsdp.gather_full(i).to_vec()).collect()
-}
-
-#[test]
-fn fsdp_prefetched_step_bitwise_matches_on_demand_at_1_2_4_ranks() {
-    for world in [1usize, 2, 4] {
-        let run = run_ranks(world, |ctx| (fsdp_train(&ctx, false), fsdp_train(&ctx, true)));
-        for (rank, (on_demand, prefetched)) in run.outputs.into_iter().enumerate() {
-            assert_eq!(
-                on_demand, prefetched,
-                "world={world} rank={rank}: prefetched FSDP step diverged"
-            );
-        }
-    }
 }
 
 /// DP and FSDP train on the same per-rank batches and must produce the
@@ -178,7 +162,7 @@ fn overlapped_dp_and_fsdp_agree_at_2_and_4_ranks() {
     for world in [2usize, 4] {
         let run = run_ranks(world, |ctx| {
             let dp = dp_train(&ctx, true);
-            let fsdp = fsdp_train(&ctx, true);
+            let fsdp = fsdp_train(&ctx);
             (dp, fsdp)
         });
         for (dp, fsdp) in run.outputs {

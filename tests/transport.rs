@@ -18,13 +18,17 @@ use std::time::Duration;
 
 use dchag::prelude::*;
 use dchag_collectives::{
-    comm_error_of, run_ranks, run_tcp_ranks, run_tcp_ranks_faulty, run_transport_ranks, CommError,
-    CommPrecision, Communicator, RankCtx, TcpConfig, Transport, TransportFault, TransportFaultPlan,
+    comm_error_of, run_ranks, run_tcp_ranks, run_tcp_ranks_faulty, run_transport_ranks, CollOp,
+    CommError, CommPrecision, Communicator, RankCtx, TcpConfig, Transport, TransportFault,
+    TransportFaultPlan,
 };
-use dchag_core::{resilient_train_loop, train_step, ResilienceConfig, RestorePoint};
+use dchag_core::{
+    resilient_train_loop, train_step, train_step_fsdp, ResilienceConfig, RestorePoint, TrainConfig,
+};
 use dchag_tensor::checkpoint::{crc32, Snapshot};
 use dchag_model::{AdamW, Linear};
-use dchag_parallel::DataParallel;
+use dchag_parallel::dp::DDP_BUCKET_ELEMS;
+use dchag_parallel::{DataParallel, FsdpParams};
 
 const REGROUP_DEADLINE: Duration = Duration::from_secs(2);
 
@@ -96,6 +100,61 @@ fn transport_parity_is_bitwise_at_w2_and_w4() {
             let b = tcp.outputs[r].as_ref().expect("tcp rank ok");
             assert!(!a.is_empty());
             assert_eq!(a, b, "rank {r} of {w} diverged across transports");
+        }
+    }
+}
+
+/// Two FSDP training steps on a model of two units: `l0.weight` alone
+/// fills one ([`DDP_BUCKET_ELEMS`] elements), the rest form the second.
+/// Returns the losses and the post-step parameters as raw bits, and the
+/// all-gathers rank 0 logged in the first step.
+fn fsdp_units_workload(ctx: &RankCtx) -> (Vec<u32>, usize) {
+    const WIDTH: usize = 512;
+    assert_eq!(WIDTH * WIDTH, DDP_BUCKET_ELEMS);
+    let mut store = ParamStore::new();
+    let mut rng = Rng::new(23);
+    let l0 = Linear::new(&mut store, &mut rng, "l0", WIDTH, WIDTH, true);
+    let l1 = Linear::new(&mut store, &mut rng, "l1", WIDTH, 8, true);
+    let mut fsdp = FsdpParams::from_store(&store, &ctx.comm);
+    let cfg = TrainConfig::default();
+    let mut opt = cfg.optimizer();
+    let mut drng = Rng::new(300 + ctx.comm.rank() as u64);
+    let mut bits = Vec::new();
+    let mut gathers = 0;
+    for step in 0..2 {
+        let x = Tensor::randn([4, WIDTH], 1.0, &mut drng);
+        let mark = ctx.comm.traffic().cursor();
+        let loss = train_step_fsdp(&mut fsdp, &mut opt, cfg.clip, None, |bind| {
+            let tape = bind.tape();
+            let h = tape.gelu(&l0.forward(bind, &tape.leaf(x)));
+            let y = l1.forward(bind, &h);
+            tape.mean_all(&tape.mul(&y, &y))
+        });
+        if step == 0 {
+            let events = ctx.comm.traffic().since(mark);
+            gathers = events.iter().filter(|e| e.op == CollOp::AllGather).count();
+        }
+        bits.push(loss.to_bits());
+    }
+    for i in 0..fsdp.len() {
+        bits.extend(bits_of(&fsdp.gather_full(i)));
+    }
+    ctx.comm.barrier();
+    (bits, gathers)
+}
+
+#[test]
+fn transport_fsdp_unit_step_is_bitwise_at_w2_and_w4() {
+    for w in [2usize, 4] {
+        let thread = run_transport_ranks(&Transport::Thread, w, |ctx| fsdp_units_workload(&ctx));
+        let tcp = Transport::Tcp(TcpConfig::default());
+        let tcp = run_transport_ranks(&tcp, w, |ctx| fsdp_units_workload(&ctx));
+        let (_, gathers) = thread.outputs[0].as_ref().expect("thread rank 0 ok");
+        assert_eq!(*gathers, 2, "one all-gather per unit");
+        for r in 0..w {
+            let (a, _) = thread.outputs[r].as_ref().expect("thread rank ok");
+            let (b, _) = tcp.outputs[r].as_ref().expect("tcp rank ok");
+            assert_eq!(a, b, "rank {r} of {w}: FSDP step diverged across transports");
         }
     }
 }
