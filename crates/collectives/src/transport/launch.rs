@@ -9,6 +9,7 @@
 //!   multi-process launcher (`std::process`, rank/world/rendezvous-dir via
 //!   env, file-based address rendezvous) used by the SIGKILL recovery test.
 
+use std::fs::File;
 use std::net::{SocketAddr, TcpListener};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -166,6 +167,10 @@ pub fn tcp_world_from_env() -> Option<TcpEnv> {
 /// down to `child_test` (libtest `--exact`), with rank/world/rendezvous
 /// identity in the env. The caller owns the `Child` handles — kill one to
 /// simulate process death.
+///
+/// Each child's stdout goes to `rank{r}.stdout` in `dir`, so the children's
+/// libtest lines never interleave with the parent's test report; stderr
+/// (panic messages) stays inherited.
 pub fn spawn_world(
     world: usize,
     dir: &Path,
@@ -175,8 +180,10 @@ pub fn spawn_world(
     let exe = std::env::current_exe()?;
     (0..world)
         .map(|rank| {
+            let stdout = File::create(dir.join(format!("rank{rank}.stdout")))?;
             let mut cmd = Command::new(&exe);
-            cmd.arg(child_test)
+            cmd.stdout(stdout)
+                .arg(child_test)
                 .arg("--exact")
                 .arg("--nocapture")
                 .arg("--test-threads")
