@@ -491,6 +491,13 @@ fn emit_collectives_json(_c: &mut Criterion) {
     // from being misread as a pipeline regression.
     let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let single_core = threads == 1;
+    lines.push(
+        "\"note\": \"Blocking vs pipelined chunked collectives and bucketed DP backward; \
+         read overlap_fraction next to threads (single_core=true: the pipeline can only remove \
+         rendezvous stalls, so ~0 overlap is expected, not a regression). measured_alpha_beta \
+         is fitted from this run's TrafficLog chunk timestamps.\""
+            .to_string(),
+    );
 
     for &world in &[1usize, 2, 4, 8] {
         let comm_only = median_run(|| allreduce_rounds(world, false, true, false), quick);
@@ -630,7 +637,9 @@ fn emit_fault_tolerance_json(_c: &mut Criterion) {
     let recover = median_run(time_to_recover_us, quick);
 
     let body = format!(
-        "{{\n    \"allreduce_512KiB_w4\": {{ \"infallible_ns\": {infallible:.0}, \
+        "{{\n    \"note\": \"Failure-free cost of deadline-checked waits (median of paired \
+         runs), peer death to typed error, and one detect-regroup-restore cycle.\",\n    \
+         \"allreduce_512KiB_w4\": {{ \"infallible_ns\": {infallible:.0}, \
          \"deadline_checked_ns\": {deadline_checked:.0}, \
          \"failure_free_overhead_pct\": {overhead_pct:.2}, \
          \"pair_ratio_spread_pct\": {spread_pct:.2}, \"threads\": {threads} }},\n    \
@@ -761,7 +770,9 @@ fn emit_transport_json(_c: &mut Criterion) {
     let parity_w4 = transport_parity(4);
 
     let body = format!(
-        "{{\n    \"allreduce_256KiB_w2_{TRANSPORT_ROUNDS}rounds\": {{ \"thread_ns\": {thread_ns:.0}, \
+        "{{\n    \"note\": \"Loopback TCP vs thread transport all-reduce, one sever-and-heal \
+         cycle, the alpha-beta fit over real sockets, and thread-vs-TCP bitwise parity.\",\n    \
+         \"allreduce_256KiB_w2_{TRANSPORT_ROUNDS}rounds\": {{ \"thread_ns\": {thread_ns:.0}, \
          \"tcp_loopback_ns\": {tcp_ns:.0}, \"tcp_over_thread\": {:.2} }},\n    \
          \"sever_and_heal_w2\": {{ \"six_rounds_across_reconnect_us\": {heal_us:.1}, \
          \"reconnect_attempts\": {reconnects}, \"retransmitted_frames\": {retransmits} }},\n    \
@@ -876,7 +887,9 @@ fn emit_checkpoint_json(_c: &mut Criterion) {
     let _ = std::fs::remove_dir_all(&root);
 
     let body = format!(
-        "{{\n    \"shard_4MiB_w1\": {{ \"bytes\": {bytes}, \
+        "{{\n    \"note\": \"Durable-tier shard save+commit and load+validate throughput, \
+         and the training thread's cost per checkpoint (enqueue) against a synchronous save.\",\n    \
+         \"shard_4MiB_w1\": {{ \"bytes\": {bytes}, \
          \"save_commit_mb_per_s\": {:.1}, \"load_validate_mb_per_s\": {:.1} }},\n    \
          \"train_thread_cost\": {{ \"enqueue_us\": {enqueue_us:.2}, \
          \"hidden_sync_save_us\": {sync_save_us:.1} }},\n    \

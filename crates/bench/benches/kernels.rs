@@ -178,60 +178,37 @@ fn bench_gemm_blocking(c: &mut Criterion) {
     g.finish();
 }
 
-/// Ragged (non-tile-multiple) shapes: the masked-tail + SIMD-pack fast
-/// path vs the retained pre-PR edge-spill kernel
-/// (`ops::gemm::bench_api::gemm_edge_spill_baseline` — scalar gather
-/// packing, scratch-spill edge stores). Both sides run the serial blocked
-/// driver, so the delta isolates the ragged-path rework.
+/// Ragged (non-tile-multiple) shapes through the masked-tail + SIMD-pack
+/// fast path on the serial blocked driver, and a ragged batched product
+/// through the flattened (batch × tile) grid.
 fn bench_gemm_ragged(c: &mut Criterion) {
-    use dchag_tensor::ops::gemm::bench_api;
+    use dchag_tensor::ops::gemm::{bench_api, Operand};
     let mut g = c.benchmark_group("gemm_ragged");
     for &n in &[129usize, 257] {
         let mut rng = Rng::new(41);
         let a = Tensor::randn([n, n], 1.0, &mut rng);
         let b = Tensor::randn([n, n], 1.0, &mut rng);
-        g.bench_with_input(BenchmarkId::new("edge_spill_nn", n), &n, |bench, &n| {
-            bench.iter(|| {
-                let mut out = vec![0.0f32; n * n];
-                bench_api::gemm_edge_spill_baseline(
-                    ops::GemmLayout::NN, 1.0, a.data(), b.data(), &mut out, n, n, n,
-                );
-                black_box(out)
-            })
-        });
         g.bench_with_input(BenchmarkId::new("masked_nn", n), &n, |bench, &n| {
             bench.iter(|| {
                 let mut out = vec![0.0f32; n * n];
-                bench_api::gemm_fast_serial(
-                    ops::GemmLayout::NN, 1.0, a.data(), b.data(), &mut out, n, n, n,
+                bench_api::gemm_fast_serial_op(
+                    ops::GemmLayout::NN,
+                    1.0,
+                    Operand::F32(a.data()),
+                    Operand::F32(b.data()),
+                    &mut out,
+                    n,
+                    n,
+                    n,
                 );
                 black_box(out)
             })
         });
     }
-    // Ragged batched product through the flattened (batch × tile) grid.
     let mut rng = Rng::new(42);
     let (bs, m, k, n) = (6usize, 161usize, 67usize, 161usize);
     let a = Tensor::randn([bs, m, k], 1.0, &mut rng);
     let b = Tensor::randn([bs, k, n], 1.0, &mut rng);
-    g.bench_function("bmm_ragged_edge_spill_6x161x67x161", |bench| {
-        bench.iter(|| {
-            let mut out = vec![0.0f32; bs * m * n];
-            for bi in 0..bs {
-                bench_api::gemm_edge_spill_baseline(
-                    ops::GemmLayout::NN,
-                    1.0,
-                    &a.data()[bi * m * k..(bi + 1) * m * k],
-                    &b.data()[bi * k * n..(bi + 1) * k * n],
-                    &mut out[bi * m * n..(bi + 1) * m * n],
-                    m,
-                    k,
-                    n,
-                );
-            }
-            black_box(out)
-        })
-    });
     g.bench_function("bmm_ragged_batched_6x161x67x161", |bench| {
         bench.iter(|| black_box(ops::bmm(&a, &b)))
     });
@@ -358,9 +335,10 @@ fn bench_fusion(c: &mut Criterion) {
 /// Emit the `kernels` section of `BENCH_kernels.json` at the workspace
 /// root: before (seed kernels) vs after (blocked/fused kernels) wall times
 /// and the resulting speedups. Section-wise splice, so the `collectives`
-/// bench's section survives. Runs as a criterion target so `cargo bench
-/// --bench kernels` refreshes the file; in `--test` (smoke) mode it still
-/// writes, with single-shot timings.
+/// bench's sections and the frozen `retired_edge_spill` section survive.
+/// Runs as a criterion target so `cargo bench --bench kernels` refreshes
+/// the file; in `--test` (smoke) mode it still writes, with single-shot
+/// timings.
 fn emit_kernels_json(_c: &mut Criterion) {
     let quick = std::env::args().any(|a| a == "--test");
     let mut rng = Rng::new(31);
@@ -405,85 +383,25 @@ fn emit_kernels_json(_c: &mut Criterion) {
         }
     }
 
-    // Ragged shapes: before = the pre-PR edge-spill kernel (kept runnable
-    // in bench_api), after = the masked-tail + SIMD-pack + batched-grid
-    // fast path. tile+1 (257³) maximizes edge strips; the small-k shape is
-    // the pack-bound regime the SIMD transpose pack targets.
+    // Pack time split out: one MC×KC A-panel gather pack (the strided
+    // case), scalar tier vs the active tier's 8×8 shuffle transpose — the
+    // claim that small-k shapes are pack-bound is only checkable with
+    // this measured separately.
     {
         use dchag_tensor::ops::gemm::bench_api;
-        for &(m, k, n) in &[(257usize, 257usize, 257usize), (257, 16, 257)] {
-            let a = Tensor::randn([m, k], 1.0, &mut rng);
-            let b = Tensor::randn([k, n], 1.0, &mut rng);
-            let flops = 2 * m * k * n;
-            let before = measure_ns(
-                || {
-                    let mut out = vec![0.0f32; m * n];
-                    bench_api::gemm_edge_spill_baseline(
-                        ops::GemmLayout::NN, 1.0, a.data(), b.data(), &mut out, m, k, n,
-                    );
-                    black_box(&out);
-                },
-                quick,
-            );
-            // Serial-vs-serial on purpose: the public `matmul` would
-            // parallelize on multi-core hosts while the baseline cannot,
-            // conflating thread scaling with the kernel rework.
-            let after = measure_ns(
-                || {
-                    let mut out = vec![0.0f32; m * n];
-                    bench_api::gemm_fast_serial(
-                        ops::GemmLayout::NN, 1.0, a.data(), b.data(), &mut out, m, k, n,
-                    );
-                    black_box(&out);
-                },
-                quick,
-            );
-            entries.push((format!("gemm_ragged_{m}x{k}x{n}"), before, after, flops));
-        }
-        // Pack time split out: one MC×KC A-panel gather pack (the strided
-        // case), scalar loop vs 8×8 shuffle transpose — the claim that
-        // small-k shapes are pack-bound is only checkable with this
-        // measured separately.
+        use dchag_tensor::simd::{active_isa, Isa};
         let (m, k) = (257usize, 257usize);
         let a = Tensor::randn([m, k], 1.0, &mut rng);
         let mut buf = vec![0.0f32; bench_api::pack_a_buf_len()];
         let before = measure_ns(
-            || { black_box(bench_api::pack_a_block(false, a.data(), m, k, &mut buf)); },
+            || { black_box(bench_api::pack_a_block(Isa::Scalar, a.data(), m, k, &mut buf)); },
             quick,
         );
         let after = measure_ns(
-            || { black_box(bench_api::pack_a_block(true, a.data(), m, k, &mut buf)); },
+            || { black_box(bench_api::pack_a_block(active_isa(), a.data(), m, k, &mut buf)); },
             quick,
         );
         entries.push(("pack_a_gather_120x256".into(), before, after, 0));
-        // Ragged bmm: per-batch edge-spill loop vs the flattened
-        // (batch × tile) dispatcher (single-core hosts still see the
-        // masked-tail/pack win; multi-core adds the blended parallelism).
-        let (bs, m, k, n) = (6usize, 161usize, 67usize, 161usize);
-        let ab = Tensor::randn([bs, m, k], 1.0, &mut rng);
-        let bb = Tensor::randn([bs, k, n], 1.0, &mut rng);
-        let flops = 2 * bs * m * k * n;
-        let before = measure_ns(
-            || {
-                let mut out = vec![0.0f32; bs * m * n];
-                for bi in 0..bs {
-                    bench_api::gemm_edge_spill_baseline(
-                        ops::GemmLayout::NN,
-                        1.0,
-                        &ab.data()[bi * m * k..(bi + 1) * m * k],
-                        &bb.data()[bi * k * n..(bi + 1) * k * n],
-                        &mut out[bi * m * n..(bi + 1) * m * n],
-                        m,
-                        k,
-                        n,
-                    );
-                }
-                black_box(&out);
-            },
-            quick,
-        );
-        let after = measure_ns(|| { black_box(ops::bmm(&ab, &bb)); }, quick);
-        entries.push((format!("bmm_ragged_batch_{bs}x{m}x{k}x{n}"), before, after, flops));
     }
 
     let x = Tensor::randn([512, 256], 1.0, &mut rng);
@@ -583,7 +501,14 @@ fn emit_kernels_json(_c: &mut Criterion) {
     let bf16_body = {
         use dchag_collectives::{run_ranks, CommPrecision};
         use dchag_tensor::ops::gemm::{bench_api, Operand};
-        let mut lines: Vec<String> = Vec::new();
+        let mut lines: Vec<String> = vec![
+            "\"note\": \"f32- vs bf16-stored operands through the same serial blocked \
+             f32-accumulating GEMM on pack-bandwidth-bound shapes (convert-on-pack streams half \
+             the bytes), and the f32 vs bf16 all-reduce wire (1 MiB at w=2/4): bytes_on_wire \
+             exactly halves, but the in-process transport does not repay encode/decode in wall \
+             time.\""
+                .to_string(),
+        ];
         for &(m, k, n) in &[(262144usize, 64usize, 16usize), (131072, 128, 8)] {
             let a = Tensor::randn([m, k], 1.0, &mut rng);
             let b = Tensor::randn([k, n], 1.0, &mut rng);
@@ -678,7 +603,13 @@ fn emit_kernels_json(_c: &mut Criterion) {
         s
     };
 
-    let mut body = String::from("{\n");
+    let mut body = String::from(
+        "{\n    \"note\": \"Seed scalar kernels (before) vs explicit-SIMD blocked GEMM and fused \
+         kernels (after) on the simd section's ISA; gflops = effective after-side GFLOP/s. \
+         pack_a_gather packs one A block on the scalar tier (before) vs the active tier \
+         (after). attention_* compare the naive bmm_nt_scaled->softmax->bmm chain with the \
+         flash kernel, plus analytic peak-resident bytes per variant.\",\n",
+    );
     for (name, before, after, flops) in entries.iter() {
         // Effective GFLOP/s of the "after" kernel, so BENCH entries are
         // comparable across hosts independent of wall-clock.
@@ -709,29 +640,10 @@ fn emit_kernels_json(_c: &mut Criterion) {
     } else {
         concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernels.json")
     };
-    let desc = "Seed scalar kernels (before) vs explicit-SIMD blocked GEMM + fused transformer \
-                kernels (after); ns per call, median; gflops = effective after-side GFLOP/s. The \
-                simd section records the runtime-detected ISA the after numbers ran on. \
-                gemm_ragged_*/bmm_ragged_batch/pack_a_gather entries instead use the earlier \
-                edge-spill kernel (scalar gather packing, scratch-spill edge stores, kept \
-                runnable in bench_api) as the before side, isolating the masked-tail + SIMD-pack \
-                + batched-grid rework; pack_a_gather splits pack time out of the pack-bound \
-                small-k claim. attention_* entries compare the naive bmm_nt_scaled->softmax->bmm \
-                chain against the tiled online-softmax flash kernel, with analytic \
-                peak-resident-bytes per variant. The collectives section (maintained by `cargo \
-                bench --bench collectives`) compares blocking vs pipelined chunked collectives, \
-                reports the measured comm/compute overlap fraction with the host's thread count \
-                recorded next to it (single_core=true means the pipeline can only eliminate \
-                rendezvous stalls, so ~0 overlap is expected, not a regression), and fits \
-                measured_alpha_beta from the run's own TrafficLog chunk timestamps. The \
-                bf16 section compares f32-stored vs bf16-stored operands through the identical \
-                serial blocked f32-accumulating GEMM driver on pack-bandwidth-bound shapes \
-                (convert-on-pack: half the streamed bytes), and the f32 vs bf16 collectives \
-                wire (1 MiB f32 payload all-reduce at w=2 and w=4: wall time per round plus \
-                TrafficLog bytes_on_wire, which exactly halve on the bf16 wire; on this \
-                in-process shared-memory transport the encode/decode cost is not repaid in \
-                wall time — halved bytes is the lever for a real fabric, like the \
-                collectives section's single_core overlap caveat).";
+    let desc = "Kernel, collectives, fault-tolerance, transport and checkpoint \
+                microbenchmarks (ns per call, median unless noted); each section's note says \
+                what it compares, and `cargo bench --bench kernels` / `--bench collectives` \
+                regenerate every section except retired_edge_spill.";
     let isa = dchag_tensor::simd::active_isa();
     let (mr, nr) = dchag_tensor::simd::gemm_tile_shape(isa);
     let simd = format!(

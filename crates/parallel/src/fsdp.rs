@@ -50,7 +50,7 @@ use std::ops::Range;
 use std::rc::Rc;
 
 use dchag_collectives::{CommRequest, Communicator};
-use dchag_tensor::checkpoint::{CheckpointEntry, CheckpointError, ShardMeta, SnapEntry, Snapshot};
+use dchag_tensor::checkpoint::{CheckpointError, ShardMeta, SnapEntry, Snapshot};
 use dchag_tensor::prelude::*;
 
 use crate::dp::DDP_BUCKET_ELEMS;
@@ -244,7 +244,7 @@ impl FsdpParams {
     /// errors.
     pub fn restore_resharded(
         &mut self,
-        entries: &[CheckpointEntry],
+        entries: &[SnapEntry],
     ) -> Result<usize, CheckpointError> {
         let rank = self.comm.rank();
         let mut restored = 0;

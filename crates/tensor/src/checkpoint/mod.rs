@@ -41,7 +41,6 @@ pub use writer::SnapshotWriter;
 
 use std::fmt;
 use std::io::{self, Read, Write};
-use std::path::Path;
 
 use crate::dtype::DType;
 use crate::param::ParamStore;
@@ -202,14 +201,6 @@ pub struct ShardMeta {
     pub full_dims: Vec<usize>,
 }
 
-/// One deserialized entry.
-pub struct CheckpointEntry {
-    pub name: String,
-    pub value: Tensor,
-    /// Present when the entry is one rank's shard of a larger parameter.
-    pub shard: Option<ShardMeta>,
-}
-
 /// Optimizer state for one parameter, matched by name like the parameter
 /// entries themselves.
 #[derive(Clone)]
@@ -246,11 +237,13 @@ pub struct Snapshot {
     pub rng: Option<RngState>,
 }
 
-/// Owned entry of a [`Snapshot`] (clonable; `Tensor` clones are O(1)).
+/// One parameter entry of a [`Snapshot`] or of [`merge_shards`]' output
+/// (clonable; `Tensor` clones are O(1)).
 #[derive(Clone)]
 pub struct SnapEntry {
     pub name: String,
     pub value: Tensor,
+    /// Present when the entry is one rank's shard of a larger parameter.
     pub shard: Option<ShardMeta>,
 }
 
@@ -261,12 +254,6 @@ impl fmt::Debug for SnapEntry {
             write!(f, " shard {}/{}", s.rank, s.world)?;
         }
         write!(f, ")")
-    }
-}
-
-impl fmt::Debug for CheckpointEntry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "CheckpointEntry({} {:?} {:?})", self.name, self.value.dtype(), self.value.dims())
     }
 }
 
@@ -316,9 +303,17 @@ impl Snapshot {
         write_v2(self)
     }
 
-    /// Deserialize format-v2 bytes, validating every checksum.
+    /// Deserialize format-v2 bytes, validating every checksum; any other
+    /// version is [`CheckpointError::UnsupportedVersion`].
     pub fn from_bytes(bytes: &[u8]) -> Result<Snapshot, CheckpointError> {
-        read_snapshot(bytes)
+        let mut b = Bytes::new(bytes);
+        if b.take(4)? != MAGIC {
+            return Err(CheckpointError::BadMagic);
+        }
+        match b.u32()? {
+            2 => read_v2(bytes),
+            v => Err(CheckpointError::UnsupportedVersion(v)),
+        }
     }
 
     /// Restore parameter values into `store` by name; returns the number
@@ -681,19 +676,6 @@ fn read_v2(bytes: &[u8]) -> Result<Snapshot, CheckpointError> {
     Ok(snap)
 }
 
-/// Parse a format-v2 checkpoint byte stream; any other version is
-/// [`CheckpointError::UnsupportedVersion`].
-pub fn read_snapshot(bytes: &[u8]) -> Result<Snapshot, CheckpointError> {
-    let mut b = Bytes::new(bytes);
-    if b.take(4)? != MAGIC {
-        return Err(CheckpointError::BadMagic);
-    }
-    match b.u32()? {
-        2 => read_v2(bytes),
-        v => Err(CheckpointError::UnsupportedVersion(v)),
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Store-level convenience API (v2-writing, typed errors)
 // ---------------------------------------------------------------------------
@@ -703,17 +685,6 @@ pub fn read_snapshot(bytes: &[u8]) -> Result<Snapshot, CheckpointError> {
 pub fn save_store(store: &ParamStore, w: &mut impl Write) -> Result<(), CheckpointError> {
     let bytes = Snapshot::of_store(store, 0).to_bytes();
     w.write_all(&bytes).map_err(|e| io_err("write checkpoint", e))
-}
-
-/// Read all entries from `r` (format v2).
-pub fn read_entries(r: &mut impl Read) -> Result<Vec<CheckpointEntry>, CheckpointError> {
-    let mut bytes = Vec::new();
-    r.read_to_end(&mut bytes).map_err(|e| io_err("read checkpoint", e))?;
-    Ok(read_snapshot(&bytes)?
-        .entries
-        .into_iter()
-        .map(|e| CheckpointEntry { name: e.name, value: e.value, shard: e.shard })
-        .collect())
 }
 
 fn apply_named<'a>(
@@ -745,23 +716,7 @@ fn apply_named<'a>(
 pub fn load_store(store: &mut ParamStore, r: &mut impl Read) -> Result<usize, CheckpointError> {
     let mut bytes = Vec::new();
     r.read_to_end(&mut bytes).map_err(|e| io_err("read checkpoint", e))?;
-    read_snapshot(&bytes)?.apply_to(store)
-}
-
-/// Save to a file path (no atomicity — use [`CheckpointDir`] for the
-/// crash-consistent protocol).
-pub fn save_to_file(store: &ParamStore, path: impl AsRef<Path>) -> Result<(), CheckpointError> {
-    let bytes = Snapshot::of_store(store, 0).to_bytes();
-    std::fs::write(path, bytes).map_err(|e| io_err("write checkpoint file", e))
-}
-
-/// Load from a file path.
-pub fn load_from_file(
-    store: &mut ParamStore,
-    path: impl AsRef<Path>,
-) -> Result<usize, CheckpointError> {
-    let bytes = std::fs::read(path).map_err(|e| io_err("read checkpoint file", e))?;
-    read_snapshot(&bytes)?.apply_to(store)
+    Snapshot::from_bytes(&bytes)?.apply_to(store)
 }
 
 /// Restore `entries` (e.g. the output of [`merge_shards`]) into `store` by
@@ -769,7 +724,7 @@ pub fn load_from_file(
 /// number restored.
 pub fn apply_entries(
     store: &mut ParamStore,
-    entries: &[CheckpointEntry],
+    entries: &[SnapEntry],
 ) -> Result<usize, CheckpointError> {
     apply_named(store, entries.iter().map(|e| (e.name.as_str(), &e.value)))
 }
@@ -791,8 +746,8 @@ pub fn apply_entries(
 /// The inputs must be the complete shard set (`world` snapshots, in rank
 /// order) of a single manifest; [`CheckpointDir::load_all_shards`] produces
 /// exactly that.
-pub fn merge_shards(shards: &[Snapshot]) -> Result<Vec<CheckpointEntry>, CheckpointError> {
-    let mut out: Vec<CheckpointEntry> = Vec::new();
+pub fn merge_shards(shards: &[Snapshot]) -> Result<Vec<SnapEntry>, CheckpointError> {
+    let mut out: Vec<SnapEntry> = Vec::new();
     let mut seen: std::collections::HashMap<String, usize> = std::collections::HashMap::new();
     // name → partial shard collection
     let mut pending: Vec<(String, ShardMeta, Vec<Option<Tensor>>)> = Vec::new();
@@ -803,7 +758,7 @@ pub fn merge_shards(shards: &[Snapshot]) -> Result<Vec<CheckpointEntry>, Checkpo
             match &e.shard {
                 None => {
                     if let Some(&i) = seen.get(&e.name) {
-                        let prev: &CheckpointEntry = &out[i];
+                        let prev: &SnapEntry = &out[i];
                         let same = prev.value.dtype() == e.value.dtype()
                             && prev.value.dims() == e.value.dims()
                             && match e.value.dtype() {
@@ -821,7 +776,7 @@ pub fn merge_shards(shards: &[Snapshot]) -> Result<Vec<CheckpointEntry>, Checkpo
                         }
                     } else {
                         seen.insert(e.name.clone(), out.len());
-                        out.push(CheckpointEntry {
+                        out.push(SnapEntry {
                             name: e.name.clone(),
                             value: e.value.clone(),
                             shard: None,
@@ -863,7 +818,7 @@ pub fn merge_shards(shards: &[Snapshot]) -> Result<Vec<CheckpointEntry>, Checkpo
         }
         let numel = numel_of(&meta.full_dims);
         flat.truncate(numel);
-        out.push(CheckpointEntry {
+        out.push(SnapEntry {
             name,
             value: Tensor::from_vec(flat, Shape::new(&meta.full_dims)),
             shard: None,
@@ -948,21 +903,6 @@ mod tests {
             load_store(&mut s, &mut buf.as_slice()),
             Err(CheckpointError::BadMagic)
         );
-    }
-
-    #[test]
-    fn checkpoint_file_roundtrip() {
-        let store = store_with(&[("w", vec![6, 2])]);
-        let path = std::env::temp_dir().join("dchag_ckpt_test.bin");
-        save_to_file(&store, &path).unwrap();
-        let mut fresh = store_with(&[("w", vec![6, 2])]);
-        let id = fresh.ids().next().unwrap();
-        fresh.set(id, Tensor::zeros([6, 2]));
-        let n = load_from_file(&mut fresh, &path).unwrap();
-        assert_eq!(n, 1);
-        let _ = std::fs::remove_file(&path);
-        let want = store.ids().next().unwrap();
-        assert_eq!(fresh.get(id).to_vec(), store.get(want).to_vec());
     }
 
     #[test]

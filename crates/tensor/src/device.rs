@@ -5,8 +5,11 @@
 //! on that thread charges the counter and releases it on drop — even if the
 //! drop happens on another thread, because the buffer captures an `Arc` to
 //! the counter at allocation time. This gives functional runs a per-rank
-//! "allocator view" comparable to `torch.cuda.max_memory_allocated`, which
-//! the analytical model in `dchag-perf` is validated against.
+//! "allocator view" comparable to `torch.cuda.max_memory_allocated`: the
+//! per-rank peaks that `perfbench` reports as `peak_mem_mb` and the
+//! quickstart example prints. No test compares these peaks with the
+//! analytical `MemoryModel` in `dchag-perf` yet; that model's figures rest
+//! on its own calibrated constants.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -108,18 +108,6 @@ impl GemmLayout {
     }
 }
 
-/// Which kernel generation the blocked driver runs. Normal dispatch is
-/// always [`KernelGen::Fast`]; the baseline is retained so the
-/// `gemm_ragged_*` BENCH entries and the edge-path parity tests can still
-/// drive the pre-masked-tail code.
-#[derive(Clone, Copy, PartialEq, Eq)]
-pub(crate) enum KernelGen {
-    /// SIMD transpose-gather packing + masked-tail micro-kernel stores.
-    Fast,
-    /// Pre-PR-5 path: scalar gather packing + scratch-spill edge stores.
-    SpillBaseline,
-}
-
 /// A GEMM input operand: a borrowed f32 slice, or a bf16 slice the panel
 /// packers decode on the fly (**convert-on-pack**). The micro-kernels and
 /// every accumulator stay f32 either way — bf16 storage only halves the
@@ -190,7 +178,6 @@ impl<'a> Operand<'a> {
 #[allow(clippy::too_many_arguments)]
 fn pack_a(
     isa: Isa,
-    gen: KernelGen,
     layout: GemmLayout,
     alpha: f32,
     a: Operand<'_>,
@@ -230,16 +217,12 @@ fn pack_a(
             }
         } else {
             // a is [m, k]: a(i, p) = a[i*k + p] — the gather/transpose case.
-            let pack_isa = match gen {
-                KernelGen::Fast => isa,
-                KernelGen::SpillBaseline => Isa::Scalar,
-            };
             // SAFETY: source indices stay inside `a` (`row0 + rows ≤ m`,
             // `pc + kc ≤ k`); the panel slice holds `mr·kc` elements.
             unsafe {
                 match a {
                     Operand::F32(af) => simd::pack_transpose(
-                        pack_isa,
+                        isa,
                         af.as_ptr().add(row0 * k + pc),
                         k,
                         rows,
@@ -249,7 +232,7 @@ fn pack_a(
                         alpha,
                     ),
                     Operand::Bf16(ab) => simd::pack_transpose_bf16(
-                        pack_isa,
+                        isa,
                         ab.as_ptr().add(row0 * k + pc),
                         k,
                         rows,
@@ -272,7 +255,6 @@ fn pack_a(
 #[allow(clippy::too_many_arguments)]
 fn pack_b(
     isa: Isa,
-    gen: KernelGen,
     layout: GemmLayout,
     b: Operand<'_>,
     k: usize,
@@ -292,17 +274,13 @@ fn pack_b(
         let panel = &mut buf[c * nr * kc..(c + 1) * nr * kc];
         if layout.b_transposed() {
             // b is [n, k]: b(p, j) = b[j*k + p] — the gather/transpose case.
-            let pack_isa = match gen {
-                KernelGen::Fast => isa,
-                KernelGen::SpillBaseline => Isa::Scalar,
-            };
             // SAFETY: source indices stay inside `b` (`col0 + cols ≤ n`
             // rows of length `k`, `pc + kc ≤ k`); the panel slice holds
             // `nr·kc` elements.
             unsafe {
                 match b {
                     Operand::F32(bf) => simd::pack_transpose(
-                        pack_isa,
+                        isa,
                         bf.as_ptr().add(col0 * k + pc),
                         k,
                         cols,
@@ -312,7 +290,7 @@ fn pack_b(
                         1.0,
                     ),
                     Operand::Bf16(bb) => simd::pack_transpose_bf16(
-                        pack_isa,
+                        isa,
                         bb.as_ptr().add(col0 * k + pc),
                         k,
                         cols,
@@ -429,7 +407,6 @@ impl<'a> CTile<'a> {
 #[allow(clippy::too_many_arguments)]
 fn gemm_tile_serial(
     isa: Isa,
-    gen: KernelGen,
     layout: GemmLayout,
     alpha: f32,
     a: Operand<'_>,
@@ -452,13 +429,10 @@ fn gemm_tile_serial(
     // couple of FMAs per element. Absorption changes only the blocking
     // (panel buffers grow by ≤ one micro-tile / one granule), never the
     // per-element accumulation *within* the serial k-major order of a
-    // given schedule — but it IS part of the shape-derived schedule, so
-    // every fast path (serial, 2-D tiles, split-K replay) shares this
-    // loop and stays bitwise consistent. The spill baseline keeps the
-    // pre-PR blocking so the `gemm_ragged_*` BENCH before-side is
-    // faithful (kc absorption regroups depth partial sums, so baseline
-    // parity tests must stay below one KC block).
-    let absorb = matches!(gen, KernelGen::Fast);
+    // given schedule — but the kc absorption regroups depth partial sums,
+    // so it IS part of the shape-derived schedule: every path (serial,
+    // 2-D tiles, split-K replay) shares this loop and stays bitwise
+    // consistent.
     const KC_ABSORB: usize = 32;
     // Pack panels live in the per-thread scratch arena: packing fully
     // overwrites every region the micro-kernel reads, so recycled contents
@@ -469,23 +443,23 @@ fn gemm_tile_serial(
             let mut jc = 0;
             while jc < nt {
                 let mut nc = NC.min(nt - jc);
-                if absorb && nt - jc - nc < nr_t {
+                if nt - jc - nc < nr_t {
                     nc = nt - jc;
                 }
                 let mut pc = p0;
                 while pc < p1 {
                     let mut kc = KC.min(p1 - pc);
-                    if absorb && p1 - pc - kc < KC_ABSORB {
+                    if p1 - pc - kc < KC_ABSORB {
                         kc = p1 - pc;
                     }
                     // The epilogue applies exactly once, on the first depth
                     // block; later blocks accumulate.
                     let epi_now = if pc == p0 { epi } else { Epilogue::Add };
-                    pack_b(isa, gen, layout, b, k, n, pc, kc, j0 + jc, nc, nr_t, pb);
+                    pack_b(isa, layout, b, k, n, pc, kc, j0 + jc, nc, nr_t, pb);
                     let mut ic = 0;
                     while ic < mt {
                         let mc = MC.min(mt - ic);
-                        pack_a(isa, gen, layout, alpha, a, m, k, i0 + ic, mc, pc, kc, mr_t, pa);
+                        pack_a(isa, layout, alpha, a, m, k, i0 + ic, mc, pc, kc, mr_t, pa);
                         for jr in 0..nc.div_ceil(nr_t) {
                             let bp = &pb[jr * nr_t * kc..(jr + 1) * nr_t * kc];
                             let nr = nr_t.min(nc - jr * nr_t);
@@ -512,14 +486,9 @@ fn gemm_tile_serial(
                                 // dispatch, which only yields runnable
                                 // ISAs.
                                 unsafe {
-                                    match gen {
-                                        KernelGen::Fast => simd::gemm_microkernel(
-                                            isa, kc, ap, bp, cptr, n, mr, nr, micro_epi,
-                                        ),
-                                        KernelGen::SpillBaseline => simd::gemm_microkernel_spill(
-                                            isa, kc, ap, bp, cptr, n, mr, nr, micro_epi,
-                                        ),
-                                    }
+                                    simd::gemm_microkernel(
+                                        isa, kc, ap, bp, cptr, n, mr, nr, micro_epi,
+                                    )
                                 }
                             }
                         }
@@ -733,7 +702,7 @@ fn gemm_dispatch(
 #[allow(clippy::too_many_arguments)]
 fn gemm_serial(isa: Isa, layout: GemmLayout, alpha: f32, a: Operand<'_>, b: Operand<'_>, epi: Epilogue<'_>, c: &mut [f32], m: usize, k: usize, n: usize) {
     let mut tile = CTile::new(c, n, 0, 0);
-    gemm_tile_serial(isa, KernelGen::Fast, layout, alpha, a, b, epi, &mut tile, m, k, n, (0, m), (0, n), (0, k));
+    gemm_tile_serial(isa, layout, alpha, a, b, epi, &mut tile, m, k, n, (0, m), (0, n), (0, k));
 }
 
 /// 2-D tiling over (row-block × column-block) of C. Tiles write disjoint
@@ -768,7 +737,7 @@ fn gemm_parallel_2d(
         // col-range) windows, and the parallel call joins before `c`'s
         // borrow ends.
         let mut tile = proto.window(i0, j0);
-        gemm_tile_serial(isa, KernelGen::Fast, layout, alpha, a, b, epi, &mut tile, m, k, n, (i0, mt), (j0, nt), (0, k));
+        gemm_tile_serial(isa, layout, alpha, a, b, epi, &mut tile, m, k, n, (i0, mt), (j0, nt), (0, k));
     });
 }
 
@@ -803,7 +772,7 @@ fn gemm_parallel_split_k(
             let p0 = t * per;
             let p1 = ((t + 1) * per).min(k);
             let mut tile = CTile::new(partial, n, 0, 0);
-            gemm_tile_serial(isa, KernelGen::Fast, layout, alpha, a, b, Epilogue::Add, &mut tile, m, k, n, (0, m), (0, n), (p0, p1));
+            gemm_tile_serial(isa, layout, alpha, a, b, Epilogue::Add, &mut tile, m, k, n, (0, m), (0, n), (p0, p1));
         });
         for partial in partials.chunks(m * n) {
             for (cv, pv) in c.iter_mut().zip(partial) {
@@ -995,7 +964,7 @@ pub(crate) fn gemm_batch_into(jobs: &[GemmJob<'_>], c: &mut [f32]) {
                 _c: std::marker::PhantomData,
             };
             gemm_tile_serial(
-                isa, KernelGen::Fast, j.layout, j.alpha, j.a, j.b, Epilogue::Add,
+                isa, j.layout, j.alpha, j.a, j.b, Epilogue::Add,
                 &mut tile, m, k, n, (i0, mt), (j0, nt), (0, k),
             );
         }
@@ -1111,65 +1080,17 @@ pub fn bmm_tn_scaled(a: &Tensor, b: &Tensor, alpha: f32) -> Tensor {
 // Bench hooks
 // ---------------------------------------------------------------------------
 
-/// Bench-only access to the pre-PR kernel generation and the pack
-/// internals — **not a stable API**. The `gemm_ragged_*` entries in
-/// `BENCH_kernels.json` need the edge-spill baseline still runnable so the
-/// before/after comparison measures this PR's change and nothing else.
+/// Bench-only access to the serial blocked driver and the pack
+/// internals — **not a stable API**. Pinning the serial driver keeps the
+/// kernel BENCH entries single-core on any host (the public `matmul`
+/// would otherwise parallelize).
 #[doc(hidden)]
 pub mod bench_api {
     use super::*;
 
-    /// Whole-product serial blocked GEMM on the pre-masked-tail path
-    /// (scalar gather packing + scratch-spill edge stores): the "before"
-    /// side of the ragged BENCH entries.
-    #[allow(clippy::too_many_arguments)]
-    pub fn gemm_edge_spill_baseline(
-        layout: GemmLayout,
-        alpha: f32,
-        a: &[f32],
-        b: &[f32],
-        c: &mut [f32],
-        m: usize,
-        k: usize,
-        n: usize,
-    ) {
-        if m == 0 || n == 0 || k == 0 {
-            return;
-        }
-        let isa = simd::active_isa();
-        let mut tile = CTile::new(c, n, 0, 0);
-        gemm_tile_serial(
-            isa, KernelGen::SpillBaseline, layout, alpha, Operand::F32(a), Operand::F32(b),
-            Epilogue::Add, &mut tile, m, k, n, (0, m), (0, n), (0, k),
-        );
-    }
-
-    /// The fast path pinned to the serial blocked driver: the matching
-    /// "after" side for [`gemm_edge_spill_baseline`], so the
-    /// `gemm_ragged_*` BENCH ratios isolate the kernel rework on
-    /// multi-core hosts too (the public `matmul` would otherwise
-    /// parallelize while the baseline stays serial).
-    #[allow(clippy::too_many_arguments)]
-    pub fn gemm_fast_serial(
-        layout: GemmLayout,
-        alpha: f32,
-        a: &[f32],
-        b: &[f32],
-        c: &mut [f32],
-        m: usize,
-        k: usize,
-        n: usize,
-    ) {
-        if m == 0 || n == 0 || k == 0 {
-            return;
-        }
-        gemm_serial(simd::active_isa(), layout, alpha, Operand::F32(a), Operand::F32(b), Epilogue::Add, c, m, k, n);
-    }
-
-    /// [`gemm_fast_serial`] over dtype-tagged operands: the bf16
-    /// convert-on-pack side of the `bf16` BENCH entries (same serial
-    /// blocked driver and f32 accumulation — only the pack-stage bytes
-    /// differ).
+    /// Whole-product GEMM on the serial blocked driver over dtype-tagged
+    /// operands (f32, or bf16 convert-on-pack: same driver and f32
+    /// accumulation — only the pack-stage bytes differ).
     #[allow(clippy::too_many_arguments)]
     pub fn gemm_fast_serial_op(
         layout: GemmLayout,
@@ -1188,16 +1109,14 @@ pub mod bench_api {
     }
 
     /// Pack the first `MC×KC` A block of a row-major `[m, k]` operand (the
-    /// strided-gather case) on the scalar or SIMD path. `buf` must hold
-    /// `MC.div_ceil(mr)·mr·KC` elements with `(mr, _) = gemm_tile_shape`;
-    /// returns the packed element count so callers can report pack
-    /// bandwidth.
-    pub fn pack_a_block(simd_pack: bool, a: &[f32], m: usize, k: usize, buf: &mut [f32]) -> usize {
-        let isa = simd::active_isa();
-        let (mr, _) = simd::gemm_tile_shape(isa);
-        let gen = if simd_pack { KernelGen::Fast } else { KernelGen::SpillBaseline };
+    /// strided-gather case) with `isa`'s transpose-gather, into the active
+    /// ISA's micro-panel layout (so every tier packs the same panels).
+    /// `buf` must hold [`pack_a_buf_len`] elements; returns the packed
+    /// element count so callers can report pack bandwidth.
+    pub fn pack_a_block(isa: Isa, a: &[f32], m: usize, k: usize, buf: &mut [f32]) -> usize {
+        let (mr, _) = simd::gemm_tile_shape(simd::active_isa());
         let (mc, kc) = (MC.min(m), KC.min(k));
-        pack_a(isa, gen, GemmLayout::NN, 1.0, Operand::F32(a), m, k, 0, mc, 0, kc, mr, buf);
+        pack_a(isa, GemmLayout::NN, 1.0, Operand::F32(a), m, k, 0, mc, 0, kc, mr, buf);
         mc * kc
     }
 
@@ -1632,7 +1551,7 @@ mod tests {
                 let (p0, p1) = (t * per, ((t + 1) * per).min(k));
                 let mut partial = vec![0.0f32; m * n];
                 let mut tile = CTile::new(&mut partial, n, 0, 0);
-                gemm_tile_serial(isa, KernelGen::Fast, GemmLayout::NN, 1.0, Operand::F32(&a), Operand::F32(&b), Epilogue::Add, &mut tile, m, k, n, (0, m), (0, n), (p0, p1));
+                gemm_tile_serial(isa, GemmLayout::NN, 1.0, Operand::F32(&a), Operand::F32(&b), Epilogue::Add, &mut tile, m, k, n, (0, m), (0, n), (p0, p1));
                 for (w, p) in want.iter_mut().zip(&partial) {
                     *w += p;
                 }
@@ -1717,22 +1636,33 @@ mod tests {
         }
     }
 
-    /// Whole-product parity: the fast path (SIMD packing + masked tails)
-    /// must be bitwise identical to the retained edge-spill baseline —
-    /// packing moves the same bits and both store orders apply the same
-    /// per-element op sequence.
+    /// Row-major `[rows, cols]` zero-padded to `[rows_to, cols_to]`.
+    fn zero_pad(src: &[f32], rows: usize, cols: usize, rows_to: usize, cols_to: usize) -> Vec<f32> {
+        let mut out = vec![0.0f32; rows_to * cols_to];
+        for (dst, row) in out.chunks_mut(cols_to).zip(src.chunks(cols).take(rows)) {
+            dst[..cols].copy_from_slice(row);
+        }
+        out
+    }
+
+    /// Whole-product parity for the masked edge tiles: a ragged product
+    /// must be bitwise identical to the same product on operands
+    /// zero-padded (in each layout's stored orientation) to whole
+    /// micro-tiles, which runs only full tiles. Padding adds zero rows /
+    /// columns of C, never a term to a kept element, and the depth
+    /// blocking is the same on both sides, so k may span several depth
+    /// blocks.
     #[test]
-    fn ragged_fast_path_bitwise_matches_spill_baseline() {
+    fn ragged_fast_path_bitwise_matches_zero_padded_full_tiles() {
         for isa in Isa::available() {
             let (mr, nr) = simd::gemm_tile_shape(isa);
             for layout in [GemmLayout::NN, GemmLayout::NT, GemmLayout::TN] {
-                // k stays within one depth block: the baseline keeps the
-                // pre-PR kc blocking, and depth-block grouping is part of
-                // each element's rounding sequence.
                 for &(m, n, k) in &[
                     (mr + 1, nr + 1, 37usize),
                     (2 * mr + 3, nr - 1, KC - 9),
                     (MC + 1, NC + 1, 33),
+                    (mr + 1, 2 * nr + 3, 2 * KC + 7),
+                    (2 * mr + 3, nr + 1, KC + 40),
                 ] {
                     let mut rng = Rng::new((m * 7 + n * 29 + k) as u64);
                     let mut a = vec![0.0f32; m * k];
@@ -1741,13 +1671,19 @@ mod tests {
                     rng.fill_normal(&mut b, 1.0);
                     let mut fast = vec![0.0f32; m * n];
                     gemm_serial(isa, layout, 1.0, Operand::F32(&a), Operand::F32(&b), Epilogue::Add, &mut fast, m, k, n);
-                    let mut base = vec![0.0f32; m * n];
-                    let mut tile = CTile::new(&mut base, n, 0, 0);
-                    gemm_tile_serial(
-                        isa, KernelGen::SpillBaseline, layout, 1.0, Operand::F32(&a), Operand::F32(&b), Epilogue::Add,
-                        &mut tile, m, k, n, (0, m), (0, n), (0, k),
-                    );
-                    for (i, (x, y)) in fast.iter().zip(&base).enumerate() {
+                    let (mp, np) = (m.next_multiple_of(mr), n.next_multiple_of(nr));
+                    let ap = match layout {
+                        GemmLayout::TN => zero_pad(&a, k, m, k, mp),
+                        _ => zero_pad(&a, m, k, mp, k),
+                    };
+                    let bp = match layout {
+                        GemmLayout::NT => zero_pad(&b, n, k, np, k),
+                        _ => zero_pad(&b, k, n, k, np),
+                    };
+                    let mut full = vec![0.0f32; mp * np];
+                    gemm_serial(isa, layout, 1.0, Operand::F32(&ap), Operand::F32(&bp), Epilogue::Add, &mut full, mp, k, np);
+                    for (i, x) in fast.iter().enumerate() {
+                        let y = full[(i / n) * np + i % n];
                         assert_eq!(
                             x.to_bits(),
                             y.to_bits(),

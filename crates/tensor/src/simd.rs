@@ -148,11 +148,6 @@ pub fn active_isa() -> Isa {
 // GEMM tile geometry
 // ---------------------------------------------------------------------------
 
-/// Upper bound on micro-tile rows across ISAs (scratch sizing).
-pub(crate) const GEMM_MAX_MR: usize = 8;
-/// Upper bound on micro-tile columns across ISAs (scratch sizing).
-pub(crate) const GEMM_MAX_NR: usize = 32;
-
 /// `(MR, NR)` register micro-tile shape for an ISA. The accumulator is
 /// always two vector registers wide (`NR = 2 × lanes`), so each A-element
 /// broadcast feeds two FMAs and the kernel is FMA-port-bound rather than
@@ -452,23 +447,6 @@ mod scalar {
                 }
             }
         }
-    }
-
-    /// The scalar tier stores partial tiles through the same per-element
-    /// loops either way, so the "spill baseline" entry point is the kernel
-    /// itself.
-    #[allow(clippy::too_many_arguments)]
-    pub unsafe fn gemm_micro_spill(
-        kc: usize,
-        ap: &[f32],
-        bp: &[f32],
-        c: *mut f32,
-        ldc: usize,
-        mr: usize,
-        nr: usize,
-        epi: MicroEpi<'_>,
-    ) {
-        gemm_micro(kc, ap, bp, c, ldc, mr, nr, epi)
     }
 
     /// Scalar transpose-gather pack (the pre-SIMD loop, and the reference
@@ -1102,9 +1080,10 @@ mod x86 {
     /// Edge-tile micro-kernel, instantiated per compile-time row count
     /// `MR` (≤ the ISA's full tile rows) and accumulator width `NV`
     /// vectors (1 when the tile's columns fit one vector). Two wins over
-    /// the old scratch-spill path: partial tiles pay only their true share
-    /// of FMAs (an `mr = 1` strip no longer runs the full `MRV`-row
-    /// k-loop on zero padding, a `nr ≤ LANES` strip halves the FMA width),
+    /// running the full tile and copying its window out of a scratch
+    /// array: partial tiles pay only their true share of FMAs (an
+    /// `mr = 1` strip does not run the full `MRV`-row k-loop on zero
+    /// padding, a `nr ≤ LANES` strip halves the FMA width),
     /// and the store is masked — lanes past `nr` generate no memory
     /// access, so there is no scratch round-trip and no scalar tail loop.
     ///
@@ -1228,52 +1207,6 @@ mod x86 {
         }
         let acc = gemm_acc_full_v::<V, MRV>(kc, ap, bp);
         gemm_store_full_v(&acc, c, ldc, epi);
-    }
-
-    /// The pre-masked-tail micro-kernel, kept verbatim as the **baseline**
-    /// for the `gemm_ragged_*` BENCH entries and the edge-path parity
-    /// tests: full tiles store fused, edge tiles spill the whole register
-    /// block to a scratch array and copy out scalar.
-    #[inline(always)]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn gemm_micro_spill_v<V: Vf32, const MRV: usize>(
-        kc: usize,
-        ap: *const f32,
-        bp: *const f32,
-        c: *mut f32,
-        ldc: usize,
-        mr: usize,
-        nr: usize,
-        epi: MicroEpi<'_>,
-    ) {
-        let nrv = 2 * V::LANES;
-        let acc = gemm_acc_full_v::<V, MRV>(kc, ap, bp);
-        if mr == MRV && nr == nrv {
-            gemm_store_full_v(&acc, c, ldc, epi);
-        } else {
-            let mut tmp = [0.0f32; super::GEMM_MAX_MR * super::GEMM_MAX_NR];
-            for (i, a) in acc.iter().enumerate().take(mr) {
-                a[0].store(tmp.as_mut_ptr().add(i * nrv));
-                a[1].store(tmp.as_mut_ptr().add(i * nrv + V::LANES));
-            }
-            for i in 0..mr {
-                let crow = std::slice::from_raw_parts_mut(c.add(i * ldc), nr);
-                let trow = &tmp[i * nrv..i * nrv + nr];
-                match epi {
-                    MicroEpi::Add => {
-                        for (cv, &t) in crow.iter_mut().zip(trow) {
-                            *cv += t;
-                        }
-                    }
-                    MicroEpi::AddBias(bias) => {
-                        for ((cv, &t), &bv) in crow.iter_mut().zip(trow).zip(bias) {
-                            *cv += t + bv;
-                        }
-                    }
-                    MicroEpi::Assign => crow.copy_from_slice(trow),
-                }
-            }
-        }
     }
 
     // ---- SIMD panel packing: transpose-gather via 8×8 shuffle blocks ----
@@ -1608,20 +1541,6 @@ mod x86 {
                 }
                 #[target_feature(enable = $feat)]
                 #[allow(clippy::too_many_arguments)]
-                pub unsafe fn gemm_micro_spill(
-                    kc: usize,
-                    ap: &[f32],
-                    bp: &[f32],
-                    c: *mut f32,
-                    ldc: usize,
-                    mr: usize,
-                    nr: usize,
-                    epi: MicroEpi<'_>,
-                ) {
-                    gemm_micro_spill_v::<$v, $mrv>(kc, ap.as_ptr(), bp.as_ptr(), c, ldc, mr, nr, epi)
-                }
-                #[target_feature(enable = $feat)]
-                #[allow(clippy::too_many_arguments)]
                 pub unsafe fn pack_transpose(
                     src: *const f32,
                     stride: usize,
@@ -1823,28 +1742,6 @@ pub(crate) unsafe fn gemm_microkernel(
     epi: MicroEpi<'_>,
 ) {
     dispatch!(isa, gemm_micro(kc, ap, bp, c, ldc, mr, nr, epi))
-}
-
-/// The pre-masked-tail micro-kernel (edge tiles spill to a scratch array
-/// and store scalar), retained as the baseline for the `gemm_ragged_*`
-/// BENCH entries and as the parity reference for the masked path. Same
-/// contract as [`gemm_microkernel`].
-///
-/// # Safety
-/// As [`gemm_microkernel`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) unsafe fn gemm_microkernel_spill(
-    isa: Isa,
-    kc: usize,
-    ap: &[f32],
-    bp: &[f32],
-    c: *mut f32,
-    ldc: usize,
-    mr: usize,
-    nr: usize,
-    epi: MicroEpi<'_>,
-) {
-    dispatch!(isa, gemm_micro_spill(kc, ap, bp, c, ldc, mr, nr, epi))
 }
 
 /// Transpose-gather panel pack:
@@ -2086,10 +1983,12 @@ mod tests {
     }
 
     #[test]
-    fn masked_edge_store_bitwise_matches_spill_kernel() {
-        // The masked-tail kernels must reproduce the old scratch-spill
-        // edge path bit for bit: per output element both accumulate
-        // strictly k-major and apply the epilogue with the same op order.
+    fn masked_edge_store_bitwise_matches_full_tile_window() {
+        // An edge tile stored masked must equal the mr×nr window of the
+        // same panels run through the full-tile kernel on a zero-padded
+        // MRV×NRV scratch (bias zero-padded to NRV): per output element
+        // both accumulate strictly k-major with one FMA per depth step and
+        // store `c + (acc + bias)`.
         for isa in Isa::available() {
             let (mrv, nrv) = gemm_tile_shape(isa);
             let lanes = nrv / 2;
@@ -2099,26 +1998,32 @@ mod tests {
                         let ap = rand_vec(kc * mrv, 1.0, (kc * 13 + mr) as u64);
                         let bp = rand_vec(kc * nrv, 1.0, (kc * 17 + nr) as u64);
                         let bias = rand_vec(nr, 1.0, 99);
-                        for (ei, epi) in [
-                            MicroEpi::Add,
-                            MicroEpi::AddBias(&bias),
-                            MicroEpi::Assign,
+                        let mut bias_full = vec![0.0f32; nrv];
+                        bias_full[..nr].copy_from_slice(&bias);
+                        for (ei, (epi, epi_full)) in [
+                            (MicroEpi::Add, MicroEpi::Add),
+                            (MicroEpi::AddBias(&bias), MicroEpi::AddBias(&bias_full)),
+                            (MicroEpi::Assign, MicroEpi::Assign),
                         ]
                         .into_iter()
                         .enumerate()
                         {
                             let init = rand_vec(mr * nr, 1.0, 7 + ei as u64);
                             let mut masked = init.clone();
-                            let mut spill = init.clone();
+                            let mut full = vec![0.0f32; mrv * nrv];
+                            for (dst, row) in full.chunks_mut(nrv).zip(init.chunks(nr)) {
+                                dst[..nr].copy_from_slice(row);
+                            }
                             unsafe {
                                 gemm_microkernel(
                                     isa, kc, &ap, &bp, masked.as_mut_ptr(), nr, mr, nr, epi,
                                 );
-                                gemm_microkernel_spill(
-                                    isa, kc, &ap, &bp, spill.as_mut_ptr(), nr, mr, nr, epi,
+                                gemm_microkernel(
+                                    isa, kc, &ap, &bp, full.as_mut_ptr(), nrv, mrv, nrv, epi_full,
                                 );
                             }
-                            for (j, (x, y)) in masked.iter().zip(&spill).enumerate() {
+                            for (j, x) in masked.iter().enumerate() {
+                                let y = full[(j / nr) * nrv + j % nr];
                                 assert_eq!(
                                     x.to_bits(),
                                     y.to_bits(),
