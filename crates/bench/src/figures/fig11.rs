@@ -9,10 +9,10 @@
 //! D-CHAG, exactly as in the paper.
 
 use dchag_collectives::run_ranks;
-use dchag_core::build_mae;
+use dchag_core::{build_mae, train_step};
 use dchag_data::{ascii_render, pseudo_rgb, HyperspectralConfig, HyperspectralDataset};
 use dchag_model::config::{TreeConfig, UnitKind};
-use dchag_model::{clip_global_norm, AdamW, MaeModel, ModelConfig, PatchMask};
+use dchag_model::{AdamW, MaeModel, ModelConfig, PatchMask};
 use dchag_perf::Table;
 use dchag_tensor::prelude::*;
 
@@ -99,17 +99,9 @@ pub fn train_baseline(o: &Fig11Opts) -> Vec<f32> {
     let mut losses = Vec::with_capacity(o.iters);
     for (idx, mask) in &sched {
         let imgs = ds.batch(idx);
-        let loss = {
-            let tape = Tape::new();
-            let bind = LocalBinder::new(&tape, &store);
-            let (loss, _) = mae.forward_loss(&bind, &imgs, mask);
-            let grads = tape.backward(&loss);
-            let mut pg = bind.grads(&grads);
-            clip_global_norm(&mut pg, 1.0);
-            opt.step(&mut store, &pg);
-            loss.value().item()
-        };
-        losses.push(loss);
+        losses.push(train_step(&mut store, &mut opt, 1.0, None, |bind| {
+            mae.forward_loss(bind, &imgs, mask).0
+        }));
     }
     losses
 }
@@ -143,17 +135,9 @@ pub fn train_dchag(o: &Fig11Opts) -> (Vec<f32>, String, String) {
         let mut losses = Vec::new();
         for (idx, mask) in &sched {
             let imgs = ds.batch(idx);
-            let loss = {
-                let tape = Tape::new();
-                let bind = LocalBinder::new(&tape, &store);
-                let (loss, _) = mae.forward_loss(&bind, &imgs, mask);
-                let grads = tape.backward(&loss);
-                let mut pg = bind.grads(&grads);
-                clip_global_norm(&mut pg, 1.0);
-                opt.step(&mut store, &pg);
-                loss.value().item()
-            };
-            losses.push(loss);
+            losses.push(train_step(&mut store, &mut opt, 1.0, None, |bind| {
+                mae.forward_loss(bind, &imgs, mask).0
+            }));
         }
         // reconstruction of image 0 with the trained model
         let imgs = ds.batch(&[0]);

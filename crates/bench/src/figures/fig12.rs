@@ -6,10 +6,10 @@
 //! Hyper-parameters are tuned for the baseline and reused for D-CHAG.
 
 use dchag_collectives::run_ranks;
-use dchag_core::build_climax;
+use dchag_core::{build_climax, train_step};
 use dchag_data::{WeatherConfig, WeatherDataset};
 use dchag_model::config::{TreeConfig, UnitKind};
-use dchag_model::{clip_global_norm, AdamW, ClimaxModel, ModelConfig};
+use dchag_model::{AdamW, ClimaxModel, ModelConfig};
 use dchag_perf::Table;
 use dchag_tensor::prelude::*;
 
@@ -81,17 +81,9 @@ fn train_eval<E: dchag_model::encoder::EncoderBackbone>(
     let mut losses = Vec::with_capacity(o.steps);
     for times in &sched {
         let (x, y) = ds.forecast_batch(times, o.lead);
-        let loss = {
-            let tape = Tape::new();
-            let bind = LocalBinder::new(&tape, store);
-            let (loss, _) = model.forward_loss(&bind, &x, &y, o.lead as f32 / 10.0);
-            let grads = tape.backward(&loss);
-            let mut pg = bind.grads(&grads);
-            clip_global_norm(&mut pg, 1.0);
-            opt.step(store, &pg);
-            loss.value().item()
-        };
-        losses.push(loss);
+        losses.push(train_step(store, &mut opt, 1.0, None, |bind| {
+            model.forward_loss(bind, &x, &y, o.lead as f32 / 10.0).0
+        }));
     }
     // held-out evaluation
     let (x, y) = ds.forecast_batch(&TEST_TIMES, o.lead);

@@ -4,7 +4,7 @@
 //!
 //! * **Typed errors.** [`CommError`] is the structured cause every fallible
 //!   collective surfaces — the whole fallible surface is
-//!   `CommRequest::{try_wait, try_test}`, `Communicator::try_all_reduce_sum`,
+//!   `CommRequest::try_wait`, `Communicator::try_all_reduce_sum`,
 //!   `Communicator::try_barrier` and `Communicator::regroup`. The
 //!   panicking wrappers don't format it into a string — they panic with a
 //!   [`CommPanic`] payload, so the launcher (and any recovery driver) can

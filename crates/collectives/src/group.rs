@@ -30,7 +30,6 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
-use dchag_tensor::ops;
 use dchag_tensor::Tensor;
 
 use crate::transport::{self, gid_split, gid_world};
@@ -38,7 +37,7 @@ use crate::transport::{self, gid_split, gid_world};
 use crate::fault::{comm_panic, CommError};
 use crate::nonblocking::{self, CollKind, CommPrecision, CommRequest, Engine};
 use crate::topology::Topology;
-use crate::traffic::{CollOp, TrafficLog};
+use crate::traffic::{CollOp, FailureSource, FaultCause, TrafficLog};
 
 /// Shared blackboard for the survivor-side regroup barrier.
 ///
@@ -131,10 +130,10 @@ impl WorldShared {
     /// Poison strictly before the mark: a regroup excludes `rank` only
     /// once it is marked, so the fresh engine it builds can never be
     /// poisoned by this (already handled) death.
-    pub(crate) fn declare_failed(&self, rank: usize, why: &str) {
-        let cause = CommError::PeerFailed { rank, epoch: self.epoch() };
-        self.log.record_fault(format!("{why}: {cause}"));
-        self.poison_all(cause);
+    pub(crate) fn declare_failed(&self, rank: usize, source: FailureSource) {
+        let epoch = self.epoch();
+        self.log.record_fault(FaultCause::Declared { rank, epoch, source });
+        self.poison_all(CommError::PeerFailed { rank, epoch });
         self.mark_failed(rank);
     }
 
@@ -473,12 +472,6 @@ impl Communicator {
         self.iall_reduce_sum(t).wait()
     }
 
-    /// Element-wise mean across the group.
-    pub fn all_reduce_mean(&self, t: &Tensor) -> Tensor {
-        let s = self.all_reduce_sum(t);
-        ops::scale(&s, 1.0 / self.size() as f32)
-    }
-
     /// Blocking [`Communicator::ireduce_scatter_sum`].
     pub fn reduce_scatter_sum(&self, t: &Tensor) -> Tensor {
         self.ireduce_scatter_sum(t).wait()
@@ -561,11 +554,13 @@ impl Communicator {
                 (survivors, rank, engine, None)
             }
         };
-        self.world.log.record_fault(format!(
-            "regroup epoch {}: world {before} -> {} (global rank {me} is now rank {rank})",
-            self.world.epoch(),
-            survivors.len(),
-        ));
+        self.world.log.record_fault(FaultCause::Regrouped {
+            epoch: self.world.epoch(),
+            before,
+            after: survivors.len(),
+            global: me,
+            rank,
+        });
         Ok(self.member_of(rank, survivors, engine, link))
     }
 

@@ -24,7 +24,7 @@ use crate::group::{Communicator, WorldShared};
 use crate::nonblocking::Engine;
 use crate::topology::Topology;
 use crate::transport::gid_world;
-use crate::traffic::TrafficLog;
+use crate::traffic::{FailureSource, TrafficLog};
 
 /// Per-rank execution context handed to the rank closure.
 pub struct RankCtx {
@@ -108,7 +108,7 @@ where
                         // user panic or injected fault — is a root failure:
                         // declare it dead and wake peers before unwinding.
                         if comm_error_of(e.as_ref()).is_none() {
-                            world.declare_failed(rank, &format!("launcher: rank {rank} unwound"));
+                            world.declare_failed(rank, FailureSource::Launcher);
                         }
                     }
                     out
@@ -228,6 +228,7 @@ where
 mod tests {
     use super::*;
     use crate::fault::CommError;
+    use crate::traffic::FaultCause;
     use dchag_tensor::Tensor;
 
     #[test]
@@ -302,7 +303,10 @@ mod tests {
             .traffic
             .fault_events()
             .iter()
-            .any(|f| f.cause.contains("peer rank 1 failed")));
+            .any(|f| matches!(
+                f.cause,
+                FaultCause::Declared { rank: 1, source: FailureSource::Launcher, .. }
+            )));
     }
 
     #[test]

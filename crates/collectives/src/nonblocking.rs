@@ -11,11 +11,10 @@
 //! * once the last rank has deposited, the collective's tensor is split into
 //!   a **shape-derived chunk schedule** ([`COMM_CHUNK_ELEMS`] elements per
 //!   chunk by default) and the chunks become claimable work items;
-//! * ranks inside [`CommRequest::wait`] / [`CommRequest::test`] claim chunks
-//!   with an atomic counter and reduce/copy them cooperatively, so the
-//!   reduction of a bucket proceeds while other ranks are still computing —
-//!   and is performed **once** across the group instead of redundantly per
-//!   rank.
+//! * ranks inside [`CommRequest::wait`] claim chunks with an atomic counter
+//!   and reduce/copy them cooperatively, so the reduction of a bucket
+//!   proceeds while other ranks are still computing — and is performed
+//!   **once** across the group instead of redundantly per rank.
 //!
 //! Reductions walk contributions in rank order within every chunk, and the
 //! chunk schedule depends only on the tensor shape — never on thread count
@@ -43,7 +42,7 @@ use dchag_tensor::{Shape, Tensor};
 
 use crate::fault::{self, CommError, FaultPoint};
 use crate::group::WorldShared;
-use crate::traffic::{ChunkEvent, CollOp, TrafficLog};
+use crate::traffic::{ChunkEvent, CollOp, FaultCause, TrafficLog};
 
 /// Unsuccessful condvar polls before a deadline-bounded wait parks (the
 /// spin half of spin→park: a peer that deposits within a few hundred
@@ -580,12 +579,12 @@ fn run_chunk(round: &Round, frozen: &Frozen, c: &Chunk) {
     }
 }
 
-/// Claim and run up to `max` chunks of any runnable round on this engine
-/// (oldest first). Returns whether any work was done. This is the
-/// cooperative scheduler: every rank that waits — or polls via `test` —
-/// drives forward whichever collective is ready, so reductions complete
-/// while slower ranks are still computing.
-fn try_progress(engine: &Engine, log: &TrafficLog, max: usize) -> bool {
+/// Claim and run chunks of the oldest runnable round on this engine until
+/// none of its chunks is left to claim. Returns whether any work was done.
+/// This is the cooperative scheduler: every rank that waits drives forward
+/// whichever collective is ready, so reductions complete while slower
+/// ranks are still computing.
+fn try_progress(engine: &Engine, log: &TrafficLog) -> bool {
     let target: Option<Arc<Round>> = {
         let st = engine.state.lock();
         st.rounds
@@ -598,7 +597,7 @@ fn try_progress(engine: &Engine, log: &TrafficLog, max: usize) -> bool {
     let frozen = round.frozen.get().expect("claimable implies frozen");
     let n_chunks = frozen.chunks.len();
     let mut did = false;
-    for _ in 0..max {
+    loop {
         let ci = round.next_chunk.fetch_add(1, Ordering::Relaxed);
         if ci >= n_chunks {
             break;
@@ -640,32 +639,6 @@ impl CommRequest {
         self.seq
     }
 
-    /// Nonblocking completion check. Contributes a bounded amount of chunk
-    /// work (one chunk) so polling callers still drive the pipeline.
-    /// Panics (typed [`crate::fault::CommPanic`]) if the group is poisoned;
-    /// use [`try_test`](CommRequest::try_test) for the fallible flavor.
-    pub fn test(&self) -> bool {
-        self.try_test().unwrap_or_else(|e| fault::comm_panic(e))
-    }
-
-    /// Fallible [`test`](CommRequest::test): `Err` if the group is poisoned.
-    pub fn try_test(&self) -> Result<bool, CommError> {
-        if self.round.complete.load(Ordering::Acquire) {
-            return Ok(true);
-        }
-        self.engine.check_live()?;
-        try_progress(&self.engine, &self.log, 1);
-        Ok(self.round.complete.load(Ordering::Acquire))
-    }
-
-    /// Drive chunk work without blocking and without consuming the request
-    /// (cooperative progress for callers that interleave compute).
-    pub fn progress(&self) {
-        if !self.round.complete.load(Ordering::Acquire) {
-            try_progress(&self.engine, &self.log, usize::MAX);
-        }
-    }
-
     /// Retire this rank's share of the round; once every rank has retired
     /// (by `wait` or by drop), the round's state is released.
     fn retire(&mut self) {
@@ -696,8 +669,7 @@ impl CommRequest {
 
     /// Record a detected failure on the traffic log and hand the cause back.
     fn fail(&self, e: CommError) -> CommError {
-        self.log
-            .record_fault(format!("rank {} detected at collective #{}: {e}", self.rank, self.seq));
+        self.log.record_fault(FaultCause::Detected { rank: self.rank, seq: self.seq, error: e });
         e
     }
 
@@ -749,7 +721,7 @@ impl CommRequest {
                 }
             }
             ticks = ticks.wrapping_add(1);
-            if try_progress(engine, &self.log, usize::MAX) {
+            if try_progress(engine, &self.log) {
                 continue;
             }
             let mut st = engine.state.lock();
@@ -932,23 +904,6 @@ mod tests {
             assert_eq!(va, 3.0);
             assert_eq!(vb, 4.0);
             assert_eq!(vc, vec![0.0, 0.0, 1.0, 1.0]);
-        }
-    }
-
-    #[test]
-    fn test_polls_and_eventually_completes() {
-        let run = run_ranks(2, |ctx| {
-            let req = ctx.comm.iall_reduce_sum(&Tensor::ones([33_000]));
-            // test() may be false while peers deposit; poll until done.
-            let mut polls = 0usize;
-            while !req.test() {
-                polls += 1;
-                assert!(polls < 1_000_000, "test never completed");
-            }
-            req.wait().at(0)
-        });
-        for v in run.outputs {
-            assert_eq!(v, 2.0);
         }
     }
 
@@ -1170,7 +1125,10 @@ mod tests {
             .traffic
             .fault_events()
             .iter()
-            .any(|f| f.cause.contains("timed out")));
+            .any(|f| matches!(
+                f.cause,
+                FaultCause::Detected { error: CommError::Timeout { .. }, .. }
+            )));
     }
 
     #[test]

@@ -10,11 +10,14 @@
 //! the backward call.
 
 use std::collections::BTreeSet;
+use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::Mutex;
+
+use crate::fault::CommError;
 
 /// The collective kinds the substrate supports (RCCL vocabulary).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
@@ -99,8 +102,80 @@ pub struct ChunkEvent {
 /// the fault-tolerance audit trail, timestamped on the traffic clock.
 #[derive(Clone, Debug)]
 pub struct FaultEvent {
-    pub cause: String,
+    pub cause: FaultCause,
     pub at_us: f64,
+}
+
+/// What a [`FaultEvent`] records: one variant per site that writes the
+/// trail. `Display` renders the trail's human-readable line.
+#[derive(Clone, Debug, PartialEq)]
+pub enum FaultCause {
+    /// Group rank `rank`'s wait on its collective `seq` failed with `error`.
+    Detected { rank: usize, seq: u64, error: CommError },
+    /// Global rank `rank` was declared dead in `epoch` — the one record of
+    /// a root failure, whoever saw it first.
+    Declared { rank: usize, epoch: u64, source: FailureSource },
+    /// An elastic regroup into `epoch` shrank the world from `before` to
+    /// `after` ranks; global rank `global` is now rank `rank`.
+    Regrouped { epoch: u64, before: usize, after: usize, global: usize, rank: usize },
+    /// A TCP endpoint refused an inbound handshake that failed validation.
+    HandshakeInvalid { why: String },
+    /// A TCP endpoint refused an inbound handshake from `rank`: itself, out
+    /// of range, or already declared dead.
+    HandshakeRefused { rank: usize },
+    /// Peer `rank` skipped data-frame sequence numbers on `group`.
+    SequenceGap { rank: usize, group: u64, got: u64, expected: u64 },
+    /// The local engine placed peer `rank`'s frame `wire_seq` at `engine_seq`.
+    SeqMismatch { rank: usize, engine_seq: u64, wire_seq: u64 },
+}
+
+/// Who declared a [`FaultCause::Declared`] failure.
+#[derive(Clone, Debug, PartialEq)]
+pub enum FailureSource {
+    /// The launcher saw the rank's thread unwind.
+    Launcher,
+    /// A socket-level signal from the peer; `why` names it.
+    Transport { why: String },
+}
+
+impl fmt::Display for FaultCause {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            FaultCause::Detected { rank, seq, error } => {
+                write!(f, "rank {rank} detected at collective #{seq}: {error}")
+            }
+            FaultCause::Declared { rank, epoch, source } => {
+                let error = CommError::PeerFailed { rank: *rank, epoch: *epoch };
+                match source {
+                    FailureSource::Launcher => write!(f, "launcher: rank {rank} unwound: {error}"),
+                    FailureSource::Transport { why } => {
+                        write!(f, "transport: peer rank {rank} {why}: {error}")
+                    }
+                }
+            }
+            FaultCause::Regrouped { epoch, before, after, global, rank } => write!(
+                f,
+                "regroup epoch {epoch}: world {before} -> {after} \
+                 (global rank {global} is now rank {rank})"
+            ),
+            FaultCause::HandshakeInvalid { why } => {
+                write!(f, "transport: refused inbound handshake ({why})")
+            }
+            FaultCause::HandshakeRefused { rank } => {
+                write!(f, "transport: refused inbound handshake from rank {rank}")
+            }
+            FaultCause::SequenceGap { rank, group, got, expected } => write!(
+                f,
+                "transport: sequence gap from rank {rank} \
+                 (group {group:#x}: got {got}, expected {expected})"
+            ),
+            FaultCause::SeqMismatch { rank, engine_seq, wire_seq } => write!(
+                f,
+                "transport: engine seq {engine_seq} disagrees with wire seq {wire_seq} \
+                 from rank {rank}"
+            ),
+        }
+    }
 }
 
 /// What a transport-level event was (real-socket worlds only; the thread
@@ -290,7 +365,7 @@ impl TrafficLog {
     }
 
     /// Record a detected failure or recovery action.
-    pub fn record_fault(&self, cause: String) {
+    pub fn record_fault(&self, cause: FaultCause) {
         let at_us = self.now_us();
         self.faults.lock().push(FaultEvent { cause, at_us });
     }
@@ -487,11 +562,21 @@ mod tests {
     fn fault_events_are_timestamped_in_order() {
         let log = TrafficLog::new();
         assert!(log.fault_events().is_empty());
-        log.record_fault("peer rank 1 failed".into());
-        log.record_fault("regroup: 4 -> 3".into());
+        log.record_fault(FaultCause::Declared {
+            rank: 1,
+            epoch: 0,
+            source: FailureSource::Launcher,
+        });
+        log.record_fault(FaultCause::Regrouped {
+            epoch: 1,
+            before: 4,
+            after: 3,
+            global: 2,
+            rank: 1,
+        });
         let ev = log.fault_events();
         assert_eq!(ev.len(), 2);
-        assert!(ev[0].cause.contains("rank 1"));
+        assert!(matches!(ev[0].cause, FaultCause::Declared { rank: 1, .. }));
         assert!(ev[0].at_us <= ev[1].at_us);
         log.clear();
         assert!(log.fault_events().is_empty());

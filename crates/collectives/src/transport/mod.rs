@@ -49,7 +49,7 @@ use parking_lot::{Condvar, Mutex};
 use crate::fault::CommError;
 use crate::group::WorldShared;
 use crate::nonblocking::{self, CollKind, CommPrecision, Engine};
-use crate::traffic::TransportEventKind;
+use crate::traffic::{FailureSource, FaultCause, TransportEventKind};
 use frame::{
     encode_frame, validate_handshake, DataFrame, Frame, FrameReader, HandshakeExpect, WireBody,
     VERSION,
@@ -435,7 +435,7 @@ impl Endpoint {
             }
             *st = PeerStatus::Failed;
         }
-        self.world.declare_failed(peer, &format!("transport: peer rank {peer} {why}"));
+        self.world.declare_failed(peer, FailureSource::Transport { why: why.to_string() });
         ps.cv.notify_all();
         self.regroup_cv.notify_all();
     }
@@ -922,7 +922,7 @@ impl Endpoint {
                 self.world
                     .log
                     .record_transport(usize::MAX, TransportEventKind::HandshakeRejected);
-                self.world.log.record_fault(format!("transport: refused inbound handshake ({why})"));
+                self.world.log.record_fault(FaultCause::HandshakeInvalid { why });
                 refuse(s);
                 return;
             }
@@ -932,9 +932,7 @@ impl Endpoint {
             // A zombie from before a regroup (already declared failed) or a
             // nonsense rank — refuse definitively.
             self.world.log.record_transport(rank, TransportEventKind::HandshakeRejected);
-            self.world
-                .log
-                .record_fault(format!("transport: refused inbound handshake from rank {rank}"));
+            self.world.log.record_fault(FaultCause::HandshakeRefused { rank });
             refuse(s);
             return;
         }
@@ -1088,10 +1086,12 @@ impl Endpoint {
                 return; // duplicate of an already-delivered frame
             }
             if d.seq > next[sender] {
-                self.world.log.record_fault(format!(
-                    "transport: sequence gap from rank {peer} (group {:#x}: got {}, expected {})",
-                    d.group, d.seq, next[sender]
-                ));
+                self.world.log.record_fault(FaultCause::SequenceGap {
+                    rank: peer,
+                    group: d.group,
+                    got: d.seq,
+                    expected: next[sender],
+                });
                 self.world.poison_all(CommError::Poisoned);
                 return;
             }
@@ -1110,10 +1110,11 @@ impl Endpoint {
         match nonblocking::deposit_remote(&rt.engine, sender, d.kind, precision, &t, &self.world) {
             Ok(seq) if seq == d.seq => {}
             Ok(seq) => {
-                self.world.log.record_fault(format!(
-                    "transport: engine seq {seq} disagrees with wire seq {} from rank {peer}",
-                    d.seq
-                ));
+                self.world.log.record_fault(FaultCause::SeqMismatch {
+                    rank: peer,
+                    engine_seq: seq,
+                    wire_seq: d.seq,
+                });
                 self.world.poison_all(CommError::Poisoned);
             }
             Err(_) => {} // engine already poisoned — deposit dropped

@@ -26,7 +26,6 @@ pub use dchag::DChagEncoder;
 pub use models::{build_climax, build_mae, DChagClimax, DChagMae};
 pub use planner::{Plan, Planner};
 pub use train::{
-    resilient_train_loop, resilient_train_loop_with, train_step, train_step_accum,
-    train_step_fsdp, DurableConfig, ResilienceConfig, ResilientReport, RestorePoint, StateAccess,
-    TrainConfig,
+    resilient_train_loop, resilient_train_loop_with, train_step, train_step_fsdp, DurableConfig,
+    ResilienceConfig, ResilientReport, RestorePoint, StateAccess, TrainConfig,
 };

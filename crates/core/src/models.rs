@@ -48,7 +48,8 @@ mod tests {
     use super::*;
     use dchag_collectives::run_ranks;
     use dchag_model::config::UnitKind;
-    use dchag_model::{clip_global_norm, AdamW, PatchMask};
+    use crate::train::train_step;
+    use dchag_model::{AdamW, PatchMask};
 
     #[test]
     fn dchag_mae_trains_and_losses_match_across_ranks() {
@@ -70,17 +71,9 @@ mod tests {
             let mut opt = AdamW::new(5e-3);
             let mut losses = Vec::new();
             for _ in 0..6 {
-                let loss = {
-                    let tape = Tape::new();
-                    let bind = LocalBinder::new(&tape, &store);
-                    let (loss, _) = mae.forward_loss(&bind, &imgs, &mask);
-                    let grads = tape.backward(&loss);
-                    let mut pg = bind.grads(&grads);
-                    clip_global_norm(&mut pg, 5.0);
-                    opt.step(&mut store, &pg);
-                    loss.value().item()
-                };
-                losses.push(loss);
+                losses.push(train_step(&mut store, &mut opt, 5.0, None, |bind| {
+                    mae.forward_loss(bind, &imgs, &mask).0
+                }));
             }
             losses
         });

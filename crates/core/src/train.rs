@@ -15,7 +15,6 @@ use dchag_tensor::checkpoint::{
     SnapshotWriter,
 };
 use dchag_tensor::prelude::*;
-use dchag_tensor::Tensor;
 
 /// Hyper-parameters of a training run.
 #[derive(Clone, Debug)]
@@ -98,61 +97,6 @@ where
     clip_global_norm(&mut pg, clip);
     opt.step(&mut fsdp.shard_store, &pg);
     loss_value
-}
-
-/// One optimizer step over `micro_batches` accumulated micro-steps: each
-/// `forward(bind, i)` builds the loss for micro-batch `i`; gradients are
-/// averaged across micro-steps (so the effective loss is the mean), then
-/// optionally DP-synchronized, clipped, and applied. Returns the mean loss.
-///
-/// This is how a strategy whose per-GPU memory caps the micro-batch still
-/// reaches a target global batch — the mechanism behind the paper's Fig 16
-/// batch scaling.
-pub fn train_step_accum<F>(
-    store: &mut ParamStore,
-    opt: &mut AdamW,
-    clip: f32,
-    dp: Option<&DataParallel>,
-    micro_batches: usize,
-    mut forward: F,
-) -> f32
-where
-    F: FnMut(&LocalBinder, usize) -> Var,
-{
-    assert!(micro_batches > 0);
-    let mut acc: Vec<Option<Tensor>> = Vec::new();
-    let mut loss_sum = 0.0f32;
-    for i in 0..micro_batches {
-        let (loss_value, pg) = {
-            let tape = Tape::new();
-            let bind = LocalBinder::new(&tape, store);
-            let loss = forward(&bind, i);
-            let grads = tape.backward(&loss);
-            (loss.value().item(), bind.grads(&grads))
-        };
-        loss_sum += loss_value;
-        if acc.is_empty() {
-            acc = pg;
-        } else {
-            for (a, g) in acc.iter_mut().zip(pg) {
-                match (a.as_mut(), g) {
-                    (Some(a), Some(g)) => *a = dchag_tensor::ops::add(a, &g),
-                    (None, Some(g)) => *a = Some(g),
-                    _ => {}
-                }
-            }
-        }
-    }
-    let inv = 1.0 / micro_batches as f32;
-    for g in acc.iter_mut().flatten() {
-        *g = g.map(|x| x * inv);
-    }
-    if let Some(dp) = dp {
-        dp.sync_grads(&mut acc);
-    }
-    clip_global_norm(&mut acc, clip);
-    opt.step(store, &acc);
-    loss_sum * inv
 }
 
 /// Configuration of the durable (on-disk) recovery tier: where checkpoints
@@ -569,36 +513,6 @@ mod tests {
                 .collect::<Vec<f32>>()
         });
         assert_eq!(run.outputs[0], run.outputs[1]);
-    }
-
-    #[test]
-    fn accumulation_equals_big_batch_step() {
-        // two micro-batches of 4 rows == one step on the 8-row batch
-        let mut rng = Rng::new(9);
-        let big = Tensor::randn([8, 4], 1.0, &mut rng);
-        let halves = [ops::slice(&big, 0, 0, 4), ops::slice(&big, 0, 4, 4)];
-
-        let mut s1 = ParamStore::new();
-        let lin1 = model(&mut s1);
-        let mut o1 = AdamW::new(0.05);
-        train_step(&mut s1, &mut o1, 10.0, None, |bind| {
-            let xv = bind.tape().leaf(big.clone());
-            let y = lin1.forward(bind, &xv);
-            bind.tape().mean_all(&bind.tape().mul(&y, &y))
-        });
-
-        let mut s2 = ParamStore::new();
-        let lin2 = model(&mut s2);
-        let mut o2 = AdamW::new(0.05);
-        train_step_accum(&mut s2, &mut o2, 10.0, None, 2, |bind, i| {
-            let xv = bind.tape().leaf(halves[i].clone());
-            let y = lin2.forward(bind, &xv);
-            bind.tape().mean_all(&bind.tape().mul(&y, &y))
-        });
-
-        for ((_, _, a), (_, _, b)) in s1.iter().zip(s2.iter()) {
-            assert!(a.max_abs_diff(b) < 1e-5);
-        }
     }
 
     #[test]

@@ -7,15 +7,10 @@
 //! the channel count at the cost of extra unit parameters — exactly the
 //! trade-off the paper's Fig. 9 sweeps.
 //!
-//! [`DistHierarchicalAggregator`] spans the tree across ranks: each rank
-//! reduces its local channel slice's level-1 groups, and every group token
-//! is AllGathered **nonblocking** the moment its unit finishes — so sibling
-//! subtree reductions proceed concurrently with the gathers of the groups
-//! already done. A replicated level-2 unit then reduces the `G·world`
-//! gathered tokens identically on every rank.
+//! The tree is single-device. D-CHAG (`dchag_core::dchag::DChagEncoder`)
+//! runs one [`HierarchicalAggregator`] per rank over that rank's channel
+//! slice, then gathers the one token each rank produced.
 
-use dchag_collectives::{CommRequest, Communicator};
-use dchag_tensor::ops;
 use dchag_tensor::prelude::*;
 
 use crate::aggregation::AggUnit;
@@ -144,121 +139,6 @@ impl HierarchicalAggregator {
     }
 }
 
-/// A cross-rank channel-aggregation tree: rank-local level-1 units over the
-/// local channel slice, pipelined token gathers, and a **replicated**
-/// level-2 unit over every rank's group tokens.
-///
-/// Construction must be SPMD-consistent: `rng` draws the shared level-2
-/// parameters (identically seeded on every rank), `local_rng` draws this
-/// rank's level-1 parameters (fork it per rank).
-pub struct DistHierarchicalAggregator {
-    /// Plan over the *local* channels (level-1 only; level 2 spans ranks).
-    pub plan: TreePlan,
-    level1: Vec<AggUnit>,
-    level2: AggUnit,
-    pub dim: usize,
-    pub world: usize,
-}
-
-impl DistHierarchicalAggregator {
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        store: &mut ParamStore,
-        rng: &mut Rng,
-        local_rng: &mut Rng,
-        name: &str,
-        local_channels: usize,
-        cfg: TreeConfig,
-        dim: usize,
-        heads: usize,
-        world: usize,
-    ) -> Self {
-        assert!(world > 0);
-        let plan = TreePlan::build(local_channels, cfg);
-        let level1: Vec<AggUnit> = plan
-            .level1
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| {
-                AggUnit::new(store, local_rng, &format!("{name}.l1.{i}"), cfg.unit, c, dim, heads)
-            })
-            .collect();
-        let level2 = AggUnit::new(
-            store,
-            rng,
-            &format!("{name}.l2"),
-            cfg.unit,
-            plan.level1.len() * world,
-            dim,
-            heads,
-        );
-        debug_assert!(
-            level1.iter().chain([&level2]).all(|u| u.kind() == cfg.unit),
-            "tree units must share the configured kind"
-        );
-        DistHierarchicalAggregator {
-            plan,
-            level1,
-            level2,
-            dim,
-            world,
-        }
-    }
-
-    /// Tokens the level-2 unit consumes (`G·world`).
-    pub fn gathered_tokens(&self) -> usize {
-        self.level2.in_channels()
-    }
-
-    /// `x_local: [N, C_local, D] -> [N, D]`, replicated across the group.
-    ///
-    /// Group `g`'s token gather is issued as soon as unit `g` finishes, so
-    /// its chunk pipeline runs underneath the forward of groups `g+1..`;
-    /// the waits land just before the level-2 reduction. Backward is pure
-    /// local slicing — no collectives (the D-CHAG invariant).
-    pub fn forward(&self, bind: &dyn Binder, comm: &Communicator, x_local: &Var) -> Var {
-        let tape = bind.tape();
-        assert_eq!(
-            comm.size(),
-            self.world,
-            "aggregator built for world {} but ran on group of {}",
-            self.world,
-            comm.size()
-        );
-        let (n, c, d) = (x_local.dims()[0], x_local.dims()[1], x_local.dims()[2]);
-        let total: usize = self.plan.level1.iter().sum();
-        assert_eq!(c, total, "local channel count does not match tree plan");
-        assert_eq!(d, self.dim);
-
-        // Sibling subtrees: compute group g, issue its token gather, move
-        // straight on to group g+1 while the gather pipelines.
-        let mut inflight: Vec<(usize, CommRequest)> = Vec::with_capacity(self.level1.len());
-        let mut start = 0;
-        for (unit, &size) in self.level1.iter().zip(&self.plan.level1) {
-            let part = tape.slice(x_local, 1, start, size);
-            let reduced = unit.forward(bind, &part); // [N, D]
-            let one = tape.reshape(&reduced, &[n, 1, d]);
-            inflight.push((one.id(), comm.iall_gather_cat(one.value(), 1)));
-            start += size;
-        }
-
-        let rank = comm.rank();
-        let gathered: Vec<Var> = inflight
-            .into_iter()
-            .map(|(one_id, req)| {
-                let g_val = req.wait(); // [N, world, D]
-                tape.custom(g_val, move |g, emit| {
-                    // backward: this rank's token slice — no communication
-                    emit(one_id, ops::slice(g, 1, rank, 1));
-                })
-            })
-            .collect();
-        let refs: Vec<&Var> = gathered.iter().collect();
-        let stacked = tape.concat(&refs, 1); // [N, G·world, D], group-major
-        self.level2.forward(bind, &stacked)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -346,120 +226,6 @@ mod tests {
             },
             2e-2,
         );
-    }
-
-    #[test]
-    fn dist_tree_output_replicated_and_shaped() {
-        use dchag_collectives::run_ranks;
-        for world in [1usize, 2, 4] {
-            let run = run_ranks(world, |ctx| {
-                let mut store = ParamStore::new();
-                let mut shared = Rng::new(77);
-                let mut local = shared.fork(ctx.comm.rank() as u64 + 1);
-                let agg = DistHierarchicalAggregator::new(
-                    &mut store,
-                    &mut shared,
-                    &mut local,
-                    "d",
-                    4,
-                    TreeConfig::tree(2, UnitKind::Linear),
-                    8,
-                    2,
-                    ctx.comm.size(),
-                );
-                assert_eq!(agg.gathered_tokens(), 2 * ctx.comm.size());
-                let tape = Tape::new();
-                let bind = LocalBinder::new(&tape, &store);
-                let mut drng = Rng::new(5); // same data on every rank
-                let x = tape.leaf(Tensor::randn([3, 4, 8], 1.0, &mut drng));
-                let y = agg.forward(&bind, &ctx.comm, &x);
-                assert_eq!(y.dims(), &[3, 8]);
-                assert!(y.value().all_finite());
-                // replicated: every rank must hold rank 0's value exactly
-                let reference = ctx.comm.broadcast(y.value(), 0);
-                y.value().max_abs_diff(&reference)
-            });
-            for d in run.outputs {
-                assert_eq!(d, 0.0, "world={world}: outputs must be replicated");
-            }
-        }
-    }
-
-    #[test]
-    fn dist_tree_backward_is_communication_free() {
-        use dchag_collectives::{run_ranks, CollOp};
-        let run = run_ranks(2, |ctx| {
-            let mut store = ParamStore::new();
-            let mut shared = Rng::new(9);
-            let mut local = shared.fork(ctx.comm.rank() as u64 + 1);
-            let agg = DistHierarchicalAggregator::new(
-                &mut store,
-                &mut shared,
-                &mut local,
-                "d",
-                6,
-                TreeConfig::tree(3, UnitKind::Linear),
-                4,
-                2,
-                2,
-            );
-            let tape = Tape::new();
-            let bind = LocalBinder::new(&tape, &store);
-            let mut drng = Rng::new(2);
-            let x = tape.leaf(Tensor::randn([2, 6, 4], 0.5, &mut drng));
-            let y = agg.forward(&bind, &ctx.comm, &x);
-            let loss = tape.sum_all(&tape.mul(&y, &y));
-            ctx.comm.barrier();
-            let before = ctx.comm.traffic().cursor();
-            let grads = tape.backward(&loss);
-            ctx.comm.barrier();
-            let comm_in_bwd = ctx
-                .comm
-                .traffic()
-                .since(before)
-                .iter()
-                .filter(|e| e.op != CollOp::Barrier)
-                .count();
-            (comm_in_bwd, grads.get(&x).is_some())
-        });
-        // rank 0's window is deterministic w.r.t. its own backward
-        assert_eq!(run.outputs[0].0, 0, "backward must not communicate");
-        for (_, has_grad) in run.outputs {
-            assert!(has_grad);
-        }
-    }
-
-    #[test]
-    fn dist_tree_gathers_once_per_sibling_group() {
-        use dchag_collectives::{run_ranks, CollOp};
-        let run = run_ranks(2, |ctx| {
-            let mut store = ParamStore::new();
-            let mut shared = Rng::new(11);
-            let mut local = shared.fork(ctx.comm.rank() as u64 + 1);
-            let agg = DistHierarchicalAggregator::new(
-                &mut store,
-                &mut shared,
-                &mut local,
-                "d",
-                8,
-                TreeConfig::tree(4, UnitKind::Linear),
-                4,
-                2,
-                2,
-            );
-            let tape = Tape::new();
-            let bind = LocalBinder::new(&tape, &store);
-            let x = tape.leaf(Tensor::zeros([1, 8, 4]));
-            let _ = agg.forward(&bind, &ctx.comm, &x);
-            ctx.comm.barrier();
-            (
-                ctx.comm.traffic().count(CollOp::AllGather),
-                ctx.comm.traffic().chunk_events().len(),
-            )
-        });
-        let (gathers, chunks) = run.outputs[0];
-        assert_eq!(gathers, 4, "one pipelined gather per level-1 group");
-        assert!(chunks >= 4, "each gather stamps at least one chunk");
     }
 
     #[test]

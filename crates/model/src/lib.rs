@@ -6,9 +6,10 @@
 //! special tokens, a ViT encoder, and the two evaluation task heads —
 //! masked-autoencoder pretraining and ClimaX-style weather forecasting.
 //!
-//! Everything here is single-device; the distributed decompositions live in
-//! `dchag-parallel` (TP / FSDP / DP) and `dchag-core` (D-CHAG itself) and
-//! are tested for equivalence against these modules.
+//! Everything here is single-device: the crate depends only on
+//! `dchag-tensor`. The distributed decompositions live in `dchag-parallel`
+//! (TP / FSDP / DP) and `dchag-core` (D-CHAG itself) and are tested for
+//! equivalence against these modules.
 
 pub mod aggregation;
 pub mod attention;
@@ -29,7 +30,7 @@ pub use climax::{latitude_rmse, ClimaxModel};
 pub use config::{ModelConfig, TreeConfig, UnitKind};
 pub use embeddings::{latitude_weights, ChannelEmbed, MetaToken, PosEmbed};
 pub use encoder::FmEncoder;
-pub use hierarchy::{DistHierarchicalAggregator, HierarchicalAggregator, TreePlan};
+pub use hierarchy::{HierarchicalAggregator, TreePlan};
 pub use layers::{LayerNorm, Linear, Mlp};
 pub use mae::{MaeModel, PatchMask};
 pub use optim::{clip_global_norm, AdamW};

@@ -74,7 +74,13 @@ pub fn issue_all_gather_cat(comm: &Communicator, x: &Var, axis: usize) -> Pendin
     }
 }
 
-/// Issue the AllGather behind [`all_gather_rs`] without waiting.
+/// Issue an AllGather along `axis` whose adjoint is a **reduce-scatter**:
+/// the gathered value feeds *rank-divergent* downstream computation (e.g.
+/// sequence-parallel keys/values consumed by every rank's local queries),
+/// so each rank's gradient contribution to every shard must be summed
+/// before slicing. Contrast with [`all_gather_cat`], whose slice adjoint is
+/// only correct when the downstream computation is replicated (D-CHAG's
+/// shared final aggregation).
 pub fn issue_all_gather_rs(comm: &Communicator, x: &Var, axis: usize) -> PendingGatherVar {
     PendingGatherVar {
         adjoint: GatherAdjoint::ReduceSlice,
@@ -116,54 +122,6 @@ pub fn tp_g(tape: &Tape, comm: &Communicator, x: &Var) -> Var {
 /// All ranks must contribute identical shapes.
 pub fn all_gather_cat(tape: &Tape, comm: &Communicator, x: &Var, axis: usize) -> Var {
     issue_all_gather_cat(comm, x, axis).wait(tape)
-}
-
-/// AllGather along `axis` whose adjoint is a **reduce-scatter**: the
-/// gathered value feeds *rank-divergent* downstream computation (e.g.
-/// sequence-parallel keys/values consumed by every rank's local queries),
-/// so each rank's gradient contribution to every shard must be summed
-/// before slicing. Contrast with [`all_gather_cat`], whose slice adjoint is
-/// only correct when the downstream computation is replicated (D-CHAG's
-/// shared final aggregation).
-pub fn all_gather_rs(tape: &Tape, comm: &Communicator, x: &Var, axis: usize) -> Var {
-    issue_all_gather_rs(comm, x, axis).wait(tape)
-}
-
-/// Identity forward, AllReduce-*mean* backward — used to average the loss
-/// gradient over data-parallel replicas when the loss itself is kept local.
-pub fn grad_mean(tape: &Tape, comm: &Communicator, x: &Var) -> Var {
-    let xid = x.id();
-    let comm = comm.clone();
-    tape.custom(x.value().clone(), move |g, emit| {
-        emit(xid, comm.all_reduce_mean(g));
-    })
-}
-
-/// Split a replicated tensor and keep only this rank's chunk along `axis`
-/// (the "scatter" that needs no communication because inputs are
-/// replicated). Backward zero-pads — also communication-free; pair with a
-/// final [`tp_g`]/AllReduce where required by the algebra.
-pub fn local_chunk(tape: &Tape, comm: &Communicator, x: &Var, axis: usize) -> Var {
-    let n = comm.size();
-    let total = x.dims()[axis];
-    assert!(total.is_multiple_of(n), "axis {axis} size {total} not divisible by {n}");
-    let chunk = total / n;
-    tape.slice(x, axis, comm.rank() * chunk, chunk)
-}
-
-/// Convenience assertion helper: run `f` and return how many collectives it
-/// recorded (used by tests and by the D-CHAG no-backward-comm proof).
-pub fn collectives_during<R>(comm: &Communicator, f: impl FnOnce() -> R) -> (R, usize) {
-    let before = comm.traffic().cursor();
-    let out = f();
-    comm.barrier(); // make sure peers' records landed
-    let events = comm
-        .traffic()
-        .since(before)
-        .into_iter()
-        .filter(|e| e.op != dchag_collectives::CollOp::Barrier)
-        .count();
-    (out, events)
 }
 
 #[cfg(test)]
@@ -231,35 +189,6 @@ mod tests {
         assert_eq!(run.outputs[1].0, vec![4.0, 4.0]);
         assert_eq!(run.outputs[0].1, 0, "backward must not communicate");
         assert_eq!(run.outputs[1].1, 0);
-    }
-
-    #[test]
-    fn local_chunk_takes_rank_slice() {
-        let run = run_ranks(2, |ctx| {
-            let tape = Tape::new();
-            let x = tape.leaf(Tensor::arange(6).reshape(&[6]));
-            local_chunk(&tape, &ctx.comm, &x, 0).value().to_vec()
-        });
-        assert_eq!(run.outputs[0], vec![0.0, 1.0, 2.0]);
-        assert_eq!(run.outputs[1], vec![3.0, 4.0, 5.0]);
-    }
-
-    #[test]
-    fn grad_mean_averages_replica_gradients() {
-        let run = run_ranks(2, |ctx| {
-            let tape = Tape::new();
-            let x = tape.leaf(Tensor::ones([2]));
-            let xm = grad_mean(&tape, &ctx.comm, &x);
-            // per-replica loss scale differs
-            let y = tape.scale(&xm, (ctx.comm.rank() as f32 + 1.0) * 2.0);
-            let s = tape.sum_all(&y);
-            let grads = tape.backward(&s);
-            grads.get(&x).unwrap().to_vec()
-        });
-        // mean(2, 4) = 3 on both
-        for g in run.outputs {
-            assert_eq!(g, vec![3.0, 3.0]);
-        }
     }
 
     #[test]

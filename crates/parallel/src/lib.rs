@@ -25,7 +25,7 @@ pub mod groups;
 pub mod sp;
 pub mod tp;
 
-pub use comm_ops::{all_gather_cat, grad_mean, local_chunk, tp_f, tp_g};
+pub use comm_ops::{all_gather_cat, tp_f, tp_g};
 pub use dist_token::{partition_channels, DistTokenizer};
 pub use dp::{measured_alpha_beta, DataParallel};
 pub use fsdp::{FsdpBinder, FsdpParams};

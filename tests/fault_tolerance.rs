@@ -3,7 +3,7 @@
 //! The matrix kills one rank at every protocol point (before deposit,
 //! mid-chunk-claim, inside wait) under every communication workload
 //! (DP gradient sync, FSDP gather/reduce-scatter, sequence-parallel
-//! gather, the D-CHAG hierarchical aggregator) at world sizes 2 and 4,
+//! gather, the D-CHAG encoder's embedding) at world sizes 2 and 4,
 //! and asserts the survivors (a) detect a *typed* cause within a bound,
 //! (b) regroup to a working `world - 1` communicator, and (c) can run
 //! fresh collectives on it. The bitwise test then proves the full
@@ -21,7 +21,8 @@ use dchag_collectives::{
     FaultPoint, RankCtx,
 };
 use dchag_core::{resilient_train_loop, train_step, ResilienceConfig, RestorePoint};
-use dchag_model::{AdamW, DistHierarchicalAggregator, Linear, TreeConfig, UnitKind};
+use dchag_model::encoder::EncoderBackbone;
+use dchag_model::{AdamW, Linear};
 use dchag_parallel::{gather_sequence, scatter_sequence, DataParallel, FsdpBinder, FsdpParams};
 
 /// Generous upper bound on failure detection: the engine parks with a
@@ -82,27 +83,29 @@ fn wl_sp(ctx: &RankCtx) {
     ctx.comm.barrier();
 }
 
-fn wl_hierarchy(ctx: &RankCtx) {
+/// The D-CHAG embedding as shipped: per-rank tokenizer and partial tree,
+/// the one-token AllGather, and the TP-sharded shared cross-attention,
+/// forward and backward.
+fn wl_dchag(ctx: &RankCtx) {
     let mut store = ParamStore::new();
-    let mut shared = Rng::new(77);
-    let mut local = shared.fork(ctx.comm.rank() as u64 + 1);
-    let agg = DistHierarchicalAggregator::new(
+    let mut rng = Rng::new(77);
+    let cfg = ModelConfig::tiny(8);
+    let enc = DChagEncoder::new(
         &mut store,
-        &mut shared,
-        &mut local,
-        "d",
-        4,
+        &mut rng,
+        &cfg,
+        7,
         TreeConfig::tree(2, UnitKind::Linear),
-        8,
-        2,
-        ctx.comm.size(),
+        &ctx.comm,
     );
-    let tape = Tape::new();
-    let bind = LocalBinder::new(&tape, &store);
     let mut drng = Rng::new(5);
     for _ in 0..2 {
-        let x = tape.leaf(Tensor::randn([2, 4, 8], 1.0, &mut drng));
-        let _ = agg.forward(&bind, &ctx.comm, &x);
+        let tape = Tape::new();
+        let bind = LocalBinder::new(&tape, &store);
+        let imgs = Tensor::randn([1, 8, 16, 16], 1.0, &mut drng);
+        let x = enc.embed(&bind, &imgs);
+        let loss = tape.sum_all(&tape.mul(&x, &x));
+        let _ = tape.backward(&loss);
     }
     ctx.comm.barrier();
 }
@@ -183,8 +186,8 @@ fn fault_matrix_sequence_parallel_gather() {
 }
 
 #[test]
-fn fault_matrix_hierarchical_aggregator() {
-    run_matrix(wl_hierarchy);
+fn fault_matrix_dchag_encoder() {
+    run_matrix(wl_dchag);
 }
 
 // ---------------------------------------------------------------------------

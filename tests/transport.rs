@@ -19,8 +19,8 @@ use std::time::Duration;
 use dchag::prelude::*;
 use dchag_collectives::{
     comm_error_of, run_ranks, run_tcp_ranks, run_tcp_ranks_faulty, run_transport_ranks, CollOp,
-    CommError, CommPrecision, Communicator, RankCtx, TcpConfig, Transport, TransportFault,
-    TransportFaultPlan,
+    CommError, CommPrecision, Communicator, FailureSource, FaultCause, RankCtx, TcpConfig,
+    Transport, TransportFault, TransportFaultPlan,
 };
 use dchag_core::{
     resilient_train_loop, train_step, train_step_fsdp, ResilienceConfig, RestorePoint, TrainConfig,
@@ -209,7 +209,10 @@ fn tcp_gone_dark_peer_is_peerfailed_for_survivors_timeout_for_itself() {
     for r in [0usize, 1] {
         let faults = run.traffic[r].fault_events();
         assert!(
-            faults.iter().any(|f| f.cause.contains("transport") && f.cause.contains("rank 2")),
+            faults.iter().any(|f| matches!(
+                f.cause,
+                FaultCause::Declared { rank: 2, source: FailureSource::Transport { .. }, .. }
+            )),
             "rank {r} fault log: {faults:?}"
         );
     }
