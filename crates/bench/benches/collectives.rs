@@ -12,7 +12,7 @@
 //! The `emit_collectives_json` target refreshes the `collectives` section
 //! of `BENCH_kernels.json` (section-wise splice; the `kernels` bench owns
 //! the other sections) with blocking/pipelined wall clocks, the measured
-//! overlap fraction, wire bytes, and the DP/FSDP bitwise-parity verdicts.
+//! overlap fraction, wire bytes, and the FSDP-vs-DP bitwise-parity verdict.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -20,7 +20,7 @@ use std::hint::black_box;
 use dchag_bench::bench_json::update_sections;
 use dchag_collectives::{run_ranks, RankCtx};
 use dchag_model::AdamW;
-use dchag_parallel::dp::{DataParallel, DdpBinder};
+use dchag_parallel::dp::DataParallel;
 use dchag_parallel::fsdp::{FsdpBinder, FsdpParams};
 use dchag_perf::comm::overlap_fraction;
 use dchag_tensor::prelude::*;
@@ -184,90 +184,6 @@ fn bench_overlap(c: &mut Criterion) {
     g.finish();
 }
 
-// ----- DP bucketed backward --------------------------------------------------
-
-const DP_DIM: usize = 96;
-const DP_LAYERS: usize = 8;
-const DP_BUCKET: usize = 16 * 1024;
-
-fn dp_model(store: &mut ParamStore) -> Vec<(ParamId, ParamId)> {
-    let mut rng = Rng::new(17);
-    (0..DP_LAYERS)
-        .map(|i| {
-            (
-                store.add(format!("w{i}"), Tensor::randn([DP_DIM, DP_DIM], 0.3, &mut rng)),
-                store.add(format!("b{i}"), Tensor::randn([DP_DIM], 0.3, &mut rng)),
-            )
-        })
-        .collect()
-}
-
-fn dp_forward(bind: &dyn Binder, tape: &Tape, layers: &[(ParamId, ParamId)], x: Tensor) -> Var {
-    let mut h = tape.leaf(x);
-    for &(w, b) in layers {
-        h = tape.add_bias_gelu(&tape.matmul(&h, &bind.bind(w)), &bind.bind(b));
-    }
-    tape.mean_all(&tape.mul(&h, &h))
-}
-
-/// Ragged per-rank microbatch: rank r trains on `8·(1+r)` rows — the
-/// heterogeneity that makes end-of-backward rendezvous expensive.
-fn dp_batch(rank: usize) -> Tensor {
-    let mut rng = Rng::new(900 + rank as u64);
-    Tensor::randn([8 * (1 + rank), DP_DIM], 1.0, &mut rng)
-}
-
-/// One DP training backward at `world` ranks; mode 0 = compute only (no
-/// sync), 1 = blocking bucketed sync after backward, 2 = DdpBinder
-/// (buckets issued during backward). Returns wall ns.
-fn dp_backward_rounds(world: usize, mode: u8) -> f64 {
-    let t0 = std::time::Instant::now();
-    let run = run_ranks(world, |ctx| {
-        let mut store = ParamStore::new();
-        let layers = dp_model(&mut store);
-        let mut sink = 0.0f32;
-        for _ in 0..3 {
-            match mode {
-                2 => {
-                    let tape = Tape::new();
-                    let ddp = DdpBinder::with_bucket(&tape, &store, &ctx.comm, DP_BUCKET);
-                    let loss = dp_forward(&ddp, &tape, &layers, dp_batch(ctx.comm.rank()));
-                    let _ = tape.backward(&loss);
-                    let grads = ddp.finish();
-                    sink += grads[0].as_ref().unwrap().at(0);
-                }
-                m => {
-                    let tape = Tape::new();
-                    let bind = LocalBinder::new(&tape, &store);
-                    let loss = dp_forward(&bind, &tape, &layers, dp_batch(ctx.comm.rank()));
-                    let grads = tape.backward(&loss);
-                    let mut pg = bind.grads(&grads);
-                    if m == 1 {
-                        DataParallel::new(ctx.comm.clone()).sync_grads(&mut pg);
-                    }
-                    sink += pg[0].as_ref().unwrap().at(0);
-                }
-            }
-        }
-        black_box(sink)
-    });
-    black_box(run.outputs);
-    t0.elapsed().as_secs_f64() * 1e9
-}
-
-fn bench_dp_bucketed_backward(c: &mut Criterion) {
-    let mut g = c.benchmark_group("dp_bucketed_backward");
-    for &world in &[2usize, 4] {
-        g.bench_with_input(BenchmarkId::new("blocking", world), &world, |b, &w| {
-            b.iter(|| black_box(dp_backward_rounds(w, 1)))
-        });
-        g.bench_with_input(BenchmarkId::new("overlapped", world), &world, |b, &w| {
-            b.iter(|| black_box(dp_backward_rounds(w, 2)))
-        });
-    }
-    g.finish();
-}
-
 // ----- fault tolerance -------------------------------------------------------
 
 use dchag_collectives::{run_ranks_faulty, Communicator, FaultPlan, FaultPoint};
@@ -388,55 +304,47 @@ fn emitter_enabled(name: &str) -> bool {
     filter.is_none_or(|f| name.contains(&f))
 }
 
-/// DP: overlapped DdpBinder grads must equal blocking sync bitwise.
-fn dp_parity(world: usize) -> bool {
+/// FSDP: a unit-sharded step with the loss pre-scaled by 1/world must
+/// reproduce the DP step's (`sync_grads` after backward) post-step
+/// parameters bitwise (the check `tests/overlap.rs` makes at 2 and 4
+/// ranks: a power-of-two rescale of the same rank-order sums, and AdamW is
+/// elementwise on either layout). The model is eight 96-wide GELU layers;
+/// rank r trains on `8·(1+r)` rows.
+fn fsdp_parity(world: usize) -> bool {
+    const DIM: usize = 96;
     let run = run_ranks(world, |ctx| {
+        let mut rng = Rng::new(17);
         let mut store = ParamStore::new();
-        let layers = dp_model(&mut store);
-        let x = dp_batch(ctx.comm.rank() % 2); // shapes must match across paths
+        let layers: Vec<(ParamId, ParamId)> = (0..8)
+            .map(|i| {
+                (
+                    store.add(format!("w{i}"), Tensor::randn([DIM, DIM], 0.3, &mut rng)),
+                    store.add(format!("b{i}"), Tensor::randn([DIM], 0.3, &mut rng)),
+                )
+            })
+            .collect();
+        let mut fsdp = FsdpParams::from_store(&store, &ctx.comm);
+        let rank = ctx.comm.rank();
+        let x = Tensor::randn([8 * (1 + rank), DIM], 1.0, &mut Rng::new(900 + rank as u64));
+        let forward = |bind: &dyn Binder, tape: &Tape| {
+            let mut h = tape.leaf(x.clone());
+            for &(w, b) in &layers {
+                h = tape.add_bias_gelu(&tape.matmul(&h, &bind.bind(w)), &bind.bind(b));
+            }
+            tape.mean_all(&tape.mul(&h, &h))
+        };
 
         let tape = Tape::new();
         let bind = LocalBinder::new(&tape, &store);
-        let loss = dp_forward(&bind, &tape, &layers, x.clone());
+        let loss = forward(&bind, &tape);
         let grads = tape.backward(&loss);
-        let mut blocking = bind.grads(&grads);
-        DataParallel::new(ctx.comm.clone()).sync_grads(&mut blocking);
-
-        let tape = Tape::new();
-        let ddp = DdpBinder::with_bucket(&tape, &store, &ctx.comm, DP_BUCKET);
-        let loss = dp_forward(&ddp, &tape, &layers, x);
-        let _ = tape.backward(&loss);
-        let overlapped = ddp.finish();
-
-        blocking
-            .iter()
-            .zip(&overlapped)
-            .all(|(a, b)| a.as_ref().map(Tensor::to_vec) == b.as_ref().map(Tensor::to_vec))
-    });
-    run.outputs.into_iter().all(|ok| ok)
-}
-
-/// FSDP: a unit-sharded step with the loss pre-scaled by 1/world must
-/// reproduce the overlapped DP step's post-step parameters bitwise (the
-/// check `tests/overlap.rs` makes at 2 and 4 ranks: a power-of-two rescale
-/// of the same rank-order sums, and AdamW is elementwise on either layout).
-fn fsdp_parity(world: usize) -> bool {
-    let run = run_ranks(world, |ctx| {
-        let x = dp_batch(ctx.comm.rank());
-        let mut store = ParamStore::new();
-        let layers = dp_model(&mut store);
-        let mut fsdp = FsdpParams::from_store(&store, &ctx.comm);
-
-        let tape = Tape::new();
-        let ddp = DdpBinder::with_bucket(&tape, &store, &ctx.comm, DP_BUCKET);
-        let loss = dp_forward(&ddp, &tape, &layers, x.clone());
-        let _ = tape.backward(&loss);
-        let dp_grads = ddp.finish();
+        let mut dp_grads = bind.grads(&grads);
+        DataParallel::new(ctx.comm.clone()).sync_grads(&mut dp_grads);
         AdamW::new(0.01).step(&mut store, &dp_grads);
 
         let tape = Tape::new();
         let bind = FsdpBinder::new(&tape, &fsdp);
-        let loss = dp_forward(&bind, &tape, &layers, x);
+        let loss = forward(&bind, &tape);
         let loss = tape.scale(&loss, 1.0 / ctx.comm.size() as f32);
         let _ = tape.backward(&loss);
         let fsdp_grads = bind.sharded_grads();
@@ -492,10 +400,11 @@ fn emit_collectives_json(_c: &mut Criterion) {
     let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let single_core = threads == 1;
     lines.push(
-        "\"note\": \"Blocking vs pipelined chunked collectives and bucketed DP backward; \
-         read overlap_fraction next to threads (single_core=true: the pipeline can only remove \
-         rendezvous stalls, so ~0 overlap is expected, not a regression). measured_alpha_beta \
-         is fitted from this run's TrafficLog chunk timestamps.\""
+        "\"note\": \"Blocking vs pipelined chunked collectives; read overlap_fraction next to \
+         threads (single_core=true: the pipeline can only remove rendezvous stalls, so ~0 \
+         overlap is expected, not a regression). measured_alpha_beta is fitted from this run's \
+         TrafficLog chunk timestamps. fsdp_parity_bitwise: a unit-sharded FSDP step equals the \
+         DP step (sync_grads after backward) bitwise.\""
             .to_string(),
     );
 
@@ -525,21 +434,11 @@ fn emit_collectives_json(_c: &mut Criterion) {
         ));
     }
 
-    for &world in &[2usize, 4] {
-        let compute_only = median_run(|| dp_backward_rounds(world, 0), quick);
-        let blocking = median_run(|| dp_backward_rounds(world, 1), quick);
-        let overlapped = median_run(|| dp_backward_rounds(world, 2), quick);
-        let comm = (blocking - compute_only).max(1.0);
-        let frac = overlap_fraction(blocking, overlapped, comm);
-        let dp_ok = dp_parity(world);
-        let fsdp_ok = fsdp_parity(world);
-        lines.push(format!(
-            "\"dp_bucketed_backward_w{world}\": {{ \"blocking_ns\": {blocking:.0}, \"overlapped_ns\": {overlapped:.0}, \
-             \"compute_ns\": {compute_only:.0}, \"overlap_fraction\": {frac:.2}, \
-             \"threads\": {threads}, \"single_core\": {single_core}, \
-             \"dp_parity_bitwise\": {dp_ok}, \"fsdp_parity_bitwise\": {fsdp_ok} }}"
-        ));
-    }
+    lines.push(format!(
+        "\"fsdp_parity_bitwise\": {{ \"w2\": {}, \"w4\": {} }}",
+        fsdp_parity(2),
+        fsdp_parity(4)
+    ));
 
     // Topology-measured α-β: fit the running host's fabric from this
     // run's own chunk timestamps (varying payloads give the slope its
@@ -911,7 +810,7 @@ criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
     targets = bench_allreduce, bench_allgather_payload, bench_split, bench_overlap,
-              bench_dp_bucketed_backward, bench_fault_tolerance, bench_transport,
+              bench_fault_tolerance, bench_transport,
               bench_checkpoint, emit_collectives_json, emit_fault_tolerance_json,
               emit_transport_json, emit_checkpoint_json
 }

@@ -1,26 +1,14 @@
 //! Data parallelism: replicated parameters, per-rank batch shards, and
-//! bucketed gradient AllReduce.
+//! one gradient AllReduce per step.
 //!
-//! Two synchronization paths:
-//!
-//! * [`DataParallel::sync_grads`] — the classic post-backward path: one
-//!   blocking bucketed AllReduce after `tape.backward` returns (paper §2.2:
-//!   "lightweight communication via AllReduce occurs at the end of the
-//!   backward pass").
-//! * [`DdpBinder`] — the overlapped path: parameters bind through terminal
-//!   tape nodes whose adjoints capture the finalized gradient *during* the
-//!   backward pass. Gradients accumulate into buckets in readiness order
-//!   (reverse-topological, identical on every rank), and each bucket's
-//!   nonblocking `iall_reduce_sum` is issued the moment the bucket fills —
-//!   so the reduction of late-layer gradients pipelines under the
-//!   computation of early-layer gradients. [`DdpBinder::finish`] waits the
-//!   in-flight buckets and returns averaged per-parameter gradients that
-//!   are **bitwise identical** to the blocking path's.
+//! [`DataParallel::sync_grads`] runs after `tape.backward` returns: one
+//! blocking AllReduce over the parameter-order concatenation of every
+//! gradient (paper §2.2: "lightweight communication via AllReduce occurs
+//! at the end of the backward pass"). It is the only DP gradient path;
+//! sequence parallelism reduces its replicated gradients through the same
+//! `all_reduce_flat`.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
-use dchag_collectives::{CommRequest, Communicator};
+use dchag_collectives::Communicator;
 use dchag_tensor::ops;
 use dchag_tensor::prelude::*;
 
@@ -82,15 +70,6 @@ pub(crate) fn all_reduce_flat(comm: &Communicator, grads: &mut [Option<Tensor>],
     }
 }
 
-/// Bucket size of the overlapped gradient sync: 1 MiB of f32 — 16
-/// pipeline chunks per bucket, small enough that several buckets are in
-/// flight over a transformer backward. [`DdpBinder::new`] uses it;
-/// [`DdpBinder::with_bucket`] pins another size. It also sizes FSDP's flat
-/// units ([`crate::fsdp`]): a unit closes once it holds this many
-/// elements. Neither size ever changes the result: every element is summed
-/// in rank order whichever bucket or unit carries it.
-pub const DDP_BUCKET_ELEMS: usize = 256 * 1024;
-
 /// α and bandwidth of the **running host's** comm fabric, fit from the
 /// chunk timestamps a [`dchag_collectives::TrafficLog`] already records.
 ///
@@ -102,7 +81,7 @@ pub const DDP_BUCKET_ELEMS: usize = 256 * 1024;
 /// per-collective launch/claim overhead (the same quantity
 /// `MachineSpec::alpha_*` models) and the slope as sustained wire
 /// bandwidth. The first few collectives of a run suffice, provided their
-/// payloads vary — DDP's ragged tail bucket supplies that naturally.
+/// payloads vary in size.
 /// `None` until the log holds an identifiable sample set (≥ 4 rounds of
 /// ≥ 2 distinct sizes). A measurement only: nothing sizes collectives
 /// from it.
@@ -142,151 +121,6 @@ pub fn measured_alpha_beta(log: &dchag_collectives::TrafficLog) -> Option<(f64, 
         .map(|&(bytes, ready, done)| (bytes, (done - ready).max(0.0) * 1e-6))
         .collect();
     dchag_perf::comm::estimate_alpha_beta(&samples)
-}
-
-struct InflightBucket {
-    /// `(param index, dims)` in flatten order.
-    params: Vec<(usize, Vec<usize>)>,
-    req: CommRequest,
-}
-
-#[derive(Default)]
-struct DdpState {
-    /// Finalized-but-unissued gradients, in readiness order.
-    pending: Vec<(usize, Tensor)>,
-    pending_elems: usize,
-    inflight: Vec<InflightBucket>,
-}
-
-impl DdpState {
-    fn flush(&mut self, comm: &Communicator) {
-        if self.pending.is_empty() {
-            return;
-        }
-        let total = self.pending_elems;
-        let mut flat = Vec::with_capacity(total);
-        let mut params = Vec::with_capacity(self.pending.len());
-        for (idx, g) in self.pending.drain(..) {
-            flat.extend_from_slice(g.data());
-            params.push((idx, g.dims().to_vec()));
-        }
-        self.pending_elems = 0;
-        let req = comm.iall_reduce_sum(&Tensor::from_vec(flat, [total]));
-        self.inflight.push(InflightBucket { params, req });
-    }
-}
-
-/// Overlapped data-parallel binder: replicated parameters whose gradient
-/// AllReduce is issued bucket-by-bucket *during* the backward pass.
-///
-/// Usage mirrors [`LocalBinder`]: bind parameters during the forward pass,
-/// run `tape.backward`, then call [`finish`](DdpBinder::finish) instead of
-/// `LocalBinder::grads` + [`DataParallel::sync_grads`]. Every rank must use
-/// the same binder kind and bucket size (the SPMD invariant that keeps the
-/// nonblocking issue order aligned).
-///
-/// The bucket all-reduce inherits the communicator's wire precision:
-/// construct the binder with
-/// `comm.with_precision(CommPrecision::Bf16)` to move gradient buckets
-/// over the half-width bf16 wire (explicit opt-in; reduction still
-/// accumulates in f32 and stays bitwise deterministic — see
-/// [`dchag_collectives::CommPrecision`]).
-pub struct DdpBinder<'a> {
-    tape: &'a Tape,
-    store: &'a ParamStore,
-    comm: Communicator,
-    bucket_elems: usize,
-    bound: RefCell<Vec<Option<Var>>>,
-    state: Rc<RefCell<DdpState>>,
-}
-
-impl<'a> DdpBinder<'a> {
-    /// Binder with [`DDP_BUCKET_ELEMS`]-sized buckets. Use
-    /// [`with_bucket`](DdpBinder::with_bucket) to pin another size.
-    pub fn new(tape: &'a Tape, store: &'a ParamStore, comm: &Communicator) -> Self {
-        Self::with_bucket(tape, store, comm, DDP_BUCKET_ELEMS)
-    }
-
-    /// Explicit bucket size in f32 elements (must match across ranks).
-    pub fn with_bucket(
-        tape: &'a Tape,
-        store: &'a ParamStore,
-        comm: &Communicator,
-        bucket_elems: usize,
-    ) -> Self {
-        DdpBinder {
-            tape,
-            store,
-            comm: comm.clone(),
-            bucket_elems: bucket_elems.max(1),
-            bound: RefCell::new(vec![None; store.len()]),
-            state: Rc::new(RefCell::new(DdpState::default())),
-        }
-    }
-
-    /// Wait for all in-flight buckets and return the **averaged** gradient
-    /// per parameter (None for parameters that received no gradient), in
-    /// store order — a drop-in replacement for `LocalBinder::grads` +
-    /// [`DataParallel::sync_grads`], bitwise identical to that path.
-    ///
-    /// Call after `tape.backward`.
-    pub fn finish(&self) -> Vec<Option<Tensor>> {
-        let mut st = self.state.borrow_mut();
-        let mut out: Vec<Option<Tensor>> = vec![None; self.store.len()];
-        if self.comm.size() == 1 {
-            for (idx, g) in st.pending.drain(..) {
-                out[idx] = Some(g);
-            }
-            st.pending_elems = 0;
-            return out;
-        }
-        st.flush(&self.comm);
-        let inv = 1.0 / self.comm.size() as f32;
-        for bucket in st.inflight.drain(..) {
-            let reduced = bucket.req.wait();
-            let data = reduced.data();
-            let mut off = 0;
-            for (idx, dims) in bucket.params {
-                let n: usize = dims.iter().product();
-                // Same rounding as the blocking path: rank-order chunk sums
-                // (inside the engine) then `inv * x` per element.
-                let avg: Vec<f32> = data[off..off + n].iter().map(|&x| inv * x).collect();
-                out[idx] = Some(Tensor::from_vec(avg, Shape::new(&dims)));
-                off += n;
-            }
-        }
-        out
-    }
-}
-
-impl Binder for DdpBinder<'_> {
-    fn tape(&self) -> &Tape {
-        self.tape
-    }
-
-    fn bind(&self, id: ParamId) -> Var {
-        let i = id.index();
-        if let Some(v) = &self.bound.borrow()[i] {
-            return v.clone();
-        }
-        let state = self.state.clone();
-        let comm = self.comm.clone();
-        let bucket_elems = self.bucket_elems;
-        let multi = self.comm.size() > 1;
-        let v = self.tape.custom(self.store.get(id).clone(), move |g, emit| {
-            // Gradient terminates here (the parameter is a root); stash it
-            // and issue the bucket's collective as soon as it fills.
-            let _ = &emit;
-            let mut st = state.borrow_mut();
-            st.pending.push((i, g.clone()));
-            st.pending_elems += g.numel();
-            if multi && st.pending_elems >= bucket_elems {
-                st.flush(&comm);
-            }
-        });
-        self.bound.borrow_mut()[i] = Some(v.clone());
-        v
-    }
 }
 
 #[cfg(test)]
@@ -475,18 +309,9 @@ mod tests {
         assert_eq!(run.outputs[0], 0);
     }
 
-    /// One rank-seeded forward/backward; returns (blocking grads, overlapped
-    /// grads) for comparison.
-    fn ddp_step(ctx: &dchag_collectives::RankCtx, bucket: usize) -> (Vec<Vec<f32>>, Vec<Vec<f32>>) {
-        ddp_step_on(ctx, &ctx.comm, bucket)
-    }
-
-    /// [`ddp_step`] on an explicit communicator (e.g. a bf16-wire handle).
-    fn ddp_step_on(
-        ctx: &dchag_collectives::RankCtx,
-        comm: &Communicator,
-        bucket: usize,
-    ) -> (Vec<Vec<f32>>, Vec<Vec<f32>>) {
+    /// One rank-seeded forward/backward whose gradients are averaged by
+    /// [`DataParallel::sync_grads`] over `comm` (e.g. a bf16-wire handle).
+    fn synced_grads(ctx: &dchag_collectives::RankCtx, comm: &Communicator) -> Vec<Vec<f32>> {
         let mut store = ParamStore::new();
         let mut rng = Rng::new(7);
         let w = store.add("w", Tensor::randn([4, 8], 0.5, &mut rng));
@@ -495,43 +320,16 @@ mod tests {
         let mut drng = Rng::new(100 + ctx.comm.rank() as u64);
         let x = Tensor::randn([3, 4], 1.0, &mut drng);
 
-        let forward = |bind: &dyn Binder, tape: &Tape| {
-            let xv = tape.leaf(x.clone());
-            let h = tape.add_bias_gelu(&tape.matmul(&xv, &bind.bind(w)), &bind.bind(b));
-            let y = tape.matmul(&h, &bind.bind(w2));
-            tape.mean_all(&tape.mul(&y, &y))
-        };
-
-        // Blocking reference: local grads + one bucketed sync.
         let tape = Tape::new();
-        let local = LocalBinder::new(&tape, &store);
-        let loss = forward(&local, &tape);
+        let bind = LocalBinder::new(&tape, &store);
+        let xv = tape.leaf(x);
+        let h = tape.add_bias_gelu(&tape.matmul(&xv, &bind.bind(w)), &bind.bind(b));
+        let y = tape.matmul(&h, &bind.bind(w2));
+        let loss = tape.mean_all(&tape.mul(&y, &y));
         let grads = tape.backward(&loss);
-        let mut blocking = local.grads(&grads);
-        DataParallel::new(comm.clone()).sync_grads(&mut blocking);
-
-        // Overlapped path: buckets issued during backward.
-        let tape = Tape::new();
-        let ddp = DdpBinder::with_bucket(&tape, &store, comm, bucket);
-        let loss = forward(&ddp, &tape);
-        let _ = tape.backward(&loss);
-        let overlapped = ddp.finish();
-
-        let flat = |v: Vec<Option<Tensor>>| -> Vec<Vec<f32>> {
-            v.into_iter().map(|g| g.unwrap().to_vec()).collect()
-        };
-        (flat(blocking), flat(overlapped))
-    }
-
-    #[test]
-    fn ddp_binder_matches_blocking_sync_bitwise() {
-        for world in [1usize, 2, 4] {
-            // bucket of 8 elements forces several in-flight buckets
-            let run = run_ranks(world, |ctx| ddp_step(&ctx, 8));
-            for (blocking, overlapped) in run.outputs {
-                assert_eq!(blocking, overlapped, "world={world}");
-            }
-        }
+        let mut synced = bind.grads(&grads);
+        DataParallel::new(comm.clone()).sync_grads(&mut synced);
+        synced.into_iter().map(|g| g.unwrap().to_vec()).collect()
     }
 
     #[test]
@@ -540,23 +338,25 @@ mod tests {
         for world in [1usize, 2, 4] {
             let run = run_ranks(world, |ctx| {
                 let bf = ctx.comm.with_precision(CommPrecision::Bf16);
-                let (blocking_bf, overlapped_bf) = ddp_step_on(&ctx, &bf, 8);
-                let (reference_f32, _) = ddp_step_on(&ctx, &ctx.comm, 8);
-                (blocking_bf, overlapped_bf, reference_f32)
+                (synced_grads(&ctx, &bf), synced_grads(&ctx, &ctx.comm))
             });
             let first = run.outputs[0].0.clone();
-            for (blocking, overlapped, reference) in &run.outputs {
-                // The overlapped path stays bitwise identical to the
-                // blocking path *on the bf16 wire too* (same rank-order
-                // f32 accumulation of the same rounded contributions), and
-                // every rank sees the same averaged gradients.
-                assert_eq!(blocking, overlapped, "world={world}");
-                assert_eq!(blocking, &first, "rank-identical, world={world}");
+            for (bf16, reference) in &run.outputs {
+                // Every rank sees the same averaged gradients on the bf16
+                // wire (same rank-order f32 accumulation of the same
+                // rounded contributions).
+                assert_eq!(bf16, &first, "rank-identical, world={world}");
+                if world > 1 {
+                    assert_ne!(
+                        bf16, reference,
+                        "world={world}: the bf16 wire rounded nothing"
+                    );
+                }
                 // And the half-width wire stays near the f32 result: each
                 // contribution rounds by ≤ |x|·2⁻⁹ on send, so the relative
                 // L2 drift of the averaged gradient is well under 2⁻⁶.
                 let (mut num, mut den) = (0f64, 0f64);
-                for (gb, gf) in blocking.iter().zip(reference) {
+                for (gb, gf) in bf16.iter().zip(reference) {
                     for (&a, &b) in gb.iter().zip(gf) {
                         num += ((a - b) as f64).powi(2);
                         den += (b as f64).powi(2);
@@ -565,69 +365,6 @@ mod tests {
                 let rel = (num.sqrt()) / (den.sqrt() + 1e-12);
                 assert!(rel < 1.0 / 64.0, "world={world}: rel l2 drift {rel}");
             }
-        }
-    }
-
-    #[test]
-    fn ddp_bf16_wire_halves_bytes_on_wire() {
-        use dchag_collectives::CommPrecision;
-        let bytes_for = |precision: CommPrecision| -> usize {
-            let run = run_ranks(2, move |ctx| {
-                let comm = ctx.comm.with_precision(precision);
-                let mut store = ParamStore::new();
-                let mut rng = Rng::new(11);
-                let w = store.add("w", Tensor::randn([32, 8], 0.5, &mut rng));
-                let tape = Tape::new();
-                let ddp = DdpBinder::with_bucket(&tape, &store, &comm, 64);
-                let loss = tape.sum_all(&ddp.bind(w));
-                let _ = tape.backward(&loss);
-                let _ = ddp.finish();
-                ctx.comm.barrier(); // all chunk events have landed
-                ctx.comm.traffic().bytes_on_wire()
-            });
-            run.outputs[0]
-        };
-        let full = bytes_for(CommPrecision::F32);
-        let half = bytes_for(CommPrecision::Bf16);
-        assert!(full > 0, "the f32 run moved bytes");
-        assert_eq!(half * 2, full, "bf16 wire moves exactly half the bytes");
-    }
-
-    #[test]
-    fn ddp_buckets_are_issued_during_backward() {
-        let run = run_ranks(2, |ctx| {
-            let mut store = ParamStore::new();
-            let mut rng = Rng::new(3);
-            let ids: Vec<ParamId> = (0..4)
-                .map(|i| store.add(format!("p{i}"), Tensor::randn([16], 1.0, &mut rng)))
-                .collect();
-            let tape = Tape::new();
-            // bucket of 16: every parameter gradient fills its own bucket
-            let ddp = DdpBinder::with_bucket(&tape, &store, &ctx.comm, 16);
-            let mut acc = ddp.bind(ids[0]);
-            for id in &ids[1..] {
-                acc = tape.add(&acc, &ddp.bind(*id));
-            }
-            let loss = tape.sum_all(&acc);
-            ctx.comm.barrier();
-            let before = ctx.comm.traffic().cursor();
-            let _ = tape.backward(&loss);
-            ctx.comm.barrier(); // peers' issue records must have landed
-            let issued_during_backward = ctx
-                .comm
-                .traffic()
-                .since(before)
-                .iter()
-                .filter(|e| e.op == CollOp::AllReduce)
-                .count();
-            let grads = ddp.finish();
-            (issued_during_backward, grads.iter().filter(|g| g.is_some()).count())
-        });
-        // Events are recorded by group rank 0, so only rank 0's cursor
-        // window is deterministic relative to its own backward.
-        assert_eq!(run.outputs[0].0, 4, "all buckets issued before finish()");
-        for (_, got) in run.outputs {
-            assert_eq!(got, 4);
         }
     }
 }

@@ -11,7 +11,7 @@
 //!
 //! The wire moves **units**, as PyTorch FSDP's `FlatParameter` does. A unit
 //! is a contiguous run of parameters in `ParamStore` order, closed once it
-//! holds at least [`DDP_BUCKET_ELEMS`] elements; every collective moves one
+//! holds at least [`FSDP_UNIT_ELEMS`] elements; every collective moves one
 //! unit:
 //!
 //! * **Forward.** A unit's rank-local buffer is the concatenation of its
@@ -53,7 +53,11 @@ use dchag_collectives::{CommRequest, Communicator};
 use dchag_tensor::checkpoint::{CheckpointError, ShardMeta, SnapEntry, Snapshot};
 use dchag_tensor::prelude::*;
 
-use crate::dp::DDP_BUCKET_ELEMS;
+/// Size at which a flat unit closes: 1 MiB of f32, 16 pipeline chunks. A
+/// unit holds at least this many elements unless it is the last one. The
+/// size never changes the result: every element is summed in rank order
+/// whichever unit carries it.
+pub const FSDP_UNIT_ELEMS: usize = 256 * 1024;
 
 /// Metadata for one sharded parameter.
 #[derive(Clone, Debug)]
@@ -112,9 +116,9 @@ pub struct FsdpParams {
 impl FsdpParams {
     /// Shard a fully-materialized store (every rank must pass an identical
     /// one — enforced by seeded construction), grouping parameters into
-    /// units of at least [`DDP_BUCKET_ELEMS`] elements.
+    /// units of at least [`FSDP_UNIT_ELEMS`] elements.
     pub fn from_store(store: &ParamStore, comm: &Communicator) -> Self {
-        Self::with_unit_elems(store, comm, DDP_BUCKET_ELEMS)
+        Self::with_unit_elems(store, comm, FSDP_UNIT_ELEMS)
     }
 
     /// [`FsdpParams::from_store`] with units closed at `unit_elems`

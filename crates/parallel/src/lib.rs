@@ -10,7 +10,8 @@
 //! * [`fsdp`] — fully-sharded data parallelism: per-parameter shards moved
 //!   in flat units (one AllGather per unit on bind, next unit prefetched;
 //!   one ReduceScatter per unit in backward), sharded Adam state.
-//! * [`dp`] — replica data parallelism with one bucketed gradient AllReduce.
+//! * [`dp`] — replica data parallelism: one gradient AllReduce after the
+//!   backward pass (`DataParallel::sync_grads`).
 //! * [`dist_token`] — distributed channel tokenization alone (paper §3.1),
 //!   the negative result of Fig. 8.
 //! * [`sp`] — sequence parallelism (paper §3.5: D-CHAG composes with SP).

@@ -4,7 +4,7 @@
 //! "Precision tiers" section): **storage** may be f32 or bf16,
 //! **accumulation** is always f32 (GEMM micro-kernels, reductions,
 //! collective sums), and the collectives **wire** format is chosen per
-//! communicator ([`CommPrecision`] in `dchag-collectives`). bf16 keeps
+//! communicator (`CommPrecision` in `dchag-collectives`). bf16 keeps
 //! f32's 8-bit exponent and truncates the mantissa to 7 bits, so the
 //! decode direction is exact (a 16-bit left shift) and only the encode
 //! direction rounds.

@@ -10,7 +10,7 @@
 //! activation memory is O(Sq·d) instead of O(Sq·Sk).
 //!
 //! Every tile product routes through the packed GEMM micro-panels
-//! ([`gemm_serial_or_small`]), so the kernel inherits the cache blocking and
+//! (`gemm_serial_or_small`), so the kernel inherits the cache blocking and
 //! register tiling of the matmul layer. Work fans out over (batch, Q-tile)
 //! tasks — (batch, K-tile) for the dK/dV pass — gated on total FLOPs like
 //! the GEMM dispatch, so ragged hierarchical-aggregation shapes still

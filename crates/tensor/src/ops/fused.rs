@@ -96,7 +96,7 @@ pub fn linear_gelu(a: &Tensor, w: &Tensor, bias: &Tensor) -> (Tensor, Tensor) {
 /// node. The logits fold into a single `[N·C, D] × [D, 1]` GEMV, and the
 /// per-position `[1,C]×[C,D]` pooling products — individually far too small
 /// to amortize a GEMM dispatch — run as one ragged batch through
-/// [`gemm_batch_into`], which picks the small-product kernel per job and
+/// `gemm_batch_into`, which picks the small-product kernel per job and
 /// parallelizes across the whole batch.
 pub fn softmax_pool(y: &Tensor, pw: &Tensor) -> (Tensor, Tensor) {
     assert_eq!(y.ndim(), 3, "softmax_pool wants [N, C, D], got {}", y.shape());

@@ -29,7 +29,7 @@
 //! arithmetic). The micro-tile shape `(MR, NR)` is therefore a *runtime*
 //! value ([`crate::simd::gemm_tile_shape`]); packing and the blocked loops
 //! below are parameterized on it, and the store epilogue
-//! ([`Epilogue`] → [`crate::simd::MicroEpi`]) is fused into the
+//! (`Epilogue` → `simd::MicroEpi`) is fused into the
 //! micro-kernel's register stores.
 //!
 //! Parallelism is two-dimensional over (row-block × column-block) tiles of
@@ -37,7 +37,7 @@
 //! ([`crate::scratch`]), with a split-K fallback for skinny outputs
 //! (tall-thin or short-wide shapes whose C tile grid is smaller than the
 //! machine). Batched products flatten every job's tile grid into one
-//! cooperative task queue ([`gemm_batch_into`]) so batch-level and
+//! cooperative task queue (`gemm_batch_into`) so batch-level and
 //! intra-GEMM parallelism blend for ragged batches. Dispatch is gated on
 //! total FLOPs (`m·n·k`), not output size, so a `[4, 1M] × [1M, 8]`
 //! product still parallelizes.

@@ -108,7 +108,7 @@ pub fn slice(t: &Tensor, axis: usize, start: usize, len: usize) -> Tensor {
 }
 
 /// Scatter-add `grad` (shaped like the slice) back into a zero tensor shaped
-/// like the original — the adjoint of [`slice`].
+/// like the original — the adjoint of [`slice()`].
 pub fn slice_backward(
     grad: &Tensor,
     orig_dims: &[usize],

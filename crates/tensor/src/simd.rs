@@ -5,14 +5,14 @@
 //! kernels), its store epilogues, the transpose-gather panel pack, and the
 //! hot elementwise sweeps (`exp`, `tanh`/GELU, softmax max/sum,
 //! layernorm's chunked Welford pass, the in-place AdamW update) are
-//! written once over a small [`Vf32`] vector abstraction
+//! written once over a small `Vf32` vector abstraction
 //! (load/store/masked load/store/fma/min/max/blend/sqrt + horizontal
 //! folds) and instantiated per ISA:
 //!
-//! * **AVX-512** — [`F32x16`] (`__m512`); the GEMM micro-kernel holds an
+//! * **AVX-512** — `F32x16` (`__m512`); the GEMM micro-kernel holds an
 //!   8×32 accumulator (16 ZMM registers + 2 B vectors + 1 broadcast = 19 of
 //!   32 architectural registers).
-//! * **AVX2 + FMA** — [`F32x8`] (`__m256`); 6×16 accumulator (12 YMM plus
+//! * **AVX2 + FMA** — `F32x8` (`__m256`); 6×16 accumulator (12 YMM plus
 //!   2 B vectors and 1 broadcast = 15 of 16 registers — the same register
 //!   arithmetic the old auto-vectorized kernel encoded implicitly).
 //! * **Scalar** — safe Rust over fixed-size `[f32; 8]` windows, exactly the
@@ -1669,7 +1669,7 @@ pub fn gelu_sweep_isa(isa: Isa, row: &mut [f32]) {
 }
 
 /// Single-sweep `(mean, variance)` of one row via chunked Welford
-/// ([`WELFORD_CHUNK`]-element chunks, Chan combine). The in-chunk sums are
+/// (`WELFORD_CHUNK`-element chunks, Chan combine). The in-chunk sums are
 /// lane-parallel on SIMD ISAs; the combine is identical everywhere.
 pub fn welford_stats(row: &[f32]) -> (f32, f32) {
     welford_stats_isa(active_isa(), row)

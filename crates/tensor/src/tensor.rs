@@ -7,7 +7,7 @@
 //!
 //! # Storage dtypes
 //!
-//! A buffer is [`Storage`]-tagged: `F32` (the compute type) or `Bf16`
+//! A buffer is `Storage`-tagged: `F32` (the compute type) or `Bf16`
 //! (half-width storage, see [`crate::dtype`]). The f32 fast paths are
 //! untouched — [`Tensor::data`] still hands out `&[f32]` and panics on a
 //! bf16 tensor, so nothing silently decodes in a hot loop. Code that wants

@@ -58,7 +58,7 @@ fn wl_dp(ctx: &RankCtx) {
 fn wl_fsdp(ctx: &RankCtx) {
     let mut store = ParamStore::new();
     let mut rng = Rng::new(5);
-    // The 512×512 weight fills one FSDP unit (`DDP_BUCKET_ELEMS` elements)
+    // The 512×512 weight fills one FSDP unit (`FSDP_UNIT_ELEMS` elements)
     // and the bias forms a second: two gathers, then two reduce-scatters.
     let lin = Linear::new(&mut store, &mut rng, "l", 512, 512, true);
     let fsdp = FsdpParams::from_store(&store, &ctx.comm);

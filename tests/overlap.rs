@@ -1,29 +1,28 @@
 //! Nonblocking chunked collectives: cross-crate determinism and failure
 //! invariants.
 //!
-//! 1. the chunked engine reproduces the exchange-path semantics bitwise,
-//!    across chunk boundaries;
-//! 2. a full DP training step through the overlapped `DdpBinder` produces
-//!    **bitwise-identical** parameters to the blocking
-//!    `sync_grads` path at 1/2/4 ranks;
-//! 3. an FSDP step (unit gathers with next-unit prefetch, unit
-//!    reduce-scatters issued during backward) equals the DP step bitwise
-//!    at 2/4 ranks;
+//! 1. the chunked engine's all-reduce, reduce-scatter and gather-cat equal
+//!    a manual rank-order fold over `all_gather_vec` bitwise, across chunk
+//!    boundaries;
+//! 2. an FSDP step (unit gathers with next-unit prefetch, unit
+//!    reduce-scatters issued during backward) equals the DP step
+//!    (`sync_grads` after backward) bitwise at 2/4 ranks;
+//! 3. the DP step's averaged gradients match the single-device gradients
+//!    of the concatenated batch;
 //! 4. a rank that panics with collectives in flight poisons the group: no
 //!    deadlock, root cause propagated.
 
 use dchag::prelude::*;
 use dchag_collectives::{run_ranks, RankCtx, COMM_CHUNK_ELEMS};
 use dchag_model::AdamW;
-use dchag_parallel::dp::DdpBinder;
 use dchag_parallel::{DataParallel, FsdpBinder, FsdpParams};
 use dchag_tensor::ops;
 
-// ----- engine vs exchange semantics -----------------------------------------
+// ----- engine vs rank-order fold ---------------------------------------------
 
 /// The rank-order reduction of the chunked engine must match a manual
-/// rank-order fold over the exchange path's gathered contributions —
-/// bitwise — including shapes that straddle chunk boundaries.
+/// rank-order fold over the gathered contributions — bitwise — including
+/// shapes that straddle chunk boundaries.
 #[test]
 fn chunked_collectives_match_exchange_fold_bitwise() {
     let n = 2 * COMM_CHUNK_ELEMS + 17; // 3 chunks, ragged tail
@@ -31,7 +30,7 @@ fn chunked_collectives_match_exchange_fold_bitwise() {
         let mut rng = Rng::new(10 + ctx.comm.rank() as u64);
         let t = Tensor::randn([n], 1.0, &mut rng);
 
-        // exchange path: Arc-clone gather, then fold in rank order
+        // gather every contribution, then fold in rank order
         let parts = ctx.comm.all_gather_vec(&t);
         let mut manual = parts[0].clone();
         for p in &parts[1..] {
@@ -87,9 +86,9 @@ fn forward(bind: &dyn Binder, tape: &Tape, layers: &[(ParamId, ParamId)], x: Ten
     tape.mean_all(&tape.mul(&h, &h))
 }
 
-/// Two optimizer steps per path so second-step state (Adam moments) is
-/// covered too; returns post-step parameter bytes.
-fn dp_train(ctx: &RankCtx, overlapped: bool) -> Vec<Vec<f32>> {
+/// Two DP optimizer steps, so second-step state (Adam moments) is covered
+/// too; returns post-step parameter bytes.
+fn dp_train(ctx: &RankCtx) -> Vec<Vec<f32>> {
     let mut store = ParamStore::new();
     let layers = build_layers(&mut store);
     let mut opt = AdamW::new(0.01);
@@ -97,36 +96,14 @@ fn dp_train(ctx: &RankCtx, overlapped: bool) -> Vec<Vec<f32>> {
         let mut drng = Rng::new(1000 + step * 10 + ctx.comm.rank() as u64);
         let x = Tensor::randn([6, DIM], 1.0, &mut drng);
         let tape = Tape::new();
-        let grads = if overlapped {
-            // bucket of 1500 elems: several buckets in flight per backward
-            let ddp = DdpBinder::with_bucket(&tape, &store, &ctx.comm, 1500);
-            let loss = forward(&ddp, &tape, &layers, x);
-            let _ = tape.backward(&loss);
-            ddp.finish()
-        } else {
-            let bind = LocalBinder::new(&tape, &store);
-            let loss = forward(&bind, &tape, &layers, x);
-            let g = tape.backward(&loss);
-            let mut pg = bind.grads(&g);
-            DataParallel::new(ctx.comm.clone()).sync_grads(&mut pg);
-            pg
-        };
+        let bind = LocalBinder::new(&tape, &store);
+        let loss = forward(&bind, &tape, &layers, x);
+        let g = tape.backward(&loss);
+        let mut grads = bind.grads(&g);
+        DataParallel::new(ctx.comm.clone()).sync_grads(&mut grads);
         opt.step(&mut store, &grads);
     }
     store.iter().map(|(_, _, v)| v.to_vec()).collect()
-}
-
-#[test]
-fn dp_overlapped_step_bitwise_matches_blocking_at_1_2_4_ranks() {
-    for world in [1usize, 2, 4] {
-        let run = run_ranks(world, |ctx| (dp_train(&ctx, false), dp_train(&ctx, true)));
-        for (rank, (blocking, overlapped)) in run.outputs.into_iter().enumerate() {
-            assert_eq!(
-                blocking, overlapped,
-                "world={world} rank={rank}: overlapped DP step diverged from blocking"
-            );
-        }
-    }
 }
 
 // ----- FSDP determinism ------------------------------------------------------
@@ -161,7 +138,7 @@ fn fsdp_train(ctx: &RankCtx) -> Vec<Vec<f32>> {
 fn overlapped_dp_and_fsdp_agree_at_2_and_4_ranks() {
     for world in [2usize, 4] {
         let run = run_ranks(world, |ctx| {
-            let dp = dp_train(&ctx, true);
+            let dp = dp_train(&ctx);
             let fsdp = fsdp_train(&ctx);
             (dp, fsdp)
         });
@@ -190,7 +167,7 @@ fn panic_with_inflight_requests_poisons_not_deadlocks() {
 }
 
 /// The DP mean must also match the single-device step on the concatenated
-/// batch (the classic DP invariant, now through the overlapped binder).
+/// batch (the classic DP invariant).
 #[test]
 fn overlapped_dp_matches_single_device_big_batch() {
     let world = 2usize;
@@ -212,12 +189,14 @@ fn overlapped_dp_matches_single_device_big_batch() {
         let mut store = ParamStore::new();
         let layers = build_layers(&mut store);
         let tape = Tape::new();
-        let ddp = DdpBinder::new(&tape, &store, &ctx.comm);
+        let bind = LocalBinder::new(&tape, &store);
         let mut drng = Rng::new(1000 + ctx.comm.rank() as u64);
         let x = Tensor::randn([6, DIM], 1.0, &mut drng);
-        let loss = forward(&ddp, &tape, &layers, x);
-        let _ = tape.backward(&loss);
-        ddp.finish()
+        let loss = forward(&bind, &tape, &layers, x);
+        let g = tape.backward(&loss);
+        let mut grads = bind.grads(&g);
+        DataParallel::new(ctx.comm.clone()).sync_grads(&mut grads);
+        grads
     });
     for got in run.outputs {
         for (g, w) in got.iter().zip(&want) {

@@ -27,7 +27,7 @@ use dchag_core::{
 };
 use dchag_tensor::checkpoint::{crc32, Snapshot};
 use dchag_model::{AdamW, Linear};
-use dchag_parallel::dp::DDP_BUCKET_ELEMS;
+use dchag_parallel::fsdp::FSDP_UNIT_ELEMS;
 use dchag_parallel::{DataParallel, FsdpParams};
 
 const REGROUP_DEADLINE: Duration = Duration::from_secs(2);
@@ -105,12 +105,12 @@ fn transport_parity_is_bitwise_at_w2_and_w4() {
 }
 
 /// Two FSDP training steps on a model of two units: `l0.weight` alone
-/// fills one ([`DDP_BUCKET_ELEMS`] elements), the rest form the second.
+/// fills one ([`FSDP_UNIT_ELEMS`] elements), the rest form the second.
 /// Returns the losses and the post-step parameters as raw bits, and the
 /// all-gathers rank 0 logged in the first step.
 fn fsdp_units_workload(ctx: &RankCtx) -> (Vec<u32>, usize) {
     const WIDTH: usize = 512;
-    assert_eq!(WIDTH * WIDTH, DDP_BUCKET_ELEMS);
+    assert_eq!(WIDTH * WIDTH, FSDP_UNIT_ELEMS);
     let mut store = ParamStore::new();
     let mut rng = Rng::new(23);
     let l0 = Linear::new(&mut store, &mut rng, "l0", WIDTH, WIDTH, true);
