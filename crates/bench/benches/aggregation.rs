@@ -33,11 +33,9 @@ fn bench_aggregation_sweep(c: &mut Criterion) {
             ("flat-L", TreeConfig::tree0(UnitKind::Linear)),
             ("tree4-L", TreeConfig::tree(4, UnitKind::Linear)),
         ] {
-            g.bench_with_input(
-                BenchmarkId::new(name, channels),
-                &channels,
-                |bench, &ch| bench.iter(|| black_box(fwd_bwd(ch, tree))),
-            );
+            g.bench_with_input(BenchmarkId::new(name, channels), &channels, |bench, &ch| {
+                bench.iter(|| black_box(fwd_bwd(ch, tree)))
+            });
         }
     }
     g.finish();

@@ -168,12 +168,16 @@ fn reduce_scatter_rounds(world: usize, pipelined: bool, compute: bool) -> f64 {
 fn bench_overlap(c: &mut Criterion) {
     let mut g = c.benchmark_group("collectives_overlap");
     for &world in &[2usize, 4, 8] {
-        g.bench_with_input(BenchmarkId::new("allreduce_blocking", world), &world, |b, &w| {
-            b.iter(|| black_box(allreduce_rounds(w, false, true, true)))
-        });
-        g.bench_with_input(BenchmarkId::new("allreduce_pipelined", world), &world, |b, &w| {
-            b.iter(|| black_box(allreduce_rounds(w, true, true, true)))
-        });
+        g.bench_with_input(
+            BenchmarkId::new("allreduce_blocking", world),
+            &world,
+            |b, &w| b.iter(|| black_box(allreduce_rounds(w, false, true, true))),
+        );
+        g.bench_with_input(
+            BenchmarkId::new("allreduce_pipelined", world),
+            &world,
+            |b, &w| b.iter(|| black_box(allreduce_rounds(w, true, true, true))),
+        );
     }
     g.bench_function("reduce_scatter_blocking_w4", |b| {
         b.iter(|| black_box(reduce_scatter_rounds(4, false, true)))
@@ -230,7 +234,9 @@ fn detection_latency_us() -> f64 {
     let run = run_ranks_faulty(2, &plan, |ctx| {
         let t = Tensor::full([FT_ELEMS], 1.0);
         let t0 = Instant::now();
-        let r = ctx.comm.try_all_reduce_sum(&t, Some(Duration::from_secs(5)));
+        let r = ctx
+            .comm
+            .try_all_reduce_sum(&t, Some(Duration::from_secs(5)));
         assert!(r.is_err(), "peer death must surface");
         t0.elapsed().as_secs_f64() * 1e6
     });
@@ -243,7 +249,10 @@ fn ft_build(comm: &Communicator) -> (ParamStore, FtModel) {
     let mut store = ParamStore::new();
     let mut rng = Rng::new(5);
     let lin = Linear::new(&mut store, &mut rng, "l", 16, 4, true);
-    (store, (lin, DataParallel::new(comm.clone()), AdamW::new(0.05)))
+    (
+        store,
+        (lin, DataParallel::new(comm.clone()), AdamW::new(0.05)),
+    )
 }
 
 fn ft_step(store: &mut ParamStore, m: &mut FtModel, batch: &Tensor) -> f32 {
@@ -263,7 +272,9 @@ fn ft_step(store: &mut ParamStore, m: &mut FtModel, batch: &Tensor) -> f32 {
 fn time_to_recover_us() -> f64 {
     let batches: Vec<Tensor> = {
         let mut rng = Rng::new(41);
-        (0..6).map(|_| Tensor::randn([12, 16], 1.0, &mut rng)).collect()
+        (0..6)
+            .map(|_| Tensor::randn([12, 16], 1.0, &mut rng))
+            .collect()
     };
     let plan = FaultPlan::kill(2, FaultPoint::BeforeIssue(3));
     let rcfg = ResilienceConfig {
@@ -278,7 +289,10 @@ fn time_to_recover_us() -> f64 {
         .expect("survivors recover");
         report.recovery_us.first().copied().unwrap_or(f64::NAN)
     });
-    run.outputs.iter().filter_map(|o| o.as_ref().ok()).fold(0.0f64, |a, &b| a.max(b))
+    run.outputs
+        .iter()
+        .filter_map(|o| o.as_ref().ok())
+        .fold(0.0f64, |a, &b| a.max(b))
 }
 
 fn bench_fault_tolerance(c: &mut Criterion) {
@@ -289,7 +303,9 @@ fn bench_fault_tolerance(c: &mut Criterion) {
     g.bench_function("allreduce_deadline_checked_w4", |b| {
         b.iter(|| black_box(allreduce_ft_rounds(4, true)))
     });
-    g.bench_function("detection_latency_w2", |b| b.iter(|| black_box(detection_latency_us())));
+    g.bench_function("detection_latency_w2", |b| {
+        b.iter(|| black_box(detection_latency_us()))
+    });
     g.finish();
 }
 
@@ -397,7 +413,9 @@ fn emit_collectives_json(_c: &mut Criterion) {
     // `overlap_fraction` legitimately reads ≈ 0 there. Recording `threads`
     // (and the explicit flag) next to every overlap number keeps a 0.00
     // from being misread as a pipeline regression.
-    let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let threads = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
     let single_core = threads == 1;
     lines.push(
         "\"note\": \"Blocking vs pipelined chunked collectives; read overlap_fraction next to \
@@ -482,7 +500,10 @@ fn emit_collectives_json(_c: &mut Criterion) {
 
     // Smoke runs park their (noise) numbers under target/.
     let path = if quick {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/BENCH_collectives.smoke.json")
+        concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../target/BENCH_collectives.smoke.json"
+        )
     } else {
         concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernels.json")
     };
@@ -499,7 +520,9 @@ fn emit_fault_tolerance_json(_c: &mut Criterion) {
         return;
     }
     let quick = std::env::args().any(|a| a == "--test");
-    let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let threads = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
 
     // Interleave the two paths in back-to-back pairs and take the median
     // of per-pair ratios: on a busy single-core host the launch-to-launch
@@ -547,7 +570,10 @@ fn emit_fault_tolerance_json(_c: &mut Criterion) {
     );
 
     let path = if quick {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/BENCH_fault_tolerance.smoke.json")
+        concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../target/BENCH_fault_tolerance.smoke.json"
+        )
     } else {
         concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernels.json")
     };
@@ -561,8 +587,8 @@ fn emit_fault_tolerance_json(_c: &mut Criterion) {
 // ---------------------------------------------------------------------------
 
 use dchag_collectives::{
-    run_tcp_ranks, run_tcp_ranks_faulty, run_transport_ranks, TcpConfig, Transport,
-    TransportFault, TransportFaultPlan,
+    run_tcp_ranks, run_tcp_ranks_faulty, run_transport_ranks, TcpConfig, Transport, TransportFault,
+    TransportFaultPlan,
 };
 
 const TRANSPORT_ELEMS: usize = 64 * 1024; // 256 KiB payload
@@ -583,17 +609,25 @@ fn transport_allreduce_rounds(transport: &Transport, world: usize) -> f64 {
         black_box(sink);
         t0.elapsed().as_secs_f64() * 1e9
     });
-    run.outputs.iter().map(|o| *o.as_ref().expect("rank ok")).fold(0.0f64, f64::max)
+    run.outputs
+        .iter()
+        .map(|o| *o.as_ref().expect("rank ok"))
+        .fold(0.0f64, f64::max)
 }
 
 fn bench_transport(c: &mut Criterion) {
     let mut g = c.benchmark_group("transport");
-    for (name, tr) in
-        [("thread", Transport::Thread), ("tcp_loopback", Transport::Tcp(TcpConfig::default()))]
-    {
-        g.bench_with_input(BenchmarkId::new("allreduce_256KiB_w2", name), &tr, |bench, tr| {
-            bench.iter(|| black_box(transport_allreduce_rounds(tr, 2)));
-        });
+    for (name, tr) in [
+        ("thread", Transport::Thread),
+        ("tcp_loopback", Transport::Tcp(TcpConfig::default())),
+    ] {
+        g.bench_with_input(
+            BenchmarkId::new("allreduce_256KiB_w2", name),
+            &tr,
+            |bench, tr| {
+                bench.iter(|| black_box(transport_allreduce_rounds(tr, 2)));
+            },
+        );
     }
     g.finish();
 }
@@ -612,8 +646,16 @@ fn sever_heal_stats() -> (f64, usize, usize) {
         ctx.comm.barrier();
         t0.elapsed().as_secs_f64() * 1e6
     });
-    let wall = run.outputs.iter().map(|o| *o.as_ref().expect("heal, not kill")).fold(0.0, f64::max);
-    (wall, run.traffic[1].reconnect_attempts(), run.traffic[1].retransmitted_frames())
+    let wall = run
+        .outputs
+        .iter()
+        .map(|o| *o.as_ref().expect("heal, not kill"))
+        .fold(0.0, f64::max);
+    (
+        wall,
+        run.traffic[1].reconnect_attempts(),
+        run.traffic[1].retransmitted_frames(),
+    )
 }
 
 /// Fit α-β from a per-process TCP traffic log — the production shape of
@@ -634,16 +676,29 @@ fn tcp_alpha_beta() -> Option<(f64, f64)> {
 fn transport_parity(world: usize) -> bool {
     let wl = |ctx: RankCtx| {
         let t = Tensor::full([1024], (ctx.comm.rank() + 1) as f32);
-        let mut bits: Vec<u32> =
-            ctx.comm.all_reduce_sum(&t).to_vec().iter().map(|x| x.to_bits()).collect();
-        bits.extend(ctx.comm.iall_reduce_sum(&t).wait().to_vec().iter().map(|x| x.to_bits()));
+        let mut bits: Vec<u32> = ctx
+            .comm
+            .all_reduce_sum(&t)
+            .to_vec()
+            .iter()
+            .map(|x| x.to_bits())
+            .collect();
+        bits.extend(
+            ctx.comm
+                .iall_reduce_sum(&t)
+                .wait()
+                .to_vec()
+                .iter()
+                .map(|x| x.to_bits()),
+        );
         ctx.comm.barrier();
         bits
     };
     let a = run_transport_ranks(&Transport::Thread, world, wl);
     let b = run_transport_ranks(&Transport::Tcp(TcpConfig::default()), world, wl);
     (0..world).all(|r| {
-        a.outputs[r].as_ref().ok().is_some() && a.outputs[r].as_ref().ok() == b.outputs[r].as_ref().ok()
+        a.outputs[r].as_ref().ok().is_some()
+            && a.outputs[r].as_ref().ok() == b.outputs[r].as_ref().ok()
     })
 }
 
@@ -657,8 +712,10 @@ fn emit_transport_json(_c: &mut Criterion) {
     }
     let quick = std::env::args().any(|a| a == "--test");
     let thread_ns = median_run(|| transport_allreduce_rounds(&Transport::Thread, 2), quick);
-    let tcp_ns =
-        median_run(|| transport_allreduce_rounds(&Transport::Tcp(TcpConfig::default()), 2), quick);
+    let tcp_ns = median_run(
+        || transport_allreduce_rounds(&Transport::Tcp(TcpConfig::default()), 2),
+        quick,
+    );
     let (heal_us, reconnects, retransmits) = sever_heal_stats();
     // Timer noise can make a single run's fit unidentifiable (a negative
     // α is rejected); a few attempts make that rare. -1 sentinels keep
@@ -682,7 +739,10 @@ fn emit_transport_json(_c: &mut Criterion) {
     );
 
     let path = if quick {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/BENCH_transport.smoke.json")
+        concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../target/BENCH_transport.smoke.json"
+        )
     } else {
         concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernels.json")
     };
@@ -717,7 +777,9 @@ fn bench_checkpoint(c: &mut Criterion) {
     let mut g = c.benchmark_group("checkpoint");
     let snap = Snapshot::of_store(&ckpt_store(), 4);
     let root = ckpt_root("crit");
-    let dir = CheckpointDir::open(&root, 0, 1).expect("open ckpt dir").with_retain(4);
+    let dir = CheckpointDir::open(&root, 0, 1)
+        .expect("open ckpt dir")
+        .with_retain(4);
     g.bench_function("save_commit_4MiB_w1", |b| {
         b.iter(|| {
             dir.save_shard(black_box(&snap)).expect("save shard");
@@ -750,7 +812,9 @@ fn emit_checkpoint_json(_c: &mut Criterion) {
     let mb = bytes as f64 / (1024.0 * 1024.0);
 
     let root = ckpt_root("emit");
-    let dir = CheckpointDir::open(&root, 0, 1).expect("open ckpt dir").with_retain(4);
+    let dir = CheckpointDir::open(&root, 0, 1)
+        .expect("open ckpt dir")
+        .with_retain(4);
     let sync_save_us = median_run(
         || {
             let t0 = std::time::Instant::now();
@@ -773,11 +837,19 @@ fn emit_checkpoint_json(_c: &mut Criterion) {
     // Enqueue cost of handing the snapshot to the background writer — the
     // only checkpoint cost on the training thread's critical path.
     let writer = SnapshotWriter::spawn(
-        CheckpointDir::open(&root, 0, 1).expect("open ckpt dir").with_retain(4),
+        CheckpointDir::open(&root, 0, 1)
+            .expect("open ckpt dir")
+            .with_retain(4),
         Duration::from_secs(10),
     );
     let mut enq: Vec<f64> = (0..if quick { 1 } else { 7 })
-        .map(|_| writer.snapshot(snap.clone()).expect("enqueue").as_secs_f64() * 1e6)
+        .map(|_| {
+            writer
+                .snapshot(snap.clone())
+                .expect("enqueue")
+                .as_secs_f64()
+                * 1e6
+        })
         .collect();
     writer.flush().expect("writer drains");
     enq.sort_by(|a, b| a.partial_cmp(b).unwrap());
@@ -798,7 +870,10 @@ fn emit_checkpoint_json(_c: &mut Criterion) {
     );
 
     let path = if quick {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/BENCH_checkpoint.smoke.json")
+        concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../target/BENCH_checkpoint.smoke.json"
+        )
     } else {
         concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernels.json")
     };

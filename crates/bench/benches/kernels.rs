@@ -357,7 +357,12 @@ fn emit_kernels_json(_c: &mut Criterion) {
             },
             quick,
         );
-        let after = measure_ns(|| { black_box(ops::matmul(&a, &b)); }, quick);
+        let after = measure_ns(
+            || {
+                black_box(ops::matmul(&a, &b));
+            },
+            quick,
+        );
         entries.push((format!("gemm_nn_{n}x{n}x{n}"), before, after, flops));
         if n == 256 {
             let before = measure_ns(
@@ -368,7 +373,12 @@ fn emit_kernels_json(_c: &mut Criterion) {
                 },
                 quick,
             );
-            let after = measure_ns(|| { black_box(ops::matmul_nt(&a, &b)); }, quick);
+            let after = measure_ns(
+                || {
+                    black_box(ops::matmul_nt(&a, &b));
+                },
+                quick,
+            );
             entries.push((format!("gemm_nt_{n}x{n}x{n}"), before, after, flops));
             let before = measure_ns(
                 || {
@@ -378,7 +388,12 @@ fn emit_kernels_json(_c: &mut Criterion) {
                 },
                 quick,
             );
-            let after = measure_ns(|| { black_box(ops::matmul_tn(&a, &b)); }, quick);
+            let after = measure_ns(
+                || {
+                    black_box(ops::matmul_tn(&a, &b));
+                },
+                quick,
+            );
             entries.push((format!("gemm_tn_{n}x{n}x{n}"), before, after, flops));
         }
     }
@@ -394,11 +409,27 @@ fn emit_kernels_json(_c: &mut Criterion) {
         let a = Tensor::randn([m, k], 1.0, &mut rng);
         let mut buf = vec![0.0f32; bench_api::pack_a_buf_len()];
         let before = measure_ns(
-            || { black_box(bench_api::pack_a_block(Isa::Scalar, a.data(), m, k, &mut buf)); },
+            || {
+                black_box(bench_api::pack_a_block(
+                    Isa::Scalar,
+                    a.data(),
+                    m,
+                    k,
+                    &mut buf,
+                ));
+            },
             quick,
         );
         let after = measure_ns(
-            || { black_box(bench_api::pack_a_block(active_isa(), a.data(), m, k, &mut buf)); },
+            || {
+                black_box(bench_api::pack_a_block(
+                    active_isa(),
+                    a.data(),
+                    m,
+                    k,
+                    &mut buf,
+                ));
+            },
             quick,
         );
         entries.push(("pack_a_gather_120x256".into(), before, after, 0));
@@ -407,8 +438,18 @@ fn emit_kernels_json(_c: &mut Criterion) {
     let x = Tensor::randn([512, 256], 1.0, &mut rng);
     let gamma = Tensor::ones([256]);
     let beta = Tensor::zeros([256]);
-    let before = measure_ns(|| { black_box(seed_layernorm(&x, &gamma, &beta)); }, quick);
-    let after = measure_ns(|| { black_box(ops::layernorm(&x, &gamma, &beta)); }, quick);
+    let before = measure_ns(
+        || {
+            black_box(seed_layernorm(&x, &gamma, &beta));
+        },
+        quick,
+    );
+    let after = measure_ns(
+        || {
+            black_box(ops::layernorm(&x, &gamma, &beta));
+        },
+        quick,
+    );
     entries.push(("layernorm_512x256".into(), before, after, 0));
 
     let h = Tensor::randn([512, 512], 1.0, &mut rng);
@@ -421,7 +462,12 @@ fn emit_kernels_json(_c: &mut Criterion) {
         },
         quick,
     );
-    let after = measure_ns(|| { black_box(ops::add_bias_gelu(&h, &bias)); }, quick);
+    let after = measure_ns(
+        || {
+            black_box(ops::add_bias_gelu(&h, &bias));
+        },
+        quick,
+    );
     entries.push(("add_bias_gelu_512x512".into(), before, after, 0));
 
     // Fused Linear forward vs the seed GEMM + bias pass (the seed kernels
@@ -444,7 +490,12 @@ fn emit_kernels_json(_c: &mut Criterion) {
         },
         quick,
     );
-    let after = measure_ns(|| { black_box(ops::matmul_bias(&xm, &w, &wb)); }, quick);
+    let after = measure_ns(
+        || {
+            black_box(ops::matmul_bias(&xm, &w, &wb));
+        },
+        quick,
+    );
     entries.push(("matmul_bias_256".into(), before, after, 2 * 256 * 256 * 256));
 
     // Vectorized exp: the seed softmax's libm expf sweep vs exp_fast.
@@ -457,7 +508,12 @@ fn emit_kernels_json(_c: &mut Criterion) {
         },
         quick,
     );
-    let after = measure_ns(|| { black_box(ops::softmax_last(&sm)); }, quick);
+    let after = measure_ns(
+        || {
+            black_box(ops::softmax_last(&sm));
+        },
+        quick,
+    );
     entries.push(("softmax_exp_256x128".into(), before, after, 0));
 
     let (n, ch, d) = (1024usize, 16usize, 64usize);
@@ -471,7 +527,12 @@ fn emit_kernels_json(_c: &mut Criterion) {
         },
         quick,
     );
-    let after = measure_ns(|| { black_box(ops::softmax_pool(&y, &pw)); }, quick);
+    let after = measure_ns(
+        || {
+            black_box(ops::softmax_pool(&y, &pw));
+        },
+        quick,
+    );
     entries.push(("softmax_pool_1024x16x64".into(), before, after, 0));
 
     // Attention: naive composed chain (before) vs flash (after), wall time
@@ -483,8 +544,18 @@ fn emit_kernels_json(_c: &mut Criterion) {
         let q = Tensor::randn([bh, s, d], 1.0, &mut rng);
         let k = Tensor::randn([bh, s, d], 1.0, &mut rng);
         let v = Tensor::randn([bh, s, d], 1.0, &mut rng);
-        let before = measure_ns(|| { black_box(ops::naive_attention(&q, &k, &v, scale)); }, quick);
-        let after = measure_ns(|| { black_box(ops::flash_attention(&q, &k, &v, scale)); }, quick);
+        let before = measure_ns(
+            || {
+                black_box(ops::naive_attention(&q, &k, &v, scale));
+            },
+            quick,
+        );
+        let after = measure_ns(
+            || {
+                black_box(ops::flash_attention(&q, &k, &v, scale));
+            },
+            quick,
+        );
         attn_entries.push((
             format!("attention_fwd_S{s}_BH{bh}_d{d}"),
             before,
@@ -569,7 +640,10 @@ fn emit_kernels_json(_c: &mut Criterion) {
                     ctx.comm.barrier();
                     ctx.comm.traffic().bytes_on_wire()
                 });
-                (t0.elapsed().as_nanos() as f64 / WIRE_ROUNDS as f64, run.outputs[0])
+                (
+                    t0.elapsed().as_nanos() as f64 / WIRE_ROUNDS as f64,
+                    run.outputs[0],
+                )
             };
             let (first_ns, bytes) = go();
             let ns = if quick {
@@ -636,7 +710,10 @@ fn emit_kernels_json(_c: &mut Criterion) {
     // speedups are noise — keep them out of the committed file at the
     // workspace root and park them under target/ instead.
     let path = if quick {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/BENCH_kernels.smoke.json")
+        concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../target/BENCH_kernels.smoke.json"
+        )
     } else {
         concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernels.json")
     };
@@ -789,8 +866,11 @@ fn bench_attention_primitives(c: &mut Criterion) {
         g.bench_function("naive_fwd_bwd_256", |bench| {
             bench.iter(|| {
                 let tape = Tape::new();
-                let (qv, kv, vv) =
-                    (tape.leaf(q.clone()), tape.leaf(k.clone()), tape.leaf(v.clone()));
+                let (qv, kv, vv) = (
+                    tape.leaf(q.clone()),
+                    tape.leaf(k.clone()),
+                    tape.leaf(v.clone()),
+                );
                 let sc = tape.bmm_nt_scaled(&qv, &kv, scale);
                 let p = tape.softmax_last(&sc);
                 let y = tape.bmm(&p, &vv);
@@ -801,8 +881,11 @@ fn bench_attention_primitives(c: &mut Criterion) {
         g.bench_function("flash_fwd_bwd_256", |bench| {
             bench.iter(|| {
                 let tape = Tape::new();
-                let (qv, kv, vv) =
-                    (tape.leaf(q.clone()), tape.leaf(k.clone()), tape.leaf(v.clone()));
+                let (qv, kv, vv) = (
+                    tape.leaf(q.clone()),
+                    tape.leaf(k.clone()),
+                    tape.leaf(v.clone()),
+                );
                 let y = tape.flash_attention(&qv, &kv, &vv, scale);
                 let loss = tape.sum_all(&y);
                 black_box(tape.backward(&loss))

@@ -110,8 +110,12 @@ pub fn update_sections(path: &Path, sections: &[(&str, String)]) {
     let mut pairs = if text.trim().is_empty() {
         Vec::new()
     } else {
-        split_top_level(&text)
-            .unwrap_or_else(|| panic!("{} exists but is not a JSON object; refusing to clobber it", path.display()))
+        split_top_level(&text).unwrap_or_else(|| {
+            panic!(
+                "{} exists but is not a JSON object; refusing to clobber it",
+                path.display()
+            )
+        })
     };
     for (key, value) in sections {
         match pairs.iter_mut().find(|(k, _)| k == key) {
@@ -143,18 +147,30 @@ mod tests {
             &path,
             &[
                 ("description", "\"seed, with {braces} inside\"".to_string()),
-                ("kernels", "{\n    \"a\": { \"x\": 1 },\n    \"b\": { \"y\": [1, 2] }\n  }".to_string()),
+                (
+                    "kernels",
+                    "{\n    \"a\": { \"x\": 1 },\n    \"b\": { \"y\": [1, 2] }\n  }".to_string(),
+                ),
             ],
         );
-        update_sections(&path, &[("collectives", "{\n    \"c\": { \"z\": 3 }\n  }".to_string())]);
+        update_sections(
+            &path,
+            &[("collectives", "{\n    \"c\": { \"z\": 3 }\n  }".to_string())],
+        );
         // refresh one section; others must survive byte-identically
-        update_sections(&path, &[("kernels", "{\n    \"a\": { \"x\": 9 }\n  }".to_string())]);
+        update_sections(
+            &path,
+            &[("kernels", "{\n    \"a\": { \"x\": 9 }\n  }".to_string())],
+        );
 
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.contains("\"x\": 9"), "{text}");
         assert!(text.contains("\"z\": 3"), "{text}");
         assert!(text.contains("with {braces} inside"), "{text}");
-        assert!(!text.contains("\"y\""), "replaced section fully swapped: {text}");
+        assert!(
+            !text.contains("\"y\""),
+            "replaced section fully swapped: {text}"
+        );
         let pairs = split_top_level(&text).unwrap();
         assert_eq!(
             pairs.iter().map(|(k, _)| k.as_str()).collect::<Vec<_>>(),

@@ -17,7 +17,12 @@ fn main() {
         eprintln!("usage: reproduce [all|fast|--list|<figure id>...]");
         eprintln!("figures:");
         for f in &figures {
-            eprintln!("  {:<7} {}{}", f.id, f.description, if f.heavy { "  [training]" } else { "" });
+            eprintln!(
+                "  {:<7} {}{}",
+                f.id,
+                f.description,
+                if f.heavy { "  [training]" } else { "" }
+            );
         }
         return;
     }
@@ -33,7 +38,10 @@ fn main() {
     } else if args.iter().any(|a| a == "fast") {
         figures.iter().filter(|f| !f.heavy).collect()
     } else {
-        let sel: Vec<_> = figures.iter().filter(|f| args.contains(&f.id.to_string())).collect();
+        let sel: Vec<_> = figures
+            .iter()
+            .filter(|f| args.contains(&f.id.to_string()))
+            .collect();
         if sel.is_empty() {
             eprintln!("no figure matches {args:?}; try --list");
             std::process::exit(1);

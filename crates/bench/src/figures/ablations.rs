@@ -39,7 +39,10 @@ pub fn ingredients() -> Table {
         ]);
     };
     row("TP baseline", Strategy::tp(TP, BATCH));
-    row("+ distributed tokenization (§3.1)", Strategy::dist_token(TP, BATCH));
+    row(
+        "+ distributed tokenization (§3.1)",
+        Strategy::dist_token(TP, BATCH),
+    );
     row(
         "+ hierarchical aggregation (-C)",
         Strategy::dchag(TreeConfig::tree0(UnitKind::CrossAttention), TP, BATCH),
@@ -81,11 +84,7 @@ pub fn tree_depth() -> Table {
 /// Ablation 3: forward-gather payload per strategy (the communication story).
 pub fn gather_bytes() -> Table {
     let cfg = model();
-    let (b, p, d) = (
-        BATCH as f64,
-        cfg.num_patches() as f64,
-        cfg.embed_dim as f64,
-    );
+    let (b, p, d) = (BATCH as f64, cfg.num_patches() as f64, cfg.embed_dim as f64);
     let c = cfg.channels as f64;
     let mut t = Table::new(
         "Ablation: forward AllGather payload per rank (1.7B @ 1024ch, TP8)",
@@ -132,8 +131,15 @@ pub fn sp_vs_tp_comm() -> Table {
         let mut store = ParamStore::new();
         let mut rng = Rng::new(3);
         let vit = TpViT::new(
-            &mut store, &mut rng, "v", dim, depth, heads, dim * 2,
-            ctx.comm.rank(), ctx.comm.size(),
+            &mut store,
+            &mut rng,
+            "v",
+            dim,
+            depth,
+            heads,
+            dim * 2,
+            ctx.comm.rank(),
+            ctx.comm.size(),
         );
         let tape = Tape::new();
         let bind = LocalBinder::new(&tape, &store);
@@ -201,7 +207,9 @@ mod tests {
         let mem = MemoryModel::frontier();
         let cfg = model();
         let tp = mem.breakdown(&cfg, &Strategy::tp(TP, BATCH)).total();
-        let dt = mem.breakdown(&cfg, &Strategy::dist_token(TP, BATCH)).total();
+        let dt = mem
+            .breakdown(&cfg, &Strategy::dist_token(TP, BATCH))
+            .total();
         let dc = mem
             .breakdown(
                 &cfg,

@@ -16,8 +16,8 @@ pub fn run() -> Vec<Table> {
     let mut t = Table::new(
         "Fig 7: TP memory per GPU by component",
         &[
-            "model", "channels", "TP", "tok GB", "agg GB", "vit GB", "total GB",
-            "tok+agg", "status",
+            "model", "channels", "TP", "tok GB", "agg GB", "vit GB", "total GB", "tok+agg",
+            "status",
         ],
     );
     let cases: [(&str, ModelConfig, usize, usize, &[usize]); 4] = [
@@ -56,10 +56,25 @@ pub fn run() -> Vec<Table> {
 pub fn check_anchors() -> Result<(), String> {
     let mem = MemoryModel::frontier();
     let cases = [
-        ("1.7B@512", ModelConfig::p1_7b().with_channels(512), BATCH_1_7B, 2usize),
-        ("1.7B@1024", ModelConfig::p1_7b().with_channels(1024), BATCH_1_7B, 8),
+        (
+            "1.7B@512",
+            ModelConfig::p1_7b().with_channels(512),
+            BATCH_1_7B,
+            2usize,
+        ),
+        (
+            "1.7B@1024",
+            ModelConfig::p1_7b().with_channels(1024),
+            BATCH_1_7B,
+            8,
+        ),
         ("7B@256", ModelConfig::p7b().with_channels(256), BATCH_7B, 4),
-        ("7B@512", ModelConfig::p7b().with_channels(512), BATCH_7B, 16),
+        (
+            "7B@512",
+            ModelConfig::p7b().with_channels(512),
+            BATCH_7B,
+            16,
+        ),
     ];
     for (name, cfg, batch, want_tp) in cases {
         match mem.min_tp(&cfg, ChannelPlan::Replicated, batch, 32) {

@@ -11,7 +11,11 @@ pub const BATCH: usize = 8;
 /// Minimum feasible TP per channel count (from Fig 7): 512ch on two GPUs,
 /// 1024ch on a full node — the same settings the paper measures.
 pub fn tp_for(channels: usize) -> usize {
-    if channels <= 512 { 2 } else { 8 }
+    if channels <= 512 {
+        2
+    } else {
+        8
+    }
 }
 
 pub fn run() -> Vec<Table> {
@@ -39,7 +43,9 @@ pub fn run() -> Vec<Table> {
             gb(dist.tok.total() + dist.agg.total()),
         ]);
     }
-    t.note(format!("micro-batch {BATCH}; TP = minimum feasible per Fig 7"));
+    t.note(format!(
+        "micro-batch {BATCH}; TP = minimum feasible per Fig 7"
+    ));
     t.note(
         "paper: green << red (tokenization shrinks) but yellow ≈/> blue \
          (AllGather hands the memory back to aggregation)",

@@ -40,7 +40,9 @@ pub fn run() -> Vec<Table> {
         }
         t.row(cells);
     }
-    t.note(format!("micro-batch {BATCH}; gain = mem_TP / mem_D-CHAG − 1"));
+    t.note(format!(
+        "micro-batch {BATCH}; gain = mem_TP / mem_D-CHAG − 1"
+    ));
     t.note(
         "paper: Tree0-C slightly below baseline at 512ch but ~+60% at 1024ch; \
          linear units win overall; Tree0-L best",

@@ -54,7 +54,9 @@ pub fn run() -> Vec<Table> {
             ]);
         }
     }
-    t.note(format!("micro-batch {BATCH}; gain = mem_TP / mem_D-CHAG − 1"));
+    t.note(format!(
+        "micro-batch {BATCH}; gain = mem_TP / mem_D-CHAG − 1"
+    ));
     t.note(
         "paper: 7B ≈ +30%/+70% (-L), +10%/+60% (-C); 15B > +20%/+50%; \
          26B +10–30%; gains grow with C, shrink with model size, -L ≥ -C",
@@ -71,7 +73,10 @@ mod tests {
         for (name, cfg, [c_lo, c_hi]) in cases() {
             let (_, lo) = gain(&cfg, c_lo, UnitKind::Linear);
             let (_, hi) = gain(&cfg, c_hi, UnitKind::Linear);
-            assert!(hi > lo, "{name}: gain {lo:.2} @{c_lo}ch vs {hi:.2} @{c_hi}ch");
+            assert!(
+                hi > lo,
+                "{name}: gain {lo:.2} @{c_lo}ch vs {hi:.2} @{c_hi}ch"
+            );
         }
     }
 
@@ -92,8 +97,15 @@ mod tests {
                 &Strategy::dchag(tree, 8, BATCH),
             )
         };
-        let (g7, g15, g26) = (g(ModelConfig::p7b()), g(ModelConfig::p15b()), g(ModelConfig::p26b()));
-        assert!(g7 > g15 && g15 > g26, "{g7:.2} > {g15:.2} > {g26:.2} expected");
+        let (g7, g15, g26) = (
+            g(ModelConfig::p7b()),
+            g(ModelConfig::p15b()),
+            g(ModelConfig::p26b()),
+        );
+        assert!(
+            g7 > g15 && g15 > g26,
+            "{g7:.2} > {g15:.2} > {g26:.2} expected"
+        );
     }
 
     #[test]

@@ -21,7 +21,11 @@ pub fn run() -> Vec<Table> {
     let mut t = Table::new(
         "Fig 14: 26B model, memory as fraction of HBM vs GPUs",
         &[
-            "GPUs", "TP 256ch", "D-CHAG 256ch", "D-CHAG tok+agg", "D-CHAG 512ch",
+            "GPUs",
+            "TP 256ch",
+            "D-CHAG 256ch",
+            "D-CHAG tok+agg",
+            "D-CHAG 512ch",
         ],
     );
     let cfg256 = ModelConfig::p26b().with_channels(256);
@@ -47,7 +51,9 @@ pub fn run() -> Vec<Table> {
             show(&dc512),
         ]);
     }
-    t.note(format!("micro-batch {BATCH}, Tree0-L; TP capped at 32 (= head count)"));
+    t.note(format!(
+        "micro-batch {BATCH}, Tree0-L; TP capped at 32 (= head count)"
+    ));
     t.note("paper: TP-only OOMs at every GPU count; D-CHAG fits 512ch below 80% HBM");
     vec![t]
 }
@@ -90,7 +96,10 @@ mod tests {
         let mem = MemoryModel::frontier();
         let cfg = ModelConfig::p26b().with_channels(256);
         let agg_params_total = |tp: usize| {
-            mem.breakdown(&cfg, &Strategy::dchag(TREE, tp, BATCH)).agg.params * tp as f64
+            mem.breakdown(&cfg, &Strategy::dchag(TREE, tp, BATCH))
+                .agg
+                .params
+                * tp as f64
         };
         let a8 = agg_params_total(8);
         let a32 = agg_params_total(32);

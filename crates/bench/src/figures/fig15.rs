@@ -154,13 +154,18 @@ mod tests {
         let (base, hybrid) = best_configs();
         let tb = tm.tflops_per_node(&cfg, &base);
         let th = tm.tflops_per_node(&cfg, &hybrid);
-        assert!(th > tb, "hybrid {th:.0} must beat baseline {tb:.0} TF/s/node");
+        assert!(
+            th > tb,
+            "hybrid {th:.0} must beat baseline {tb:.0} TF/s/node"
+        );
     }
 
     #[test]
     fn hybrid_allows_larger_batch() {
         let (base, hybrid) = best_configs();
-        assert!(hybrid.micro_batch * hybrid.fsdp * hybrid.dp >= base.micro_batch * base.fsdp * base.dp);
+        assert!(
+            hybrid.micro_batch * hybrid.fsdp * hybrid.dp >= base.micro_batch * base.fsdp * base.dp
+        );
     }
 
     #[test]

@@ -17,7 +17,8 @@ pub fn model() -> ModelConfig {
 /// the target.
 fn scaled(unit: &Strategy, gpus: usize) -> Option<Strategy> {
     let unit_gpus = unit.tp * unit.fsdp;
-    gpus.is_multiple_of(unit_gpus).then(|| unit.with_dp(gpus / unit_gpus))
+    gpus.is_multiple_of(unit_gpus)
+        .then(|| unit.with_dp(gpus / unit_gpus))
 }
 
 pub fn run() -> Vec<Table> {

@@ -49,7 +49,11 @@ impl fmt::Display for CommError {
                 write!(f, "peer rank {rank} failed (epoch {epoch})")
             }
             CommError::Timeout { waited } => {
-                write!(f, "collective timed out after {:.1} ms", waited.as_secs_f64() * 1e3)
+                write!(
+                    f,
+                    "collective timed out after {:.1} ms",
+                    waited.as_secs_f64() * 1e3
+                )
             }
             CommError::Poisoned => write!(f, "process group poisoned by a peer panic"),
         }
@@ -118,7 +122,9 @@ impl FaultPlan {
 
     /// Kill `rank` at `point`.
     pub fn kill(rank: usize, point: FaultPoint) -> Self {
-        FaultPlan { faults: vec![(rank, point)] }
+        FaultPlan {
+            faults: vec![(rank, point)],
+        }
     }
 
     /// Add another victim (for simultaneous-failure scenarios).
@@ -129,7 +135,10 @@ impl FaultPlan {
 
     /// First fault point scheduled for `rank`, if any.
     pub fn for_rank(&self, rank: usize) -> Option<FaultPoint> {
-        self.faults.iter().find(|(r, _)| *r == rank).map(|(_, p)| *p)
+        self.faults
+            .iter()
+            .find(|(r, _)| *r == rank)
+            .map(|(_, p)| *p)
     }
 
     /// Ranks with a scheduled fault.
@@ -183,7 +192,12 @@ thread_local! {
 /// this on the victim's rank thread before running the rank closure).
 pub(crate) fn arm_thread(rank: usize, point: FaultPoint) {
     ARM.with(|a| {
-        *a.borrow_mut() = Some(Arm { rank, point, issues: 0, waits: 0 });
+        *a.borrow_mut() = Some(Arm {
+            rank,
+            point,
+            issues: 0,
+            waits: 0,
+        });
     });
 }
 
@@ -265,8 +279,8 @@ mod tests {
 
     #[test]
     fn fault_plan_addresses_ranks() {
-        let plan = FaultPlan::kill(2, FaultPoint::BeforeIssue(1))
-            .and_kill(0, FaultPoint::InsideWait(0));
+        let plan =
+            FaultPlan::kill(2, FaultPoint::BeforeIssue(1)).and_kill(0, FaultPoint::InsideWait(0));
         assert_eq!(plan.for_rank(2), Some(FaultPoint::BeforeIssue(1)));
         assert_eq!(plan.for_rank(0), Some(FaultPoint::InsideWait(0)));
         assert_eq!(plan.for_rank(1), None);
@@ -292,9 +306,14 @@ mod tests {
             assert!(n < 3);
         }
         // Different seeds explore the space (not all collapsing to one plan).
-        let distinct: std::collections::BTreeSet<String> =
-            (0..64).map(|s| format!("{:?}", FaultPlan::seeded(s, 4, 3))).collect();
-        assert!(distinct.len() > 8, "seeded plans must vary: {}", distinct.len());
+        let distinct: std::collections::BTreeSet<String> = (0..64)
+            .map(|s| format!("{:?}", FaultPlan::seeded(s, 4, 3)))
+            .collect();
+        assert!(
+            distinct.len() > 8,
+            "seeded plans must vary: {}",
+            distinct.len()
+        );
     }
 
     #[test]
@@ -305,7 +324,9 @@ mod tests {
         let died = std::panic::catch_unwind(probe_issue);
         disarm_thread();
         let payload = died.expect_err("third issue must die");
-        let f = payload.downcast_ref::<InjectedFault>().expect("typed payload");
+        let f = payload
+            .downcast_ref::<InjectedFault>()
+            .expect("typed payload");
         assert_eq!(f.rank, 1);
         assert_eq!(f.point, FaultPoint::BeforeIssue(2));
         // Disarmed: probes are no-ops.

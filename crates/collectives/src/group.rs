@@ -132,7 +132,11 @@ impl WorldShared {
     /// poisoned by this (already handled) death.
     pub(crate) fn declare_failed(&self, rank: usize, source: FailureSource) {
         let epoch = self.epoch();
-        self.log.record_fault(FaultCause::Declared { rank, epoch, source });
+        self.log.record_fault(FaultCause::Declared {
+            rank,
+            epoch,
+            source,
+        });
         self.poison_all(CommError::PeerFailed { rank, epoch });
         self.mark_failed(rank);
     }
@@ -215,8 +219,9 @@ impl WorldShared {
             if failed.contains(&me) {
                 return Err(CommError::Poisoned);
             }
-            let expected: Vec<usize> =
-                (0..self.topo.world_size).filter(|r| !failed.contains(r)).collect();
+            let expected: Vec<usize> = (0..self.topo.world_size)
+                .filter(|r| !failed.contains(r))
+                .collect();
             if expected.iter().all(|r| board.arrived.contains(r)) {
                 // Everyone live is here — whoever holds the lock builds (the
                 // mutex serializes; no designated-builder election needed).
@@ -235,14 +240,19 @@ impl WorldShared {
             if waited >= deadline {
                 // Declare the no-shows dead and re-evaluate immediately.
                 let mut f = self.failed.lock();
-                for r in expected.iter().copied().filter(|r| !board.arrived.contains(r)) {
+                for r in expected
+                    .iter()
+                    .copied()
+                    .filter(|r| !board.arrived.contains(r))
+                {
                     f.insert(r);
                 }
                 continue;
             }
-            let _ = self
-                .board_cv
-                .wait_for(&mut board, (deadline - waited).min(Duration::from_millis(5)));
+            let _ = self.board_cv.wait_for(
+                &mut board,
+                (deadline - waited).min(Duration::from_millis(5)),
+            );
         }
     }
 }
@@ -385,8 +395,15 @@ impl Communicator {
         t: &Tensor,
     ) -> Result<CommRequest, CommError> {
         let seq = op.and_then(|(op, payload_bytes)| self.record(op, payload_bytes));
-        let req =
-            nonblocking::try_issue(&self.engine, self.rank, kind, precision, t, seq, &self.world)?;
+        let req = nonblocking::try_issue(
+            &self.engine,
+            self.rank,
+            kind,
+            precision,
+            t,
+            seq,
+            &self.world,
+        )?;
         if let Some(link) = &self.remote {
             link.send_issue(req.seq(), kind, precision, t);
         }
@@ -508,14 +525,17 @@ impl Communicator {
         t: &Tensor,
         deadline: Option<Duration>,
     ) -> Result<Tensor, CommError> {
-        self.try_issue(CollKind::AllReduceSum, t)?.try_wait(deadline)
+        self.try_issue(CollKind::AllReduceSum, t)?
+            .try_wait(deadline)
     }
 
     /// Fallible, deadline-bounded [`Communicator::barrier`]: a gather of
     /// zero elements.
     pub fn try_barrier(&self, deadline: Option<Duration>) -> Result<(), CommError> {
         let empty = Tensor::zeros([0]);
-        self.try_issue_exact(Some((CollOp::Barrier, 0)), &empty)?.try_wait(deadline).map(|_| ())
+        self.try_issue_exact(Some((CollOp::Barrier, 0)), &empty)?
+            .try_wait(deadline)
+            .map(|_| ())
     }
 
     // ----- elastic regroup --------------------------------------------------
@@ -581,9 +601,13 @@ impl Communicator {
         // color it names the new group, so no second round is needed.
         let gid = gid_split(self.engine.gid(), req.seq(), color as u64);
         let colors = req.wait();
-        let members: Vec<usize> =
-            (0..self.size()).filter(|&r| colors.data()[r] == color as f32).collect();
-        let rank = members.iter().position(|&r| r == self.rank).expect("own color matches");
+        let members: Vec<usize> = (0..self.size())
+            .filter(|&r| colors.data()[r] == color as f32)
+            .collect();
+        let rank = members
+            .iter()
+            .position(|&r| r == self.rank)
+            .expect("own color matches");
         let group_ranks: Vec<usize> = members.iter().map(|&r| self.group_ranks[r]).collect();
 
         // Phase 2: threads share one engine per group; a TCP member builds
@@ -605,5 +629,8 @@ impl Communicator {
 /// Rank `r`'s part of a `[size, like.dims()..]` metadata gather.
 fn part_of(all: &Tensor, r: usize, like: &Tensor) -> Tensor {
     let n = like.numel();
-    Tensor::from_vec(all.data()[r * n..(r + 1) * n].to_vec(), like.shape().clone())
+    Tensor::from_vec(
+        all.data()[r * n..(r + 1) * n].to_vec(),
+        like.shape().clone(),
+    )
 }

@@ -23,8 +23,8 @@ use crate::fault::{self, comm_error_of, FaultPlan};
 use crate::group::{Communicator, WorldShared};
 use crate::nonblocking::Engine;
 use crate::topology::Topology;
-use crate::transport::gid_world;
 use crate::traffic::{FailureSource, TrafficLog};
+use crate::transport::gid_world;
 
 /// Per-rank execution context handed to the rank closure.
 pub struct RankCtx {
@@ -64,7 +64,11 @@ fn launch_ranks<T, F>(
     topo: Topology,
     plan: &FaultPlan,
     f: F,
-) -> (Vec<std::thread::Result<T>>, Vec<Arc<MemCounter>>, Arc<TrafficLog>)
+) -> (
+    Vec<std::thread::Result<T>>,
+    Vec<Arc<MemCounter>>,
+    Arc<TrafficLog>,
+)
 where
     T: Send,
     F: Fn(RankCtx) -> T + Sync,
@@ -290,7 +294,9 @@ mod tests {
             }
         });
         // The victim's own thread dies of the injected fault...
-        assert!(run.outputs[1].as_ref().is_err_and(|m| m.contains("injected fault: rank 1")));
+        assert!(run.outputs[1]
+            .as_ref()
+            .is_err_and(|m| m.contains("injected fault: rank 1")));
         // ...and both survivors observe a typed PeerFailed naming it.
         for r in [0, 2] {
             match run.outputs[r].as_ref().expect("survivor returns normally") {
@@ -299,14 +305,14 @@ mod tests {
             }
         }
         // The world roster and traffic log both recorded the failure.
-        assert!(run
-            .traffic
-            .fault_events()
-            .iter()
-            .any(|f| matches!(
-                f.cause,
-                FaultCause::Declared { rank: 1, source: FailureSource::Launcher, .. }
-            )));
+        assert!(run.traffic.fault_events().iter().any(|f| matches!(
+            f.cause,
+            FaultCause::Declared {
+                rank: 1,
+                source: FailureSource::Launcher,
+                ..
+            }
+        )));
     }
 
     #[test]
@@ -326,7 +332,10 @@ mod tests {
                     .iall_reduce_sum(&Tensor::full([8], ctx.comm.rank() as f32 + 1.0))
                     .wait()
                     .at(0);
-                let b = ctx.comm.try_all_reduce_sum(&Tensor::ones([8]), None).map(|t| t.at(0));
+                let b = ctx
+                    .comm
+                    .try_all_reduce_sum(&Tensor::ones([8]), None)
+                    .map(|t| t.at(0));
                 (a, b)
             });
             run.outputs

@@ -196,10 +196,7 @@ mod tests {
             let t = Tensor::full([1], ctx.comm.rank() as f32);
             g2.all_reduce_sum(&t).item()
         });
-        assert_eq!(
-            run.outputs,
-            vec![1.0, 1.0, 5.0, 5.0, 9.0, 9.0, 13.0, 13.0]
-        );
+        assert_eq!(run.outputs, vec![1.0, 1.0, 5.0, 5.0, 9.0, 9.0, 13.0, 13.0]);
     }
 
     #[test]
@@ -213,7 +210,10 @@ mod tests {
             let solo = ctx.comm.split(7);
             (parts.len(), parts[0].to_vec(), b.to_vec(), solo.size())
         });
-        assert_eq!(run.outputs, vec![(1, vec![41.0, 42.0], vec![41.0, 42.0], 1)]);
+        assert_eq!(
+            run.outputs,
+            vec![(1, vec![41.0, 42.0], vec![41.0, 42.0], 1)]
+        );
     }
 
     #[test]
@@ -225,7 +225,11 @@ mod tests {
         let run = run_ranks(4, |ctx| {
             let r = ctx.comm.rank();
             let bf = ctx.comm.with_precision(CommPrecision::Bf16);
-            let t = if r == 2 { Tensor::from_vec(exact.clone(), [2]) } else { Tensor::zeros([2]) };
+            let t = if r == 2 {
+                Tensor::from_vec(exact.clone(), [2])
+            } else {
+                Tensor::zeros([2])
+            };
             let got = bf.broadcast(&t, 2).to_vec();
             let sub = bf.split(300 + r % 2);
             (got, sub.group_ranks().to_vec(), sub.precision())
@@ -233,7 +237,11 @@ mod tests {
         for (r, (got, members, precision)) in run.outputs.into_iter().enumerate() {
             assert_eq!(got, exact);
             assert_eq!(members, if r % 2 == 0 { vec![0, 2] } else { vec![1, 3] });
-            assert_eq!(precision, CommPrecision::Bf16, "the split keeps the handle's wire");
+            assert_eq!(
+                precision,
+                CommPrecision::Bf16,
+                "the split keeps the handle's wire"
+            );
         }
     }
 

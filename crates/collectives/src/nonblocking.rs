@@ -271,7 +271,11 @@ impl Engine {
     /// `Err(cause)` once the group is poisoned.
     pub(crate) fn check_live(&self) -> Result<(), CommError> {
         if self.poisoned.load(Ordering::SeqCst) {
-            Err(self.poison_cause.get().copied().unwrap_or(CommError::Poisoned))
+            Err(self
+                .poison_cause
+                .get()
+                .copied()
+                .unwrap_or(CommError::Poisoned))
         } else {
             Ok(())
         }
@@ -427,7 +431,10 @@ fn deposit(
         entry.shared.precision
     );
     validate_contribution(kind, group, &entry.contribs, t);
-    debug_assert!(entry.contribs[rank].is_none(), "{who} {rank} double-deposit at #{seq}");
+    debug_assert!(
+        entry.contribs[rank].is_none(),
+        "{who} {rank} double-deposit at #{seq}"
+    );
     entry.contribs[rank] = Some(t.clone());
     entry.arrived += 1;
     if remote {
@@ -439,7 +446,11 @@ fn deposit(
     let round = entry.shared.clone();
     let fully_retired = entry.retired == group;
     if entry.arrived == group {
-        let contribs: Vec<Tensor> = entry.contribs.iter_mut().map(|c| c.take().unwrap()).collect();
+        let contribs: Vec<Tensor> = entry
+            .contribs
+            .iter_mut()
+            .map(|c| c.take().unwrap())
+            .collect();
         freeze(&round, contribs, world.log.now_us());
         engine.cv.notify_all();
     }
@@ -494,7 +505,12 @@ fn freeze(round: &Arc<Round>, contribs: Vec<Tensor>, ready_us: f64) {
             let mut off = 0;
             while off < numel {
                 let len = COMM_CHUNK_ELEMS.min(numel - off);
-                chunks.push(Chunk { src: 0, src_off: off, dst_off: off, len });
+                chunks.push(Chunk {
+                    src: 0,
+                    src_off: off,
+                    dst_off: off,
+                    len,
+                });
                 off += len;
             }
             numel
@@ -507,7 +523,12 @@ fn freeze(round: &Arc<Round>, contribs: Vec<Tensor>, ready_us: f64) {
                 let mut off = 0;
                 while off < numel {
                     let len = COMM_CHUNK_ELEMS.min(numel - off);
-                    chunks.push(Chunk { src: r, src_off: off, dst_off: base + off, len });
+                    chunks.push(Chunk {
+                        src: r,
+                        src_off: off,
+                        dst_off: base + off,
+                        len,
+                    });
                     off += len;
                 }
                 base += numel;
@@ -669,7 +690,11 @@ impl CommRequest {
 
     /// Record a detected failure on the traffic log and hand the cause back.
     fn fail(&self, e: CommError) -> CommError {
-        self.log.record_fault(FaultCause::Detected { rank: self.rank, seq: self.seq, error: e });
+        self.log.record_fault(FaultCause::Detected {
+            rank: self.rank,
+            seq: self.seq,
+            error: e,
+        });
         e
     }
 
@@ -761,9 +786,7 @@ impl CommRequest {
         let result = match this.round.kind {
             CollKind::AllReduceSum => frozen
                 .result
-                .get_or_init(|| {
-                    Tensor::from_vec(out.to_vec(), frozen.contribs[0].shape().clone())
-                })
+                .get_or_init(|| Tensor::from_vec(out.to_vec(), frozen.contribs[0].shape().clone()))
                 .clone(),
             CollKind::ReduceScatterSum => {
                 let dims = frozen.contribs[0].dims();
@@ -877,7 +900,12 @@ mod tests {
             let t = Tensor::from_vec(vec![r, r + 10.0], [1, 2]);
             let a0 = ctx.comm.iall_gather_cat(&t, 0).wait();
             let a1 = ctx.comm.iall_gather_cat(&t, 1).wait();
-            (a0.dims().to_vec(), a0.to_vec(), a1.dims().to_vec(), a1.to_vec())
+            (
+                a0.dims().to_vec(),
+                a0.to_vec(),
+                a1.dims().to_vec(),
+                a1.to_vec(),
+            )
         });
         for (d0, v0, d1, v1) in run.outputs {
             assert_eq!(d0, vec![2, 2]);
@@ -962,7 +990,9 @@ mod tests {
         let mut state = salt.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
         (0..n)
             .map(|_| {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
                 let u = ((state >> 40) as f32) / (1u32 << 24) as f32; // [0,1)
                 (u - 0.5) * 8.0
             })
@@ -978,10 +1008,7 @@ mod tests {
             let reduce = || {
                 run_ranks(w, |ctx| {
                     let n = COMM_CHUNK_ELEMS + 321; // 2 chunks for w≥1
-                    let t = Tensor::from_vec(
-                        wire_payload(n, ctx.comm.rank() as u64 + 1),
-                        [n],
-                    );
+                    let t = Tensor::from_vec(wire_payload(n, ctx.comm.rank() as u64 + 1), [n]);
                     let bf = ctx.comm.with_precision(CommPrecision::Bf16);
                     bf.iall_reduce_sum(&t)
                         .wait()
@@ -1048,7 +1075,11 @@ mod tests {
             };
             let full = wire_for(CommPrecision::F32);
             let half = wire_for(CommPrecision::Bf16);
-            assert_eq!(half * 2, full, "w={w}: bf16 wire must move exactly half the bytes");
+            assert_eq!(
+                half * 2,
+                full,
+                "w={w}: bf16 wire must move exactly half the bytes"
+            );
         }
     }
 
@@ -1121,14 +1152,13 @@ mod tests {
         });
         assert!(run.outputs.iter().all(|&ok| ok));
         // Detection is on the audit trail.
-        assert!(run
-            .traffic
-            .fault_events()
-            .iter()
-            .any(|f| matches!(
-                f.cause,
-                FaultCause::Detected { error: CommError::Timeout { .. }, .. }
-            )));
+        assert!(run.traffic.fault_events().iter().any(|f| matches!(
+            f.cause,
+            FaultCause::Detected {
+                error: CommError::Timeout { .. },
+                ..
+            }
+        )));
     }
 
     #[test]
@@ -1142,8 +1172,7 @@ mod tests {
                 .iall_reduce_sum(&t)
                 .try_wait(Some(Duration::from_secs(30)))
                 .expect("healthy group completes well inside the deadline");
-            let bits =
-                |x: &Tensor| x.to_vec().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+            let bits = |x: &Tensor| x.to_vec().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
             (bits(&a), bits(&b))
         });
         for (a, b) in run.outputs {
@@ -1179,8 +1208,16 @@ mod tests {
 
     fn ones_issue(engine: &Arc<Engine>, world: &WorldShared, rank: usize, v: f32) -> CommRequest {
         let t = Tensor::full([1], v);
-        try_issue(engine, rank, CollKind::AllReduceSum, CommPrecision::F32, &t, None, world)
-            .expect("live engine")
+        try_issue(
+            engine,
+            rank,
+            CollKind::AllReduceSum,
+            CommPrecision::F32,
+            &t,
+            None,
+            world,
+        )
+        .expect("live engine")
     }
 
     #[test]

@@ -111,22 +111,45 @@ pub struct FaultEvent {
 #[derive(Clone, Debug, PartialEq)]
 pub enum FaultCause {
     /// Group rank `rank`'s wait on its collective `seq` failed with `error`.
-    Detected { rank: usize, seq: u64, error: CommError },
+    Detected {
+        rank: usize,
+        seq: u64,
+        error: CommError,
+    },
     /// Global rank `rank` was declared dead in `epoch` — the one record of
     /// a root failure, whoever saw it first.
-    Declared { rank: usize, epoch: u64, source: FailureSource },
+    Declared {
+        rank: usize,
+        epoch: u64,
+        source: FailureSource,
+    },
     /// An elastic regroup into `epoch` shrank the world from `before` to
     /// `after` ranks; global rank `global` is now rank `rank`.
-    Regrouped { epoch: u64, before: usize, after: usize, global: usize, rank: usize },
+    Regrouped {
+        epoch: u64,
+        before: usize,
+        after: usize,
+        global: usize,
+        rank: usize,
+    },
     /// A TCP endpoint refused an inbound handshake that failed validation.
     HandshakeInvalid { why: String },
     /// A TCP endpoint refused an inbound handshake from `rank`: itself, out
     /// of range, or already declared dead.
     HandshakeRefused { rank: usize },
     /// Peer `rank` skipped data-frame sequence numbers on `group`.
-    SequenceGap { rank: usize, group: u64, got: u64, expected: u64 },
+    SequenceGap {
+        rank: usize,
+        group: u64,
+        got: u64,
+        expected: u64,
+    },
     /// The local engine placed peer `rank`'s frame `wire_seq` at `engine_seq`.
-    SeqMismatch { rank: usize, engine_seq: u64, wire_seq: u64 },
+    SeqMismatch {
+        rank: usize,
+        engine_seq: u64,
+        wire_seq: u64,
+    },
 }
 
 /// Who declared a [`FaultCause::Declared`] failure.
@@ -144,8 +167,15 @@ impl fmt::Display for FaultCause {
             FaultCause::Detected { rank, seq, error } => {
                 write!(f, "rank {rank} detected at collective #{seq}: {error}")
             }
-            FaultCause::Declared { rank, epoch, source } => {
-                let error = CommError::PeerFailed { rank: *rank, epoch: *epoch };
+            FaultCause::Declared {
+                rank,
+                epoch,
+                source,
+            } => {
+                let error = CommError::PeerFailed {
+                    rank: *rank,
+                    epoch: *epoch,
+                };
                 match source {
                     FailureSource::Launcher => write!(f, "launcher: rank {rank} unwound: {error}"),
                     FailureSource::Transport { why } => {
@@ -153,7 +183,13 @@ impl fmt::Display for FaultCause {
                     }
                 }
             }
-            FaultCause::Regrouped { epoch, before, after, global, rank } => write!(
+            FaultCause::Regrouped {
+                epoch,
+                before,
+                after,
+                global,
+                rank,
+            } => write!(
                 f,
                 "regroup epoch {epoch}: world {before} -> {after} \
                  (global rank {global} is now rank {rank})"
@@ -164,12 +200,21 @@ impl fmt::Display for FaultCause {
             FaultCause::HandshakeRefused { rank } => {
                 write!(f, "transport: refused inbound handshake from rank {rank}")
             }
-            FaultCause::SequenceGap { rank, group, got, expected } => write!(
+            FaultCause::SequenceGap {
+                rank,
+                group,
+                got,
+                expected,
+            } => write!(
                 f,
                 "transport: sequence gap from rank {rank} \
                  (group {group:#x}: got {got}, expected {expected})"
             ),
-            FaultCause::SeqMismatch { rank, engine_seq, wire_seq } => write!(
+            FaultCause::SeqMismatch {
+                rank,
+                engine_seq,
+                wire_seq,
+            } => write!(
                 f,
                 "transport: engine seq {engine_seq} disagrees with wire seq {wire_seq} \
                  from rank {rank}"
@@ -277,7 +322,8 @@ impl TrafficLog {
         // scan can never miss a concurrently-recorded chunk.
         let aborted = self.aborted.lock();
         if !aborted.contains(&ev.coll_seq) {
-            self.wire_bytes.fetch_add(ev.bytes_on_wire, Ordering::Relaxed);
+            self.wire_bytes
+                .fetch_add(ev.bytes_on_wire, Ordering::Relaxed);
         }
         self.chunk_events.lock().push(ev);
         drop(aborted);
@@ -338,7 +384,9 @@ impl TrafficLog {
     /// heartbeat miss, ...), stamped on the traffic clock.
     pub fn record_transport(&self, peer: usize, kind: TransportEventKind) {
         let at_us = self.now_us();
-        self.transport.lock().push(TransportEvent { peer, kind, at_us });
+        self.transport
+            .lock()
+            .push(TransportEvent { peer, kind, at_us });
     }
 
     /// Snapshot of all transport-level events so far.

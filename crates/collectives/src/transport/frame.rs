@@ -75,21 +75,36 @@ impl DataFrame {
 #[derive(Clone, Debug, PartialEq)]
 pub enum Frame {
     /// First frame on every connection, in both directions.
-    Handshake { version: u16, world: u32, epoch: u64, rank: u32 },
+    Handshake {
+        version: u16,
+        world: u32,
+        epoch: u64,
+        rank: u32,
+    },
     /// Accept/refuse verdict from the accepting side; on refusal the
     /// expected (epoch, world) are echoed so the dialer can report why.
-    HandshakeAck { accept: bool, epoch: u64, world: u32 },
+    HandshakeAck {
+        accept: bool,
+        epoch: u64,
+        world: u32,
+    },
     Data(DataFrame),
     /// Cumulative receipt: every frame of `group` with `seq <= upto` from
     /// the peer on this connection has been processed (prunes the sender's
     /// retransmit buffer).
-    Ack { group: u64, upto: u64 },
+    Ack {
+        group: u64,
+        upto: u64,
+    },
     /// Idle-timer keepalive; its absence past the heartbeat deadline is a
     /// failure signal.
     Heartbeat,
     /// Regroup agreement: the sender proposes that epoch `epoch` be built
     /// over everyone except `failed` (world ranks).
-    Regroup { epoch: u64, failed: Vec<u32> },
+    Regroup {
+        epoch: u64,
+        failed: Vec<u32>,
+    },
     /// Graceful departure: a following EOF is a completed rank, not a
     /// failure.
     Bye,
@@ -118,7 +133,12 @@ pub fn encode_frame(f: &Frame) -> Vec<u8> {
     let mut b = Vec::with_capacity(32);
     b.extend_from_slice(&[0, 0, 0, 0]); // length prefix, patched below
     match f {
-        Frame::Handshake { version, world, epoch, rank } => {
+        Frame::Handshake {
+            version,
+            world,
+            epoch,
+            rank,
+        } => {
             b.push(TAG_HANDSHAKE);
             put_u32(&mut b, MAGIC);
             put_u16(&mut b, *version);
@@ -126,7 +146,11 @@ pub fn encode_frame(f: &Frame) -> Vec<u8> {
             put_u64(&mut b, *epoch);
             put_u32(&mut b, *rank);
         }
-        Frame::HandshakeAck { accept, epoch, world } => {
+        Frame::HandshakeAck {
+            accept,
+            epoch,
+            world,
+        } => {
             b.push(TAG_HANDSHAKE_ACK);
             b.push(u8::from(*accept));
             put_u64(&mut b, *epoch);
@@ -221,7 +245,10 @@ impl<'a> Cursor<'a> {
         if self.pos == self.b.len() {
             Ok(())
         } else {
-            Err(CodecError(format!("{} trailing bytes in body", self.b.len() - self.pos)))
+            Err(CodecError(format!(
+                "{} trailing bytes in body",
+                self.b.len() - self.pos
+            )))
         }
     }
 }
@@ -284,9 +311,19 @@ fn decode_body(body: &[u8]) -> Result<Frame, CodecError> {
                 }
                 t => return Err(CodecError(format!("bad body kind tag {t}"))),
             };
-            Frame::Data(DataFrame { group, sender, seq, kind, dims, body })
+            Frame::Data(DataFrame {
+                group,
+                sender,
+                seq,
+                kind,
+                dims,
+                body,
+            })
         }
-        TAG_ACK => Frame::Ack { group: c.u64()?, upto: c.u64()? },
+        TAG_ACK => Frame::Ack {
+            group: c.u64()?,
+            upto: c.u64()?,
+        },
         TAG_HEARTBEAT => Frame::Heartbeat,
         TAG_REGROUP => {
             let epoch = c.u64()?;
@@ -373,13 +410,24 @@ pub struct HandshakeExpect {
 /// dialer (e.g. a zombie from before a regroup) is refused here.
 pub fn validate_handshake(f: &Frame, expect: HandshakeExpect) -> Result<u32, String> {
     match f {
-        Frame::Handshake { version, world, epoch, rank } => {
+        Frame::Handshake {
+            version,
+            world,
+            epoch,
+            rank,
+        } => {
             if *version != VERSION {
                 Err(format!("version mismatch: got {version}, want {VERSION}"))
             } else if *world != expect.world {
-                Err(format!("world-size mismatch: got {world}, want {}", expect.world))
+                Err(format!(
+                    "world-size mismatch: got {world}, want {}",
+                    expect.world
+                ))
             } else if *epoch != expect.epoch {
-                Err(format!("stale epoch: got {epoch}, current is {}", expect.epoch))
+                Err(format!(
+                    "stale epoch: got {epoch}, current is {}",
+                    expect.epoch
+                ))
             } else {
                 Ok(*rank)
             }
@@ -404,8 +452,17 @@ mod tests {
     #[test]
     fn all_frame_kinds_roundtrip() {
         let frames = vec![
-            Frame::Handshake { version: VERSION, world: 4, epoch: 7, rank: 2 },
-            Frame::HandshakeAck { accept: false, epoch: 9, world: 3 },
+            Frame::Handshake {
+                version: VERSION,
+                world: 4,
+                epoch: 7,
+                rank: 2,
+            },
+            Frame::HandshakeAck {
+                accept: false,
+                epoch: 9,
+                world: 3,
+            },
             Frame::Data(DataFrame {
                 group: 0xDEAD_BEEF,
                 sender: 3,
@@ -430,9 +487,15 @@ mod tests {
                 dims: vec![8],
                 body: WireBody::Bf16(vec![0x3F80, 0xBF00, 0x0000]),
             }),
-            Frame::Ack { group: 5, upto: u64::MAX },
+            Frame::Ack {
+                group: 5,
+                upto: u64::MAX,
+            },
             Frame::Heartbeat,
-            Frame::Regroup { epoch: 2, failed: vec![1, 3] },
+            Frame::Regroup {
+                epoch: 2,
+                failed: vec![1, 3],
+            },
             Frame::Bye,
         ];
         for f in &frames {
@@ -522,21 +585,50 @@ mod tests {
     #[test]
     fn handshake_validation_refuses_stale_epoch_wrong_world_and_version() {
         let expect = HandshakeExpect { world: 4, epoch: 2 };
-        let good = Frame::Handshake { version: VERSION, world: 4, epoch: 2, rank: 3 };
+        let good = Frame::Handshake {
+            version: VERSION,
+            world: 4,
+            epoch: 2,
+            rank: 3,
+        };
         assert_eq!(validate_handshake(&good, expect), Ok(3));
-        let stale = Frame::Handshake { version: VERSION, world: 4, epoch: 1, rank: 3 };
-        assert!(validate_handshake(&stale, expect).unwrap_err().contains("stale epoch"));
-        let wrong_world = Frame::Handshake { version: VERSION, world: 8, epoch: 2, rank: 3 };
+        let stale = Frame::Handshake {
+            version: VERSION,
+            world: 4,
+            epoch: 1,
+            rank: 3,
+        };
+        assert!(validate_handshake(&stale, expect)
+            .unwrap_err()
+            .contains("stale epoch"));
+        let wrong_world = Frame::Handshake {
+            version: VERSION,
+            world: 8,
+            epoch: 2,
+            rank: 3,
+        };
         assert!(validate_handshake(&wrong_world, expect)
             .unwrap_err()
             .contains("world-size mismatch"));
-        let wrong_version = Frame::Handshake { version: VERSION + 1, world: 4, epoch: 2, rank: 3 };
+        let wrong_version = Frame::Handshake {
+            version: VERSION + 1,
+            world: 4,
+            epoch: 2,
+            rank: 3,
+        };
         assert!(validate_handshake(&wrong_version, expect)
             .unwrap_err()
             .contains("version mismatch"));
         // A version-1 peer still speaks the rendezvous-exchange frames.
-        let v1 = Frame::Handshake { version: 1, world: 4, epoch: 2, rank: 3 };
-        assert!(validate_handshake(&v1, expect).unwrap_err().contains("version mismatch"));
+        let v1 = Frame::Handshake {
+            version: 1,
+            world: 4,
+            epoch: 2,
+            rank: 3,
+        };
+        assert!(validate_handshake(&v1, expect)
+            .unwrap_err()
+            .contains("version mismatch"));
         assert!(validate_handshake(&Frame::Heartbeat, expect)
             .unwrap_err()
             .contains("expected handshake"));

@@ -49,7 +49,15 @@ fn build_rank(
 ) -> (Communicator, Arc<WorldShared>, Arc<Endpoint>) {
     let world = WorldShared::new(Topology::frontier(world_size));
     world.set_epoch(epoch);
-    let ep = Endpoint::new(world.clone(), cfg, rank, listener, addrs, epoch, plan.get(rank));
+    let ep = Endpoint::new(
+        world.clone(),
+        cfg,
+        rank,
+        listener,
+        addrs,
+        epoch,
+        plan.get(rank),
+    );
     ep.start();
     let engine = Engine::new(world_size, gid_world(epoch));
     world.register_engine(&engine);
@@ -77,8 +85,10 @@ where
     let listeners: Vec<TcpListener> = (0..world_size)
         .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind loopback listener"))
         .collect();
-    let addrs: Vec<SocketAddr> =
-        listeners.iter().map(|l| l.local_addr().expect("listener addr")).collect();
+    let addrs: Vec<SocketAddr> = listeners
+        .iter()
+        .map(|l| l.local_addr().expect("listener addr"))
+        .collect();
     let mems: Vec<Arc<MemCounter>> = (0..world_size).map(|_| MemCounter::new()).collect();
 
     let results: Vec<(Result<T, String>, Arc<TrafficLog>)> = std::thread::scope(|s| {
@@ -100,14 +110,24 @@ where
                         Ok(_) => ep.shutdown_graceful(),
                         Err(_) => ep.abort(),
                     }
-                    (out.map_err(|e| describe_payload(e.as_ref())), world.log.clone())
+                    (
+                        out.map_err(|e| describe_payload(e.as_ref())),
+                        world.log.clone(),
+                    )
                 })
             })
             .collect();
-        handles.into_iter().map(|h| h.join().expect("rank thread join")).collect()
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("rank thread join"))
+            .collect()
     });
     let (outputs, traffic) = results.into_iter().unzip();
-    TcpRun { outputs, mems, traffic }
+    TcpRun {
+        outputs,
+        mems,
+        traffic,
+    }
 }
 
 /// [`run_tcp_ranks_faulty`] with no faults armed.
@@ -130,7 +150,11 @@ where
         Transport::Thread => {
             let run = crate::launch::run_ranks_faulty(world_size, &FaultPlan::none(), f);
             let traffic = (0..world_size).map(|_| run.traffic.clone()).collect();
-            TcpRun { outputs: run.outputs, mems: run.mems, traffic }
+            TcpRun {
+                outputs: run.outputs,
+                mems: run.mems,
+                traffic,
+            }
         }
         Transport::Tcp(cfg) => run_tcp_ranks(world_size, cfg.clone(), f),
     }
@@ -155,12 +179,20 @@ pub fn tcp_world_from_env() -> Option<TcpEnv> {
     let rank = std::env::var("DCHAG_TCP_RANK").ok()?.parse().ok()?;
     let world = std::env::var("DCHAG_TCP_WORLD").ok()?.parse().ok()?;
     let dir = PathBuf::from(std::env::var("DCHAG_TCP_DIR").ok()?);
-    let epoch =
-        std::env::var("DCHAG_TCP_EPOCH").ok().and_then(|s| s.parse().ok()).unwrap_or(0);
+    let epoch = std::env::var("DCHAG_TCP_EPOCH")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(0);
     let faults = std::env::var("DCHAG_TCP_FAULTS")
         .map(|s| TransportFaultPlan::decode(&s))
         .unwrap_or_default();
-    Some(TcpEnv { rank, world, dir, epoch, faults })
+    Some(TcpEnv {
+        rank,
+        world,
+        dir,
+        epoch,
+        faults,
+    })
 }
 
 /// Spawn `world` child processes re-executing the current binary filtered
@@ -231,5 +263,13 @@ pub fn connect_world(
             }
         })
         .collect();
-    build_rank(env.world, cfg, env.rank, listener, addrs, env.epoch, &env.faults)
+    build_rank(
+        env.world,
+        cfg,
+        env.rank,
+        listener,
+        addrs,
+        env.epoch,
+        &env.faults,
+    )
 }

@@ -143,7 +143,9 @@ impl TransportFaultPlan {
     }
 
     pub fn for_rank(rank: usize, fault: TransportFault) -> Self {
-        TransportFaultPlan { faults: vec![(rank, fault)] }
+        TransportFaultPlan {
+            faults: vec![(rank, fault)],
+        }
     }
 
     pub fn and_fault(mut self, rank: usize, fault: TransportFault) -> Self {
@@ -152,7 +154,10 @@ impl TransportFaultPlan {
     }
 
     pub fn get(&self, rank: usize) -> Option<TransportFault> {
-        self.faults.iter().find(|(r, _)| *r == rank).map(|(_, f)| *f)
+        self.faults
+            .iter()
+            .find(|(r, _)| *r == rank)
+            .map(|(_, f)| *f)
     }
 
     /// `rank:kind:arg` triples joined by `;` — survives an env round trip.
@@ -340,7 +345,13 @@ impl Endpoint {
     ) -> Arc<Endpoint> {
         let world_size = peer_addrs.len();
         let peers = (0..world_size)
-            .map(|r| if r == me { None } else { Some(PeerState::new()) })
+            .map(|r| {
+                if r == me {
+                    None
+                } else {
+                    Some(PeerState::new())
+                }
+            })
             .collect();
         Arc::new(Endpoint {
             world,
@@ -417,7 +428,12 @@ impl Endpoint {
         for (peer, d) in buffered {
             self.dispatch_data(&rt, peer, d);
         }
-        Arc::new(GroupLink { ep: self.clone(), gid, members, me: my_rank })
+        Arc::new(GroupLink {
+            ep: self.clone(),
+            gid,
+            members,
+            me: my_rank,
+        })
     }
 
     // ----- failure mapper ---------------------------------------------------
@@ -435,7 +451,12 @@ impl Endpoint {
             }
             *st = PeerStatus::Failed;
         }
-        self.world.declare_failed(peer, FailureSource::Transport { why: why.to_string() });
+        self.world.declare_failed(
+            peer,
+            FailureSource::Transport {
+                why: why.to_string(),
+            },
+        );
         ps.cv.notify_all();
         self.regroup_cv.notify_all();
     }
@@ -553,7 +574,11 @@ impl Endpoint {
         }
         let bytes = Arc::new(encode_frame(&Frame::Data(d)));
         let mut q = ps.q.lock();
-        q.queue.push_back(QItem { bytes, ack_key: Some(ack_key), close_after: false });
+        q.queue.push_back(QItem {
+            bytes,
+            ack_key: Some(ack_key),
+            close_after: false,
+        });
         ps.cv.notify_all();
     }
 
@@ -567,7 +592,11 @@ impl Endpoint {
         }
         let bytes = Arc::new(encode_frame(f));
         let mut q = ps.q.lock();
-        q.queue.push_back(QItem { bytes, ack_key: None, close_after: false });
+        q.queue.push_back(QItem {
+            bytes,
+            ack_key: None,
+            close_after: false,
+        });
         ps.cv.notify_all();
     }
 
@@ -590,7 +619,11 @@ impl Endpoint {
                 if self.silenced.load(Ordering::SeqCst) || self.shutdown.load(Ordering::SeqCst) {
                     break;
                 }
-                let ok = if dialer { self.dial(&ps, peer) } else { self.wait_accepted(&ps, peer) };
+                let ok = if dialer {
+                    self.dial(&ps, peer)
+                } else {
+                    self.wait_accepted(&ps, peer)
+                };
                 if !ok {
                     break;
                 }
@@ -603,9 +636,13 @@ impl Endpoint {
                     let bringup = seen_gen == 0;
                     seen_gen = q.conn_gen;
                     if !bringup {
-                        self.world.log.record_transport(peer, TransportEventKind::Reconnected);
+                        self.world
+                            .log
+                            .record_transport(peer, TransportEventKind::Reconnected);
                         for _ in 0..q.unacked.len() {
-                            self.world.log.record_transport(peer, TransportEventKind::Retransmit);
+                            self.world
+                                .log
+                                .record_transport(peer, TransportEventKind::Retransmit);
                         }
                     }
                     while let Some(item) = q.unacked.pop_back() {
@@ -635,7 +672,10 @@ impl Endpoint {
                     q.disconnected_at = Some(Instant::now());
                     Step::Again
                 } else if q.queue.is_empty() {
-                    let timed_out = ps.cv.wait_for(&mut q, self.cfg.heartbeat_interval).timed_out();
+                    let timed_out = ps
+                        .cv
+                        .wait_for(&mut q, self.cfg.heartbeat_interval)
+                        .timed_out();
                     if q.queue.is_empty()
                         && timed_out
                         && !self.silenced.load(Ordering::SeqCst)
@@ -723,7 +763,9 @@ impl Endpoint {
                 return false;
             }
             if !bringup {
-                self.world.log.record_transport(peer, TransportEventKind::ReconnectAttempt);
+                self.world
+                    .log
+                    .record_transport(peer, TransportEventKind::ReconnectAttempt);
             }
             match TcpStream::connect_timeout(&self.peer_addrs[peer], self.cfg.connect_timeout) {
                 Ok(stream) => match self.client_handshake(stream) {
@@ -816,8 +858,14 @@ impl Endpoint {
                 Ok(Some(Frame::HandshakeAck { accept: true, .. })) => {
                     return Ok((s, reader));
                 }
-                Ok(Some(Frame::HandshakeAck { accept: false, epoch, world })) => {
-                    return Err(HsErr::Refused(format!("peer at epoch {epoch}, world {world}")));
+                Ok(Some(Frame::HandshakeAck {
+                    accept: false,
+                    epoch,
+                    world,
+                })) => {
+                    return Err(HsErr::Refused(format!(
+                        "peer at epoch {epoch}, world {world}"
+                    )));
                 }
                 Ok(Some(_)) => return Err(HsErr::Io("unexpected frame before ack".into())),
                 Ok(None) => {}
@@ -908,7 +956,10 @@ impl Endpoint {
                 Err(_) => return,
             }
         };
-        let expect = HandshakeExpect { world: self.world_size as u32, epoch: self.epoch() };
+        let expect = HandshakeExpect {
+            world: self.world_size as u32,
+            epoch: self.epoch(),
+        };
         let refuse = |mut s: TcpStream| {
             let _ = s.write_all(&encode_frame(&Frame::HandshakeAck {
                 accept: false,
@@ -922,17 +973,22 @@ impl Endpoint {
                 self.world
                     .log
                     .record_transport(usize::MAX, TransportEventKind::HandshakeRejected);
-                self.world.log.record_fault(FaultCause::HandshakeInvalid { why });
+                self.world
+                    .log
+                    .record_fault(FaultCause::HandshakeInvalid { why });
                 refuse(s);
                 return;
             }
         };
-        if rank >= self.world_size || rank == self.me || self.world.failed_ranks().contains(&rank)
-        {
+        if rank >= self.world_size || rank == self.me || self.world.failed_ranks().contains(&rank) {
             // A zombie from before a regroup (already declared failed) or a
             // nonsense rank — refuse definitively.
-            self.world.log.record_transport(rank, TransportEventKind::HandshakeRejected);
-            self.world.log.record_fault(FaultCause::HandshakeRefused { rank });
+            self.world
+                .log
+                .record_transport(rank, TransportEventKind::HandshakeRejected);
+            self.world
+                .log
+                .record_fault(FaultCause::HandshakeRefused { rank });
             refuse(s);
             return;
         }
@@ -941,13 +997,12 @@ impl Endpoint {
             refuse(s);
             return;
         }
-        if s
-            .write_all(&encode_frame(&Frame::HandshakeAck {
-                accept: true,
-                epoch: self.epoch(),
-                world: self.world_size as u32,
-            }))
-            .is_err()
+        if s.write_all(&encode_frame(&Frame::HandshakeAck {
+            accept: true,
+            epoch: self.epoch(),
+            world: self.world_size as u32,
+        }))
+        .is_err()
         {
             return;
         }
@@ -956,8 +1011,16 @@ impl Endpoint {
 
     // ----- reader -----------------------------------------------------------
 
-    fn reader_loop(self: Arc<Self>, peer: usize, mut stream: TcpStream, gen: u64, mut reader: FrameReader) {
-        let Some(ps) = self.peers[peer].clone() else { return };
+    fn reader_loop(
+        self: Arc<Self>,
+        peer: usize,
+        mut stream: TcpStream,
+        gen: u64,
+        mut reader: FrameReader,
+    ) {
+        let Some(ps) = self.peers[peer].clone() else {
+            return;
+        };
         let blackhole = matches!(self.fault, Some(TransportFault::BlackHoleReads));
         let mut buf = vec![0u8; 64 * 1024];
         let mut saw_bye = false;
@@ -985,7 +1048,9 @@ impl Endpoint {
                                 }
                             }
                             Frame::Heartbeat => {}
-                            Frame::Regroup { epoch, failed } => self.on_regroup(peer, epoch, &failed),
+                            Frame::Regroup { epoch, failed } => {
+                                self.on_regroup(peer, epoch, &failed)
+                            }
                             Frame::Bye => {
                                 saw_bye = true;
                                 let mut st = ps.status.lock();
@@ -1058,7 +1123,11 @@ impl Endpoint {
                     // Group not registered yet (peer raced into a split or a
                     // regroup) — buffer under the same lock that guards
                     // registration so the frame cannot be stranded.
-                    self.pending.lock().entry(group).or_default().push((peer, d.clone()));
+                    self.pending
+                        .lock()
+                        .entry(group)
+                        .or_default()
+                        .push((peer, d.clone()));
                     None
                 }
             }
@@ -1131,13 +1200,20 @@ impl Endpoint {
             if let Some(set) = verdict {
                 self.enqueue_ctrl(
                     peer,
-                    &Frame::Regroup { epoch, failed: set.iter().map(|&r| r as u32).collect() },
+                    &Frame::Regroup {
+                        epoch,
+                        failed: set.iter().map(|&r| r as u32).collect(),
+                    },
                 );
             }
             return;
         }
         let set: BTreeSet<usize> = failed.iter().map(|&r| r as usize).collect();
-        self.proposals.lock().entry(epoch).or_default().insert(peer, set);
+        self.proposals
+            .lock()
+            .entry(epoch)
+            .or_default()
+            .insert(peer, set);
         self.regroup_cv.notify_all();
     }
 
@@ -1175,8 +1251,12 @@ impl Endpoint {
             }
             // Fold in peer proposals and anything the failure detector
             // learned since — the union only grows, so this converges.
-            let snapshot: HashMap<usize, BTreeSet<usize>> =
-                self.proposals.lock().get(&target).cloned().unwrap_or_default();
+            let snapshot: HashMap<usize, BTreeSet<usize>> = self
+                .proposals
+                .lock()
+                .get(&target)
+                .cloned()
+                .unwrap_or_default();
             let mut grew = false;
             for set in snapshot.values() {
                 for &r in set {
@@ -1208,7 +1288,10 @@ impl Endpoint {
                 self.world.set_epoch(target);
                 self.agreed.lock().insert(target, mine.clone());
                 self.proposals.lock().retain(|&e, _| e > target);
-                let my_rank = survivors.iter().position(|&r| r == self.me).expect("me survives");
+                let my_rank = survivors
+                    .iter()
+                    .position(|&r| r == self.me)
+                    .expect("me survives");
                 let engine = Engine::new(survivors.len(), gid_world(target));
                 self.world.register_engine(&engine);
                 let link = self.register_group(survivors.clone(), my_rank, engine.clone());
@@ -1264,10 +1347,15 @@ impl Endpoint {
                     q.conn_gen > 0 && q.last_rx.elapsed() > self.cfg.heartbeat_timeout
                 };
                 if stale {
-                    self.world.log.record_transport(p, TransportEventKind::HeartbeatMiss);
+                    self.world
+                        .log
+                        .record_transport(p, TransportEventKind::HeartbeatMiss);
                     self.fail_peer(
                         p,
-                        &format!("heartbeat lost ({} ms silent)", self.cfg.heartbeat_timeout.as_millis()),
+                        &format!(
+                            "heartbeat lost ({} ms silent)",
+                            self.cfg.heartbeat_timeout.as_millis()
+                        ),
                     );
                 }
             }
@@ -1347,7 +1435,13 @@ impl GroupLink {
     /// Send one contribution (`seq` is the engine sequence the local
     /// `issue` was assigned — cross-checked on receive) to every remote
     /// member.
-    pub(crate) fn send_issue(&self, seq: u64, kind: CollKind, precision: CommPrecision, t: &Tensor) {
+    pub(crate) fn send_issue(
+        &self,
+        seq: u64,
+        kind: CollKind,
+        precision: CommPrecision,
+        t: &Tensor,
+    ) {
         if !self.ep.fault_gate() {
             return;
         }
@@ -1386,7 +1480,10 @@ enum HsErr {
 }
 
 fn retryable(e: &std::io::Error) -> bool {
-    matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted)
+    matches!(
+        e.kind(),
+        ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
+    )
 }
 
 #[cfg(test)]

@@ -135,11 +135,7 @@ impl DChagEncoder {
 impl EncoderBackbone for DChagEncoder {
     fn embed(&self, bind: &dyn Binder, images: &Tensor) -> Var {
         let tape = bind.tape();
-        let (b, p, d) = (
-            images.dims()[0],
-            self.cfg.num_patches(),
-            self.cfg.embed_dim,
-        );
+        let (b, p, d) = (images.dims()[0], self.cfg.num_patches(), self.cfg.embed_dim);
         let cl = self.local_channels();
 
         // Local tokenization of this rank's channel slice (paper Fig. 4).

@@ -46,9 +46,9 @@ pub fn build_climax(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::train::train_step;
     use dchag_collectives::run_ranks;
     use dchag_model::config::UnitKind;
-    use crate::train::train_step;
     use dchag_model::{AdamW, PatchMask};
 
     #[test]

@@ -172,7 +172,10 @@ pub struct StateAccess<M> {
 
 impl<M> Default for StateAccess<M> {
     fn default() -> Self {
-        StateAccess { optimizer: None, rng: None }
+        StateAccess {
+            optimizer: None,
+            rng: None,
+        }
     }
 }
 
@@ -292,7 +295,10 @@ where
     B: FnMut(&Communicator) -> (ParamStore, M),
     F: FnMut(&mut ParamStore, &mut M, &Communicator, usize) -> f32,
 {
-    assert!(rcfg.checkpoint_every > 0, "checkpoint_every must be positive");
+    assert!(
+        rcfg.checkpoint_every > 0,
+        "checkpoint_every must be positive"
+    );
     let take_snapshot = |store: &ParamStore, model: &mut M, step: usize| -> Snapshot {
         let mut snap = Snapshot::of_store(store, step as u64);
         if let Some(get_opt) = access.optimizer {
@@ -304,7 +310,8 @@ where
         snap
     };
     let restore = |snap: &Snapshot, store: &mut ParamStore, model: &mut M| {
-        snap.apply_to(store).expect("checkpoint restores into rebuilt store");
+        snap.apply_to(store)
+            .expect("checkpoint restores into rebuilt store");
         if let Some(get_opt) = access.optimizer {
             if let Some(os) = &snap.optim {
                 get_opt(model).import_state(store, os);
@@ -348,7 +355,9 @@ where
                 } else {
                     // World size changed since the save: reassemble full
                     // parameters from all shards (reshard-on-load).
-                    let shards = probe.load_all_shards(v.step).expect("validated shards load");
+                    let shards = probe
+                        .load_all_shards(v.step)
+                        .expect("validated shards load");
                     let entries = merge_shards(&shards).expect("validated shards merge");
                     apply_entries(&mut store, &entries)
                         .expect("merged checkpoint restores into rebuilt store");
@@ -424,8 +433,10 @@ where
                 step = checkpoint_step;
                 recoveries += 1;
                 recovery_us.push(t0.elapsed().as_secs_f64() * 1e6);
-                restored_from =
-                    Some(RestorePoint { step: checkpoint_step, crc32: crc32(&mem_ckpt.to_bytes()) });
+                restored_from = Some(RestorePoint {
+                    step: checkpoint_step,
+                    crc32: crc32(&mem_ckpt.to_bytes()),
+                });
                 // The world shrank: the durable writer must save/commit
                 // under the survivor rank numbering and world size.
                 if let Some(d) = &rcfg.durable {
@@ -520,7 +531,9 @@ mod tests {
         // With no failures injected, the driver is a transparent wrapper:
         // same losses, same parameters, zero recoveries.
         let mut drng = Rng::new(9);
-        let data: Vec<Tensor> = (0..2).map(|_| Tensor::randn([4, 4], 1.0, &mut drng)).collect();
+        let data: Vec<Tensor> = (0..2)
+            .map(|_| Tensor::randn([4, 4], 1.0, &mut drng))
+            .collect();
         let run = run_ranks(2, |ctx| {
             let forward = |lin: &Linear, bind: &LocalBinder, x: &Tensor| {
                 let xv = bind.tape().leaf(x.clone());
@@ -542,7 +555,10 @@ mod tests {
                 let params: Vec<f32> = store.iter().flat_map(|(_, _, v)| v.to_vec()).collect();
                 (losses, params)
             };
-            let rcfg = ResilienceConfig { checkpoint_every: 2, ..Default::default() };
+            let rcfg = ResilienceConfig {
+                checkpoint_every: 2,
+                ..Default::default()
+            };
             let report = resilient_train_loop(
                 &ctx.comm,
                 &rcfg,
@@ -550,7 +566,10 @@ mod tests {
                 |comm| {
                     let mut store = ParamStore::new();
                     let lin = model(&mut store);
-                    (store, (lin, DataParallel::new(comm.clone()), AdamW::new(0.05)))
+                    (
+                        store,
+                        (lin, DataParallel::new(comm.clone()), AdamW::new(0.05)),
+                    )
                 },
                 |store, (lin, dp, opt), comm, _step| {
                     let x = data[comm.rank()].clone();
@@ -561,8 +580,11 @@ mod tests {
             assert_eq!(report.recoveries, 0);
             assert!(report.restored_from.is_none());
             assert_eq!(report.final_world, 2);
-            let params: Vec<f32> =
-                report.store.iter().flat_map(|(_, _, v)| v.to_vec()).collect();
+            let params: Vec<f32> = report
+                .store
+                .iter()
+                .flat_map(|(_, _, v)| v.to_vec())
+                .collect();
             (plain_losses == report.losses, plain_params == params)
         });
         for (losses_eq, params_eq) in run.outputs {

@@ -40,10 +40,7 @@ impl ChannelStats {
             mean_f[ci] = m as f32;
             std[ci] = (var.sqrt() as f32).max(1e-6);
         }
-        ChannelStats {
-            mean: mean_f,
-            std,
-        }
+        ChannelStats { mean: mean_f, std }
     }
 
     /// `(x - mean) / std` per channel.

@@ -146,9 +146,9 @@ impl WeatherDataset {
         for y in 0..h {
             let lat = 1.0 - 2.0 * (y as f32 + 0.5) / h as f32; // +1 N pole … −1 S pole
             let clim = match slot / nl.max(1) {
-                0 => 1.2 * (1.0 - lat * lat),              // z: high at equator
-                1 => 1.5 * (1.0 - lat.abs()) - 0.5,        // t: warm equator
-                2 => 0.8 * (2.0 * lat).sin(),              // u: jets
+                0 => 1.2 * (1.0 - lat * lat),       // z: high at equator
+                1 => 1.5 * (1.0 - lat.abs()) - 0.5, // t: warm equator
+                2 => 0.8 * (2.0 * lat).sin(),       // u: jets
                 _ => 0.0,
             };
             for x in 0..w {

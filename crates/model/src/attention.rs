@@ -34,7 +34,10 @@ impl MultiHeadAttention {
         dim: usize,
         heads: usize,
     ) -> Self {
-        assert!(dim.is_multiple_of(heads), "heads {heads} must divide dim {dim}");
+        assert!(
+            dim.is_multiple_of(heads),
+            "heads {heads} must divide dim {dim}"
+        );
         Self::with_head_dim(store, rng, name, dim, heads, dim / heads)
     }
 
@@ -106,8 +109,7 @@ impl MultiHeadAttention {
         // the model ever runs.
         #[cfg(debug_assertions)]
         {
-            let want =
-                dchag_tensor::ops::naive_attention(q.value(), k.value(), v.value(), scale);
+            let want = dchag_tensor::ops::naive_attention(q.value(), k.value(), v.value(), scale);
             debug_assert!(
                 ctx.value().max_abs_diff(&want) <= 1e-4,
                 "flash attention diverged from naive composition by {}",

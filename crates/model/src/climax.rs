@@ -222,7 +222,10 @@ mod tests {
             crate::optim::clip_global_norm(&mut pg, 5.0);
             opt.step(&mut store, &pg);
         }
-        assert!(losses.last().unwrap() < losses.first().unwrap(), "{losses:?}");
+        assert!(
+            losses.last().unwrap() < losses.first().unwrap(),
+            "{losses:?}"
+        );
     }
 
     #[test]

@@ -98,7 +98,10 @@ impl ModelConfig {
     }
 
     pub fn head_dim(&self) -> usize {
-        assert!(self.embed_dim.is_multiple_of(self.heads), "heads must divide embed");
+        assert!(
+            self.embed_dim.is_multiple_of(self.heads),
+            "heads must divide embed"
+        );
         self.embed_dim / self.heads
     }
 
@@ -116,8 +119,7 @@ impl ModelConfig {
     /// channel-ID embedding.
     pub fn tokenizer_params(&self) -> u64 {
         self.channels as u64
-            * ((self.patch * self.patch * self.embed_dim) as u64
-                + 2 * self.embed_dim as u64)
+            * ((self.patch * self.patch * self.embed_dim) as u64 + 2 * self.embed_dim as u64)
     }
 
     pub fn with_channels(mut self, channels: usize) -> Self {

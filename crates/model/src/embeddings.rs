@@ -23,7 +23,10 @@ impl ChannelEmbed {
             .iter()
             .map(|&c| {
                 let mut r = base.fork(STREAM_E ^ (c as u64).wrapping_mul(2654435761));
-                store.add(format!("chan_embed.{c}"), init::trunc_normal(&[dim], 0.02, &mut r))
+                store.add(
+                    format!("chan_embed.{c}"),
+                    init::trunc_normal(&[dim], 0.02, &mut r),
+                )
             })
             .collect();
         ChannelEmbed {
@@ -211,9 +214,7 @@ mod tests {
             }
         }
         // channels differ
-        assert!(
-            ops::slice(v, 1, 0, 1).max_abs_diff(&ops::slice(v, 1, 1, 1)) > 1e-4
-        );
+        assert!(ops::slice(v, 1, 0, 1).max_abs_diff(&ops::slice(v, 1, 1, 1)) > 1e-4);
     }
 
     #[test]
@@ -222,14 +223,8 @@ mod tests {
         let e1 = ChannelEmbed::new(&mut s1, 5, &[0, 1, 2, 3], 8);
         let mut s2 = ParamStore::new();
         let e2 = ChannelEmbed::new(&mut s2, 5, &[3, 1], 8);
-        assert_eq!(
-            s1.get(e1.ids[3]).to_vec(),
-            s2.get(e2.ids[0]).to_vec()
-        );
-        assert_eq!(
-            s1.get(e1.ids[1]).to_vec(),
-            s2.get(e2.ids[1]).to_vec()
-        );
+        assert_eq!(s1.get(e1.ids[3]).to_vec(), s2.get(e2.ids[0]).to_vec());
+        assert_eq!(s1.get(e1.ids[1]).to_vec(), s2.get(e2.ids[1]).to_vec());
     }
 
     #[test]

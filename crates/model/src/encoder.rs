@@ -48,8 +48,7 @@ impl FmEncoder {
         tree: TreeConfig,
     ) -> Self {
         let channels: Vec<usize> = (0..cfg.channels).collect();
-        let tokenizer =
-            PatchTokenizer::new(store, base_seed, &channels, cfg.patch, cfg.embed_dim);
+        let tokenizer = PatchTokenizer::new(store, base_seed, &channels, cfg.patch, cfg.embed_dim);
         let chan_embed = ChannelEmbed::new(store, base_seed, &channels, cfg.embed_dim);
         let agg = HierarchicalAggregator::new(
             store,

@@ -39,11 +39,7 @@ impl Linear {
 
     pub fn forward(&self, bind: &dyn Binder, x: &Var) -> Var {
         let tape = bind.tape();
-        debug_assert_eq!(
-            *x.dims().last().unwrap(),
-            self.in_dim,
-            "Linear input width"
-        );
+        debug_assert_eq!(*x.dims().last().unwrap(), self.in_dim, "Linear input width");
         match self.b {
             // Fused kernel: bias broadcast into the GEMM output buffer,
             // one tape node, no intermediate `x·W` tensor.

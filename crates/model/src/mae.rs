@@ -103,7 +103,14 @@ impl<E: EncoderBackbone> MaeModel<E> {
         let dec_pos = PosEmbed::new(store, rng, "dec.pos_embed", cfg.num_patches(), dd);
         let dec_blocks = (0..cfg.decoder_depth)
             .map(|i| {
-                TransformerBlock::new(store, rng, &format!("dec.blk{i}"), dd, cfg.heads.min(dd / 4).max(1), dd * 2)
+                TransformerBlock::new(
+                    store,
+                    rng,
+                    &format!("dec.blk{i}"),
+                    dd,
+                    cfg.heads.min(dd / 4).max(1),
+                    dd * 2,
+                )
             })
             .collect();
         let dec_ln = LayerNorm::new(store, "dec.ln", dd);

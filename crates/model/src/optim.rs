@@ -60,7 +60,12 @@ impl AdamW {
             let v = self.v.get(i).cloned().flatten();
             let master = self.master.get(i).cloned().flatten();
             if m.is_some() || v.is_some() || master.is_some() {
-                entries.push(OptimEntry { name: name.to_string(), m, v, master });
+                entries.push(OptimEntry {
+                    name: name.to_string(),
+                    m,
+                    v,
+                    master,
+                });
             }
         }
         OptimState { t: self.t, entries }
@@ -109,12 +114,10 @@ impl AdamW {
             );
 
             let shape = store.get(id).shape().clone();
-            let m_prev = self
-                .m[i]
+            let m_prev = self.m[i]
                 .take()
                 .unwrap_or_else(|| Tensor::zeros(shape.clone()));
-            let v_prev = self
-                .v[i]
+            let v_prev = self.v[i]
                 .take()
                 .unwrap_or_else(|| Tensor::zeros(shape.clone()));
 
@@ -123,7 +126,11 @@ impl AdamW {
             // fresh tensors per parameter per step. The sweep itself is the
             // runtime-dispatched SIMD kernel (`dchag_tensor::simd`), so the
             // whole update is lane-parallel with no per-element libm sqrt.
-            let decay = if shape.ndim() >= 2 { self.weight_decay } else { 0.0 };
+            let decay = if shape.ndim() >= 2 {
+                self.weight_decay
+            } else {
+                0.0
+            };
             let coeffs = dchag_tensor::simd::AdamParams {
                 beta1: self.beta1,
                 beta2: self.beta2,
@@ -319,7 +326,10 @@ mod tests {
         let build = || {
             let mut s = ParamStore::new();
             s.add("w", Tensor::from_vec(vec![5.0, -3.0, 2.0, -1.0], [2, 2]));
-            s.add("xb", Tensor::from_vec(vec![1.0, 0.5], [2]).to_dtype(DType::Bf16));
+            s.add(
+                "xb",
+                Tensor::from_vec(vec![1.0, 0.5], [2]).to_dtype(DType::Bf16),
+            );
             s
         };
         let grads = |store: &ParamStore| -> Vec<Option<Tensor>> {
@@ -372,7 +382,10 @@ mod tests {
             assert_eq!(got.dtype(), want.dtype(), "{name}");
             assert_eq!(
                 got.to_vec().iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                want.to_vec().iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                want.to_vec()
+                    .iter()
+                    .map(|x| x.to_bits())
+                    .collect::<Vec<_>>(),
                 "{name} must match bitwise"
             );
         }

@@ -49,10 +49,7 @@ impl PatchTokenizer {
                     format!("tok.w.{c}"),
                     dchag_tensor::init::xavier_uniform(patch * patch, dim, &mut wr),
                 );
-                let b = store.add(
-                    format!("tok.b.{c}"),
-                    Tensor::randn([dim], 0.02, &mut br),
-                );
+                let b = store.add(format!("tok.b.{c}"), Tensor::randn([dim], 0.02, &mut br));
                 ChannelTok { w, b }
             })
             .collect();
@@ -180,7 +177,10 @@ mod tests {
         let y = tok.forward(&bind, &imgs);
         let c0 = ops::slice(y.value(), 1, 0, 1);
         let c1 = ops::slice(y.value(), 1, 1, 1);
-        assert!(c0.max_abs_diff(&c1) > 1e-3, "per-channel weights must differ");
+        assert!(
+            c0.max_abs_diff(&c1) > 1e-3,
+            "per-channel weights must differ"
+        );
     }
 
     #[test]

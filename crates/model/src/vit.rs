@@ -60,7 +60,14 @@ impl ViTEncoder {
     ) -> Self {
         let blocks = (0..depth)
             .map(|i| {
-                TransformerBlock::new(store, rng, &format!("{name}.blk{i}"), dim, heads, mlp_hidden)
+                TransformerBlock::new(
+                    store,
+                    rng,
+                    &format!("{name}.blk{i}"),
+                    dim,
+                    heads,
+                    mlp_hidden,
+                )
             })
             .collect();
         ViTEncoder {

@@ -47,7 +47,15 @@ pub struct PendingGatherVar {
 impl PendingGatherVar {
     /// Complete the gather and record the tape node carrying its adjoint.
     pub fn wait(self, tape: &Tape) -> Var {
-        let PendingGatherVar { req, xid, rank, axis, local, comm, adjoint } = self;
+        let PendingGatherVar {
+            req,
+            xid,
+            rank,
+            axis,
+            local,
+            comm,
+            adjoint,
+        } = self;
         let gathered = req.wait();
         match adjoint {
             GatherAdjoint::Slice => tape.custom(gathered, move |g, emit| {

@@ -111,10 +111,7 @@ mod tests {
             }
             assert_eq!(next, c);
             let sizes: Vec<usize> = parts.iter().map(|p| p.len()).collect();
-            let (mn, mx) = (
-                *sizes.iter().min().unwrap(),
-                *sizes.iter().max().unwrap(),
-            );
+            let (mn, mx) = (*sizes.iter().min().unwrap(), *sizes.iter().max().unwrap());
             assert!(mx - mn <= 1, "balanced: {sizes:?}");
         }
     }
@@ -145,14 +142,8 @@ mod tests {
             let cfg = cfg.clone();
             let run = run_ranks(world, move |ctx| {
                 let mut store = ParamStore::new();
-                let dt = DistTokenizer::new(
-                    &mut store,
-                    555,
-                    8,
-                    cfg.patch,
-                    cfg.embed_dim,
-                    &ctx.comm,
-                );
+                let dt =
+                    DistTokenizer::new(&mut store, 555, 8, cfg.patch, cfg.embed_dim, &ctx.comm);
                 let tape = Tape::new();
                 let bind = LocalBinder::new(&tape, &store);
                 let gathered = dt.forward_gathered(&bind, &ctx.comm, &imgs);

@@ -27,7 +27,10 @@ impl DataParallel {
     pub fn shard_batch(&self, batch: &Tensor) -> Tensor {
         let n = self.comm.size();
         let b = batch.dims()[0];
-        assert!(b.is_multiple_of(n), "batch {b} not divisible by DP size {n}");
+        assert!(
+            b.is_multiple_of(n),
+            "batch {b} not divisible by DP size {n}"
+        );
         let per = b / n;
         ops::slice(batch, 0, self.comm.rank() * per, per)
     }
@@ -64,7 +67,10 @@ pub(crate) fn all_reduce_flat(comm: &Communicator, grads: &mut [Option<Tensor>],
     let mut off = 0;
     for g in grads.iter_mut().flatten() {
         let n = g.numel();
-        let chunk = reduced.data()[off..off + n].iter().map(|&x| scale * x).collect();
+        let chunk = reduced.data()[off..off + n]
+            .iter()
+            .map(|&x| scale * x)
+            .collect();
         *g = Tensor::from_vec(chunk, g.shape().clone());
         off += n;
     }
@@ -112,7 +118,9 @@ pub fn measured_alpha_beta(log: &dchag_collectives::TrafficLog) -> Option<(f64, 
         if log.is_round_disturbed(e.coll_seq) {
             continue;
         }
-        let r = rounds.entry(e.coll_seq).or_insert((0.0, e.ready_us, e.done_us));
+        let r = rounds
+            .entry(e.coll_seq)
+            .or_insert((0.0, e.ready_us, e.done_us));
         r.0 += e.bytes_on_wire as f64;
         r.2 = r.2.max(e.done_us);
     }
@@ -210,7 +218,10 @@ mod tests {
         // leaves behind). Aborting it must restore the clean fit.
         let log = dchag_collectives::TrafficLog::new();
         let (alpha, bw) = (10e-6, 20e9);
-        for (i, &bytes) in [65536usize, 65536, 65536, 65536, 16384, 32768].iter().enumerate() {
+        for (i, &bytes) in [65536usize, 65536, 65536, 65536, 16384, 32768]
+            .iter()
+            .enumerate()
+        {
             log.record_chunk(ChunkEvent {
                 op: CollOp::AllReduce,
                 coll_seq: i,
@@ -235,7 +246,11 @@ mod tests {
         // flips the slope negative, which the fitter rejects outright).
         assert_ne!(measured_alpha_beta(&log), Some(clean));
         log.mark_round_aborted(6);
-        assert_eq!(measured_alpha_beta(&log), Some(clean), "aborted round dropped from fit");
+        assert_eq!(
+            measured_alpha_beta(&log),
+            Some(clean),
+            "aborted round dropped from fit"
+        );
     }
 
     #[test]
@@ -255,9 +270,9 @@ mod tests {
             let dp = DataParallel::new(ctx.comm.clone());
             let r = ctx.comm.rank() as f32;
             let mut grads = vec![
-                Some(Tensor::full([2], r)),        // avg -> 0.5
+                Some(Tensor::full([2], r)), // avg -> 0.5
                 None,
-                Some(Tensor::full([3], 2.0 * r)),  // avg -> 1.0
+                Some(Tensor::full([3], 2.0 * r)), // avg -> 1.0
             ];
             dp.sync_grads(&mut grads);
             (

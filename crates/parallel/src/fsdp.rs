@@ -149,12 +149,18 @@ impl FsdpParams {
             elems += numel;
             metas.push(meta);
             if elems >= unit_elems {
-                units.push(Unit { members: start..i + 1, len });
+                units.push(Unit {
+                    members: start..i + 1,
+                    len,
+                });
                 (start, elems, len) = (i + 1, 0, 0);
             }
         }
         if start < metas.len() {
-            units.push(Unit { members: start..metas.len(), len });
+            units.push(Unit {
+                members: start..metas.len(),
+                len,
+            });
         }
         FsdpParams {
             comm: comm.clone(),
@@ -193,7 +199,8 @@ impl FsdpParams {
         for i in unit.members.clone() {
             buf.extend_from_slice(self.shard_store.get(self.shard_ids[i]).data());
         }
-        self.comm.iall_gather_cat(&Tensor::from_vec(buf, [unit.len]), 0)
+        self.comm
+            .iall_gather_cat(&Tensor::from_vec(buf, [unit.len]), 0)
     }
 
     /// Rebuild parameter `i`'s full value from its unit's gathered,
@@ -237,7 +244,12 @@ impl FsdpParams {
                 }),
             })
             .collect();
-        Snapshot { entries, optim: None, step, rng: None }
+        Snapshot {
+            entries,
+            optim: None,
+            step,
+            rng: None,
+        }
     }
 
     /// Restore from *full* (merged) checkpoint entries — the output of
@@ -246,10 +258,7 @@ impl FsdpParams {
     /// this rank. Returns the number of parameters restored; entries with
     /// no matching parameter are ignored, shape disagreements are typed
     /// errors.
-    pub fn restore_resharded(
-        &mut self,
-        entries: &[SnapEntry],
-    ) -> Result<usize, CheckpointError> {
+    pub fn restore_resharded(&mut self, entries: &[SnapEntry]) -> Result<usize, CheckpointError> {
         let rank = self.comm.rank();
         let mut restored = 0;
         for (meta, &id) in self.metas.iter().zip(&self.shard_ids) {
@@ -263,7 +272,8 @@ impl FsdpParams {
                     store: meta.dims.clone(),
                 });
             }
-            self.shard_store.set(id, meta.shard_of(e.value.to_vec(), rank));
+            self.shard_store
+                .set(id, meta.shard_of(e.value.to_vec(), rank));
             restored += 1;
         }
         Ok(restored)
@@ -489,7 +499,10 @@ mod tests {
             FsdpParams::from_store(&store, &ctx.comm).local_scalars()
         });
         for local in run.outputs {
-            assert!(local <= full.div_ceil(4) + 8, "local {local} vs full {full}");
+            assert!(
+                local <= full.div_ceil(4) + 8,
+                "local {local} vs full {full}"
+            );
         }
     }
 
@@ -498,7 +511,9 @@ mod tests {
         // Two ranks, different data; FSDP sharded-Adam step must equal the
         // single-device step on the concatenated batch (grads averaged).
         let mut drng = Rng::new(77);
-        let xs: Vec<Tensor> = (0..2).map(|_| Tensor::randn([3, 4], 1.0, &mut drng)).collect();
+        let xs: Vec<Tensor> = (0..2)
+            .map(|_| Tensor::randn([3, 4], 1.0, &mut drng))
+            .collect();
         let x_all = ops::concat(&[&xs[0], &xs[1]], 0);
 
         // single-device reference: loss = mean over all 6 rows
@@ -552,8 +567,7 @@ mod tests {
     fn checkpoint_fsdp_w4_shards_restore_into_w3_world() {
         use dchag_tensor::checkpoint::{merge_shards, CheckpointDir};
         use std::time::Duration;
-        let root = std::env::temp_dir()
-            .join(format!("dchag_fsdp_reshard_{}", std::process::id()));
+        let root = std::env::temp_dir().join(format!("dchag_fsdp_reshard_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
 
         // Reference full values (same seeded build every world size uses).
@@ -561,7 +575,10 @@ mod tests {
             let mut store = ParamStore::new();
             let mut rng = Rng::new(5);
             let _ = build_model(&mut store, &mut rng);
-            store.iter().map(|(_, n, v)| (n.to_string(), v.to_vec())).collect()
+            store
+                .iter()
+                .map(|(_, n, v)| (n.to_string(), v.to_vec()))
+                .collect()
         };
 
         // w=4: every rank saves its shard snapshot; rank 0 commits step 4.
@@ -669,7 +686,9 @@ mod tests {
                     let g = bind.sharded_grads();
                     let mut opt = AdamW::new(0.01);
                     opt.step(&mut fsdp.shard_store, &g);
-                    (0..fsdp.len()).map(|i| fsdp.gather_full(i).to_vec()).collect()
+                    (0..fsdp.len())
+                        .map(|i| fsdp.gather_full(i).to_vec())
+                        .collect()
                 };
                 let bf = ctx.comm.with_precision(CommPrecision::Bf16);
                 let reference = step(&ctx.comm);
@@ -742,7 +761,10 @@ mod tests {
         });
         // Events are recorded by group rank 0, so only rank 0's cursor
         // window is deterministic relative to its own backward.
-        assert_eq!(run.outputs[0].0, 1, "the unit's scatter is issued during backward");
+        assert_eq!(
+            run.outputs[0].0, 1,
+            "the unit's scatter is issued during backward"
+        );
         for (_, got) in run.outputs {
             assert_eq!(got, 2);
         }
@@ -762,7 +784,10 @@ mod tests {
             let _ = l1.forward(&bind, &xv); // reuse
             ctx.comm.traffic().count(CollOp::AllGather)
         });
-        assert_eq!(run.outputs[0], 1, "the unit holding w and b is gathered once");
+        assert_eq!(
+            run.outputs[0], 1,
+            "the unit holding w and b is gathered once"
+        );
     }
 
     // ----- multi-unit layouts ------------------------------------------------
@@ -791,7 +816,11 @@ mod tests {
         let b1 = add("b1", &[7]);
         let unbound = add("unbound", &[5]);
         let l2 = (add("w2", &[7, 3]), add("b2", &[3]));
-        UnitModel { layers: vec![l0, (w1, b1), l2], idle, unbound }
+        UnitModel {
+            layers: vec![l0, (w1, b1), l2],
+            idle,
+            unbound,
+        }
     }
 
     /// Mean square of the MLP output. With `all`, the passengers' mean
@@ -862,8 +891,9 @@ mod tests {
                 let mut fsdp = FsdpParams::with_unit_elems(&store, &ctx.comm, UNIT_ELEMS);
                 let mut opt = AdamW::new(0.01).with_weight_decay(0.1);
                 let mut drng = Rng::new(60 + rank as u64);
-                let batches: Vec<Tensor> =
-                    (0..2).map(|_| Tensor::randn([3, 5], 1.0, &mut drng)).collect();
+                let batches: Vec<Tensor> = (0..2)
+                    .map(|_| Tensor::randn([3, 5], 1.0, &mut drng))
+                    .collect();
 
                 // Step 1 gives every parameter a gradient and AdamW moments.
                 {
@@ -884,7 +914,11 @@ mod tests {
                             let e = state.entries.iter().find(|e| e.name == name);
                             let e = e.expect("moments after step 1");
                             let shard = fsdp.shard_store.get(ParamId::from_index(i));
-                            (bits(shard), bits(e.m.as_ref().unwrap()), bits(e.v.as_ref().unwrap()))
+                            (
+                                bits(shard),
+                                bits(e.m.as_ref().unwrap()),
+                                bits(e.v.as_ref().unwrap()),
+                            )
                         })
                         .collect::<Vec<_>>()
                 };
@@ -921,26 +955,45 @@ mod tests {
                     g.into_iter().map(|g| g.map(|t| t.to_vec())).collect()
                 };
                 let numels: Vec<usize> = store.iter().map(|(_, _, v)| v.numel()).collect();
-                (to_vecs(local), to_vecs(sharded), numels, counts, fsdp.units.len(), kept && none)
+                (
+                    to_vecs(local),
+                    to_vecs(sharded),
+                    numels,
+                    counts,
+                    fsdp.units.len(),
+                    kept && none,
+                )
             });
             let (_, _, numels, counts, units, _) = &run.outputs[0];
             assert!(*units >= 3, "world={world}: {units} units");
-            assert_eq!(*counts, (*units, *units), "world={world}: a gather + a scatter per unit");
+            assert_eq!(
+                *counts,
+                (*units, *units),
+                "world={world}: a gather + a scatter per unit"
+            );
             for (rank, out) in run.outputs.iter().enumerate() {
-                assert!(out.5, "world={world} rank={rank}: passengers must stay None, untouched");
+                assert!(
+                    out.5,
+                    "world={world} rank={rank}: passengers must stay None, untouched"
+                );
             }
             for (i, &numel) in numels.iter().enumerate() {
                 let mut want: Option<Tensor> = None;
                 for out in &run.outputs {
-                    let g = out.0[i].as_ref().map(|v| Tensor::from_vec(v.clone(), [numel]));
+                    let g = out.0[i]
+                        .as_ref()
+                        .map(|v| Tensor::from_vec(v.clone(), [numel]));
                     want = match (want, g) {
                         (Some(a), Some(b)) => Some(ops::add(&a, &b)),
                         (a, b) => a.or(b),
                     };
                 }
                 let got: Option<Vec<f32>> = run.outputs[0].1[i].as_ref().map(|_| {
-                    let mut flat: Vec<f32> =
-                        run.outputs.iter().flat_map(|o| o.1[i].clone().unwrap()).collect();
+                    let mut flat: Vec<f32> = run
+                        .outputs
+                        .iter()
+                        .flat_map(|o| o.1[i].clone().unwrap())
+                        .collect();
                     flat.truncate(numel);
                     flat
                 });

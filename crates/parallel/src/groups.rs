@@ -76,8 +76,12 @@ pub fn refit_grid(
     dp_size: usize,
 ) -> (usize, usize, usize) {
     assert!(world > 0 && tp_size > 0 && fsdp_size > 0 && dp_size > 0);
-    let largest_div_leq =
-        |n: usize, cap: usize| (1..=cap.min(n)).rev().find(|d| n.is_multiple_of(*d)).unwrap_or(1);
+    let largest_div_leq = |n: usize, cap: usize| {
+        (1..=cap.min(n))
+            .rev()
+            .find(|d| n.is_multiple_of(*d))
+            .unwrap_or(1)
+    };
     let tp = largest_div_leq(world, tp_size);
     let rem = world / tp;
     let fsdp = largest_div_leq(rem, fsdp_size);

@@ -24,7 +24,10 @@ use crate::comm_ops::{all_gather_cat, issue_all_gather_rs};
 pub fn scatter_sequence(tape: &Tape, comm: &Communicator, x: &Var) -> Var {
     let n = comm.size();
     let s = x.dims()[1];
-    assert!(s.is_multiple_of(n), "sequence {s} not divisible by SP size {n}");
+    assert!(
+        s.is_multiple_of(n),
+        "sequence {s} not divisible by SP size {n}"
+    );
     let per = s / n;
     tape.slice(x, 1, comm.rank() * per, per)
 }
@@ -68,10 +71,10 @@ impl SpBlock {
 
         let h = self.inner.ln1.forward(bind, x);
         let q = attn.wq.forward(bind, &h); // [B, S/sp, inner]
-        // K/V feed every rank's queries: gather with a reduce-scatter
-        // adjoint so cross-rank gradient contributions come home. K's
-        // gather is issued nonblocking so its chunk pipeline runs under the
-        // V projection's GEMM (and V's under the head-split reshapes).
+                                           // K/V feed every rank's queries: gather with a reduce-scatter
+                                           // adjoint so cross-rank gradient contributions come home. K's
+                                           // gather is issued nonblocking so its chunk pipeline runs under the
+                                           // V projection's GEMM (and V's under the head-split reshapes).
         let k_pending = issue_all_gather_rs(comm, &attn.wk.forward(bind, &h), 1);
         let v_pending = issue_all_gather_rs(comm, &attn.wv.forward(bind, &h), 1);
         let k = k_pending.wait(tape); // [B, S, inner]
@@ -99,7 +102,10 @@ impl SpBlock {
         let x = tape.add(x, &a);
 
         // MLP is pointwise over tokens: fully local.
-        let m = self.inner.mlp.forward(bind, &self.inner.ln2.forward(bind, &x));
+        let m = self
+            .inner
+            .mlp
+            .forward(bind, &self.inner.ln2.forward(bind, &x));
         tape.add(&x, &m)
     }
 }
@@ -121,7 +127,16 @@ impl SpViT {
         mlp_hidden: usize,
     ) -> Self {
         let blocks = (0..depth)
-            .map(|i| SpBlock::new(store, rng, &format!("{name}.blk{i}"), dim, heads, mlp_hidden))
+            .map(|i| {
+                SpBlock::new(
+                    store,
+                    rng,
+                    &format!("{name}.blk{i}"),
+                    dim,
+                    heads,
+                    mlp_hidden,
+                )
+            })
             .collect();
         SpViT {
             blocks,

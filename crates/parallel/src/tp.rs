@@ -23,14 +23,20 @@ use crate::comm_ops::{tp_f, tp_g};
 /// Slice columns `[in, out_full] -> [in, out_local]` for `rank` of `n`.
 fn column_shard(full: &Tensor, rank: usize, n: usize) -> Tensor {
     let out = full.dims()[1];
-    assert!(out.is_multiple_of(n), "column dim {out} not divisible by TP size {n}");
+    assert!(
+        out.is_multiple_of(n),
+        "column dim {out} not divisible by TP size {n}"
+    );
     ops::slice(full, 1, rank * (out / n), out / n)
 }
 
 /// Slice rows `[in_full, out] -> [in_local, out]` for `rank` of `n`.
 fn row_shard(full: &Tensor, rank: usize, n: usize) -> Tensor {
     let inp = full.dims()[0];
-    assert!(inp.is_multiple_of(n), "row dim {inp} not divisible by TP size {n}");
+    assert!(
+        inp.is_multiple_of(n),
+        "row dim {inp} not divisible by TP size {n}"
+    );
     ops::slice(full, 0, rank * (inp / n), inp / n)
 }
 
@@ -134,7 +140,10 @@ impl TpAttention {
         rank: usize,
         tp: usize,
     ) -> Self {
-        assert!(heads.is_multiple_of(tp), "heads {heads} not divisible by TP {tp}");
+        assert!(
+            heads.is_multiple_of(tp),
+            "heads {heads} not divisible by TP {tp}"
+        );
         assert!(dim.is_multiple_of(heads));
         let head_dim = dim / heads;
         TpAttention {
@@ -171,7 +180,13 @@ impl TpAttention {
     }
 
     /// Cross-attention with separate query/key-value streams.
-    pub fn forward_kv(&self, bind: &dyn Binder, comm: &Communicator, q_in: &Var, kv_in: &Var) -> Var {
+    pub fn forward_kv(
+        &self,
+        bind: &dyn Binder,
+        comm: &Communicator,
+        q_in: &Var,
+        kv_in: &Var,
+    ) -> Var {
         let tape = bind.tape();
         let b = q_in.dims()[0];
 
@@ -213,7 +228,15 @@ impl TpMlp {
         tp: usize,
     ) -> Self {
         TpMlp {
-            fc1: ColumnParallelLinear::new(store, rng, &format!("{name}.fc1"), dim, hidden, rank, tp),
+            fc1: ColumnParallelLinear::new(
+                store,
+                rng,
+                &format!("{name}.fc1"),
+                dim,
+                hidden,
+                rank,
+                tp,
+            ),
             fc2: RowParallelLinear::new(store, rng, &format!("{name}.fc2"), hidden, dim, rank, tp),
         }
     }
@@ -250,7 +273,15 @@ impl TpBlock {
             ln1: LayerNorm::new(store, &format!("{name}.ln1"), dim),
             attn: TpAttention::new(store, rng, &format!("{name}.attn"), dim, heads, rank, tp),
             ln2: LayerNorm::new(store, &format!("{name}.ln2"), dim),
-            mlp: TpMlp::new(store, rng, &format!("{name}.mlp"), dim, mlp_hidden, rank, tp),
+            mlp: TpMlp::new(
+                store,
+                rng,
+                &format!("{name}.mlp"),
+                dim,
+                mlp_hidden,
+                rank,
+                tp,
+            ),
         }
     }
 
@@ -516,7 +547,9 @@ mod tests {
             let tape = Tape::new();
             let bind = LocalBinder::new(&tape, &store);
             let xv = tape.leaf(x.clone());
-            agg.forward(&bind, &ctx.comm, &xv).value().rel_l2_diff(&want)
+            agg.forward(&bind, &ctx.comm, &xv)
+                .value()
+                .rel_l2_diff(&want)
         });
         for d in run.outputs {
             assert!(d < 1e-4, "agg rel diff {d}");

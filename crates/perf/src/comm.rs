@@ -206,7 +206,10 @@ mod tests {
         assert!(chunked > whole, "per-chunk latency rounds cost something");
         // extra cost is exactly the 15 additional alpha rounds
         let extra = 15.0 * 2.0 * 7.0 * m().alpha_inter;
-        assert!((chunked - whole - extra).abs() / whole < 1e-9, "{chunked} vs {whole}");
+        assert!(
+            (chunked - whole - extra).abs() / whole < 1e-9,
+            "{chunked} vs {whole}"
+        );
         // bandwidth-bound at 1 GB: latency overhead is a small fraction
         assert!((chunked - whole) / whole < 0.1);
         assert_eq!(chunked_allreduce_time(&m(), s, 8, Wire::Inter, 1), whole);
@@ -255,8 +258,7 @@ mod tests {
         let same: Vec<(f64, f64)> = (0..8).map(|i| (4096.0, 1e-5 + i as f64 * 1e-8)).collect();
         assert!(estimate_alpha_beta(&same).is_none());
         // Negative slope (bigger chunks finishing faster = noise).
-        let bad: Vec<(f64, f64)> =
-            [(1e4, 4e-4), (2e4, 3e-4), (3e4, 2e-4), (4e4, 1e-4)].to_vec();
+        let bad: Vec<(f64, f64)> = [(1e4, 4e-4), (2e4, 3e-4), (3e4, 2e-4), (4e4, 1e-4)].to_vec();
         assert!(estimate_alpha_beta(&bad).is_none());
         // Degenerate byte counts are filtered, not fit.
         let zeros: Vec<(f64, f64)> = (0..8).map(|_| (0.0, 1e-5)).collect();

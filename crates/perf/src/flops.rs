@@ -55,9 +55,7 @@ pub fn flops_per_gpu(cfg: &ModelConfig, strat: &Strategy) -> FlopsBreakdown {
                     .collect::<Vec<_>>()
             };
             let unit = |k: f64| match tree.unit {
-                UnitKind::CrossAttention => {
-                    FB * b * p * (8.0 * k * d * d + 4.0 * k * k * d)
-                }
+                UnitKind::CrossAttention => FB * b * p * (8.0 * k * d * d + 4.0 * k * k * d),
                 UnitKind::Linear => FB * b * p * 2.0 * k * d,
             };
             let mut f: f64 = groups.iter().map(|&k| unit(k as f64)).sum();

@@ -92,9 +92,7 @@ fn unit_acts(kind: UnitKind, k: usize, p: f64, d: f64, heads: f64) -> f64 {
     match kind {
         // ln+residual (2 full-width copies) + qkv/attn-out etc. (6 copies)
         // + C² scores and probs.
-        UnitKind::CrossAttention => {
-            (9.0 * k * p * d + 2.0 * heads * p * k * k) * ACT
-        }
+        UnitKind::CrossAttention => (9.0 * k * p * d + 2.0 * heads * p * k * k) * ACT,
         // one output token per position.
         UnitKind::Linear => p * d * ACT,
     }
@@ -295,7 +293,11 @@ mod tests {
         let t1 = m.breakdown(&cfg, &Strategy::tp(1, 4));
         let t4 = m.breakdown(&cfg, &Strategy::tp(4, 4));
         assert!(t4.vit.total() < t1.vit.total() / 2.0);
-        assert_eq!(t4.tok.total(), t1.tok.total(), "TP never touches tokenization");
+        assert_eq!(
+            t4.tok.total(),
+            t1.tok.total(),
+            "TP never touches tokenization"
+        );
     }
 
     #[test]
@@ -309,7 +311,10 @@ mod tests {
         );
         assert!(dc.tok.total() < tp.tok.total() / 4.0);
         assert!(dc.agg.total() < tp.agg.total() / 4.0);
-        assert!((dc.vit.total() - tp.vit.total()).abs() < 1.0, "ViT unchanged");
+        assert!(
+            (dc.vit.total() - tp.vit.total()).abs() < 1.0,
+            "ViT unchanged"
+        );
     }
 
     #[test]
@@ -320,7 +325,10 @@ mod tests {
         let cfg = model(ModelConfig::p1_7b(), 1024);
         let tp = m.breakdown(&cfg, &Strategy::tp(8, 8));
         let dt = m.breakdown(&cfg, &Strategy::dist_token(8, 8));
-        assert!(dt.tok.total() < tp.tok.total() / 4.0, "tokenization shrinks");
+        assert!(
+            dt.tok.total() < tp.tok.total() / 4.0,
+            "tokenization shrinks"
+        );
         assert!(dt.agg.total() > tp.agg.total(), "aggregation grows");
     }
 

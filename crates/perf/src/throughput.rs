@@ -77,16 +77,13 @@ impl ThroughputModel {
         // Tokenization runs at its own (lower) efficiency: skinny per-channel
         // GEMMs. This is what makes the baseline's *replicated* tokenization
         // so expensive in wall-clock, not just in memory.
-        let compute_s =
-            fl.tok / m.sustained_tok_flops() + (fl.agg + fl.vit) / m.sustained_flops();
+        let compute_s = fl.tok / m.sustained_tok_flops() + (fl.agg + fl.vit) / m.sustained_flops();
         // Useful (model) FLOPs: the TP baseline re-tokenizes every channel
         // on every rank; that redundant work burns time but is not model
         // throughput. D-CHAG and distributed tokenization have no redundant
         // component.
         let useful = match strat.plan {
-            ChannelPlan::Replicated => {
-                fl.total() - fl.tok * (1.0 - 1.0 / strat.tp as f64)
-            }
+            ChannelPlan::Replicated => fl.total() - fl.tok * (1.0 - 1.0 / strat.tp as f64),
             _ => fl.total(),
         };
 
@@ -136,7 +133,7 @@ impl ThroughputModel {
             let wire = if contiguous { Wire::Intra } else { Wire::Inter };
             let params_local = self.replica_params(cfg) / strat.tp as f64;
             let shard = params_local * 2.0 / strat.fsdp as f64; // bf16 shard
-            // 2 gathers (fwd + bwd re-gather) + 1 reduce-scatter
+                                                                // 2 gathers (fwd + bwd re-gather) + 1 reduce-scatter
             fsdp_comm_s += 2.0 * allgather_time(m, shard, strat.fsdp, wire);
             fsdp_comm_s += reduce_scatter_time(m, params_local * 2.0, strat.fsdp, wire);
         }

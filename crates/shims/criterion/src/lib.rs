@@ -54,14 +54,10 @@ pub fn init_from_args() {
 }
 
 fn run_config() -> RunConfig {
-    RUN_CONFIG
-        .lock()
-        .unwrap()
-        .clone()
-        .unwrap_or(RunConfig {
-            filter: None,
-            test_mode: false,
-        })
+    RUN_CONFIG.lock().unwrap().clone().unwrap_or(RunConfig {
+        filter: None,
+        test_mode: false,
+    })
 }
 
 /// All results measured so far in this process.
@@ -73,7 +69,10 @@ pub fn all_results() -> Vec<BenchResult> {
 pub fn final_summary() {
     let results = RESULTS.lock().unwrap();
     if run_config().test_mode {
-        eprintln!("criterion-shim: smoke mode, {} benchmarks executed", results.len());
+        eprintln!(
+            "criterion-shim: smoke mode, {} benchmarks executed",
+            results.len()
+        );
     } else {
         eprintln!("criterion-shim: {} benchmarks measured", results.len());
     }
@@ -325,7 +324,11 @@ fn run_benchmark<F: FnMut(&mut Bencher)>(id: String, cfg: &MeasureConfig, mut f:
     let samples = bencher.samples_ns.len();
     let ns = median(&mut bencher.samples_ns);
     let mut line = String::new();
-    let _ = write!(line, "{id:<48} time: {:>12}/iter ({samples} samples)", format_ns(ns));
+    let _ = write!(
+        line,
+        "{id:<48} time: {:>12}/iter ({samples} samples)",
+        format_ns(ns)
+    );
     eprintln!("{line}");
     RESULTS.lock().unwrap().push(BenchResult {
         id,
@@ -369,7 +372,9 @@ mod tests {
     #[test]
     fn measures_and_records() {
         init_from_args();
-        let mut c = Criterion::default().sample_size(3).measurement_time(Duration::from_millis(10));
+        let mut c = Criterion::default()
+            .sample_size(3)
+            .measurement_time(Duration::from_millis(10));
         c.bench_function("shim_smoke", |b| b.iter(|| black_box(3u64.pow(7))));
         assert!(all_results().iter().any(|r| r.id == "shim_smoke"));
     }
@@ -377,7 +382,9 @@ mod tests {
     #[test]
     fn group_ids_are_namespaced() {
         init_from_args();
-        let mut c = Criterion::default().sample_size(3).measurement_time(Duration::from_millis(10));
+        let mut c = Criterion::default()
+            .sample_size(3)
+            .measurement_time(Duration::from_millis(10));
         let mut g = c.benchmark_group("grp");
         g.bench_with_input(BenchmarkId::new("f", 4), &4usize, |b, &n| {
             b.iter(|| black_box(n * 2))

@@ -164,7 +164,9 @@ macro_rules! prop_assert_eq {
 
 #[macro_export]
 macro_rules! prop_assert_ne {
-    ($a:expr, $b:expr) => { assert_ne!($a, $b) };
+    ($a:expr, $b:expr) => {
+        assert_ne!($a, $b)
+    };
 }
 
 #[macro_export]
@@ -246,7 +248,9 @@ mod tests {
     fn sampling_is_deterministic() {
         let sample = |seed| {
             let mut rng = TestRng::new(seed);
-            (0..8).map(|_| (7usize..19).sample(&mut rng)).collect::<Vec<_>>()
+            (0..8)
+                .map(|_| (7usize..19).sample(&mut rng))
+                .collect::<Vec<_>>()
         };
         assert_eq!(sample(11), sample(11));
         assert_ne!(sample(11), sample(12));

@@ -360,8 +360,10 @@ impl<T: Send> EnumZipParChunksMut<'_, T> {
             let bend = (bstart + bsize).min(blen);
             // SAFETY: same disjointness argument as `for_each_chunk_mut`,
             // applied to each slice independently.
-            let ac = unsafe { std::slice::from_raw_parts_mut(abase.get().add(astart), aend - astart) };
-            let bc = unsafe { std::slice::from_raw_parts_mut(bbase.get().add(bstart), bend - bstart) };
+            let ac =
+                unsafe { std::slice::from_raw_parts_mut(abase.get().add(astart), aend - astart) };
+            let bc =
+                unsafe { std::slice::from_raw_parts_mut(bbase.get().add(bstart), bend - bstart) };
             f((i, (ac, bc)));
         });
     }
@@ -453,7 +455,8 @@ mod tests {
     #[test]
     fn unindexed_for_each_runs_every_chunk() {
         let mut v = [0u8; 64];
-        v.par_chunks_mut(5).for_each(|c| c.iter_mut().for_each(|x| *x = 1));
+        v.par_chunks_mut(5)
+            .for_each(|c| c.iter_mut().for_each(|x| *x = 1));
         assert!(v.iter().all(|&x| x == 1));
     }
 
@@ -484,7 +487,8 @@ mod tests {
         let mut outer = vec![0u32; 64];
         outer.par_chunks_mut(8).enumerate().for_each(|(i, c)| {
             let inner: Vec<usize> = (0..16).into_par_iter().map(|j| i + j).collect();
-            c.iter_mut().for_each(|x| *x = inner.iter().sum::<usize>() as u32);
+            c.iter_mut()
+                .for_each(|x| *x = inner.iter().sum::<usize>() as u32);
         });
         assert!(outer.iter().all(|&x| x > 0));
     }

@@ -12,11 +12,7 @@ use crate::tensor::Tensor;
 ///
 /// At most 16 coordinates per input are probed (deterministic stride) to keep
 /// large-tensor checks cheap.
-pub fn grad_check(
-    inputs: &[Tensor],
-    f: impl Fn(&Tape, &[Var]) -> Var,
-    tol: f32,
-) {
+pub fn grad_check(inputs: &[Tensor], f: impl Fn(&Tape, &[Var]) -> Var, tol: f32) {
     // Analytic pass.
     let tape = Tape::new();
     let leaves: Vec<Var> = inputs.iter().map(|t| tape.leaf(t.clone())).collect();

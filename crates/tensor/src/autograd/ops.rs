@@ -775,9 +775,21 @@ mod tests {
         // Per-tier tolerance policy (tensor README): bf16 storage rounds at
         // 2^-8 relative per element; a short chain accumulates a few ulps.
         let tier_tol = 4.0 / 256.0;
-        assert!(dx16.rel_l2_diff(&dx32) < tier_tol, "dx {}", dx16.rel_l2_diff(&dx32));
-        assert!(dw16.rel_l2_diff(&dw32) < tier_tol, "dw {}", dw16.rel_l2_diff(&dw32));
-        assert!(db16.rel_l2_diff(&db32) < tier_tol, "db {}", db16.rel_l2_diff(&db32));
+        assert!(
+            dx16.rel_l2_diff(&dx32) < tier_tol,
+            "dx {}",
+            dx16.rel_l2_diff(&dx32)
+        );
+        assert!(
+            dw16.rel_l2_diff(&dw32) < tier_tol,
+            "dw {}",
+            dw16.rel_l2_diff(&dw32)
+        );
+        assert!(
+            db16.rel_l2_diff(&db32) < tier_tol,
+            "db {}",
+            db16.rel_l2_diff(&db32)
+        );
     }
 
     #[test]

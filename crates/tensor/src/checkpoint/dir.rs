@@ -154,9 +154,12 @@ impl CheckpointDir {
     /// Atomically publish `bytes` as `name` in the directory:
     /// temp → write → fsync → rename → dir-fsync.
     fn publish(&self, name: &str, bytes: &[u8], rename: bool) -> Result<(), CheckpointError> {
-        let tmp = self.root.join(format!(".{name}.{}.tmp", std::process::id()));
+        let tmp = self
+            .root
+            .join(format!(".{name}.{}.tmp", std::process::id()));
         let mut f = File::create(&tmp).map_err(|e| io_err("create temp file", e))?;
-        f.write_all(bytes).map_err(|e| io_err("write temp file", e))?;
+        f.write_all(bytes)
+            .map_err(|e| io_err("write temp file", e))?;
         f.sync_all().map_err(|e| io_err("fsync temp file", e))?;
         drop(f);
         if !rename {
@@ -192,8 +195,7 @@ impl CheckpointDir {
         let n = self.commits.fetch_add(1, Ordering::Relaxed);
         let start = Instant::now();
         loop {
-            let missing = (0..self.world)
-                .find(|&r| !self.root.join(shard_name(step, r)).exists());
+            let missing = (0..self.world).find(|&r| !self.root.join(shard_name(step, r)).exists());
             match missing {
                 None => break,
                 Some(rank) => {
@@ -268,7 +270,10 @@ impl CheckpointDir {
     }
 
     fn parse_manifest(&self, step: u64) -> Result<ManifestInfo, CheckpointError> {
-        let bad = |what: &str| CheckpointError::BadManifest { step, what: what.to_string() };
+        let bad = |what: &str| CheckpointError::BadManifest {
+            step,
+            what: what.to_string(),
+        };
         let text = fs::read_to_string(self.root.join(manifest_name(step)))
             .map_err(|e| io_err("read manifest", e))?;
         let Some((head, crc_line)) = text.trim_end_matches('\n').rsplit_once('\n') else {
@@ -350,7 +355,12 @@ impl CheckpointDir {
         for step in steps {
             match self.validate_step(step) {
                 Ok((world, grid)) => {
-                    return Ok(ValidCheckpoint { step, world, grid, skipped })
+                    return Ok(ValidCheckpoint {
+                        step,
+                        world,
+                        grid,
+                        skipped,
+                    })
                 }
                 Err(cause) => skipped.push((step, cause)),
             }
@@ -404,21 +414,30 @@ mod tests {
     #[test]
     fn checkpoint_dir_commit_select_and_retention() {
         let root = tmp_root("roundtrip");
-        let dir = CheckpointDir::open(&root, 0, 1).unwrap().with_retain(2).with_grid(vec![1]);
+        let dir = CheckpointDir::open(&root, 0, 1)
+            .unwrap()
+            .with_retain(2)
+            .with_grid(vec![1]);
         for step in [0u64, 2, 4, 6] {
             dir.save_shard(&snap(step + 1, step)).unwrap();
             dir.commit(step, quick()).unwrap();
         }
         // retain=2: only steps 4 and 6 survive GC.
         assert_eq!(dir.committed_steps().unwrap(), vec![4, 6]);
-        assert!(!root.join("step-00000000.rank0.ckpt").exists(), "old shards GCed");
+        assert!(
+            !root.join("step-00000000.rank0.ckpt").exists(),
+            "old shards GCed"
+        );
         let v = dir.latest_valid().unwrap();
         assert_eq!((v.step, v.world, v.grid.as_slice()), (6, 1, &[1][..]));
         assert!(v.skipped.is_empty());
         let loaded = dir.load_shard(6, 0).unwrap();
         assert_eq!(loaded.step, 6);
         let want = snap(7, 6);
-        assert_eq!(loaded.entries[0].value.to_vec(), want.entries[0].value.to_vec());
+        assert_eq!(
+            loaded.entries[0].value.to_vec(),
+            want.entries[0].value.to_vec()
+        );
         let _ = fs::remove_dir_all(&root);
     }
 
@@ -476,7 +495,10 @@ mod tests {
         dir.commit(2, quick()).unwrap(); // commit #1 writes a stale crc
         let v = dir.latest_valid().unwrap();
         assert_eq!(v.step, 0);
-        assert_eq!(v.skipped[0], (2, CheckpointError::ShardCrc { step: 2, rank: 0 }));
+        assert_eq!(
+            v.skipped[0],
+            (2, CheckpointError::ShardCrc { step: 2, rank: 0 })
+        );
         let _ = fs::remove_dir_all(&root);
     }
 
@@ -502,7 +524,9 @@ mod tests {
     #[test]
     fn checkpoint_dir_multi_rank_commit_waits_for_all_shards() {
         let root = tmp_root("world");
-        let d0 = CheckpointDir::open(&root, 0, 2).unwrap().with_grid(vec![2, 1]);
+        let d0 = CheckpointDir::open(&root, 0, 2)
+            .unwrap()
+            .with_grid(vec![2, 1]);
         let d1 = CheckpointDir::open(&root, 1, 2).unwrap();
         // Rank 1 saves late, from another thread; rank 0's commit polls.
         let r1 = {
@@ -520,8 +544,14 @@ mod tests {
         assert_eq!((v.step, v.world, v.grid.as_slice()), (4, 2, &[2, 1][..]));
         let shards = d1.load_all_shards(4).unwrap();
         assert_eq!(shards.len(), 2);
-        assert_eq!(shards[0].entries[0].value.to_vec(), snap(10, 4).entries[0].value.to_vec());
-        assert_eq!(shards[1].entries[0].value.to_vec(), snap(11, 4).entries[0].value.to_vec());
+        assert_eq!(
+            shards[0].entries[0].value.to_vec(),
+            snap(10, 4).entries[0].value.to_vec()
+        );
+        assert_eq!(
+            shards[1].entries[0].value.to_vec(),
+            snap(11, 4).entries[0].value.to_vec()
+        );
         let _ = fs::remove_dir_all(&root);
     }
 

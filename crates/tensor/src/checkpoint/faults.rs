@@ -162,24 +162,44 @@ mod tests {
             let b = DiskFaultPlan::seeded(seed, 3, 1000);
             assert_eq!(format!("{a:?}"), format!("{b:?}"), "seed {seed}");
         }
-        let distinct: std::collections::BTreeSet<String> =
-            (0..64).map(|s| format!("{:?}", DiskFaultPlan::seeded(s, 3, 1000))).collect();
-        assert!(distinct.len() > 8, "seeded plans must vary: {}", distinct.len());
+        let distinct: std::collections::BTreeSet<String> = (0..64)
+            .map(|s| format!("{:?}", DiskFaultPlan::seeded(s, 3, 1000)))
+            .collect();
+        assert!(
+            distinct.len() > 8,
+            "seeded plans must vary: {}",
+            distinct.len()
+        );
     }
 
     #[test]
     fn checkpoint_corrupt_bytes_behaviour() {
         let mut buf: Vec<u8> = (0..=255).collect();
-        assert!(DiskFaultPlan::corrupt_bytes(DiskFault::TruncateAt(10), &mut buf));
+        assert!(DiskFaultPlan::corrupt_bytes(
+            DiskFault::TruncateAt(10),
+            &mut buf
+        ));
         assert_eq!(buf.len(), 10);
         let before = buf.clone();
-        assert!(DiskFaultPlan::corrupt_bytes(DiskFault::BitFlipAt(1234), &mut buf));
+        assert!(DiskFaultPlan::corrupt_bytes(
+            DiskFault::BitFlipAt(1234),
+            &mut buf
+        ));
         assert_eq!(buf.len(), 10);
         assert_eq!(buf.iter().zip(&before).filter(|(a, b)| a != b).count(), 1);
         // Protocol-level faults leave bytes alone.
-        assert!(!DiskFaultPlan::corrupt_bytes(DiskFault::CrashBeforeRename, &mut buf));
-        assert!(!DiskFaultPlan::corrupt_bytes(DiskFault::StaleManifest, &mut buf));
+        assert!(!DiskFaultPlan::corrupt_bytes(
+            DiskFault::CrashBeforeRename,
+            &mut buf
+        ));
+        assert!(!DiskFaultPlan::corrupt_bytes(
+            DiskFault::StaleManifest,
+            &mut buf
+        ));
         // Truncation beyond length is a no-op.
-        assert!(!DiskFaultPlan::corrupt_bytes(DiskFault::TruncateAt(99), &mut buf));
+        assert!(!DiskFaultPlan::corrupt_bytes(
+            DiskFault::TruncateAt(99),
+            &mut buf
+        ));
     }
 }

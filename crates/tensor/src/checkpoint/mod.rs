@@ -69,7 +69,11 @@ const fn crc32_table() -> [u32; 256] {
         let mut c = i as u32;
         let mut k = 0;
         while k < 8 {
-            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
             k += 1;
         }
         table[i] = c;
@@ -99,13 +103,21 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 #[derive(Clone, Debug, PartialEq)]
 pub enum CheckpointError {
     /// An OS-level I/O failure (`op` names the failing operation).
-    Io { op: &'static str, kind: io::ErrorKind, detail: String },
+    Io {
+        op: &'static str,
+        kind: io::ErrorKind,
+        detail: String,
+    },
     /// The file does not start with the checkpoint magic.
     BadMagic,
     /// A format version this build cannot read.
     UnsupportedVersion(u32),
     /// The byte stream ended mid-structure (torn/truncated write).
-    Truncated { offset: usize, needed: usize, len: usize },
+    Truncated {
+        offset: usize,
+        needed: usize,
+        len: usize,
+    },
     /// Structurally invalid contents (bad lengths, tags, UTF-8, ...).
     Malformed(String),
     /// A parameter entry's CRC32 does not match its bytes.
@@ -115,7 +127,11 @@ pub enum CheckpointError {
     /// The whole-file footer CRC32 does not match.
     FileCrc,
     /// A named parameter's checkpointed shape disagrees with the store.
-    ShapeMismatch { name: String, checkpoint: Vec<usize>, store: Vec<usize> },
+    ShapeMismatch {
+        name: String,
+        checkpoint: Vec<usize>,
+        store: Vec<usize>,
+    },
     /// A manifest references a shard file that does not exist.
     MissingShard { step: u64, rank: usize },
     /// A shard file's bytes do not match the manifest's recorded checksum.
@@ -174,12 +190,20 @@ impl std::error::Error for CheckpointError {}
 
 impl From<io::Error> for CheckpointError {
     fn from(e: io::Error) -> Self {
-        CheckpointError::Io { op: "io", kind: e.kind(), detail: e.to_string() }
+        CheckpointError::Io {
+            op: "io",
+            kind: e.kind(),
+            detail: e.to_string(),
+        }
     }
 }
 
 pub(crate) fn io_err(op: &'static str, e: io::Error) -> CheckpointError {
-    CheckpointError::Io { op, kind: e.kind(), detail: e.to_string() }
+    CheckpointError::Io {
+        op,
+        kind: e.kind(),
+        detail: e.to_string(),
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -249,7 +273,13 @@ pub struct SnapEntry {
 
 impl fmt::Debug for SnapEntry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "SnapEntry({} {:?} {:?}", self.name, self.value.dtype(), self.value.dims())?;
+        write!(
+            f,
+            "SnapEntry({} {:?} {:?}",
+            self.name,
+            self.value.dtype(),
+            self.value.dims()
+        )?;
         if let Some(s) = &self.shard {
             write!(f, " shard {}/{}", s.rank, s.world)?;
         }
@@ -398,18 +428,26 @@ impl<'a> Bytes<'a> {
 
     fn f32s(&mut self, n: usize) -> Result<Vec<f32>, CheckpointError> {
         let raw = self.take(n.checked_mul(4).ok_or_else(len_overflow)?)?;
-        Ok(raw.chunks_exact(4).map(|c| f32::from_le_bytes(c.try_into().unwrap())).collect())
+        Ok(raw
+            .chunks_exact(4)
+            .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
+            .collect())
     }
 
     fn u16s(&mut self, n: usize) -> Result<Vec<u16>, CheckpointError> {
         let raw = self.take(n.checked_mul(2).ok_or_else(len_overflow)?)?;
-        Ok(raw.chunks_exact(2).map(|c| u16::from_le_bytes(c.try_into().unwrap())).collect())
+        Ok(raw
+            .chunks_exact(2)
+            .map(|c| u16::from_le_bytes(c.try_into().unwrap()))
+            .collect())
     }
 
     fn string(&mut self) -> Result<String, CheckpointError> {
         let n = self.u32()? as usize;
         if n > MAX_NAME {
-            return Err(CheckpointError::Malformed(format!("name length {n} exceeds cap")));
+            return Err(CheckpointError::Malformed(format!(
+                "name length {n} exceeds cap"
+            )));
         }
         String::from_utf8(self.take(n)?.to_vec())
             .map_err(|e| CheckpointError::Malformed(format!("non-UTF-8 name: {e}")))
@@ -418,7 +456,9 @@ impl<'a> Bytes<'a> {
     fn dims(&mut self) -> Result<Vec<usize>, CheckpointError> {
         let ndim = self.u32()? as usize;
         if ndim > MAX_NDIM {
-            return Err(CheckpointError::Malformed(format!("ndim {ndim} exceeds cap")));
+            return Err(CheckpointError::Malformed(format!(
+                "ndim {ndim} exceeds cap"
+            )));
         }
         let mut dims = Vec::with_capacity(ndim);
         let mut numel = 1usize;
@@ -510,7 +550,8 @@ fn optim_body(o: &OptimState) -> Vec<u8> {
     for e in &o.entries {
         put_u32(&mut body, e.name.len() as u32);
         body.extend_from_slice(e.name.as_bytes());
-        let mask = (e.m.is_some() as u8) | (e.v.is_some() as u8) << 1 | (e.master.is_some() as u8) << 2;
+        let mask =
+            (e.m.is_some() as u8) | (e.v.is_some() as u8) << 1 | (e.master.is_some() as u8) << 2;
         body.push(mask);
         for t in [&e.m, &e.v, &e.master].into_iter().flatten() {
             write_tensor_raw(&mut body, t);
@@ -584,7 +625,12 @@ fn read_params_v2(body: &[u8]) -> Result<Vec<SnapEntry>, CheckpointError> {
                     "entry {name}: bad shard meta rank {rank} world {world} padded {padded}"
                 )));
             }
-            Some(ShardMeta { rank, world, padded, full_dims })
+            Some(ShardMeta {
+                rank,
+                world,
+                padded,
+                full_dims,
+            })
         } else {
             None
         };
@@ -612,7 +658,11 @@ fn read_optim_v2(body: &[u8]) -> Result<OptimState, CheckpointError> {
         let name = b.string()?;
         let mask = b.u8()?;
         let mut slot = |bit: u8| -> Result<Option<Tensor>, CheckpointError> {
-            if mask & bit != 0 { Ok(Some(read_tensor_raw(&mut b)?)) } else { Ok(None) }
+            if mask & bit != 0 {
+                Ok(Some(read_tensor_raw(&mut b)?))
+            } else {
+                Ok(None)
+            }
         };
         let m = slot(1)?;
         let v = slot(2)?;
@@ -626,7 +676,11 @@ fn read_v2(bytes: &[u8]) -> Result<Snapshot, CheckpointError> {
     // Footer first: the last 4 bytes checksum everything before them, so a
     // torn tail is caught before any section parse can be misled.
     if bytes.len() < 13 {
-        return Err(CheckpointError::Truncated { offset: 0, needed: 13, len: bytes.len() });
+        return Err(CheckpointError::Truncated {
+            offset: 0,
+            needed: 13,
+            len: bytes.len(),
+        });
     }
     let (head, foot) = bytes.split_at(bytes.len() - 4);
     if crc32(head) != u32::from_le_bytes(foot.try_into().unwrap()) {
@@ -658,7 +712,10 @@ fn read_v2(bytes: &[u8]) -> Result<Snapshot, CheckpointError> {
                 let s = [sb.u64()?, sb.u64()?, sb.u64()?, sb.u64()?];
                 let has_spare = sb.u8()? != 0;
                 let spare_val = sb.f32s(1)?[0];
-                snap.rng = Some(RngState { s, spare: has_spare.then_some(spare_val) });
+                snap.rng = Some(RngState {
+                    s,
+                    spare: has_spare.then_some(spare_val),
+                });
             }
             other => {
                 // Unknown-but-checksummed sections from a newer writer are
@@ -684,7 +741,8 @@ fn read_v2(bytes: &[u8]) -> Result<Snapshot, CheckpointError> {
 /// dtypes preserved — bf16 parameters cost 2 bytes/element).
 pub fn save_store(store: &ParamStore, w: &mut impl Write) -> Result<(), CheckpointError> {
     let bytes = Snapshot::of_store(store, 0).to_bytes();
-    w.write_all(&bytes).map_err(|e| io_err("write checkpoint", e))
+    w.write_all(&bytes)
+        .map_err(|e| io_err("write checkpoint", e))
 }
 
 fn apply_named<'a>(
@@ -715,7 +773,8 @@ fn apply_named<'a>(
 /// parameters absent from the checkpoint.
 pub fn load_store(store: &mut ParamStore, r: &mut impl Read) -> Result<usize, CheckpointError> {
     let mut bytes = Vec::new();
-    r.read_to_end(&mut bytes).map_err(|e| io_err("read checkpoint", e))?;
+    r.read_to_end(&mut bytes)
+        .map_err(|e| io_err("read checkpoint", e))?;
     Snapshot::from_bytes(&bytes)?.apply_to(store)
 }
 
@@ -762,11 +821,11 @@ pub fn merge_shards(shards: &[Snapshot]) -> Result<Vec<SnapEntry>, CheckpointErr
                         let same = prev.value.dtype() == e.value.dtype()
                             && prev.value.dims() == e.value.dims()
                             && match e.value.dtype() {
-                                DType::F32 => {
-                                    prev.value.data().iter().map(|x| x.to_bits()).eq(
-                                        e.value.data().iter().map(|x| x.to_bits()),
-                                    )
-                                }
+                                DType::F32 => prev.value.data().iter().map(|x| x.to_bits()).eq(e
+                                    .value
+                                    .data()
+                                    .iter()
+                                    .map(|x| x.to_bits())),
                                 DType::Bf16 => prev.value.bf16_data() == e.value.bf16_data(),
                             };
                         if !same {
@@ -965,7 +1024,10 @@ mod tests {
         let mut store = ParamStore::new();
         store.add("w", Tensor::zeros([3, 2]));
         let err = load_store(&mut store, &mut v1.as_slice()).unwrap_err();
-        assert!(matches!(err, CheckpointError::UnsupportedVersion(1)), "{err}");
+        assert!(
+            matches!(err, CheckpointError::UnsupportedVersion(1)),
+            "{err}"
+        );
         // Nothing was restored.
         let id = store.ids().next().unwrap();
         assert_eq!(store.get(id).to_vec(), vec![0.0; 6]);
@@ -985,7 +1047,12 @@ mod tests {
                     v: Some(Tensor::randn([3, 2], 0.1, &mut rng.clone())),
                     master: None,
                 },
-                OptimEntry { name: "b".into(), m: None, v: None, master: Some(Tensor::ones([5])) },
+                OptimEntry {
+                    name: "b".into(),
+                    m: None,
+                    v: None,
+                    master: Some(Tensor::ones([5])),
+                },
             ],
         };
         let snap = Snapshot::of_store(&store, 17)
@@ -1073,7 +1140,11 @@ mod tests {
                             full_dims: vec![5, 2],
                         }),
                     },
-                    SnapEntry { name: "g".into(), value: shared.clone(), shard: None },
+                    SnapEntry {
+                        name: "g".into(),
+                        value: shared.clone(),
+                        shard: None,
+                    },
                 ],
                 optim: None,
                 step: 4,

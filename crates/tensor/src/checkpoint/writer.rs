@@ -66,7 +66,11 @@ impl SnapshotWriter {
                 }
             })
             .expect("spawn checkpoint writer thread");
-        SnapshotWriter { tx: Some(tx), handle: Some(handle), errors }
+        SnapshotWriter {
+            tx: Some(tx),
+            handle: Some(handle),
+            errors,
+        }
     }
 
     /// Enqueue a snapshot for durable writing. Returns the enqueue cost —
@@ -138,7 +142,10 @@ mod tests {
         for step in [0u64, 2, 4] {
             let enqueue = w.snapshot(snap(step + 1, step)).unwrap();
             // Enqueue is an O(1) clone+send, far below any real I/O time.
-            assert!(enqueue < Duration::from_millis(100), "enqueue took {enqueue:?}");
+            assert!(
+                enqueue < Duration::from_millis(100),
+                "enqueue took {enqueue:?}"
+            );
         }
         w.flush().unwrap();
         assert!(w.take_errors().is_empty());
@@ -146,7 +153,10 @@ mod tests {
         let v = check.latest_valid().unwrap();
         assert_eq!(v.step, 4);
         let loaded = check.load_shard(4, 0).unwrap();
-        assert_eq!(loaded.entries[0].value.to_vec(), snap(5, 4).entries[0].value.to_vec());
+        assert_eq!(
+            loaded.entries[0].value.to_vec(),
+            snap(5, 4).entries[0].value.to_vec()
+        );
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -160,7 +170,10 @@ mod tests {
         w.snapshot(snap(1, 0)).unwrap();
         w.flush().unwrap();
         let errs = w.take_errors();
-        assert_eq!(errs, vec![(0, CheckpointError::MissingShard { step: 0, rank: 0 })]);
+        assert_eq!(
+            errs,
+            vec![(0, CheckpointError::MissingShard { step: 0, rank: 0 })]
+        );
         // Later snapshots still go through.
         w.snapshot(snap(2, 2)).unwrap();
         w.flush().unwrap();

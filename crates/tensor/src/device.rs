@@ -50,12 +50,10 @@ impl MemCounter {
         // Relaxed max loop: contention is per-rank-thread only.
         let mut peak = self.peak.load(Ordering::Relaxed);
         while now > peak {
-            match self.peak.compare_exchange_weak(
-                peak,
-                now,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
+            match self
+                .peak
+                .compare_exchange_weak(peak, now, Ordering::Relaxed, Ordering::Relaxed)
+            {
                 Ok(_) => break,
                 Err(p) => peak = p,
             }

@@ -118,7 +118,10 @@ mod tests {
         let tie_up = f32::from_bits(0x3F81_8000);
         assert_eq!(bf16_round_trip(tie_up), bf16_to_f32(0x3F82));
         // just above a tie rounds up, just below rounds down.
-        assert_eq!(bf16_round_trip(f32::from_bits(0x3F80_8001)), bf16_to_f32(0x3F81));
+        assert_eq!(
+            bf16_round_trip(f32::from_bits(0x3F80_8001)),
+            bf16_to_f32(0x3F81)
+        );
         assert_eq!(bf16_round_trip(f32::from_bits(0x3F80_7FFF)), 1.0);
     }
 

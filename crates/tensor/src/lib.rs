@@ -26,13 +26,13 @@ pub mod simd;
 pub mod tensor;
 
 pub use autograd::{Grads, Tape, Var};
-pub use device::MemCounter;
-pub use dtype::DType;
-pub use param::{Binder, LocalBinder, ParamId, ParamStore};
 pub use checkpoint::{
     CheckpointDir, CheckpointError, DiskFault, DiskFaultPlan, OptimEntry, OptimState, ShardMeta,
     SnapEntry, Snapshot, SnapshotWriter,
 };
+pub use device::MemCounter;
+pub use dtype::DType;
+pub use param::{Binder, LocalBinder, ParamId, ParamStore};
 pub use rng::{Rng, RngState};
 pub use shape::Shape;
 pub use tensor::Tensor;

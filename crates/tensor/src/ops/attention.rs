@@ -22,8 +22,8 @@
 use crate::ops::gemm::{gemm_serial_or_small, Epilogue, GemmLayout};
 use crate::par;
 use crate::scratch::with_scratch;
-use crate::simd::{self, exp_fast};
 use crate::shape::Shape;
+use crate::simd::{self, exp_fast};
 use crate::tensor::Tensor;
 
 /// Query rows resident per task: small enough that (batch·Q-tiles) still
@@ -41,12 +41,34 @@ pub const FLASH_BR: usize = 128;
 pub const FLASH_BC: usize = 256;
 
 fn attn_dims(q: &Tensor, k: &Tensor, v: &Tensor) -> (usize, usize, usize, usize) {
-    assert_eq!(q.ndim(), 3, "flash_attention q must be [B, Sq, d], got {}", q.shape());
-    assert_eq!(k.ndim(), 3, "flash_attention k must be [B, Sk, d], got {}", k.shape());
+    assert_eq!(
+        q.ndim(),
+        3,
+        "flash_attention q must be [B, Sq, d], got {}",
+        q.shape()
+    );
+    assert_eq!(
+        k.ndim(),
+        3,
+        "flash_attention k must be [B, Sk, d], got {}",
+        k.shape()
+    );
     let (b, sq, d) = (q.dims()[0], q.dims()[1], q.dims()[2]);
     let (bk, sk, dk) = (k.dims()[0], k.dims()[1], k.dims()[2]);
-    assert_eq!(b, bk, "flash_attention batch {} vs {}", q.shape(), k.shape());
-    assert_eq!(d, dk, "flash_attention head dim {} vs {}", q.shape(), k.shape());
+    assert_eq!(
+        b,
+        bk,
+        "flash_attention batch {} vs {}",
+        q.shape(),
+        k.shape()
+    );
+    assert_eq!(
+        d,
+        dk,
+        "flash_attention head dim {} vs {}",
+        q.shape(),
+        k.shape()
+    );
     assert_eq!(
         v.dims(),
         &[b, sk, d],
@@ -321,7 +343,17 @@ fn recompute_p_tile(
     (br, bc, d): (usize, usize, usize),
     s: &mut [f32],
 ) {
-    gemm_serial_or_small(GemmLayout::NT, scale, qt, kt, Epilogue::Assign, s, br, d, bc);
+    gemm_serial_or_small(
+        GemmLayout::NT,
+        scale,
+        qt,
+        kt,
+        Epilogue::Assign,
+        s,
+        br,
+        d,
+        bc,
+    );
     for (i, srow) in s.chunks_mut(bc).enumerate() {
         // The SIMD exp sweep keeps the recompute lane-parallel — this loop
         // is the bulk of flash backward's extra FLOPs.
@@ -363,10 +395,30 @@ fn flash_bwd_dq_tile(
             recompute_p_tile(qt, kt, lse_t, scale, (br, bc, d), &mut s[..br * bc]);
             // dP = dO · Vᵀ
             let dpt = &mut dp[..br * bc];
-            gemm_serial_or_small(GemmLayout::NT, 1.0, dout_t, &vb[j0 * d..(j0 + bc) * d], Epilogue::Assign, dpt, br, d, bc);
+            gemm_serial_or_small(
+                GemmLayout::NT,
+                1.0,
+                dout_t,
+                &vb[j0 * d..(j0 + bc) * d],
+                Epilogue::Assign,
+                dpt,
+                br,
+                d,
+                bc,
+            );
             ds_from_p_dp(&mut s[..br * bc], dpt, drow_t, bc);
             // dQ += scale · dS · K_tile
-            gemm_serial_or_small(GemmLayout::NN, scale, &s[..br * bc], kt, Epilogue::Add, dq_tile, br, bc, d);
+            gemm_serial_or_small(
+                GemmLayout::NN,
+                scale,
+                &s[..br * bc],
+                kt,
+                Epilogue::Add,
+                dq_tile,
+                br,
+                bc,
+                d,
+            );
             j0 += bc;
         }
     })
@@ -394,15 +446,52 @@ fn flash_bwd_dkv_tile(
             let br = FLASH_BR.min(sq - i0);
             let qt = &qb[i0 * d..(i0 + br) * d];
             let dout_t = &dout_b[i0 * d..(i0 + br) * d];
-            recompute_p_tile(qt, kt, &lse_b[i0..i0 + br], scale, (br, bc, d), &mut s[..br * bc]);
+            recompute_p_tile(
+                qt,
+                kt,
+                &lse_b[i0..i0 + br],
+                scale,
+                (br, bc, d),
+                &mut s[..br * bc],
+            );
             // dV += Pᵀ · dO  (P is [br, bc] row-major = the TN layout's [k, m]).
-            gemm_serial_or_small(GemmLayout::TN, 1.0, &s[..br * bc], dout_t, Epilogue::Add, dv_tile, bc, br, d);
+            gemm_serial_or_small(
+                GemmLayout::TN,
+                1.0,
+                &s[..br * bc],
+                dout_t,
+                Epilogue::Add,
+                dv_tile,
+                bc,
+                br,
+                d,
+            );
             // dP = dO · Vᵀ, then dS in place over P.
             let dpt = &mut dp[..br * bc];
-            gemm_serial_or_small(GemmLayout::NT, 1.0, dout_t, vt, Epilogue::Assign, dpt, br, d, bc);
+            gemm_serial_or_small(
+                GemmLayout::NT,
+                1.0,
+                dout_t,
+                vt,
+                Epilogue::Assign,
+                dpt,
+                br,
+                d,
+                bc,
+            );
             ds_from_p_dp(&mut s[..br * bc], dpt, &drow_b[i0..i0 + br], bc);
             // dK += scale · dSᵀ · Q
-            gemm_serial_or_small(GemmLayout::TN, scale, &s[..br * bc], qt, Epilogue::Add, dk_tile, bc, br, d);
+            gemm_serial_or_small(
+                GemmLayout::TN,
+                scale,
+                &s[..br * bc],
+                qt,
+                Epilogue::Add,
+                dk_tile,
+                bc,
+                br,
+                d,
+            );
             i0 += br;
         }
     })
@@ -426,7 +515,13 @@ pub fn naive_attention_peak_bytes(b: usize, sq: usize, sk: usize, d: usize) -> u
 /// Analytic peak-resident-bytes estimate for one flash attention forward:
 /// the `[B,Sq,d]` output, the `[B,Sq]` logsumexp, and per-worker tile state
 /// (score tile + running max/sum) — no term scales with `Sq·Sk`.
-pub fn flash_attention_peak_bytes(b: usize, sq: usize, _sk: usize, d: usize, workers: usize) -> usize {
+pub fn flash_attention_peak_bytes(
+    b: usize,
+    sq: usize,
+    _sk: usize,
+    d: usize,
+    workers: usize,
+) -> usize {
     let per_task = FLASH_BR * FLASH_BC + 2 * FLASH_BR;
     4 * (b * sq * d + b * sq + workers.max(1) * per_task)
 }
@@ -502,7 +597,11 @@ mod tests {
             let row = &scores.data()[i * 9..(i + 1) * 9];
             let m = row.iter().fold(f32::NEG_INFINITY, |a, &x| a.max(x));
             let want = m + row.iter().map(|&x| (x - m).exp()).sum::<f32>().ln();
-            assert!((lse.at(i) - want).abs() < 1e-4, "row {i}: {} vs {want}", lse.at(i));
+            assert!(
+                (lse.at(i) - want).abs() < 1e-4,
+                "row {i}: {} vs {want}",
+                lse.at(i)
+            );
         }
     }
 
@@ -550,7 +649,12 @@ mod tests {
     fn backward_matches_composed_autograd() {
         use crate::autograd::Tape;
         let mut rng = Rng::new(6);
-        for &(sq, sk, d) in &[(7usize, 7usize, 4usize), (5, 130, 8), (70, 3, 8), (9, 300, 4)] {
+        for &(sq, sk, d) in &[
+            (7usize, 7usize, 4usize),
+            (5, 130, 8),
+            (70, 3, 8),
+            (9, 300, 4),
+        ] {
             let q = randn3(2, sq, d, &mut rng);
             let k = randn3(2, sk, d, &mut rng);
             let v = randn3(2, sk, d, &mut rng);
@@ -561,7 +665,11 @@ mod tests {
             let (dq, dk, dv) = flash_attention_backward(&q, &k, &v, scale, &out, &lse, &g);
 
             let tape = Tape::new();
-            let (qv, kv, vv) = (tape.leaf(q.clone()), tape.leaf(k.clone()), tape.leaf(v.clone()));
+            let (qv, kv, vv) = (
+                tape.leaf(q.clone()),
+                tape.leaf(k.clone()),
+                tape.leaf(v.clone()),
+            );
             let scores = tape.bmm_nt_scaled(&qv, &kv, scale);
             let p = tape.softmax_last(&scores);
             let ctx = tape.bmm(&p, &vv);

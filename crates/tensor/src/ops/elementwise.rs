@@ -52,7 +52,13 @@ pub fn add_scaled_into(a: Tensor, b: &Tensor, alpha: f32) -> Tensor {
 /// Broadcast-add a `[n]` bias over the last axis of `a` (`[..., n]`).
 pub fn add_bias(a: &Tensor, bias: &Tensor) -> Tensor {
     let n = a.shape().last();
-    assert_eq!(bias.numel(), n, "bias len {} vs last dim {}", bias.numel(), n);
+    assert_eq!(
+        bias.numel(),
+        n,
+        "bias len {} vs last dim {}",
+        bias.numel(),
+        n
+    );
     let b = bias.data();
     let mut out = a.to_vec();
     for_each_row(&mut out, n, |row| {
@@ -108,7 +114,13 @@ pub fn gelu(a: &Tensor) -> Tensor {
 /// have produced, minus one full read/write pass and one tape node.
 pub fn add_bias_gelu(a: &Tensor, bias: &Tensor) -> (Tensor, Tensor) {
     let n = a.shape().last();
-    assert_eq!(bias.numel(), n, "bias len {} vs last dim {}", bias.numel(), n);
+    assert_eq!(
+        bias.numel(),
+        n,
+        "bias len {} vs last dim {}",
+        bias.numel(),
+        n
+    );
     let b = bias.data();
     let mut pre = a.to_vec();
     let mut out = vec![0.0f32; pre.len()];

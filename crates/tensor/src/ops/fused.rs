@@ -11,7 +11,9 @@
 //!   `[N,1,C]` weights / `[N,1,D]` pooled as separate batched-matmul
 //!   tensors.
 
-use crate::ops::gemm::{gemm, gemm_batch_into, gemm_bias_op, gemm_op, GemmJob, GemmLayout, Operand};
+use crate::ops::gemm::{
+    gemm, gemm_batch_into, gemm_bias_op, gemm_op, GemmJob, GemmLayout, Operand,
+};
 use crate::ops::reduce::softmax_last;
 use crate::par;
 use crate::shape::Shape;
@@ -78,7 +80,10 @@ pub fn linear_gelu(a: &Tensor, w: &Tensor, bias: &Tensor) -> (Tensor, Tensor) {
     let mut out_dims = a.dims().to_vec();
     *out_dims.last_mut().unwrap() = n;
     let shape = Shape::new(&out_dims);
-    (Tensor::from_vec(y, shape.clone()), Tensor::from_vec(h, shape))
+    (
+        Tensor::from_vec(y, shape.clone()),
+        Tensor::from_vec(h, shape),
+    )
 }
 
 /// Learned softmax pooling over the channel axis, fused.
@@ -99,7 +104,12 @@ pub fn linear_gelu(a: &Tensor, w: &Tensor, bias: &Tensor) -> (Tensor, Tensor) {
 /// `gemm_batch_into`, which picks the small-product kernel per job and
 /// parallelizes across the whole batch.
 pub fn softmax_pool(y: &Tensor, pw: &Tensor) -> (Tensor, Tensor) {
-    assert_eq!(y.ndim(), 3, "softmax_pool wants [N, C, D], got {}", y.shape());
+    assert_eq!(
+        y.ndim(),
+        3,
+        "softmax_pool wants [N, C, D], got {}",
+        y.shape()
+    );
     let (nn, c, d) = (y.dims()[0], y.dims()[1], y.dims()[2]);
     assert_eq!(pw.numel(), d, "pool weight len {} vs dim {d}", pw.numel());
     let yo = Operand::from_tensor(y);

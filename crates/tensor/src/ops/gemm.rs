@@ -477,8 +477,7 @@ fn gemm_tile_serial(
                                     }
                                     Epilogue::Assign => MicroEpi::Assign,
                                 };
-                                let cptr =
-                                    tile.ptr_at(ic + ir * mr_t, jc + jr * nr_t, mr, nr);
+                                let cptr = tile.ptr_at(ic + ir * mr_t, jc + jr * nr_t, mr, nr);
                                 // SAFETY: `cptr` heads an exclusive mr×nr
                                 // window of this tile (checked by
                                 // `ptr_at`); panels hold kc·mr_t / kc·nr_t
@@ -530,7 +529,16 @@ fn gemm_small_op(
 
 /// Direct row-major loops for operands too small to amortize packing.
 #[allow(clippy::too_many_arguments)]
-fn gemm_small(layout: GemmLayout, alpha: f32, a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+fn gemm_small(
+    layout: GemmLayout,
+    alpha: f32,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
     match layout {
         GemmLayout::NN => {
             for (i, c_row) in c.chunks_mut(n).enumerate() {
@@ -577,8 +585,27 @@ fn gemm_small(layout: GemmLayout, alpha: f32, a: &[f32], b: &[f32], c: &mut [f32
 /// `C[m,n] += α · op(A) · op(B)` — the single entry point every matmul/bmm
 /// variant and autograd adjoint routes through.
 #[allow(clippy::too_many_arguments)]
-pub fn gemm(layout: GemmLayout, alpha: f32, a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    gemm_dispatch(layout, alpha, Operand::F32(a), Operand::F32(b), Epilogue::Add, c, m, k, n);
+pub fn gemm(
+    layout: GemmLayout,
+    alpha: f32,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    gemm_dispatch(
+        layout,
+        alpha,
+        Operand::F32(a),
+        Operand::F32(b),
+        Epilogue::Add,
+        c,
+        m,
+        k,
+        n,
+    );
 }
 
 /// [`gemm`] over dtype-tagged operands: bf16 inputs run convert-on-pack
@@ -603,8 +630,28 @@ pub fn gemm_op(
 /// never costs a second pass over the output. The bias is added exactly
 /// once per output element, on top of whatever `c` already holds.
 #[allow(clippy::too_many_arguments)]
-pub fn gemm_bias(layout: GemmLayout, alpha: f32, a: &[f32], b: &[f32], bias: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    gemm_bias_op(layout, alpha, Operand::F32(a), Operand::F32(b), bias, c, m, k, n);
+pub fn gemm_bias(
+    layout: GemmLayout,
+    alpha: f32,
+    a: &[f32],
+    b: &[f32],
+    bias: &[f32],
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    gemm_bias_op(
+        layout,
+        alpha,
+        Operand::F32(a),
+        Operand::F32(b),
+        bias,
+        c,
+        m,
+        k,
+        n,
+    );
 }
 
 /// [`gemm_bias`] over dtype-tagged operands (the bias and output stay f32).
@@ -686,7 +733,9 @@ fn gemm_dispatch(
     // Any tile-level parallelism beats none; split-K only wins when the
     // tile grid is a single tile but the depth is long.
     if row_blocks * col_blocks >= 2 {
-        gemm_parallel_2d(isa, layout, alpha, a, b, epi, c, m, k, n, row_blocks, col_blocks);
+        gemm_parallel_2d(
+            isa, layout, alpha, a, b, epi, c, m, k, n, row_blocks, col_blocks,
+        );
     } else if k >= 4 * KC {
         // Skinny split-K outputs are tiny (the path only triggers when the
         // C tile grid is a single tile), so the epilogue stays out of the
@@ -700,9 +749,34 @@ fn gemm_dispatch(
 
 /// Serial blocked product over the whole output.
 #[allow(clippy::too_many_arguments)]
-fn gemm_serial(isa: Isa, layout: GemmLayout, alpha: f32, a: Operand<'_>, b: Operand<'_>, epi: Epilogue<'_>, c: &mut [f32], m: usize, k: usize, n: usize) {
+fn gemm_serial(
+    isa: Isa,
+    layout: GemmLayout,
+    alpha: f32,
+    a: Operand<'_>,
+    b: Operand<'_>,
+    epi: Epilogue<'_>,
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
     let mut tile = CTile::new(c, n, 0, 0);
-    gemm_tile_serial(isa, layout, alpha, a, b, epi, &mut tile, m, k, n, (0, m), (0, n), (0, k));
+    gemm_tile_serial(
+        isa,
+        layout,
+        alpha,
+        a,
+        b,
+        epi,
+        &mut tile,
+        m,
+        k,
+        n,
+        (0, m),
+        (0, n),
+        (0, k),
+    );
 }
 
 /// 2-D tiling over (row-block × column-block) of C. Tiles write disjoint
@@ -737,7 +811,21 @@ fn gemm_parallel_2d(
         // col-range) windows, and the parallel call joins before `c`'s
         // borrow ends.
         let mut tile = proto.window(i0, j0);
-        gemm_tile_serial(isa, layout, alpha, a, b, epi, &mut tile, m, k, n, (i0, mt), (j0, nt), (0, k));
+        gemm_tile_serial(
+            isa,
+            layout,
+            alpha,
+            a,
+            b,
+            epi,
+            &mut tile,
+            m,
+            k,
+            n,
+            (i0, mt),
+            (j0, nt),
+            (0, k),
+        );
     });
 }
 
@@ -768,12 +856,29 @@ fn gemm_parallel_split_k(
     // accumulate); the serial chunk-order fold below is what keeps the
     // result bitwise thread-count-independent.
     with_scratch_zeroed(chunks * m * n, |partials| {
-        partials.par_chunks_mut(m * n).enumerate().for_each(|(t, partial)| {
-            let p0 = t * per;
-            let p1 = ((t + 1) * per).min(k);
-            let mut tile = CTile::new(partial, n, 0, 0);
-            gemm_tile_serial(isa, layout, alpha, a, b, Epilogue::Add, &mut tile, m, k, n, (0, m), (0, n), (p0, p1));
-        });
+        partials
+            .par_chunks_mut(m * n)
+            .enumerate()
+            .for_each(|(t, partial)| {
+                let p0 = t * per;
+                let p1 = ((t + 1) * per).min(k);
+                let mut tile = CTile::new(partial, n, 0, 0);
+                gemm_tile_serial(
+                    isa,
+                    layout,
+                    alpha,
+                    a,
+                    b,
+                    Epilogue::Add,
+                    &mut tile,
+                    m,
+                    k,
+                    n,
+                    (0, m),
+                    (0, n),
+                    (p0, p1),
+                );
+            });
         for partial in partials.chunks(m * n) {
             for (cv, pv) in c.iter_mut().zip(partial) {
                 *cv += pv;
@@ -796,7 +901,16 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     let (k2, n) = (b.dims()[0], b.dims()[1]);
     assert_eq!(k, k2, "matmul inner dims {} vs {}", a.shape(), b.shape());
     let mut c = vec![0.0f32; m * n];
-    gemm_op(GemmLayout::NN, 1.0, Operand::from_tensor(&a2), Operand::from_tensor(b), &mut c, m, k, n);
+    gemm_op(
+        GemmLayout::NN,
+        1.0,
+        Operand::from_tensor(&a2),
+        Operand::from_tensor(b),
+        &mut c,
+        m,
+        k,
+        n,
+    );
     // Preserve leading batch axes of `a`.
     let mut out_dims = a.dims().to_vec();
     *out_dims.last_mut().unwrap() = n;
@@ -811,7 +925,16 @@ pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Tensor {
     let (n, k2) = (b.dims()[0], b.dims()[1]);
     assert_eq!(k, k2, "matmul_nt inner dims {} vs {}", a.shape(), b.shape());
     let mut c = vec![0.0f32; m * n];
-    gemm_op(GemmLayout::NT, 1.0, Operand::from_tensor(&a2), Operand::from_tensor(b), &mut c, m, k, n);
+    gemm_op(
+        GemmLayout::NT,
+        1.0,
+        Operand::from_tensor(&a2),
+        Operand::from_tensor(b),
+        &mut c,
+        m,
+        k,
+        n,
+    );
     let mut out_dims = a.dims().to_vec();
     *out_dims.last_mut().unwrap() = n;
     Tensor::from_vec(c, Shape::new(&out_dims))
@@ -825,7 +948,16 @@ pub fn matmul_tn(a: &Tensor, b: &Tensor) -> Tensor {
     let (k2, n) = (b2.dims()[0], b2.dims()[1]);
     assert_eq!(k, k2, "matmul_tn inner dims {} vs {}", a.shape(), b.shape());
     let mut c = vec![0.0f32; m * n];
-    gemm_op(GemmLayout::TN, 1.0, Operand::from_tensor(&a2), Operand::from_tensor(&b2), &mut c, m, k, n);
+    gemm_op(
+        GemmLayout::TN,
+        1.0,
+        Operand::from_tensor(&a2),
+        Operand::from_tensor(&b2),
+        &mut c,
+        m,
+        k,
+        n,
+    );
     Tensor::from_vec(c, [m, n])
 }
 
@@ -932,7 +1064,10 @@ pub(crate) fn gemm_batch_into(jobs: &[GemmJob<'_>], c: &mut [f32]) {
     }
     let isa = simd::active_isa();
     let grid = crate::par::FlatGrid::new(jobs.iter().map(job_tiles));
-    let out = RawOut { base: c.as_mut_ptr(), len: c.len() };
+    let out = RawOut {
+        base: c.as_mut_ptr(),
+        len: c.len(),
+    };
     (0..grid.total()).into_par_iter().for_each(|t| {
         let (ji, local) = grid.locate(t);
         let j = &jobs[ji];
@@ -964,8 +1099,19 @@ pub(crate) fn gemm_batch_into(jobs: &[GemmJob<'_>], c: &mut [f32]) {
                 _c: std::marker::PhantomData,
             };
             gemm_tile_serial(
-                isa, j.layout, j.alpha, j.a, j.b, Epilogue::Add,
-                &mut tile, m, k, n, (i0, mt), (j0, nt), (0, k),
+                isa,
+                j.layout,
+                j.alpha,
+                j.a,
+                j.b,
+                Epilogue::Add,
+                &mut tile,
+                m,
+                k,
+                n,
+                (i0, mt),
+                (j0, nt),
+                (0, k),
             );
         }
     });
@@ -1015,14 +1161,44 @@ fn bmm_driver(
 /// attention tiles reuse scratch score buffers without a `fill(0.0)`
 /// pre-pass (`Epilogue::Assign` overwrites in the micro-kernel store).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_serial_or_small(layout: GemmLayout, alpha: f32, a: &[f32], b: &[f32], epi: Epilogue<'_>, c: &mut [f32], m: usize, k: usize, n: usize) {
-    gemm_serial_or_small_op(layout, alpha, Operand::F32(a), Operand::F32(b), epi, c, m, k, n)
+pub(crate) fn gemm_serial_or_small(
+    layout: GemmLayout,
+    alpha: f32,
+    a: &[f32],
+    b: &[f32],
+    epi: Epilogue<'_>,
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    gemm_serial_or_small_op(
+        layout,
+        alpha,
+        Operand::F32(a),
+        Operand::F32(b),
+        epi,
+        c,
+        m,
+        k,
+        n,
+    )
 }
 
 /// [`gemm_serial_or_small`] over dtype-tagged operands (the batched
 /// dispatcher's per-tile body).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_serial_or_small_op(layout: GemmLayout, alpha: f32, a: Operand<'_>, b: Operand<'_>, epi: Epilogue<'_>, c: &mut [f32], m: usize, k: usize, n: usize) {
+pub(crate) fn gemm_serial_or_small_op(
+    layout: GemmLayout,
+    alpha: f32,
+    a: Operand<'_>,
+    b: Operand<'_>,
+    epi: Epilogue<'_>,
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
     if m == 0 || n == 0 {
         return;
     }
@@ -1105,7 +1281,18 @@ pub mod bench_api {
         if m == 0 || n == 0 || k == 0 {
             return;
         }
-        gemm_serial(simd::active_isa(), layout, alpha, a, b, Epilogue::Add, c, m, k, n);
+        gemm_serial(
+            simd::active_isa(),
+            layout,
+            alpha,
+            a,
+            b,
+            Epilogue::Add,
+            c,
+            m,
+            k,
+            n,
+        );
     }
 
     /// Pack the first `MC×KC` A block of a row-major `[m, k]` operand (the
@@ -1116,7 +1303,20 @@ pub mod bench_api {
     pub fn pack_a_block(isa: Isa, a: &[f32], m: usize, k: usize, buf: &mut [f32]) -> usize {
         let (mr, _) = simd::gemm_tile_shape(simd::active_isa());
         let (mc, kc) = (MC.min(m), KC.min(k));
-        pack_a(isa, GemmLayout::NN, 1.0, Operand::F32(a), m, k, 0, mc, 0, kc, mr, buf);
+        pack_a(
+            isa,
+            GemmLayout::NN,
+            1.0,
+            Operand::F32(a),
+            m,
+            k,
+            0,
+            mc,
+            0,
+            kc,
+            mr,
+            buf,
+        );
         mc * kc
     }
 
@@ -1269,7 +1469,14 @@ mod tests {
     // ---- blocked-kernel edge shapes -----------------------------------
 
     /// Reference product via explicit index arithmetic for any layout.
-    fn reference(layout: GemmLayout, a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+    fn reference(
+        layout: GemmLayout,
+        a: &[f32],
+        b: &[f32],
+        m: usize,
+        k: usize,
+        n: usize,
+    ) -> Vec<f32> {
         let mut c = vec![0.0f64; m * n];
         for i in 0..m {
             for j in 0..n {
@@ -1395,11 +1602,31 @@ mod tests {
     /// Blocked product on an explicit ISA (skips the small-op fast path so
     /// the micro-kernel and packing run even for tiny shapes).
     #[allow(clippy::too_many_arguments)]
-    fn gemm_blocked_isa(isa: Isa, layout: GemmLayout, a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+    fn gemm_blocked_isa(
+        isa: Isa,
+        layout: GemmLayout,
+        a: &[f32],
+        b: &[f32],
+        c: &mut [f32],
+        m: usize,
+        k: usize,
+        n: usize,
+    ) {
         if m == 0 || n == 0 || k == 0 {
             return;
         }
-        gemm_serial(isa, layout, 1.0, Operand::F32(a), Operand::F32(b), Epilogue::Add, c, m, k, n);
+        gemm_serial(
+            isa,
+            layout,
+            1.0,
+            Operand::F32(a),
+            Operand::F32(b),
+            Epilogue::Add,
+            c,
+            m,
+            k,
+            n,
+        );
     }
 
     #[test]
@@ -1443,7 +1670,11 @@ mod tests {
         fn ulps(a: f32, b: f32) -> u64 {
             fn key(x: f32) -> i64 {
                 let bits = x.to_bits();
-                if bits & 0x8000_0000 != 0 { -((bits & 0x7fff_ffff) as i64) } else { bits as i64 }
+                if bits & 0x8000_0000 != 0 {
+                    -((bits & 0x7fff_ffff) as i64)
+                } else {
+                    bits as i64
+                }
             }
             (key(a) - key(b)).unsigned_abs()
         }
@@ -1485,9 +1716,31 @@ mod tests {
             rng.fill_normal(&mut b, 1.0);
             rng.fill_normal(&mut bias, 1.0);
             let mut fused = vec![0.0f32; m * n];
-            gemm_serial(isa, GemmLayout::NN, 1.0, Operand::F32(&a), Operand::F32(&b), Epilogue::AddBias(&bias), &mut fused, m, k, n);
+            gemm_serial(
+                isa,
+                GemmLayout::NN,
+                1.0,
+                Operand::F32(&a),
+                Operand::F32(&b),
+                Epilogue::AddBias(&bias),
+                &mut fused,
+                m,
+                k,
+                n,
+            );
             let mut plain = vec![0.0f32; m * n];
-            gemm_serial(isa, GemmLayout::NN, 1.0, Operand::F32(&a), Operand::F32(&b), Epilogue::Add, &mut plain, m, k, n);
+            gemm_serial(
+                isa,
+                GemmLayout::NN,
+                1.0,
+                Operand::F32(&a),
+                Operand::F32(&b),
+                Epilogue::Add,
+                &mut plain,
+                m,
+                k,
+                n,
+            );
             for (i, (f, p)) in fused.iter().zip(&plain).enumerate() {
                 let want = p + bias[i % n];
                 assert!(
@@ -1515,11 +1768,32 @@ mod tests {
         rng.fill_normal(&mut b, 1.0);
         for isa in Isa::available() {
             let mut serial = vec![0.0f32; m * n];
-            gemm_serial(isa, GemmLayout::NN, 1.0, Operand::F32(&a), Operand::F32(&b), Epilogue::Add, &mut serial, m, k, n);
+            gemm_serial(
+                isa,
+                GemmLayout::NN,
+                1.0,
+                Operand::F32(&a),
+                Operand::F32(&b),
+                Epilogue::Add,
+                &mut serial,
+                m,
+                k,
+                n,
+            );
             let mut par2d = vec![0.0f32; m * n];
             gemm_parallel_2d(
-                isa, GemmLayout::NN, 1.0, Operand::F32(&a), Operand::F32(&b), Epilogue::Add, &mut par2d,
-                m, k, n, m.div_ceil(MC), n.div_ceil(NC),
+                isa,
+                GemmLayout::NN,
+                1.0,
+                Operand::F32(&a),
+                Operand::F32(&b),
+                Epilogue::Add,
+                &mut par2d,
+                m,
+                k,
+                n,
+                m.div_ceil(MC),
+                n.div_ceil(NC),
             );
             for (i, (x, y)) in par2d.iter().zip(&serial).enumerate() {
                 assert_eq!(x.to_bits(), y.to_bits(), "{} elem {i}", isa.name());
@@ -1541,7 +1815,17 @@ mod tests {
         rng.fill_normal(&mut b, 1.0);
         for isa in Isa::available() {
             let mut split = vec![0.0f32; m * n];
-            gemm_parallel_split_k(isa, GemmLayout::NN, 1.0, Operand::F32(&a), Operand::F32(&b), &mut split, m, k, n);
+            gemm_parallel_split_k(
+                isa,
+                GemmLayout::NN,
+                1.0,
+                Operand::F32(&a),
+                Operand::F32(&b),
+                &mut split,
+                m,
+                k,
+                n,
+            );
             // Replay the shape-derived schedule serially.
             const GRAIN: usize = 4 * KC;
             let chunks = k.div_ceil(GRAIN).min(16);
@@ -1551,7 +1835,21 @@ mod tests {
                 let (p0, p1) = (t * per, ((t + 1) * per).min(k));
                 let mut partial = vec![0.0f32; m * n];
                 let mut tile = CTile::new(&mut partial, n, 0, 0);
-                gemm_tile_serial(isa, GemmLayout::NN, 1.0, Operand::F32(&a), Operand::F32(&b), Epilogue::Add, &mut tile, m, k, n, (0, m), (0, n), (p0, p1));
+                gemm_tile_serial(
+                    isa,
+                    GemmLayout::NN,
+                    1.0,
+                    Operand::F32(&a),
+                    Operand::F32(&b),
+                    Epilogue::Add,
+                    &mut tile,
+                    m,
+                    k,
+                    n,
+                    (0, m),
+                    (0, n),
+                    (p0, p1),
+                );
                 for (w, p) in want.iter_mut().zip(&partial) {
                     *w += p;
                 }
@@ -1620,7 +1918,18 @@ mod tests {
                             rng.fill_normal(&mut a, 1.0);
                             rng.fill_normal(&mut b, 1.0);
                             let mut c = vec![0.0f32; m * n];
-                            gemm_serial(isa, layout, 1.0, Operand::F32(&a), Operand::F32(&b), Epilogue::Add, &mut c, m, k, n);
+                            gemm_serial(
+                                isa,
+                                layout,
+                                1.0,
+                                Operand::F32(&a),
+                                Operand::F32(&b),
+                                Epilogue::Add,
+                                &mut c,
+                                m,
+                                k,
+                                n,
+                            );
                             let want = reference(layout, &a, &b, m, k, n);
                             for (i, (x, y)) in c.iter().zip(&want).enumerate() {
                                 assert!(
@@ -1670,7 +1979,18 @@ mod tests {
                     rng.fill_normal(&mut a, 1.0);
                     rng.fill_normal(&mut b, 1.0);
                     let mut fast = vec![0.0f32; m * n];
-                    gemm_serial(isa, layout, 1.0, Operand::F32(&a), Operand::F32(&b), Epilogue::Add, &mut fast, m, k, n);
+                    gemm_serial(
+                        isa,
+                        layout,
+                        1.0,
+                        Operand::F32(&a),
+                        Operand::F32(&b),
+                        Epilogue::Add,
+                        &mut fast,
+                        m,
+                        k,
+                        n,
+                    );
                     let (mp, np) = (m.next_multiple_of(mr), n.next_multiple_of(nr));
                     let ap = match layout {
                         GemmLayout::TN => zero_pad(&a, k, m, k, mp),
@@ -1681,7 +2001,18 @@ mod tests {
                         _ => zero_pad(&b, k, n, k, np),
                     };
                     let mut full = vec![0.0f32; mp * np];
-                    gemm_serial(isa, layout, 1.0, Operand::F32(&ap), Operand::F32(&bp), Epilogue::Add, &mut full, mp, k, np);
+                    gemm_serial(
+                        isa,
+                        layout,
+                        1.0,
+                        Operand::F32(&ap),
+                        Operand::F32(&bp),
+                        Epilogue::Add,
+                        &mut full,
+                        mp,
+                        k,
+                        np,
+                    );
                     for (i, x) in fast.iter().enumerate() {
                         let y = full[(i / n) * np + i % n];
                         assert_eq!(
@@ -1712,7 +2043,16 @@ mod tests {
         // Dirty the arena with a differently-shaped product and a split-K
         // shape (which borrows the partial buffer).
         let mut junk = vec![0.0f32; 2 * 6];
-        gemm(GemmLayout::NT, -3.0, &a[..2 * (4 * KC + 37)], &b[..(4 * KC + 37) * 6], &mut junk, 2, 4 * KC + 37, 6);
+        gemm(
+            GemmLayout::NT,
+            -3.0,
+            &a[..2 * (4 * KC + 37)],
+            &b[..(4 * KC + 37) * 6],
+            &mut junk,
+            2,
+            4 * KC + 37,
+            6,
+        );
         let mut warm = vec![0.0f32; m * n];
         gemm(GemmLayout::NN, 1.0, &a, &b, &mut warm, m, k, n);
         for (i, (x, y)) in warm.iter().zip(&cold).enumerate() {
@@ -1729,7 +2069,12 @@ mod tests {
         // Heterogeneous job list: a tiled job, a small direct-loop job,
         // and an empty-depth job, with ragged shapes.
         let mut rng = Rng::new(272);
-        let shapes = [(MC + 9, 40usize, NC + 17), (9, 11, 13), (67, 129, 65), (5, 0, 7)];
+        let shapes = [
+            (MC + 9, 40usize, NC + 17),
+            (9, 11, 13),
+            (67, 129, 65),
+            (5, 0, 7),
+        ];
         let mut operands = Vec::new();
         for &(m, k, n) in &shapes {
             let mut a = vec![0.0f32; m * k];
@@ -1738,7 +2083,12 @@ mod tests {
             rng.fill_normal(&mut b, 1.0);
             operands.push((a, b));
         }
-        let layouts = [GemmLayout::NN, GemmLayout::NT, GemmLayout::TN, GemmLayout::NN];
+        let layouts = [
+            GemmLayout::NN,
+            GemmLayout::NT,
+            GemmLayout::TN,
+            GemmLayout::NN,
+        ];
         let mut off = 0;
         let mut jobs = Vec::new();
         for (i, &(m, k, n)) in shapes.iter().enumerate() {
@@ -1761,8 +2111,15 @@ mod tests {
         let mut replay = vec![0.0f32; total];
         for j in &jobs {
             gemm_serial_or_small_op(
-                j.layout, j.alpha, j.a, j.b, Epilogue::Add,
-                &mut replay[j.c_off..j.c_off + j.m * j.n], j.m, j.k, j.n,
+                j.layout,
+                j.alpha,
+                j.a,
+                j.b,
+                Epilogue::Add,
+                &mut replay[j.c_off..j.c_off + j.m * j.n],
+                j.m,
+                j.k,
+                j.n,
             );
         }
         for (i, (x, y)) in batched.iter().zip(&replay).enumerate() {
@@ -1780,7 +2137,11 @@ mod tests {
         let mut rng = Rng::new(301);
         type Product = fn(&Tensor, &Tensor) -> Tensor;
         let cases: [(Product, &str); 3] = [(matmul, "NN"), (matmul_nt, "NT"), (matmul_tn, "TN")];
-        for &(m, k, n) in &[(7usize, 5usize, 9usize), (67, KC + 9, 65), (MC + 9, 40, NC + 17)] {
+        for &(m, k, n) in &[
+            (7usize, 5usize, 9usize),
+            (67, KC + 9, 65),
+            (MC + 9, 40, NC + 17),
+        ] {
             for (run, name) in cases {
                 let (a_dims, b_dims) = match name {
                     "NN" => ([m, k], [k, n]),

@@ -25,9 +25,7 @@ pub use gemm::{
     matmul_nt, matmul_tn, GemmLayout,
 };
 pub use norm::{layernorm, layernorm_backward, LayerNormCtx, LN_EPS};
-pub use reduce::{
-    mean_all, mean_axis1, softmax_last, softmax_last_backward, sum_all, sum_to_last,
-};
+pub use reduce::{mean_all, mean_axis1, softmax_last, softmax_last_backward, sum_all, sum_to_last};
 pub use shape_ops::{
     broadcast_to_batch, concat, gather_rows, gather_rows_backward, patchify, select_axis1,
     select_axis1_backward, slice, slice_backward, sum_over_batch, swap_axes12, transpose_last2,

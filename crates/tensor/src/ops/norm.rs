@@ -202,7 +202,10 @@ mod tests {
             .sum::<f32>()
             / 301.0;
         assert!((mu - naive_mu).abs() < 1e-3, "{mu} vs {naive_mu}");
-        assert!((var - naive_var).abs() / naive_var < 1e-2, "{var} vs {naive_var}");
+        assert!(
+            (var - naive_var).abs() / naive_var < 1e-2,
+            "{var} vs {naive_var}"
+        );
     }
 
     #[test]
@@ -254,7 +257,11 @@ mod tests {
             let fd = (loss(&Tensor::from_vec(xp, x.shape().clone()), &g, &b)
                 - loss(&Tensor::from_vec(xm, x.shape().clone()), &g, &b))
                 / (2.0 * h);
-            assert!((dx.at(i) - fd).abs() < 2e-2, "dx[{i}]: {} vs {fd}", dx.at(i));
+            assert!(
+                (dx.at(i) - fd).abs() < 2e-2,
+                "dx[{i}]: {} vs {fd}",
+                dx.at(i)
+            );
         }
         // dgamma / dbeta
         for i in 0..8 {

@@ -109,12 +109,7 @@ pub fn slice(t: &Tensor, axis: usize, start: usize, len: usize) -> Tensor {
 
 /// Scatter-add `grad` (shaped like the slice) back into a zero tensor shaped
 /// like the original — the adjoint of [`slice()`].
-pub fn slice_backward(
-    grad: &Tensor,
-    orig_dims: &[usize],
-    axis: usize,
-    start: usize,
-) -> Tensor {
+pub fn slice_backward(grad: &Tensor, orig_dims: &[usize], axis: usize, start: usize) -> Tensor {
     let len = grad.dims()[axis];
     let ax = orig_dims[axis];
     let outer: usize = orig_dims[..axis].iter().product();
@@ -196,9 +191,17 @@ pub fn select_axis1_backward(grad: &Tensor, idx: &[usize], s: usize) -> Tensor {
 /// flattened row-major. The adjoint is [`unpatchify`] (they are mutually
 /// inverse permutations).
 pub fn patchify(img: &Tensor, p: usize) -> Tensor {
-    assert_eq!(img.ndim(), 4, "patchify wants [B,C,H,W], got {}", img.shape());
+    assert_eq!(
+        img.ndim(),
+        4,
+        "patchify wants [B,C,H,W], got {}",
+        img.shape()
+    );
     let (b, c, h, w) = (img.dims()[0], img.dims()[1], img.dims()[2], img.dims()[3]);
-    assert!(h % p == 0 && w % p == 0, "image {h}x{w} not divisible by patch {p}");
+    assert!(
+        h % p == 0 && w % p == 0,
+        "image {h}x{w} not divisible by patch {p}"
+    );
     let (gh, gw) = (h / p, w / p);
     let np = gh * gw;
     let src = img.data();
@@ -211,8 +214,7 @@ pub fn patchify(img: &Tensor, p: usize) -> Tensor {
                 let patch = (gy * gw + gx) * p * p;
                 for py in 0..p {
                     let row = (gy * p + py) * w + gx * p;
-                    dst[patch + py * p..patch + (py + 1) * p]
-                        .copy_from_slice(&plane[row..row + p]);
+                    dst[patch + py * p..patch + (py + 1) * p].copy_from_slice(&plane[row..row + p]);
                 }
             }
         }
@@ -222,7 +224,12 @@ pub fn patchify(img: &Tensor, p: usize) -> Tensor {
 
 /// Inverse of [`patchify`]: `[B, C, P, p²] -> [B, C, H, W]`.
 pub fn unpatchify(t: &Tensor, h: usize, w: usize, p: usize) -> Tensor {
-    assert_eq!(t.ndim(), 4, "unpatchify wants [B,C,P,p²], got {}", t.shape());
+    assert_eq!(
+        t.ndim(),
+        4,
+        "unpatchify wants [B,C,P,p²], got {}",
+        t.shape()
+    );
     let (b, c, np, pp) = (t.dims()[0], t.dims()[1], t.dims()[2], t.dims()[3]);
     assert_eq!(pp, p * p);
     let (gh, gw) = (h / p, w / p);

@@ -94,7 +94,9 @@ pub(crate) fn for_each_row_indexed_if(
     f: impl Fn(usize, &mut [f32]) + Sync,
 ) {
     if par {
-        out.par_chunks_mut(n).enumerate().for_each(|(i, row)| f(i, row));
+        out.par_chunks_mut(n)
+            .enumerate()
+            .for_each(|(i, row)| f(i, row));
     } else {
         out.chunks_mut(n).enumerate().for_each(|(i, row)| f(i, row));
     }
@@ -184,9 +186,14 @@ mod tests {
         let g = FlatGrid::new([3usize, 1, 0, 4]);
         assert_eq!(g.total(), 8);
         let want = [
-            (0, 0), (0, 1), (0, 2), // job 0
+            (0, 0),
+            (0, 1),
+            (0, 2), // job 0
             (1, 0), // job 1 (job 2 contributes nothing)
-            (3, 0), (3, 1), (3, 2), (3, 3), // job 3
+            (3, 0),
+            (3, 1),
+            (3, 2),
+            (3, 3), // job 3
         ];
         for (t, &w) in want.iter().enumerate() {
             assert_eq!(g.locate(t), w, "task {t}");

@@ -48,13 +48,19 @@ impl Rng {
 
     /// Snapshot the full generator state (for checkpointing).
     pub fn state(&self) -> RngState {
-        RngState { s: self.s, spare: self.spare_normal }
+        RngState {
+            s: self.s,
+            spare: self.spare_normal,
+        }
     }
 
     /// Rebuild a generator that continues the exact stream captured by
     /// [`Rng::state`].
     pub fn from_state(state: &RngState) -> Rng {
-        Rng { s: state.s, spare_normal: state.spare }
+        Rng {
+            s: state.s,
+            spare_normal: state.spare,
+        }
     }
 
     /// Derive an independent stream, e.g. one per rank or per layer.
@@ -68,10 +74,7 @@ impl Rng {
 
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
-        let result = self.s[1]
-            .wrapping_mul(5)
-            .rotate_left(7)
-            .wrapping_mul(9);
+        let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
         let t = self.s[1] << 17;
         self.s[2] ^= self.s[0];
         self.s[3] ^= self.s[1];

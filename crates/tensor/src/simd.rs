@@ -407,7 +407,12 @@ mod scalar {
             let kc2 = kc & !1;
             let mut p = 0;
             while p < kc2 {
-                step(&mut acc0, &mut acc1, &ap[p * MR..(p + 1) * MR], &bp[p * NR..(p + 1) * NR]);
+                step(
+                    &mut acc0,
+                    &mut acc1,
+                    &ap[p * MR..(p + 1) * MR],
+                    &bp[p * NR..(p + 1) * NR],
+                );
                 step(
                     &mut acc0,
                     &mut acc1,
@@ -417,7 +422,12 @@ mod scalar {
                 p += 2;
             }
             if p < kc {
-                step(&mut acc0, &mut acc1, &ap[p * MR..(p + 1) * MR], &bp[p * NR..(p + 1) * NR]);
+                step(
+                    &mut acc0,
+                    &mut acc1,
+                    &ap[p * MR..(p + 1) * MR],
+                    &bp[p * NR..(p + 1) * NR],
+                );
             }
             (acc0, acc1)
         }
@@ -1131,7 +1141,9 @@ mod x86 {
                 let cpv = cp.add(off);
                 match epi {
                     MicroEpi::Add => {
-                        V::load_partial(cpv, lanes).add(av).store_partial(cpv, lanes);
+                        V::load_partial(cpv, lanes)
+                            .add(av)
+                            .store_partial(cpv, lanes);
                     }
                     MicroEpi::AddBias(bias) => {
                         // Same op order as the full tile: c + (acc + bias).
@@ -1533,8 +1545,15 @@ mod x86 {
                     // the vector width narrows.
                     if nr <= F32x8::LANES && <$v as Vf32>::LANES > F32x8::LANES {
                         return gemm_micro_edge::<F32x8, $mrv>(
-                            kc, ap.as_ptr(), bp.as_ptr(), 2 * <$v as Vf32>::LANES,
-                            c, ldc, mr, nr, epi,
+                            kc,
+                            ap.as_ptr(),
+                            bp.as_ptr(),
+                            2 * <$v as Vf32>::LANES,
+                            c,
+                            ldc,
+                            mr,
+                            nr,
+                            epi,
                         );
                     }
                     gemm_micro_v::<$v, $mrv>(kc, ap.as_ptr(), bp.as_ptr(), c, ldc, mr, nr, epi)
@@ -1813,7 +1832,10 @@ pub(crate) unsafe fn pack_transpose_bf16(
     dst: *mut f32,
     alpha: f32,
 ) {
-    dispatch!(isa, pack_transpose_bf16(src, stride, rows, pad, kc, dst, alpha))
+    dispatch!(
+        isa,
+        pack_transpose_bf16(src, stride, rows, pad, kc, dst, alpha)
+    )
 }
 
 #[cfg(test)]
@@ -1889,7 +1911,12 @@ mod tests {
         // the *vector* clamp/exp2i path processes them, not just the
         // scalar tail.
         let boundary = [-1000.0f32, 1000.0, 0.0, -87.0, 88.0, -126.0, 127.0, 0.5];
-        let src: Vec<f32> = boundary.iter().cycle().take(3 * boundary.len()).copied().collect();
+        let src: Vec<f32> = boundary
+            .iter()
+            .cycle()
+            .take(3 * boundary.len())
+            .copied()
+            .collect();
         for isa in Isa::available() {
             let mut row = src.clone();
             exp_sub_sweep_isa(isa, &mut row, 0.0);
@@ -1915,7 +1942,12 @@ mod tests {
             let want_sum = scalar::row_sum(&row);
             for isa in Isa::available() {
                 // max is an exact op: any fold order gives the same value.
-                assert_eq!(row_max_isa(isa, &row), want_max, "{:?} len {len}", isa.name());
+                assert_eq!(
+                    row_max_isa(isa, &row),
+                    want_max,
+                    "{:?} len {len}",
+                    isa.name()
+                );
                 let sum = row_sum_isa(isa, &row);
                 let tol = 1e-5 * (len as f32).sqrt() * 2.0 + 1e-6;
                 assert!(
@@ -1938,7 +1970,11 @@ mod tests {
             let (smu, svar) = scalar::welford_stats(&row);
             for isa in Isa::available() {
                 let (mu, var) = welford_stats_isa(isa, &row);
-                assert!((mu - smu).abs() < 1e-3, "{:?} len {len}: {mu} vs {smu}", isa.name());
+                assert!(
+                    (mu - smu).abs() < 1e-3,
+                    "{:?} len {len}: {mu} vs {smu}",
+                    isa.name()
+                );
                 assert!(
                     (var - svar).abs() <= 1e-3 * svar.max(1.0),
                     "{:?} len {len}: {var} vs {svar}",
@@ -2016,10 +2052,26 @@ mod tests {
                             }
                             unsafe {
                                 gemm_microkernel(
-                                    isa, kc, &ap, &bp, masked.as_mut_ptr(), nr, mr, nr, epi,
+                                    isa,
+                                    kc,
+                                    &ap,
+                                    &bp,
+                                    masked.as_mut_ptr(),
+                                    nr,
+                                    mr,
+                                    nr,
+                                    epi,
                                 );
                                 gemm_microkernel(
-                                    isa, kc, &ap, &bp, full.as_mut_ptr(), nrv, mrv, nrv, epi_full,
+                                    isa,
+                                    kc,
+                                    &ap,
+                                    &bp,
+                                    full.as_mut_ptr(),
+                                    nrv,
+                                    mrv,
+                                    nrv,
+                                    epi_full,
                                 );
                             }
                             for (j, x) in masked.iter().enumerate() {
@@ -2053,7 +2105,17 @@ mod tests {
                 r[..nr].fill(0.0);
             }
             unsafe {
-                gemm_microkernel(isa, kc, &ap, &bp, c.as_mut_ptr(), nrv, mr, nr, MicroEpi::Add);
+                gemm_microkernel(
+                    isa,
+                    kc,
+                    &ap,
+                    &bp,
+                    c.as_mut_ptr(),
+                    nrv,
+                    mr,
+                    nr,
+                    MicroEpi::Add,
+                );
             }
             for (i, row) in c.chunks(nrv).enumerate() {
                 assert!(
@@ -2075,7 +2137,16 @@ mod tests {
         // The SIMD transpose pack must equal the scalar gather loop bit
         // for bit, including the zero padding, across block-edge shapes.
         for isa in Isa::available() {
-            for &(rows, pad) in &[(1usize, 6usize), (5, 6), (6, 6), (7, 8), (8, 8), (13, 16), (16, 16), (31, 32)] {
+            for &(rows, pad) in &[
+                (1usize, 6usize),
+                (5, 6),
+                (6, 6),
+                (7, 8),
+                (8, 8),
+                (13, 16),
+                (16, 16),
+                (31, 32),
+            ] {
                 for &kc in &[1usize, 7, 8, 9, 64, 65] {
                     for &alpha in &[1.0f32, 0.125] {
                         let stride = kc + 3; // source wider than the block
@@ -2084,10 +2155,23 @@ mod tests {
                         let mut got = vec![f32::NAN; pad * kc];
                         unsafe {
                             scalar::pack_transpose(
-                                src.as_ptr(), stride, rows, pad, kc, want.as_mut_ptr(), alpha,
+                                src.as_ptr(),
+                                stride,
+                                rows,
+                                pad,
+                                kc,
+                                want.as_mut_ptr(),
+                                alpha,
                             );
                             pack_transpose(
-                                isa, src.as_ptr(), stride, rows, pad, kc, got.as_mut_ptr(), alpha,
+                                isa,
+                                src.as_ptr(),
+                                stride,
+                                rows,
+                                pad,
+                                kc,
+                                got.as_mut_ptr(),
+                                alpha,
                             );
                         }
                         for (j, (x, y)) in got.iter().zip(&want).enumerate() {
@@ -2166,10 +2250,23 @@ mod tests {
                         let mut got = vec![f32::NAN; pad * kc];
                         unsafe {
                             scalar::pack_transpose_bf16(
-                                src.as_ptr(), stride, rows, pad, kc, want.as_mut_ptr(), alpha,
+                                src.as_ptr(),
+                                stride,
+                                rows,
+                                pad,
+                                kc,
+                                want.as_mut_ptr(),
+                                alpha,
                             );
                             pack_transpose_bf16(
-                                isa, src.as_ptr(), stride, rows, pad, kc, got.as_mut_ptr(), alpha,
+                                isa,
+                                src.as_ptr(),
+                                stride,
+                                rows,
+                                pad,
+                                kc,
+                                got.as_mut_ptr(),
+                                alpha,
                             );
                         }
                         for (j, (x, y)) in got.iter().zip(&want).enumerate() {

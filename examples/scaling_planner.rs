@@ -55,9 +55,16 @@ fn main() {
     match planner.best_on(&cfg, gpus, 1) {
         Some(plan) => {
             println!("\nrecommended on {gpus} GPUs: {}", plan.strategy.name());
-            println!("  micro-batch {}   global batch {}", plan.strategy.micro_batch, plan.strategy.global_batch());
+            println!(
+                "  micro-batch {}   global batch {}",
+                plan.strategy.micro_batch,
+                plan.strategy.global_batch()
+            );
             println!("  predicted memory   {} GB/GPU", gb(plan.mem_per_gpu));
-            println!("  predicted sustained {:.0} TFLOP/s total", plan.tflops_total);
+            println!(
+                "  predicted sustained {:.0} TFLOP/s total",
+                plan.tflops_total
+            );
             println!("  rationale: {}", plan.rationale);
             let bd = mem.breakdown(&cfg, &plan.strategy);
             println!(
@@ -67,6 +74,8 @@ fn main() {
                 gb(bd.vit.total())
             );
         }
-        None => println!("\nno configuration fits on {gpus} GPUs — add GPUs or channels-parallel ranks"),
+        None => {
+            println!("\nno configuration fits on {gpus} GPUs — add GPUs or channels-parallel ranks")
+        }
     }
 }

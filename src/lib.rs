@@ -36,9 +36,7 @@ pub mod prelude {
         build_climax, build_mae, resilient_train_loop, resilient_train_loop_with, DChagEncoder,
         DurableConfig, Plan, Planner, ResilienceConfig, RestorePoint, StateAccess,
     };
-    pub use dchag_model::{
-        ClimaxModel, MaeModel, ModelConfig, PatchMask, TreeConfig, UnitKind,
-    };
+    pub use dchag_model::{ClimaxModel, MaeModel, ModelConfig, PatchMask, TreeConfig, UnitKind};
     pub use dchag_perf::{MemoryModel, Strategy, ThroughputModel};
     pub use dchag_tensor::prelude::*;
 }

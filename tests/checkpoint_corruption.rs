@@ -52,7 +52,10 @@ fn full_snapshot() -> Snapshot {
             master: Some(w),
         }],
     });
-    snap.rng = Some(RngState { s: [1, 2, 3, 4], spare: Some(0.25) });
+    snap.rng = Some(RngState {
+        s: [1, 2, 3, 4],
+        spare: Some(0.25),
+    });
     snap
 }
 

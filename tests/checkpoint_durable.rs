@@ -30,14 +30,19 @@ type DpModel = (Linear, DataParallel, AdamW);
 
 fn batches() -> Vec<Tensor> {
     let mut rng = Rng::new(41);
-    (0..STEPS).map(|_| Tensor::randn([12, 4], 1.0, &mut rng)).collect()
+    (0..STEPS)
+        .map(|_| Tensor::randn([12, 4], 1.0, &mut rng))
+        .collect()
 }
 
 fn dp_build(comm: &Communicator) -> (ParamStore, DpModel) {
     let mut store = ParamStore::new();
     let mut rng = Rng::new(5);
     let lin = Linear::new(&mut store, &mut rng, "l", 4, 2, true);
-    (store, (lin, DataParallel::new(comm.clone()), AdamW::new(0.05)))
+    (
+        store,
+        (lin, DataParallel::new(comm.clone()), AdamW::new(0.05)),
+    )
 }
 
 fn dp_step(store: &mut ParamStore, m: &mut DpModel, batch: &Tensor) -> f32 {
@@ -58,11 +63,18 @@ fn dp_opt(m: &mut DpModel) -> &mut AdamW {
 /// Checkpoints carry AdamW moments, so a resumed run continues the exact
 /// optimizer trajectory of the run it replaces.
 fn access() -> StateAccess<DpModel> {
-    StateAccess { optimizer: Some(dp_opt), rng: None }
+    StateAccess {
+        optimizer: Some(dp_opt),
+        rng: None,
+    }
 }
 
 fn store_bits(store: &ParamStore) -> Vec<u32> {
-    store.iter().flat_map(|(_, _, t)| t.to_vec()).map(f32::to_bits).collect()
+    store
+        .iter()
+        .flat_map(|(_, _, t)| t.to_vec())
+        .map(f32::to_bits)
+        .collect()
 }
 
 fn write_u32s(path: &std::path::Path, vals: &[u32]) {
@@ -84,13 +96,21 @@ fn read_u32s(path: &std::path::Path) -> Vec<u32> {
 /// ranks are the fresh launch that must resume from the durable tier.
 #[test]
 fn checkpoint_durable_child() {
-    let Some(env) = tcp_world_from_env() else { return };
+    let Some(env) = tcp_world_from_env() else {
+        return;
+    };
     let ckpt = PathBuf::from(std::env::var("DCHAG_CKPT_DIR").expect("ckpt dir"));
-    let phase: u32 = std::env::var("DCHAG_CKPT_PHASE").expect("phase").parse().expect("phase");
+    let phase: u32 = std::env::var("DCHAG_CKPT_PHASE")
+        .expect("phase")
+        .parse()
+        .expect("phase");
     let my_rank = env.rank;
     let (comm, _world, ep) = dchag_collectives::connect_world(
         &env,
-        TcpConfig { heartbeat_timeout: Duration::from_millis(800), ..TcpConfig::default() },
+        TcpConfig {
+            heartbeat_timeout: Duration::from_millis(800),
+            ..TcpConfig::default()
+        },
     );
     let data = batches();
     let rcfg = ResilienceConfig {
@@ -99,8 +119,13 @@ fn checkpoint_durable_child() {
         durable: Some(DurableConfig::new(&ckpt)),
         ..ResilienceConfig::default()
     };
-    let report =
-        resilient_train_loop_with(&comm, &rcfg, STEPS, access(), dp_build, |store, m, _c, i| {
+    let report = resilient_train_loop_with(
+        &comm,
+        &rcfg,
+        STEPS,
+        access(),
+        dp_build,
+        |store, m, _c, i| {
             if phase == 1 && i == 5 {
                 // The step-4 checkpoint is already committed (or about to
                 // be, by the background writer); hang so the parent can
@@ -108,12 +133,20 @@ fn checkpoint_durable_child() {
                 std::thread::sleep(Duration::from_secs(600));
             }
             dp_step(store, m, &data[i])
-        })
-        .expect("run completes");
+        },
+    )
+    .expect("run completes");
 
     assert_eq!(phase, 2, "phase-1 ranks die by SIGKILL and never get here");
-    assert_eq!(report.recoveries, 0, "a restart is a fresh launch, not a regroup");
-    assert_eq!(report.resumed_at, Some(4), "must resume from the step-4 checkpoint");
+    assert_eq!(
+        report.recoveries, 0,
+        "a restart is a fresh launch, not a regroup"
+    );
+    assert_eq!(
+        report.resumed_at,
+        Some(4),
+        "must resume from the step-4 checkpoint"
+    );
     assert!(
         report.durable_skipped.is_empty(),
         "durable tier must be clean: {:?}",
@@ -123,9 +156,16 @@ fn checkpoint_durable_child() {
 
     write_u32s(
         &env.dir.join(format!("rank{my_rank}.losses")),
-        &report.losses.iter().map(|l| l.to_bits()).collect::<Vec<_>>(),
+        &report
+            .losses
+            .iter()
+            .map(|l| l.to_bits())
+            .collect::<Vec<_>>(),
     );
-    write_u32s(&env.dir.join(format!("rank{my_rank}.params")), &store_bits(&report.store));
+    write_u32s(
+        &env.dir.join(format!("rank{my_rank}.params")),
+        &store_bits(&report.store),
+    );
     ep.shutdown_graceful();
 }
 
@@ -157,7 +197,10 @@ fn checkpoint_total_loss_sigkill_restart_resumes_from_disk_bitwise() {
     let manifest = ckpt.join("step-00000004.manifest");
     let deadline = Instant::now() + Duration::from_secs(60);
     while !manifest.exists() {
-        assert!(Instant::now() < deadline, "step-4 checkpoint never committed");
+        assert!(
+            Instant::now() < deadline,
+            "step-4 checkpoint never committed"
+        );
         for (rank, child) in children.iter_mut().enumerate() {
             if let Some(status) = child.try_wait().expect("poll child") {
                 panic!("rank {rank} exited early ({status}) before total loss");
@@ -170,7 +213,10 @@ fn checkpoint_total_loss_sigkill_restart_resumes_from_disk_bitwise() {
     }
     for (rank, child) in children.iter_mut().enumerate() {
         let status = child.wait().expect("wait child");
-        assert!(!status.success(), "rank {rank} must die by SIGKILL, got {status}");
+        assert!(
+            !status.success(),
+            "rank {rank} must die by SIGKILL, got {status}"
+        );
     }
 
     // Total loss: every process is gone; only the checkpoint directory
@@ -209,7 +255,10 @@ fn checkpoint_total_loss_sigkill_restart_resumes_from_disk_bitwise() {
         let (ref_losses, ref_params) = &reference.outputs[rank];
         assert_eq!(
             read_u32s(&run2.join(format!("rank{rank}.losses"))),
-            ref_losses[4..].iter().map(|l| l.to_bits()).collect::<Vec<_>>(),
+            ref_losses[4..]
+                .iter()
+                .map(|l| l.to_bits())
+                .collect::<Vec<_>>(),
             "rank {rank}: resumed losses diverged from the uninterrupted run"
         );
         assert_eq!(
@@ -229,7 +278,12 @@ fn checkpoint_total_loss_sigkill_restart_resumes_from_disk_bitwise() {
 // ---------------------------------------------------------------------------
 
 /// `(losses, param bits, resumed_at, durable_skipped)` of one w=1 run.
-type W1Run = (Vec<f32>, Vec<u32>, Option<usize>, Vec<(u64, CheckpointError)>);
+type W1Run = (
+    Vec<f32>,
+    Vec<u32>,
+    Option<usize>,
+    Vec<(u64, CheckpointError)>,
+);
 
 /// Run `steps` steps of the DP workload at world 1 against `root`, with
 /// `faults` armed on the durable tier, and return the report.
@@ -254,7 +308,12 @@ fn durable_run_w1(root: &std::path::Path, steps: usize, faults: DiskFaultPlan) -
             |store, m, _c, i| dp_step(store, m, &data[i]),
         )
         .expect("run completes");
-        (report.losses, store_bits(&report.store), report.resumed_at, report.durable_skipped)
+        (
+            report.losses,
+            store_bits(&report.store),
+            report.resumed_at,
+            report.durable_skipped,
+        )
     });
     run.outputs.into_iter().next().unwrap()
 }
@@ -269,15 +328,24 @@ fn checkpoint_corrupt_newest_restart_falls_back_with_typed_cause() {
     let torn = DiskFaultPlan::on_save(2, DiskFault::TruncateAt(33));
     let (_, _, resumed, skipped) = durable_run_w1(&root, 4, torn);
     assert_eq!(resumed, None, "first run starts fresh");
-    assert!(skipped.is_empty(), "the tear is silent until a reader hits it: {skipped:?}");
+    assert!(
+        skipped.is_empty(),
+        "the tear is silent until a reader hits it: {skipped:?}"
+    );
 
     // The restart must skip the torn step 4 with a typed cause and resume
     // from step 2 — then replay to the exact state of a clean 4-step run.
     let (losses, params, resumed, skipped) = durable_run_w1(&root, 4, DiskFaultPlan::none());
-    assert_eq!(resumed, Some(2), "restart resumes from the previous intact step");
+    assert_eq!(
+        resumed,
+        Some(2),
+        "restart resumes from the previous intact step"
+    );
     assert_eq!(losses.len(), 2, "only steps 2..4 replay");
     assert!(
-        skipped.iter().any(|(s, e)| *s == 4 && matches!(e, CheckpointError::FileCrc)),
+        skipped
+            .iter()
+            .any(|(s, e)| *s == 4 && matches!(e, CheckpointError::FileCrc)),
         "the torn step-4 checkpoint must be skipped with its typed cause: {skipped:?}"
     );
 
@@ -308,7 +376,11 @@ fn checkpoint_stale_manifest_restart_falls_back_with_shard_crc_cause() {
     assert_eq!(resumed, None);
 
     let (_, params, resumed, skipped) = durable_run_w1(&root, 4, DiskFaultPlan::none());
-    assert_eq!(resumed, Some(2), "restart resumes from the previous intact step");
+    assert_eq!(
+        resumed,
+        Some(2),
+        "restart resumes from the previous intact step"
+    );
     assert!(
         skipped
             .iter()
@@ -319,7 +391,10 @@ fn checkpoint_stale_manifest_restart_falls_back_with_shard_crc_cause() {
     let clean = std::env::temp_dir().join(format!("dchag_durable_stale2_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&clean);
     let (_, clean_params, _, _) = durable_run_w1(&clean, 4, DiskFaultPlan::none());
-    assert_eq!(params, clean_params, "fallback + replay lands on the clean trajectory");
+    assert_eq!(
+        params, clean_params,
+        "fallback + replay lands on the clean trajectory"
+    );
 
     let _ = std::fs::remove_dir_all(&root);
     let _ = std::fs::remove_dir_all(&clean);

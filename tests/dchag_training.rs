@@ -66,7 +66,10 @@ fn full_model_backward_has_no_gather_collectives() {
         )
     });
     for (fwd_gathers, bwd_gathers, bwd_scatters) in run.outputs {
-        assert_eq!(fwd_gathers, 1, "exactly one forward AllGather (one token per rank)");
+        assert_eq!(
+            fwd_gathers, 1,
+            "exactly one forward AllGather (one token per rank)"
+        );
         assert_eq!(bwd_gathers, 0, "no backward AllGather");
         assert_eq!(bwd_scatters, 0, "no backward ReduceScatter");
     }

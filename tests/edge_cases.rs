@@ -33,11 +33,7 @@ fn fsdp_padding_path_exact_on_three_ranks() {
     let y = lin.forward(&bind, &xv);
     let loss = tape.mean_all(&tape.mul(&y, &y));
     let grads = tape.backward(&loss);
-    let want: Vec<Tensor> = bind
-        .grads(&grads)
-        .into_iter()
-        .map(|g| g.unwrap())
-        .collect();
+    let want: Vec<Tensor> = bind.grads(&grads).into_iter().map(|g| g.unwrap()).collect();
 
     let run = run_ranks(3, move |ctx| {
         let mut store = ParamStore::new();

@@ -28,7 +28,10 @@ fn distributed_tokenization_equals_baseline_exactly() {
     let ce = ChannelEmbed::new(&mut store, 99, &ids, dim);
     let tape = Tape::new();
     let bind = LocalBinder::new(&tape, &store);
-    let want = ce.forward(&bind, &tok.forward(&bind, &imgs)).value().clone();
+    let want = ce
+        .forward(&bind, &tok.forward(&bind, &imgs))
+        .value()
+        .clone();
 
     for world in [2usize, 3, 4, 6] {
         let imgs = imgs.clone();
@@ -121,7 +124,9 @@ fn forward_loss(bind: &dyn Binder, l1: &Linear, l2: &Linear, x: &Tensor) -> dcha
 #[test]
 fn fsdp_dp_single_device_training_agree() {
     let mut rng = Rng::new(88);
-    let shards: Vec<Tensor> = (0..2).map(|_| Tensor::randn([4, 6], 1.0, &mut rng)).collect();
+    let shards: Vec<Tensor> = (0..2)
+        .map(|_| Tensor::randn([4, 6], 1.0, &mut rng))
+        .collect();
     let full = ops::concat(&[&shards[0], &shards[1]], 0);
 
     // single device, global batch
@@ -199,16 +204,28 @@ fn fsdp_dp_single_device_training_agree() {
 /// global batch, and differ from the same run without decay.
 #[test]
 fn fsdp_weight_decay_matches_unsharded_train_step() {
-    let cfg = TrainConfig { lr: 0.01, weight_decay: 0.1, clip: f32::INFINITY };
+    let cfg = TrainConfig {
+        lr: 0.01,
+        weight_decay: 0.1,
+        clip: f32::INFINITY,
+    };
     let mut rng = Rng::new(89);
     let batches: Vec<Vec<Tensor>> = (0..3)
-        .map(|_| (0..2).map(|_| Tensor::randn([4, 6], 1.0, &mut rng)).collect())
+        .map(|_| {
+            (0..2)
+                .map(|_| Tensor::randn([4, 6], 1.0, &mut rng))
+                .collect()
+        })
         .collect();
 
     let unsharded = |weight_decay: f32| -> Vec<f32> {
         let mut store = ParamStore::new();
         let (l1, l2) = two_layer(&mut store);
-        let mut opt = TrainConfig { weight_decay, ..cfg.clone() }.optimizer();
+        let mut opt = TrainConfig {
+            weight_decay,
+            ..cfg.clone()
+        }
+        .optimizer();
         for b in &batches {
             let full = ops::concat(&[&b[0], &b[1]], 0);
             train_step(&mut store, &mut opt, cfg.clip, None, |bind| {
@@ -237,12 +254,18 @@ fn fsdp_weight_decay_matches_unsharded_train_step() {
             .collect::<Vec<f32>>()
     });
     let max_diff = |a: &[f32], b: &[f32]| {
-        a.iter().zip(b).map(|(x, y)| (x - y).abs()).fold(0.0f32, f32::max)
+        a.iter()
+            .zip(b)
+            .map(|(x, y)| (x - y).abs())
+            .fold(0.0f32, f32::max)
     };
     for got in run.outputs {
         let d = max_diff(&got, &want);
         assert!(d < 1e-5, "FSDP vs unsharded with weight decay: diff {d}");
         let d0 = max_diff(&got, &undecayed);
-        assert!(d0 > 1e-4, "weight decay must move the FSDP step (diff {d0})");
+        assert!(
+            d0 > 1e-4,
+            "weight decay must move the FSDP step (diff {d0})"
+        );
     }
 }

@@ -129,14 +129,23 @@ fn assert_detect_and_regroup(world: usize, point: FaultPoint, wl: fn(&RankCtx)) 
             resume_unwind(payload)
         };
         let detect = t0.elapsed();
-        assert!(detect < DETECT_BOUND, "detection took {detect:?} (point {point:?})");
+        assert!(
+            detect < DETECT_BOUND,
+            "detection took {detect:?} (point {point:?})"
+        );
         assert_eq!(
             cause,
-            CommError::PeerFailed { rank: victim, epoch: 0 },
+            CommError::PeerFailed {
+                rank: victim,
+                epoch: 0
+            },
             "survivor rank {} saw the wrong cause at {point:?}",
             ctx.comm.rank()
         );
-        let survivor = ctx.comm.regroup(REGROUP_DEADLINE).expect("survivors must regroup");
+        let survivor = ctx
+            .comm
+            .regroup(REGROUP_DEADLINE)
+            .expect("survivors must regroup");
         assert_eq!(survivor.size(), world - 1);
         // The shrunk world is fully functional: fresh collectives work.
         let s = survivor.all_reduce_sum(&Tensor::ones([4]));
@@ -148,11 +157,18 @@ fn assert_detect_and_regroup(world: usize, point: FaultPoint, wl: fn(&RankCtx)) 
             let msg = out.as_ref().expect_err("victim must die");
             assert!(msg.contains("injected fault"), "victim cause: {msg}");
         } else {
-            assert!(out.is_ok(), "rank {r} at {point:?} (w={world}): {:?}", out.as_ref().err());
+            assert!(
+                out.is_ok(),
+                "rank {r} at {point:?} (w={world}): {:?}",
+                out.as_ref().err()
+            );
         }
     }
     let faults = run.traffic.fault_events();
-    assert!(!faults.is_empty(), "fault log empty at {point:?} (w={world})");
+    assert!(
+        !faults.is_empty(),
+        "fault log empty at {point:?} (w={world})"
+    );
 }
 
 fn run_matrix(wl: fn(&RankCtx)) {
@@ -205,7 +221,9 @@ fn fault_rank_zero_death_is_survivable() {
             }
             ctx.comm.barrier();
         }));
-        let Err(payload) = caught else { panic!("failure must be detected") };
+        let Err(payload) = caught else {
+            panic!("failure must be detected")
+        };
         if comm_error_of(payload.as_ref()).is_none() {
             resume_unwind(payload)
         }
@@ -227,8 +245,10 @@ fn fault_rank_zero_death_is_survivable() {
         survivor.rank()
     });
     assert!(run.outputs[0].is_err());
-    let survivors: Vec<usize> =
-        run.outputs[1..].iter().map(|o| *o.as_ref().expect("survivor ok")).collect();
+    let survivors: Vec<usize> = run.outputs[1..]
+        .iter()
+        .map(|o| *o.as_ref().expect("survivor ok"))
+        .collect();
     assert_eq!(survivors, vec![0, 1, 2]);
 }
 
@@ -241,8 +261,8 @@ fn fault_simultaneous_failures_regroup_to_remaining_pair() {
     // Both victims die at their very first deposit — `probe_issue` runs
     // before any poison check, so neither can be "rescued" into a survivor
     // by detecting the other's death first.
-    let plan = FaultPlan::kill(1, FaultPoint::BeforeIssue(0))
-        .and_kill(2, FaultPoint::BeforeIssue(0));
+    let plan =
+        FaultPlan::kill(1, FaultPoint::BeforeIssue(0)).and_kill(2, FaultPoint::BeforeIssue(0));
     let run = run_ranks_faulty(4, &plan, |ctx| {
         let caught = catch_unwind(AssertUnwindSafe(|| {
             for _ in 0..2 {
@@ -250,7 +270,9 @@ fn fault_simultaneous_failures_regroup_to_remaining_pair() {
             }
             ctx.comm.barrier();
         }));
-        let Err(payload) = caught else { panic!("failure must be detected") };
+        let Err(payload) = caught else {
+            panic!("failure must be detected")
+        };
         if comm_error_of(payload.as_ref()).is_none() {
             resume_unwind(payload)
         }
@@ -278,7 +300,10 @@ fn dp_build(comm: &Communicator) -> (ParamStore, DpModel) {
     let mut store = ParamStore::new();
     let mut rng = Rng::new(5);
     let lin = Linear::new(&mut store, &mut rng, "l", 4, 2, true);
-    (store, (lin, DataParallel::new(comm.clone()), AdamW::new(0.05)))
+    (
+        store,
+        (lin, DataParallel::new(comm.clone()), AdamW::new(0.05)),
+    )
 }
 
 fn dp_step(store: &mut ParamStore, m: &mut DpModel, batch: &Tensor) -> f32 {
@@ -293,7 +318,11 @@ fn dp_step(store: &mut ParamStore, m: &mut DpModel, batch: &Tensor) -> f32 {
 }
 
 fn store_bits(store: &ParamStore) -> Vec<u32> {
-    store.iter().flat_map(|(_, _, t)| t.to_vec()).map(f32::to_bits).collect()
+    store
+        .iter()
+        .flat_map(|(_, _, t)| t.to_vec())
+        .map(f32::to_bits)
+        .collect()
 }
 
 #[test]
@@ -302,7 +331,9 @@ fn fault_recovery_is_bitwise_identical_to_fresh_survivor_run() {
     // Deterministic global batches; batch 12 divides both world 4 and 3.
     let batches: Vec<Tensor> = {
         let mut rng = Rng::new(41);
-        (0..STEPS).map(|_| Tensor::randn([12, 4], 1.0, &mut rng)).collect()
+        (0..STEPS)
+            .map(|_| Tensor::randn([12, 4], 1.0, &mut rng))
+            .collect()
     };
 
     // `train_step` with DP issues exactly one collective per step, so
@@ -315,14 +346,11 @@ fn fault_recovery_is_bitwise_identical_to_fresh_survivor_run() {
         ..ResilienceConfig::default()
     };
     let faulty = run_ranks_faulty(4, &plan, |ctx| {
-        let report = resilient_train_loop(
-            &ctx.comm,
-            &rcfg,
-            STEPS,
-            dp_build,
-            |store, m, _comm, i| dp_step(store, m, &batches[i]),
-        )
-        .expect("survivors complete the run");
+        let report =
+            resilient_train_loop(&ctx.comm, &rcfg, STEPS, dp_build, |store, m, _comm, i| {
+                dp_step(store, m, &batches[i])
+            })
+            .expect("survivors complete the run");
         assert_eq!(report.recoveries, 1);
         assert_eq!(report.final_world, 3);
         assert_eq!(report.losses.len(), STEPS);

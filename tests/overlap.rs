@@ -127,7 +127,9 @@ fn fsdp_train(ctx: &RankCtx) -> Vec<Vec<f32>> {
         let g = bind.sharded_grads();
         opt.step(&mut fsdp.shard_store, &g);
     }
-    (0..fsdp.len()).map(|i| fsdp.gather_full(i).to_vec()).collect()
+    (0..fsdp.len())
+        .map(|i| fsdp.gather_full(i).to_vec())
+        .collect()
 }
 
 /// DP and FSDP train on the same per-rank batches and must produce the
@@ -155,13 +157,15 @@ fn overlapped_dp_and_fsdp_agree_at_2_and_4_ranks() {
 fn panic_with_inflight_requests_poisons_not_deadlocks() {
     run_ranks(4, |ctx| {
         // Everyone issues a first collective; rank 1 dies before waiting.
-        let req = ctx.comm.iall_reduce_sum(&Tensor::ones([COMM_CHUNK_ELEMS + 5]));
+        let req = ctx
+            .comm
+            .iall_reduce_sum(&Tensor::ones([COMM_CHUNK_ELEMS + 5]));
         if ctx.comm.rank() == 1 {
             panic!("rank 1 died with requests in flight");
         }
         let _ = req.wait(); // completes: rank 1 already deposited
-        // The next collective can never be matched by rank 1 — waiters must
-        // be woken by the poison, not hang.
+                            // The next collective can never be matched by rank 1 — waiters must
+                            // be woken by the poison, not hang.
         ctx.comm.iall_reduce_sum(&Tensor::ones([8])).wait().at(0)
     });
 }

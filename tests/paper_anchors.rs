@@ -33,9 +33,7 @@ fn tok_agg_fraction_in_band() {
         (ModelConfig::p1_7b().with_channels(1024), 8, 8),
         (ModelConfig::p7b().with_channels(512), 16, 10),
     ] {
-        let f = mem
-            .breakdown(&cfg, &Strategy::tp(tp, b))
-            .tok_agg_fraction();
+        let f = mem.breakdown(&cfg, &Strategy::tp(tp, b)).tok_agg_fraction();
         // Our model slightly overshoots the paper's upper end at the most
         // extreme channel counts (0.94 at 1.7B@1024ch vs the paper's 90%).
         assert!((0.5..=0.95).contains(&f), "fraction {f} for tp={tp}");

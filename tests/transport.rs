@@ -25,10 +25,10 @@ use dchag_collectives::{
 use dchag_core::{
     resilient_train_loop, train_step, train_step_fsdp, ResilienceConfig, RestorePoint, TrainConfig,
 };
-use dchag_tensor::checkpoint::{crc32, Snapshot};
 use dchag_model::{AdamW, Linear};
 use dchag_parallel::fsdp::FSDP_UNIT_ELEMS;
 use dchag_parallel::{DataParallel, FsdpParams};
+use dchag_tensor::checkpoint::{crc32, Snapshot};
 
 const REGROUP_DEADLINE: Duration = Duration::from_secs(2);
 
@@ -64,12 +64,23 @@ fn parity_workload(ctx: &RankCtx) -> Vec<u32> {
         bits.extend(bits_of(&part));
     }
     bits.extend(bits_of(&ctx.comm.all_gather_cat(&x, 0)));
-    bits.extend(bits_of(&ctx.comm.reduce_scatter_sum(&Tensor::randn([8 * w], 1.0, &mut rng))));
-    bits.extend(bits_of(&ctx.comm.broadcast(&Tensor::randn([6], 1.0, &mut rng), w - 1)));
+    bits.extend(bits_of(&ctx.comm.reduce_scatter_sum(&Tensor::randn(
+        [8 * w],
+        1.0,
+        &mut rng,
+    ))));
+    bits.extend(bits_of(
+        &ctx.comm
+            .broadcast(&Tensor::randn([6], 1.0, &mut rng), w - 1),
+    ));
 
     // Two overlapped nonblocking rounds, retired out of issue order.
-    let a = ctx.comm.iall_reduce_sum(&Tensor::randn([32], 1.0, &mut rng));
-    let b = ctx.comm.iall_reduce_sum(&Tensor::randn([16], 1.0, &mut rng));
+    let a = ctx
+        .comm
+        .iall_reduce_sum(&Tensor::randn([32], 1.0, &mut rng));
+    let b = ctx
+        .comm
+        .iall_reduce_sum(&Tensor::randn([16], 1.0, &mut rng));
     bits.extend(bits_of(&b.wait()));
     bits.extend(bits_of(&a.wait()));
 
@@ -83,7 +94,9 @@ fn parity_workload(ctx: &RankCtx) -> Vec<u32> {
     // routing; at w == 2 these are singleton groups, also a valid shape.
     let half = ctx.comm.split(r % 2);
     bits.extend(bits_of(&half.all_reduce_sum(&x)));
-    bits.extend(bits_of(&half.all_gather_cat(&Tensor::full([2], r as f32), 0)));
+    bits.extend(bits_of(
+        &half.all_gather_cat(&Tensor::full([2], r as f32), 0),
+    ));
     half.barrier();
 
     ctx.comm.barrier();
@@ -94,7 +107,9 @@ fn parity_workload(ctx: &RankCtx) -> Vec<u32> {
 fn transport_parity_is_bitwise_at_w2_and_w4() {
     for w in [2usize, 4] {
         let thread = run_transport_ranks(&Transport::Thread, w, |ctx| parity_workload(&ctx));
-        let tcp = run_transport_ranks(&Transport::Tcp(TcpConfig::default()), w, |ctx| parity_workload(&ctx));
+        let tcp = run_transport_ranks(&Transport::Tcp(TcpConfig::default()), w, |ctx| {
+            parity_workload(&ctx)
+        });
         for r in 0..w {
             let a = thread.outputs[r].as_ref().expect("thread rank ok");
             let b = tcp.outputs[r].as_ref().expect("tcp rank ok");
@@ -154,7 +169,10 @@ fn transport_fsdp_unit_step_is_bitwise_at_w2_and_w4() {
         for r in 0..w {
             let (a, _) = thread.outputs[r].as_ref().expect("thread rank ok");
             let (b, _) = tcp.outputs[r].as_ref().expect("tcp rank ok");
-            assert_eq!(a, b, "rank {r} of {w}: FSDP step diverged across transports");
+            assert_eq!(
+                a, b,
+                "rank {r} of {w}: FSDP step diverged across transports"
+            );
         }
     }
 }
@@ -172,7 +190,10 @@ fn tcp_gone_dark_peer_is_peerfailed_for_survivors_timeout_for_itself() {
     let plan = TransportFaultPlan::for_rank(victim, TransportFault::DropAfterFrames(1));
     let run = run_tcp_ranks_faulty(3, fast_cfg(), &plan, |ctx| {
         let r = ctx.comm.rank();
-        assert_eq!(ctx.comm.all_reduce_sum(&Tensor::ones([8])).to_vec(), vec![3.0; 8]);
+        assert_eq!(
+            ctx.comm.all_reduce_sum(&Tensor::ones([8])).to_vec(),
+            vec![3.0; 8]
+        );
         if r == victim {
             // Our own sends are black-holed: nothing completes, nobody is
             // blamed — the local surface is a plain deadline Timeout. Every
@@ -186,7 +207,10 @@ fn tcp_gone_dark_peer_is_peerfailed_for_survivors_timeout_for_itself() {
                 .try_all_reduce_sum(&Tensor::ones([8]), deadline)
                 .and_then(|_| ctx.comm.try_barrier(deadline))
                 .expect_err("a dark endpoint cannot complete a barrier");
-            assert!(matches!(err, CommError::Timeout { .. }), "victim saw {err:?}");
+            assert!(
+                matches!(err, CommError::Timeout { .. }),
+                "victim saw {err:?}"
+            );
             return "victim-timeout".to_string();
         }
         let caught = catch_unwind(AssertUnwindSafe(|| {
@@ -195,10 +219,22 @@ fn tcp_gone_dark_peer_is_peerfailed_for_survivors_timeout_for_itself() {
         }));
         let payload = caught.expect_err("survivors must detect the dark peer");
         let cause = comm_error_of(payload.as_ref()).expect("typed cause");
-        assert_eq!(cause, CommError::PeerFailed { rank: victim, epoch: 0 });
-        let survivor = ctx.comm.regroup(REGROUP_DEADLINE).expect("survivors regroup");
+        assert_eq!(
+            cause,
+            CommError::PeerFailed {
+                rank: victim,
+                epoch: 0
+            }
+        );
+        let survivor = ctx
+            .comm
+            .regroup(REGROUP_DEADLINE)
+            .expect("survivors regroup");
         assert_eq!(survivor.size(), 2);
-        assert_eq!(survivor.all_reduce_sum(&Tensor::ones([4])).to_vec(), vec![2.0; 4]);
+        assert_eq!(
+            survivor.all_reduce_sum(&Tensor::ones([4])).to_vec(),
+            vec![2.0; 4]
+        );
         survivor.barrier();
         format!("survivor-{}", survivor.rank())
     });
@@ -211,7 +247,11 @@ fn tcp_gone_dark_peer_is_peerfailed_for_survivors_timeout_for_itself() {
         assert!(
             faults.iter().any(|f| matches!(
                 f.cause,
-                FaultCause::Declared { rank: 2, source: FailureSource::Transport { .. }, .. }
+                FaultCause::Declared {
+                    rank: 2,
+                    source: FailureSource::Transport { .. },
+                    ..
+                }
             )),
             "rank {r} fault log: {faults:?}"
         );
@@ -230,7 +270,10 @@ fn tcp_black_hole_reads_times_out_victim_while_peers_complete() {
                 .comm
                 .try_all_reduce_sum(&Tensor::ones([8]), Some(Duration::from_millis(800)))
                 .expect_err("black-holed reads cannot complete a reduction");
-            assert!(matches!(err, CommError::Timeout { .. }), "victim saw {err:?}");
+            assert!(
+                matches!(err, CommError::Timeout { .. }),
+                "victim saw {err:?}"
+            );
             "victim-timeout"
         } else {
             // The victim's *sends* still flow, so peers finish normally.
@@ -252,7 +295,10 @@ fn tcp_black_hole_reads_times_out_victim_while_peers_complete() {
 fn tcp_refused_accepts_fail_the_refusing_rank_at_bringup() {
     let victim = 0; // every other rank dials rank 0
     let plan = TransportFaultPlan::for_rank(victim, TransportFault::RefuseAccept);
-    let cfg = TcpConfig { bringup_timeout: Duration::from_secs(2), ..fast_cfg() };
+    let cfg = TcpConfig {
+        bringup_timeout: Duration::from_secs(2),
+        ..fast_cfg()
+    };
     let run = run_tcp_ranks_faulty(3, cfg, &plan, |ctx| {
         let r = ctx.comm.rank();
         let caught = catch_unwind(AssertUnwindSafe(|| {
@@ -264,11 +310,23 @@ fn tcp_refused_accepts_fail_the_refusing_rank_at_bringup() {
         if r == victim {
             // The refuser never gets a usable link either; it blames a peer
             // whose accept window expired (which one is timing-dependent).
-            assert!(matches!(cause, CommError::PeerFailed { .. }), "victim saw {cause:?}");
+            assert!(
+                matches!(cause, CommError::PeerFailed { .. }),
+                "victim saw {cause:?}"
+            );
             "refused".to_string()
         } else {
-            assert_eq!(cause, CommError::PeerFailed { rank: victim, epoch: 0 });
-            let survivor = ctx.comm.regroup(REGROUP_DEADLINE).expect("survivors regroup");
+            assert_eq!(
+                cause,
+                CommError::PeerFailed {
+                    rank: victim,
+                    epoch: 0
+                }
+            );
+            let survivor = ctx
+                .comm
+                .regroup(REGROUP_DEADLINE)
+                .expect("survivors regroup");
             assert_eq!(survivor.size(), 2);
             survivor.barrier();
             format!("survivor-{}", survivor.rank())
@@ -297,7 +355,9 @@ fn tcp_severed_connection_heals_transparently_and_marks_disturbed_rounds() {
     let clean = run_transport_ranks(&Transport::Thread, 2, |ctx| workload(&ctx));
     for r in 0..2 {
         assert_eq!(
-            severed.outputs[r].as_ref().expect("sever must heal, not kill"),
+            severed.outputs[r]
+                .as_ref()
+                .expect("sever must heal, not kill"),
             clean.outputs[r].as_ref().unwrap(),
             "healed rank {r} diverged from the undisturbed run"
         );
@@ -330,7 +390,10 @@ fn dp_build(comm: &Communicator) -> (ParamStore, DpModel) {
     let mut store = ParamStore::new();
     let mut rng = Rng::new(5);
     let lin = Linear::new(&mut store, &mut rng, "l", 4, 2, true);
-    (store, (lin, DataParallel::new(comm.clone()), AdamW::new(0.05)))
+    (
+        store,
+        (lin, DataParallel::new(comm.clone()), AdamW::new(0.05)),
+    )
 }
 
 fn dp_step(store: &mut ParamStore, m: &mut DpModel, batch: &Tensor) -> f32 {
@@ -345,7 +408,11 @@ fn dp_step(store: &mut ParamStore, m: &mut DpModel, batch: &Tensor) -> f32 {
 }
 
 fn store_bits(store: &ParamStore) -> Vec<u32> {
-    store.iter().flat_map(|(_, _, t)| t.to_vec()).map(f32::to_bits).collect()
+    store
+        .iter()
+        .flat_map(|(_, _, t)| t.to_vec())
+        .map(f32::to_bits)
+        .collect()
 }
 
 #[test]
@@ -353,7 +420,9 @@ fn tcp_resilient_training_recovers_bitwise_onto_survivors() {
     const STEPS: usize = 6;
     let batches: Vec<Tensor> = {
         let mut rng = Rng::new(41);
-        (0..STEPS).map(|_| Tensor::randn([12, 4], 1.0, &mut rng)).collect()
+        (0..STEPS)
+            .map(|_| Tensor::randn([12, 4], 1.0, &mut rng))
+            .collect()
     };
     let rcfg = ResilienceConfig {
         checkpoint_every: 2,
@@ -362,12 +431,8 @@ fn tcp_resilient_training_recovers_bitwise_onto_survivors() {
     };
 
     let faulty = run_tcp_ranks(4, fast_cfg(), |ctx| {
-        let report = resilient_train_loop(
-            &ctx.comm,
-            &rcfg,
-            STEPS,
-            dp_build,
-            |store, m, comm, i| {
+        let report =
+            resilient_train_loop(&ctx.comm, &rcfg, STEPS, dp_build, |store, m, comm, i| {
                 // Rank 2 dies mid-step-3 on the 4-rank world: the panic
                 // aborts its endpoint, so peers see EOF-without-Bye — the
                 // real process-death signal — not an injected poison.
@@ -375,9 +440,8 @@ fn tcp_resilient_training_recovers_bitwise_onto_survivors() {
                     panic!("synthetic rank death");
                 }
                 dp_step(store, m, &batches[i])
-            },
-        )
-        .expect("survivors complete the run");
+            })
+            .expect("survivors complete the run");
         assert_eq!(report.recoveries, 1);
         assert_eq!(report.final_world, 3);
         let rp = report.restored_from.expect("one recovery happened");
@@ -409,7 +473,11 @@ fn tcp_resilient_training_recovers_bitwise_onto_survivors() {
         Snapshot::of_store(&store, 2).to_bytes()
     });
     let ck = &rebuilt.outputs[0];
-    assert_eq!(crc32(ck), rp.crc32, "reconstructed checkpoint must match the restore point");
+    assert_eq!(
+        crc32(ck),
+        rp.crc32,
+        "reconstructed checkpoint must match the restore point"
+    );
 
     // Cross-transport: the reference run uses the thread transport.
     let fresh = run_ranks(3, |ctx| {
@@ -424,7 +492,11 @@ fn tcp_resilient_training_recovers_bitwise_onto_survivors() {
     });
     for (new_rank, s) in survivors.iter().enumerate() {
         let (fresh_losses, fresh_params) = &fresh.outputs[new_rank];
-        assert_eq!(&s.0[2..], &fresh_losses[..], "survivor {new_rank} losses diverged");
+        assert_eq!(
+            &s.0[2..],
+            &fresh_losses[..],
+            "survivor {new_rank} losses diverged"
+        );
         assert_eq!(params, fresh_params, "post-recovery parameters diverged");
     }
 }

@@ -74,7 +74,10 @@ impl Gen {
                 epoch: self.below(1 << 20),
                 world: self.below(64) as u32,
             },
-            2 => Frame::Ack { group: self.next(), upto: self.next() },
+            2 => Frame::Ack {
+                group: self.next(),
+                upto: self.next(),
+            },
             3 => Frame::Heartbeat,
             4 => Frame::Regroup {
                 epoch: self.below(1 << 20),
@@ -85,7 +88,9 @@ impl Gen {
                 let kind = match self.below(3) {
                     0 => CollKind::AllReduceSum,
                     1 => CollKind::ReduceScatterSum,
-                    _ => CollKind::AllGatherCat { axis: self.below(4) as usize },
+                    _ => CollKind::AllGatherCat {
+                        axis: self.below(4) as usize,
+                    },
                 };
                 let ndims = self.below(4) as usize;
                 Frame::Data(DataFrame {

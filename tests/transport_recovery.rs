@@ -15,9 +15,7 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use dchag::prelude::*;
-use dchag_collectives::{
-    run_ranks, spawn_world, tcp_world_from_env, Communicator, TcpConfig,
-};
+use dchag_collectives::{run_ranks, spawn_world, tcp_world_from_env, Communicator, TcpConfig};
 use dchag_core::{resilient_train_loop, train_step, ResilienceConfig};
 use dchag_model::{AdamW, Linear};
 use dchag_parallel::DataParallel;
@@ -30,14 +28,19 @@ type DpModel = (Linear, DataParallel, AdamW);
 
 fn batches() -> Vec<Tensor> {
     let mut rng = Rng::new(41);
-    (0..STEPS).map(|_| Tensor::randn([12, 4], 1.0, &mut rng)).collect()
+    (0..STEPS)
+        .map(|_| Tensor::randn([12, 4], 1.0, &mut rng))
+        .collect()
 }
 
 fn dp_build(comm: &Communicator) -> (ParamStore, DpModel) {
     let mut store = ParamStore::new();
     let mut rng = Rng::new(5);
     let lin = Linear::new(&mut store, &mut rng, "l", 4, 2, true);
-    (store, (lin, DataParallel::new(comm.clone()), AdamW::new(0.05)))
+    (
+        store,
+        (lin, DataParallel::new(comm.clone()), AdamW::new(0.05)),
+    )
 }
 
 fn dp_step(store: &mut ParamStore, m: &mut DpModel, batch: &Tensor) -> f32 {
@@ -52,7 +55,11 @@ fn dp_step(store: &mut ParamStore, m: &mut DpModel, batch: &Tensor) -> f32 {
 }
 
 fn store_bits(store: &ParamStore) -> Vec<u32> {
-    store.iter().flat_map(|(_, _, t)| t.to_vec()).map(f32::to_bits).collect()
+    store
+        .iter()
+        .flat_map(|(_, _, t)| t.to_vec())
+        .map(f32::to_bits)
+        .collect()
 }
 
 fn write_u32s(path: &Path, vals: &[u32]) {
@@ -73,12 +80,17 @@ fn read_u32s(path: &Path) -> Vec<u32> {
 /// binary can reach it by exact libtest name.
 #[test]
 fn transport_recovery_child() {
-    let Some(env) = tcp_world_from_env() else { return };
+    let Some(env) = tcp_world_from_env() else {
+        return;
+    };
     let marker = PathBuf::from(std::env::var("DCHAG_TR_MARKER").expect("marker path"));
     let my_rank = env.rank;
     let (comm, _world, ep) = dchag_collectives::connect_world(
         &env,
-        TcpConfig { heartbeat_timeout: Duration::from_millis(800), ..TcpConfig::default() },
+        TcpConfig {
+            heartbeat_timeout: Duration::from_millis(800),
+            ..TcpConfig::default()
+        },
     );
     let data = batches();
     let rcfg = ResilienceConfig {
@@ -105,10 +117,20 @@ fn transport_recovery_child() {
 
     write_u32s(
         &env.dir.join(format!("rank{my_rank}.losses")),
-        &report.losses.iter().map(|l| l.to_bits()).collect::<Vec<_>>(),
+        &report
+            .losses
+            .iter()
+            .map(|l| l.to_bits())
+            .collect::<Vec<_>>(),
     );
-    write_u32s(&env.dir.join(format!("rank{my_rank}.params")), &store_bits(&report.store));
-    write_u32s(&env.dir.join(format!("rank{my_rank}.ck")), &[rp.step as u32, rp.crc32]);
+    write_u32s(
+        &env.dir.join(format!("rank{my_rank}.params")),
+        &store_bits(&report.store),
+    );
+    write_u32s(
+        &env.dir.join(format!("rank{my_rank}.ck")),
+        &[rp.step as u32, rp.crc32],
+    );
     ep.shutdown_graceful();
 }
 
@@ -209,7 +231,10 @@ fn multi_process_sigkill_recovery_is_bitwise_identical() {
             &fresh_losses.iter().map(|l| l.to_bits()).collect::<Vec<_>>()[..],
             "post-recovery losses of old rank {old_rank} diverged from the fresh run"
         );
-        assert_eq!(&params, fresh_params, "final parameters diverged from the fresh run");
+        assert_eq!(
+            &params, fresh_params,
+            "final parameters diverged from the fresh run"
+        );
     }
 
     let _ = std::fs::remove_dir_all(&dir);
