@@ -140,7 +140,7 @@ impl EncoderBackbone for DChagEncoder {
 
         // Local tokenization of this rank's channel slice (paper Fig. 4).
         let local = self.dist_tok.local_slice(images);
-        let tokens = self.dist_tok.forward_local(bind, &local); // [B, Cl, P, D]
+        let tokens = self.dist_tok.tok.forward(bind, &local); // [B, Cl, P, D]
 
         // Partial-channel aggregation to one token per position.
         let by_pos = tape.swap_axes12(&tokens); // [B, P, Cl, D]

@@ -80,8 +80,7 @@ impl<E: EncoderBackbone> ClimaxModel<E> {
         let tgt = ops::patchify(target, cfg.patch); // [B, C, P, p²]
         assert_eq!(pred.dims(), tgt.dims(), "pred/target layout");
         let weights = tile_patch_mask(&self.lat_patch, tgt.dims()[0], tgt.dims()[1]);
-        let t = bind.tape().leaf(tgt);
-        bind.tape().masked_mse(pred, &t, &weights)
+        bind.tape().masked_mse(pred, &tgt, &weights)
     }
 
     /// Combined forward + loss for a training step.

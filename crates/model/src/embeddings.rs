@@ -1,96 +1,10 @@
-//! Special tokens (paper §2.1): channel-ID embeddings, 2-D positional
-//! embeddings, and the metadata (lead-time) token.
+//! Special tokens (paper §2.1): 2-D positional embeddings and the metadata
+//! (lead-time) token, plus the latitude weights of the forecasting loss.
+//! Channel-ID embeddings belong to the per-channel tokenizer
+//! ([`crate::tokenizer`]), which adds them inside its own tape node.
 
+use dchag_tensor::init;
 use dchag_tensor::prelude::*;
-use dchag_tensor::{init, Shape};
-
-/// Sub-stream tag for channel-ID embedding init (see tokenizer for W/B).
-const STREAM_E: u64 = 0x65_6d;
-
-/// Learned per-channel ID embeddings, added to every token of the channel.
-/// Like the tokenizer, initialization is keyed by global channel id so the
-/// distributed and single-device layouts hold identical weights.
-pub struct ChannelEmbed {
-    pub channels: Vec<usize>,
-    ids: Vec<ParamId>,
-    pub dim: usize,
-}
-
-impl ChannelEmbed {
-    pub fn new(store: &mut ParamStore, base_seed: u64, channels: &[usize], dim: usize) -> Self {
-        let base = Rng::new(base_seed);
-        let ids = channels
-            .iter()
-            .map(|&c| {
-                let mut r = base.fork(STREAM_E ^ (c as u64).wrapping_mul(2654435761));
-                store.add(
-                    format!("chan_embed.{c}"),
-                    init::trunc_normal(&[dim], 0.02, &mut r),
-                )
-            })
-            .collect();
-        ChannelEmbed {
-            channels: channels.to_vec(),
-            ids,
-            dim,
-        }
-    }
-
-    /// `x: [B, C_local, P, D]` → same shape with `e_c` added to channel `c`.
-    pub fn forward(&self, bind: &dyn Binder, x: &Var) -> Var {
-        let tape = bind.tape();
-        let (b, c, p, d) = (x.dims()[0], x.dims()[1], x.dims()[2], x.dims()[3]);
-        assert_eq!(c, self.ids.len(), "channel count mismatch");
-        assert_eq!(d, self.dim);
-
-        // Stack the embeddings into [C, D] on-tape, then broadcast-add.
-        let rows: Vec<Var> = self
-            .ids
-            .iter()
-            .map(|&id| tape.reshape(&bind.bind(id), &[1, d]))
-            .collect();
-        let row_refs: Vec<&Var> = rows.iter().collect();
-        let table = tape.concat(&row_refs, 0); // [C, D]
-        let tid = table.id();
-        let tval = table.value().clone();
-        let xid = x.id();
-        let xval = x.value().clone();
-
-        // out[b,c,p,:] = x[b,c,p,:] + e[c,:]
-        let mut out = xval.to_vec();
-        for bi in 0..b {
-            for ci in 0..c {
-                let e = &tval.data()[ci * d..(ci + 1) * d];
-                for pi in 0..p {
-                    let off = ((bi * c + ci) * p + pi) * d;
-                    for (o, &ev) in out[off..off + d].iter_mut().zip(e) {
-                        *o += ev;
-                    }
-                }
-            }
-        }
-        let out = Tensor::from_vec(out, Shape::new(&[b, c, p, d]));
-        tape.custom(out, move |g, emit| {
-            emit(xid, g.clone());
-            // de[c,:] = Σ_{b,p} g[b,c,p,:]
-            let mut de = vec![0.0f32; c * d];
-            for bi in 0..b {
-                for ci in 0..c {
-                    for pi in 0..p {
-                        let off = ((bi * c + ci) * p + pi) * d;
-                        for (o, &gv) in de[ci * d..(ci + 1) * d]
-                            .iter_mut()
-                            .zip(&g.data()[off..off + d])
-                        {
-                            *o += gv;
-                        }
-                    }
-                }
-            }
-            emit(tid, Tensor::from_vec(de, Shape::new(&[c, d])));
-        })
-    }
-}
 
 /// Learned positional embedding over the patch grid, added after channel
 /// aggregation.
@@ -195,54 +109,7 @@ pub fn tile_patch_mask(mask: &Tensor, b: usize, c: usize) -> Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dchag_tensor::autograd::check::grad_check;
     use dchag_tensor::ops;
-
-    #[test]
-    fn channel_embed_adds_per_channel_constant() {
-        let mut store = ParamStore::new();
-        let ce = ChannelEmbed::new(&mut store, 11, &[0, 1], 4);
-        let tape = Tape::new();
-        let bind = LocalBinder::new(&tape, &store);
-        let x = tape.leaf(Tensor::zeros([1, 2, 3, 4]));
-        let y = ce.forward(&bind, &x);
-        // all positions of a channel share the same added vector
-        let v = y.value();
-        for pi in 1..3 {
-            for di in 0..4 {
-                assert_eq!(v.at(pi * 4 + di), v.at(di));
-            }
-        }
-        // channels differ
-        assert!(ops::slice(v, 1, 0, 1).max_abs_diff(&ops::slice(v, 1, 1, 1)) > 1e-4);
-    }
-
-    #[test]
-    fn channel_embed_seeded_by_channel_id() {
-        let mut s1 = ParamStore::new();
-        let e1 = ChannelEmbed::new(&mut s1, 5, &[0, 1, 2, 3], 8);
-        let mut s2 = ParamStore::new();
-        let e2 = ChannelEmbed::new(&mut s2, 5, &[3, 1], 8);
-        assert_eq!(s1.get(e1.ids[3]).to_vec(), s2.get(e2.ids[0]).to_vec());
-        assert_eq!(s1.get(e1.ids[1]).to_vec(), s2.get(e2.ids[1]).to_vec());
-    }
-
-    #[test]
-    fn channel_embed_gradcheck() {
-        let mut store = ParamStore::new();
-        let ce = ChannelEmbed::new(&mut store, 11, &[0, 1, 2], 4);
-        let mut rng = Rng::new(1);
-        let x0 = Tensor::randn([2, 3, 2, 4], 0.5, &mut rng);
-        grad_check(
-            &[x0],
-            |tape, leaves| {
-                let bind = LocalBinder::new(tape, &store);
-                let y = ce.forward(&bind, &leaves[0]);
-                tape.sum_all(&tape.mul(&y, &y))
-            },
-            2e-2,
-        );
-    }
 
     #[test]
     fn pos_embed_shifts_positions_differently() {

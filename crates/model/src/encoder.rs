@@ -1,6 +1,6 @@
 //! The full single-device foundation-model encoder (paper Fig. 1):
-//! per-channel tokenization → channel-ID embedding → channel aggregation →
-//! positional embedding → ViT blocks.
+//! per-channel tokenization (with the channel-ID embeddings) → channel
+//! aggregation → positional embedding → ViT blocks.
 //!
 //! The distributed variants (`dchag-parallel`, `dchag-core`) re-compose
 //! these same stages across ranks; this module is the ground-truth baseline
@@ -9,7 +9,7 @@
 use dchag_tensor::prelude::*;
 
 use crate::config::{ModelConfig, TreeConfig};
-use crate::embeddings::{ChannelEmbed, PosEmbed};
+use crate::embeddings::PosEmbed;
 use crate::hierarchy::HierarchicalAggregator;
 use crate::tokenizer::PatchTokenizer;
 use crate::vit::ViTEncoder;
@@ -30,7 +30,6 @@ pub trait EncoderBackbone {
 pub struct FmEncoder {
     pub cfg: ModelConfig,
     pub tokenizer: PatchTokenizer,
-    pub chan_embed: ChannelEmbed,
     pub agg: HierarchicalAggregator,
     pub pos: PosEmbed,
     pub vit: ViTEncoder,
@@ -49,7 +48,6 @@ impl FmEncoder {
     ) -> Self {
         let channels: Vec<usize> = (0..cfg.channels).collect();
         let tokenizer = PatchTokenizer::new(store, base_seed, &channels, cfg.patch, cfg.embed_dim);
-        let chan_embed = ChannelEmbed::new(store, base_seed, &channels, cfg.embed_dim);
         let agg = HierarchicalAggregator::new(
             store,
             rng,
@@ -72,7 +70,6 @@ impl FmEncoder {
         FmEncoder {
             cfg: cfg.clone(),
             tokenizer,
-            chan_embed,
             agg,
             pos,
             vit,
@@ -88,7 +85,6 @@ impl FmEncoder {
         let d = self.cfg.embed_dim;
 
         let tokens = self.tokenizer.forward(bind, images); // [B, C, P, D]
-        let tokens = self.chan_embed.forward(bind, &tokens);
         let by_pos = tape.swap_axes12(&tokens); // [B, P, C, D]
         let folded = tape.reshape(&by_pos, &[b * p, self.cfg.channels, d]);
         let agg = self.agg.forward(bind, &folded); // [B·P, D]

@@ -28,7 +28,7 @@ pub use aggregation::{AggUnit, CrossAttnAggregator, LinearChannelMix};
 pub use attention::MultiHeadAttention;
 pub use climax::{latitude_rmse, ClimaxModel};
 pub use config::{ModelConfig, TreeConfig, UnitKind};
-pub use embeddings::{latitude_weights, ChannelEmbed, MetaToken, PosEmbed};
+pub use embeddings::{latitude_weights, MetaToken, PosEmbed};
 pub use encoder::FmEncoder;
 pub use hierarchy::{HierarchicalAggregator, TreePlan};
 pub use layers::{LayerNorm, Linear, Mlp};

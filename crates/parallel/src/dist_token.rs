@@ -6,12 +6,16 @@
 //! result* when used alone (Fig. 8): tokenization memory drops by the TP
 //! factor, but the gathered buffer hands the memory right back — the
 //! motivation for D-CHAG's hierarchical aggregation.
+//!
+//! The rank-local stage is a [`PatchTokenizer`] over the owned channels,
+//! channel-ID embeddings included, so its parameters and tokens are exactly
+//! the baseline's for those channels.
 
 use dchag_collectives::Communicator;
 use dchag_tensor::ops;
 use dchag_tensor::prelude::*;
 
-use dchag_model::{ChannelEmbed, PatchTokenizer};
+use dchag_model::PatchTokenizer;
 
 use crate::comm_ops::all_gather_cat;
 
@@ -34,7 +38,6 @@ pub fn partition_channels(channels: usize, ranks: usize) -> Vec<std::ops::Range<
 /// Per-rank tokenizer owning a channel slice; gathers to the full tensor.
 pub struct DistTokenizer {
     pub tok: PatchTokenizer,
-    pub chan_embed: ChannelEmbed,
     pub range: std::ops::Range<usize>,
     pub total_channels: usize,
 }
@@ -59,10 +62,8 @@ impl DistTokenizer {
         let range = partition_channels(total_channels, comm.size())[comm.rank()].clone();
         let channels: Vec<usize> = range.clone().collect();
         let tok = PatchTokenizer::new(store, base_seed, &channels, patch, dim);
-        let chan_embed = ChannelEmbed::new(store, base_seed, &channels, dim);
         DistTokenizer {
             tok,
-            chan_embed,
             range,
             total_channels,
         }
@@ -71,12 +72,6 @@ impl DistTokenizer {
     /// Slice this rank's channels out of a full `[B, C, H, W]` batch.
     pub fn local_slice(&self, images: &Tensor) -> Tensor {
         ops::slice(images, 1, self.range.start, self.range.len())
-    }
-
-    /// Tokenize local channels only: `[B, C_local, H, W] -> [B, C_local, P, D]`.
-    pub fn forward_local(&self, bind: &dyn Binder, local_images: &Tensor) -> Var {
-        let t = self.tok.forward(bind, local_images);
-        self.chan_embed.forward(bind, &t)
     }
 
     /// §3.1 path: tokenize local channels, AllGather to `[B, C_total, P, D]`.
@@ -88,7 +83,7 @@ impl DistTokenizer {
         images_full: &Tensor,
     ) -> Var {
         let local = self.local_slice(images_full);
-        let tokens = self.forward_local(bind, &local);
+        let tokens = self.tok.forward(bind, &local);
         all_gather_cat(bind.tape(), comm, &tokens, 1)
     }
 }
@@ -128,13 +123,9 @@ mod tests {
         let mut store = ParamStore::new();
         let channels: Vec<usize> = (0..8).collect();
         let tok = PatchTokenizer::new(&mut store, 555, &channels, cfg.patch, cfg.embed_dim);
-        let ce = ChannelEmbed::new(&mut store, 555, &channels, cfg.embed_dim);
         let tape = Tape::new();
         let bind = LocalBinder::new(&tape, &store);
-        let want = ce
-            .forward(&bind, &tok.forward(&bind, &imgs))
-            .value()
-            .clone();
+        let want = tok.forward(&bind, &imgs).value().clone();
 
         for world in [2usize, 4] {
             let imgs = imgs.clone();
@@ -161,7 +152,6 @@ mod tests {
             let mut store = ParamStore::new();
             let channels: Vec<usize> = (0..8).collect();
             let _ = PatchTokenizer::new(&mut store, 1, &channels, 4, 16);
-            let _ = ChannelEmbed::new(&mut store, 1, &channels, 16);
             store.num_params()
         };
         let run = run_ranks(4, move |ctx| {

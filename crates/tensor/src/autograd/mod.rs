@@ -79,14 +79,13 @@ impl Tape {
         self.len() == 0
     }
 
-    /// Record a leaf (an input or a parameter). Gradients accumulate here.
+    /// Record a leaf. Gradients accumulate here.
+    ///
+    /// Models record only parameters (through a `Binder`); data such as
+    /// images, targets and masks enters ops as plain tensors, so no adjoint
+    /// is spent on a gradient nothing reads.
     pub fn leaf(&self, value: Tensor) -> Var {
         self.push(value, None)
-    }
-
-    /// Cut the graph: the result has the same value but no history.
-    pub fn detach(&self, v: &Var) -> Var {
-        self.leaf(v.value.clone())
     }
 
     /// Register an arbitrary differentiable operation.
@@ -214,17 +213,6 @@ mod tests {
         let s = tape.sum_all(&y);
         let grads = tape.backward(&s);
         assert_eq!(grads.get(&x).unwrap().to_vec(), vec![2.0; 3]);
-    }
-
-    #[test]
-    fn detach_blocks_gradient() {
-        let tape = Tape::new();
-        let x = tape.leaf(Tensor::arange(3));
-        let d = tape.detach(&x);
-        let s = tape.sum_all(&d);
-        let grads = tape.backward(&s);
-        assert!(grads.get(&x).is_none());
-        assert!(grads.get(&d).is_some());
     }
 
     #[test]

@@ -7,7 +7,6 @@
 use super::{Tape, Var};
 use crate::dtype::DType;
 use crate::ops as k;
-use crate::shape::Shape;
 use crate::tensor::Tensor;
 
 impl Tape {
@@ -18,14 +17,6 @@ impl Tape {
         self.custom(k::add(a.value(), b.value()), move |g, emit| {
             emit(ia, g.clone());
             emit(ib, g.clone());
-        })
-    }
-
-    pub fn sub(&self, a: &Var, b: &Var) -> Var {
-        let (ia, ib) = (a.id, b.id);
-        self.custom(k::sub(a.value(), b.value()), move |g, emit| {
-            emit(ia, g.clone());
-            emit(ib, k::scale(g, -1.0));
         })
     }
 
@@ -51,16 +42,6 @@ impl Tape {
         self.custom(k::add_bias(a.value(), bias.value()), move |g, emit| {
             emit(ia, g.clone());
             emit(ib, k::sum_to_last(g));
-        })
-    }
-
-    /// Broadcast-multiply a `[n]` gain over the last axis.
-    pub fn mul_last(&self, a: &Var, gain: &Var) -> Var {
-        let (ia, ig) = (a.id, gain.id);
-        let (va, vg) = (a.value().clone(), gain.value().clone());
-        self.custom(k::mul_last(a.value(), gain.value()), move |g, emit| {
-            emit(ia, k::mul_last(g, &vg));
-            emit(ig, k::sum_to_last(&k::mul(g, &va)));
         })
     }
 
@@ -247,13 +228,6 @@ impl Tape {
         })
     }
 
-    pub fn transpose_last2(&self, a: &Var) -> Var {
-        let ia = a.id;
-        self.custom(k::transpose_last2(a.value()), move |g, emit| {
-            emit(ia, k::transpose_last2(g));
-        })
-    }
-
     pub fn swap_axes12(&self, a: &Var) -> Var {
         let ia = a.id;
         self.custom(k::swap_axes12(a.value()), move |g, emit| {
@@ -292,16 +266,6 @@ impl Tape {
         })
     }
 
-    /// Row gather from a `[r, d]` embedding table.
-    pub fn gather_rows(&self, table: &Var, idx: &[usize]) -> Var {
-        let it = table.id;
-        let r = table.dims()[0];
-        let idx = idx.to_vec();
-        self.custom(k::gather_rows(table.value(), &idx), move |g, emit| {
-            emit(it, k::gather_rows_backward(g, &idx, r));
-        })
-    }
-
     /// Broadcast `[s, d] -> [b, s, d]` (e.g. positional embeddings).
     pub fn broadcast_to_batch(&self, a: &Var, b: usize) -> Var {
         let ia = a.id;
@@ -329,46 +293,26 @@ impl Tape {
         })
     }
 
-    /// Mean over axis 1 of `[b, c, d] -> [b, d]` (mean pooling).
-    pub fn mean_axis1(&self, a: &Var) -> Var {
+    /// Weighted squared error of the prediction `a` against `target`,
+    /// normalized by the weight sum: `Σ mask·(a−target)² / max(Σ mask, 1)`.
+    /// `mask` is a 0/1 selection (MAE's masked patches) or real weights
+    /// (latitude weighting), shaped like `a`.
+    ///
+    /// One tape node: `target` and `mask` are data, so nothing is recorded
+    /// for them and the adjoint emits only `d/da = 2·((ĝ·mask)·(a−target))`
+    /// with `ĝ = g / max(Σ mask, 1)`, multiplied in that order so the
+    /// gradient rounds exactly as the unfused `sub → mul → mul → sum_all →
+    /// scale` chain does.
+    pub fn masked_mse(&self, a: &Var, target: &Tensor, mask: &Tensor) -> Var {
         let ia = a.id;
-        let (b, c, d) = (a.dims()[0], a.dims()[1], a.dims()[2]);
-        self.custom(k::mean_axis1(a.value()), move |g, emit| {
-            // broadcast g/c over the c axis
-            let inv = 1.0 / c as f32;
-            let mut out = vec![0.0f32; b * c * d];
-            for bi in 0..b {
-                let grow = &g.data()[bi * d..(bi + 1) * d];
-                for ci in 0..c {
-                    for (o, &gg) in out[(bi * c + ci) * d..(bi * c + ci + 1) * d]
-                        .iter_mut()
-                        .zip(grow)
-                    {
-                        *o = gg * inv;
-                    }
-                }
-            }
-            emit(ia, Tensor::from_vec(out, Shape::new(&[b, c, d])));
+        let inv = 1.0 / mask.sum().max(1.0);
+        let d = k::sub(a.value(), target);
+        let masked = k::mul(&k::mul(&d, &d), mask);
+        let mask = mask.clone();
+        self.custom(k::scale(&k::sum_all(&masked), inv), move |g, emit| {
+            let gs = inv * g.item();
+            emit(ia, mask.zip(&d, |m, dv| 2.0 * ((gs * m) * dv)));
         })
-    }
-
-    /// Mean squared error between `a` and `b` (scalar output).
-    pub fn mse(&self, a: &Var, b: &Var) -> Var {
-        let d = self.sub(a, b);
-        let sq = self.mul(&d, &d);
-        self.mean_all(&sq)
-    }
-
-    /// MSE over only the entries where `mask == 1`, normalized by the mask
-    /// sum: `Σ mask·(a−b)² / Σ mask`. The mask is a constant.
-    pub fn masked_mse(&self, a: &Var, b: &Var, mask: &Tensor) -> Var {
-        let mask_sum = mask.sum().max(1.0);
-        let d = self.sub(a, b);
-        let sq = self.mul(&d, &d);
-        let m = self.leaf(mask.clone());
-        let masked = self.mul(&sq, &m);
-        let s = self.sum_all(&masked);
-        self.scale(&s, 1.0 / mask_sum)
     }
 }
 
@@ -387,7 +331,7 @@ mod tests {
             &[a.clone(), b.clone()],
             |t, l| {
                 let x = t.mul(&l[0], &l[1]);
-                let y = t.sub(&x, &l[0]);
+                let y = t.add(&x, &t.scale(&l[0], -1.0));
                 t.sum_all(&t.mul(&y, &y))
             },
             2e-2,
@@ -399,13 +343,11 @@ mod tests {
         let mut rng = Rng::new(2);
         let x = Tensor::randn([4, 5], 0.5, &mut rng);
         let bias = Tensor::randn([5], 0.5, &mut rng);
-        let gain = Tensor::randn([5], 0.5, &mut rng);
         grad_check(
-            &[x, bias, gain],
+            &[x, bias],
             |t, l| {
                 let y = t.add_bias(&l[0], &l[1]);
-                let z = t.mul_last(&y, &l[2]);
-                t.sum_all(&t.mul(&z, &z))
+                t.sum_all(&t.mul(&y, &y))
             },
             2e-2,
         );
@@ -478,16 +420,12 @@ mod tests {
     #[test]
     fn gather_select_gradcheck() {
         let mut rng = Rng::new(7);
-        let table = Tensor::randn([6, 3], 0.5, &mut rng);
         let x = Tensor::randn([2, 5, 3], 0.5, &mut rng);
         grad_check(
-            &[table, x],
+            &[x],
             |t, l| {
-                let e = t.gather_rows(&l[0], &[0, 2, 2, 5]);
-                let v = t.select_axis1(&l[1], &[4, 0, 1]);
-                let se = t.sum_all(&t.mul(&e, &e));
-                let sv = t.sum_all(&t.mul(&v, &v));
-                t.add(&se, &sv)
+                let v = t.select_axis1(&l[0], &[4, 0, 1]);
+                t.sum_all(&t.mul(&v, &v))
             },
             2e-2,
         );
@@ -501,8 +439,7 @@ mod tests {
             &[a],
             |t, l| {
                 let s = t.swap_axes12(&l[0]);
-                let tt = t.transpose_last2(&s);
-                t.sum_all(&t.mul(&tt, &tt))
+                t.sum_all(&t.mul(&s, &s))
             },
             2e-2,
         );
@@ -510,10 +447,11 @@ mod tests {
 
     #[test]
     fn mse_matches_manual() {
+        // An all-ones mask makes masked_mse the plain mean squared error.
         let tape = Tape::new();
         let a = tape.leaf(Tensor::from_vec(vec![1.0, 2.0], [2]));
-        let b = tape.leaf(Tensor::from_vec(vec![0.0, 4.0], [2]));
-        let l = tape.mse(&a, &b);
+        let target = Tensor::from_vec(vec![0.0, 4.0], [2]);
+        let l = tape.masked_mse(&a, &target, &Tensor::ones([2]));
         assert!((l.value().item() - (1.0 + 4.0) / 2.0).abs() < 1e-6);
         let grads = tape.backward(&l);
         // d/da = 2(a-b)/n = [1, -2]
@@ -524,10 +462,70 @@ mod tests {
     fn masked_mse_ignores_unmasked() {
         let tape = Tape::new();
         let a = tape.leaf(Tensor::from_vec(vec![1.0, 100.0], [2]));
-        let b = tape.leaf(Tensor::from_vec(vec![0.0, -100.0], [2]));
+        let target = Tensor::from_vec(vec![0.0, -100.0], [2]);
         let mask = Tensor::from_vec(vec![1.0, 0.0], [2]);
-        let l = tape.masked_mse(&a, &b, &mask);
+        let l = tape.masked_mse(&a, &target, &mask);
         assert!((l.value().item() - 1.0).abs() < 1e-6);
+        assert_eq!(tape.backward(&l).get(&a).unwrap().to_vec(), vec![2.0, 0.0]);
+    }
+
+    /// The loss as it was composed from generic nodes, with the target and
+    /// the mask recorded as leaves and `a − target` as a two-input node.
+    fn composed_masked_mse(tape: &Tape, a: &Var, target: &Tensor, mask: &Tensor) -> Var {
+        let t = tape.leaf(target.clone());
+        let (ia, it) = (a.id, t.id);
+        let d = tape.custom(k::sub(a.value(), target), move |g, emit| {
+            emit(ia, g.clone());
+            emit(it, k::scale(g, -1.0));
+        });
+        let sq = tape.mul(&d, &d);
+        let m = tape.leaf(mask.clone());
+        let s = tape.sum_all(&tape.mul(&sq, &m));
+        tape.scale(&s, 1.0 / mask.sum().max(1.0))
+    }
+
+    #[test]
+    fn masked_mse_bitwise_matches_composed_chain() {
+        let mut rng = Rng::new(12);
+        let (b, p, q) = (2usize, 6usize, 5usize);
+        let pred = Tensor::randn([b, p, q], 1.0, &mut rng);
+        let target = Tensor::randn([b, p, q], 1.0, &mut rng);
+        let select = Tensor::from_vec(
+            (0..b * p * q)
+                .map(|i| ((i / q) % 3 == 1) as u8 as f32)
+                .collect(),
+            [b, p, q],
+        );
+        // Latitude weights cos φ / mean cos φ over the p rows.
+        let lat: Vec<f32> = (0..p)
+            .map(|i| (std::f32::consts::PI * ((i as f32 + 0.5) / p as f32 - 0.5)).cos())
+            .collect();
+        let mean = lat.iter().sum::<f32>() / p as f32;
+        let weights = Tensor::from_vec(
+            (0..b * p * q).map(|i| lat[(i / q) % p] / mean).collect(),
+            [b, p, q],
+        );
+        for mask in [&select, &weights] {
+            let run = |fused: bool| {
+                let tape = Tape::new();
+                let a = tape.leaf(pred.clone());
+                let before = tape.len();
+                let l = if fused {
+                    tape.masked_mse(&a, &target, mask)
+                } else {
+                    composed_masked_mse(&tape, &a, &target, mask)
+                };
+                let nodes = tape.len() - before;
+                let grads = tape.backward_seeded(&l, Tensor::scalar(0.37));
+                (l.value().item(), grads.get(&a).unwrap().to_vec(), nodes)
+            };
+            let (loss, grad, nodes) = run(true);
+            let (want_loss, want_grad, _) = run(false);
+            assert_eq!(loss.to_bits(), want_loss.to_bits());
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&grad), bits(&want_grad));
+            assert_eq!(nodes, 1, "masked_mse must record one node and no leaf");
+        }
     }
 
     #[test]
@@ -789,20 +787,6 @@ mod tests {
             db16.rel_l2_diff(&db32) < tier_tol,
             "db {}",
             db16.rel_l2_diff(&db32)
-        );
-    }
-
-    #[test]
-    fn mean_axis1_gradcheck() {
-        let mut rng = Rng::new(9);
-        let a = Tensor::randn([2, 3, 4], 0.5, &mut rng);
-        grad_check(
-            &[a],
-            |t, l| {
-                let m = t.mean_axis1(&l[0]);
-                t.sum_all(&t.mul(&m, &m))
-            },
-            2e-2,
         );
     }
 }

@@ -1,11 +1,11 @@
 //! Elementwise kernels and their derivative helpers.
 //!
-//! Broadcast ops over the last axis (`add_bias`, `mul_last`) parallelize
-//! over rows past a size threshold, and the transformer hot path gets
-//! fused variants that avoid materializing intermediates: `add_bias_gelu`
-//! (bias + activation in one sweep, returning the pre-activation the
-//! backward pass needs) and `add_scaled_into` (an AXPY that reuses the
-//! destination buffer when it is uniquely owned).
+//! The broadcast over the last axis (`add_bias`) parallelizes over rows
+//! past a size threshold, and the transformer hot path gets fused variants
+//! that avoid materializing intermediates: `add_bias_gelu` (bias +
+//! activation in one sweep, returning the pre-activation the backward pass
+//! needs) and `add_scaled_into` (an AXPY that reuses the destination buffer
+//! when it is uniquely owned).
 
 use crate::par::for_each_row;
 use crate::tensor::Tensor;
@@ -64,20 +64,6 @@ pub fn add_bias(a: &Tensor, bias: &Tensor) -> Tensor {
     for_each_row(&mut out, n, |row| {
         for (x, &bb) in row.iter_mut().zip(b) {
             *x += bb;
-        }
-    });
-    Tensor::from_vec(out, a.shape().clone())
-}
-
-/// Broadcast-multiply a `[n]` gain over the last axis of `a`.
-pub fn mul_last(a: &Tensor, gain: &Tensor) -> Tensor {
-    let n = a.shape().last();
-    assert_eq!(gain.numel(), n);
-    let g = gain.data();
-    let mut out = a.to_vec();
-    for_each_row(&mut out, n, |row| {
-        for (x, &gg) in row.iter_mut().zip(g) {
-            *x *= gg;
         }
     });
     Tensor::from_vec(out, a.shape().clone())

@@ -17,7 +17,7 @@ pub use attention::{
 };
 pub use elementwise::{
     add, add_bias, add_bias_gelu, add_bias_gelu_backward, add_scaled, add_scaled_into, exp_fast,
-    gelu, gelu_grad_scalar, gelu_scalar, mul, mul_last, scale, square, sub, tanh_fast,
+    gelu, gelu_grad_scalar, gelu_scalar, mul, scale, square, sub, tanh_fast,
 };
 pub use fused::{linear_gelu, matmul_bias, softmax_pool, softmax_pool_backward};
 pub use gemm::{
@@ -27,7 +27,6 @@ pub use gemm::{
 pub use norm::{layernorm, layernorm_backward, LayerNormCtx, LN_EPS};
 pub use reduce::{mean_all, mean_axis1, softmax_last, softmax_last_backward, sum_all, sum_to_last};
 pub use shape_ops::{
-    broadcast_to_batch, concat, gather_rows, gather_rows_backward, patchify, select_axis1,
-    select_axis1_backward, slice, slice_backward, sum_over_batch, swap_axes12, transpose_last2,
-    unpatchify,
+    broadcast_to_batch, concat, patchify, select_axis1, select_axis1_backward, slice,
+    slice_backward, sum_over_batch, swap_axes12, unpatchify,
 };

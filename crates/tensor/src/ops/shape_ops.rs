@@ -1,30 +1,8 @@
-//! Data-movement kernels: transposes, concatenation, slicing, gathers and
-//! image patchification.
+//! Data-movement kernels: axis swaps, concatenation, slicing, token
+//! selection, batch broadcasts and image patchification.
 
 use crate::shape::Shape;
 use crate::tensor::Tensor;
-
-/// Transpose the last two axes: `[..., m, n] -> [..., n, m]`.
-pub fn transpose_last2(t: &Tensor) -> Tensor {
-    assert!(t.ndim() >= 2, "transpose needs >= 2 axes");
-    let nd = t.ndim();
-    let (m, n) = (t.dims()[nd - 2], t.dims()[nd - 1]);
-    let batch = t.numel() / (m * n);
-    let src = t.data();
-    let mut out = vec![0.0f32; t.numel()];
-    for b in 0..batch {
-        let s = &src[b * m * n..(b + 1) * m * n];
-        let d = &mut out[b * m * n..(b + 1) * m * n];
-        for i in 0..m {
-            for j in 0..n {
-                d[j * m + i] = s[i * n + j];
-            }
-        }
-    }
-    let mut dims = t.dims().to_vec();
-    dims.swap(nd - 2, nd - 1);
-    Tensor::from_vec(out, Shape::new(&dims))
-}
 
 /// Swap axes 1 and 2 of a 4-D tensor: `[a, b, c, d] -> [a, c, b, d]`.
 ///
@@ -123,33 +101,6 @@ pub fn slice_backward(grad: &Tensor, orig_dims: &[usize], axis: usize, start: us
         }
     }
     Tensor::from_vec(out, Shape::new(orig_dims))
-}
-
-/// Gather rows of a `[r, d]` matrix: `out[i, :] = t[idx[i], :]`.
-pub fn gather_rows(t: &Tensor, idx: &[usize]) -> Tensor {
-    assert_eq!(t.ndim(), 2, "gather_rows wants 2-D, got {}", t.shape());
-    let (r, d) = (t.dims()[0], t.dims()[1]);
-    let mut out = vec![0.0f32; idx.len() * d];
-    for (i, &row) in idx.iter().enumerate() {
-        assert!(row < r, "gather index {row} out of {r}");
-        out[i * d..(i + 1) * d].copy_from_slice(&t.data()[row * d..(row + 1) * d]);
-    }
-    Tensor::from_vec(out, [idx.len(), d])
-}
-
-/// Adjoint of [`gather_rows`]: scatter-add `grad[i, :]` into row `idx[i]` of
-/// a zero `[r, d]` matrix. Duplicate indices accumulate.
-pub fn gather_rows_backward(grad: &Tensor, idx: &[usize], r: usize) -> Tensor {
-    let d = grad.dims()[1];
-    let mut out = vec![0.0f32; r * d];
-    for (i, &row) in idx.iter().enumerate() {
-        let dst = &mut out[row * d..(row + 1) * d];
-        let src = &grad.data()[i * d..(i + 1) * d];
-        for (o, &g) in dst.iter_mut().zip(src) {
-            *o += g;
-        }
-    }
-    Tensor::from_vec(out, [r, d])
 }
 
 /// Select entries along axis 1 of a 3-D tensor with a shared index list:
@@ -286,22 +237,6 @@ mod tests {
     use crate::rng::Rng;
 
     #[test]
-    fn transpose_roundtrip() {
-        let mut rng = Rng::new(1);
-        let t = Tensor::randn([2, 3, 5], 1.0, &mut rng);
-        let back = transpose_last2(&transpose_last2(&t));
-        assert_eq!(t.to_vec(), back.to_vec());
-    }
-
-    #[test]
-    fn transpose_values() {
-        let t = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [2, 3]);
-        let tt = transpose_last2(&t);
-        assert_eq!(tt.dims(), &[3, 2]);
-        assert_eq!(tt.to_vec(), vec![1.0, 4.0, 2.0, 5.0, 3.0, 6.0]);
-    }
-
-    #[test]
     fn swap12_roundtrip_and_layout() {
         let mut rng = Rng::new(2);
         let t = Tensor::randn([2, 3, 4, 5], 1.0, &mut rng);
@@ -346,19 +281,6 @@ mod tests {
         let y = slice(&x, 1, 1, 2);
         let lhs: f32 = y.data().iter().zip(g.data()).map(|(a, b)| a * b).sum();
         let gx = slice_backward(&g, x.dims(), 1, 1);
-        let rhs: f32 = x.data().iter().zip(gx.data()).map(|(a, b)| a * b).sum();
-        assert!((lhs - rhs).abs() < 1e-4);
-    }
-
-    #[test]
-    fn gather_scatter_adjoint_with_duplicates() {
-        let mut rng = Rng::new(5);
-        let x = Tensor::randn([5, 3], 1.0, &mut rng);
-        let idx = vec![0, 2, 2, 4];
-        let g = Tensor::randn([4, 3], 1.0, &mut rng);
-        let y = gather_rows(&x, &idx);
-        let lhs: f32 = y.data().iter().zip(g.data()).map(|(a, b)| a * b).sum();
-        let gx = gather_rows_backward(&g, &idx, 5);
         let rhs: f32 = x.data().iter().zip(gx.data()).map(|(a, b)| a * b).sum();
         assert!((lhs - rhs).abs() < 1e-4);
     }

@@ -9,7 +9,7 @@ use dchag::prelude::*;
 use dchag_collectives::run_ranks;
 use dchag_core::{train_step, train_step_fsdp, TrainConfig};
 use dchag_model::layers::Linear;
-use dchag_model::{AdamW, ChannelEmbed, PatchTokenizer, ViTEncoder};
+use dchag_model::{AdamW, PatchTokenizer, ViTEncoder};
 use dchag_parallel::{DataParallel, DistTokenizer, FsdpBinder, FsdpParams, TpViT};
 use dchag_tensor::ops;
 
@@ -25,13 +25,9 @@ fn distributed_tokenization_equals_baseline_exactly() {
     let mut store = ParamStore::new();
     let ids: Vec<usize> = (0..channels).collect();
     let tok = PatchTokenizer::new(&mut store, 99, &ids, patch, dim);
-    let ce = ChannelEmbed::new(&mut store, 99, &ids, dim);
     let tape = Tape::new();
     let bind = LocalBinder::new(&tape, &store);
-    let want = ce
-        .forward(&bind, &tok.forward(&bind, &imgs))
-        .value()
-        .clone();
+    let want = tok.forward(&bind, &imgs).value().clone();
 
     for world in [2usize, 3, 4, 6] {
         let imgs = imgs.clone();
