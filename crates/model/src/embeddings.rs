@@ -109,7 +109,28 @@ pub fn tile_patch_mask(mask: &Tensor, b: usize, c: usize) -> Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tokenizer::PatchTokenizer;
     use dchag_tensor::ops;
+
+    /// The `chan_embed.{c}` table a tokenizer registered.
+    fn chan_embed(store: &ParamStore, c: usize) -> Vec<f32> {
+        let name = format!("chan_embed.{c}");
+        let (_, _, t) = store.iter().find(|(_, n, _)| *n == name).unwrap();
+        t.to_vec()
+    }
+
+    #[test]
+    fn channel_embed_seeded_by_channel_id() {
+        // The tokenizer's channel-ID embeddings depend only on the global
+        // channel id, whatever subset it owns and in whatever order.
+        let mut s1 = ParamStore::new();
+        PatchTokenizer::new(&mut s1, 5, &[0, 1, 2, 3], 2, 8);
+        let mut s2 = ParamStore::new();
+        PatchTokenizer::new(&mut s2, 5, &[3, 1], 2, 8);
+        assert_eq!(chan_embed(&s1, 3), chan_embed(&s2, 3));
+        assert_eq!(chan_embed(&s1, 1), chan_embed(&s2, 1));
+        assert_ne!(chan_embed(&s1, 1), chan_embed(&s1, 3));
+    }
 
     #[test]
     fn pos_embed_shifts_positions_differently() {

@@ -181,18 +181,6 @@ mod tests {
         let b_full_5 = full_store.get(full.per_channel[5].b);
         let b_sub_5 = sub_store.get(sub.per_channel[1].b);
         assert_eq!(b_full_5.to_vec(), b_sub_5.to_vec());
-
-        // Channel-ID embeddings too, whatever the subset's order.
-        let mut rev_store = ParamStore::new();
-        let rev = PatchTokenizer::new(&mut rev_store, 99, &[5, 1], 4, 8);
-        for (f, r) in [(5, 0), (1, 1)] {
-            let want = full_store.get(full.per_channel[f].e).to_vec();
-            assert_eq!(rev_store.get(rev.per_channel[r].e).to_vec(), want);
-        }
-        assert_eq!(
-            sub_store.get(sub.per_channel[1].e).to_vec(),
-            full_store.get(full.per_channel[5].e).to_vec()
-        );
     }
 
     #[test]
