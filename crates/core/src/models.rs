@@ -114,6 +114,75 @@ mod tests {
         }
     }
 
+    /// Bytes allocated after one forward and backward on a live tape,
+    /// against what may remain: the pre-forward level, the parameter
+    /// gradients, and the `loss` and `pred` values the caller holds.
+    fn held_after_backward<E: dchag_model::encoder::EncoderBackbone>(
+        ctx: &dchag_collectives::RankCtx,
+        store: &ParamStore,
+        mae: &MaeModel<E>,
+        imgs: &Tensor,
+        mask: &PatchMask,
+    ) -> (usize, usize) {
+        let tape = Tape::new();
+        let bind = LocalBinder::new(&tape, store);
+        let before = ctx.mem.current();
+        let (loss, pred) = mae.forward_loss(&bind, imgs, mask);
+        let grads = tape.backward(&loss);
+        let grad_bytes: usize = bind
+            .grads(&grads)
+            .iter()
+            .flatten()
+            .map(Tensor::size_bytes)
+            .sum();
+        let allowed = before + grad_bytes + loss.value().size_bytes() + pred.value().size_bytes();
+        // A peer may still be reading this rank's last collective input;
+        // once every rank is past its backward, none is.
+        ctx.comm.barrier();
+        (ctx.mem.current(), allowed)
+    }
+
+    #[test]
+    fn no_activation_outlives_the_backward() {
+        let cfg = ModelConfig::tiny(8);
+        let mut drng = Rng::new(7);
+        let imgs = Tensor::randn([2, 8, 16, 16], 0.5, &mut drng);
+        let mask = PatchMask::random(16, 0.5, &mut drng);
+        let run = run_ranks(2, |ctx| {
+            let mut rng = Rng::new(5);
+            let mut flat_store = ParamStore::new();
+            let flat = MaeModel::new(
+                &mut flat_store,
+                &mut rng,
+                &cfg,
+                3,
+                TreeConfig::tree0(UnitKind::CrossAttention),
+            );
+            let mut store = ParamStore::new();
+            let dchag = build_mae(
+                &mut store,
+                &mut rng,
+                &cfg,
+                3,
+                TreeConfig::tree(2, UnitKind::Linear),
+                &ctx.comm,
+            );
+            [
+                held_after_backward(&ctx, &flat_store, &flat, &imgs, &mask),
+                held_after_backward(&ctx, &store, &dchag, &imgs, &mask),
+            ]
+        });
+        for (rank, held) in run.outputs.iter().enumerate() {
+            for ((now, allowed), model) in held.iter().zip(["flat", "D-CHAG"]) {
+                assert!(
+                    now <= allowed,
+                    "{model} rank {rank}: {now} bytes held after backward, \
+                     at most {allowed} expected"
+                );
+            }
+        }
+    }
+
     #[test]
     fn replicated_head_gradients_identical_across_tp_ranks() {
         // The decoder/head are replicated; their gradients must agree

@@ -138,7 +138,7 @@ impl PatchTokenizer {
         bind.tape()
             .custom(Tensor::from_vec(out, [b, c, np, d]), move |g, emit| {
                 for (i, (x, &(iw, ib, ie))) in xs.iter().zip(&ids).enumerate() {
-                    let g_c = ops::slice(g, 1, i, 1).reshape(&[b * np, d]);
+                    let g_c = ops::slice(&g, 1, i, 1).reshape(&[b * np, d]);
                     emit(iw, ops::matmul_tn(x, &g_c));
                     // b_c and e_c are both added to every token of channel
                     // c, so they share one gradient.

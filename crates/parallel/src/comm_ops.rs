@@ -59,10 +59,10 @@ impl PendingGatherVar {
         let gathered = req.wait();
         match adjoint {
             GatherAdjoint::Slice => tape.custom(gathered, move |g, emit| {
-                emit(xid, ops::slice(g, axis, rank * local, local));
+                emit(xid, ops::slice(&g, axis, rank * local, local));
             }),
             GatherAdjoint::ReduceSlice => tape.custom(gathered, move |g, emit| {
-                let summed = comm.all_reduce_sum(g);
+                let summed = comm.all_reduce_sum(&g);
                 emit(xid, ops::slice(&summed, axis, rank * local, local));
             }),
         }
@@ -105,7 +105,7 @@ pub fn tp_f(tape: &Tape, comm: &Communicator, x: &Var) -> Var {
     let xid = x.id();
     let comm = comm.clone();
     tape.custom(x.value().clone(), move |g, emit| {
-        emit(xid, comm.all_reduce_sum(g));
+        emit(xid, comm.all_reduce_sum(&g));
     })
 }
 
@@ -118,7 +118,7 @@ pub fn tp_g(tape: &Tape, comm: &Communicator, x: &Var) -> Var {
     let xid = x.id();
     tape.custom(comm.all_reduce_sum(x.value()), move |g, emit| {
         let _ = &comm2; // keep the pair symmetric; no collective in backward
-        emit(xid, g.clone());
+        emit(xid, g);
     })
 }
 

@@ -2,7 +2,10 @@
 //!
 //! Each method runs the forward kernel from [`crate::ops`] immediately and
 //! records a closure implementing the adjoint. Saved tensors are `Arc`
-//! clones — no data is copied for bookkeeping.
+//! clones — no data is copied for bookkeeping — and are freed when the
+//! backward pass drops the adjoint after running it. Adjoints own their
+//! output gradient: pass-through ops hand it on, and `scale` rescales it
+//! in place.
 
 use super::{Tape, Var};
 use crate::dtype::DType;
@@ -16,7 +19,7 @@ impl Tape {
         let (ia, ib) = (a.id, b.id);
         self.custom(k::add(a.value(), b.value()), move |g, emit| {
             emit(ia, g.clone());
-            emit(ib, g.clone());
+            emit(ib, g);
         })
     }
 
@@ -24,15 +27,15 @@ impl Tape {
         let (ia, ib) = (a.id, b.id);
         let (va, vb) = (a.value().clone(), b.value().clone());
         self.custom(k::mul(a.value(), b.value()), move |g, emit| {
-            emit(ia, k::mul(g, &vb));
-            emit(ib, k::mul(g, &va));
+            emit(ia, k::mul(&g, &vb));
+            emit(ib, k::mul(&g, &va));
         })
     }
 
     pub fn scale(&self, a: &Var, alpha: f32) -> Var {
         let ia = a.id;
         self.custom(k::scale(a.value(), alpha), move |g, emit| {
-            emit(ia, k::scale(g, alpha));
+            emit(ia, k::scale_into(g, alpha));
         })
     }
 
@@ -40,8 +43,8 @@ impl Tape {
     pub fn add_bias(&self, a: &Var, bias: &Var) -> Var {
         let (ia, ib) = (a.id, bias.id);
         self.custom(k::add_bias(a.value(), bias.value()), move |g, emit| {
-            emit(ia, g.clone());
-            emit(ib, k::sum_to_last(g));
+            emit(ib, k::sum_to_last(&g));
+            emit(ia, g);
         })
     }
 
@@ -54,9 +57,7 @@ impl Tape {
     /// the tensor README's "Precision tiers").
     pub fn to_dtype(&self, a: &Var, dtype: DType) -> Var {
         let ia = a.id;
-        self.custom(a.value().to_dtype(dtype), move |g, emit| {
-            emit(ia, g.clone());
-        })
+        self.custom(a.value().to_dtype(dtype), move |g, emit| emit(ia, g))
     }
 
     // ----- matmul family ----------------------------------------------------
@@ -67,9 +68,9 @@ impl Tape {
         let (va, vb) = (a.value().clone(), b.value().clone());
         self.custom(k::matmul(a.value(), b.value()), move |g, emit| {
             // dA = dY · Bᵀ ; dB = Aᵀ · dY  (2-D folded forms)
-            let da = k::matmul_nt(g, &vb);
+            let da = k::matmul_nt(&g, &vb);
             emit(ia, da.reshape(va.dims()));
-            emit(ib, k::matmul_tn(&va, g));
+            emit(ib, k::matmul_tn(&va, &g));
         })
     }
 
@@ -81,10 +82,10 @@ impl Tape {
         self.custom(
             k::matmul_bias(a.value(), w.value(), bias.value()),
             move |g, emit| {
-                let da = k::matmul_nt(g, &vw);
+                let da = k::matmul_nt(&g, &vw);
                 emit(ia, da.reshape(va.dims()));
-                emit(iw, k::matmul_tn(&va, g));
-                emit(ib, k::sum_to_last(g));
+                emit(iw, k::matmul_tn(&va, &g));
+                emit(ib, k::sum_to_last(&g));
             },
         )
     }
@@ -97,7 +98,7 @@ impl Tape {
         let (y, pre) = k::linear_gelu(a.value(), w.value(), bias.value());
         self.custom(y, move |g, emit| {
             // dpre = gelu'(pre) ⊙ g, then the usual Linear adjoints.
-            let (dpre, dbias) = k::add_bias_gelu_backward(&pre, g);
+            let (dpre, dbias) = k::add_bias_gelu_backward(&pre, &g);
             let da = k::matmul_nt(&dpre, &vw);
             emit(ia, da.reshape(va.dims()));
             emit(iw, k::matmul_tn(&va, &dpre));
@@ -111,8 +112,8 @@ impl Tape {
         let (va, vb) = (a.value().clone(), b.value().clone());
         self.custom(k::bmm(a.value(), b.value()), move |g, emit| {
             // Y = A·B : dA = dY·Bᵀ (bmm_nt applies the transpose), dB = Aᵀ·dY.
-            emit(ia, k::bmm_nt(g, &vb));
-            emit(ib, k::bmm_tn(&va, g));
+            emit(ia, k::bmm_nt(&g, &vb));
+            emit(ib, k::bmm_tn(&va, &g));
         })
     }
 
@@ -131,8 +132,8 @@ impl Tape {
             k::bmm_nt_scaled(q.value(), key.value(), alpha),
             move |g, emit| {
                 // Y = α·Q Kᵀ : dQ = α·dY · K ; dK = α·dYᵀ · Q
-                emit(iq, k::bmm_scaled(g, &vk, alpha));
-                emit(ik, k::bmm_tn_scaled(g, &vq, alpha));
+                emit(iq, k::bmm_scaled(&g, &vk, alpha));
+                emit(ik, k::bmm_tn_scaled(&g, &vq, alpha));
             },
         )
     }
@@ -153,7 +154,7 @@ impl Tape {
         let out_saved = out.clone();
         self.custom(out, move |g, emit| {
             let (dq, dk, dv) =
-                k::flash_attention_backward(&vq, &vk, &vv, scale, &out_saved, &lse, g);
+                k::flash_attention_backward(&vq, &vk, &vv, scale, &out_saved, &lse, &g);
             emit(iq, dq);
             emit(ik, dk);
             emit(iv, dv);
@@ -166,7 +167,7 @@ impl Tape {
         let ia = a.id;
         let va = a.value().clone();
         self.custom(k::gelu(a.value()), move |g, emit| {
-            let dx = va.zip(g, |x, gg| k::gelu_grad_scalar(x) * gg);
+            let dx = va.zip(&g, |x, gg| k::gelu_grad_scalar(x) * gg);
             emit(ia, dx);
         })
     }
@@ -177,7 +178,7 @@ impl Tape {
         let (ia, ib) = (a.id, bias.id);
         let (y, pre) = k::add_bias_gelu(a.value(), bias.value());
         self.custom(y, move |g, emit| {
-            let (dx, dbias) = k::add_bias_gelu_backward(&pre, g);
+            let (dx, dbias) = k::add_bias_gelu_backward(&pre, &g);
             emit(ia, dx);
             emit(ib, dbias);
         })
@@ -191,7 +192,7 @@ impl Tape {
         let (vy, vp) = (y.value().clone(), pool_w.value().clone());
         let (pooled, weights) = k::softmax_pool(y.value(), pool_w.value());
         self.custom(pooled, move |g, emit| {
-            let (dy, dpw) = k::softmax_pool_backward(&vy, &vp, &weights, g);
+            let (dy, dpw) = k::softmax_pool_backward(&vy, &vp, &weights, &g);
             emit(iy, dy);
             emit(ip, dpw);
         })
@@ -202,7 +203,7 @@ impl Tape {
         let y = k::softmax_last(a.value());
         let y_saved = y.clone();
         self.custom(y, move |g, emit| {
-            emit(ia, k::softmax_last_backward(&y_saved, g));
+            emit(ia, k::softmax_last_backward(&y_saved, &g));
         })
     }
 
@@ -211,7 +212,7 @@ impl Tape {
         let (vx, vg) = (x.value().clone(), gamma.value().clone());
         let (y, ctx) = k::layernorm(x.value(), gamma.value(), beta.value());
         self.custom(y, move |g, emit| {
-            let (dx, dgamma, dbeta) = k::layernorm_backward(&vx, &vg, &ctx, g);
+            let (dx, dgamma, dbeta) = k::layernorm_backward(&vx, &vg, &ctx, &g);
             emit(ix, dx);
             emit(ig, dgamma);
             emit(ib, dbeta);
@@ -231,7 +232,7 @@ impl Tape {
     pub fn swap_axes12(&self, a: &Var) -> Var {
         let ia = a.id;
         self.custom(k::swap_axes12(a.value()), move |g, emit| {
-            emit(ia, k::swap_axes12(g));
+            emit(ia, k::swap_axes12(&g));
         })
     }
 
@@ -242,17 +243,23 @@ impl Tape {
         self.custom(k::concat(&tensors, axis), move |g, emit| {
             let mut start = 0;
             for (id, &len) in ids.iter().zip(&sizes) {
-                emit(*id, k::slice(g, axis, start, len));
+                emit(*id, k::slice(&g, axis, start, len));
                 start += len;
             }
         })
     }
 
+    /// `len` entries of `a` along `axis` from `start`. A full-range slice
+    /// of f32 storage is the identity: it returns `a` itself and records
+    /// nothing.
     pub fn slice(&self, a: &Var, axis: usize, start: usize, len: usize) -> Var {
+        if start == 0 && len == a.dims()[axis] && a.value().dtype() == DType::F32 {
+            return a.clone();
+        }
         let ia = a.id;
         let orig: Vec<usize> = a.value().dims().to_vec();
         self.custom(k::slice(a.value(), axis, start, len), move |g, emit| {
-            emit(ia, k::slice_backward(g, &orig, axis, start));
+            emit(ia, k::slice_backward(&g, &orig, axis, start));
         })
     }
 
@@ -262,7 +269,7 @@ impl Tape {
         let s = a.dims()[1];
         let idx = idx.to_vec();
         self.custom(k::select_axis1(a.value(), &idx), move |g, emit| {
-            emit(ia, k::select_axis1_backward(g, &idx, s));
+            emit(ia, k::select_axis1_backward(&g, &idx, s));
         })
     }
 
@@ -270,7 +277,7 @@ impl Tape {
     pub fn broadcast_to_batch(&self, a: &Var, b: usize) -> Var {
         let ia = a.id;
         self.custom(k::broadcast_to_batch(a.value(), b), move |g, emit| {
-            emit(ia, k::sum_over_batch(g));
+            emit(ia, k::sum_over_batch(&g));
         })
     }
 
@@ -280,7 +287,7 @@ impl Tape {
         let ia = a.id;
         let shape = a.value().shape().clone();
         self.custom(k::sum_all(a.value()), move |g, emit| {
-            emit(ia, Tensor::full(shape.clone(), g.item()));
+            emit(ia, Tensor::full(shape, g.item()));
         })
     }
 
@@ -289,7 +296,7 @@ impl Tape {
         let shape = a.value().shape().clone();
         let inv = 1.0 / a.value().numel() as f32;
         self.custom(k::mean_all(a.value()), move |g, emit| {
-            emit(ia, Tensor::full(shape.clone(), g.item() * inv));
+            emit(ia, Tensor::full(shape, g.item() * inv));
         })
     }
 
@@ -303,13 +310,35 @@ impl Tape {
     /// with `ĝ = g / max(Σ mask, 1)`, multiplied in that order so the
     /// gradient rounds exactly as the unfused `sub → mul → mul → sum_all →
     /// scale` chain does.
+    ///
+    /// The forward is one pass over `(a, target, mask)` that writes only
+    /// `d = a − target`, which the adjoint keeps. Both sums follow
+    /// [`Tensor::sum`]'s order (f32 within each 4096-element chunk, f64
+    /// across chunks), so the loss is bitwise that of the unfused chain.
     pub fn masked_mse(&self, a: &Var, target: &Tensor, mask: &Tensor) -> Var {
+        assert_eq!(a.dims(), target.dims(), "masked_mse target shape");
+        assert_eq!(a.dims(), mask.dims(), "masked_mse mask shape");
         let ia = a.id;
-        let inv = 1.0 / mask.sum().max(1.0);
-        let d = k::sub(a.value(), target);
-        let masked = k::mul(&k::mul(&d, &d), mask);
-        let mask = mask.clone();
-        self.custom(k::scale(&k::sum_all(&masked), inv), move |g, emit| {
+        let mask = mask.to_dtype(DType::F32);
+        let (av, tv) = (a.value().to_dtype(DType::F32), target.to_dtype(DType::F32));
+        let mut d = vec![0.0f32; av.numel()];
+        let (sq_sums, mask_sums): (Vec<f64>, Vec<f64>) = d
+            .chunks_mut(4096)
+            .zip(av.data().chunks(4096))
+            .zip(tv.data().chunks(4096))
+            .zip(mask.data().chunks(4096))
+            .map(|(((dc, ac), tc), mc)| {
+                for ((dv, &x), &t) in dc.iter_mut().zip(ac).zip(tc) {
+                    *dv = x - t;
+                }
+                let sq = dc.iter().zip(mc).map(|(&x, &m)| (x * x) * m);
+                (sq.sum::<f32>() as f64, mc.iter().sum::<f32>() as f64)
+            })
+            .unzip();
+        let inv = 1.0 / (mask_sums.iter().sum::<f64>() as f32).max(1.0);
+        let loss = inv * sq_sums.iter().sum::<f64>() as f32;
+        let d = Tensor::from_vec(d, av.shape().clone());
+        self.custom(Tensor::scalar(loss), move |g, emit| {
             let gs = inv * g.item();
             emit(ia, mask.zip(&d, |m, dv| 2.0 * ((gs * m) * dv)));
         })
@@ -320,6 +349,7 @@ impl Tape {
 mod tests {
     use super::super::check::grad_check;
     use super::*;
+    use crate::device::{with_tracker, MemCounter};
     use crate::rng::Rng;
 
     #[test]
@@ -476,7 +506,7 @@ mod tests {
         let (ia, it) = (a.id, t.id);
         let d = tape.custom(k::sub(a.value(), target), move |g, emit| {
             emit(ia, g.clone());
-            emit(it, k::scale(g, -1.0));
+            emit(it, k::scale(&g, -1.0));
         });
         let sq = tape.mul(&d, &d);
         let m = tape.leaf(mask.clone());
@@ -526,6 +556,52 @@ mod tests {
             assert_eq!(bits(&grad), bits(&want_grad));
             assert_eq!(nodes, 1, "masked_mse must record one node and no leaf");
         }
+    }
+
+    #[test]
+    fn masked_mse_forward_keeps_only_the_difference() {
+        // Four 4096-element chunks and a ragged tail, so the chunked sums
+        // are exercised against the unfused kernels' order.
+        let n = 4 * 4096 + 37;
+        let mut rng = Rng::new(19);
+        let pred = Tensor::randn([n], 1.0, &mut rng);
+        let target = Tensor::randn([n], 1.0, &mut rng);
+        let mask = Tensor::rand_uniform([n], 0.0, 2.0, &mut rng);
+        let counter = MemCounter::new();
+        let loss = with_tracker(counter.clone(), || {
+            let tape = Tape::new();
+            let a = tape.leaf(pred.clone());
+            counter.reset_peak();
+            let l = tape.masked_mse(&a, &target, &mask);
+            // `d` (kept for the adjoint) and the scalar loss, nothing more.
+            let (d_bytes, out_bytes) = (n * 4, 4);
+            assert!(
+                counter.peak() <= d_bytes + out_bytes,
+                "forward peaked at {} bytes",
+                counter.peak()
+            );
+            assert_eq!(counter.current(), d_bytes + out_bytes);
+            l.value().item()
+        });
+        let d = k::sub(&pred, &target);
+        let want = k::scale(
+            &k::sum_all(&k::mul(&k::mul(&d, &d), &mask)),
+            1.0 / mask.sum(),
+        );
+        assert_eq!(loss.to_bits(), want.item().to_bits());
+    }
+
+    #[test]
+    fn full_range_slice_is_the_input() {
+        let tape = Tape::new();
+        let x = tape.leaf(Tensor::arange(6).reshape(&[1, 3, 2]));
+        let before = tape.len();
+        let s = tape.slice(&x, 1, 0, 3);
+        assert_eq!((s.id(), tape.len()), (x.id(), before));
+        // A partial slice still records its node.
+        let p = tape.slice(&x, 1, 0, 2);
+        assert_eq!(p.dims(), &[1, 2, 2]);
+        assert_eq!(tape.len(), before + 1);
     }
 
     #[test]

@@ -4,12 +4,23 @@
 //! [`MemCounter`] as its thread-local tracker. Every tensor buffer allocated
 //! on that thread charges the counter and releases it on drop — even if the
 //! drop happens on another thread, because the buffer captures an `Arc` to
-//! the counter at allocation time. This gives functional runs a per-rank
-//! "allocator view" comparable to `torch.cuda.max_memory_allocated`: the
-//! per-rank peaks that `perfbench` reports as `peak_mem_mb` and the
-//! quickstart example prints. No test compares these peaks with the
-//! analytical `MemoryModel` in `dchag-perf` yet; that model's figures rest
-//! on its own calibrated constants.
+//! the counter at allocation time. Kernel scratch borrowed on that thread is
+//! charged for the borrow (see [`crate::scratch`]); scratch on the untracked
+//! pool workers is not. This gives functional runs a per-rank "allocator
+//! view" comparable to `torch.cuda.max_memory_allocated`: the per-rank peaks
+//! that `perfbench` reports as `peak_mem_mb` and the quickstart example
+//! prints.
+//!
+//! Over a training step the counter rises through the forward pass, as each
+//! tape node saves what its adjoint needs, and falls through the backward
+//! pass, which drops each adjoint with its saved tensors as soon as it has
+//! run. A step's peak therefore sits in the forward pass, and once the
+//! backward returns only the parameters, their gradients and the outputs
+//! the caller still holds are charged; `dchag_core`'s
+//! `no_activation_outlives_the_backward` test pins this for flat and D-CHAG
+//! MAE. No test compares these peaks with the analytical `MemoryModel` in
+//! `dchag-perf` yet; that model's figures rest on its own calibrated
+//! constants.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -4,8 +4,8 @@
 //! past a size threshold, and the transformer hot path gets fused variants
 //! that avoid materializing intermediates: `add_bias_gelu` (bias +
 //! activation in one sweep, returning the pre-activation the backward pass
-//! needs) and `add_scaled_into` (an AXPY that reuses the destination buffer
-//! when it is uniquely owned).
+//! needs) and `add_scaled_into` / `scale_into` (which reuse the destination
+//! buffer when it is uniquely owned).
 
 use crate::par::for_each_row;
 use crate::tensor::Tensor;
@@ -27,7 +27,16 @@ pub fn mul(a: &Tensor, b: &Tensor) -> Tensor {
 
 /// `alpha * a`.
 pub fn scale(a: &Tensor, alpha: f32) -> Tensor {
-    a.map(|x| alpha * x)
+    scale_into(a.clone(), alpha)
+}
+
+/// `alpha * a`, reusing `a`'s buffer when `a` is its sole owner — how the
+/// `scale` adjoint rescales the gradient it owns.
+pub fn scale_into(a: Tensor, alpha: f32) -> Tensor {
+    let shape = a.shape().clone();
+    let mut data = a.into_data();
+    crate::par::map_in_place(&mut data, |x| alpha * x);
+    Tensor::from_vec(data, shape)
 }
 
 /// `a + alpha * b` (AXPY), same shapes.

@@ -17,7 +17,7 @@ pub use attention::{
 };
 pub use elementwise::{
     add, add_bias, add_bias_gelu, add_bias_gelu_backward, add_scaled, add_scaled_into, exp_fast,
-    gelu, gelu_grad_scalar, gelu_scalar, mul, scale, square, sub, tanh_fast,
+    gelu, gelu_grad_scalar, gelu_scalar, mul, scale, scale_into, square, sub, tanh_fast,
 };
 pub use fused::{linear_gelu, matmul_bias, softmax_pool, softmax_pool_backward};
 pub use gemm::{

@@ -325,11 +325,16 @@ impl Tensor {
         Tensor::from_vec(data, self.shape.clone())
     }
 
+    /// Elementwise `f(self, other)`. Two f32 tensors zip their slices
+    /// directly; any bf16 operand decodes per element.
     pub fn zip(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
         assert_eq!(self.dims(), other.dims(), "zip shape mismatch");
-        let data = (0..self.numel())
-            .map(|i| f(self.at(i), other.at(i)))
-            .collect();
+        let data = match (&self.buf.storage, &other.buf.storage) {
+            (Storage::F32(a), Storage::F32(b)) => a.iter().zip(b).map(|(&x, &y)| f(x, y)).collect(),
+            _ => (0..self.numel())
+                .map(|i| f(self.at(i), other.at(i)))
+                .collect(),
+        };
         Tensor::from_vec(data, self.shape.clone())
     }
 
