@@ -345,7 +345,7 @@ fn fsdp_parity(world: usize) -> bool {
         let forward = |bind: &dyn Binder, tape: &Tape| {
             let mut h = tape.leaf(x.clone());
             for &(w, b) in &layers {
-                h = tape.add_bias_gelu(&tape.matmul(&h, &bind.bind(w)), &bind.bind(b));
+                h = tape.linear_gelu(&h, &bind.bind(w), &bind.bind(b));
             }
             tape.mean_all(&tape.mul(&h, &h))
         };

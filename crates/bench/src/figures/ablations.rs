@@ -118,7 +118,8 @@ pub fn gather_bytes() -> Table {
 /// traffic log — counts and logical bytes for one forward+backward.
 pub fn sp_vs_tp_comm() -> Table {
     use dchag_collectives::{run_ranks, CollOp};
-    use dchag_parallel::{SpGradSync, SpViT, TpViT};
+    use dchag_model::ViTEncoder;
+    use dchag_parallel::{tp_group, SpGradSync, SpViT};
     use dchag_tensor::prelude::*;
 
     let (dim, depth, heads, seq) = (32usize, 2usize, 4usize, 8usize);
@@ -130,21 +131,12 @@ pub fn sp_vs_tp_comm() -> Table {
     let tp_run = run_ranks(2, move |ctx| {
         let mut store = ParamStore::new();
         let mut rng = Rng::new(3);
-        let vit = TpViT::new(
-            &mut store,
-            &mut rng,
-            "v",
-            dim,
-            depth,
-            heads,
-            dim * 2,
-            ctx.comm.rank(),
-            ctx.comm.size(),
-        );
+        let tp = tp_group(&ctx.comm);
+        let vit = ViTEncoder::sharded(&mut store, &mut rng, "v", dim, depth, heads, dim * 2, &tp);
         let tape = Tape::new();
         let bind = LocalBinder::new(&tape, &store);
         let x = tape.leaf(Tensor::randn([2, seq, dim], 1.0, &mut Rng::new(1)));
-        let y = vit.forward(&bind, &ctx.comm, &x);
+        let y = vit.forward(&bind, &x);
         let loss = tape.sum_all(&tape.mul(&y, &y));
         let _ = tape.backward(&loss);
     });
@@ -165,7 +157,8 @@ pub fn sp_vs_tp_comm() -> Table {
     let sp_run = run_ranks(2, move |ctx| {
         let mut store = ParamStore::new();
         let mut rng = Rng::new(3);
-        let vit = SpViT::new(&mut store, &mut rng, "v", dim, depth, heads, dim * 2);
+        let vit = ViTEncoder::new(&mut store, &mut rng, "v", dim, depth, heads, dim * 2);
+        let vit = SpViT::from(vit);
         let tape = Tape::new();
         let bind = LocalBinder::new(&tape, &store);
         let x = tape.leaf(Tensor::randn([2, seq, dim], 1.0, &mut Rng::new(1)));

@@ -31,7 +31,7 @@
 use std::cell::UnsafeCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, RwLock};
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
@@ -152,16 +152,20 @@ impl SharedBuf {
     }
 }
 
+/// The inputs lock's one writer only assigns, so it cannot poison the lock.
+const INPUTS_LOCK: &str = "round inputs lock poisoned";
+
 /// State frozen when the last rank deposits; read-only afterwards.
 struct Frozen {
-    contribs: Vec<Tensor>,
+    /// The ranks' inputs: chunk workers read them under the read lock, and
+    /// the worker that finishes the last chunk empties them, so no rank is
+    /// still charged for its input once any `wait` has returned.
+    contribs: RwLock<Vec<Tensor>>,
+    shapes: Vec<Shape>,
     chunks: Vec<Chunk>,
     buf: SharedBuf,
     /// Flat start offset of each rank's region in the gather output.
     gather_offsets: Vec<usize>,
-    /// Rank-identical results (all-reduce, all-gather) are materialized
-    /// once by the first finisher and `Arc`-cloned by the rest.
-    result: OnceLock<Tensor>,
     ready_us: f64,
 }
 
@@ -538,11 +542,11 @@ fn freeze(round: &Arc<Round>, contribs: Vec<Tensor>, ready_us: f64) {
     };
     let n_chunks = chunks.len();
     let frozen = Frozen {
-        contribs,
+        shapes: contribs.iter().map(|c| c.shape().clone()).collect(),
+        contribs: RwLock::new(contribs),
         chunks,
         buf: SharedBuf::new(out_len),
         gather_offsets,
-        result: OnceLock::new(),
         ready_us,
     };
     round
@@ -572,6 +576,7 @@ fn chunk_wire_bytes(kind: CollKind, precision: CommPrecision, group: usize, len:
 fn run_chunk(round: &Round, frozen: &Frozen, c: &Chunk) {
     // SAFETY: the chunk was claimed exclusively via `next_chunk.fetch_add`.
     let out = unsafe { frozen.buf.slab(c.dst_off, c.len) };
+    let contribs = frozen.contribs.read().expect(INPUTS_LOCK);
     let p = round.precision;
     match round.kind {
         CollKind::AllReduceSum | CollKind::ReduceScatterSum => {
@@ -580,11 +585,11 @@ fn run_chunk(round: &Round, frozen: &Frozen, c: &Chunk) {
             // trip for the half-width wire), then plain f32 adds in rank
             // order — bitwise identical to a whole-tensor `ops::add` chain
             // on the same wire values.
-            let first = &frozen.contribs[0].data()[c.src_off..c.src_off + c.len];
+            let first = &contribs[0].data()[c.src_off..c.src_off + c.len];
             for (o, &x) in out.iter_mut().zip(first) {
                 *o = p.decode_sent(x);
             }
-            for contrib in frozen.contribs.iter().skip(1) {
+            for contrib in contribs.iter().skip(1) {
                 let src = &contrib.data()[c.src_off..c.src_off + c.len];
                 for (o, &x) in out.iter_mut().zip(src) {
                     *o += p.decode_sent(x);
@@ -592,7 +597,7 @@ fn run_chunk(round: &Round, frozen: &Frozen, c: &Chunk) {
             }
         }
         CollKind::AllGatherCat { .. } => {
-            let src = &frozen.contribs[c.src].data()[c.src_off..c.src_off + c.len];
+            let src = &contribs[c.src].data()[c.src_off..c.src_off + c.len];
             for (o, &x) in out.iter_mut().zip(src) {
                 *o = p.decode_sent(x);
             }
@@ -641,6 +646,8 @@ fn try_progress(engine: &Engine, log: &TrafficLog) -> bool {
         });
         let done = round.done_chunks.fetch_add(1, Ordering::AcqRel) + 1;
         if done == n_chunks {
+            // Every chunk has run, so nothing reads the inputs again.
+            *frozen.contribs.write().expect(INPUTS_LOCK) = Vec::new();
             round.complete.store(true, Ordering::Release);
             // Every rank deposited and every chunk ran: no waiter needs the
             // table entry any more (requests hold the round itself).
@@ -783,13 +790,13 @@ impl CommRequest {
         let frozen = this.round.frozen.get().expect("complete implies frozen");
         // SAFETY: completion observed with acquire ordering above.
         let out = unsafe { frozen.buf.read() };
+        // Each rank copies its result out of the staging buffer on its own
+        // thread, so the copy is charged to its own device and freed when
+        // it alone drops it — as a real device owns its output buffer.
         let result = match this.round.kind {
-            CollKind::AllReduceSum => frozen
-                .result
-                .get_or_init(|| Tensor::from_vec(out.to_vec(), frozen.contribs[0].shape().clone()))
-                .clone(),
+            CollKind::AllReduceSum => Tensor::from_vec(out.to_vec(), frozen.shapes[0].clone()),
             CollKind::ReduceScatterSum => {
-                let dims = frozen.contribs[0].dims();
+                let dims = frozen.shapes[0].dims();
                 let k = dims[0] / this.round.group;
                 let row: usize = dims[1..].iter().product::<usize>().max(1);
                 let mut out_dims = dims.to_vec();
@@ -799,31 +806,24 @@ impl CommRequest {
                     Shape::new(&out_dims),
                 )
             }
-            CollKind::AllGatherCat { axis } => frozen
-                .result
-                .get_or_init(|| {
-                    if axis == 0 {
-                        // Row-major concat along axis 0 is the staging buffer.
-                        let mut dims = frozen.contribs[0].dims().to_vec();
-                        dims[0] = frozen.contribs.iter().map(|c| c.dims()[0]).sum();
-                        Tensor::from_vec(out.to_vec(), Shape::new(&dims))
-                    } else {
-                        let parts: Vec<Tensor> = frozen
-                            .contribs
-                            .iter()
-                            .zip(&frozen.gather_offsets)
-                            .map(|(c, &off)| {
-                                Tensor::from_vec(
-                                    out[off..off + c.numel()].to_vec(),
-                                    c.shape().clone(),
-                                )
-                            })
-                            .collect();
-                        let refs: Vec<&Tensor> = parts.iter().collect();
-                        ops::concat(&refs, axis)
-                    }
-                })
-                .clone(),
+            CollKind::AllGatherCat { axis: 0 } => {
+                // Row-major concat along axis 0 is the staging buffer.
+                let mut dims = frozen.shapes[0].dims().to_vec();
+                dims[0] = frozen.shapes.iter().map(|sh| sh.dims()[0]).sum();
+                Tensor::from_vec(out.to_vec(), Shape::new(&dims))
+            }
+            CollKind::AllGatherCat { axis } => {
+                let parts: Vec<Tensor> = frozen
+                    .shapes
+                    .iter()
+                    .zip(&frozen.gather_offsets)
+                    .map(|(sh, &off)| {
+                        Tensor::from_vec(out[off..off + sh.numel()].to_vec(), sh.clone())
+                    })
+                    .collect();
+                let refs: Vec<&Tensor> = parts.iter().collect();
+                ops::concat(&refs, axis)
+            }
         };
         this.retire();
         Ok(result)

@@ -3,8 +3,9 @@
 //! Per TP rank: tokenize a channel slice → partial-channel aggregation (a
 //! hierarchical tree of `-C`/`-L` units) down to **one token per spatial
 //! position** → AllGather of that single token across the TP group → final
-//! *shared* cross-attention over the `tp_size` partial tokens
-//! (embedding-sharded, like every other attention under TP) → TP ViT.
+//! *shared* cross-attention over the `tp_size` partial tokens → ViT. Both
+//! are the flat model's modules, TP-sharded by their `sharded` constructors
+//! (embedding-sharded, like every other attention under TP).
 //!
 //! Communication profile (asserted by tests):
 //! * forward: one AllGather of `B·P·D` per rank (vs `B·C·P·D` for
@@ -18,9 +19,10 @@ use dchag_model::config::{ModelConfig, TreeConfig};
 use dchag_model::embeddings::PosEmbed;
 use dchag_model::encoder::EncoderBackbone;
 use dchag_model::hierarchy::HierarchicalAggregator;
+use dchag_model::{CrossAttnAggregator, ViTEncoder};
 use dchag_parallel::comm_ops::all_gather_cat;
 use dchag_parallel::dist_token::DistTokenizer;
-use dchag_parallel::tp::{TpCrossAttnAggregator, TpViT};
+use dchag_parallel::tp::tp_group;
 use dchag_tensor::prelude::*;
 
 /// Distributed D-CHAG encoder; one instance per TP/D-CHAG rank.
@@ -29,9 +31,9 @@ pub struct DChagEncoder {
     pub tree: TreeConfig,
     pub dist_tok: DistTokenizer,
     pub partial: HierarchicalAggregator,
-    pub final_agg: TpCrossAttnAggregator,
+    pub final_agg: CrossAttnAggregator,
     pub pos: PosEmbed,
-    pub vit: TpViT,
+    pub vit: ViTEncoder,
     comm: Communicator,
 }
 
@@ -87,18 +89,18 @@ impl DChagEncoder {
             cfg.embed_dim,
             cfg.heads,
         );
-        let final_agg = TpCrossAttnAggregator::new(
+        let group = tp_group(comm);
+        let final_agg = CrossAttnAggregator::sharded(
             store,
             rng,
             "final_agg",
             tp,
             cfg.embed_dim,
             cfg.heads,
-            comm.rank(),
-            tp,
+            &group,
         );
         let pos = PosEmbed::new(store, rng, "pos_embed", cfg.num_patches(), cfg.embed_dim);
-        let vit = TpViT::new(
+        let vit = ViTEncoder::sharded(
             store,
             rng,
             "vit",
@@ -106,8 +108,7 @@ impl DChagEncoder {
             cfg.depth,
             cfg.heads,
             cfg.mlp_dim(),
-            comm.rank(),
-            tp,
+            &group,
         );
         DChagEncoder {
             cfg: cfg.clone(),
@@ -152,13 +153,13 @@ impl EncoderBackbone for DChagEncoder {
         let gathered = all_gather_cat(tape, &self.comm, &one, 1); // [B·P, tp, D]
 
         // Final shared cross-attention (embedding-sharded).
-        let agg = self.final_agg.forward(bind, &self.comm, &gathered); // [B·P, D]
+        let agg = self.final_agg.forward(bind, &gathered); // [B·P, D]
         let x = tape.reshape(&agg, &[b, p, d]);
         self.pos.forward(bind, &x)
     }
 
     fn encode(&self, bind: &dyn Binder, x: &Var) -> Var {
-        self.vit.forward(bind, &self.comm, x)
+        self.vit.forward(bind, x)
     }
 
     fn config(&self) -> &ModelConfig {
@@ -366,6 +367,120 @@ mod tests {
             run.outputs[0].clone()
         };
         assert_eq!(once(), once());
+    }
+
+    #[test]
+    fn parameter_names_shapes_and_order_are_pinned() {
+        // Checkpoints and the FSDP bind order key on these names, shapes
+        // and this order. Tokenizer entries name each rank's channels.
+        const SHARED: &[(&str, &[usize])] = &[
+            ("partial.l1.0.ln.gamma", &[32]),
+            ("partial.l1.0.ln.beta", &[32]),
+            ("partial.l1.0.attn.wq.w", &[32, 32]),
+            ("partial.l1.0.attn.wq.b", &[32]),
+            ("partial.l1.0.attn.wk.w", &[32, 32]),
+            ("partial.l1.0.attn.wk.b", &[32]),
+            ("partial.l1.0.attn.wv.w", &[32, 32]),
+            ("partial.l1.0.attn.wv.b", &[32]),
+            ("partial.l1.0.attn.wo.w", &[32, 32]),
+            ("partial.l1.0.attn.wo.b", &[32]),
+            ("partial.l1.0.pool_w", &[32, 1]),
+            ("partial.l1.1.ln.gamma", &[32]),
+            ("partial.l1.1.ln.beta", &[32]),
+            ("partial.l1.1.attn.wq.w", &[32, 32]),
+            ("partial.l1.1.attn.wq.b", &[32]),
+            ("partial.l1.1.attn.wk.w", &[32, 32]),
+            ("partial.l1.1.attn.wk.b", &[32]),
+            ("partial.l1.1.attn.wv.w", &[32, 32]),
+            ("partial.l1.1.attn.wv.b", &[32]),
+            ("partial.l1.1.attn.wo.w", &[32, 32]),
+            ("partial.l1.1.attn.wo.b", &[32]),
+            ("partial.l1.1.pool_w", &[32, 1]),
+            ("partial.l2.ln.gamma", &[32]),
+            ("partial.l2.ln.beta", &[32]),
+            ("partial.l2.attn.wq.w", &[32, 32]),
+            ("partial.l2.attn.wq.b", &[32]),
+            ("partial.l2.attn.wk.w", &[32, 32]),
+            ("partial.l2.attn.wk.b", &[32]),
+            ("partial.l2.attn.wv.w", &[32, 32]),
+            ("partial.l2.attn.wv.b", &[32]),
+            ("partial.l2.attn.wo.w", &[32, 32]),
+            ("partial.l2.attn.wo.b", &[32]),
+            ("partial.l2.pool_w", &[32, 1]),
+            ("final_agg.ln.gamma", &[32]),
+            ("final_agg.ln.beta", &[32]),
+            ("final_agg.attn.wq.w", &[32, 16]),
+            ("final_agg.attn.wq.b", &[16]),
+            ("final_agg.attn.wk.w", &[32, 16]),
+            ("final_agg.attn.wk.b", &[16]),
+            ("final_agg.attn.wv.w", &[32, 16]),
+            ("final_agg.attn.wv.b", &[16]),
+            ("final_agg.attn.wo.w", &[16, 32]),
+            ("final_agg.attn.wo.b", &[32]),
+            ("final_agg.pool_w", &[32, 1]),
+            ("pos_embed", &[16, 32]),
+            ("vit.blk0.ln1.gamma", &[32]),
+            ("vit.blk0.ln1.beta", &[32]),
+            ("vit.blk0.attn.wq.w", &[32, 16]),
+            ("vit.blk0.attn.wq.b", &[16]),
+            ("vit.blk0.attn.wk.w", &[32, 16]),
+            ("vit.blk0.attn.wk.b", &[16]),
+            ("vit.blk0.attn.wv.w", &[32, 16]),
+            ("vit.blk0.attn.wv.b", &[16]),
+            ("vit.blk0.attn.wo.w", &[16, 32]),
+            ("vit.blk0.attn.wo.b", &[32]),
+            ("vit.blk0.ln2.gamma", &[32]),
+            ("vit.blk0.ln2.beta", &[32]),
+            ("vit.blk0.mlp.fc1.w", &[32, 32]),
+            ("vit.blk0.mlp.fc1.b", &[32]),
+            ("vit.blk0.mlp.fc2.w", &[32, 32]),
+            ("vit.blk0.mlp.fc2.b", &[32]),
+            ("vit.blk1.ln1.gamma", &[32]),
+            ("vit.blk1.ln1.beta", &[32]),
+            ("vit.blk1.attn.wq.w", &[32, 16]),
+            ("vit.blk1.attn.wq.b", &[16]),
+            ("vit.blk1.attn.wk.w", &[32, 16]),
+            ("vit.blk1.attn.wk.b", &[16]),
+            ("vit.blk1.attn.wv.w", &[32, 16]),
+            ("vit.blk1.attn.wv.b", &[16]),
+            ("vit.blk1.attn.wo.w", &[16, 32]),
+            ("vit.blk1.attn.wo.b", &[32]),
+            ("vit.blk1.ln2.gamma", &[32]),
+            ("vit.blk1.ln2.beta", &[32]),
+            ("vit.blk1.mlp.fc1.w", &[32, 32]),
+            ("vit.blk1.mlp.fc1.b", &[32]),
+            ("vit.blk1.mlp.fc2.w", &[32, 32]),
+            ("vit.blk1.mlp.fc2.b", &[32]),
+            ("vit.ln_f.gamma", &[32]),
+            ("vit.ln_f.beta", &[32]),
+        ];
+        let run = run_ranks(2, |ctx| {
+            let mut store = ParamStore::new();
+            let mut rng = Rng::new(1);
+            let cfg = tiny(8);
+            let tree = TreeConfig::tree(2, UnitKind::CrossAttention);
+            let _ = DChagEncoder::new(&mut store, &mut rng, &cfg, 7, tree, &ctx.comm);
+            let got: Vec<(String, Vec<usize>)> = store
+                .iter()
+                .map(|(_, name, t)| (name.to_string(), t.dims().to_vec()))
+                .collect();
+            got
+        });
+        for (rank, got) in run.outputs.iter().enumerate() {
+            let channels = rank * 4..rank * 4 + 4;
+            let mut want: Vec<(String, Vec<usize>)> = channels
+                .clone()
+                .flat_map(|c| {
+                    [
+                        (format!("tok.w.{c}"), vec![16, 32]),
+                        (format!("tok.b.{c}"), vec![32]),
+                    ]
+                })
+                .collect();
+            want.extend(channels.map(|c| (format!("chan_embed.{c}"), vec![32])));
+            want.extend(SHARED.iter().map(|(n, d)| (n.to_string(), d.to_vec())));
+            assert_eq!(got, &want, "rank {rank}");
+        }
     }
 
     #[test]

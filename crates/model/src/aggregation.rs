@@ -8,11 +8,13 @@
 //! [`LinearChannelMix`] is the lightweight `-L` replacement: a learned
 //! per-(channel, dim) mixing weight, linear in C with ~`C·D` parameters.
 
+use std::sync::Arc;
+
 use dchag_tensor::prelude::*;
 use dchag_tensor::Shape;
 
 use crate::attention::MultiHeadAttention;
-use crate::layers::LayerNorm;
+use crate::layers::{LayerNorm, TpGroup};
 
 /// Full cross-attention aggregation: `[N, C, D] -> [N, D]`.
 pub struct CrossAttnAggregator {
@@ -36,6 +38,30 @@ impl CrossAttnAggregator {
         CrossAttnAggregator {
             ln: LayerNorm::new(store, &format!("{name}.ln"), dim),
             attn: MultiHeadAttention::new(store, rng, &format!("{name}.attn"), dim, heads),
+            pool_w: store.add(
+                format!("{name}.pool_w"),
+                dchag_tensor::init::xavier_uniform(dim, 1, rng),
+            ),
+            in_channels,
+            dim,
+        }
+    }
+
+    /// TP shard: heads sharded, LayerNorm and pooling query replicated.
+    /// D-CHAG's final shared aggregation layer runs this way (paper §3.3).
+    pub fn sharded(
+        store: &mut ParamStore,
+        rng: &mut Rng,
+        name: &str,
+        in_channels: usize,
+        dim: usize,
+        heads: usize,
+        group: &Arc<dyn TpGroup>,
+    ) -> Self {
+        let attn = format!("{name}.attn");
+        CrossAttnAggregator {
+            ln: LayerNorm::new(store, &format!("{name}.ln"), dim),
+            attn: MultiHeadAttention::sharded(store, rng, &attn, dim, heads, group),
             pool_w: store.add(
                 format!("{name}.pool_w"),
                 dchag_tensor::init::xavier_uniform(dim, 1, rng),

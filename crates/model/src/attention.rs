@@ -2,15 +2,17 @@
 //! ViT blocks (spatial self-attention) and the channel-aggregation modules
 //! (cross-channel attention).
 
+use std::sync::Arc;
+
 use dchag_tensor::prelude::*;
 
-use crate::layers::Linear;
+use crate::layers::{Linear, TpGroup};
 
 /// Multi-head attention with separate Q/K/V/O projections.
 ///
-/// `heads` may be a *slice* of a larger logical head count — that is exactly
-/// how tensor parallelism shards attention (each TP rank holds
-/// `heads / tp` heads and `dim / tp` of the projection width).
+/// A TP shard ([`MultiHeadAttention::sharded`]) computes whole heads:
+/// `heads / tp` of them, through column-parallel Q/K/V projections and a
+/// row-parallel output projection.
 pub struct MultiHeadAttention {
     pub wq: Linear,
     pub wk: Linear,
@@ -20,10 +22,8 @@ pub struct MultiHeadAttention {
     pub heads: usize,
     /// Model (input/output) width.
     pub dim: usize,
-    /// Per-head width.
+    /// Per-head width; the projections' inner width is `heads · head_dim`.
     pub head_dim: usize,
-    /// Inner width = heads · head_dim (differs from `dim` under TP).
-    pub inner_dim: usize,
 }
 
 impl MultiHeadAttention {
@@ -34,38 +34,51 @@ impl MultiHeadAttention {
         dim: usize,
         heads: usize,
     ) -> Self {
-        assert!(
-            dim.is_multiple_of(heads),
-            "heads {heads} must divide dim {dim}"
-        );
-        Self::with_head_dim(store, rng, name, dim, heads, dim / heads)
+        assert!(dim.is_multiple_of(heads), "heads {heads} must divide {dim}");
+        let mut proj = |p: &str| Linear::new(store, rng, &format!("{name}.{p}"), dim, dim, true);
+        MultiHeadAttention {
+            wq: proj("wq"),
+            wk: proj("wk"),
+            wv: proj("wv"),
+            wo: proj("wo"),
+            heads,
+            dim,
+            head_dim: dim / heads,
+        }
     }
 
-    /// Construct with explicit head geometry (used by the TP shards, where
-    /// `heads · head_dim < dim`).
-    pub fn with_head_dim(
+    /// TP shard: the weights [`new`](Self::new) would draw, sliced to this
+    /// rank's `heads / tp` heads.
+    pub fn sharded(
         store: &mut ParamStore,
         rng: &mut Rng,
         name: &str,
         dim: usize,
         heads: usize,
-        head_dim: usize,
+        group: &Arc<dyn TpGroup>,
     ) -> Self {
-        let inner = heads * head_dim;
+        let tp = group.size();
+        assert!(dim.is_multiple_of(heads), "heads {heads} must divide {dim}");
+        assert!(
+            heads.is_multiple_of(tp),
+            "TP {tp} must divide {heads} heads"
+        );
+        let mut col =
+            |p: &str| Linear::column_parallel(store, rng, &format!("{name}.{p}"), dim, dim, group);
+        let (wq, wk, wv) = (col("wq"), col("wk"), col("wv"));
         MultiHeadAttention {
-            wq: Linear::new(store, rng, &format!("{name}.wq"), dim, inner, true),
-            wk: Linear::new(store, rng, &format!("{name}.wk"), dim, inner, true),
-            wv: Linear::new(store, rng, &format!("{name}.wv"), dim, inner, true),
-            wo: Linear::new(store, rng, &format!("{name}.wo"), inner, dim, true),
-            heads,
+            wq,
+            wk,
+            wv,
+            wo: Linear::row_parallel(store, rng, &format!("{name}.wo"), dim, dim, group),
+            heads: heads / tp,
             dim,
-            head_dim,
-            inner_dim: inner,
+            head_dim: dim / heads,
         }
     }
 
     /// `[B, S, inner] -> [B·H, S, dh]` head split.
-    fn split_heads(&self, bind: &dyn Binder, x: &Var) -> Var {
+    pub fn split_heads(&self, bind: &dyn Binder, x: &Var) -> Var {
         let tape = bind.tape();
         let (b, s) = (x.dims()[0], x.dims()[1]);
         let r = tape.reshape(x, &[b, s, self.heads, self.head_dim]);
@@ -79,7 +92,7 @@ impl MultiHeadAttention {
         let s = x.dims()[1];
         let r = tape.reshape(x, &[b, self.heads, s, self.head_dim]);
         let sw = tape.swap_axes12(&r); // [B, S, H, dh]
-        tape.reshape(&sw, &[b, s, self.inner_dim])
+        tape.reshape(&sw, &[b, s, self.heads * self.head_dim])
     }
 
     /// Self-attention over the middle axis of `[B, S, D]`.
@@ -91,34 +104,51 @@ impl MultiHeadAttention {
     /// `kv_in` `[B, Sk, D]`. Output `[B, Sq, D]`.
     pub fn forward_kv(&self, bind: &dyn Binder, q_in: &Var, kv_in: &Var) -> Var {
         let tape = bind.tape();
-        let b = q_in.dims()[0];
-        assert_eq!(kv_in.dims()[0], b, "batch mismatch");
+        assert_eq!(kv_in.dims()[0], q_in.dims()[0], "batch mismatch");
+        // A TP shard enters its region once per distinct input, so
+        // self-attention issues one `f` for Q, K and V.
+        let qf = self.wo.tp_enter(tape, q_in);
+        let kvf = if q_in.id() == kv_in.id() {
+            qf.clone()
+        } else {
+            self.wo.tp_enter(tape, kv_in)
+        };
+        let q = self.split_heads(bind, &self.wq.forward(bind, &qf));
+        let k = self.split_heads(bind, &self.wk.forward(bind, &kvf));
+        let v = self.split_heads(bind, &self.wv.forward(bind, &kvf));
+        self.wo.forward(bind, &self.attend(bind, &q, &k, &v))
+    }
 
-        let q = self.split_heads(bind, &self.wq.forward(bind, q_in));
-        let k = self.split_heads(bind, &self.wk.forward(bind, kv_in));
-        let v = self.split_heads(bind, &self.wv.forward(bind, kv_in));
+    /// Split-head queries `[B·H, Sq, dh]` against split-head keys/values
+    /// `[B·H, Sk, dh]`: the merged context `[B, Sq, inner]` for `wo`.
+    /// Sequence parallelism calls it with local queries, gathered K/V.
+    pub fn attend(&self, bind: &dyn Binder, q: &Var, k: &Var, v: &Var) -> Var {
+        let tape = bind.tape();
 
         // Flash attention: one tape node, tiled online softmax, O(S) memory
         // — the `[B·H, Sq, Sk]` score matrix never materializes and the
         // 1/√d factor rides in the tile GEMM packing.
         let scale = 1.0 / (self.head_dim as f32).sqrt();
-        let ctx = tape.flash_attention(&q, &k, &v, scale); // [B·H, Sq, dh]
+        let ctx = tape.flash_attention(q, k, v, scale); // [B·H, Sq, dh]
 
         // Debug-only parity path: the naive composition (which *does*
         // materialize the score matrix) must agree to 1e-4 on every shape
-        // the model ever runs.
+        // the model ever runs. It is a check, not part of the model, so
+        // its buffers are not charged to the device's memory counter.
         #[cfg(debug_assertions)]
         {
+            use dchag_tensor::device::set_tracker;
+            let tracker = set_tracker(None);
             let want = dchag_tensor::ops::naive_attention(q.value(), k.value(), v.value(), scale);
+            let diff = ctx.value().max_abs_diff(&want);
+            set_tracker(tracker);
             debug_assert!(
-                ctx.value().max_abs_diff(&want) <= 1e-4,
-                "flash attention diverged from naive composition by {}",
-                ctx.value().max_abs_diff(&want)
+                diff <= 1e-4,
+                "flash attention diverged from naive composition by {diff}"
             );
         }
 
-        let merged = self.merge_heads(bind, &ctx, b);
-        self.wo.forward(bind, &merged)
+        self.merge_heads(bind, &ctx, q.dims()[0] / self.heads)
     }
 }
 
@@ -217,11 +247,30 @@ mod tests {
 
     #[test]
     fn tp_sharded_geometry_allowed() {
-        // 2 of 4 logical heads on this "rank": inner = 8 < dim = 16.
+        // Rank 1 of a 2-way group holds 2 of 4 logical heads: inner = 8 <
+        // dim = 16. The stand-in group never communicates, so only the
+        // geometry is under test here; dchag_parallel checks the numerics.
+        struct Detached;
+        impl TpGroup for Detached {
+            fn rank(&self) -> usize {
+                1
+            }
+            fn size(&self) -> usize {
+                2
+            }
+            fn f(&self, _: &Tape, x: &Var) -> Var {
+                x.clone()
+            }
+            fn g(&self, _: &Tape, x: &Var) -> Var {
+                x.clone()
+            }
+        }
+        let group: Arc<dyn TpGroup> = Arc::new(Detached);
         let mut store = ParamStore::new();
         let mut rng = Rng::new(5);
-        let m = MultiHeadAttention::with_head_dim(&mut store, &mut rng, "a", 16, 2, 4);
-        assert_eq!(m.inner_dim, 8);
+        let m = MultiHeadAttention::sharded(&mut store, &mut rng, "a", 16, 4, &group);
+        assert_eq!((m.heads, m.head_dim, m.wq.out_dim), (2, 4, 8));
+        assert_eq!(m.wo.in_dim, 8);
         let tape = Tape::new();
         let bind = LocalBinder::new(&tape, &store);
         let x = tape.leaf(Tensor::randn([1, 3, 16], 1.0, &mut rng));

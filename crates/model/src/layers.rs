@@ -1,18 +1,48 @@
 //! Reusable building blocks: Linear, LayerNorm, MLP.
 //!
 //! Modules hold [`ParamId`]s into a [`ParamStore`]; the forward pass binds
-//! them onto the current tape through a [`Binder`], which is where the
-//! distributed strategies (FSDP gather, TP sharding) interpose.
+//! them onto the current tape through a [`Binder`], which is where FSDP
+//! interposes its parameter gathers.
+//!
+//! Tensor parallelism (TP) is a way of constructing these modules, not a
+//! second set of them: a sharded layer draws the full weight from the same
+//! stream as [`Linear::new`] and keeps this rank's slice, and its forward
+//! pass adds the Megatron `f`/`g` collectives of its [`TpGroup`].
 
-use dchag_tensor::init;
+use std::sync::Arc;
+
 use dchag_tensor::prelude::*;
+use dchag_tensor::{init, ops};
 
-/// Fully-connected layer `[..., in] -> [..., out]`.
+/// A tensor-parallel group: Megatron's conjugate pair of autograd
+/// collectives, implemented over a communicator by `dchag_parallel`.
+pub trait TpGroup: Send + Sync {
+    fn rank(&self) -> usize;
+    fn size(&self) -> usize;
+    /// Identity forward, AllReduce-sum backward: the replicated input of a
+    /// column-parallel region.
+    fn f(&self, tape: &Tape, x: &Var) -> Var;
+    /// AllReduce-sum forward, identity backward: the partial products of a
+    /// row-parallel matmul.
+    fn g(&self, tape: &Tape, x: &Var) -> Var;
+}
+
+/// This rank's `1/tp` slice of `full` along `axis`.
+fn shard(full: &Tensor, axis: usize, group: &dyn TpGroup) -> Tensor {
+    let (len, n) = (full.dims()[axis], group.size());
+    assert!(len.is_multiple_of(n), "TP {n} must divide {len}");
+    ops::slice(full, axis, group.rank() * (len / n), len / n)
+}
+
+/// Fully-connected layer `[..., in] -> [..., out]`; `in_dim` and `out_dim`
+/// are this rank's widths when the layer is TP-sharded.
 pub struct Linear {
     pub w: ParamId,
     pub b: Option<ParamId>,
     pub in_dim: usize,
     pub out_dim: usize,
+    /// The group a row-parallel layer sums its partial products over.
+    row_group: Option<Arc<dyn TpGroup>>,
 }
 
 impl Linear {
@@ -24,37 +54,91 @@ impl Linear {
         out_dim: usize,
         bias: bool,
     ) -> Self {
-        let w = store.add(
-            format!("{name}.w"),
-            init::xavier_uniform(in_dim, out_dim, rng),
-        );
+        let w = init::xavier_uniform(in_dim, out_dim, rng);
+        Self::from_weight(store, name, w, bias, None)
+    }
+
+    /// Column-parallel shard of a biased layer: this rank's `out / tp`
+    /// columns of the weight and bias. Replicated input, sharded output.
+    pub fn column_parallel(
+        store: &mut ParamStore,
+        rng: &mut Rng,
+        name: &str,
+        in_dim: usize,
+        out_dim: usize,
+        group: &Arc<dyn TpGroup>,
+    ) -> Self {
+        let full = init::xavier_uniform(in_dim, out_dim, rng);
+        let w = shard(&full, 1, group.as_ref());
+        Self::from_weight(store, name, w, true, None)
+    }
+
+    /// Row-parallel shard of a biased layer: this rank's `in / tp` rows of
+    /// the weight and the whole bias. Sharded input, replicated output.
+    pub fn row_parallel(
+        store: &mut ParamStore,
+        rng: &mut Rng,
+        name: &str,
+        in_dim: usize,
+        out_dim: usize,
+        group: &Arc<dyn TpGroup>,
+    ) -> Self {
+        let full = init::xavier_uniform(in_dim, out_dim, rng);
+        let w = shard(&full, 0, group.as_ref());
+        Self::from_weight(store, name, w, true, Some(group.clone()))
+    }
+
+    fn from_weight(
+        store: &mut ParamStore,
+        name: &str,
+        w: Tensor,
+        bias: bool,
+        row_group: Option<Arc<dyn TpGroup>>,
+    ) -> Self {
+        let (in_dim, out_dim) = (w.dims()[0], w.dims()[1]);
+        let w = store.add(format!("{name}.w"), w);
         let b = bias.then(|| store.add(format!("{name}.b"), Tensor::zeros([out_dim])));
         Linear {
             w,
             b,
             in_dim,
             out_dim,
+            row_group,
         }
     }
 
     pub fn forward(&self, bind: &dyn Binder, x: &Var) -> Var {
         let tape = bind.tape();
         debug_assert_eq!(*x.dims().last().unwrap(), self.in_dim, "Linear input width");
-        match self.b {
+        let w = bind.bind(self.w);
+        match (self.b, &self.row_group) {
             // Fused kernel: bias broadcast into the GEMM output buffer,
             // one tape node, no intermediate `x·W` tensor.
-            Some(b) => tape.matmul_bias(x, &bind.bind(self.w), &bind.bind(b)),
-            None => tape.matmul(x, &bind.bind(self.w)),
+            (Some(b), None) => tape.matmul_bias(x, &w, &bind.bind(b)),
+            (None, None) => tape.matmul(x, &w),
+            // Row-parallel: sum the partial products, then add the bias once.
+            (Some(b), Some(g)) => tape.add_bias(&g.g(tape, &tape.matmul(x, &w)), &bind.bind(b)),
+            (None, Some(g)) => g.g(tape, &tape.matmul(x, &w)),
         }
     }
 
     /// Fused `gelu(x·W + b)` forward (the MLP up-projection). Falls back to
-    /// the unfused pair when the layer has no bias.
+    /// the unfused pair when the layer has no bias or is row-parallel.
     pub fn forward_gelu(&self, bind: &dyn Binder, x: &Var) -> Var {
         let tape = bind.tape();
-        match self.b {
-            Some(b) => tape.linear_gelu(x, &bind.bind(self.w), &bind.bind(b)),
-            None => tape.gelu(&tape.matmul(x, &bind.bind(self.w))),
+        match (self.b, &self.row_group) {
+            (Some(b), None) => tape.linear_gelu(x, &bind.bind(self.w), &bind.bind(b)),
+            _ => tape.gelu(&self.forward(bind, x)),
+        }
+    }
+
+    /// Megatron's `f` for the TP region this row-parallel layer closes,
+    /// applied once to the replicated input of the layers that feed it;
+    /// identity on any other layer.
+    pub(crate) fn tp_enter(&self, tape: &Tape, x: &Var) -> Var {
+        match &self.row_group {
+            Some(g) => g.f(tape, x),
+            None => x.clone(),
         }
     }
 }
@@ -99,8 +183,24 @@ impl Mlp {
         }
     }
 
+    /// TP shard holding `hidden / tp` of the hidden width.
+    pub fn sharded(
+        store: &mut ParamStore,
+        rng: &mut Rng,
+        name: &str,
+        dim: usize,
+        hidden: usize,
+        group: &Arc<dyn TpGroup>,
+    ) -> Self {
+        Mlp {
+            fc1: Linear::column_parallel(store, rng, &format!("{name}.fc1"), dim, hidden, group),
+            fc2: Linear::row_parallel(store, rng, &format!("{name}.fc2"), hidden, dim, group),
+        }
+    }
+
     pub fn forward(&self, bind: &dyn Binder, x: &Var) -> Var {
-        let h = self.fc1.forward_gelu(bind, x);
+        let x = self.fc2.tp_enter(bind.tape(), x);
+        let h = self.fc1.forward_gelu(bind, &x);
         self.fc2.forward(bind, &h)
     }
 }

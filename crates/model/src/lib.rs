@@ -6,10 +6,12 @@
 //! special tokens, a ViT encoder, and the two evaluation task heads —
 //! masked-autoencoder pretraining and ClimaX-style weather forecasting.
 //!
-//! Everything here is single-device: the crate depends only on
-//! `dchag-tensor`. The distributed decompositions live in `dchag-parallel`
-//! (TP / FSDP / DP) and `dchag-core` (D-CHAG itself) and are tested for
-//! equivalence against these modules.
+//! The crate depends only on `dchag-tensor`. Its transformer modules also
+//! build tensor-parallel shards of themselves over a [`TpGroup`], whose
+//! collectives `dchag-parallel` supplies; the other distributed
+//! decompositions live in `dchag-parallel` (FSDP / DP / SP) and
+//! `dchag-core` (D-CHAG itself). All are tested for equivalence against
+//! the single-device modules.
 
 pub mod aggregation;
 pub mod attention;
@@ -31,7 +33,7 @@ pub use config::{ModelConfig, TreeConfig, UnitKind};
 pub use embeddings::{latitude_weights, MetaToken, PosEmbed};
 pub use encoder::FmEncoder;
 pub use hierarchy::{HierarchicalAggregator, TreePlan};
-pub use layers::{LayerNorm, Linear, Mlp};
+pub use layers::{LayerNorm, Linear, Mlp, TpGroup};
 pub use mae::{MaeModel, PatchMask};
 pub use optim::{clip_global_norm, AdamW};
 pub use tokenizer::PatchTokenizer;

@@ -1,10 +1,13 @@
 //! Vision-transformer encoder: pre-LN blocks of spatial self-attention and
-//! GELU MLP (paper Fig. 1, right).
+//! GELU MLP (paper Fig. 1, right). The `sharded` constructors build a
+//! tensor-parallel rank's slice; LayerNorms stay replicated.
+
+use std::sync::Arc;
 
 use dchag_tensor::prelude::*;
 
 use crate::attention::MultiHeadAttention;
-use crate::layers::{LayerNorm, Mlp};
+use crate::layers::{LayerNorm, Mlp, TpGroup};
 
 /// One pre-LN transformer block.
 pub struct TransformerBlock {
@@ -28,6 +31,25 @@ impl TransformerBlock {
             attn: MultiHeadAttention::new(store, rng, &format!("{name}.attn"), dim, heads),
             ln2: LayerNorm::new(store, &format!("{name}.ln2"), dim),
             mlp: Mlp::new(store, rng, &format!("{name}.mlp"), dim, mlp_hidden),
+        }
+    }
+
+    /// TP shard: head-sharded attention, hidden-sharded MLP.
+    pub fn sharded(
+        store: &mut ParamStore,
+        rng: &mut Rng,
+        name: &str,
+        dim: usize,
+        heads: usize,
+        mlp_hidden: usize,
+        group: &Arc<dyn TpGroup>,
+    ) -> Self {
+        let attn = format!("{name}.attn");
+        TransformerBlock {
+            ln1: LayerNorm::new(store, &format!("{name}.ln1"), dim),
+            attn: MultiHeadAttention::sharded(store, rng, &attn, dim, heads, group),
+            ln2: LayerNorm::new(store, &format!("{name}.ln2"), dim),
+            mlp: Mlp::sharded(store, rng, &format!("{name}.mlp"), dim, mlp_hidden, group),
         }
     }
 
@@ -58,17 +80,37 @@ impl ViTEncoder {
         heads: usize,
         mlp_hidden: usize,
     ) -> Self {
+        Self::stack(store, name, dim, depth, |store, blk| {
+            TransformerBlock::new(store, rng, blk, dim, heads, mlp_hidden)
+        })
+    }
+
+    /// TP shard of every block.
+    #[allow(clippy::too_many_arguments)] // `new`'s arguments plus the group
+    pub fn sharded(
+        store: &mut ParamStore,
+        rng: &mut Rng,
+        name: &str,
+        dim: usize,
+        depth: usize,
+        heads: usize,
+        mlp_hidden: usize,
+        group: &Arc<dyn TpGroup>,
+    ) -> Self {
+        Self::stack(store, name, dim, depth, |store, blk| {
+            TransformerBlock::sharded(store, rng, blk, dim, heads, mlp_hidden, group)
+        })
+    }
+
+    fn stack(
+        store: &mut ParamStore,
+        name: &str,
+        dim: usize,
+        depth: usize,
+        mut block: impl FnMut(&mut ParamStore, &str) -> TransformerBlock,
+    ) -> Self {
         let blocks = (0..depth)
-            .map(|i| {
-                TransformerBlock::new(
-                    store,
-                    rng,
-                    &format!("{name}.blk{i}"),
-                    dim,
-                    heads,
-                    mlp_hidden,
-                )
-            })
+            .map(|i| block(store, &format!("{name}.blk{i}")))
             .collect();
         ViTEncoder {
             blocks,

@@ -114,12 +114,8 @@ pub fn tp_f(tape: &Tape, comm: &Communicator, x: &Var) -> Var {
 /// Place at the *output* of a row-parallel matmul: forward partial sums are
 /// combined; the output gradient is already replicated.
 pub fn tp_g(tape: &Tape, comm: &Communicator, x: &Var) -> Var {
-    let comm2 = comm.clone();
     let xid = x.id();
-    tape.custom(comm.all_reduce_sum(x.value()), move |g, emit| {
-        let _ = &comm2; // keep the pair symmetric; no collective in backward
-        emit(xid, g);
-    })
+    tape.custom(comm.all_reduce_sum(x.value()), move |g, emit| emit(xid, g))
 }
 
 /// AllGather along `axis` with rank-order concatenation. Backward slices the

@@ -338,7 +338,7 @@ mod tests {
         let tape = Tape::new();
         let bind = LocalBinder::new(&tape, &store);
         let xv = tape.leaf(x);
-        let h = tape.add_bias_gelu(&tape.matmul(&xv, &bind.bind(w)), &bind.bind(b));
+        let h = tape.linear_gelu(&xv, &bind.bind(w), &bind.bind(b));
         let y = tape.matmul(&h, &bind.bind(w2));
         let loss = tape.mean_all(&tape.mul(&y, &y));
         let grads = tape.backward(&loss);

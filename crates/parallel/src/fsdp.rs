@@ -832,7 +832,7 @@ mod tests {
             if l == 1 {
                 let _ = bind.bind(m.idle);
             }
-            h = tape.add_bias_gelu(&tape.matmul(&h, &bind.bind(w)), &bind.bind(b));
+            h = tape.linear_gelu(&h, &bind.bind(w), &bind.bind(b));
         }
         let mut loss = tape.mean_all(&tape.mul(&h, &h));
         if all {

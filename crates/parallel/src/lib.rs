@@ -4,9 +4,11 @@
 //! compares against, implemented over the simulated collectives:
 //!
 //! * [`tp`] — Megatron-style tensor parallelism (the paper's baseline):
-//!   column/row-parallel linears, head-sharded attention, the `f`/`g`
-//!   autograd collectives, and an embedding-sharded cross-attention
-//!   aggregator for D-CHAG's final shared layer.
+//!   [`tp_group`] hands a communicator to the `sharded` constructors of
+//!   the model's own modules (column/row-parallel linears, head-sharded
+//!   attention, the embedding-sharded cross-attention aggregator of
+//!   D-CHAG's final shared layer), which then run the `f`/`g` autograd
+//!   collectives.
 //! * [`fsdp`] — fully-sharded data parallelism: per-parameter shards moved
 //!   in flat units (one AllGather per unit on bind, next unit prefetched;
 //!   one ReduceScatter per unit in backward), sharded Adam state.
@@ -32,7 +34,4 @@ pub use dp::{measured_alpha_beta, DataParallel};
 pub use fsdp::{FsdpBinder, FsdpParams};
 pub use groups::{refit_grid, GridCoord, HybridGroups};
 pub use sp::{gather_sequence, scatter_sequence, SpBlock, SpGradSync, SpViT};
-pub use tp::{
-    ColumnParallelLinear, RowParallelLinear, TpAttention, TpBlock, TpCrossAttnAggregator, TpMlp,
-    TpViT,
-};
+pub use tp::tp_group;

@@ -5,8 +5,9 @@
 //! distribute sequence length". This module implements that substrate:
 //! each rank owns `P/sp` of the spatial tokens; LayerNorm and MLP run on
 //! the local shard, and attention gathers the full sequence for keys and
-//! values while keeping only local queries (so the score matrix is
-//! `[P/sp, P]` per rank — sequence memory is sharded).
+//! values while keeping only local queries. Attention runs the model's
+//! flash kernel ([`dchag_model::MultiHeadAttention::attend`]), so no rank
+//! ever stores a `[P/sp, P]` score matrix.
 //!
 //! Parameters are fully replicated (SP shards *activations*, not weights);
 //! gradient equivalence therefore requires an AllReduce of parameter
@@ -16,7 +17,7 @@
 use dchag_collectives::Communicator;
 use dchag_tensor::prelude::*;
 
-use dchag_model::vit::TransformerBlock;
+use dchag_model::{LayerNorm, TransformerBlock, ViTEncoder};
 
 use crate::comm_ops::{all_gather_cat, issue_all_gather_rs};
 
@@ -38,26 +39,12 @@ pub fn gather_sequence(tape: &Tape, comm: &Communicator, x: &Var) -> Var {
     all_gather_cat(tape, comm, x, 1)
 }
 
-/// A sequence-parallel pre-LN transformer block: replicated parameters,
-/// sharded tokens. Attention queries stay local; keys/values are gathered.
-pub struct SpBlock {
-    pub inner: TransformerBlock,
-}
+/// The model's pre-LN transformer block run sequence-parallel: replicated
+/// parameters, sharded tokens. Attention queries stay local; keys/values
+/// are gathered.
+pub struct SpBlock(pub TransformerBlock);
 
 impl SpBlock {
-    pub fn new(
-        store: &mut ParamStore,
-        rng: &mut Rng,
-        name: &str,
-        dim: usize,
-        heads: usize,
-        mlp_hidden: usize,
-    ) -> Self {
-        SpBlock {
-            inner: TransformerBlock::new(store, rng, name, dim, heads, mlp_hidden),
-        }
-    }
-
     /// `x: [B, S/sp, D] -> [B, S/sp, D]` (token-sharded in and out).
     ///
     /// Q/K/V are projected from the *local* tokens and only the projected
@@ -65,85 +52,54 @@ impl SpBlock {
     /// parameter gradients sum correctly across the SP group.
     pub fn forward(&self, bind: &dyn Binder, comm: &Communicator, x: &Var) -> Var {
         let tape = bind.tape();
-        let attn = &self.inner.attn;
-        let (b, _s_local) = (x.dims()[0], x.dims()[1]);
-        let (heads, dh) = (attn.heads, attn.head_dim);
+        let TransformerBlock {
+            ln1,
+            attn,
+            ln2,
+            mlp,
+        } = &self.0;
 
-        let h = self.inner.ln1.forward(bind, x);
-        let q = attn.wq.forward(bind, &h); // [B, S/sp, inner]
-                                           // K/V feed every rank's queries: gather with a reduce-scatter
-                                           // adjoint so cross-rank gradient contributions come home. K's
-                                           // gather is issued nonblocking so its chunk pipeline runs under the
-                                           // V projection's GEMM (and V's under the head-split reshapes).
+        let h = ln1.forward(bind, x);
+        let q = attn.split_heads(bind, &attn.wq.forward(bind, &h)); // [B·H, S/sp, dh]
+
+        // K/V feed every rank's queries: gather with a reduce-scatter
+        // adjoint so cross-rank gradient contributions come home. K's
+        // gather is issued nonblocking so its chunk pipeline runs under the
+        // V projection's GEMM (and V's under K's head split).
         let k_pending = issue_all_gather_rs(comm, &attn.wk.forward(bind, &h), 1);
         let v_pending = issue_all_gather_rs(comm, &attn.wv.forward(bind, &h), 1);
-        let k = k_pending.wait(tape); // [B, S, inner]
-        let v = v_pending.wait(tape);
+        let k = attn.split_heads(bind, &k_pending.wait(tape)); // [B·H, S, dh]
+        let v = attn.split_heads(bind, &v_pending.wait(tape));
 
-        // head split: [B, S, H·dh] -> [B·H, S, dh]
-        let split = |t: &Var| {
-            let s = t.dims()[1];
-            let r = tape.reshape(t, &[b, s, heads, dh]);
-            let sw = tape.swap_axes12(&r);
-            tape.reshape(&sw, &[b * heads, s, dh])
-        };
-        let (qh, kh, vh) = (split(&q), split(&k), split(&v));
-        let scores = tape.bmm_nt(&qh, &kh); // [B·H, S/sp, S]
-        let scaled = tape.scale(&scores, 1.0 / (dh as f32).sqrt());
-        let probs = tape.softmax_last(&scaled);
-        let ctx = tape.bmm(&probs, &vh); // [B·H, S/sp, dh]
-        let s_local = ctx.dims()[1];
-        let merged = {
-            let r = tape.reshape(&ctx, &[b, heads, s_local, dh]);
-            let sw = tape.swap_axes12(&r);
-            tape.reshape(&sw, &[b, s_local, heads * dh])
-        };
-        let a = attn.wo.forward(bind, &merged);
+        // Local queries against the full sequence, through the model's own
+        // flash path: no `[S/sp, S]` score matrix is ever stored.
+        let ctx = attn.attend(bind, &q, &k, &v); // [B, S/sp, inner]
+        let a = attn.wo.forward(bind, &ctx);
         let x = tape.add(x, &a);
 
         // MLP is pointwise over tokens: fully local.
-        let m = self
-            .inner
-            .mlp
-            .forward(bind, &self.inner.ln2.forward(bind, &x));
+        let m = mlp.forward(bind, &ln2.forward(bind, &x));
         tape.add(&x, &m)
     }
 }
 
-/// Sequence-parallel ViT encoder (replicated weights, sharded tokens).
+/// The model's ViT encoder run sequence-parallel (replicated weights,
+/// sharded tokens).
 pub struct SpViT {
     pub blocks: Vec<SpBlock>,
-    pub ln_f: dchag_model::layers::LayerNorm,
+    pub ln_f: LayerNorm,
+}
+
+impl From<ViTEncoder> for SpViT {
+    fn from(vit: ViTEncoder) -> Self {
+        SpViT {
+            blocks: vit.blocks.into_iter().map(SpBlock).collect(),
+            ln_f: vit.ln_f,
+        }
+    }
 }
 
 impl SpViT {
-    pub fn new(
-        store: &mut ParamStore,
-        rng: &mut Rng,
-        name: &str,
-        dim: usize,
-        depth: usize,
-        heads: usize,
-        mlp_hidden: usize,
-    ) -> Self {
-        let blocks = (0..depth)
-            .map(|i| {
-                SpBlock::new(
-                    store,
-                    rng,
-                    &format!("{name}.blk{i}"),
-                    dim,
-                    heads,
-                    mlp_hidden,
-                )
-            })
-            .collect();
-        SpViT {
-            blocks,
-            ln_f: dchag_model::layers::LayerNorm::new(store, &format!("{name}.ln_f"), dim),
-        }
-    }
-
     /// Shard a replicated sequence, run all blocks token-parallel, gather
     /// the result back: `[B, S, D] -> [B, S, D]` replicated.
     pub fn forward(&self, bind: &dyn Binder, comm: &Communicator, x: &Var) -> Var {
@@ -174,16 +130,10 @@ impl SpGradSync {
     }
 }
 
-/// Convenience: is a sequence shardable over this group?
-pub fn sp_compatible(seq_len: usize, comm: &Communicator) -> bool {
-    seq_len.is_multiple_of(comm.size())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use dchag_collectives::run_ranks;
-    use dchag_model::ViTEncoder;
 
     #[test]
     fn scatter_gather_roundtrip() {
@@ -221,7 +171,8 @@ mod tests {
             let run = run_ranks(sp, move |ctx| {
                 let mut store = ParamStore::new();
                 let mut rng = Rng::new(3);
-                let vit = SpViT::new(&mut store, &mut rng, "vit", dim, depth, heads, dim * 2);
+                let vit = ViTEncoder::new(&mut store, &mut rng, "vit", dim, depth, heads, dim * 2);
+                let vit = SpViT::from(vit);
                 let tape = Tape::new();
                 let bind = LocalBinder::new(&tape, &store);
                 let xv = tape.leaf(x.clone());
@@ -258,7 +209,8 @@ mod tests {
         let run = run_ranks(2, move |ctx| {
             let mut store = ParamStore::new();
             let mut rng = Rng::new(5);
-            let vit = SpViT::new(&mut store, &mut rng, "vit", dim, depth, heads, dim * 2);
+            let vit = ViTEncoder::new(&mut store, &mut rng, "vit", dim, depth, heads, dim * 2);
+            let vit = SpViT::from(vit);
             let tape = Tape::new();
             let bind = LocalBinder::new(&tape, &store);
             let xv = tape.leaf(x.clone());
@@ -285,33 +237,58 @@ mod tests {
     }
 
     #[test]
-    fn sp_score_memory_is_sharded() {
-        // the attention score matrix per rank is [S/sp, S], not [S, S] —
-        // verified through the gathered kv length vs local q length.
+    fn attention_peak_stays_below_the_unfused_score_matrix() {
+        // An unfused attention chain stores a `[B·H, Sq, Sk]` score matrix
+        // (and scaled and softmaxed copies). At S = 256 and eight sequences
+        // that one matrix outweighs every activation of a narrow block plus
+        // the flash kernel's fixed tile workspace, so a forward and backward
+        // that peaks below it never built one. Checked for a head-sharded
+        // block (w=2: two of four heads, Sq = Sk = S) and an SP block (all
+        // four heads, Sq = S/2 local queries, Sk = S gathered keys).
+        const S: usize = 256;
+        fn peak_above_start(ctx: &dchag_collectives::RankCtx, run: impl FnOnce()) -> usize {
+            let start = ctx.mem.current();
+            ctx.mem.reset_peak();
+            run();
+            ctx.mem.peak() - start
+        }
         let run = run_ranks(2, |ctx| {
+            let (batch, dim, heads) = (8usize, 4usize, 4usize);
+            let x = Tensor::randn([batch, S, dim], 1.0, &mut Rng::new(1));
             let mut store = ParamStore::new();
             let mut rng = Rng::new(7);
-            let blk = SpBlock::new(&mut store, &mut rng, "b", 8, 2, 16);
-            let tape = Tape::new();
-            let bind = LocalBinder::new(&tape, &store);
-            let x = tape.leaf(Tensor::randn([1, 3, 8], 1.0, &mut Rng::new(1)));
-            let y = blk.forward(&bind, &ctx.comm, &x);
-            y.dims().to_vec()
+            let group = crate::tp::tp_group(&ctx.comm);
+            let tp = TransformerBlock::sharded(&mut store, &mut rng, "tp", dim, heads, 8, &group);
+            let sp = SpBlock(TransformerBlock::new(
+                &mut store, &mut rng, "sp", dim, heads, 8,
+            ));
+            let tp_peak = peak_above_start(&ctx, || {
+                let tape = Tape::new();
+                let bind = LocalBinder::new(&tape, &store);
+                let y = tp.forward(&bind, &tape.leaf(x.clone()));
+                let _ = tape.backward(&tape.sum_all(&y));
+            });
+            let sp_peak = peak_above_start(&ctx, || {
+                let tape = Tape::new();
+                let bind = LocalBinder::new(&tape, &store);
+                let local = scatter_sequence(&tape, &ctx.comm, &tape.leaf(x.clone()));
+                let y = sp.forward(&bind, &ctx.comm, &local);
+                let _ = tape.backward(&tape.sum_all(&y));
+            });
+            let f32s = std::mem::size_of::<f32>();
+            let tp_scores = batch * (heads / 2) * S * S * f32s;
+            let sp_scores = batch * heads * (S / 2) * S * f32s;
+            (tp_peak, tp_scores, sp_peak, sp_scores)
         });
-        // local shard length preserved
-        for d in run.outputs {
-            assert_eq!(d, vec![1, 3, 8]);
-        }
-    }
-
-    #[test]
-    fn sp_compatibility_check() {
-        let run = run_ranks(4, |ctx| {
-            (sp_compatible(16, &ctx.comm), sp_compatible(18, &ctx.comm))
-        });
-        for (ok, bad) in run.outputs {
-            assert!(ok);
-            assert!(!bad);
+        for (tp_peak, tp_scores, sp_peak, sp_scores) in run.outputs {
+            assert!(
+                tp_peak < tp_scores,
+                "TP block peaked {tp_peak} B, score matrix {tp_scores} B"
+            );
+            assert!(
+                sp_peak < sp_scores,
+                "SP block peaked {sp_peak} B, score matrix {sp_scores} B"
+            );
         }
     }
 }

@@ -117,14 +117,9 @@ impl Tape {
         })
     }
 
-    /// Batched `Q · Kᵀ`: `[B,m,d] × [B,n,d] -> [B,m,n]` (attention scores).
-    pub fn bmm_nt(&self, q: &Var, key: &Var) -> Var {
-        self.bmm_nt_scaled(q, key, 1.0)
-    }
-
-    /// Fused scaled attention scores `α · Q·Kᵀ`: the `1/√d` factor rides in
-    /// the GEMM packing instead of materializing a scaled copy of the
-    /// `[B,m,n]` score tensor (and its extra tape node).
+    /// Batched scaled attention scores `α · Q·Kᵀ`: `[B,m,d] × [B,n,d] ->
+    /// [B,m,n]`. The `1/√d` factor rides in the GEMM packing instead of
+    /// materializing a scaled copy of the score tensor.
     pub fn bmm_nt_scaled(&self, q: &Var, key: &Var, alpha: f32) -> Var {
         let (iq, ik) = (q.id, key.id);
         let (vq, vk) = (q.value().clone(), key.value().clone());
@@ -169,18 +164,6 @@ impl Tape {
         self.custom(k::gelu(a.value()), move |g, emit| {
             let dx = va.zip(&g, |x, gg| k::gelu_grad_scalar(x) * gg);
             emit(ia, dx);
-        })
-    }
-
-    /// Fused `gelu(a + bias)`: one sweep, one tape node, saving only the
-    /// pre-activation.
-    pub fn add_bias_gelu(&self, a: &Var, bias: &Var) -> Var {
-        let (ia, ib) = (a.id, bias.id);
-        let (y, pre) = k::add_bias_gelu(a.value(), bias.value());
-        self.custom(y, move |g, emit| {
-            let (dx, dbias) = k::add_bias_gelu_backward(&pre, &g);
-            emit(ia, dx);
-            emit(ib, dbias);
         })
     }
 
@@ -393,21 +376,6 @@ mod tests {
             |t, l| {
                 let y = t.bmm(&l[0], &l[1]);
                 t.sum_all(&t.mul(&y, &y))
-            },
-            2e-2,
-        );
-    }
-
-    #[test]
-    fn bmm_nt_gradcheck() {
-        let mut rng = Rng::new(4);
-        let q = Tensor::randn([2, 3, 4], 0.5, &mut rng);
-        let key = Tensor::randn([2, 5, 4], 0.5, &mut rng);
-        grad_check(
-            &[q, key],
-            |t, l| {
-                let s = t.bmm_nt(&l[0], &l[1]);
-                t.sum_all(&t.mul(&s, &s))
             },
             2e-2,
         );
@@ -673,33 +641,21 @@ mod tests {
     }
 
     #[test]
-    fn add_bias_gelu_gradcheck() {
-        let mut rng = Rng::new(13);
-        let x = Tensor::randn([4, 5], 0.6, &mut rng);
-        let b = Tensor::randn([5], 0.6, &mut rng);
-        grad_check(
-            &[x, b],
-            |t, l| {
-                let y = t.add_bias_gelu(&l[0], &l[1]);
-                t.sum_all(&t.mul(&y, &y))
-            },
-            3e-2,
-        );
-    }
-
-    #[test]
     fn bmm_nt_scaled_gradcheck() {
+        // α = 1 is the plain `Q·Kᵀ` the backward of `bmm` relies on.
         let mut rng = Rng::new(14);
         let q = Tensor::randn([2, 3, 4], 0.5, &mut rng);
         let key = Tensor::randn([2, 5, 4], 0.5, &mut rng);
-        grad_check(
-            &[q, key],
-            |t, l| {
-                let s = t.bmm_nt_scaled(&l[0], &l[1], 0.5);
-                t.sum_all(&t.mul(&s, &s))
-            },
-            2e-2,
-        );
+        for alpha in [1.0, 0.5] {
+            grad_check(
+                &[q.clone(), key.clone()],
+                |t, l| {
+                    let s = t.bmm_nt_scaled(&l[0], &l[1], alpha);
+                    t.sum_all(&t.mul(&s, &s))
+                },
+                2e-2,
+            );
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@ use dchag_collectives::run_ranks;
 use dchag_core::{train_step, train_step_fsdp, TrainConfig};
 use dchag_model::layers::Linear;
 use dchag_model::{AdamW, PatchTokenizer, ViTEncoder};
-use dchag_parallel::{DataParallel, DistTokenizer, FsdpBinder, FsdpParams, TpViT};
+use dchag_parallel::{tp_group, DataParallel, DistTokenizer, FsdpBinder, FsdpParams};
 use dchag_tensor::ops;
 
 /// §3.1: tokenize-locally + AllGather must reproduce the baseline token
@@ -74,7 +74,8 @@ fn tp_vit_equivalence_forward_and_grad() {
         let run = run_ranks(tp, move |ctx| {
             let mut store = ParamStore::new();
             let mut rng = Rng::new(9);
-            let vit = TpViT::new(
+            let group = tp_group(&ctx.comm);
+            let vit = ViTEncoder::sharded(
                 &mut store,
                 &mut rng,
                 "vit",
@@ -82,13 +83,12 @@ fn tp_vit_equivalence_forward_and_grad() {
                 depth,
                 heads,
                 dim * 2,
-                ctx.comm.rank(),
-                ctx.comm.size(),
+                &group,
             );
             let tape = Tape::new();
             let bind = LocalBinder::new(&tape, &store);
             let xv = tape.leaf(x.clone());
-            let y = vit.forward(&bind, &ctx.comm, &xv);
+            let y = vit.forward(&bind, &xv);
             let rv = tape.leaf(readout.clone());
             let loss = tape.sum_all(&tape.mul(&y, &rv));
             let g = tape.backward(&loss).get(&xv).unwrap().clone();

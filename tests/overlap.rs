@@ -81,7 +81,7 @@ fn build_layers(store: &mut ParamStore) -> Vec<(ParamId, ParamId)> {
 fn forward(bind: &dyn Binder, tape: &Tape, layers: &[(ParamId, ParamId)], x: Tensor) -> Var {
     let mut h = tape.leaf(x);
     for &(w, b) in layers {
-        h = tape.add_bias_gelu(&tape.matmul(&h, &bind.bind(w)), &bind.bind(b));
+        h = tape.linear_gelu(&h, &bind.bind(w), &bind.bind(b));
     }
     tape.mean_all(&tape.mul(&h, &h))
 }
