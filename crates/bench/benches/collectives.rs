@@ -17,7 +17,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use dchag_bench::bench_json::update_sections;
+use dchag_bench::bench_json::{measure_ns, update_sections};
 use dchag_collectives::{run_ranks, RankCtx};
 use dchag_model::AdamW;
 use dchag_parallel::dp::DataParallel;
@@ -799,9 +799,52 @@ fn bench_checkpoint(c: &mut Criterion) {
     g.finish();
 }
 
+/// CRC-32 throughput on every ISA this host runs, over one 4 MiB buffer,
+/// next to the same buffer's `copy_from_slice` bandwidth (bytes read plus
+/// bytes written, the STREAM convention): a memory-speed ceiling for a
+/// one-pass read, so each tier carries `fraction_of_peak`.
+fn crc32_json(quick: bool) -> String {
+    use dchag_tensor::simd::{crc32_isa, Isa};
+    let src: Vec<u8> = (0..4u32 << 20)
+        .map(|i| (i.wrapping_mul(0x9E37_79B1) >> 24) as u8)
+        .collect();
+    let gb_per_s = |ns: f64| src.len() as f64 / ns;
+    let mut dst = vec![0u8; src.len()];
+    let copy = 2.0
+        * gb_per_s(measure_ns(
+            || {
+                dst.copy_from_slice(black_box(&src));
+                black_box(&mut dst);
+            },
+            quick,
+        ));
+    let tiers: Vec<String> = Isa::available()
+        .into_iter()
+        .map(|isa| {
+            let gbs = gb_per_s(measure_ns(
+                || {
+                    black_box(crc32_isa(isa, black_box(&src)));
+                },
+                quick,
+            ));
+            format!(
+                "\"{}\": {{ \"gb_per_s\": {gbs:.2}, \"fraction_of_peak\": {:.3} }}",
+                isa.name(),
+                gbs / copy
+            )
+        })
+        .collect();
+    format!(
+        "{{ \"bytes\": {}, \"copy_gb_per_s\": {copy:.2}, {} }}",
+        src.len(),
+        tiers.join(", ")
+    )
+}
+
 /// Refresh the `checkpoint` section of `BENCH_kernels.json`: durable
 /// save/load throughput, the enqueue cost the loop pays vs the synchronous
-/// save the background writer hides, and the round-trip bitwise verdict.
+/// save the background writer hides, the round-trip bitwise verdict, and
+/// the CRC-32 every load and commit runs, per ISA against a copy ceiling.
 fn emit_checkpoint_json(_c: &mut Criterion) {
     if !emitter_enabled("emit_checkpoint_json") {
         return;
@@ -856,14 +899,18 @@ fn emit_checkpoint_json(_c: &mut Criterion) {
     let enqueue_us = enq[enq.len() / 2];
     drop(writer);
     let _ = std::fs::remove_dir_all(&root);
+    let crc = crc32_json(quick);
 
     let body = format!(
         "{{\n    \"note\": \"Durable-tier shard save+commit and load+validate throughput, \
-         and the training thread's cost per checkpoint (enqueue) against a synchronous save.\",\n    \
+         the training thread's cost per checkpoint (enqueue) against a synchronous save, \
+         and CRC-32 GB/s per ISA over 4 MiB with a same-buffer copy_from_slice ceiling \
+         (read + written bytes).\",\n    \
          \"shard_4MiB_w1\": {{ \"bytes\": {bytes}, \
          \"save_commit_mb_per_s\": {:.1}, \"load_validate_mb_per_s\": {:.1} }},\n    \
          \"train_thread_cost\": {{ \"enqueue_us\": {enqueue_us:.2}, \
          \"hidden_sync_save_us\": {sync_save_us:.1} }},\n    \
+         \"crc32\": {crc},\n    \
          \"roundtrip_bitwise\": {roundtrip}\n  }}",
         mb / (sync_save_us / 1e6),
         mb / (load_us / 1e6),

@@ -9,6 +9,31 @@
 //! step-00000004.manifest        (commit record: world, grid, per-shard CRCs)
 //! ```
 //!
+//! **Manifest v2.** The manifest is a short text file:
+//!
+//! ```text
+//! DCHAG-MANIFEST v2
+//! step 4
+//! world 2
+//! grid 2 1
+//! shard 0 <content digest hex> <byte length>
+//! shard 1 <content digest hex> <byte length>
+//! crc <CRC32 of every line above>
+//! ```
+//!
+//! Each `shard` line binds that rank's file by its length and its content
+//! digest: the CRC32 of the shard's own entry, section and footer CRCs
+//! (`content_digest` in the parent module). Two valid shards of equal
+//! length (two ranks' files swapped, or a file from another run)
+//! therefore fail the manifest check. No CRC over the file bytes could do
+//! this: each block of a shard is followed by its own CRC, which makes any
+//! enclosing CRC-32 blind to the block's contents, so the footer is the
+//! same for every shard of one layout and the whole-file CRC is the
+//! constant residue `0x2144DF1C`. Version 1 recorded that residue, so it
+//! checked only the length; it is refused with
+//! [`CheckpointError::BadManifest`]. Computing the digest walks the
+//! framing and reads no payload, so committing costs no checksum pass.
+//!
 //! **Atomicity.** Every file — shard or manifest — is published by
 //! write-to-temp → `fsync` → `rename` → directory-`fsync`. A crash at any
 //! point leaves either the old state or the new state, never a torn file
@@ -19,15 +44,16 @@
 //! the checkpoint path — it must work while the collectives layer is
 //! degraded). Rank 0 *commits* a step by polling the directory until all
 //! `world` shard files exist (rename-atomicity means existence implies
-//! completeness), checksumming each, and atomically publishing the
-//! manifest. A step without a manifest was never committed and is ignored
-//! by recovery.
+//! completeness), recording each one's length and content digest, and
+//! atomically publishing the manifest. A step without a manifest was never
+//! committed and is ignored by recovery.
 //!
 //! **Selection.** [`CheckpointDir::latest_valid`] walks manifests
 //! newest-first and *fully validates* each candidate — manifest self-CRC,
-//! per-shard file CRC against the manifest, and the shard's own internal
-//! format-v2 checksums — falling back past corrupt or incomplete steps and
-//! recording a typed [`CheckpointError`] cause for every step it skips.
+//! the shard's own format-v2 checksums (footer, section and entry CRCs),
+//! and each shard's length and content digest against the manifest —
+//! falling back past corrupt or incomplete steps and recording a typed
+//! [`CheckpointError`] cause for every step it skips.
 //!
 //! **Retention.** After a successful commit, all but the newest
 //! `retain` committed steps are garbage-collected (manifest deleted first,
@@ -41,9 +67,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use super::faults::{DiskFault, DiskFaultPlan};
-use super::{crc32, io_err, CheckpointError, Snapshot};
+use super::{content_digest, crc32, io_err, CheckpointError, Snapshot};
 
-/// What a manifest records: `(world, grid, per-shard (crc32, byte length))`.
+/// What a manifest records: `(world, grid, per-shard (content digest, byte
+/// length))`.
 type ManifestInfo = (usize, Vec<usize>, Vec<(u32, usize)>);
 
 /// The newest fully-validated checkpoint in a directory, plus the typed
@@ -74,6 +101,9 @@ pub struct CheckpointDir {
 fn shard_name(step: u64, rank: usize) -> String {
     format!("step-{step:08}.rank{rank}.ckpt")
 }
+
+/// Header line of the manifest format this build writes and reads.
+const MANIFEST_HEADER: &str = "DCHAG-MANIFEST v2";
 
 fn manifest_name(step: u64) -> String {
     format!("step-{step:08}.manifest")
@@ -189,8 +219,9 @@ impl CheckpointDir {
     }
 
     /// Commit `step`: wait (bounded by `deadline`) until all `world` shard
-    /// files exist, checksum them, atomically publish the manifest, then
-    /// garbage-collect old steps. Rank 0 calls this; other ranks only save.
+    /// files exist, record each one's length and content digest, atomically
+    /// publish the manifest, then garbage-collect old steps. Rank 0 calls
+    /// this; other ranks only save.
     pub fn commit(&self, step: u64, deadline: Duration) -> Result<(), CheckpointError> {
         let n = self.commits.fetch_add(1, Ordering::Relaxed);
         let start = Instant::now();
@@ -207,7 +238,8 @@ impl CheckpointDir {
             }
         }
         let mut body = String::new();
-        body.push_str("DCHAG-MANIFEST v1\n");
+        body.push_str(MANIFEST_HEADER);
+        body.push('\n');
         body.push_str(&format!("step {step}\n"));
         body.push_str(&format!("world {}\n", self.world));
         body.push_str("grid");
@@ -218,13 +250,15 @@ impl CheckpointDir {
         for r in 0..self.world {
             let bytes = fs::read(self.root.join(shard_name(step, r)))
                 .map_err(|e| io_err("read shard for commit", e))?;
-            let mut crc = crc32(&bytes);
+            // A shard whose framing does not parse is recorded as 0:
+            // selection rejects it by its parse error before comparing.
+            let mut digest = content_digest(&bytes).unwrap_or(0);
             if r == 0 && self.faults.stale_commit(n) {
                 // Injected lost-write: the manifest records a checksum the
                 // shard bytes do not have.
-                crc ^= 0xFFFF_FFFF;
+                digest ^= 0xFFFF_FFFF;
             }
-            body.push_str(&format!("shard {r} {crc:08x} {}\n", bytes.len()));
+            body.push_str(&format!("shard {r} {digest:08x} {}\n", bytes.len()));
         }
         body.push_str(&format!("crc {:08x}\n", crc32(body.as_bytes())));
         self.publish(&manifest_name(step), body.as_bytes(), true)?;
@@ -288,8 +322,11 @@ impl CheckpointDir {
             return Err(bad("manifest self-checksum mismatch"));
         }
         let mut lines = head.lines();
-        if lines.next() != Some("DCHAG-MANIFEST v1") {
-            return Err(bad("bad header"));
+        match lines.next() {
+            Some(MANIFEST_HEADER) => {}
+            // v1 recorded whole-file CRCs: a constant for every valid shard.
+            Some("DCHAG-MANIFEST v1") => return Err(bad("unsupported manifest version 1")),
+            _ => return Err(bad("bad header")),
         }
         let step_line = lines.next().ok_or_else(|| bad("missing step line"))?;
         let recorded: u64 = step_line
@@ -318,29 +355,36 @@ impl CheckpointDir {
             let rest = line
                 .strip_prefix(&format!("shard {r} "))
                 .ok_or_else(|| bad("bad shard line"))?;
-            let (crc_hex, len) = rest.split_once(' ').ok_or_else(|| bad("bad shard line"))?;
-            let crc = u32::from_str_radix(crc_hex, 16).map_err(|_| bad("bad shard crc"))?;
+            let (digest_hex, len) = rest.split_once(' ').ok_or_else(|| bad("bad shard line"))?;
+            let digest =
+                u32::from_str_radix(digest_hex, 16).map_err(|_| bad("bad shard digest"))?;
             let len: usize = len.parse().map_err(|_| bad("bad shard length"))?;
-            shards.push((crc, len));
+            shards.push((digest, len));
         }
         Ok((world, grid, shards))
     }
 
     /// Fully validate the committed `step`: manifest self-CRC, every shard
-    /// file's length and CRC against the manifest, and each shard's
-    /// internal format checksums.
+    /// file's length against the manifest, each shard's internal format
+    /// checksums, then its content digest against the manifest. The
+    /// format checks come first, so a shard torn before the commit reports
+    /// its own cause (`FileCrc`, `Truncated`, ...) while an intact shard
+    /// the manifest does not describe reports `ShardCrc`.
     fn validate_step(&self, step: u64) -> Result<(usize, Vec<usize>), CheckpointError> {
         let (world, grid, shards) = self.parse_manifest(step)?;
-        for (rank, &(crc, len)) in shards.iter().enumerate() {
+        for (rank, &(digest, len)) in shards.iter().enumerate() {
             let path = self.root.join(shard_name(step, rank));
             if !path.exists() {
                 return Err(CheckpointError::MissingShard { step, rank });
             }
             let bytes = fs::read(&path).map_err(|e| io_err("read shard", e))?;
-            if bytes.len() != len || crc32(&bytes) != crc {
+            if bytes.len() != len {
                 return Err(CheckpointError::ShardCrc { step, rank });
             }
             Snapshot::from_bytes(&bytes)?;
+            if content_digest(&bytes)? != digest {
+                return Err(CheckpointError::ShardCrc { step, rank });
+            }
         }
         Ok((world, grid))
     }
@@ -552,6 +596,58 @@ mod tests {
             shards[1].entries[0].value.to_vec(),
             snap(11, 4).entries[0].value.to_vec()
         );
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn checkpoint_dir_swapped_shards_fail_the_manifest() {
+        let root = tmp_root("swap");
+        let d0 = CheckpointDir::open(&root, 0, 2).unwrap();
+        let d1 = CheckpointDir::open(&root, 1, 2).unwrap();
+        for step in [0u64, 2] {
+            d0.save_shard(&snap(10 + step, step)).unwrap();
+            d1.save_shard(&snap(20 + step, step)).unwrap();
+            d0.commit(step, quick()).unwrap();
+        }
+        let (p0, p1) = (root.join(shard_name(2, 0)), root.join(shard_name(2, 1)));
+        let (b0, b1) = (fs::read(&p0).unwrap(), fs::read(&p1).unwrap());
+        // Both shards are well formed and of equal length, and no CRC
+        // over their bytes tells them apart: the footers agree, and the
+        // whole-file CRC is the same residue for both.
+        assert_ne!(b0, b1);
+        assert_eq!(b0.len(), b1.len());
+        assert_eq!(b0[b0.len() - 4..], b1[b1.len() - 4..]);
+        assert_eq!((crc32(&b0), crc32(&b1)), (0x2144_DF1C, 0x2144_DF1C));
+        fs::write(&p0, &b1).unwrap();
+        fs::write(&p1, &b0).unwrap();
+        let v = d0.latest_valid().unwrap();
+        assert_eq!(v.step, 0, "the swapped step is skipped");
+        assert_eq!(
+            v.skipped,
+            vec![(2, CheckpointError::ShardCrc { step: 2, rank: 0 })]
+        );
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn checkpoint_dir_refuses_v1_manifest() {
+        let root = tmp_root("v1");
+        let dir = CheckpointDir::open(&root, 0, 1).unwrap();
+        dir.save_shard(&snap(1, 0)).unwrap();
+        dir.commit(0, quick()).unwrap();
+        assert_eq!(dir.latest_valid().unwrap().step, 0);
+        // The same manifest under the version-1 header, self-CRC redone.
+        let path = root.join(manifest_name(0));
+        let text = fs::read_to_string(&path).unwrap();
+        let head =
+            text[..text.rfind("crc ").unwrap()].replace(MANIFEST_HEADER, "DCHAG-MANIFEST v1");
+        fs::write(&path, format!("{head}crc {:08x}\n", crc32(head.as_bytes()))).unwrap();
+        let v1 = dir.validate_step(0).unwrap_err();
+        assert!(
+            matches!(&v1, CheckpointError::BadManifest { step: 0, what } if what.contains("version 1")),
+            "{v1:?}"
+        );
+        assert_eq!(dir.latest_valid(), Err(CheckpointError::NoValidCheckpoint));
         let _ = fs::remove_dir_all(&root);
     }
 

@@ -15,7 +15,7 @@
 //! * **[`CheckpointDir`]** ([`dir`]): the atomic on-disk protocol —
 //!   write-to-temp → fsync → rename → directory-fsync per shard, a
 //!   versioned manifest committing each step (world size, grid axes,
-//!   per-shard checksums), retain-last-K garbage collection, and
+//!   per-shard content digests), retain-last-K garbage collection, and
 //!   newest-*valid* selection on open.
 //! * **[`SnapshotWriter`]** ([`writer`]): a background thread that drains
 //!   clone-on-snapshot (`Arc`-shared, O(1) per tensor) jobs so the
@@ -30,6 +30,22 @@
 //! construction. Ranks of a distributed run each save their own
 //! shard-local snapshot; FSDP shards carry [`ShardMeta`] so a w=4
 //! checkpoint reshards into a w=3 world on load ([`merge_shards`]).
+//!
+//! # Checksums
+//!
+//! Every checksum is [`crc32`], which runs on the SIMD dispatch
+//! ([`crate::simd::crc32`]): a carry-less-multiply fold on the vector
+//! tiers and slicing-by-8 on the scalar tier, the same value on all of
+//! them. Restore is CRC-bound: selection checks each shard's entry,
+//! section and footer CRCs, and the rank's own load checks them again, so
+//! each byte is checksummed several times.
+//!
+//! The nested CRCs have one consequence worth knowing. A CRC over a region
+//! that holds a block followed by the block's own CRC does not depend on
+//! the block's bytes, and every byte of a v2 file sits in such a block. So
+//! the footer detects corruption, but it is the same for any two
+//! snapshots of the same layout and cannot tell them apart; the manifest
+//! binds each shard by its content digest instead (see [`dir`]).
 
 pub mod dir;
 pub mod faults;
@@ -59,38 +75,13 @@ const SEC_END: u8 = 0xFF;
 
 // ---------------------------------------------------------------------------
 // CRC32 (IEEE 802.3, reflected) — the checksum of every entry, section,
-// file footer, and manifest line in the subsystem.
+// file footer, and manifest line in the subsystem (see "Checksums" above).
 // ---------------------------------------------------------------------------
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-}
-
-static CRC_TABLE: [u32; 256] = crc32_table();
-
-/// IEEE CRC32 of `bytes` (the same polynomial as zlib / ethernet).
+/// IEEE CRC32 of `bytes` (the same polynomial as zlib / ethernet), on the
+/// SIMD dispatch: the same value on every ISA tier.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    !c
+    crate::simd::crc32(bytes)
 }
 
 // ---------------------------------------------------------------------------
@@ -601,39 +592,48 @@ fn read_tensor_raw(b: &mut Bytes) -> Result<Tensor, CheckpointError> {
     Ok(Tensor::from_vec(data, Shape::new(&dims)))
 }
 
+/// One parameter entry's header, up to its payload: `(name, dtype, dims,
+/// shard meta)`.
+type EntryHead = (String, DType, Vec<usize>, Option<ShardMeta>);
+
+fn read_entry_head(b: &mut Bytes) -> Result<EntryHead, CheckpointError> {
+    let name = b.string()?;
+    let dtype = match b.u8()? {
+        0 => DType::F32,
+        1 => DType::Bf16,
+        d => return Err(CheckpointError::Malformed(format!("unknown dtype tag {d}"))),
+    };
+    let flags = b.u8()?;
+    let dims = b.dims()?;
+    let shard = if flags & 1 != 0 {
+        let rank = b.u32()? as usize;
+        let world = b.u32()? as usize;
+        let padded = b.u64()? as usize;
+        let full_dims = b.dims()?;
+        if world == 0 || rank >= world || !padded.is_multiple_of(world) {
+            return Err(CheckpointError::Malformed(format!(
+                "entry {name}: bad shard meta rank {rank} world {world} padded {padded}"
+            )));
+        }
+        Some(ShardMeta {
+            rank,
+            world,
+            padded,
+            full_dims,
+        })
+    } else {
+        None
+    };
+    Ok((name, dtype, dims, shard))
+}
+
 fn read_params_v2(body: &[u8]) -> Result<Vec<SnapEntry>, CheckpointError> {
     let mut b = Bytes::new(body);
     let count = b.u32()? as usize;
     let mut out = Vec::with_capacity(count.min(1 << 16));
     for _ in 0..count {
         let start = b.pos;
-        let name = b.string()?;
-        let dtype = match b.u8()? {
-            0 => DType::F32,
-            1 => DType::Bf16,
-            d => return Err(CheckpointError::Malformed(format!("unknown dtype tag {d}"))),
-        };
-        let flags = b.u8()?;
-        let dims = b.dims()?;
-        let shard = if flags & 1 != 0 {
-            let rank = b.u32()? as usize;
-            let world = b.u32()? as usize;
-            let padded = b.u64()? as usize;
-            let full_dims = b.dims()?;
-            if world == 0 || rank >= world || !padded.is_multiple_of(world) {
-                return Err(CheckpointError::Malformed(format!(
-                    "entry {name}: bad shard meta rank {rank} world {world} padded {padded}"
-                )));
-            }
-            Some(ShardMeta {
-                rank,
-                world,
-                padded,
-                full_dims,
-            })
-        } else {
-            None
-        };
+        let (name, dtype, dims, shard) = read_entry_head(&mut b)?;
         let numel = numel_of(&dims);
         let value = match dtype {
             DType::F32 => Tensor::from_vec(b.f32s(numel)?, Shape::new(&dims)),
@@ -647,6 +647,46 @@ fn read_params_v2(body: &[u8]) -> Result<Vec<SnapEntry>, CheckpointError> {
         out.push(SnapEntry { name, value, shard });
     }
     Ok(out)
+}
+
+/// CRC32 of a serialized snapshot's own checksum fields, in file order:
+/// every parameter entry's CRC, every section's CRC, then the file footer.
+///
+/// This, not the footer, is what binds a shard's contents. A CRC over a
+/// region that holds a block followed by that block's own CRC does not
+/// depend on the block's bytes (the appended CRC cancels them out of the
+/// register), and every byte of a v2 file sits in such a block. So the
+/// footer is the same for any two snapshots with the same layout, and the
+/// whole-file CRC is the constant residue `0x2144DF1C`. The checksum
+/// fields do depend on the contents, and walking the framing to collect
+/// them reads no payload. The walk does not verify anything:
+/// [`Snapshot::from_bytes`] does.
+pub(crate) fn content_digest(bytes: &[u8]) -> Result<u32, CheckpointError> {
+    let mut crcs = Vec::new();
+    let mut b = Bytes::new(bytes);
+    b.take(8)?; // magic + version
+    loop {
+        let tag = b.u8()?;
+        if tag == SEC_END {
+            break;
+        }
+        let len = b.u64()? as usize;
+        let body = b.take(len)?;
+        if tag == SEC_PARAMS {
+            let mut e = Bytes::new(body);
+            for _ in 0..e.u32()? {
+                let (_, dtype, dims, _) = read_entry_head(&mut e)?;
+                let payload = numel_of(&dims)
+                    .checked_mul(dtype.size_bytes())
+                    .ok_or_else(len_overflow)?;
+                e.take(payload)?;
+                crcs.extend_from_slice(e.take(4)?);
+            }
+        }
+        crcs.extend_from_slice(b.take(4)?);
+    }
+    crcs.extend_from_slice(b.take(4)?);
+    Ok(crc32(&crcs))
 }
 
 fn read_optim_v2(body: &[u8]) -> Result<OptimState, CheckpointError> {

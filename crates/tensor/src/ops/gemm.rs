@@ -437,9 +437,15 @@ fn gemm_tile_serial(
     // Pack panels live in the per-thread scratch arena: packing fully
     // overwrites every region the micro-kernel reads, so recycled contents
     // never leak through, and steady-state products allocate nothing.
-    let kc_max = KC + KC_ABSORB - 1;
-    with_scratch(MC.div_ceil(mr_t) * mr_t * kc_max, |pa| {
-        with_scratch((NC.div_ceil(nr_t) + 1) * nr_t * kc_max, |pb| {
+    // Each panel is sized to this call (rows ≤ min(MC, mt), depth ≤
+    // min(KC + absorbed remnant, p1 − p0), columns ≤ min(NC + absorbed
+    // remnant, nt), rounded up to whole micro-tiles), so a small product
+    // borrows — and charges the rank's memory counter — only what it packs.
+    let kc_max = (KC + KC_ABSORB - 1).min(p1 - p0);
+    let rows = MC.min(mt).div_ceil(mr_t) * mr_t;
+    let cols = (NC + nr_t).min(nt).div_ceil(nr_t) * nr_t;
+    with_scratch(rows * kc_max, |pa| {
+        with_scratch(cols * kc_max, |pb| {
             let mut jc = 0;
             while jc < nt {
                 let mut nc = NC.min(nt - jc);

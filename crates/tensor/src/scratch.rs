@@ -49,6 +49,8 @@ thread_local! {
     static FREE: RefCell<Vec<Vec<f32>>> = const { RefCell::new(Vec::new()) };
 }
 
+/// A pooled buffer at least `len` long; the borrower sees its first `len`
+/// elements and is charged for those alone.
 fn take(len: usize) -> Vec<f32> {
     if let Some(c) = crate::device::current_tracker() {
         c.add(len * 4);
@@ -57,9 +59,13 @@ fn take(len: usize) -> Vec<f32> {
         let mut free = f.borrow_mut();
         match free.pop() {
             Some(mut buf) => {
-                // `resize` only allocates when capacity is short; steady
-                // state reuses the high-water-mark capacity untouched.
-                buf.resize(len, 0.0);
+                // Buffers keep their high-water length: growing only on a
+                // new high, and never shrinking, means a borrow sized to
+                // its call neither allocates nor zero-fills once each
+                // nesting level has seen its largest call.
+                if buf.len() < len {
+                    buf.resize(len, 0.0);
+                }
                 buf
             }
             None => vec![0.0f32; len],
@@ -67,12 +73,11 @@ fn take(len: usize) -> Vec<f32> {
     })
 }
 
-fn put(buf: Vec<f32>) {
-    // Release what `take` charged (the slice length is fixed for the
-    // borrow, so `buf.len()` is the charged length). Buffers dropped
-    // instead of pooled still release here first.
+/// Return a buffer `take(len)` handed out. Releases the `len` it charged;
+/// buffers dropped instead of pooled still release here first.
+fn put(buf: Vec<f32>, len: usize) {
     if let Some(c) = crate::device::current_tracker() {
-        c.sub(buf.len() * 4);
+        c.sub(len * 4);
     }
     FREE.with(|f| {
         let mut free = f.borrow_mut();
@@ -89,8 +94,8 @@ fn put(buf: Vec<f32>) {
 /// [`with_scratch_zeroed`] for accumulate-into semantics.
 pub fn with_scratch<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
     let mut buf = take(len);
-    let r = f(&mut buf);
-    put(buf);
+    let r = f(&mut buf[..len]);
+    put(buf, len);
     r
 }
 
@@ -100,9 +105,9 @@ pub fn with_scratch<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
 /// allocation's page faults.
 pub fn with_scratch_zeroed<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
     let mut buf = take(len);
-    buf.fill(0.0);
-    let r = f(&mut buf);
-    put(buf);
+    buf[..len].fill(0.0);
+    let r = f(&mut buf[..len]);
+    put(buf, len);
     r
 }
 

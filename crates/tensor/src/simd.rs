@@ -19,6 +19,25 @@
 //!   pre-SIMD kernels. This is both the portability fallback and the
 //!   reference the SIMD paths are ulp-tested against.
 //!
+//! # CRC-32
+//!
+//! [`crc32`] (IEEE, reflected: the zlib / ethernet checksum every
+//! checkpoint entry, section, footer and manifest carries) rides the same
+//! dispatch, but on integer lanes:
+//!
+//! * **AVX-512 and AVX2** run one 128-bit carry-less-multiply fold (Intel's
+//!   "Fast CRC Computation Using PCLMULQDQ", the method zlib, crc32fast and
+//!   Linux use): four lanes fold 64 bytes per step, then collapse to one
+//!   lane, reduce 128 → 64 bits and finish with a Barrett reduction. It
+//!   needs `pclmulqdq` and `sse4.1`, checked at run time; a CPU without
+//!   them takes the scalar path. Inputs under 64 bytes and the last
+//!   `len % 16` bytes go through the scalar update.
+//! * **Scalar** runs slicing-by-8 (eight 256-entry tables, eight bytes per
+//!   step) and the classic byte loop for the `len % 8` tail.
+//!
+//! CRC arithmetic is exact, so every tier returns the same value bit for
+//! bit; tests compare each against a table-free bitwise reference.
+//!
 //! # Dispatch strategy
 //!
 //! The ISA is selected **once per process** via
@@ -281,6 +300,43 @@ pub fn gelu_scalar(x: f32) -> f32 {
 /// elements, so the hot loop is a straight sum/sum-of-squares.
 pub(crate) const WELFORD_CHUNK: usize = 64;
 
+/// Reflected IEEE CRC-32 polynomial (zlib / ethernet).
+const CRC32_POLY: u32 = 0xEDB8_8320;
+
+/// Slicing-by-8 tables: `T[0]` is the classic byte table, and `T[k][i]` is
+/// the register after byte `i` followed by `k` zero bytes.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = if c & 1 != 0 {
+                CRC32_POLY ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            k += 1;
+        }
+        t[0][i] = c;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
+}
+
+static CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
+
 mod scalar {
     use super::*;
 
@@ -500,6 +556,30 @@ mod scalar {
         for (d, &s) in dst.iter_mut().zip(src) {
             *d = crate::dtype::f32_to_bf16(s);
         }
+    }
+
+    /// Slicing-by-8 CRC-32 update of the raw (un-inverted) register:
+    /// eight table lookups retire eight bytes, and the byte loop finishes
+    /// the `len % 8` tail.
+    pub fn crc32_update(mut crc: u32, bytes: &[u8]) -> u32 {
+        let t = &CRC_TABLES;
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ crc;
+            let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+            crc = t[7][(lo & 0xFF) as usize]
+                ^ t[6][((lo >> 8) & 0xFF) as usize]
+                ^ t[5][((lo >> 16) & 0xFF) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][(hi & 0xFF) as usize]
+                ^ t[2][((hi >> 8) & 0xFF) as usize]
+                ^ t[1][((hi >> 16) & 0xFF) as usize]
+                ^ t[0][(hi >> 24) as usize];
+        }
+        for &b in words.remainder() {
+            crc = t[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+        }
+        crc
     }
 
     /// [`pack_transpose`] reading a bf16 source. Decode is exact, so the
@@ -1484,6 +1564,94 @@ mod x86 {
         }
     }
 
+    // ---- CRC-32 by carry-less-multiply folding ----
+
+    // Folding constants for the reflected IEEE polynomial P: each is
+    // `x^n mod P`, bit-reflected and shifted left one place (the reflected
+    // domain's extra bit). Checked against an independent polynomial
+    // computation: K1/K2 fold 512 bits (n = 4·128 ± 32), K3/K4 fold 128
+    // bits (n = 128 ± 32), K5 (n = 64) takes 96 bits to 64.
+    const CRC_K1: i64 = 0x1_5444_2BD4;
+    const CRC_K2: i64 = 0x1_C6E4_1596;
+    const CRC_K3: i64 = 0x1_7519_97D0;
+    const CRC_K4: i64 = 0x0_CCAA_009E;
+    const CRC_K5: i64 = 0x1_63CD_6124;
+    /// The polynomial itself, reflected (33 bits).
+    const CRC_P: i64 = 0x1_DB71_0641;
+    /// Barrett constant `⌊x^64 / P⌋`, reflected (33 bits).
+    const CRC_MU: i64 = 0x1_F701_1641;
+
+    /// `a·K_lo ⊕ a·K_hi ⊕ b`: fold the 128-bit lane `a` forward onto the
+    /// lane `b` that sits the constants' distance further on.
+    #[inline(always)]
+    unsafe fn crc_fold(a: __m128i, b: __m128i, k: __m128i) -> __m128i {
+        let lo = _mm_clmulepi64_si128(a, k, 0x00);
+        let hi = _mm_clmulepi64_si128(a, k, 0x11);
+        _mm_xor_si128(_mm_xor_si128(b, lo), hi)
+    }
+
+    /// CRC-32 update of the raw register over `bytes` by the Intel folding
+    /// method: four 128-bit lanes fold 64 bytes per step, collapse to one
+    /// lane, fold the remaining 16-byte blocks, reduce 128 → 64 bits, then a
+    /// Barrett reduction to 32. Inputs under 64 bytes and the `len % 16`
+    /// tail go through the scalar slicing-by-8 update, so every length
+    /// returns the table CRC bit for bit.
+    ///
+    /// # Safety
+    /// The CPU must support `pclmulqdq` and `sse4.1`.
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    pub(super) unsafe fn crc32_fold(crc: u32, bytes: &[u8]) -> u32 {
+        if bytes.len() < 64 {
+            return super::scalar::crc32_update(crc, bytes);
+        }
+        // Every load below reads one of the `len / 16` whole 16-byte blocks
+        // of `bytes` (unaligned loads, so any start address is fine).
+        let mut p = bytes.as_ptr() as *const __m128i;
+        let mut blocks = bytes.len() / 16;
+        let mut x3 = _mm_loadu_si128(p);
+        let mut x2 = _mm_loadu_si128(p.add(1));
+        let mut x1 = _mm_loadu_si128(p.add(2));
+        let mut x0 = _mm_loadu_si128(p.add(3));
+        p = p.add(4);
+        blocks -= 4;
+        // The running register enters as an XOR on the first 32 bits.
+        x3 = _mm_xor_si128(x3, _mm_cvtsi32_si128(crc as i32));
+        let k1k2 = _mm_set_epi64x(CRC_K2, CRC_K1);
+        while blocks >= 4 {
+            x3 = crc_fold(x3, _mm_loadu_si128(p), k1k2);
+            x2 = crc_fold(x2, _mm_loadu_si128(p.add(1)), k1k2);
+            x1 = crc_fold(x1, _mm_loadu_si128(p.add(2)), k1k2);
+            x0 = crc_fold(x0, _mm_loadu_si128(p.add(3)), k1k2);
+            p = p.add(4);
+            blocks -= 4;
+        }
+        let k3k4 = _mm_set_epi64x(CRC_K4, CRC_K3);
+        let mut x = crc_fold(x3, x2, k3k4);
+        x = crc_fold(x, x1, k3k4);
+        x = crc_fold(x, x0, k3k4);
+        while blocks > 0 {
+            x = crc_fold(x, _mm_loadu_si128(p), k3k4);
+            p = p.add(1);
+            blocks -= 1;
+        }
+        // 128 → 96 bits (low half times K4 onto the high half), then
+        // 96 → 64 (low 32 bits times K5 onto the rest).
+        let low32 = _mm_set_epi32(0, 0, 0, !0);
+        let x = _mm_xor_si128(_mm_clmulepi64_si128(x, k3k4, 0x10), _mm_srli_si128(x, 8));
+        let x = _mm_xor_si128(
+            _mm_clmulepi64_si128(_mm_and_si128(x, low32), _mm_set_epi64x(0, CRC_K5), 0x00),
+            _mm_srli_si128(x, 4),
+        );
+        // Barrett: T1 = (R mod x^32)·μ, T2 = (T1 mod x^32)·P; the
+        // reflected remainder is bits 32..64 of R ⊕ T2.
+        let pu = _mm_set_epi64x(CRC_MU, CRC_P);
+        let t1 = _mm_clmulepi64_si128(_mm_and_si128(x, low32), pu, 0x10);
+        let t2 = _mm_clmulepi64_si128(_mm_and_si128(t1, low32), pu, 0x00);
+        let reg = _mm_extract_epi32(_mm_xor_si128(x, t2), 1) as u32;
+        let done = bytes.len() / 16 * 16;
+        super::scalar::crc32_update(reg, &bytes[done..])
+    }
+
     // ---- #[target_feature] wrappers (the only non-inlined SIMD symbols) --
 
     macro_rules! isa_wrappers {
@@ -1812,6 +1980,30 @@ pub fn f32_to_bf16_sweep(src: &[f32], dst: &mut [u16]) {
 pub fn f32_to_bf16_sweep_isa(isa: Isa, src: &[f32], dst: &mut [u16]) {
     assert_eq!(src.len(), dst.len(), "f32_to_bf16_sweep length mismatch");
     dispatch!(isa, bf16_encode(src, dst))
+}
+
+/// IEEE CRC-32 (reflected, zlib / ethernet polynomial) of `bytes`: the
+/// checksum of every checkpoint entry, section, file footer and manifest.
+/// Every tier returns the same value bit for bit.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    crc32_isa(active_isa(), bytes)
+}
+
+/// [`crc32`] on an explicit ISA. The vector tiers fold with `pclmulqdq`
+/// when the CPU has it (with SSE4.1 for the final extract), which every
+/// AVX2 part does in practice; without it they take the scalar
+/// slicing-by-8 path.
+pub fn crc32_isa(isa: Isa, bytes: &[u8]) -> u32 {
+    assert!(isa.supported(), "ISA {isa:?} not runnable on this host");
+    #[cfg(target_arch = "x86_64")]
+    if isa != Isa::Scalar
+        && std::arch::is_x86_feature_detected!("pclmulqdq")
+        && std::arch::is_x86_feature_detected!("sse4.1")
+    {
+        // SAFETY: both target features the fold enables were just detected.
+        return !unsafe { x86::crc32_fold(!0, bytes) };
+    }
+    !scalar::crc32_update(!0, bytes)
 }
 
 /// [`pack_transpose`] reading a bf16 source panel: the (exact) decode is
@@ -2323,6 +2515,63 @@ mod tests {
                             }
                         }
                     }
+                }
+            }
+        }
+    }
+
+    /// Bit-at-a-time CRC-32 register update: no tables, so it checks the
+    /// slicing-by-8 tables as well as the fold.
+    fn crc_ref_update(mut crc: u32, b: u8) -> u32 {
+        crc ^= b as u32;
+        for _ in 0..8 {
+            crc = if crc & 1 != 0 {
+                CRC32_POLY ^ (crc >> 1)
+            } else {
+                crc >> 1
+            };
+        }
+        crc
+    }
+
+    fn crc_ref(bytes: &[u8]) -> u32 {
+        !bytes.iter().fold(!0, |c, &b| crc_ref_update(c, b))
+    }
+
+    fn crc_bytes(n: usize, seed: u64) -> Vec<u8> {
+        let mut rng = Rng::new(seed);
+        (0..n).map(|_| (rng.next_u64() >> 56) as u8).collect()
+    }
+
+    #[test]
+    fn crc32_matches_bytewise_reference_on_every_isa() {
+        let buf = crc_bytes(1024 + 16, 5);
+        for isa in Isa::available() {
+            assert_eq!(crc32_isa(isa, b"123456789"), 0xCBF4_3926, "{isa:?}");
+            // Every length 0..=1024 at every start offset 0..16: the fold's
+            // 64-byte entry, its 16-byte blocks and the tail all land on
+            // each alignment.
+            for off in 0..16 {
+                let mut reg = !0u32;
+                for len in 0..=1024 {
+                    assert_eq!(
+                        crc32_isa(isa, &buf[off..off + len]),
+                        !reg,
+                        "{isa:?} offset {off} length {len}"
+                    );
+                    reg = crc_ref_update(reg, buf[off + len]);
+                }
+            }
+        }
+        // Long inputs (a 5.5 MB ClimaX-sized shard at the top), aligned and
+        // not; the reference runs once per buffer.
+        for &len in &[4095usize, 4096, 65_537, 5_500_000] {
+            let big = crc_bytes(len + 3, len as u64);
+            for off in [0usize, 3] {
+                let s = &big[off..off + len];
+                let want = crc_ref(s);
+                for isa in Isa::available() {
+                    assert_eq!(crc32_isa(isa, s), want, "{isa:?} len {len} off {off}");
                 }
             }
         }
