@@ -163,9 +163,8 @@ fn flash_fwd_tile(
 ) {
     // Tile state comes from the per-thread scratch arena: `m`/`l` are
     // filled here, the score tile is fully Assign-stored before any read,
-    // so recycled contents never leak into the online softmax. The score
-    // tile is as wide as this call's widest K tile.
-    with_scratch(br * (FLASH_BC.min(sk) + 2), |scratch| {
+    // so recycled contents never leak into the online softmax.
+    with_scratch(br * (FLASH_BC + 2), |scratch| {
         let (ml, s) = scratch.split_at_mut(2 * br);
         let (m, l) = ml.split_at_mut(br);
         m.fill(f32::NEG_INFINITY);
@@ -386,10 +385,9 @@ fn flash_bwd_dq_tile(
     dq_tile: &mut [f32],
 ) {
     // Both tiles are Assign-stored before any read, so pooled (dirty)
-    // scratch is safe. Each is as wide as this call's widest K tile.
-    let bc_max = FLASH_BC.min(sk);
-    with_scratch(2 * br * bc_max, |scratch| {
-        let (s, dp) = scratch.split_at_mut(br * bc_max);
+    // scratch is safe.
+    with_scratch(2 * br * FLASH_BC, |scratch| {
+        let (s, dp) = scratch.split_at_mut(br * FLASH_BC);
         let mut j0 = 0;
         while j0 < sk {
             let bc = FLASH_BC.min(sk - j0);
@@ -441,10 +439,8 @@ fn flash_bwd_dkv_tile(
     dk_tile: &mut [f32],
     dv_tile: &mut [f32],
 ) {
-    // Each tile is as tall as this call's tallest Q tile.
-    let br_max = FLASH_BR.min(sq);
-    with_scratch(2 * br_max * bc, |scratch| {
-        let (s, dp) = scratch.split_at_mut(br_max * bc);
+    with_scratch(2 * FLASH_BR * bc, |scratch| {
+        let (s, dp) = scratch.split_at_mut(FLASH_BR * bc);
         let mut i0 = 0;
         while i0 < sq {
             let br = FLASH_BR.min(sq - i0);
@@ -518,16 +514,15 @@ pub fn naive_attention_peak_bytes(b: usize, sq: usize, sk: usize, d: usize) -> u
 
 /// Analytic peak-resident-bytes estimate for one flash attention forward:
 /// the `[B,Sq,d]` output, the `[B,Sq]` logsumexp, and per-worker tile state
-/// (score tile + running max/sum, at most one `FLASH_BR × FLASH_BC` tile)
-/// — no term scales with `Sq·Sk`.
+/// (score tile + running max/sum) — no term scales with `Sq·Sk`.
 pub fn flash_attention_peak_bytes(
     b: usize,
     sq: usize,
-    sk: usize,
+    _sk: usize,
     d: usize,
     workers: usize,
 ) -> usize {
-    let per_task = FLASH_BR.min(sq) * (FLASH_BC.min(sk) + 2);
+    let per_task = FLASH_BR * FLASH_BC + 2 * FLASH_BR;
     4 * (b * sq * d + b * sq + workers.max(1) * per_task)
 }
 
