@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use dchag_bench::bench_json::{measure_ns, update_sections};
-use dchag_tensor::{ops, DType, Rng, Tensor};
+use dchag_tensor::{ops, Rng, Tensor};
 
 /// The seed repository's scalar GEMM kernels (rows-parallel AXPY/dot loops),
 /// kept verbatim as the "before" baseline for the `gemm_blocking` group and
@@ -182,7 +182,7 @@ fn bench_gemm_blocking(c: &mut Criterion) {
 /// fast path on the serial blocked driver, and a ragged batched product
 /// through the flattened (batch × tile) grid.
 fn bench_gemm_ragged(c: &mut Criterion) {
-    use dchag_tensor::ops::gemm::{bench_api, Operand};
+    use dchag_tensor::ops::gemm::bench_api;
     let mut g = c.benchmark_group("gemm_ragged");
     for &n in &[129usize, 257] {
         let mut rng = Rng::new(41);
@@ -191,11 +191,11 @@ fn bench_gemm_ragged(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("masked_nn", n), &n, |bench, &n| {
             bench.iter(|| {
                 let mut out = vec![0.0f32; n * n];
-                bench_api::gemm_fast_serial_op(
+                bench_api::gemm_fast_serial(
                     ops::GemmLayout::NN,
                     1.0,
-                    Operand::F32(a.data()),
-                    Operand::F32(b.data()),
+                    a.data(),
+                    b.data(),
                     &mut out,
                     n,
                     n,
@@ -335,7 +335,7 @@ fn bench_fusion(c: &mut Criterion) {
 /// Emit the `kernels` section of `BENCH_kernels.json` at the workspace
 /// root: before (seed kernels) vs after (blocked/fused kernels) wall times
 /// and the resulting speedups. Section-wise splice, so the `collectives`
-/// bench's sections and the frozen `retired_edge_spill` section survive.
+/// bench's sections and the frozen `retired_*` sections survive.
 /// Runs as a criterion target so `cargo bench --bench kernels` refreshes
 /// the file; in `--test` (smoke) mode it still writes, with single-shot
 /// timings.
@@ -565,118 +565,6 @@ fn emit_kernels_json(_c: &mut Criterion) {
         ));
     }
 
-    // bf16 tier: convert-on-pack GEMM on pack-bandwidth-bound shapes, and
-    // the half-width collectives wire at w ∈ {2, 4}. GEMM sides run the
-    // serial blocked driver with identical f32 accumulation — only the
-    // operand storage (and hence the pack-stage bytes) differs.
-    let bf16_body = {
-        use dchag_collectives::{run_ranks, CommPrecision};
-        use dchag_tensor::ops::gemm::{bench_api, Operand};
-        let mut lines: Vec<String> = vec![
-            "\"note\": \"f32- vs bf16-stored operands through the same serial blocked \
-             f32-accumulating GEMM on pack-bandwidth-bound shapes (convert-on-pack streams half \
-             the bytes), and the f32 vs bf16 all-reduce wire (1 MiB at w=2/4): bytes_on_wire \
-             exactly halves, but the in-process transport does not repay encode/decode in wall \
-             time.\""
-                .to_string(),
-        ];
-        for &(m, k, n) in &[(262144usize, 64usize, 16usize), (131072, 128, 8)] {
-            let a = Tensor::randn([m, k], 1.0, &mut rng);
-            let b = Tensor::randn([k, n], 1.0, &mut rng);
-            let (a16, b16) = (a.to_dtype(DType::Bf16), b.to_dtype(DType::Bf16));
-            let f32_ns = measure_ns(
-                || {
-                    let mut out = vec![0.0f32; m * n];
-                    bench_api::gemm_fast_serial_op(
-                        ops::GemmLayout::NN,
-                        1.0,
-                        Operand::from_tensor(&a),
-                        Operand::from_tensor(&b),
-                        &mut out,
-                        m,
-                        k,
-                        n,
-                    );
-                    black_box(&out);
-                },
-                quick,
-            );
-            let bf16_ns = measure_ns(
-                || {
-                    let mut out = vec![0.0f32; m * n];
-                    bench_api::gemm_fast_serial_op(
-                        ops::GemmLayout::NN,
-                        1.0,
-                        Operand::from_tensor(&a16),
-                        Operand::from_tensor(&b16),
-                        &mut out,
-                        m,
-                        k,
-                        n,
-                    );
-                    black_box(&out);
-                },
-                quick,
-            );
-            let flops = 2 * m * k * n;
-            lines.push(format!(
-                "\"gemm_pack_bound_{m}x{k}x{n}\": {{ \"f32_store_ns\": {f32_ns:.0}, \
-                 \"bf16_store_ns\": {bf16_ns:.0}, \"speedup\": {:.2}, \"gflops_bf16\": {:.1} }}",
-                f32_ns / bf16_ns,
-                flops as f64 / bf16_ns
-            ));
-        }
-        const WIRE_ELEMS: usize = 256 * 1024;
-        const WIRE_ROUNDS: usize = 4;
-        let wire = |world: usize, precision: CommPrecision| -> (f64, usize) {
-            let go = || {
-                let t0 = std::time::Instant::now();
-                let run = run_ranks(world, move |ctx| {
-                    let comm = ctx.comm.with_precision(precision);
-                    let t = Tensor::full([WIRE_ELEMS], (ctx.comm.rank() + 1) as f32);
-                    for _ in 0..WIRE_ROUNDS {
-                        black_box(comm.iall_reduce_sum(&t).wait().at(0));
-                    }
-                    ctx.comm.barrier();
-                    ctx.comm.traffic().bytes_on_wire()
-                });
-                (
-                    t0.elapsed().as_nanos() as f64 / WIRE_ROUNDS as f64,
-                    run.outputs[0],
-                )
-            };
-            let (first_ns, bytes) = go();
-            let ns = if quick {
-                first_ns
-            } else {
-                let mut samples = vec![first_ns];
-                for _ in 0..4 {
-                    samples.push(go().0);
-                }
-                samples.sort_by(|x, y| x.partial_cmp(y).unwrap());
-                samples[samples.len() / 2]
-            };
-            (ns, bytes / WIRE_ROUNDS)
-        };
-        for &w in &[2usize, 4] {
-            let (f32_ns, f32_bytes) = wire(w, CommPrecision::F32);
-            let (bf_ns, bf_bytes) = wire(w, CommPrecision::Bf16);
-            lines.push(format!(
-                "\"allreduce_wire_1MiB_w{w}\": {{ \"f32_ns_per_round\": {f32_ns:.0}, \
-                 \"bf16_ns_per_round\": {bf_ns:.0}, \"f32_bytes_on_wire\": {f32_bytes}, \
-                 \"bf16_bytes_on_wire\": {bf_bytes}, \"bytes_halved\": {} }}",
-                bf_bytes * 2 == f32_bytes
-            ));
-        }
-        let mut s = String::from("{\n");
-        for (i, l) in lines.iter().enumerate() {
-            let comma = if i + 1 == lines.len() { "" } else { "," };
-            s.push_str(&format!("    {l}{comma}\n"));
-        }
-        s.push_str("  }");
-        s
-    };
-
     let mut body = String::from(
         "{\n    \"note\": \"Seed scalar kernels (before) vs explicit-SIMD blocked GEMM and fused \
          kernels (after) on the simd section's ISA; gflops = effective after-side GFLOP/s. \
@@ -720,7 +608,7 @@ fn emit_kernels_json(_c: &mut Criterion) {
     let desc = "Kernel, collectives, fault-tolerance, transport and checkpoint \
                 microbenchmarks (ns per call, median unless noted); each section's note says \
                 what it compares, and `cargo bench --bench kernels` / `--bench collectives` \
-                regenerate every section except retired_edge_spill.";
+                regenerate every section except the frozen `retired_*` sections.";
     let isa = dchag_tensor::simd::active_isa();
     let (mr, nr) = dchag_tensor::simd::gemm_tile_shape(isa);
     let simd = format!(
@@ -735,86 +623,9 @@ fn emit_kernels_json(_c: &mut Criterion) {
             ("quick_mode", format!("{quick}")),
             ("simd", simd),
             ("kernels", body),
-            ("bf16", bf16_body),
         ],
     );
     eprintln!("wrote {path}");
-}
-
-/// bf16 storage-and-transport tier: convert-on-pack GEMM (half the
-/// operand bytes into the same f32 micro-kernels) and the half-width
-/// collectives wire. Group name carries "bf16" for the CI smoke filter.
-fn bench_bf16(c: &mut Criterion) {
-    use dchag_collectives::{run_ranks, CommPrecision};
-    use dchag_tensor::ops::gemm::{bench_api, Operand};
-    let mut g = c.benchmark_group("bf16");
-    g.sample_size(10);
-
-    // Pack-bandwidth-bound GEMM (A streams from DRAM; n=16 keeps
-    // FLOPs/byte low): f32-stored vs bf16-stored operands, same serial
-    // blocked driver and f32 accumulation.
-    let (m, k, n) = (65536usize, 64usize, 16usize);
-    let mut rng = Rng::new(51);
-    let a = Tensor::randn([m, k], 1.0, &mut rng);
-    let b = Tensor::randn([k, n], 1.0, &mut rng);
-    let (a16, b16) = (a.to_dtype(DType::Bf16), b.to_dtype(DType::Bf16));
-    g.bench_function(format!("gemm_f32_store_{m}x{k}x{n}"), |bench| {
-        bench.iter(|| {
-            let mut out = vec![0.0f32; m * n];
-            bench_api::gemm_fast_serial_op(
-                ops::GemmLayout::NN,
-                1.0,
-                Operand::from_tensor(&a),
-                Operand::from_tensor(&b),
-                &mut out,
-                m,
-                k,
-                n,
-            );
-            black_box(out)
-        })
-    });
-    g.bench_function(format!("gemm_bf16_store_{m}x{k}x{n}"), |bench| {
-        bench.iter(|| {
-            let mut out = vec![0.0f32; m * n];
-            bench_api::gemm_fast_serial_op(
-                ops::GemmLayout::NN,
-                1.0,
-                Operand::from_tensor(&a16),
-                Operand::from_tensor(&b16),
-                &mut out,
-                m,
-                k,
-                n,
-            );
-            black_box(out)
-        })
-    });
-
-    // Chunked all-reduce on the f32 vs bf16 wire (encode on send, f32
-    // decode-and-reduce; same deterministic rank order).
-    for &(world, precision, label) in &[
-        (2usize, CommPrecision::F32, "allreduce_f32_wire_w2"),
-        (2, CommPrecision::Bf16, "allreduce_bf16_wire_w2"),
-        (4, CommPrecision::F32, "allreduce_f32_wire_w4"),
-        (4, CommPrecision::Bf16, "allreduce_bf16_wire_w4"),
-    ] {
-        g.bench_function(label, |bench| {
-            bench.iter(|| {
-                let run = run_ranks(world, move |ctx| {
-                    let comm = ctx.comm.with_precision(precision);
-                    let t = Tensor::full([64 * 1024], (ctx.comm.rank() + 1) as f32);
-                    let mut sink = 0.0;
-                    for _ in 0..4 {
-                        sink = comm.iall_reduce_sum(&t).wait().at(0);
-                    }
-                    sink
-                });
-                black_box(run.outputs)
-            })
-        });
-    }
-    g.finish();
 }
 
 fn bench_attention_primitives(c: &mut Criterion) {
@@ -937,6 +748,6 @@ fn bench_autograd_overhead(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_matmul, bench_gemm_blocking, bench_gemm_ragged, bench_fusion, bench_bf16, bench_attention_primitives, bench_norm_and_patchify, bench_autograd_overhead, emit_kernels_json
+    targets = bench_matmul, bench_gemm_blocking, bench_gemm_ragged, bench_fusion, bench_attention_primitives, bench_norm_and_patchify, bench_autograd_overhead, emit_kernels_json
 }
 criterion_main!(benches);

@@ -15,7 +15,7 @@
 //!   the same engine, kept for call sites with nothing to overlap.
 //!
 //! `barrier`, `broadcast`, `all_gather_vec` and `split` are gathers on the
-//! same engine too (along a new leading axis, always over the f32 wire), so
+//! same engine too (along a new leading axis), so
 //! every collective shares one issue path, one failure surface and one
 //! `FaultPlan` count.
 //!
@@ -35,7 +35,7 @@ use dchag_tensor::Tensor;
 use crate::transport::{self, gid_split, gid_world};
 
 use crate::fault::{comm_panic, CommError};
-use crate::nonblocking::{self, CollKind, CommPrecision, CommRequest, Engine};
+use crate::nonblocking::{self, CollKind, CommRequest, Engine};
 use crate::topology::Topology;
 use crate::traffic::{CollOp, FailureSource, FaultCause, TrafficLog};
 
@@ -264,12 +264,6 @@ pub struct Communicator {
     group_ranks: Vec<usize>,
     engine: Arc<Engine>,
     world: Arc<WorldShared>,
-    /// Wire precision for the chunked collectives issued through this
-    /// handle (the metadata gathers — barrier, broadcast, `all_gather_vec`,
-    /// `split` — always use the f32 wire). Handles of the same group may
-    /// only mix precisions if every rank still issues each *collective*
-    /// with the same one.
-    precision: CommPrecision,
     /// TCP transport send side, when this group spans real sockets: every
     /// local contribution is additionally fanned out to the remote members,
     /// whose receiver threads deposit it into their replica engines. `None`
@@ -291,13 +285,11 @@ impl Communicator {
             group_ranks: (0..size).collect(),
             engine,
             world,
-            precision: CommPrecision::F32,
             remote: link,
         }
     }
 
-    /// A handle on another group of this world (split or regroup result),
-    /// keeping this handle's precision.
+    /// A handle on another group of this world (split or regroup result).
     fn member_of(
         &self,
         rank: usize,
@@ -310,25 +302,8 @@ impl Communicator {
             group_ranks,
             engine,
             world: self.world.clone(),
-            precision: self.precision,
             remote,
         }
-    }
-
-    /// A handle on the same group whose chunked collectives use `precision`
-    /// on the wire. Opt-in and explicit: every rank of the group must issue
-    /// a given collective through handles that agree on the precision
-    /// (validated at deposit time).
-    pub fn with_precision(&self, precision: CommPrecision) -> Communicator {
-        let mut c = self.clone();
-        c.precision = precision;
-        c
-    }
-
-    /// Wire precision of chunked collectives issued through this handle.
-    #[inline]
-    pub fn precision(&self) -> CommPrecision {
-        self.precision
     }
 
     /// Rank within this group.
@@ -385,37 +360,24 @@ impl Communicator {
     }
 
     /// The one issue path every collective takes: log the call as `op`
-    /// (`None`: not logged), deposit `t` into the engine over `precision`'s
-    /// wire, and fan it out to the remote members on TCP.
+    /// (`None`: not logged), deposit `t` into the engine, and fan it out
+    /// to the remote members on TCP.
     fn try_issue_as(
         &self,
         op: Option<(CollOp, usize)>,
         kind: CollKind,
-        precision: CommPrecision,
         t: &Tensor,
     ) -> Result<CommRequest, CommError> {
         let seq = op.and_then(|(op, payload_bytes)| self.record(op, payload_bytes));
-        let req = nonblocking::try_issue(
-            &self.engine,
-            self.rank,
-            kind,
-            precision,
-            t,
-            seq,
-            &self.world,
-        )?;
+        let req = nonblocking::try_issue(&self.engine, self.rank, kind, t, seq, &self.world)?;
         if let Some(link) = &self.remote {
-            link.send_issue(req.seq(), kind, precision, t);
+            link.send_issue(req.seq(), kind, t);
         }
         Ok(req)
     }
 
     fn try_issue(&self, kind: CollKind, t: &Tensor) -> Result<CommRequest, CommError> {
-        // The logical payload reflects what this wire actually carries: a
-        // bf16 wire halves the sendbuf bytes (the α-β fit and per-op byte
-        // totals read this).
-        let payload_bytes = t.numel() * self.precision.elem_bytes();
-        self.try_issue_as(Some((kind.op(), payload_bytes)), kind, self.precision, t)
+        self.try_issue_as(Some((kind.op(), t.size_bytes())), kind, t)
     }
 
     fn issue(&self, kind: CollKind, t: &Tensor) -> CommRequest {
@@ -423,10 +385,8 @@ impl Communicator {
     }
 
     /// Issue a gather of `t` along a new leading axis (`[size, t.dims()..]`
-    /// once waited). These calls carry metadata, not gradients, so they
-    /// always use the f32 wire: values cross exactly whatever precision
-    /// this handle carries. Every rank must pass the same shape (checked
-    /// at deposit).
+    /// once waited). Every rank must pass the same shape (checked at
+    /// deposit).
     fn try_issue_exact(
         &self,
         op: Option<(CollOp, usize)>,
@@ -435,7 +395,7 @@ impl Communicator {
         let mut dims = vec![1];
         dims.extend_from_slice(t.dims());
         let kind = CollKind::AllGatherCat { axis: 0 };
-        self.try_issue_as(op, kind, CommPrecision::F32, &t.reshape(&dims))
+        self.try_issue_as(op, kind, &t.reshape(&dims))
     }
 
     // ----- nonblocking collectives ------------------------------------------
@@ -469,8 +429,7 @@ impl Communicator {
     // ----- blocking collectives ---------------------------------------------
 
     /// Gather each rank's tensor; returns all contributions in rank order.
-    /// Every rank must pass the same shape; values cross the f32 wire
-    /// exactly, whatever this handle's precision.
+    /// Every rank must pass the same shape.
     pub fn all_gather_vec(&self, t: &Tensor) -> Vec<Tensor> {
         let all = self
             .try_issue_exact(Some((CollOp::AllGather, t.size_bytes())), t)
@@ -496,8 +455,7 @@ impl Communicator {
 
     /// Broadcast from `root`: only the root's tensor is used; every other
     /// rank passes a tensor of the same shape (conventionally its stale
-    /// copy). The value crosses the f32 wire exactly, whatever this
-    /// handle's precision.
+    /// copy).
     pub fn broadcast(&self, t: &Tensor, root: usize) -> Tensor {
         assert!(root < self.size());
         let all = self

@@ -39,7 +39,7 @@ pub use group::{Communicator, WorldShared};
 pub use launch::{
     run_ranks, run_ranks_faulty, run_topology, run_topology_faulty, FaultyRun, RankCtx, WorldRun,
 };
-pub use nonblocking::{CommPrecision, CommRequest, COMM_CHUNK_ELEMS};
+pub use nonblocking::{CommRequest, COMM_CHUNK_ELEMS};
 pub use topology::Topology;
 pub use traffic::{
     ChunkEvent, CollEvent, CollOp, FailureSource, FaultCause, FaultEvent, TrafficLog,
@@ -214,35 +214,6 @@ mod tests {
             run.outputs,
             vec![(1, vec![41.0, 42.0], vec![41.0, 42.0], 1)]
         );
-    }
-
-    #[test]
-    fn metadata_collectives_are_exact_on_a_bf16_handle() {
-        // Metadata rides the f32 wire whatever the handle's precision: a
-        // bf16 wire would round 65535 and 1 + 2^-20, and would merge colors
-        // 300 and 301 (one bf16 value) into one group.
-        let exact = vec![65535.0, 1.0 + 2f32.powi(-20)];
-        let run = run_ranks(4, |ctx| {
-            let r = ctx.comm.rank();
-            let bf = ctx.comm.with_precision(CommPrecision::Bf16);
-            let t = if r == 2 {
-                Tensor::from_vec(exact.clone(), [2])
-            } else {
-                Tensor::zeros([2])
-            };
-            let got = bf.broadcast(&t, 2).to_vec();
-            let sub = bf.split(300 + r % 2);
-            (got, sub.group_ranks().to_vec(), sub.precision())
-        });
-        for (r, (got, members, precision)) in run.outputs.into_iter().enumerate() {
-            assert_eq!(got, exact);
-            assert_eq!(members, if r % 2 == 0 { vec![0, 2] } else { vec![1, 3] });
-            assert_eq!(
-                precision,
-                CommPrecision::Bf16,
-                "the split keeps the handle's wire"
-            );
-        }
     }
 
     #[test]

@@ -36,7 +36,6 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
-use dchag_tensor::dtype::bf16_round_trip;
 use dchag_tensor::ops;
 use dchag_tensor::{Shape, Tensor};
 
@@ -73,45 +72,6 @@ impl CollKind {
             CollKind::AllReduceSum => CollOp::AllReduce,
             CollKind::ReduceScatterSum => CollOp::ReduceScatter,
             CollKind::AllGatherCat { .. } => CollOp::AllGather,
-        }
-    }
-}
-
-/// Wire encoding for the chunked pipeline.
-///
-/// `Bf16` models encode-on-send / decode-and-reduce: every rank's
-/// contribution is rounded through bf16 (the value it would carry across a
-/// half-width wire) and the reduction then runs in f32, in rank order
-/// within every chunk — so results stay bitwise deterministic at any
-/// parallelism and any chunk granularity, exactly like the f32 wire. Each
-/// chunk's modeled wire bytes halve accordingly. The accumulate tier never
-/// changes: only what travels is narrowed (see the tensor README's
-/// "Precision tiers").
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum CommPrecision {
-    /// Full-width wire — contributions travel as their exact f32 values.
-    #[default]
-    F32,
-    /// Half-width wire — contributions are rounded to bf16 on send.
-    Bf16,
-}
-
-impl CommPrecision {
-    /// Bytes one element occupies on the wire.
-    #[inline]
-    pub fn elem_bytes(self) -> usize {
-        match self {
-            CommPrecision::F32 => 4,
-            CommPrecision::Bf16 => 2,
-        }
-    }
-
-    /// The value an f32 contribution holds after crossing this wire.
-    #[inline]
-    fn decode_sent(self, x: f32) -> f32 {
-        match self {
-            CommPrecision::F32 => x,
-            CommPrecision::Bf16 => bf16_round_trip(x),
         }
     }
 }
@@ -181,7 +141,6 @@ struct Stamps {
 /// the cooperative chunk workers.
 pub(crate) struct Round {
     kind: CollKind,
-    precision: CommPrecision,
     group: usize,
     seq: u64,
     frozen: OnceLock<Frozen>,
@@ -340,19 +299,18 @@ pub struct CommRequest {
 /// engine and return the request handle. `event_seq` attributes chunk
 /// events to the logical traffic-log entry (recorded by group rank 0).
 /// Fails if the group is already poisoned; SPMD violations
-/// (kind/shape/precision mismatch) remain panics — they are program bugs,
+/// (kind/shape mismatch) remain panics — they are program bugs,
 /// not runtime faults.
 pub(crate) fn try_issue(
     engine: &Arc<Engine>,
     rank: usize,
     kind: CollKind,
-    precision: CommPrecision,
     t: &Tensor,
     event_seq: Option<usize>,
     world: &WorldShared,
 ) -> Result<CommRequest, CommError> {
     fault::probe_issue();
-    let (round, seq) = deposit(engine, rank, kind, precision, t, event_seq, world, false)?;
+    let (round, seq) = deposit(engine, rank, kind, t, event_seq, world, false)?;
     Ok(CommRequest {
         engine: engine.clone(),
         log: world.log.clone(),
@@ -375,11 +333,10 @@ pub(crate) fn deposit_remote(
     engine: &Engine,
     rank: usize,
     kind: CollKind,
-    precision: CommPrecision,
     t: &Tensor,
     world: &WorldShared,
 ) -> Result<u64, CommError> {
-    deposit(engine, rank, kind, precision, t, None, world, true).map(|(_, seq)| seq)
+    deposit(engine, rank, kind, t, None, world, true).map(|(_, seq)| seq)
 }
 
 /// The one deposit path behind [`try_issue`] and [`deposit_remote`]: match
@@ -390,7 +347,6 @@ fn deposit(
     engine: &Engine,
     rank: usize,
     kind: CollKind,
-    precision: CommPrecision,
     t: &Tensor,
     event_seq: Option<usize>,
     world: &WorldShared,
@@ -409,7 +365,6 @@ fn deposit(
         contribs: vec![None; group],
         shared: Arc::new(Round {
             kind,
-            precision,
             group,
             seq,
             frozen: OnceLock::new(),
@@ -427,12 +382,6 @@ fn deposit(
         "{who} {rank} issued {kind:?} at collective #{seq} but a peer issued {:?} — \
          nonblocking collectives must be issued in the same order on every rank",
         entry.shared.kind
-    );
-    assert_eq!(
-        entry.shared.precision, precision,
-        "{who} {rank} issued collective #{seq} with {precision:?} wire but a peer used {:?} — \
-         every rank of a group must agree on the wire precision",
-        entry.shared.precision
     );
     validate_contribution(kind, group, &entry.contribs, t);
     debug_assert!(
@@ -558,10 +507,9 @@ fn freeze(round: &Arc<Round>, contribs: Vec<Tensor>, ready_us: f64) {
     }
 }
 
-/// Ring-model wire bytes for one chunk of `len` elements, at the round's
-/// wire precision — a bf16 wire moves exactly half the bytes of f32.
-fn chunk_wire_bytes(kind: CollKind, precision: CommPrecision, group: usize, len: usize) -> usize {
-    let bytes = len * precision.elem_bytes();
+/// Ring-model wire bytes for one chunk of `len` f32 elements.
+fn chunk_wire_bytes(kind: CollKind, group: usize, len: usize) -> usize {
+    let bytes = len * std::mem::size_of::<f32>();
     let g = group.max(1);
     match kind {
         // ring all-reduce = reduce-scatter + all-gather of the chunk
@@ -577,30 +525,20 @@ fn run_chunk(round: &Round, frozen: &Frozen, c: &Chunk) {
     // SAFETY: the chunk was claimed exclusively via `next_chunk.fetch_add`.
     let out = unsafe { frozen.buf.slab(c.dst_off, c.len) };
     let contribs = frozen.contribs.read().expect(INPUTS_LOCK);
-    let p = round.precision;
     match round.kind {
         CollKind::AllReduceSum | CollKind::ReduceScatterSum => {
-            // Decode-and-reduce: each rank's contribution takes the value
-            // it carried across the wire (identity for f32, a bf16 round
-            // trip for the half-width wire), then plain f32 adds in rank
-            // order — bitwise identical to a whole-tensor `ops::add` chain
-            // on the same wire values.
-            let first = &contribs[0].data()[c.src_off..c.src_off + c.len];
-            for (o, &x) in out.iter_mut().zip(first) {
-                *o = p.decode_sent(x);
-            }
+            // Plain f32 adds in rank order — bitwise identical to a
+            // whole-tensor `ops::add` chain over the contributions.
+            out.copy_from_slice(&contribs[0].data()[c.src_off..c.src_off + c.len]);
             for contrib in contribs.iter().skip(1) {
                 let src = &contrib.data()[c.src_off..c.src_off + c.len];
                 for (o, &x) in out.iter_mut().zip(src) {
-                    *o += p.decode_sent(x);
+                    *o += x;
                 }
             }
         }
         CollKind::AllGatherCat { .. } => {
-            let src = &contribs[c.src].data()[c.src_off..c.src_off + c.len];
-            for (o, &x) in out.iter_mut().zip(src) {
-                *o = p.decode_sent(x);
-            }
+            out.copy_from_slice(&contribs[c.src].data()[c.src_off..c.src_off + c.len]);
         }
     }
 }
@@ -639,7 +577,7 @@ fn try_progress(engine: &Engine, log: &TrafficLog) -> bool {
             op: round.kind.op(),
             coll_seq: event_seq.unwrap_or(usize::MAX),
             chunk: ci,
-            bytes_on_wire: chunk_wire_bytes(round.kind, round.precision, round.group, c.len),
+            bytes_on_wire: chunk_wire_bytes(round.kind, round.group, c.len),
             issued_us,
             ready_us: frozen.ready_us,
             done_us: log.now_us(),
@@ -984,8 +922,7 @@ mod tests {
         assert_eq!(wire, (COMM_CHUNK_ELEMS * 2 + 7) * 4);
     }
 
-    /// Pseudo-random payload with varied magnitudes (and values that do NOT
-    /// sit on bf16 grid points, so the wire rounding is actually exercised).
+    /// Pseudo-random payload with varied magnitudes.
     fn wire_payload(n: usize, salt: u64) -> Vec<f32> {
         let mut state = salt.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
         (0..n)
@@ -997,121 +934,6 @@ mod tests {
                 (u - 0.5) * 8.0
             })
             .collect()
-    }
-
-    #[test]
-    fn bf16_wire_all_reduce_bitwise_deterministic_at_1_2_4_ranks() {
-        // Same group size, repeated runs → identical bits on every rank
-        // (rank-order reduction over round-tripped contributions is a pure
-        // function of the contributions, independent of timing/parallelism).
-        for &w in &[1usize, 2, 4] {
-            let reduce = || {
-                run_ranks(w, |ctx| {
-                    let n = COMM_CHUNK_ELEMS + 321; // 2 chunks for w≥1
-                    let t = Tensor::from_vec(wire_payload(n, ctx.comm.rank() as u64 + 1), [n]);
-                    let bf = ctx.comm.with_precision(CommPrecision::Bf16);
-                    bf.iall_reduce_sum(&t)
-                        .wait()
-                        .to_vec()
-                        .iter()
-                        .map(|x| x.to_bits())
-                        .collect::<Vec<u32>>()
-                })
-                .outputs
-            };
-            let a = reduce();
-            let b = reduce();
-            assert_eq!(a, b, "w={w}: bf16 wire must be run-to-run bitwise stable");
-            for r in 1..w {
-                assert_eq!(a[0], a[r], "w={w}: bf16 wire must agree across ranks");
-            }
-        }
-    }
-
-    #[test]
-    fn bf16_wire_matches_f32_within_tier_tolerance_and_rounds_contributions() {
-        let run = run_ranks(2, |ctx| {
-            let n = 1000;
-            let t = Tensor::from_vec(wire_payload(n, ctx.comm.rank() as u64 + 9), [n]);
-            let f32_sum = ctx.comm.iall_reduce_sum(&t).wait();
-            let bf = ctx.comm.with_precision(CommPrecision::Bf16);
-            let bf_sum = bf.iall_reduce_sum(&t).wait();
-            // Exact model: sum over ranks of round-tripped contributions.
-            let mine: Vec<f32> = t.to_vec().iter().map(|&x| bf16_round_trip(x)).collect();
-            (f32_sum.to_vec(), bf_sum.to_vec(), mine)
-        });
-        let (f32_sum, bf_sum, m0) = &run.outputs[0];
-        let (_, bf_sum1, m1) = &run.outputs[1];
-        assert_eq!(bf_sum, bf_sum1);
-        for i in 0..f32_sum.len() {
-            // the bf16 wire result IS the f32 sum of round-tripped inputs…
-            assert_eq!(bf_sum[i], m0[i] + m1[i], "elem {i}");
-            // …and sits within the tier tolerance of the f32 result: each
-            // contribution rounds by at most half a bf16 ulp (≤ |x|·2⁻⁹),
-            // so the sum's error is bounded by the contribution magnitudes
-            // (not the sum's — cancellation inflates relative error).
-            let bound = (m0[i].abs() + m1[i].abs()) / 256.0 + 1e-6;
-            assert!(
-                (bf_sum[i] - f32_sum[i]).abs() <= bound,
-                "elem {i}: {} vs {}",
-                bf_sum[i],
-                f32_sum[i]
-            );
-        }
-    }
-
-    #[test]
-    fn bf16_wire_halves_bytes_on_wire_exactly() {
-        for &w in &[2usize, 4] {
-            let wire_for = |precision: CommPrecision| {
-                let run = run_ranks(w, |ctx| {
-                    let n = COMM_CHUNK_ELEMS * 2 + 8; // 3 chunks, all even
-                    let comm = ctx.comm.with_precision(precision);
-                    let _ = comm.iall_reduce_sum(&Tensor::ones([n])).wait();
-                    ctx.comm.barrier();
-                    ctx.comm.traffic().bytes_on_wire()
-                });
-                run.outputs[0]
-            };
-            let full = wire_for(CommPrecision::F32);
-            let half = wire_for(CommPrecision::Bf16);
-            assert_eq!(
-                half * 2,
-                full,
-                "w={w}: bf16 wire must move exactly half the bytes"
-            );
-        }
-    }
-
-    #[test]
-    fn bf16_wire_applies_to_gather_chunks() {
-        let run = run_ranks(2, |ctx| {
-            // 1.001 is not on the bf16 grid: the gathered copy must hold the
-            // round-tripped (wire) value, not the sender's exact f32.
-            let t = Tensor::full([8], 1.001f32 + ctx.comm.rank() as f32);
-            let bf = ctx.comm.with_precision(CommPrecision::Bf16);
-            bf.iall_gather_cat(&t, 0).wait().to_vec()
-        });
-        for out in run.outputs {
-            assert_eq!(out[0], bf16_round_trip(1.001));
-            assert_eq!(out[15], bf16_round_trip(2.001));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "agree on the wire precision")]
-    fn mismatched_wire_precision_is_detected() {
-        run_ranks(2, |ctx| {
-            let t = Tensor::ones([4]);
-            if ctx.comm.rank() == 0 {
-                ctx.comm.iall_reduce_sum(&t).wait()
-            } else {
-                ctx.comm
-                    .with_precision(CommPrecision::Bf16)
-                    .iall_reduce_sum(&t)
-                    .wait()
-            }
-        });
     }
 
     #[test]
@@ -1208,16 +1030,7 @@ mod tests {
 
     fn ones_issue(engine: &Arc<Engine>, world: &WorldShared, rank: usize, v: f32) -> CommRequest {
         let t = Tensor::full([1], v);
-        try_issue(
-            engine,
-            rank,
-            CollKind::AllReduceSum,
-            CommPrecision::F32,
-            &t,
-            None,
-            world,
-        )
-        .expect("live engine")
+        try_issue(engine, rank, CollKind::AllReduceSum, &t, None, world).expect("live engine")
     }
 
     #[test]
@@ -1226,7 +1039,7 @@ mod tests {
         world.poison_all(CommError::PeerFailed { rank: 0, epoch: 3 });
         world.poison_all(CommError::Poisoned);
         let (t, kind) = (Tensor::ones([1]), CollKind::AllReduceSum);
-        let err = try_issue(&engine, 1, kind, CommPrecision::F32, &t, None, &world);
+        let err = try_issue(&engine, 1, kind, &t, None, &world);
         let err = err.err().expect("poisoned engine refuses deposits");
         assert_eq!(err, CommError::PeerFailed { rank: 0, epoch: 3 });
     }
@@ -1240,7 +1053,7 @@ mod tests {
         for round in 0..3u64 {
             let t = Tensor::full([1], 100.0 + round as f32);
             let kind = CollKind::AllReduceSum;
-            let seq = deposit_remote(&engine, 1, kind, CommPrecision::F32, &t, &world);
+            let seq = deposit_remote(&engine, 1, kind, &t, &world);
             assert_eq!(seq, Ok(round));
         }
         for round in 0..3 {
@@ -1256,7 +1069,7 @@ mod tests {
         world.poison_all(CommError::PeerFailed { rank: 1, epoch: 0 });
         let t = Tensor::ones([1]);
         let kind = CollKind::AllReduceSum;
-        let got = deposit_remote(&engine, 1, kind, CommPrecision::F32, &t, &world);
+        let got = deposit_remote(&engine, 1, kind, &t, &world);
         assert_eq!(got, Err(CommError::PeerFailed { rank: 1, epoch: 0 }));
         assert_eq!(engine.rounds_len(), 0);
     }

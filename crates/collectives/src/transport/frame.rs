@@ -10,7 +10,7 @@
 //! the dialing and accepting side use, so stale-epoch or wrong-world
 //! connections are refused identically everywhere.
 
-use crate::nonblocking::{CollKind, CommPrecision};
+use crate::nonblocking::CollKind;
 
 /// First four bytes of every handshake ("DCHG") — a connection from
 /// anything that is not this transport fails immediately, not after a
@@ -38,17 +38,6 @@ impl std::fmt::Display for CodecError {
     }
 }
 
-/// Payload of a data frame. The body kind doubles as the wire precision:
-/// a [`CommPrecision::Bf16`] round really travels as 2-byte values
-/// ([`WireBody::Bf16`]), not as rounded f32s.
-#[derive(Clone, Debug, PartialEq)]
-pub enum WireBody {
-    /// Full-width tensor data.
-    F32(Vec<f32>),
-    /// Half-width tensor data (raw bf16 bits).
-    Bf16(Vec<u16>),
-}
-
 /// One remote contribution: rank `sender` (a *group* rank) of group
 /// `group` deposits `body` as its `seq`-th collective, a `kind`.
 #[derive(Clone, Debug, PartialEq)]
@@ -58,17 +47,8 @@ pub struct DataFrame {
     pub seq: u64,
     pub kind: CollKind,
     pub dims: Vec<usize>,
-    pub body: WireBody,
-}
-
-impl DataFrame {
-    /// The wire precision this frame's body implies.
-    pub fn precision(&self) -> CommPrecision {
-        match self.body {
-            WireBody::F32(_) => CommPrecision::F32,
-            WireBody::Bf16(_) => CommPrecision::Bf16,
-        }
-    }
+    /// The contribution's f32 values.
+    pub body: Vec<f32>,
 }
 
 /// Every frame kind the transport speaks.
@@ -117,6 +97,10 @@ const TAG_ACK: u8 = 4;
 const TAG_HEARTBEAT: u8 = 5;
 const TAG_REGROUP: u8 = 6;
 const TAG_BYE: u8 = 7;
+
+/// Body-kind byte of a data frame: f32 values. Kind 1 was the retired
+/// bf16 wire and is refused on decode.
+const BODY_F32: u8 = 0;
 
 fn put_u16(out: &mut Vec<u8>, v: u16) {
     out.extend_from_slice(&v.to_le_bytes());
@@ -172,21 +156,10 @@ pub fn encode_frame(f: &Frame) -> Vec<u8> {
             for &dim in &d.dims {
                 put_u32(&mut b, dim as u32);
             }
-            match &d.body {
-                WireBody::F32(v) => {
-                    b.push(0);
-                    put_u64(&mut b, v.len() as u64);
-                    for &x in v {
-                        put_u32(&mut b, x.to_bits());
-                    }
-                }
-                WireBody::Bf16(v) => {
-                    b.push(1);
-                    put_u64(&mut b, v.len() as u64);
-                    for &x in v {
-                        put_u16(&mut b, x);
-                    }
-                }
+            b.push(BODY_F32);
+            put_u64(&mut b, d.body.len() as u64);
+            for &x in &d.body {
+                put_u32(&mut b, x.to_bits());
             }
         }
         Frame::Ack { group, upto } => {
@@ -290,27 +263,16 @@ fn decode_body(body: &[u8]) -> Result<Frame, CodecError> {
             for _ in 0..ndim {
                 dims.push(c.u32()? as usize);
             }
-            let body = match c.u8()? {
-                0 => {
-                    let n = c.u64()? as usize;
-                    let raw = c.take(n.saturating_mul(4))?;
-                    WireBody::F32(
-                        raw.chunks_exact(4)
-                            .map(|ch| f32::from_bits(u32::from_le_bytes(ch.try_into().unwrap())))
-                            .collect(),
-                    )
-                }
-                1 => {
-                    let n = c.u64()? as usize;
-                    let raw = c.take(n.saturating_mul(2))?;
-                    WireBody::Bf16(
-                        raw.chunks_exact(2)
-                            .map(|ch| u16::from_le_bytes(ch.try_into().unwrap()))
-                            .collect(),
-                    )
-                }
+            match c.u8()? {
+                BODY_F32 => {}
                 t => return Err(CodecError(format!("bad body kind tag {t}"))),
-            };
+            }
+            let n = c.u64()? as usize;
+            let body = c
+                .take(n.saturating_mul(4))?
+                .chunks_exact(4)
+                .map(|ch| f32::from_bits(u32::from_le_bytes(ch.try_into().unwrap())))
+                .collect();
             Frame::Data(DataFrame {
                 group,
                 sender,
@@ -469,7 +431,7 @@ mod tests {
                 seq: 41,
                 kind: CollKind::AllGatherCat { axis: 1 },
                 dims: vec![2, 5],
-                body: WireBody::F32(vec![1.5, -0.25, f32::MIN_POSITIVE]),
+                body: vec![1.5, -0.25, f32::MIN_POSITIVE],
             }),
             Frame::Data(DataFrame {
                 group: 1,
@@ -477,7 +439,7 @@ mod tests {
                 seq: 0,
                 kind: CollKind::AllGatherCat { axis: 0 },
                 dims: vec![1, 0],
-                body: WireBody::F32(vec![]),
+                body: vec![],
             }),
             Frame::Data(DataFrame {
                 group: 2,
@@ -485,7 +447,7 @@ mod tests {
                 seq: 3,
                 kind: CollKind::ReduceScatterSum,
                 dims: vec![8],
-                body: WireBody::Bf16(vec![0x3F80, 0xBF00, 0x0000]),
+                body: vec![1.0, -0.5, 0.0],
             }),
             Frame::Ack {
                 group: 5,
@@ -511,7 +473,7 @@ mod tests {
             seq: 12,
             kind: CollKind::AllReduceSum,
             dims: vec![3],
-            body: WireBody::F32(vec![0.1, 0.2, 0.3]),
+            body: vec![0.1, 0.2, 0.3],
         });
         let bytes = encode_frame(&f);
         for cut in 0..=bytes.len() {

@@ -7,9 +7,9 @@
 //! broadcast, `all_gather_vec` and `split` gathers alike — is fanned out
 //! as one sequenced data frame per peer, and receiver threads deposit it
 //! through the engine's `deposit_remote` seam exactly as a peer thread's
-//! issue would. The chunk schedules, `CommPrecision` handling, and the
-//! `TrafficLog` therefore run *unmodified* over real sockets — loopback
-//! results are bitwise equal to thread ranks by construction, not by luck.
+//! issue would. The chunk schedules and the `TrafficLog` therefore run
+//! *unmodified* over real sockets — loopback results are bitwise equal to
+//! thread ranks by construction, not by luck.
 //!
 //! Robustness model (the headline):
 //! - length-prefixed frames with a versioned handshake (rank, epoch, world
@@ -42,17 +42,15 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use dchag_tensor::dtype::{bf16_to_f32, f32_to_bf16};
 use dchag_tensor::Tensor;
 use parking_lot::{Condvar, Mutex};
 
 use crate::fault::CommError;
 use crate::group::WorldShared;
-use crate::nonblocking::{self, CollKind, CommPrecision, Engine};
+use crate::nonblocking::{self, CollKind, Engine};
 use crate::traffic::{FailureSource, FaultCause, TransportEventKind};
 use frame::{
-    encode_frame, validate_handshake, DataFrame, Frame, FrameReader, HandshakeExpect, WireBody,
-    VERSION,
+    encode_frame, validate_handshake, DataFrame, Frame, FrameReader, HandshakeExpect, VERSION,
 };
 
 // ----- configuration --------------------------------------------------------
@@ -1166,17 +1164,12 @@ impl Endpoint {
             }
             next[sender] += 1;
         }
-        let precision = d.precision();
-        let v: Vec<f32> = match d.body {
-            WireBody::F32(v) => v,
-            WireBody::Bf16(v) => v.into_iter().map(bf16_to_f32).collect(),
-        };
-        if d.dims.iter().product::<usize>() != v.len() {
+        if d.dims.iter().product::<usize>() != d.body.len() {
             self.fail_peer(peer, "sent a tensor frame with inconsistent dims");
             return;
         }
-        let t = Tensor::from_vec(v, d.dims.as_slice());
-        match nonblocking::deposit_remote(&rt.engine, sender, d.kind, precision, &t, &self.world) {
+        let t = Tensor::from_vec(d.body, d.dims.as_slice());
+        match nonblocking::deposit_remote(&rt.engine, sender, d.kind, &t, &self.world) {
             Ok(seq) if seq == d.seq => {}
             Ok(seq) => {
                 self.world.log.record_fault(FaultCause::SeqMismatch {
@@ -1435,26 +1428,11 @@ impl GroupLink {
     /// Send one contribution (`seq` is the engine sequence the local
     /// `issue` was assigned — cross-checked on receive) to every remote
     /// member.
-    pub(crate) fn send_issue(
-        &self,
-        seq: u64,
-        kind: CollKind,
-        precision: CommPrecision,
-        t: &Tensor,
-    ) {
+    pub(crate) fn send_issue(&self, seq: u64, kind: CollKind, t: &Tensor) {
         if !self.ep.fault_gate() {
             return;
         }
-        let body = match precision {
-            CommPrecision::F32 => WireBody::F32(t.data().to_vec()),
-            // Encode-on-send: the wire really carries half-width payloads,
-            // and the engine's own bf16 re-round on the receive side is the
-            // identity (bf16 round-trips are idempotent) — bitwise parity
-            // with thread ranks holds.
-            CommPrecision::Bf16 => {
-                WireBody::Bf16(t.data().iter().map(|&x| f32_to_bf16(x)).collect())
-            }
-        };
+        let body = t.data().to_vec();
         for (gr, &wr) in self.members.iter().enumerate() {
             if gr == self.me {
                 continue;

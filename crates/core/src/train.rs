@@ -11,8 +11,8 @@ use dchag_model::{clip_global_norm, AdamW};
 use dchag_parallel::dp::DataParallel;
 use dchag_parallel::fsdp::{FsdpBinder, FsdpParams};
 use dchag_tensor::checkpoint::{
-    apply_entries, crc32, merge_shards, CheckpointDir, CheckpointError, DiskFaultPlan, Snapshot,
-    SnapshotWriter,
+    apply_entries, content_digest, merge_shards, CheckpointDir, CheckpointError, DiskFaultPlan,
+    Snapshot, SnapshotWriter,
 };
 use dchag_tensor::prelude::*;
 
@@ -162,7 +162,7 @@ impl Default for ResilienceConfig {
 
 /// How [`resilient_train_loop_with`] reaches the optimizer and RNG inside
 /// the caller's opaque model state `M`, so checkpoints can carry AdamW
-/// moments / master weights and the data-order RNG. Plain `fn` pointers:
+/// moments and the data-order RNG. Plain `fn` pointers:
 /// the default (`None`) keeps the params-only behaviour of
 /// [`resilient_train_loop`].
 pub struct StateAccess<M> {
@@ -188,13 +188,15 @@ impl<M> Clone for StateAccess<M> {
 impl<M> Copy for StateAccess<M> {}
 
 /// Identity of the checkpoint a recovery restored from: the step it was
-/// taken at and the CRC32 of its serialized (format-v2) bytes — enough for
-/// an external reference run to prove bitwise-equal state without the
-/// report hauling the full checkpoint around.
+/// taken at and the [`content_digest`] of its serialized (format-v2)
+/// bytes — enough for an external reference run to prove bitwise-equal
+/// state without the report hauling the full checkpoint around. (A CRC of
+/// the whole file would not do: it is the same residue for every valid
+/// checkpoint.)
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RestorePoint {
     pub step: usize,
-    pub crc32: u32,
+    pub digest: u32,
 }
 
 /// What a survivor's [`resilient_train_loop`] can report back.
@@ -268,7 +270,7 @@ where
 
 /// [`resilient_train_loop`] with [`StateAccess`] accessors: checkpoints
 /// (both the in-memory tier and the durable [`CheckpointDir`] tier) carry
-/// AdamW moments / f32 masters and RNG state alongside parameters, so a
+/// AdamW moments and RNG state alongside parameters, so a
 /// restore — after a regroup *or* from disk after total loss — continues
 /// the exact optimizer trajectory instead of silently resetting moments.
 ///
@@ -435,7 +437,8 @@ where
                 recovery_us.push(t0.elapsed().as_secs_f64() * 1e6);
                 restored_from = Some(RestorePoint {
                     step: checkpoint_step,
-                    crc32: crc32(&mem_ckpt.to_bytes()),
+                    digest: content_digest(&mem_ckpt.to_bytes())
+                        .expect("a snapshot serialized here parses"),
                 });
                 // The world shrank: the durable writer must save/commit
                 // under the survivor rank numbering and world size.

@@ -5,7 +5,7 @@
 //! a Gaussian), optionally periodic in the x (longitude) axis, normalized
 //! to zero mean / unit variance. Deterministic in the seed.
 
-use dchag_tensor::{Rng, Tensor};
+use dchag_tensor::Rng;
 
 /// Generate an `h × w` smooth field with correlation length ~`scale` pixels.
 pub fn smooth_field(h: usize, w: usize, scale: usize, periodic_x: bool, rng: &mut Rng) -> Vec<f32> {
@@ -82,11 +82,6 @@ pub fn advect_x(f: &[f32], h: usize, w: usize, shift: f32) -> Vec<f32> {
         }
     }
     out
-}
-
-/// Wrap a field into a `[1, 1, h, w]` tensor.
-pub fn to_tensor(f: Vec<f32>, h: usize, w: usize) -> Tensor {
-    Tensor::from_vec(f, [1, 1, h, w])
 }
 
 #[cfg(test)]

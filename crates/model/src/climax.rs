@@ -101,12 +101,6 @@ impl<E: EncoderBackbone> ClimaxModel<E> {
         let cfg = self.enc.config();
         ops::unpatchify(pred_patches, cfg.img_h, cfg.img_w, cfg.patch)
     }
-
-    /// Latitude-weighted RMSE per output channel between two image tensors
-    /// `[B, C, H, W]` (the paper's Z500/T850/U10 metrics).
-    pub fn rmse_per_channel(&self, pred: &Tensor, target: &Tensor) -> Vec<f32> {
-        latitude_rmse(pred, target)
-    }
 }
 
 /// Latitude-weighted RMSE per channel for `[B, C, H, W]` tensors.

@@ -127,13 +127,6 @@ impl ModelConfig {
         self
     }
 
-    pub fn with_image(mut self, h: usize, w: usize, patch: usize) -> Self {
-        self.img_h = h;
-        self.img_w = w;
-        self.patch = patch;
-        self
-    }
-
     fn base(embed_dim: usize, depth: usize, heads: usize) -> Self {
         ModelConfig {
             embed_dim,
@@ -185,16 +178,6 @@ impl ModelConfig {
     /// "26B": 8192 embed, 32 layers, 32 heads (paper §6.1).
     pub fn p26b() -> Self {
         Self::base(8192, 32, 32)
-    }
-
-    /// "40M" MAE model for the hyperspectral evaluation (Fig. 11).
-    pub fn mae40m() -> Self {
-        let mut c = Self::base(512, 8, 8);
-        c.decoder_dim = 256;
-        c.decoder_depth = 2;
-        c.channels = 500;
-        c.out_channels = 500;
-        c
     }
 
     /// "53M" ClimaX-style model for the weather evaluation (Fig. 12).

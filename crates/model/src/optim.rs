@@ -17,11 +17,6 @@ pub struct AdamW {
     t: u64,
     m: Vec<Option<Tensor>>,
     v: Vec<Option<Tensor>>,
-    /// f32 master copy of each bf16-stored parameter (None for f32
-    /// params). The update math always runs in f32 against the master;
-    /// only the stored value re-rounds to bf16 after each step, so
-    /// updates smaller than one bf16 ulp still accumulate.
-    master: Vec<Option<Tensor>>,
 }
 
 impl AdamW {
@@ -35,7 +30,6 @@ impl AdamW {
             t: 0,
             m: Vec::new(),
             v: Vec::new(),
-            master: Vec::new(),
         }
     }
 
@@ -49,8 +43,8 @@ impl AdamW {
         self.t
     }
 
-    /// Serialize the full optimizer state (step counter, m/v moments, f32
-    /// masters), keyed by parameter *name* so restore survives store
+    /// Serialize the full optimizer state (step counter, m/v moments),
+    /// keyed by parameter *name* so restore survives store
     /// reconstruction and reordering. Tensors are `Arc`-shared — this is
     /// O(1) per parameter, safe to hand to a background checkpoint writer.
     pub fn export_state(&self, store: &ParamStore) -> OptimState {
@@ -58,13 +52,11 @@ impl AdamW {
         for (i, (_, name, _)) in store.iter().enumerate() {
             let m = self.m.get(i).cloned().flatten();
             let v = self.v.get(i).cloned().flatten();
-            let master = self.master.get(i).cloned().flatten();
-            if m.is_some() || v.is_some() || master.is_some() {
+            if m.is_some() || v.is_some() {
                 entries.push(OptimEntry {
                     name: name.to_string(),
                     m,
                     v,
-                    master,
                 });
             }
         }
@@ -82,7 +74,6 @@ impl AdamW {
             let entry = state.entries.iter().find(|e| e.name == name);
             self.m[i] = entry.and_then(|e| e.m.clone());
             self.v[i] = entry.and_then(|e| e.v.clone());
-            self.master[i] = entry.and_then(|e| e.master.clone());
         }
     }
 
@@ -90,7 +81,6 @@ impl AdamW {
         while self.m.len() < store.len() {
             self.m.push(None);
             self.v.push(None);
-            self.master.push(None);
         }
     }
 
@@ -144,35 +134,16 @@ impl AdamW {
             let mut vdat = v_prev.into_data();
             let mut m_slot = None;
             let mut v_slot = None;
-            let master_prev = self.master[i].take();
-            let mut master_slot = None;
             store.update(id, |p| {
-                // bf16-stored params step against the f32 master copy
-                // (seeded from the stored value on first touch); f32 params
-                // reuse the parameter buffer directly.
-                let bf16 = p.dtype() == DType::Bf16;
-                let mut pdat = if bf16 {
-                    master_prev
-                        .map(|t| t.into_data())
-                        .unwrap_or_else(|| p.to_vec())
-                } else {
-                    p.into_data()
-                };
+                // The parameter buffer is reused in place.
+                let mut pdat = p.into_data();
                 dchag_tensor::simd::adamw_sweep(&mut pdat, &mut mdat, &mut vdat, g.data(), &coeffs);
                 m_slot = Some(Tensor::from_vec(mdat, shape.clone()));
                 v_slot = Some(Tensor::from_vec(vdat, shape.clone()));
-                let updated = Tensor::from_vec(pdat, shape.clone());
-                if bf16 {
-                    let stored = updated.to_dtype(DType::Bf16);
-                    master_slot = Some(updated);
-                    stored
-                } else {
-                    updated
-                }
+                Tensor::from_vec(pdat, shape.clone())
             });
             self.m[i] = m_slot;
             self.v[i] = v_slot;
-            self.master[i] = master_slot;
         }
     }
 }
@@ -280,56 +251,14 @@ mod tests {
     }
 
     #[test]
-    fn bf16_params_descend_with_f32_master() {
-        // Same quadratic as the f32 test, but the parameter is *stored* in
-        // bf16; the optimizer must keep it in bf16 storage while the master
-        // copy carries the f32 trajectory.
-        let mut store = ParamStore::new();
-        let id = store.add(
-            "x",
-            Tensor::from_vec(vec![5.0, -3.0], [2]).to_dtype(DType::Bf16),
-        );
-        let mut opt = AdamW::new(0.1);
-        for _ in 0..200 {
-            let gv: Vec<f32> = store.get(id).to_vec().iter().map(|x| 2.0 * x).collect();
-            opt.step(&mut store, &[Some(Tensor::from_vec(gv, [2]))]);
-        }
-        assert_eq!(store.get(id).dtype(), DType::Bf16);
-        let decoded = store.get(id).to_dtype(DType::F32);
-        assert!(decoded.max_abs() < 0.1, "{:?}", decoded.to_vec());
-    }
-
-    #[test]
-    fn bf16_master_accumulates_sub_ulp_updates() {
-        // lr · ĝ ≈ 1e-4 per step is far below one bf16 ulp at 1.0 (~4e-3):
-        // without the f32 master every step would round back to exactly 1.0
-        // and the parameter would never move.
-        let mut store = ParamStore::new();
-        let id = store.add("x", Tensor::ones([4]).to_dtype(DType::Bf16));
-        let mut opt = AdamW::new(1e-4);
-        for _ in 0..60 {
-            opt.step(&mut store, &[Some(Tensor::ones([4]))]);
-        }
-        assert_eq!(store.get(id).dtype(), DType::Bf16);
-        assert!(
-            store.get(id).at(0) < 1.0,
-            "master must carry sub-ulp updates, got {}",
-            store.get(id).at(0)
-        );
-    }
-
-    #[test]
     fn checkpoint_optimizer_state_roundtrip_continues_bitwise() {
         // Splitting a run at step 10 through export/import must give the
         // exact trajectory of the uninterrupted run — including the bias
-        // correction (t) and the bf16 master copies.
+        // correction (t).
         let build = || {
             let mut s = ParamStore::new();
             s.add("w", Tensor::from_vec(vec![5.0, -3.0, 2.0, -1.0], [2, 2]));
-            s.add(
-                "xb",
-                Tensor::from_vec(vec![1.0, 0.5], [2]).to_dtype(DType::Bf16),
-            );
+            s.add("xb", Tensor::from_vec(vec![1.0, 0.5], [2]));
             s
         };
         let grads = |store: &ParamStore| -> Vec<Option<Tensor>> {
@@ -363,7 +292,7 @@ mod tests {
             .collect();
 
         let mut store_c = ParamStore::new();
-        store_c.add("xb", Tensor::zeros([2]).to_dtype(DType::Bf16));
+        store_c.add("xb", Tensor::zeros([2]));
         store_c.add("w", Tensor::zeros([2, 2]));
         for (name, value) in &snap {
             let id = store_c.ids().find(|&i| store_c.name(i) == name).unwrap();
@@ -379,7 +308,6 @@ mod tests {
         for (_, name, want) in store_a.iter() {
             let id = store_c.ids().find(|&i| store_c.name(i) == name).unwrap();
             let got = store_c.get(id);
-            assert_eq!(got.dtype(), want.dtype(), "{name}");
             assert_eq!(
                 got.to_vec().iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
                 want.to_vec()

@@ -36,14 +36,6 @@
 //! its own; only the number of rounds changes. Every rank must bind the
 //! same parameters in the same order (the engine matches collectives by
 //! per-rank issue order), and a binder serves one forward and backward.
-//!
-//! Both collectives also inherit the communicator's wire precision:
-//! building [`FsdpParams`] from `comm.with_precision(CommPrecision::Bf16)`
-//! moves gradient reduce-scatters *and* parameter all-gathers over the
-//! half-width bf16 wire. Note the gathers then round parameter values
-//! through bf16 on the way back (identically on every rank — the step
-//! stays deterministic); opt in only where that storage-tier rounding is
-//! acceptable (see the tensor README's "Precision tiers").
 
 use std::cell::RefCell;
 use std::ops::Range;
@@ -661,75 +653,6 @@ mod tests {
         // 1 reduce-scatter in backward (per world)
         assert_eq!(run.outputs[0].0, 1);
         assert_eq!(run.outputs[0].1, 1);
-    }
-
-    #[test]
-    fn fsdp_bf16_wire_deterministic_and_rounds_gathers() {
-        use dchag_collectives::CommPrecision;
-        use dchag_tensor::dtype::bf16_round_trip;
-        for world in [2usize, 4] {
-            let run = run_ranks(world, |ctx| {
-                // Full train step on an explicit comm (gathers and
-                // reduce-scatters both ride its wire precision).
-                let step = |comm: &Communicator| -> Vec<Vec<f32>> {
-                    let mut store = ParamStore::new();
-                    let mut rng = Rng::new(5);
-                    let (l1, l2) = build_model(&mut store, &mut rng);
-                    let mut fsdp = FsdpParams::from_store(&store, comm);
-                    let tape = Tape::new();
-                    let bind = FsdpBinder::new(&tape, &fsdp);
-                    let mut drng = Rng::new(60 + ctx.comm.rank() as u64);
-                    let xv = tape.leaf(Tensor::randn([3, 4], 1.0, &mut drng));
-                    let y = l2.forward(&bind, &tape.gelu(&l1.forward(&bind, &xv)));
-                    let loss = tape.mean_all(&tape.mul(&y, &y));
-                    let _ = tape.backward(&loss);
-                    let g = bind.sharded_grads();
-                    let mut opt = AdamW::new(0.01);
-                    opt.step(&mut fsdp.shard_store, &g);
-                    (0..fsdp.len())
-                        .map(|i| fsdp.gather_full(i).to_vec())
-                        .collect()
-                };
-                let bf = ctx.comm.with_precision(CommPrecision::Bf16);
-                let reference = step(&ctx.comm);
-                let bf_once = step(&bf);
-                let bf_again = step(&bf);
-                // A plain gather on the bf16 wire returns the parameter
-                // round-tripped through bf16, element for element.
-                let mut store = ParamStore::new();
-                let mut rng = Rng::new(5);
-                let _ = build_model(&mut store, &mut rng);
-                let fsdp = FsdpParams::from_store(&store, &bf);
-                let gathered = fsdp.gather_full(0).to_vec();
-                let want: Vec<f32> = store
-                    .iter()
-                    .next()
-                    .unwrap()
-                    .2
-                    .to_vec()
-                    .iter()
-                    .map(|&x| bf16_round_trip(x))
-                    .collect();
-                (reference, bf_once, bf_again, gathered, want)
-            });
-            let first = run.outputs[0].1.clone();
-            for (reference, bf_once, bf_again, gathered, want) in &run.outputs {
-                assert_eq!(bf_once, bf_again, "run-deterministic, world={world}");
-                assert_eq!(bf_once, &first, "rank-identical, world={world}");
-                assert_eq!(gathered, want, "bf16-wire gather round-trips values");
-                // One optimizer step from identical init stays near the
-                // f32-wire trajectory (wire rounding is ≤ |x|·2⁻⁹ per hop).
-                let (mut num, mut den) = (0f64, 0f64);
-                for (pb, pf) in bf_once.iter().zip(reference) {
-                    for (&a, &b) in pb.iter().zip(pf) {
-                        num += ((a - b) as f64).powi(2);
-                        den += (b as f64).powi(2);
-                    }
-                }
-                let rel = num.sqrt() / (den.sqrt() + 1e-12);
-                assert!(rel < 1.0 / 64.0, "world={world}: rel l2 drift {rel}");
-            }
-        }
     }
 
     #[test]

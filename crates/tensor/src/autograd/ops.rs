@@ -8,7 +8,6 @@
 //! in place.
 
 use super::{Tape, Var};
-use crate::dtype::DType;
 use crate::ops as k;
 use crate::tensor::Tensor;
 
@@ -46,18 +45,6 @@ impl Tape {
             emit(ib, k::sum_to_last(&g));
             emit(ia, g);
         })
-    }
-
-    /// Cast the *storage* dtype on the tape with a straight-through
-    /// gradient: the forward rounds the value into `dtype` storage (exact
-    /// for `F32`, RNE for `Bf16`), the backward passes the upstream f32
-    /// gradient through unchanged. This is the standard estimator for a
-    /// rounding cast, and the hook that lets activations/weights stream
-    /// through bf16 while every gradient and accumulator stays f32 (see
-    /// the tensor README's "Precision tiers").
-    pub fn to_dtype(&self, a: &Var, dtype: DType) -> Var {
-        let ia = a.id;
-        self.custom(a.value().to_dtype(dtype), move |g, emit| emit(ia, g))
     }
 
     // ----- matmul family ----------------------------------------------------
@@ -233,10 +220,9 @@ impl Tape {
     }
 
     /// `len` entries of `a` along `axis` from `start`. A full-range slice
-    /// of f32 storage is the identity: it returns `a` itself and records
-    /// nothing.
+    /// is the identity: it returns `a` itself and records nothing.
     pub fn slice(&self, a: &Var, axis: usize, start: usize, len: usize) -> Var {
-        if start == 0 && len == a.dims()[axis] && a.value().dtype() == DType::F32 {
+        if start == 0 && len == a.dims()[axis] {
             return a.clone();
         }
         let ia = a.id;
@@ -302,13 +288,13 @@ impl Tape {
         assert_eq!(a.dims(), target.dims(), "masked_mse target shape");
         assert_eq!(a.dims(), mask.dims(), "masked_mse mask shape");
         let ia = a.id;
-        let mask = mask.to_dtype(DType::F32);
-        let (av, tv) = (a.value().to_dtype(DType::F32), target.to_dtype(DType::F32));
+        let mask = mask.clone();
+        let av = a.value();
         let mut d = vec![0.0f32; av.numel()];
         let (sq_sums, mask_sums): (Vec<f64>, Vec<f64>) = d
             .chunks_mut(4096)
             .zip(av.data().chunks(4096))
-            .zip(tv.data().chunks(4096))
+            .zip(target.data().chunks(4096))
             .zip(mask.data().chunks(4096))
             .map(|(((dc, ac), tc), mc)| {
                 for ((dv, &x), &t) in dc.iter_mut().zip(ac).zip(tc) {
@@ -745,93 +731,21 @@ mod tests {
     }
 
     #[test]
-    fn to_dtype_backward_is_straight_through() {
-        // grad(x) through a bf16 cast must be the downstream gradient
-        // bit-for-bit — the cast contributes no Jacobian of its own.
-        let tape = Tape::new();
-        let x = tape.leaf(Tensor::from_vec(vec![0.1, -1.7, 3.3], [1, 3]));
-        let q = tape.to_dtype(&x, DType::Bf16);
-        assert_eq!(q.value().dtype(), DType::Bf16);
-        let ones = tape.leaf(Tensor::full(crate::shape::Shape::new(&[3, 1]), 1.0));
-        let loss = tape.matmul(&q, &ones);
-        let grads = tape.backward(&loss);
-        // dL/dq = 1 per element; straight-through forwards it exactly.
-        assert_eq!(grads.get(&x).unwrap().to_vec(), vec![1.0, 1.0, 1.0]);
-        // Forward really is the round-tripped value.
-        for i in 0..3 {
-            assert_eq!(
-                q.value().at(i).to_bits(),
-                crate::dtype::bf16_round_trip(x.value().at(i)).to_bits()
-            );
-        }
-    }
-
-    #[test]
     fn linear_gelu_per_tier_gradcheck() {
         let mut rng = Rng::new(18);
         let x = Tensor::randn([3, 4], 0.5, &mut rng);
         let w = Tensor::randn([4, 6], 0.5, &mut rng);
         let b = Tensor::randn([6], 0.5, &mut rng);
 
-        // f32 tier: the cast is storage-exact and the graph must pass the
-        // ordinary finite-difference check at the f32-tier tolerance.
+        // f32 tier (the only tier): the graph must pass the ordinary
+        // finite-difference check at the f32-tier tolerance.
         grad_check(
-            &[x.clone(), w.clone(), b.clone()],
+            &[x, w, b],
             |t, l| {
-                let xq = t.to_dtype(&l[0], DType::F32);
-                let wq = t.to_dtype(&l[1], DType::F32);
-                let y = t.linear_gelu(&xq, &wq, &l[2]);
+                let y = t.linear_gelu(&l[0], &l[1], &l[2]);
                 t.sum_all(&t.mul(&y, &y))
             },
             3e-2,
-        );
-
-        // bf16 tier: central differences are meaningless through a rounding
-        // cast (the loss is a step function of each coordinate at h below
-        // the 2^-8 quantization step), so the tier check compares analytic
-        // gradients of the bf16-storage graph against the f32 graph at the
-        // bf16-tier tolerance instead.
-        let run = |quantize: bool| {
-            let tape = Tape::new();
-            let (xv, wv, bv) = (
-                tape.leaf(x.clone()),
-                tape.leaf(w.clone()),
-                tape.leaf(b.clone()),
-            );
-            let y = if quantize {
-                let xq = tape.to_dtype(&xv, DType::Bf16);
-                let wq = tape.to_dtype(&wv, DType::Bf16);
-                tape.linear_gelu(&xq, &wq, &bv)
-            } else {
-                tape.linear_gelu(&xv, &wv, &bv)
-            };
-            let loss = tape.sum_all(&tape.mul(&y, &y));
-            let grads = tape.backward(&loss);
-            (
-                grads.get(&xv).unwrap().clone(),
-                grads.get(&wv).unwrap().clone(),
-                grads.get(&bv).unwrap().clone(),
-            )
-        };
-        let (dx32, dw32, db32) = run(false);
-        let (dx16, dw16, db16) = run(true);
-        // Per-tier tolerance policy (tensor README): bf16 storage rounds at
-        // 2^-8 relative per element; a short chain accumulates a few ulps.
-        let tier_tol = 4.0 / 256.0;
-        assert!(
-            dx16.rel_l2_diff(&dx32) < tier_tol,
-            "dx {}",
-            dx16.rel_l2_diff(&dx32)
-        );
-        assert!(
-            dw16.rel_l2_diff(&dw32) < tier_tol,
-            "dw {}",
-            dw16.rel_l2_diff(&dw32)
-        );
-        assert!(
-            db16.rel_l2_diff(&db32) < tier_tol,
-            "db {}",
-            db16.rel_l2_diff(&db32)
         );
     }
 }

@@ -3,15 +3,15 @@
 //! Four pieces compose the subsystem:
 //!
 //! * **Format v2** (this module): a sectioned, checksummed serialization of
-//!   a full training [`Snapshot`] — dtype-tagged parameter entries (bf16
-//!   payloads stored at 2 bytes/elem, never silently widened), optional
-//!   optimizer state (AdamW m/v moments + f32 master weights), the step
-//!   counter, and RNG state. Every entry carries a CRC32, every section
-//!   carries a CRC32, and the file ends in a whole-file CRC32 footer, so
-//!   *any* torn write or bit flip surfaces as a typed [`CheckpointError`] —
-//!   never as silently wrong tensors. Version-1 files (params-only, f32,
-//!   unchecksummed) are refused with
-//!   [`CheckpointError::UnsupportedVersion`].
+//!   a full training [`Snapshot`] — f32 parameter entries, optional
+//!   optimizer state (AdamW m/v moments), the step counter, and RNG
+//!   state. Every entry carries a CRC32, every section carries a CRC32,
+//!   and the file ends in a whole-file CRC32 footer, so *any* torn write or
+//!   bit flip surfaces as a typed [`CheckpointError`] — never as silently
+//!   wrong tensors. Version-1 files (params-only, f32, unchecksummed) are
+//!   refused with [`CheckpointError::UnsupportedVersion`], and v2 files
+//!   holding data of the retired bf16 tier with
+//!   [`CheckpointError::RetiredBf16`].
 //! * **[`CheckpointDir`]** ([`dir`]): the atomic on-disk protocol —
 //!   write-to-temp → fsync → rename → directory-fsync per shard, a
 //!   versioned manifest committing each step (world size, grid axes,
@@ -58,7 +58,6 @@ pub use writer::SnapshotWriter;
 use std::fmt;
 use std::io::{self, Read, Write};
 
-use crate::dtype::DType;
 use crate::param::ParamStore;
 use crate::rng::RngState;
 use crate::shape::Shape;
@@ -72,6 +71,13 @@ const SEC_OPTIM: u8 = 2;
 const SEC_STEP: u8 = 3;
 const SEC_RNG: u8 = 4;
 const SEC_END: u8 = 0xFF;
+
+/// Parameter-entry dtype tags. Only f32 is written; tag 1 marks the
+/// retired bf16 tier and is refused as [`CheckpointError::RetiredBf16`].
+const DTYPE_F32: u8 = 0;
+const DTYPE_RETIRED_BF16: u8 = 1;
+/// Optimizer-entry mask bit of the retired bf16 tier's f32 master copy.
+const OPTIM_RETIRED_MASTER: u8 = 1 << 2;
 
 // ---------------------------------------------------------------------------
 // CRC32 (IEEE 802.3, reflected) — the checksum of every entry, section,
@@ -111,6 +117,10 @@ pub enum CheckpointError {
     },
     /// Structurally invalid contents (bad lengths, tags, UTF-8, ...).
     Malformed(String),
+    /// A parameter entry tagged bf16 (dtype tag 1), or an optimizer entry
+    /// carrying a bf16 parameter's f32 master copy (mask bit `1 << 2`):
+    /// data of the retired bf16 tier, which this build does not read.
+    RetiredBf16 { name: String },
     /// A parameter entry's CRC32 does not match its bytes.
     EntryCrc { name: String },
     /// A section's CRC32 does not match its body.
@@ -152,6 +162,9 @@ impl fmt::Display for CheckpointError {
                 write!(f, "truncated checkpoint: needed {needed} bytes at offset {offset}, file has {len}")
             }
             Malformed(what) => write!(f, "malformed checkpoint: {what}"),
+            RetiredBf16 { name } => {
+                write!(f, "entry {name} holds bf16 data; the bf16 tier is retired")
+            }
             EntryCrc { name } => write!(f, "entry CRC mismatch for parameter {name}"),
             SectionCrc { tag } => write!(f, "section CRC mismatch (tag {tag})"),
             FileCrc => write!(f, "whole-file CRC mismatch"),
@@ -225,8 +238,6 @@ pub struct OptimEntry {
     pub m: Option<Tensor>,
     /// Second moment.
     pub v: Option<Tensor>,
-    /// f32 master copy of a bf16-stored parameter.
-    pub master: Option<Tensor>,
 }
 
 /// Serializable optimizer state (AdamW's step counter and per-parameter
@@ -264,13 +275,7 @@ pub struct SnapEntry {
 
 impl fmt::Debug for SnapEntry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "SnapEntry({} {:?} {:?}",
-            self.name,
-            self.value.dtype(),
-            self.value.dims()
-        )?;
+        write!(f, "SnapEntry({} {:?}", self.name, self.value.dims())?;
         if let Some(s) = &self.shard {
             write!(f, " shard {}/{}", s.rank, s.world)?;
         }
@@ -292,7 +297,7 @@ impl fmt::Debug for Snapshot {
 }
 
 impl Snapshot {
-    /// Params-only snapshot of a store at `step` (dtypes preserved).
+    /// Params-only snapshot of a store at `step`.
     pub fn of_store(store: &ParamStore, step: u64) -> Snapshot {
         Snapshot {
             entries: store
@@ -368,14 +373,6 @@ fn put_f32s(out: &mut Vec<u8>, xs: &[f32]) {
     }
 }
 
-fn put_u16s(out: &mut Vec<u8>, xs: &[u16]) {
-    let start = out.len();
-    out.resize(start + xs.len() * 2, 0);
-    for (chunk, x) in out[start..].chunks_exact_mut(2).zip(xs) {
-        chunk.copy_from_slice(&x.to_le_bytes());
-    }
-}
-
 /// Positioned reader over a byte slice; every shortfall is a typed
 /// [`CheckpointError::Truncated`] carrying the exact offset.
 struct Bytes<'a> {
@@ -422,14 +419,6 @@ impl<'a> Bytes<'a> {
         Ok(raw
             .chunks_exact(4)
             .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-            .collect())
-    }
-
-    fn u16s(&mut self, n: usize) -> Result<Vec<u16>, CheckpointError> {
-        let raw = self.take(n.checked_mul(2).ok_or_else(len_overflow)?)?;
-        Ok(raw
-            .chunks_exact(2)
-            .map(|c| u16::from_le_bytes(c.try_into().unwrap()))
             .collect())
     }
 
@@ -493,10 +482,7 @@ fn write_tensor_raw(out: &mut Vec<u8>, t: &Tensor) {
     for &d in t.dims() {
         put_u64(out, d as u64);
     }
-    match t.dtype() {
-        DType::F32 => put_f32s(out, t.data()),
-        DType::Bf16 => put_u16s(out, t.bf16_data()),
-    }
+    put_f32s(out, t.data());
 }
 
 fn params_body(entries: &[SnapEntry]) -> Vec<u8> {
@@ -506,10 +492,7 @@ fn params_body(entries: &[SnapEntry]) -> Vec<u8> {
         let start = body.len();
         put_u32(&mut body, e.name.len() as u32);
         body.extend_from_slice(e.name.as_bytes());
-        body.push(match e.value.dtype() {
-            DType::F32 => 0,
-            DType::Bf16 => 1,
-        });
+        body.push(DTYPE_F32);
         body.push(if e.shard.is_some() { 1 } else { 0 });
         put_u32(&mut body, e.value.ndim() as u32);
         for &d in e.value.dims() {
@@ -524,10 +507,7 @@ fn params_body(entries: &[SnapEntry]) -> Vec<u8> {
                 put_u64(&mut body, d as u64);
             }
         }
-        match e.value.dtype() {
-            DType::F32 => put_f32s(&mut body, e.value.data()),
-            DType::Bf16 => put_u16s(&mut body, e.value.bf16_data()),
-        }
+        put_f32s(&mut body, e.value.data());
         let crc = crc32(&body[start..]);
         put_u32(&mut body, crc);
     }
@@ -541,10 +521,8 @@ fn optim_body(o: &OptimState) -> Vec<u8> {
     for e in &o.entries {
         put_u32(&mut body, e.name.len() as u32);
         body.extend_from_slice(e.name.as_bytes());
-        let mask =
-            (e.m.is_some() as u8) | (e.v.is_some() as u8) << 1 | (e.master.is_some() as u8) << 2;
-        body.push(mask);
-        for t in [&e.m, &e.v, &e.master].into_iter().flatten() {
+        body.push((e.m.is_some() as u8) | (e.v.is_some() as u8) << 1);
+        for t in [&e.m, &e.v].into_iter().flatten() {
             write_tensor_raw(&mut body, t);
         }
     }
@@ -592,17 +570,17 @@ fn read_tensor_raw(b: &mut Bytes) -> Result<Tensor, CheckpointError> {
     Ok(Tensor::from_vec(data, Shape::new(&dims)))
 }
 
-/// One parameter entry's header, up to its payload: `(name, dtype, dims,
+/// One parameter entry's header, up to its f32 payload: `(name, dims,
 /// shard meta)`.
-type EntryHead = (String, DType, Vec<usize>, Option<ShardMeta>);
+type EntryHead = (String, Vec<usize>, Option<ShardMeta>);
 
 fn read_entry_head(b: &mut Bytes) -> Result<EntryHead, CheckpointError> {
     let name = b.string()?;
-    let dtype = match b.u8()? {
-        0 => DType::F32,
-        1 => DType::Bf16,
+    match b.u8()? {
+        DTYPE_F32 => {}
+        DTYPE_RETIRED_BF16 => return Err(CheckpointError::RetiredBf16 { name }),
         d => return Err(CheckpointError::Malformed(format!("unknown dtype tag {d}"))),
-    };
+    }
     let flags = b.u8()?;
     let dims = b.dims()?;
     let shard = if flags & 1 != 0 {
@@ -624,7 +602,7 @@ fn read_entry_head(b: &mut Bytes) -> Result<EntryHead, CheckpointError> {
     } else {
         None
     };
-    Ok((name, dtype, dims, shard))
+    Ok((name, dims, shard))
 }
 
 fn read_params_v2(body: &[u8]) -> Result<Vec<SnapEntry>, CheckpointError> {
@@ -633,12 +611,8 @@ fn read_params_v2(body: &[u8]) -> Result<Vec<SnapEntry>, CheckpointError> {
     let mut out = Vec::with_capacity(count.min(1 << 16));
     for _ in 0..count {
         let start = b.pos;
-        let (name, dtype, dims, shard) = read_entry_head(&mut b)?;
-        let numel = numel_of(&dims);
-        let value = match dtype {
-            DType::F32 => Tensor::from_vec(b.f32s(numel)?, Shape::new(&dims)),
-            DType::Bf16 => Tensor::from_bf16(b.u16s(numel)?, Shape::new(&dims)),
-        };
+        let (name, dims, shard) = read_entry_head(&mut b)?;
+        let value = Tensor::from_vec(b.f32s(numel_of(&dims))?, Shape::new(&dims));
         let got = crc32(&body[start..b.pos]);
         let want = b.u32()?;
         if got != want {
@@ -661,7 +635,7 @@ fn read_params_v2(body: &[u8]) -> Result<Vec<SnapEntry>, CheckpointError> {
 /// fields do depend on the contents, and walking the framing to collect
 /// them reads no payload. The walk does not verify anything:
 /// [`Snapshot::from_bytes`] does.
-pub(crate) fn content_digest(bytes: &[u8]) -> Result<u32, CheckpointError> {
+pub fn content_digest(bytes: &[u8]) -> Result<u32, CheckpointError> {
     let mut crcs = Vec::new();
     let mut b = Bytes::new(bytes);
     b.take(8)?; // magic + version
@@ -675,10 +649,8 @@ pub(crate) fn content_digest(bytes: &[u8]) -> Result<u32, CheckpointError> {
         if tag == SEC_PARAMS {
             let mut e = Bytes::new(body);
             for _ in 0..e.u32()? {
-                let (_, dtype, dims, _) = read_entry_head(&mut e)?;
-                let payload = numel_of(&dims)
-                    .checked_mul(dtype.size_bytes())
-                    .ok_or_else(len_overflow)?;
+                let (_, dims, _) = read_entry_head(&mut e)?;
+                let payload = numel_of(&dims).checked_mul(4).ok_or_else(len_overflow)?;
                 e.take(payload)?;
                 crcs.extend_from_slice(e.take(4)?);
             }
@@ -697,6 +669,9 @@ fn read_optim_v2(body: &[u8]) -> Result<OptimState, CheckpointError> {
     for _ in 0..count {
         let name = b.string()?;
         let mask = b.u8()?;
+        if mask & OPTIM_RETIRED_MASTER != 0 {
+            return Err(CheckpointError::RetiredBf16 { name });
+        }
         let mut slot = |bit: u8| -> Result<Option<Tensor>, CheckpointError> {
             if mask & bit != 0 {
                 Ok(Some(read_tensor_raw(&mut b)?))
@@ -706,8 +681,7 @@ fn read_optim_v2(body: &[u8]) -> Result<OptimState, CheckpointError> {
         };
         let m = slot(1)?;
         let v = slot(2)?;
-        let master = slot(4)?;
-        entries.push(OptimEntry { name, m, v, master });
+        entries.push(OptimEntry { name, m, v });
     }
     Ok(OptimState { t, entries })
 }
@@ -777,8 +751,7 @@ fn read_v2(bytes: &[u8]) -> Result<Snapshot, CheckpointError> {
 // Store-level convenience API (v2-writing, typed errors)
 // ---------------------------------------------------------------------------
 
-/// Serialize every parameter of `store` to `w` (format v2, params-only;
-/// dtypes preserved — bf16 parameters cost 2 bytes/element).
+/// Serialize every parameter of `store` to `w` (format v2, params-only).
 pub fn save_store(store: &ParamStore, w: &mut impl Write) -> Result<(), CheckpointError> {
     let bytes = Snapshot::of_store(store, 0).to_bytes();
     w.write_all(&bytes)
@@ -858,16 +831,13 @@ pub fn merge_shards(shards: &[Snapshot]) -> Result<Vec<SnapEntry>, CheckpointErr
                 None => {
                     if let Some(&i) = seen.get(&e.name) {
                         let prev: &SnapEntry = &out[i];
-                        let same = prev.value.dtype() == e.value.dtype()
-                            && prev.value.dims() == e.value.dims()
-                            && match e.value.dtype() {
-                                DType::F32 => prev.value.data().iter().map(|x| x.to_bits()).eq(e
-                                    .value
-                                    .data()
-                                    .iter()
-                                    .map(|x| x.to_bits())),
-                                DType::Bf16 => prev.value.bf16_data() == e.value.bf16_data(),
-                            };
+                        let same = prev.value.dims() == e.value.dims()
+                            && prev
+                                .value
+                                .data()
+                                .iter()
+                                .zip(e.value.data())
+                                .all(|(a, b)| a.to_bits() == b.to_bits());
                         if !same {
                             return Err(CheckpointError::InconsistentReplica {
                                 name: e.name.clone(),
@@ -1005,45 +975,6 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_bf16_store_saves_and_restores_bitwise() {
-        // Regression for the v1 panic: `save_store` called `value.data()`,
-        // which hard-panics on bf16 storage — a store holding bf16 params
-        // could not be checkpointed at all.
-        let mut store = ParamStore::new();
-        let mut rng = Rng::new(7);
-        let w = Tensor::randn([16, 8], 1.0, &mut rng).to_dtype(DType::Bf16);
-        let bits = w.bf16_data().to_vec();
-        store.add("w16", w);
-        store.add("bias", Tensor::randn([8], 1.0, &mut rng));
-
-        let mut buf = Vec::new();
-        save_store(&store, &mut buf).unwrap();
-
-        let mut fresh = ParamStore::new();
-        fresh.add("w16", Tensor::zeros([16, 8]).to_dtype(DType::Bf16));
-        fresh.add("bias", Tensor::zeros([8]));
-        let n = load_store(&mut fresh, &mut buf.as_slice()).unwrap();
-        assert_eq!(n, 2);
-        let id = fresh.ids().next().unwrap();
-        assert_eq!(fresh.get(id).dtype(), DType::Bf16, "dtype preserved");
-        assert_eq!(fresh.get(id).bf16_data(), &bits[..], "bf16 payload bitwise");
-    }
-
-    #[test]
-    fn checkpoint_bf16_entries_cost_two_bytes_per_element() {
-        let mut f32_store = ParamStore::new();
-        let mut bf_store = ParamStore::new();
-        let t = Tensor::ones([1024]);
-        f32_store.add("w", t.clone());
-        bf_store.add("w", t.to_dtype(DType::Bf16));
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        save_store(&f32_store, &mut a).unwrap();
-        save_store(&bf_store, &mut b).unwrap();
-        let saved = a.len() as i64 - b.len() as i64;
-        assert_eq!(saved, 1024 * 2, "bf16 payload is half-width, not widened");
-    }
-
-    #[test]
     fn checkpoint_v1_files_are_refused() {
         // A v1 file written byte-for-byte in the retired layout:
         // magic | version=1 | count | (name_len, name, ndim, dims, f32 data)*
@@ -1085,13 +1016,11 @@ mod tests {
                     name: "a".into(),
                     m: Some(Tensor::randn([3, 2], 1.0, &mut rng.clone())),
                     v: Some(Tensor::randn([3, 2], 0.1, &mut rng.clone())),
-                    master: None,
                 },
                 OptimEntry {
                     name: "b".into(),
                     m: None,
-                    v: None,
-                    master: Some(Tensor::ones([5])),
+                    v: Some(Tensor::ones([5])),
                 },
             ],
         };
@@ -1110,10 +1039,7 @@ mod tests {
             optim.entries[0].m.as_ref().unwrap().to_vec()
         );
         assert!(ro.entries[1].m.is_none());
-        assert_eq!(
-            ro.entries[1].master.as_ref().unwrap().to_vec(),
-            vec![1.0; 5]
-        );
+        assert_eq!(ro.entries[1].v.as_ref().unwrap().to_vec(), vec![1.0; 5]);
         // Restored RNG continues the exact stream.
         let rs = back.rng.expect("rng section");
         let mut a = Rng::from_state(&rs);

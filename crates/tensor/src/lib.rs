@@ -14,7 +14,6 @@
 pub mod autograd;
 pub mod checkpoint;
 pub mod device;
-pub mod dtype;
 pub mod init;
 pub mod ops;
 pub(crate) mod par;
@@ -31,7 +30,6 @@ pub use checkpoint::{
     SnapEntry, Snapshot, SnapshotWriter,
 };
 pub use device::MemCounter;
-pub use dtype::DType;
 pub use param::{Binder, LocalBinder, ParamId, ParamStore};
 pub use rng::{Rng, RngState};
 pub use shape::Shape;
@@ -41,7 +39,6 @@ pub use tensor::Tensor;
 pub mod prelude {
     pub use crate::autograd::{Grads, Tape, Var};
     pub use crate::checkpoint::{CheckpointDir, CheckpointError, DiskFaultPlan, Snapshot};
-    pub use crate::dtype::DType;
     pub use crate::param::{Binder, LocalBinder, ParamId, ParamStore};
     pub use crate::rng::Rng;
     pub use crate::shape::Shape;

@@ -11,9 +11,7 @@
 //!   `[N,1,C]` weights / `[N,1,D]` pooled as separate batched-matmul
 //!   tensors.
 
-use crate::ops::gemm::{
-    gemm, gemm_batch_into, gemm_bias_op, gemm_op, GemmJob, GemmLayout, Operand,
-};
+use crate::ops::gemm::{gemm, gemm_batch_into, gemm_bias, GemmJob, GemmLayout};
 use crate::ops::reduce::softmax_last;
 use crate::par;
 use crate::shape::Shape;
@@ -40,11 +38,11 @@ fn linear_dims(a: &Tensor, w: &Tensor, bias: &Tensor) -> (usize, usize, usize) {
 pub fn matmul_bias(a: &Tensor, w: &Tensor, bias: &Tensor) -> Tensor {
     let (m, k, n) = linear_dims(a, w, bias);
     let mut c = vec![0.0f32; m * n];
-    gemm_bias_op(
+    gemm_bias(
         GemmLayout::NN,
         1.0,
-        Operand::from_tensor(a),
-        Operand::from_tensor(w),
+        a.data(),
+        w.data(),
         bias.data(),
         &mut c,
         m,
@@ -62,11 +60,11 @@ pub fn matmul_bias(a: &Tensor, w: &Tensor, bias: &Tensor) -> Tensor {
 pub fn linear_gelu(a: &Tensor, w: &Tensor, bias: &Tensor) -> (Tensor, Tensor) {
     let (m, k, n) = linear_dims(a, w, bias);
     let mut h = vec![0.0f32; m * n];
-    gemm_bias_op(
+    gemm_bias(
         GemmLayout::NN,
         1.0,
-        Operand::from_tensor(a),
-        Operand::from_tensor(w),
+        a.data(),
+        w.data(),
         bias.data(),
         &mut h,
         m,
@@ -112,17 +110,17 @@ pub fn softmax_pool(y: &Tensor, pw: &Tensor) -> (Tensor, Tensor) {
     );
     let (nn, c, d) = (y.dims()[0], y.dims()[1], y.dims()[2]);
     assert_eq!(pw.numel(), d, "pool weight len {} vs dim {d}", pw.numel());
-    let yo = Operand::from_tensor(y);
+    let yo = y.data();
 
     // Logits: every position's `[C,D]·[D,1]` product is the same GEMV over
     // consecutive rows, so the whole thing folds into ONE `[N·C, D]×[D, 1]`
     // product — one dispatch instead of N tiny ones.
     let mut logits = vec![0.0f32; nn * c];
-    gemm_op(
+    gemm(
         GemmLayout::NN,
         1.0,
         yo,
-        Operand::from_tensor(pw),
+        pw.data(),
         &mut logits,
         nn * c,
         d,
@@ -138,8 +136,8 @@ pub fn softmax_pool(y: &Tensor, pw: &Tensor) -> (Tensor, Tensor) {
         .map(|n_idx| GemmJob {
             layout: GemmLayout::NN,
             alpha: 1.0,
-            a: Operand::F32(&wd[n_idx * c..(n_idx + 1) * c]),
-            b: yo.slice(n_idx * c * d..(n_idx + 1) * c * d),
+            a: &wd[n_idx * c..(n_idx + 1) * c],
+            b: &yo[n_idx * c * d..(n_idx + 1) * c * d],
             m: 1,
             k: c,
             n: d,

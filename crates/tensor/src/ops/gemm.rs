@@ -44,7 +44,6 @@
 
 use rayon::prelude::*;
 
-use crate::dtype::DType;
 use crate::scratch::{with_scratch, with_scratch_zeroed};
 use crate::shape::Shape;
 use crate::simd::{self, Isa, MicroEpi};
@@ -108,58 +107,6 @@ impl GemmLayout {
     }
 }
 
-/// A GEMM input operand: a borrowed f32 slice, or a bf16 slice the panel
-/// packers decode on the fly (**convert-on-pack**). The micro-kernels and
-/// every accumulator stay f32 either way — bf16 storage only halves the
-/// bytes the pack stage streams from memory, which is exactly the
-/// bandwidth the pack-bound shapes are limited by. Decode is exact, so a
-/// bf16 operand produces the same packed panel bit for bit as decoding the
-/// whole operand to f32 up front.
-#[derive(Clone, Copy)]
-pub enum Operand<'a> {
-    F32(&'a [f32]),
-    Bf16(&'a [u16]),
-}
-
-impl<'a> Operand<'a> {
-    /// Borrow a tensor's storage at its native dtype (no conversion).
-    pub fn from_tensor(t: &'a Tensor) -> Self {
-        match t.dtype() {
-            DType::F32 => Operand::F32(t.data()),
-            DType::Bf16 => Operand::Bf16(t.bf16_data()),
-        }
-    }
-
-    /// Element count (elements, not bytes).
-    pub fn len(&self) -> usize {
-        match self {
-            Operand::F32(v) => v.len(),
-            Operand::Bf16(v) => v.len(),
-        }
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Sub-range view (how batched dispatch carves per-batch windows).
-    pub fn slice(self, r: std::ops::Range<usize>) -> Self {
-        match self {
-            Operand::F32(v) => Operand::F32(&v[r]),
-            Operand::Bf16(v) => Operand::Bf16(&v[r]),
-        }
-    }
-
-    /// Decode into an equal-length f32 buffer (copy for f32, exact widen
-    /// for bf16) — the small-product fallback that skips packing entirely.
-    fn decode_into(self, dst: &mut [f32]) {
-        match self {
-            Operand::F32(v) => dst.copy_from_slice(v),
-            Operand::Bf16(v) => simd::bf16_to_f32_sweep(v, dst),
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Packing
 // ---------------------------------------------------------------------------
@@ -180,7 +127,7 @@ fn pack_a(
     isa: Isa,
     layout: GemmLayout,
     alpha: f32,
-    a: Operand<'_>,
+    a: &[f32],
     m: usize,
     k: usize,
     ic: usize,
@@ -198,18 +145,11 @@ fn pack_a(
         let panel = &mut buf[r * mr * kc..(r + 1) * mr * kc];
         if layout.a_transposed() {
             // a is [k, m]: a(i, p) = a[p*m + i] — source rows are contiguous
-            // in the pack destination order, so copy p-major (bf16 sources
-            // decode in the same sweep; decode is exact, so both dtypes see
-            // exactly one `α·x` multiply per element).
+            // in the pack destination order, so copy p-major.
             for p in 0..kc {
                 let s0 = (pc + p) * m + row0;
                 let dst = &mut panel[p * mr..p * mr + mr];
-                match a {
-                    Operand::F32(af) => dst[..rows].copy_from_slice(&af[s0..s0 + rows]),
-                    Operand::Bf16(ab) => {
-                        simd::bf16_to_f32_sweep_isa(isa, &ab[s0..s0 + rows], &mut dst[..rows])
-                    }
-                }
+                dst[..rows].copy_from_slice(&a[s0..s0 + rows]);
                 dst[rows..].fill(0.0);
                 for v in dst[..rows].iter_mut() {
                     *v *= alpha;
@@ -220,28 +160,16 @@ fn pack_a(
             // SAFETY: source indices stay inside `a` (`row0 + rows ≤ m`,
             // `pc + kc ≤ k`); the panel slice holds `mr·kc` elements.
             unsafe {
-                match a {
-                    Operand::F32(af) => simd::pack_transpose(
-                        isa,
-                        af.as_ptr().add(row0 * k + pc),
-                        k,
-                        rows,
-                        mr,
-                        kc,
-                        panel.as_mut_ptr(),
-                        alpha,
-                    ),
-                    Operand::Bf16(ab) => simd::pack_transpose_bf16(
-                        isa,
-                        ab.as_ptr().add(row0 * k + pc),
-                        k,
-                        rows,
-                        mr,
-                        kc,
-                        panel.as_mut_ptr(),
-                        alpha,
-                    ),
-                }
+                simd::pack_transpose(
+                    isa,
+                    a.as_ptr().add(row0 * k + pc),
+                    k,
+                    rows,
+                    mr,
+                    kc,
+                    panel.as_mut_ptr(),
+                    alpha,
+                )
             }
         }
     }
@@ -256,7 +184,7 @@ fn pack_a(
 fn pack_b(
     isa: Isa,
     layout: GemmLayout,
-    b: Operand<'_>,
+    b: &[f32],
     k: usize,
     n: usize,
     pc: usize,
@@ -278,41 +206,23 @@ fn pack_b(
             // rows of length `k`, `pc + kc ≤ k`); the panel slice holds
             // `nr·kc` elements.
             unsafe {
-                match b {
-                    Operand::F32(bf) => simd::pack_transpose(
-                        isa,
-                        bf.as_ptr().add(col0 * k + pc),
-                        k,
-                        cols,
-                        nr,
-                        kc,
-                        panel.as_mut_ptr(),
-                        1.0,
-                    ),
-                    Operand::Bf16(bb) => simd::pack_transpose_bf16(
-                        isa,
-                        bb.as_ptr().add(col0 * k + pc),
-                        k,
-                        cols,
-                        nr,
-                        kc,
-                        panel.as_mut_ptr(),
-                        1.0,
-                    ),
-                }
+                simd::pack_transpose(
+                    isa,
+                    b.as_ptr().add(col0 * k + pc),
+                    k,
+                    cols,
+                    nr,
+                    kc,
+                    panel.as_mut_ptr(),
+                    1.0,
+                )
             }
         } else {
-            // b is [k, n]: b(p, j) = b[p*n + j] — contiguous source rows
-            // (bf16 decodes in the copy sweep, exact).
+            // b is [k, n]: b(p, j) = b[p*n + j] — contiguous source rows.
             for p in 0..kc {
                 let s0 = (pc + p) * n + col0;
                 let dst = &mut panel[p * nr..p * nr + nr];
-                match b {
-                    Operand::F32(bf) => dst[..cols].copy_from_slice(&bf[s0..s0 + cols]),
-                    Operand::Bf16(bb) => {
-                        simd::bf16_to_f32_sweep_isa(isa, &bb[s0..s0 + cols], &mut dst[..cols])
-                    }
-                }
+                dst[..cols].copy_from_slice(&b[s0..s0 + cols]);
                 dst[cols..].fill(0.0);
             }
         }
@@ -409,8 +319,8 @@ fn gemm_tile_serial(
     isa: Isa,
     layout: GemmLayout,
     alpha: f32,
-    a: Operand<'_>,
-    b: Operand<'_>,
+    a: &[f32],
+    b: &[f32],
     epi: Epilogue<'_>,
     tile: &mut CTile<'_>,
     m: usize,
@@ -507,32 +417,6 @@ fn gemm_tile_serial(
     });
 }
 
-/// [`gemm_small`] over dtype-tagged operands: bf16 inputs are decoded
-/// (exactly) into pooled scratch first — products this small are
-/// unit-test-sized, so the decode is noise and the row-major loops stay
-/// monomorphic f32.
-#[allow(clippy::too_many_arguments)]
-fn gemm_small_op(
-    layout: GemmLayout,
-    alpha: f32,
-    a: Operand<'_>,
-    b: Operand<'_>,
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    if let (Operand::F32(af), Operand::F32(bf)) = (a, b) {
-        return gemm_small(layout, alpha, af, bf, c, m, k, n);
-    }
-    with_scratch(a.len() + b.len(), |buf| {
-        let (ab, bb) = buf.split_at_mut(a.len());
-        a.decode_into(ab);
-        b.decode_into(bb);
-        gemm_small(layout, alpha, ab, bb, c, m, k, n)
-    })
-}
-
 /// Direct row-major loops for operands too small to amortize packing.
 #[allow(clippy::too_many_arguments)]
 fn gemm_small(
@@ -601,33 +485,6 @@ pub fn gemm(
     k: usize,
     n: usize,
 ) {
-    gemm_dispatch(
-        layout,
-        alpha,
-        Operand::F32(a),
-        Operand::F32(b),
-        Epilogue::Add,
-        c,
-        m,
-        k,
-        n,
-    );
-}
-
-/// [`gemm`] over dtype-tagged operands: bf16 inputs run convert-on-pack
-/// (half the pack bytes, identical f32 accumulation); the output is always
-/// f32.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_op(
-    layout: GemmLayout,
-    alpha: f32,
-    a: Operand<'_>,
-    b: Operand<'_>,
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
     gemm_dispatch(layout, alpha, a, b, Epilogue::Add, c, m, k, n);
 }
 
@@ -641,32 +498,6 @@ pub fn gemm_bias(
     alpha: f32,
     a: &[f32],
     b: &[f32],
-    bias: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    gemm_bias_op(
-        layout,
-        alpha,
-        Operand::F32(a),
-        Operand::F32(b),
-        bias,
-        c,
-        m,
-        k,
-        n,
-    );
-}
-
-/// [`gemm_bias`] over dtype-tagged operands (the bias and output stay f32).
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_bias_op(
-    layout: GemmLayout,
-    alpha: f32,
-    a: Operand<'_>,
-    b: Operand<'_>,
     bias: &[f32],
     c: &mut [f32],
     m: usize,
@@ -708,8 +539,8 @@ fn epi_pre_pass(epi: Epilogue<'_>, c: &mut [f32], n: usize) {
 fn gemm_dispatch(
     layout: GemmLayout,
     alpha: f32,
-    a: Operand<'_>,
-    b: Operand<'_>,
+    a: &[f32],
+    b: &[f32],
     epi: Epilogue<'_>,
     c: &mut [f32],
     m: usize,
@@ -725,7 +556,7 @@ fn gemm_dispatch(
         // Operands too small for the packed path; the epilogue pre-pass
         // over a sub-32k-element output is noise.
         epi_pre_pass(epi, c, n);
-        return gemm_small_op(layout, alpha, a, b, c, m, k, n);
+        return gemm_small(layout, alpha, a, b, c, m, k, n);
     }
     // ISA resolved once per product; every tile of this call uses the same
     // micro-kernel and tile shape.
@@ -759,8 +590,8 @@ fn gemm_serial(
     isa: Isa,
     layout: GemmLayout,
     alpha: f32,
-    a: Operand<'_>,
-    b: Operand<'_>,
+    a: &[f32],
+    b: &[f32],
     epi: Epilogue<'_>,
     c: &mut [f32],
     m: usize,
@@ -792,8 +623,8 @@ fn gemm_parallel_2d(
     isa: Isa,
     layout: GemmLayout,
     alpha: f32,
-    a: Operand<'_>,
-    b: Operand<'_>,
+    a: &[f32],
+    b: &[f32],
     epi: Epilogue<'_>,
     c: &mut [f32],
     m: usize,
@@ -843,8 +674,8 @@ fn gemm_parallel_split_k(
     isa: Isa,
     layout: GemmLayout,
     alpha: f32,
-    a: Operand<'_>,
-    b: Operand<'_>,
+    a: &[f32],
+    b: &[f32],
     c: &mut [f32],
     m: usize,
     k: usize,
@@ -898,8 +729,7 @@ fn gemm_parallel_split_k(
 // ---------------------------------------------------------------------------
 
 /// `[m,k] × [k,n] -> [m,n]`. Higher-rank `a` is folded to 2-D over its last
-/// axis. Either operand may be bf16-stored (convert-on-pack); the result is
-/// always f32.
+/// axis.
 pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     let a2 = a.as_2d();
     assert_eq!(b.ndim(), 2, "matmul rhs must be 2-D, got {}", b.shape());
@@ -907,16 +737,7 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     let (k2, n) = (b.dims()[0], b.dims()[1]);
     assert_eq!(k, k2, "matmul inner dims {} vs {}", a.shape(), b.shape());
     let mut c = vec![0.0f32; m * n];
-    gemm_op(
-        GemmLayout::NN,
-        1.0,
-        Operand::from_tensor(&a2),
-        Operand::from_tensor(b),
-        &mut c,
-        m,
-        k,
-        n,
-    );
+    gemm(GemmLayout::NN, 1.0, a2.data(), b.data(), &mut c, m, k, n);
     // Preserve leading batch axes of `a`.
     let mut out_dims = a.dims().to_vec();
     *out_dims.last_mut().unwrap() = n;
@@ -931,16 +752,7 @@ pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Tensor {
     let (n, k2) = (b.dims()[0], b.dims()[1]);
     assert_eq!(k, k2, "matmul_nt inner dims {} vs {}", a.shape(), b.shape());
     let mut c = vec![0.0f32; m * n];
-    gemm_op(
-        GemmLayout::NT,
-        1.0,
-        Operand::from_tensor(&a2),
-        Operand::from_tensor(b),
-        &mut c,
-        m,
-        k,
-        n,
-    );
+    gemm(GemmLayout::NT, 1.0, a2.data(), b.data(), &mut c, m, k, n);
     let mut out_dims = a.dims().to_vec();
     *out_dims.last_mut().unwrap() = n;
     Tensor::from_vec(c, Shape::new(&out_dims))
@@ -954,16 +766,7 @@ pub fn matmul_tn(a: &Tensor, b: &Tensor) -> Tensor {
     let (k2, n) = (b2.dims()[0], b2.dims()[1]);
     assert_eq!(k, k2, "matmul_tn inner dims {} vs {}", a.shape(), b.shape());
     let mut c = vec![0.0f32; m * n];
-    gemm_op(
-        GemmLayout::TN,
-        1.0,
-        Operand::from_tensor(&a2),
-        Operand::from_tensor(&b2),
-        &mut c,
-        m,
-        k,
-        n,
-    );
+    gemm(GemmLayout::TN, 1.0, a2.data(), b2.data(), &mut c, m, k, n);
     Tensor::from_vec(c, [m, n])
 }
 
@@ -986,8 +789,8 @@ fn bmm_dims(a: &Tensor, b: &Tensor) -> (usize, usize, usize, usize, usize, usize
 pub(crate) struct GemmJob<'a> {
     pub layout: GemmLayout,
     pub alpha: f32,
-    pub a: Operand<'a>,
-    pub b: Operand<'a>,
+    pub a: &'a [f32],
+    pub b: &'a [f32],
     pub m: usize,
     pub k: usize,
     pub n: usize,
@@ -1054,7 +857,7 @@ pub(crate) fn gemm_batch_into(jobs: &[GemmJob<'_>], c: &mut [f32]) {
     let total_flops: usize = jobs.iter().map(|j| j.m * j.n * j.k).sum();
     if total_flops < PAR_FLOPS || rayon::current_num_threads() == 1 {
         for j in jobs {
-            gemm_serial_or_small_op(
+            gemm_serial_or_small(
                 j.layout,
                 j.alpha,
                 j.a,
@@ -1084,7 +887,7 @@ pub(crate) fn gemm_batch_into(jobs: &[GemmJob<'_>], c: &mut [f32]) {
             // debug assert above (offsets come from callers that sized `c`).
             let cw = unsafe { std::slice::from_raw_parts_mut(out.base().add(j.c_off), m * n) };
             if k > 0 {
-                gemm_small_op(j.layout, j.alpha, j.a, j.b, cw, m, k, n);
+                gemm_small(j.layout, j.alpha, j.a, j.b, cw, m, k, n);
             }
         } else {
             let col_blocks = n.div_ceil(NC);
@@ -1140,16 +943,16 @@ fn bmm_driver(
 ) -> Tensor {
     let (a_sz, b_sz) = (m * k, k * n);
     let mut c = vec![0.0f32; bs * m * n];
-    let (ao, bo) = (Operand::from_tensor(a), Operand::from_tensor(b));
+    let (ao, bo) = (a.data(), b.data());
     if bs == 1 {
-        gemm_op(layout, alpha, ao, bo, &mut c, m, k, n);
+        gemm(layout, alpha, ao, bo, &mut c, m, k, n);
     } else {
         let jobs: Vec<GemmJob<'_>> = (0..bs)
             .map(|bi| GemmJob {
                 layout,
                 alpha,
-                a: ao.slice(bi * a_sz..(bi + 1) * a_sz),
-                b: bo.slice(bi * b_sz..(bi + 1) * b_sz),
+                a: &ao[bi * a_sz..(bi + 1) * a_sz],
+                b: &bo[bi * b_sz..(bi + 1) * b_sz],
                 m,
                 k,
                 n,
@@ -1178,33 +981,6 @@ pub(crate) fn gemm_serial_or_small(
     k: usize,
     n: usize,
 ) {
-    gemm_serial_or_small_op(
-        layout,
-        alpha,
-        Operand::F32(a),
-        Operand::F32(b),
-        epi,
-        c,
-        m,
-        k,
-        n,
-    )
-}
-
-/// [`gemm_serial_or_small`] over dtype-tagged operands (the batched
-/// dispatcher's per-tile body).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_serial_or_small_op(
-    layout: GemmLayout,
-    alpha: f32,
-    a: Operand<'_>,
-    b: Operand<'_>,
-    epi: Epilogue<'_>,
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
     if m == 0 || n == 0 {
         return;
     }
@@ -1215,7 +991,7 @@ pub(crate) fn gemm_serial_or_small_op(
     }
     if m * n * k < SMALL_FLOPS {
         epi_pre_pass(epi, c, n);
-        gemm_small_op(layout, alpha, a, b, c, m, k, n);
+        gemm_small(layout, alpha, a, b, c, m, k, n);
     } else {
         gemm_serial(simd::active_isa(), layout, alpha, a, b, epi, c, m, k, n);
     }
@@ -1270,15 +1046,13 @@ pub fn bmm_tn_scaled(a: &Tensor, b: &Tensor, alpha: f32) -> Tensor {
 pub mod bench_api {
     use super::*;
 
-    /// Whole-product GEMM on the serial blocked driver over dtype-tagged
-    /// operands (f32, or bf16 convert-on-pack: same driver and f32
-    /// accumulation — only the pack-stage bytes differ).
+    /// Whole-product GEMM on the serial blocked driver.
     #[allow(clippy::too_many_arguments)]
-    pub fn gemm_fast_serial_op(
+    pub fn gemm_fast_serial(
         layout: GemmLayout,
         alpha: f32,
-        a: Operand<'_>,
-        b: Operand<'_>,
+        a: &[f32],
+        b: &[f32],
         c: &mut [f32],
         m: usize,
         k: usize,
@@ -1309,20 +1083,7 @@ pub mod bench_api {
     pub fn pack_a_block(isa: Isa, a: &[f32], m: usize, k: usize, buf: &mut [f32]) -> usize {
         let (mr, _) = simd::gemm_tile_shape(simd::active_isa());
         let (mc, kc) = (MC.min(m), KC.min(k));
-        pack_a(
-            isa,
-            GemmLayout::NN,
-            1.0,
-            Operand::F32(a),
-            m,
-            k,
-            0,
-            mc,
-            0,
-            kc,
-            mr,
-            buf,
-        );
+        pack_a(isa, GemmLayout::NN, 1.0, a, m, k, 0, mc, 0, kc, mr, buf);
         mc * kc
     }
 
@@ -1621,18 +1382,7 @@ mod tests {
         if m == 0 || n == 0 || k == 0 {
             return;
         }
-        gemm_serial(
-            isa,
-            layout,
-            1.0,
-            Operand::F32(a),
-            Operand::F32(b),
-            Epilogue::Add,
-            c,
-            m,
-            k,
-            n,
-        );
+        gemm_serial(isa, layout, 1.0, a, b, Epilogue::Add, c, m, k, n);
     }
 
     #[test]
@@ -1726,8 +1476,8 @@ mod tests {
                 isa,
                 GemmLayout::NN,
                 1.0,
-                Operand::F32(&a),
-                Operand::F32(&b),
+                &a,
+                &b,
                 Epilogue::AddBias(&bias),
                 &mut fused,
                 m,
@@ -1739,8 +1489,8 @@ mod tests {
                 isa,
                 GemmLayout::NN,
                 1.0,
-                Operand::F32(&a),
-                Operand::F32(&b),
+                &a,
+                &b,
                 Epilogue::Add,
                 &mut plain,
                 m,
@@ -1778,8 +1528,8 @@ mod tests {
                 isa,
                 GemmLayout::NN,
                 1.0,
-                Operand::F32(&a),
-                Operand::F32(&b),
+                &a,
+                &b,
                 Epilogue::Add,
                 &mut serial,
                 m,
@@ -1791,8 +1541,8 @@ mod tests {
                 isa,
                 GemmLayout::NN,
                 1.0,
-                Operand::F32(&a),
-                Operand::F32(&b),
+                &a,
+                &b,
                 Epilogue::Add,
                 &mut par2d,
                 m,
@@ -1821,17 +1571,7 @@ mod tests {
         rng.fill_normal(&mut b, 1.0);
         for isa in Isa::available() {
             let mut split = vec![0.0f32; m * n];
-            gemm_parallel_split_k(
-                isa,
-                GemmLayout::NN,
-                1.0,
-                Operand::F32(&a),
-                Operand::F32(&b),
-                &mut split,
-                m,
-                k,
-                n,
-            );
+            gemm_parallel_split_k(isa, GemmLayout::NN, 1.0, &a, &b, &mut split, m, k, n);
             // Replay the shape-derived schedule serially.
             const GRAIN: usize = 4 * KC;
             let chunks = k.div_ceil(GRAIN).min(16);
@@ -1845,8 +1585,8 @@ mod tests {
                     isa,
                     GemmLayout::NN,
                     1.0,
-                    Operand::F32(&a),
-                    Operand::F32(&b),
+                    &a,
+                    &b,
                     Epilogue::Add,
                     &mut tile,
                     m,
@@ -1924,18 +1664,7 @@ mod tests {
                             rng.fill_normal(&mut a, 1.0);
                             rng.fill_normal(&mut b, 1.0);
                             let mut c = vec![0.0f32; m * n];
-                            gemm_serial(
-                                isa,
-                                layout,
-                                1.0,
-                                Operand::F32(&a),
-                                Operand::F32(&b),
-                                Epilogue::Add,
-                                &mut c,
-                                m,
-                                k,
-                                n,
-                            );
+                            gemm_serial(isa, layout, 1.0, &a, &b, Epilogue::Add, &mut c, m, k, n);
                             let want = reference(layout, &a, &b, m, k, n);
                             for (i, (x, y)) in c.iter().zip(&want).enumerate() {
                                 assert!(
@@ -1985,18 +1714,7 @@ mod tests {
                     rng.fill_normal(&mut a, 1.0);
                     rng.fill_normal(&mut b, 1.0);
                     let mut fast = vec![0.0f32; m * n];
-                    gemm_serial(
-                        isa,
-                        layout,
-                        1.0,
-                        Operand::F32(&a),
-                        Operand::F32(&b),
-                        Epilogue::Add,
-                        &mut fast,
-                        m,
-                        k,
-                        n,
-                    );
+                    gemm_serial(isa, layout, 1.0, &a, &b, Epilogue::Add, &mut fast, m, k, n);
                     let (mp, np) = (m.next_multiple_of(mr), n.next_multiple_of(nr));
                     let ap = match layout {
                         GemmLayout::TN => zero_pad(&a, k, m, k, mp),
@@ -2011,8 +1729,8 @@ mod tests {
                         isa,
                         layout,
                         1.0,
-                        Operand::F32(&ap),
-                        Operand::F32(&bp),
+                        &ap,
+                        &bp,
                         Epilogue::Add,
                         &mut full,
                         mp,
@@ -2101,8 +1819,8 @@ mod tests {
             jobs.push(GemmJob {
                 layout: layouts[i],
                 alpha: 0.5 + i as f32,
-                a: Operand::F32(&operands[i].0),
-                b: Operand::F32(&operands[i].1),
+                a: &operands[i].0,
+                b: &operands[i].1,
                 m,
                 k,
                 n,
@@ -2116,7 +1834,7 @@ mod tests {
         // Serial replay: one job at a time through the serial entry.
         let mut replay = vec![0.0f32; total];
         for j in &jobs {
-            gemm_serial_or_small_op(
+            gemm_serial_or_small(
                 j.layout,
                 j.alpha,
                 j.a,
@@ -2130,38 +1848,6 @@ mod tests {
         }
         for (i, (x, y)) in batched.iter().zip(&replay).enumerate() {
             assert_eq!(x.to_bits(), y.to_bits(), "elem {i}: {x} vs {y}");
-        }
-    }
-
-    /// Convert-on-pack must be invisible to numerics: a bf16-stored
-    /// operand gives the same f32 result bit for bit as decoding it to
-    /// f32 up front (decode is exact, accumulation identical). Shapes
-    /// cover the small direct loops and the packed serial/parallel paths;
-    /// layouts cover both the gather and the contiguous-copy packs.
-    #[test]
-    fn bf16_operands_match_decoded_f32_product_bitwise() {
-        let mut rng = Rng::new(301);
-        type Product = fn(&Tensor, &Tensor) -> Tensor;
-        let cases: [(Product, &str); 3] = [(matmul, "NN"), (matmul_nt, "NT"), (matmul_tn, "TN")];
-        for &(m, k, n) in &[
-            (7usize, 5usize, 9usize),
-            (67, KC + 9, 65),
-            (MC + 9, 40, NC + 17),
-        ] {
-            for (run, name) in cases {
-                let (a_dims, b_dims) = match name {
-                    "NN" => ([m, k], [k, n]),
-                    "NT" => ([m, k], [n, k]),
-                    _ => ([k, m], [k, n]),
-                };
-                let a16 = Tensor::randn(a_dims, 1.0, &mut rng).to_dtype(DType::Bf16);
-                let b16 = Tensor::randn(b_dims, 1.0, &mut rng).to_dtype(DType::Bf16);
-                let got = run(&a16, &b16);
-                let want = run(&a16.to_dtype(DType::F32), &b16.to_dtype(DType::F32));
-                for (i, (x, y)) in got.data().iter().zip(want.data()).enumerate() {
-                    assert_eq!(x.to_bits(), y.to_bits(), "{name} {m}x{k}x{n} elem {i}");
-                }
-            }
         }
     }
 

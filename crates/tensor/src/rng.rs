@@ -124,12 +124,6 @@ impl Rng {
         r * theta.cos()
     }
 
-    /// Normal with the given mean and standard deviation.
-    #[inline]
-    pub fn normal_with(&mut self, mean: f32, std: f32) -> f32 {
-        mean + std * self.normal()
-    }
-
     /// Fill `out` with standard-normal deviates scaled by `std`.
     pub fn fill_normal(&mut self, out: &mut [f32], std: f32) {
         for x in out.iter_mut() {

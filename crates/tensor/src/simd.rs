@@ -542,22 +542,6 @@ mod scalar {
         }
     }
 
-    /// Scalar bf16 → f32 decode sweep (exact — a 16-bit left shift per
-    /// element — and the reference the SIMD tiers are tested against).
-    pub fn bf16_decode(src: &[u16], dst: &mut [f32]) {
-        for (d, &s) in dst.iter_mut().zip(src) {
-            *d = crate::dtype::bf16_to_f32(s);
-        }
-    }
-
-    /// Scalar f32 → bf16 encode sweep: the reference round-to-nearest-even
-    /// (NaN quieted) every SIMD tier must reproduce bit for bit.
-    pub fn bf16_encode(src: &[f32], dst: &mut [u16]) {
-        for (d, &s) in dst.iter_mut().zip(src) {
-            *d = crate::dtype::f32_to_bf16(s);
-        }
-    }
-
     /// Slicing-by-8 CRC-32 update of the raw (un-inverted) register:
     /// eight table lookups retire eight bytes, and the byte loop finishes
     /// the `len % 8` tail.
@@ -580,32 +564,6 @@ mod scalar {
             crc = t[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
         }
         crc
-    }
-
-    /// [`pack_transpose`] reading a bf16 source. Decode is exact, so the
-    /// packed panel is bitwise identical to decoding the whole operand to
-    /// f32 first and running the f32 pack — at half the source bytes.
-    ///
-    /// # Safety
-    /// As [`pack_transpose`], with `src` counted in u16 elements.
-    pub unsafe fn pack_transpose_bf16(
-        src: *const u16,
-        stride: usize,
-        rows: usize,
-        pad: usize,
-        kc: usize,
-        dst: *mut f32,
-        alpha: f32,
-    ) {
-        for p in 0..kc {
-            let d = dst.add(p * pad);
-            for i in 0..rows {
-                *d.add(i) = alpha * crate::dtype::bf16_to_f32(*src.add(i * stride + p));
-            }
-            for i in rows..pad {
-                *d.add(i) = 0.0;
-            }
-        }
     }
 }
 
@@ -1399,171 +1357,6 @@ mod x86 {
         }
     }
 
-    /// bf16 lane extension of [`Vf32`]: half-width loads/stores with the
-    /// convert fused in. Decode shifts each 16-bit pattern into the top
-    /// half of an f32 lane (exact). Encode applies the reference
-    /// round-to-nearest-even from `crate::dtype` lane-parallel and must be
-    /// **bitwise identical** to the scalar encode (parity-tested per ISA),
-    /// so stored bf16 tensors never depend on which tier produced them.
-    pub(super) trait Bf16Lanes: Vf32 {
-        /// Decode `LANES` bf16 values at `p` into f32 lanes.
-        unsafe fn bf16_load(p: *const u16) -> Self;
-        /// Encode `LANES` f32 lanes to bf16 (RNE, NaN quieted) at `p`.
-        unsafe fn bf16_store(self, p: *mut u16);
-        /// [`Bf16Lanes::bf16_load`] of the first `n ≤ LANES` values (rest
-        /// zero) via a zero-padded stack copy — there are no 16-bit masked
-        /// loads below AVX-512BW, and this runs only on pack block edges.
-        unsafe fn bf16_load_partial(p: *const u16, n: usize) -> Self;
-    }
-
-    impl Bf16Lanes for F32x8 {
-        #[inline(always)]
-        unsafe fn bf16_load(p: *const u16) -> Self {
-            let h = _mm_loadu_si128(p as *const __m128i);
-            let w = _mm256_slli_epi32(_mm256_cvtepu16_epi32(h), 16);
-            F32x8(_mm256_castsi256_ps(w))
-        }
-        #[inline(always)]
-        unsafe fn bf16_store(self, p: *mut u16) {
-            let bits = _mm256_castps_si256(self.0);
-            let hi = _mm256_srli_epi32(bits, 16);
-            // RNE: bits + 0x7FFF + (kept LSB), then drop the low half.
-            let lsb = _mm256_and_si256(hi, _mm256_set1_epi32(1));
-            let rne = _mm256_srli_epi32(
-                _mm256_add_epi32(bits, _mm256_add_epi32(_mm256_set1_epi32(0x7FFF), lsb)),
-                16,
-            );
-            // NaN lanes skip the increment (it could carry into the
-            // exponent and produce ±inf) and force the quiet bit instead.
-            let quiet = _mm256_or_si256(hi, _mm256_set1_epi32(0x40));
-            let nan = _mm256_castps_si256(_mm256_cmp_ps(self.0, self.0, _CMP_UNORD_Q));
-            let r = _mm256_blendv_epi8(rne, quiet, nan);
-            // Every u32 lane is ≤ 0xFFFF, so the unsigned-saturating
-            // narrow is value-preserving; pull qwords 0 and 2 of the
-            // per-128-lane pack together into the low half and store it.
-            let packed = _mm256_permute4x64_epi64(_mm256_packus_epi32(r, r), 0b11_10_10_00);
-            _mm_storeu_si128(p as *mut __m128i, _mm256_castsi256_si128(packed));
-        }
-        #[inline(always)]
-        unsafe fn bf16_load_partial(p: *const u16, n: usize) -> Self {
-            let mut tmp = [0u16; 8];
-            core::ptr::copy_nonoverlapping(p, tmp.as_mut_ptr(), n);
-            Self::bf16_load(tmp.as_ptr())
-        }
-    }
-
-    impl Bf16Lanes for F32x16 {
-        #[inline(always)]
-        unsafe fn bf16_load(p: *const u16) -> Self {
-            let h = _mm256_loadu_si256(p as *const __m256i);
-            let w = _mm512_slli_epi32(_mm512_cvtepu16_epi32(h), 16);
-            F32x16(_mm512_castsi512_ps(w))
-        }
-        #[inline(always)]
-        unsafe fn bf16_store(self, p: *mut u16) {
-            let bits = _mm512_castps_si512(self.0);
-            let hi = _mm512_srli_epi32(bits, 16);
-            let lsb = _mm512_and_si512(hi, _mm512_set1_epi32(1));
-            let rne = _mm512_srli_epi32(
-                _mm512_add_epi32(bits, _mm512_add_epi32(_mm512_set1_epi32(0x7FFF), lsb)),
-                16,
-            );
-            let quiet = _mm512_or_si512(hi, _mm512_set1_epi32(0x40));
-            let nan = _mm512_cmp_ps_mask(self.0, self.0, _CMP_UNORD_Q);
-            let r = _mm512_mask_blend_epi32(nan, rne, quiet);
-            // VPMOVDW (plain AVX-512F) truncates each dword to a word —
-            // exact here since every lane is ≤ 0xFFFF.
-            _mm256_storeu_si256(p as *mut __m256i, _mm512_cvtepi32_epi16(r));
-        }
-        #[inline(always)]
-        unsafe fn bf16_load_partial(p: *const u16, n: usize) -> Self {
-            let mut tmp = [0u16; 16];
-            core::ptr::copy_nonoverlapping(p, tmp.as_mut_ptr(), n);
-            Self::bf16_load(tmp.as_ptr())
-        }
-    }
-
-    /// bf16 → f32 convert sweep body: vector main loop + scalar tail
-    /// (decode is exact on both, so the seam is invisible).
-    #[inline(always)]
-    unsafe fn bf16_decode_v<V: Bf16Lanes>(src: &[u16], dst: &mut [f32]) {
-        let main = src.len() - src.len() % V::LANES;
-        let (sp, dp) = (src.as_ptr(), dst.as_mut_ptr());
-        let mut i = 0;
-        while i < main {
-            V::bf16_load(sp.add(i)).store(dp.add(i));
-            i += V::LANES;
-        }
-        super::scalar::bf16_decode(&src[main..], &mut dst[main..]);
-    }
-
-    /// f32 → bf16 convert sweep body. The scalar tail applies the same
-    /// reference rounding, so results are position- and ISA-independent.
-    #[inline(always)]
-    unsafe fn bf16_encode_v<V: Bf16Lanes>(src: &[f32], dst: &mut [u16]) {
-        let main = src.len() - src.len() % V::LANES;
-        let (sp, dp) = (src.as_ptr(), dst.as_mut_ptr());
-        let mut i = 0;
-        while i < main {
-            V::load(sp.add(i)).bf16_store(dp.add(i));
-            i += V::LANES;
-        }
-        super::scalar::bf16_encode(&src[main..], &mut dst[main..]);
-    }
-
-    /// [`pack_transpose_avx`] reading a bf16 source: the 8×8 register
-    /// transpose and store logic are unchanged — only the row loads
-    /// decode-and-widen (8 × u16 → 8 × f32) before the `α` multiply,
-    /// streaming half the source bytes per block.
-    #[inline(always)]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn pack_transpose_bf16_avx(
-        src: *const u16,
-        stride: usize,
-        rows: usize,
-        pad: usize,
-        kc: usize,
-        dst: *mut f32,
-        alpha: f32,
-    ) {
-        let av = _mm256_set1_ps(alpha);
-        let mut i0 = 0;
-        while i0 < pad {
-            let iw = 8.min(pad - i0); // panel lanes this block stores
-            let valid = rows.saturating_sub(i0).min(8); // real source rows
-            let mut p0 = 0;
-            while p0 < kc {
-                let pw = 8.min(kc - p0);
-                let mut r = [_mm256_setzero_ps(); 8];
-                if pw == 8 {
-                    for (i, rv) in r.iter_mut().enumerate().take(valid) {
-                        let row = src.add((i0 + i) * stride + p0);
-                        *rv = _mm256_mul_ps(F32x8::bf16_load(row).0, av);
-                    }
-                } else {
-                    for (i, rv) in r.iter_mut().enumerate().take(valid) {
-                        let row = src.add((i0 + i) * stride + p0);
-                        *rv = _mm256_mul_ps(F32x8::bf16_load_partial(row, pw).0, av);
-                    }
-                }
-                // Rows `valid..8` stay zero vectors, so transposed lanes
-                // past `rows` carry the panel's zero padding for free.
-                let t = transpose8x8(r);
-                if iw == 8 {
-                    for (p, tv) in t.iter().enumerate().take(pw) {
-                        _mm256_storeu_ps(dst.add((p0 + p) * pad + i0), *tv);
-                    }
-                } else {
-                    for (p, &tv) in t.iter().enumerate().take(pw) {
-                        F32x8(tv).store_partial(dst.add((p0 + p) * pad + i0), iw);
-                    }
-                }
-                p0 += pw;
-            }
-            i0 += iw;
-        }
-    }
-
     // ---- CRC-32 by carry-less-multiply folding ----
 
     // Folding constants for the reflected IEEE polynomial P: each is
@@ -1740,29 +1533,6 @@ mod x86 {
                     // 8-lane AVX blocks on both tiers: the panel interleave
                     // (6/8 rows) caps the useful block height at 8.
                     pack_transpose_avx(src, stride, rows, pad, kc, dst, alpha)
-                }
-                #[target_feature(enable = $feat)]
-                pub unsafe fn bf16_decode(src: &[u16], dst: &mut [f32]) {
-                    debug_assert_eq!(src.len(), dst.len());
-                    bf16_decode_v::<$v>(src, dst)
-                }
-                #[target_feature(enable = $feat)]
-                pub unsafe fn bf16_encode(src: &[f32], dst: &mut [u16]) {
-                    debug_assert_eq!(src.len(), dst.len());
-                    bf16_encode_v::<$v>(src, dst)
-                }
-                #[target_feature(enable = $feat)]
-                #[allow(clippy::too_many_arguments)]
-                pub unsafe fn pack_transpose_bf16(
-                    src: *const u16,
-                    stride: usize,
-                    rows: usize,
-                    pad: usize,
-                    kc: usize,
-                    dst: *mut f32,
-                    alpha: f32,
-                ) {
-                    pack_transpose_bf16_avx(src, stride, rows, pad, kc, dst, alpha)
                 }
             }
         };
@@ -1956,32 +1726,6 @@ pub(crate) unsafe fn pack_transpose(
     dispatch!(isa, pack_transpose(src, stride, rows, pad, kc, dst, alpha))
 }
 
-/// `dst[i] ← f32(src[i])` bf16 decode sweep — exact on every ISA (a
-/// 16-bit left shift per element), so all tiers agree bitwise.
-pub fn bf16_to_f32_sweep(src: &[u16], dst: &mut [f32]) {
-    bf16_to_f32_sweep_isa(active_isa(), src, dst)
-}
-
-/// [`bf16_to_f32_sweep`] on an explicit ISA.
-pub fn bf16_to_f32_sweep_isa(isa: Isa, src: &[u16], dst: &mut [f32]) {
-    assert_eq!(src.len(), dst.len(), "bf16_to_f32_sweep length mismatch");
-    dispatch!(isa, bf16_decode(src, dst))
-}
-
-/// `dst[i] ← bf16(src[i])` encode sweep: round-to-nearest-even with NaN
-/// quieting, bitwise identical to [`crate::dtype::f32_to_bf16`] on every
-/// ISA (parity-tested), so a stored bf16 tensor never depends on which
-/// tier encoded it.
-pub fn f32_to_bf16_sweep(src: &[f32], dst: &mut [u16]) {
-    f32_to_bf16_sweep_isa(active_isa(), src, dst)
-}
-
-/// [`f32_to_bf16_sweep`] on an explicit ISA.
-pub fn f32_to_bf16_sweep_isa(isa: Isa, src: &[f32], dst: &mut [u16]) {
-    assert_eq!(src.len(), dst.len(), "f32_to_bf16_sweep length mismatch");
-    dispatch!(isa, bf16_encode(src, dst))
-}
-
 /// IEEE CRC-32 (reflected, zlib / ethernet polynomial) of `bytes`: the
 /// checksum of every checkpoint entry, section, file footer and manifest.
 /// Every tier returns the same value bit for bit.
@@ -2004,30 +1748,6 @@ pub fn crc32_isa(isa: Isa, bytes: &[u8]) -> u32 {
         return !unsafe { x86::crc32_fold(!0, bytes) };
     }
     !scalar::crc32_update(!0, bytes)
-}
-
-/// [`pack_transpose`] reading a bf16 source panel: the (exact) decode is
-/// fused into the gather/transpose, so bf16-stored operands stream half
-/// the bytes into the same f32 micro-panels — bitwise equal to decoding
-/// the operand to f32 up front and packing that.
-///
-/// # Safety
-/// As [`pack_transpose`], with `src` counted in u16 elements.
-#[allow(clippy::too_many_arguments)]
-pub(crate) unsafe fn pack_transpose_bf16(
-    isa: Isa,
-    src: *const u16,
-    stride: usize,
-    rows: usize,
-    pad: usize,
-    kc: usize,
-    dst: *mut f32,
-    alpha: f32,
-) {
-    dispatch!(
-        isa,
-        pack_transpose_bf16(src, stride, rows, pad, kc, dst, alpha)
-    )
 }
 
 #[cfg(test)]
@@ -2356,101 +2076,6 @@ mod tests {
                                 alpha,
                             );
                             pack_transpose(
-                                isa,
-                                src.as_ptr(),
-                                stride,
-                                rows,
-                                pad,
-                                kc,
-                                got.as_mut_ptr(),
-                                alpha,
-                            );
-                        }
-                        for (j, (x, y)) in got.iter().zip(&want).enumerate() {
-                            assert_eq!(
-                                x.to_bits(),
-                                y.to_bits(),
-                                "{} rows={rows} pad={pad} kc={kc} α={alpha} elem {j}",
-                                isa.name()
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn bf16_convert_sweeps_match_scalar_bitwise() {
-        use crate::dtype::{bf16_to_f32, f32_to_bf16};
-        for &len in &[1usize, 7, 8, 15, 16, 17, 33, 130] {
-            let mut src = rand_vec(len, 10.0, 40 + len as u64);
-            // Salt in the hard cases: specials, exact ties, subnormals, a
-            // signalling-style NaN whose payload sits in the dropped half.
-            let specials = [
-                f32::NAN,
-                f32::INFINITY,
-                f32::NEG_INFINITY,
-                f32::MAX,
-                f32::MIN,
-                -0.0,
-                0.0,
-                f32::from_bits(0x3F80_8000),
-                f32::from_bits(0x3F81_8000),
-                f32::from_bits(0x0000_0001),
-                f32::from_bits(0x7F80_0001),
-            ];
-            for (v, &s) in src.iter_mut().zip(specials.iter()) {
-                *v = s;
-            }
-            let mut want = vec![0u16; len];
-            scalar::bf16_encode(&src, &mut want);
-            for (&w, &s) in want.iter().zip(&src) {
-                assert_eq!(w, f32_to_bf16(s), "scalar sweep vs reference");
-            }
-            for isa in Isa::available() {
-                let mut got = vec![0u16; len];
-                f32_to_bf16_sweep_isa(isa, &src, &mut got);
-                assert_eq!(got, want, "{:?} encode len {len}", isa.name());
-                let mut dec = vec![0.0f32; len];
-                bf16_to_f32_sweep_isa(isa, &got, &mut dec);
-                for (j, (&d, &g)) in dec.iter().zip(&got).enumerate() {
-                    assert_eq!(
-                        d.to_bits(),
-                        bf16_to_f32(g).to_bits(),
-                        "{:?} decode len {len} elem {j}",
-                        isa.name()
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn pack_transpose_bf16_bitwise_matches_scalar() {
-        // Same contract as the f32 pack: the SIMD decode-and-gather must
-        // equal the scalar loop bit for bit, zero padding included.
-        for isa in Isa::available() {
-            for &(rows, pad) in &[(1usize, 6usize), (5, 6), (7, 8), (8, 8), (13, 16), (31, 32)] {
-                for &kc in &[1usize, 7, 8, 9, 65] {
-                    for &alpha in &[1.0f32, 0.125] {
-                        let stride = kc + 3; // source wider than the block
-                        let f = rand_vec(rows * stride, 1.0, (rows * 41 + kc) as u64);
-                        let src: Vec<u16> =
-                            f.iter().map(|&x| crate::dtype::f32_to_bf16(x)).collect();
-                        let mut want = vec![f32::NAN; pad * kc];
-                        let mut got = vec![f32::NAN; pad * kc];
-                        unsafe {
-                            scalar::pack_transpose_bf16(
-                                src.as_ptr(),
-                                stride,
-                                rows,
-                                pad,
-                                kc,
-                                want.as_mut_ptr(),
-                                alpha,
-                            );
-                            pack_transpose_bf16(
                                 isa,
                                 src.as_ptr(),
                                 stride,

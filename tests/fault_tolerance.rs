@@ -325,17 +325,22 @@ fn store_bits(store: &ParamStore) -> Vec<u32> {
         .collect()
 }
 
-#[test]
-fn fault_recovery_is_bitwise_identical_to_fresh_survivor_run() {
-    const STEPS: usize = 6;
-    // Deterministic global batches; batch 12 divides both world 4 and 3.
-    let batches: Vec<Tensor> = {
-        let mut rng = Rng::new(41);
-        (0..STEPS)
-            .map(|_| Tensor::randn([12, 4], 1.0, &mut rng))
-            .collect()
-    };
+/// Steps of the recovery runs below.
+const STEPS: usize = 6;
 
+/// Deterministic global batches; batch 12 divides both world 4 and 3.
+fn recovery_batches() -> Vec<Tensor> {
+    let mut rng = Rng::new(41);
+    (0..STEPS)
+        .map(|_| Tensor::randn([12, 4], 1.0, &mut rng))
+        .collect()
+}
+
+/// A 4-rank DP run that loses rank 2 one step after its step-2
+/// checkpoint and recovers. Returns the survivors' (losses, params,
+/// restore point), in old-rank order [0, 1, 3], after checking that they
+/// agree on the params and the restore point.
+fn survivors_of_rank2_death(batches: &[Tensor]) -> Vec<(Vec<f32>, Vec<u32>, RestorePoint)> {
     // `train_step` with DP issues exactly one collective per step, so
     // BeforeIssue(3) kills rank 2 deterministically inside step 3 — one
     // step after the step-2 checkpoint.
@@ -362,34 +367,54 @@ fn fault_recovery_is_bitwise_identical_to_fresh_survivor_run() {
 
     // Victim died of its injected fault. DP params and the restore point
     // are replica-identical, so every survivor must agree on those bitwise;
-    // losses are computed on each rank's own batch shard and are compared
-    // per-rank against the fresh run below.
+    // losses are computed on each rank's own batch shard, so callers
+    // compare them per rank.
     let msg = faulty.outputs[2].as_ref().expect_err("rank 2 must die");
     assert!(msg.contains("injected fault"), "victim cause: {msg}");
-    let survivors: Vec<&(Vec<f32>, Vec<u32>, RestorePoint)> = [0, 1, 3]
+    let survivors: Vec<(Vec<f32>, Vec<u32>, RestorePoint)> = [0, 1, 3]
         .iter()
-        .map(|&r| faulty.outputs[r].as_ref().expect("survivor ok"))
+        .map(|&r| faulty.outputs[r].clone().expect("survivor ok"))
         .collect();
-    let (_, params, rp) = survivors[0];
     for s in &survivors[1..] {
-        assert_eq!(&s.1, params, "survivors disagree on params");
-        assert_eq!(&s.2, rp, "survivors disagree on the restore point");
+        assert_eq!(s.1, survivors[0].1, "survivors disagree on params");
+        assert_eq!(
+            s.2, survivors[0].2,
+            "survivors disagree on the restore point"
+        );
     }
+    survivors
+}
 
-    // The report names the checkpoint by (step, crc32) only; rebuild it
-    // with a clean deterministic 4-rank run of the first two steps and
-    // prove it is the one the recovery used via the crc.
+/// Serialized params-only checkpoint at `label_step` of a clean 4-rank
+/// run of the first `trained_steps` steps.
+fn clean_checkpoint(batches: &[Tensor], trained_steps: usize, label_step: u64) -> Vec<u8> {
     let rebuilt = run_ranks(4, |ctx| {
         let (mut store, mut m) = dp_build(&ctx.comm);
-        for batch in &batches[..2] {
+        for batch in &batches[..trained_steps] {
             dp_step(&mut store, &mut m, batch);
         }
-        dchag_tensor::checkpoint::Snapshot::of_store(&store, 2).to_bytes()
+        dchag_tensor::checkpoint::Snapshot::of_store(&store, label_step).to_bytes()
     });
-    let ck = &rebuilt.outputs[0];
+    rebuilt.outputs[0].clone()
+}
+
+fn digest(bytes: &[u8]) -> u32 {
+    dchag_tensor::checkpoint::content_digest(bytes).expect("a valid checkpoint")
+}
+
+#[test]
+fn fault_recovery_is_bitwise_identical_to_fresh_survivor_run() {
+    let batches = recovery_batches();
+    let survivors = survivors_of_rank2_death(&batches);
+    let (_, params, rp) = &survivors[0];
+
+    // The report names the checkpoint by (step, digest) only; rebuild it
+    // with a clean deterministic 4-rank run of the first two steps and
+    // prove it is the one the recovery used via the digest.
+    let ck = &clean_checkpoint(&batches, 2, 2);
     assert_eq!(
-        dchag_tensor::checkpoint::crc32(ck),
-        rp.crc32,
+        digest(ck),
+        rp.digest,
         "reconstructed checkpoint must match the restore point"
     );
 
@@ -418,6 +443,22 @@ fn fault_recovery_is_bitwise_identical_to_fresh_survivor_run() {
             "post-recovery parameters must be bitwise identical to a fresh survivor run"
         );
     }
+}
+
+#[test]
+fn restore_point_distinguishes_contents_at_the_same_step() {
+    // Two checkpoints labelled step 2: the one the recovery restored, and
+    // one of a run that trained a single step. Every valid file has the
+    // same whole-file CRC, so only a content digest tells them apart.
+    let batches = recovery_batches();
+    let rp = survivors_of_rank2_death(&batches)[0].2;
+    assert_eq!(digest(&clean_checkpoint(&batches, 2, 2)), rp.digest);
+    let other = clean_checkpoint(&batches, 1, 2);
+    assert_ne!(
+        digest(&other),
+        rp.digest,
+        "a step-2 checkpoint with other contents must not match the restore point"
+    );
 }
 
 // ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 //!
 //! The parity tests prove the transport seam is invisible: identical
 //! closures over `Transport::Thread` and `Transport::Tcp` produce bitwise
-//! identical outputs at world 2 and 4, across every collective shape, both
-//! wire precisions, subgroup splits, and overlapped nonblocking rounds.
+//! identical outputs at world 2 and 4, across every collective shape,
+//! subgroup splits, and overlapped nonblocking rounds.
 //! The fault tests then drive each [`TransportFault`] arm end-to-end over
 //! real loopback sockets and assert the *existing* typed error surface —
 //! `CommError::PeerFailed` / `CommError::Timeout` — is what surfaces, and
@@ -19,8 +19,8 @@ use std::time::Duration;
 use dchag::prelude::*;
 use dchag_collectives::{
     comm_error_of, run_ranks, run_tcp_ranks, run_tcp_ranks_faulty, run_transport_ranks, CollOp,
-    CommError, CommPrecision, Communicator, FailureSource, FaultCause, RankCtx, TcpConfig,
-    Transport, TransportFault, TransportFaultPlan,
+    CommError, Communicator, FailureSource, FaultCause, RankCtx, TcpConfig, Transport,
+    TransportFault, TransportFaultPlan,
 };
 use dchag_core::{
     resilient_train_loop, train_step, train_step_fsdp, ResilienceConfig, RestorePoint, TrainConfig,
@@ -28,7 +28,7 @@ use dchag_core::{
 use dchag_model::{AdamW, Linear};
 use dchag_parallel::fsdp::FSDP_UNIT_ELEMS;
 use dchag_parallel::{DataParallel, FsdpParams};
-use dchag_tensor::checkpoint::{crc32, Snapshot};
+use dchag_tensor::checkpoint::{content_digest, Snapshot};
 
 const REGROUP_DEADLINE: Duration = Duration::from_secs(2);
 
@@ -83,12 +83,6 @@ fn parity_workload(ctx: &RankCtx) -> Vec<u32> {
         .iall_reduce_sum(&Tensor::randn([16], 1.0, &mut rng));
     bits.extend(bits_of(&b.wait()));
     bits.extend(bits_of(&a.wait()));
-
-    // Reduced-precision wire: bf16 rounding must happen at the same points
-    // on both transports.
-    let bf = ctx.comm.with_precision(CommPrecision::Bf16);
-    bits.extend(bits_of(&bf.all_reduce_sum(&x)));
-    bits.extend(bits_of(&bf.iall_reduce_sum(&x).wait()));
 
     // Interleaved subgroups ({0,2..} / {1,3..}) exercise split + subgroup
     // routing; at w == 2 these are singleton groups, also a valid shape.
@@ -461,10 +455,10 @@ fn tcp_resilient_training_recovers_bitwise_onto_survivors() {
         assert_eq!(&s.2, rp, "survivors disagree on the restore point");
     }
 
-    // The report carries only (step, crc32) — reconstruct the checkpoint
+    // The report carries only (step, digest) — reconstruct the checkpoint
     // independently: DP training is deterministic, so a clean 4-rank
     // thread-transport run of the first two steps rebuilds the exact
-    // snapshot the recovery restored from, proven by the matching crc.
+    // snapshot the recovery restored from, proven by the matching digest.
     let rebuilt = run_ranks(4, |ctx| {
         let (mut store, mut m) = dp_build(&ctx.comm);
         for batch in &batches[..2] {
@@ -474,8 +468,8 @@ fn tcp_resilient_training_recovers_bitwise_onto_survivors() {
     });
     let ck = &rebuilt.outputs[0];
     assert_eq!(
-        crc32(ck),
-        rp.crc32,
+        content_digest(ck).expect("a valid checkpoint"),
+        rp.digest,
         "reconstructed checkpoint must match the restore point"
     );
 

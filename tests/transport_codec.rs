@@ -13,8 +13,7 @@
 
 use dchag_collectives::nonblocking::CollKind;
 use dchag_collectives::transport::frame::{
-    encode_frame, validate_handshake, DataFrame, Frame, FrameReader, HandshakeExpect, WireBody,
-    VERSION,
+    encode_frame, validate_handshake, DataFrame, Frame, FrameReader, HandshakeExpect, VERSION,
 };
 use proptest::prelude::{prop_assert, prop_assert_eq, proptest, ProptestConfig};
 
@@ -48,17 +47,9 @@ impl Gen {
         }
     }
 
-    fn body(&mut self) -> WireBody {
-        match self.below(2) {
-            0 => {
-                let n = self.below(64) as usize;
-                WireBody::F32((0..n).map(|_| self.f32_finite()).collect())
-            }
-            _ => {
-                let n = self.below(64) as usize;
-                WireBody::Bf16((0..n).map(|_| self.next() as u16).collect())
-            }
-        }
+    fn body(&mut self) -> Vec<f32> {
+        let n = self.below(64) as usize;
+        (0..n).map(|_| self.f32_finite()).collect()
     }
 
     fn frame(&mut self) -> Frame {
@@ -216,4 +207,31 @@ proptest! {
             prop_assert!(r.next_frame().is_err(), "corrupt magic must fail decode");
         }
     }
+}
+
+/// A data frame whose body-kind byte is 1 (the retired bf16 wire) is a
+/// codec error, not a frame.
+#[test]
+fn bf16_body_kind_is_refused() {
+    let frame = Frame::Data(DataFrame {
+        group: 7,
+        sender: 1,
+        seq: 2,
+        kind: CollKind::AllReduceSum,
+        dims: vec![2],
+        body: vec![1.0, -0.5],
+    });
+    let mut bytes = encode_frame(&frame);
+    // The body-kind byte sits just before the u64 element count and the
+    // two f32 values that end the frame.
+    let kind_at = bytes.len() - 2 * 4 - 8 - 1;
+    assert_eq!(bytes[kind_at], 0, "f32 body kind");
+    let mut r = FrameReader::new();
+    r.feed(&bytes);
+    assert_eq!(r.next_frame(), Ok(Some(frame)));
+
+    bytes[kind_at] = 1;
+    let mut r = FrameReader::new();
+    r.feed(&bytes);
+    assert!(r.next_frame().is_err(), "bf16 body must be refused");
 }

@@ -129,7 +129,7 @@ fn transport_recovery_child() {
     );
     write_u32s(
         &env.dir.join(format!("rank{my_rank}.ck")),
-        &[rp.step as u32, rp.crc32],
+        &[rp.step as u32, rp.digest],
     );
     ep.shutdown_graceful();
 }
@@ -190,10 +190,10 @@ fn multi_process_sigkill_recovery_is_bitwise_identical() {
     }
     assert_eq!(rp[0], 2, "restore point must name step 2");
 
-    // The report names the checkpoint by (step, crc32) only; DP training is
-    // deterministic and transport-independent, so rebuild it with a clean
-    // in-process 4-rank thread run of the first two steps and prove it is
-    // the one the survivors restored via the crc.
+    // The report names the checkpoint by (step, digest) only; DP training
+    // is deterministic and transport-independent, so rebuild it with a
+    // clean in-process 4-rank thread run of the first two steps and prove
+    // it is the one the survivors restored via the digest.
     let data = batches();
     let rebuilt = run_ranks(WORLD, |ctx| {
         let (mut store, mut m) = dp_build(&ctx.comm);
@@ -204,7 +204,7 @@ fn multi_process_sigkill_recovery_is_bitwise_identical() {
     });
     let ck = &rebuilt.outputs[0];
     assert_eq!(
-        dchag_tensor::checkpoint::crc32(ck),
+        dchag_tensor::checkpoint::content_digest(ck).expect("a valid checkpoint"),
         rp[1],
         "reconstructed checkpoint must match the survivors' restore point"
     );
