@@ -402,37 +402,65 @@ fn emit_kernels_json(_c: &mut Criterion) {
     // case), scalar tier vs the active tier's 8×8 shuffle transpose — the
     // claim that small-k shapes are pack-bound is only checkable with
     // this measured separately.
+    // (name, tn_ns, nn_ns, flops-per-call): transposed-A work next to its
+    // non-transposed counterpart of the same dimensions, the TN layout's
+    // ceiling.
+    let mut tn_entries: Vec<(String, f64, f64, usize)> = Vec::new();
     {
-        use dchag_tensor::ops::gemm::bench_api;
+        use dchag_tensor::ops::gemm::{bench_api, GemmLayout};
         use dchag_tensor::simd::{active_isa, Isa};
         let (m, k) = (257usize, 257usize);
         let a = Tensor::randn([m, k], 1.0, &mut rng);
         let mut buf = vec![0.0f32; bench_api::pack_a_buf_len()];
-        let before = measure_ns(
-            || {
-                black_box(bench_api::pack_a_block(
-                    Isa::Scalar,
-                    a.data(),
-                    m,
-                    k,
-                    &mut buf,
-                ));
-            },
-            quick,
-        );
-        let after = measure_ns(
-            || {
-                black_box(bench_api::pack_a_block(
-                    active_isa(),
-                    a.data(),
-                    m,
-                    k,
-                    &mut buf,
-                ));
-            },
-            quick,
-        );
+        let mut pack = |isa: Isa, layout: GemmLayout| {
+            measure_ns(
+                || {
+                    black_box(bench_api::pack_a_block(
+                        isa,
+                        layout,
+                        a.data(),
+                        m,
+                        k,
+                        &mut buf,
+                    ));
+                },
+                quick,
+            )
+        };
+        let before = pack(Isa::Scalar, GemmLayout::NN);
+        let after = pack(active_isa(), GemmLayout::NN);
         entries.push(("pack_a_gather_120x256".into(), before, after, 0));
+        let contig = pack(active_isa(), GemmLayout::TN);
+        tn_entries.push(("pack_a_contig_120x256".into(), contig, after, 0));
+
+        // Flash backward's dV = Pᵀ·dO tile, and a Linear weight gradient
+        // over flat_w1's 8192 aggregator tokens; serial driver on both.
+        for &(m, k, n) in &[(128usize, 128usize, 16usize), (64, 8192, 64)] {
+            let a = Tensor::randn([m, k], 1.0, &mut rng);
+            let b = Tensor::randn([k, n], 1.0, &mut rng);
+            let mut out = vec![0.0f32; m * n];
+            let mut product = |layout: GemmLayout| {
+                measure_ns(
+                    || {
+                        bench_api::gemm_fast_serial(
+                            layout,
+                            1.0,
+                            a.data(),
+                            b.data(),
+                            &mut out,
+                            m,
+                            k,
+                            n,
+                        );
+                        black_box(&out);
+                    },
+                    quick,
+                )
+            };
+            let tn = product(GemmLayout::TN);
+            let nn = product(GemmLayout::NN);
+            tn_entries.push((format!("gemm_tn_{m}x{k}x{n}"), tn, nn, 2 * m * k * n));
+        }
     }
 
     let x = Tensor::randn([512, 256], 1.0, &mut rng);
@@ -569,8 +597,11 @@ fn emit_kernels_json(_c: &mut Criterion) {
         "{\n    \"note\": \"Seed scalar kernels (before) vs explicit-SIMD blocked GEMM and fused \
          kernels (after) on the simd section's ISA; gflops = effective after-side GFLOP/s. \
          pack_a_gather packs one A block on the scalar tier (before) vs the active tier \
-         (after). attention_* compare the naive bmm_nt_scaled->softmax->bmm chain with the \
-         flash kernel, plus analytic peak-resident bytes per variant.\",\n",
+         (after). pack_a_contig_120x256, gemm_tn_128x128x16 and gemm_tn_64x8192x64 time \
+         transposed-A work (tn_ns) next to the non-transposed pack or product of the same \
+         dimensions (nn_ns, its ceiling), both serial on the active tier. attention_* \
+         compare the naive bmm_nt_scaled->softmax->bmm chain with the flash kernel, plus \
+         analytic peak-resident bytes per variant.\",\n",
     );
     for (name, before, after, flops) in entries.iter() {
         // Effective GFLOP/s of the "after" kernel, so BENCH entries are
@@ -583,6 +614,17 @@ fn emit_kernels_json(_c: &mut Criterion) {
         body.push_str(&format!(
             "    \"{name}\": {{ \"before_ns\": {before:.0}, \"after_ns\": {after:.0}, \"speedup\": {:.2}{gflops} }},\n",
             before / after
+        ));
+    }
+    for (name, tn, nn, flops) in tn_entries.iter() {
+        let gflops = if *flops > 0 {
+            format!(", \"gflops\": {:.1}", *flops as f64 / tn)
+        } else {
+            String::new()
+        };
+        body.push_str(&format!(
+            "    \"{name}\": {{ \"tn_ns\": {tn:.0}, \"nn_ns\": {nn:.0}, \"tn_over_nn\": {:.2}{gflops} }},\n",
+            tn / nn
         ));
     }
     for (i, (name, before, after, naive_b, flash_b)) in attn_entries.iter().enumerate() {

@@ -119,9 +119,11 @@ impl GemmLayout {
 ///
 /// The non-transposed layout is a strided gather (panel-destination stride
 /// `mr` against source stride `k`), packed through the SIMD 8×8 shuffle
-/// transpose ([`simd::pack_transpose`]); the transposed layout's source
-/// rows are already contiguous in destination order and stay a straight
-/// copy.
+/// transpose ([`simd::pack_transpose`]). The transposed layout's source
+/// rows are already contiguous in destination order: full panels run a
+/// fused `dst = α · src` loop over a compile-time row width
+/// ([`pack_a_rows`]), so the copy and the scale share one pass at copy
+/// speed.
 #[allow(clippy::too_many_arguments)]
 fn pack_a(
     isa: Isa,
@@ -146,13 +148,19 @@ fn pack_a(
         if layout.a_transposed() {
             // a is [k, m]: a(i, p) = a[p*m + i] — source rows are contiguous
             // in the pack destination order, so copy p-major.
-            for p in 0..kc {
-                let s0 = (pc + p) * m + row0;
-                let dst = &mut panel[p * mr..p * mr + mr];
-                dst[..rows].copy_from_slice(&a[s0..s0 + rows]);
-                dst[rows..].fill(0.0);
-                for v in dst[..rows].iter_mut() {
-                    *v *= alpha;
+            let src = &a[pc * m + row0..];
+            match mr {
+                8 if rows == 8 => pack_a_rows::<8>(src, m, kc, alpha, panel),
+                6 if rows == 6 => pack_a_rows::<6>(src, m, kc, alpha, panel),
+                // The zero-padded tail panel (and any other row width).
+                _ => {
+                    for (p, dst) in panel.chunks_exact_mut(mr).enumerate() {
+                        let s = &src[p * m..p * m + rows];
+                        for (d, &v) in dst.iter_mut().zip(s) {
+                            *d = v * alpha;
+                        }
+                        dst[rows..].fill(0.0);
+                    }
                 }
             }
         } else {
@@ -171,6 +179,24 @@ fn pack_a(
                     alpha,
                 )
             }
+        }
+    }
+}
+
+/// One full `MR`-row panel of the transposed A layout:
+/// `panel[p·MR + i] = α · src[p·m + i]` for `p < kc`. The row width is a
+/// compile-time constant so each depth step compiles to one fixed-width
+/// load, multiply and store; with a runtime width the per-step slice
+/// calls cost 5× the SIMD gather pack (`pack_a_contig_120x256` in BENCH).
+#[inline]
+fn pack_a_rows<const MR: usize>(src: &[f32], m: usize, kc: usize, alpha: f32, panel: &mut [f32]) {
+    for (p, dst) in panel[..kc * MR].chunks_exact_mut(MR).enumerate() {
+        let dst: &mut [f32; MR] = dst.try_into().expect("exact MR-wide chunk");
+        let s: &[f32; MR] = src[p * m..p * m + MR]
+            .try_into()
+            .expect("MR-wide source row");
+        for (d, &v) in dst.iter_mut().zip(s) {
+            *d = v * alpha;
         }
     }
 }
@@ -1075,15 +1101,23 @@ pub mod bench_api {
         );
     }
 
-    /// Pack the first `MC×KC` A block of a row-major `[m, k]` operand (the
-    /// strided-gather case) with `isa`'s transpose-gather, into the active
-    /// ISA's micro-panel layout (so every tier packs the same panels).
-    /// `buf` must hold [`pack_a_buf_len`] elements; returns the packed
-    /// element count so callers can report pack bandwidth.
-    pub fn pack_a_block(isa: Isa, a: &[f32], m: usize, k: usize, buf: &mut [f32]) -> usize {
+    /// Pack the first `MC×KC` A block of a logical `[m, k]` operand into
+    /// the active ISA's micro-panel layout (so every tier packs the same
+    /// panels): `NN` is the strided gather through `isa`'s transpose
+    /// (`a` row-major `[m, k]`), `TN` the contiguous copy (`a` row-major
+    /// `[k, m]`). `buf` must hold [`pack_a_buf_len`] elements; returns the
+    /// packed element count so callers can report pack bandwidth.
+    pub fn pack_a_block(
+        isa: Isa,
+        layout: GemmLayout,
+        a: &[f32],
+        m: usize,
+        k: usize,
+        buf: &mut [f32],
+    ) -> usize {
         let (mr, _) = simd::gemm_tile_shape(simd::active_isa());
         let (mc, kc) = (MC.min(m), KC.min(k));
-        pack_a(isa, GemmLayout::NN, 1.0, a, m, k, 0, mc, 0, kc, mr, buf);
+        pack_a(isa, layout, 1.0, a, m, k, 0, mc, 0, kc, mr, buf);
         mc * kc
     }
 
@@ -1362,6 +1396,84 @@ mod tests {
     #[test]
     fn parallel_2d_path_matches_reference() {
         check_layout(GemmLayout::NN, 2 * MC + 9, 2 * KC + 1, 2 * NC + 11, 71);
+    }
+
+    /// The transposed-A pack as a copy, a zero fill and a separate scale
+    /// pass per depth step: the reference the fused pack must reproduce
+    /// bit for bit.
+    #[allow(clippy::too_many_arguments)]
+    fn tn_pack_a_copy_loop(
+        alpha: f32,
+        a: &[f32],
+        m: usize,
+        ic: usize,
+        mc: usize,
+        pc: usize,
+        kc: usize,
+        mr: usize,
+        buf: &mut [f32],
+    ) {
+        for r in 0..mc.div_ceil(mr) {
+            let row0 = ic + r * mr;
+            let rows = mr.min(ic + mc - row0);
+            let panel = &mut buf[r * mr * kc..(r + 1) * mr * kc];
+            for p in 0..kc {
+                let s0 = (pc + p) * m + row0;
+                let dst = &mut panel[p * mr..p * mr + mr];
+                dst[..rows].copy_from_slice(&a[s0..s0 + rows]);
+                dst[rows..].fill(0.0);
+                for v in dst[..rows].iter_mut() {
+                    *v *= alpha;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tn_pack_a_matches_the_copy_loop_on_every_isa() {
+        // Full panels and zero-padded tails (m = 1, mr − 1, 257), blocks
+        // at the origin and at nonzero (ic, pc), and α ∈ {1, ¼, −1.5}.
+        for isa in Isa::available() {
+            let (mr, _) = simd::gemm_tile_shape(isa);
+            for &m in &[1usize, mr - 1, 120, 128, 257] {
+                let k = 300;
+                let mut a = vec![0.0f32; k * m];
+                Rng::new(m as u64).fill_normal(&mut a, 1.0);
+                for &(ic, pc) in &[(0usize, 0usize), (m / 3, 7), (m - 1, 44)] {
+                    let (mc, kc) = ((m - ic).min(MC), (k - pc).min(KC));
+                    let len = mc.div_ceil(mr) * mr * kc;
+                    for &alpha in &[1.0f32, 0.25, -1.5] {
+                        // Both buffers start dirty so the padding must be
+                        // written, not inherited.
+                        let mut got = vec![f32::NAN; len];
+                        let mut want = vec![f32::NAN; len];
+                        pack_a(
+                            isa,
+                            GemmLayout::TN,
+                            alpha,
+                            &a,
+                            m,
+                            k,
+                            ic,
+                            mc,
+                            pc,
+                            kc,
+                            mr,
+                            &mut got,
+                        );
+                        tn_pack_a_copy_loop(alpha, &a, m, ic, mc, pc, kc, mr, &mut want);
+                        for (i, (x, y)) in got.iter().zip(&want).enumerate() {
+                            assert_eq!(
+                                x.to_bits(),
+                                y.to_bits(),
+                                "{} m={m} ic={ic} pc={pc} alpha={alpha} at {i}",
+                                isa.name()
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     // ---- ISA matrix: every available micro-kernel, every layout ---------
