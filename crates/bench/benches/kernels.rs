@@ -2,10 +2,66 @@
 //! variants, attention primitives, normalization, and patchification.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use dchag_bench::bench_json::{measure_ns, update_sections};
+use dchag_tensor::ops::gemm::{bench_api, GemmLayout};
 use dchag_tensor::{ops, Rng, Tensor};
+
+/// Requests of this many bytes or more are the `train_step_alloc` entry's
+/// large blocks (64 KiB): sizes the system allocator serves by mapping
+/// pages it unmaps or trims again on free.
+const LARGE_BLOCK: usize = 64 * 1024;
+
+/// System allocator that, while `LARGE_COUNTING` is set, counts the large
+/// blocks requested on any thread; otherwise one relaxed load per request.
+struct LargeBlockCounter;
+
+static LARGE_COUNTING: AtomicBool = AtomicBool::new(false);
+static LARGE_BLOCKS: AtomicUsize = AtomicUsize::new(0);
+static LARGE_BYTES: AtomicUsize = AtomicUsize::new(0);
+
+fn note_request(size: usize) {
+    if size >= LARGE_BLOCK && LARGE_COUNTING.load(Ordering::Relaxed) {
+        LARGE_BLOCKS.fetch_add(1, Ordering::Relaxed);
+        LARGE_BYTES.fetch_add(size, Ordering::Relaxed);
+    }
+}
+
+// SAFETY: every method forwards unchanged to `System`, which upholds
+// `GlobalAlloc`'s contract; the counting touches only atomics and never
+// allocates.
+unsafe impl GlobalAlloc for LargeBlockCounter {
+    unsafe fn alloc(&self, l: Layout) -> *mut u8 {
+        note_request(l.size());
+        System.alloc(l)
+    }
+    unsafe fn alloc_zeroed(&self, l: Layout) -> *mut u8 {
+        note_request(l.size());
+        System.alloc_zeroed(l)
+    }
+    unsafe fn realloc(&self, p: *mut u8, l: Layout, new: usize) -> *mut u8 {
+        note_request(new);
+        System.realloc(p, l, new)
+    }
+    unsafe fn dealloc(&self, p: *mut u8, l: Layout) {
+        System.dealloc(p, l)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: LargeBlockCounter = LargeBlockCounter;
+
+/// This process's minor page faults so far (`minflt`, field 10 of
+/// `/proc/self/stat`); `None` where procfs is not there to read.
+fn minor_faults() -> Option<u64> {
+    let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
+    // Fields after the parenthesised command name, which may hold spaces.
+    let rest = &stat[stat.rfind(')')? + 2..];
+    rest.split_whitespace().nth(7)?.parse().ok()
+}
 
 /// The seed repository's scalar GEMM kernels (rows-parallel AXPY/dot loops),
 /// kept verbatim as the "before" baseline for the `gemm_blocking` group and
@@ -339,12 +395,159 @@ fn bench_fusion(c: &mut Criterion) {
 /// Runs as a criterion target so `cargo bench --bench kernels` refreshes
 /// the file; in `--test` (smoke) mode it still writes, with single-shot
 /// timings.
+/// `flash_bwd_256x128x128x16`: flash attention's backward at flat_w1's
+/// Tree0-C channel-attention shape (`[B·H, Sq, Sk, d]` = 256 batches of a
+/// 128-channel, 16-wide head), per batch, through the public parallel op;
+/// next to one batch of the same shape alone, which runs on one thread.
+/// With `threads` workers the per-batch time could reach the one-batch
+/// time over `threads`.
+fn flash_bwd_per_batch(rng: &mut Rng, quick: bool) -> String {
+    let (b, s, d) = (256usize, 128usize, 16usize);
+    let scale = 1.0 / (d as f32).sqrt();
+    let [q, k, v, dout] = [(); 4].map(|_| Tensor::randn([b, s, d], 1.0, rng));
+    let time = |q: &Tensor, k: &Tensor, v: &Tensor, dout: &Tensor| {
+        let (out, lse) = ops::flash_attention(q, k, v, scale);
+        measure_ns(
+            || {
+                black_box(ops::flash_attention_backward(
+                    q, k, v, scale, &out, &lse, dout,
+                ));
+            },
+            quick,
+        )
+    };
+    let per_batch = time(&q, &k, &v, &dout) / b as f64;
+    let first = |t: &Tensor| Tensor::from_vec(t.data()[..s * d].to_vec(), [1, s, d]);
+    let one = time(&first(&q), &first(&k), &first(&v), &first(&dout));
+    format!(
+        "    \"flash_bwd_{b}x{s}x{s}x{d}\": {{ \"per_batch_ns\": {per_batch:.0}, \"one_batch_serial_ns\": {one:.0}, \"per_batch_over_serial\": {:.2}, \"threads\": {} }},\n",
+        per_batch / one,
+        rayon::current_num_threads()
+    )
+}
+
+/// `train_step_alloc`: what one flat MAE training step at perfbench's
+/// `mae_hyper_flat_w1` shape (128 bands of 32×32, patch 8, embed 64, depth
+/// 4, batch 4, mask 0.75, Tree0-C) asks of the system allocator once warm:
+/// minor page faults per step, and the blocks of [`LARGE_BLOCK`] bytes or
+/// more it requests on any thread, with the step's wall time. Three
+/// warm-up steps, then the mean over the timed steps.
+fn train_step_alloc(quick: bool) -> String {
+    use dchag_core::train_step;
+    use dchag_model::config::{ModelConfig, TreeConfig, UnitKind};
+    use dchag_model::{AdamW, MaeModel, PatchMask};
+    use dchag_tensor::ParamStore;
+
+    let cfg = ModelConfig {
+        embed_dim: 64,
+        depth: 4,
+        heads: 4,
+        mlp_ratio: 2,
+        patch: 8,
+        img_h: 32,
+        img_w: 32,
+        channels: 128,
+        out_channels: 128,
+        decoder_dim: 32,
+        decoder_depth: 1,
+    };
+    let mut rng = Rng::new(11);
+    let imgs = Tensor::randn([4, 128, 32, 32], 0.5, &mut rng);
+    let mask = PatchMask::random(cfg.num_patches(), 0.75, &mut rng);
+    let mut store = ParamStore::new();
+    let tree = TreeConfig::tree0(UnitKind::CrossAttention);
+    let model = MaeModel::new(&mut store, &mut rng, &cfg, 3, tree);
+    let mut opt = AdamW::new(1e-3);
+    let mut step = || {
+        train_step(&mut store, &mut opt, 1.0, None, |bind| {
+            model.forward_loss(bind, &imgs, &mask).0
+        })
+    };
+    for _ in 0..3 {
+        step();
+    }
+    let steps = if quick { 2 } else { 20 };
+    LARGE_BLOCKS.store(0, Ordering::SeqCst);
+    LARGE_BYTES.store(0, Ordering::SeqCst);
+    let faults0 = minor_faults();
+    LARGE_COUNTING.store(true, Ordering::SeqCst);
+    let t0 = std::time::Instant::now();
+    for _ in 0..steps {
+        black_box(step());
+    }
+    let step_ns = t0.elapsed().as_nanos() as f64 / steps as f64;
+    LARGE_COUNTING.store(false, Ordering::SeqCst);
+    let faults = match (faults0, minor_faults()) {
+        (Some(a), Some(b)) => format!("{:.1}", (b - a) as f64 / steps as f64),
+        _ => "null".into(),
+    };
+    let per_step = |n: &AtomicUsize| n.load(Ordering::SeqCst) as f64 / steps as f64;
+    format!(
+        "    \"train_step_alloc\": {{ \"minor_faults_per_step\": {faults}, \"large_blocks_per_step\": {:.1}, \"large_block_bytes_per_step\": {:.0}, \"step_ns\": {step_ns:.0}, \"threads\": {} }},\n",
+        per_step(&LARGE_BLOCKS),
+        per_step(&LARGE_BYTES),
+        rayon::current_num_threads()
+    )
+}
+
+/// Flag under which the bench binary prints the two allocation entries
+/// and exits.
+const ALLOC_ENTRIES_FLAG: &str = "--alloc-entries";
+
+/// The `flash_bwd_*` and `train_step_alloc` entries, measured in a child
+/// run of this bench binary. Earlier benchmarks in this process free large
+/// blocks, and the system allocator answers by keeping later ones mapped,
+/// so measured here the entries would miss the page faults a fresh
+/// training process takes.
+fn fresh_process_alloc_entries(quick: bool) -> String {
+    let exe = std::env::current_exe().expect("the bench binary's path");
+    let mode = if quick { "--test" } else { "--bench" };
+    let out = std::process::Command::new(exe)
+        .args([ALLOC_ENTRIES_FLAG, mode])
+        .output()
+        .expect("the allocation entries' child run starts");
+    assert!(
+        out.status.success(),
+        "the allocation entries' child run failed"
+    );
+    String::from_utf8(out.stdout).expect("the child prints JSON text")
+}
+
+/// The first benchmark group: under [`ALLOC_ENTRIES_FLAG`] it prints the
+/// allocation entries and exits before any other group allocates. They
+/// run on a spawned thread, as a rank does: the system allocator serves a
+/// non-main thread from an arena of its own.
+fn alloc_entries_child(_c: &mut Criterion) {
+    if !std::env::args().any(|a| a == ALLOC_ENTRIES_FLAG) {
+        return;
+    }
+    let quick = std::env::args().any(|a| a == "--test");
+    let entries = std::thread::scope(|s| {
+        s.spawn(|| {
+            let flash = flash_bwd_per_batch(&mut Rng::new(31), quick);
+            flash + &train_step_alloc(quick)
+        })
+        .join()
+        .expect("the allocation entries' thread panicked")
+    });
+    print!("{entries}");
+    std::process::exit(0);
+}
+
 fn emit_kernels_json(_c: &mut Criterion) {
     let quick = std::env::args().any(|a| a == "--test");
     let mut rng = Rng::new(31);
-    // (name, before_ns, after_ns, flops-per-call; 0 = no GFLOP/s entry)
-    let mut entries: Vec<(String, f64, f64, usize)> = Vec::new();
+    // (name, before_ns, after_ns, flops-per-call (0 = no GFLOP/s entry),
+    // threads the after side runs on)
+    let pool = rayon::current_num_threads();
+    let mut entries: Vec<(String, f64, f64, usize, usize)> = Vec::new();
 
+    // GEMM products on the serial blocked driver, so the entries time the
+    // kernel, not the pool size.
+    let serial = |layout: GemmLayout, a: &Tensor, b: &Tensor, out: &mut [f32], n: usize| {
+        bench_api::gemm_fast_serial(layout, 1.0, a.data(), b.data(), out, n, n, n);
+        black_box(out);
+    };
     for &n in &[64usize, 128, 256] {
         let a = Tensor::randn([n, n], 1.0, &mut rng);
         let b = Tensor::randn([n, n], 1.0, &mut rng);
@@ -357,13 +560,9 @@ fn emit_kernels_json(_c: &mut Criterion) {
             },
             quick,
         );
-        let after = measure_ns(
-            || {
-                black_box(ops::matmul(&a, &b));
-            },
-            quick,
-        );
-        entries.push((format!("gemm_nn_{n}x{n}x{n}"), before, after, flops));
+        let mut out = vec![0.0f32; n * n];
+        let after = measure_ns(|| serial(GemmLayout::NN, &a, &b, &mut out, n), quick);
+        entries.push((format!("gemm_nn_{n}x{n}x{n}"), before, after, flops, 1));
         if n == 256 {
             let before = measure_ns(
                 || {
@@ -373,13 +572,8 @@ fn emit_kernels_json(_c: &mut Criterion) {
                 },
                 quick,
             );
-            let after = measure_ns(
-                || {
-                    black_box(ops::matmul_nt(&a, &b));
-                },
-                quick,
-            );
-            entries.push((format!("gemm_nt_{n}x{n}x{n}"), before, after, flops));
+            let after = measure_ns(|| serial(GemmLayout::NT, &a, &b, &mut out, n), quick);
+            entries.push((format!("gemm_nt_{n}x{n}x{n}"), before, after, flops, 1));
             let before = measure_ns(
                 || {
                     let mut out = vec![0.0f32; n * n];
@@ -388,13 +582,8 @@ fn emit_kernels_json(_c: &mut Criterion) {
                 },
                 quick,
             );
-            let after = measure_ns(
-                || {
-                    black_box(ops::matmul_tn(&a, &b));
-                },
-                quick,
-            );
-            entries.push((format!("gemm_tn_{n}x{n}x{n}"), before, after, flops));
+            let after = measure_ns(|| serial(GemmLayout::TN, &a, &b, &mut out, n), quick);
+            entries.push((format!("gemm_tn_{n}x{n}x{n}"), before, after, flops, 1));
         }
     }
 
@@ -407,7 +596,6 @@ fn emit_kernels_json(_c: &mut Criterion) {
     // ceiling.
     let mut tn_entries: Vec<(String, f64, f64, usize)> = Vec::new();
     {
-        use dchag_tensor::ops::gemm::{bench_api, GemmLayout};
         use dchag_tensor::simd::{active_isa, Isa};
         let (m, k) = (257usize, 257usize);
         let a = Tensor::randn([m, k], 1.0, &mut rng);
@@ -429,7 +617,7 @@ fn emit_kernels_json(_c: &mut Criterion) {
         };
         let before = pack(Isa::Scalar, GemmLayout::NN);
         let after = pack(active_isa(), GemmLayout::NN);
-        entries.push(("pack_a_gather_120x256".into(), before, after, 0));
+        entries.push(("pack_a_gather_120x256".into(), before, after, 0, 1));
         let contig = pack(active_isa(), GemmLayout::TN);
         tn_entries.push(("pack_a_contig_120x256".into(), contig, after, 0));
 
@@ -478,7 +666,7 @@ fn emit_kernels_json(_c: &mut Criterion) {
         },
         quick,
     );
-    entries.push(("layernorm_512x256".into(), before, after, 0));
+    entries.push(("layernorm_512x256".into(), before, after, 0, pool));
 
     let h = Tensor::randn([512, 512], 1.0, &mut rng);
     let bias = Tensor::randn([512], 1.0, &mut rng);
@@ -496,7 +684,7 @@ fn emit_kernels_json(_c: &mut Criterion) {
         },
         quick,
     );
-    entries.push(("add_bias_gelu_512x512".into(), before, after, 0));
+    entries.push(("add_bias_gelu_512x512".into(), before, after, 0, pool));
 
     // Fused Linear forward vs the seed GEMM + bias pass (the seed kernels
     // are every entry's baseline; the pre-SIMD version of this entry
@@ -518,13 +706,17 @@ fn emit_kernels_json(_c: &mut Criterion) {
         },
         quick,
     );
+    let mut out = vec![0.0f32; 256 * 256];
     let after = measure_ns(
         || {
-            black_box(ops::matmul_bias(&xm, &w, &wb));
+            let (a, b, bias) = (xm.data(), w.data(), wb.data());
+            bench_api::gemm_bias_serial(GemmLayout::NN, 1.0, a, b, bias, &mut out, 256, 256, 256);
+            black_box(&out);
         },
         quick,
     );
-    entries.push(("matmul_bias_256".into(), before, after, 2 * 256 * 256 * 256));
+    let flops = 2 * 256 * 256 * 256;
+    entries.push(("matmul_bias_256".into(), before, after, flops, 1));
 
     // Vectorized exp: the seed softmax's libm expf sweep vs exp_fast.
     let sm = Tensor::randn([256, 128], 3.0, &mut rng);
@@ -542,7 +734,7 @@ fn emit_kernels_json(_c: &mut Criterion) {
         },
         quick,
     );
-    entries.push(("softmax_exp_256x128".into(), before, after, 0));
+    entries.push(("softmax_exp_256x128".into(), before, after, 0, pool));
 
     let (n, ch, d) = (1024usize, 16usize, 64usize);
     let y = Tensor::randn([n, ch, d], 1.0, &mut rng);
@@ -561,7 +753,7 @@ fn emit_kernels_json(_c: &mut Criterion) {
         },
         quick,
     );
-    entries.push(("softmax_pool_1024x16x64".into(), before, after, 0));
+    entries.push(("softmax_pool_1024x16x64".into(), before, after, 0, pool));
 
     // Attention: naive composed chain (before) vs flash (after), wall time
     // plus an analytic peak-resident-bytes estimate per variant.
@@ -593,17 +785,26 @@ fn emit_kernels_json(_c: &mut Criterion) {
         ));
     }
 
+    let alloc_entries = fresh_process_alloc_entries(quick);
+
     let mut body = String::from(
         "{\n    \"note\": \"Seed scalar kernels (before) vs explicit-SIMD blocked GEMM and fused \
          kernels (after) on the simd section's ISA; gflops = effective after-side GFLOP/s. \
-         pack_a_gather packs one A block on the scalar tier (before) vs the active tier \
-         (after). pack_a_contig_120x256, gemm_tn_128x128x16 and gemm_tn_64x8192x64 time \
+         threads = the pool size the after side runs on: the gemm_* and matmul_bias \
+         entries time the serial blocked driver (threads 1) against the seed's \
+         row-parallel loops. pack_a_gather packs one A block on the scalar tier (before) \
+         vs the active tier (after). flash_bwd_256x128x128x16 is the flash backward at \
+         flat_w1's Tree0-C shape per batch through the parallel op, next to one batch \
+         alone on one thread. train_step_alloc is one warm flat MAE step at flat_w1's \
+         shape: minor page faults, and blocks of 64 KiB or more requested from the \
+         system allocator, per step. retired_unpooled holds both entries measured before \
+         tensor buffers were pooled. pack_a_contig_120x256, gemm_tn_128x128x16 and gemm_tn_64x8192x64 time \
          transposed-A work (tn_ns) next to the non-transposed pack or product of the same \
          dimensions (nn_ns, its ceiling), both serial on the active tier. attention_* \
          compare the naive bmm_nt_scaled->softmax->bmm chain with the flash kernel, plus \
          analytic peak-resident bytes per variant.\",\n",
     );
-    for (name, before, after, flops) in entries.iter() {
+    for (name, before, after, flops, threads) in entries.iter() {
         // Effective GFLOP/s of the "after" kernel, so BENCH entries are
         // comparable across hosts independent of wall-clock.
         let gflops = if *flops > 0 {
@@ -612,10 +813,11 @@ fn emit_kernels_json(_c: &mut Criterion) {
             String::new()
         };
         body.push_str(&format!(
-            "    \"{name}\": {{ \"before_ns\": {before:.0}, \"after_ns\": {after:.0}, \"speedup\": {:.2}{gflops} }},\n",
+            "    \"{name}\": {{ \"before_ns\": {before:.0}, \"after_ns\": {after:.0}, \"speedup\": {:.2}{gflops}, \"threads\": {threads} }},\n",
             before / after
         ));
     }
+    body.push_str(&alloc_entries);
     for (name, tn, nn, flops) in tn_entries.iter() {
         let gflops = if *flops > 0 {
             format!(", \"gflops\": {:.1}", *flops as f64 / tn)
@@ -790,6 +992,6 @@ fn bench_autograd_overhead(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_matmul, bench_gemm_blocking, bench_gemm_ragged, bench_fusion, bench_attention_primitives, bench_norm_and_patchify, bench_autograd_overhead, emit_kernels_json
+    targets = alloc_entries_child, bench_matmul, bench_gemm_blocking, bench_gemm_ragged, bench_fusion, bench_attention_primitives, bench_norm_and_patchify, bench_autograd_overhead, emit_kernels_json
 }
 criterion_main!(benches);

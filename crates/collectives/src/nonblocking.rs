@@ -36,7 +36,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
-use dchag_tensor::ops;
+use dchag_tensor::{ops, scratch};
 use dchag_tensor::{Shape, Tensor};
 
 use crate::fault::{self, CommError, FaultPoint};
@@ -96,7 +96,7 @@ unsafe impl Send for SharedBuf {}
 
 impl SharedBuf {
     fn new(len: usize) -> Self {
-        SharedBuf(UnsafeCell::new(vec![0.0f32; len]))
+        SharedBuf(UnsafeCell::new(scratch::zeroed(len)))
     }
 
     /// SAFETY: caller must hold the exclusive claim for `[off, off+len)`.
@@ -109,6 +109,14 @@ impl SharedBuf {
     /// SAFETY: caller must have observed the round's completion flag.
     unsafe fn read(&self) -> &[f32] {
         &*self.0.get()
+    }
+}
+
+impl Drop for SharedBuf {
+    /// The staging buffer goes back to the pool of whichever rank thread
+    /// releases the round last.
+    fn drop(&mut self) {
+        scratch::recycle(std::mem::take(self.0.get_mut()));
     }
 }
 
@@ -732,7 +740,9 @@ impl CommRequest {
         // thread, so the copy is charged to its own device and freed when
         // it alone drops it — as a real device owns its output buffer.
         let result = match this.round.kind {
-            CollKind::AllReduceSum => Tensor::from_vec(out.to_vec(), frozen.shapes[0].clone()),
+            CollKind::AllReduceSum => {
+                Tensor::from_vec(scratch::copied(out), frozen.shapes[0].clone())
+            }
             CollKind::ReduceScatterSum => {
                 let dims = frozen.shapes[0].dims();
                 let k = dims[0] / this.round.group;
@@ -740,7 +750,7 @@ impl CommRequest {
                 let mut out_dims = dims.to_vec();
                 out_dims[0] = k;
                 Tensor::from_vec(
-                    out[this.rank * k * row..(this.rank + 1) * k * row].to_vec(),
+                    scratch::copied(&out[this.rank * k * row..(this.rank + 1) * k * row]),
                     Shape::new(&out_dims),
                 )
             }
@@ -748,7 +758,7 @@ impl CommRequest {
                 // Row-major concat along axis 0 is the staging buffer.
                 let mut dims = frozen.shapes[0].dims().to_vec();
                 dims[0] = frozen.shapes.iter().map(|sh| sh.dims()[0]).sum();
-                Tensor::from_vec(out.to_vec(), Shape::new(&dims))
+                Tensor::from_vec(scratch::copied(out), Shape::new(&dims))
             }
             CollKind::AllGatherCat { axis } => {
                 let parts: Vec<Tensor> = frozen
@@ -756,7 +766,7 @@ impl CommRequest {
                     .iter()
                     .zip(&frozen.gather_offsets)
                     .map(|(sh, &off)| {
-                        Tensor::from_vec(out[off..off + sh.numel()].to_vec(), sh.clone())
+                        Tensor::from_vec(scratch::copied(&out[off..off + sh.numel()]), sh.clone())
                     })
                     .collect();
                 let refs: Vec<&Tensor> = parts.iter().collect();

@@ -114,6 +114,69 @@ mod tests {
         }
     }
 
+    /// Fill this thread's buffer pool with NaN buffers, from the smallest
+    /// pooled size up to 1 MiB in steps under 2×, so every tensor or
+    /// scratch request of the step below can be served a dirty buffer.
+    fn dirty_pool() {
+        let mut n = dchag_tensor::scratch::MIN_RECYCLED;
+        while n <= 1 << 18 {
+            for _ in 0..2 {
+                dchag_tensor::scratch::recycle(vec![f32::NAN; n]);
+            }
+            n = n * 5 / 4;
+        }
+    }
+
+    /// Loss and gradient bits of one MAE forward and backward (flat on one
+    /// rank, D-CHAG-L on two) on fresh rank threads, with their pools cold
+    /// or dirtied first, and each rank's `MemCounter` peak.
+    fn step_bits(world: usize, dirty: bool) -> (Vec<Vec<u32>>, Vec<usize>) {
+        let cfg = ModelConfig::tiny(32);
+        let mut drng = Rng::new(7);
+        let imgs = Tensor::randn([2, 32, 16, 16], 0.5, &mut drng);
+        let mask = PatchMask::random(cfg.num_patches(), 0.75, &mut drng);
+        let run = run_ranks(world, |ctx| {
+            if dirty {
+                dirty_pool();
+            }
+            let mut store = ParamStore::new();
+            let mut rng = Rng::new(5);
+            let tape = Tape::new();
+            let (loss, grads) = if world == 1 {
+                let tree = TreeConfig::tree0(UnitKind::CrossAttention);
+                let m = MaeModel::new(&mut store, &mut rng, &cfg, 3, tree);
+                let bind = LocalBinder::new(&tape, &store);
+                let loss = m.forward_loss(&bind, &imgs, &mask).0;
+                let g = tape.backward(&loss);
+                (loss.value().item(), bind.grads(&g))
+            } else {
+                let tree = TreeConfig::tree(4, UnitKind::Linear);
+                let m = build_mae(&mut store, &mut rng, &cfg, 3, tree, &ctx.comm);
+                let bind = LocalBinder::new(&tape, &store);
+                let loss = m.forward_loss(&bind, &imgs, &mask).0;
+                let g = tape.backward(&loss);
+                (loss.value().item(), bind.grads(&g))
+            };
+            let mut bits = vec![loss.to_bits()];
+            for g in grads.iter().flatten() {
+                bits.extend(g.data().iter().map(|x| x.to_bits()));
+            }
+            bits
+        });
+        (run.outputs, run.mems.iter().map(|m| m.peak()).collect())
+    }
+
+    #[test]
+    fn dirty_buffer_pool_leaves_step_bitwise_and_peak_unchanged() {
+        for world in [1, 2] {
+            let (cold, cold_peak) = step_bits(world, false);
+            let (dirty, dirty_peak) = step_bits(world, true);
+            assert!(cold[0].len() > 1, "gradients were read");
+            assert!(cold == dirty, "world {world}: loss or a gradient moved");
+            assert_eq!(cold_peak, dirty_peak, "world {world}: peak moved");
+        }
+    }
+
     /// Bytes allocated after one forward and backward on a live tape,
     /// against what may remain: the pre-forward level, the parameter
     /// gradients, and the `loss` and `pred` values the caller holds.

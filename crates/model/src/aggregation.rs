@@ -11,6 +11,7 @@
 use std::sync::Arc;
 
 use dchag_tensor::prelude::*;
+use dchag_tensor::scratch;
 use dchag_tensor::Shape;
 
 use crate::attention::MultiHeadAttention;
@@ -133,7 +134,7 @@ impl LinearChannelMix {
         let (xid, wid, bid) = (x.id(), wv.id(), bv.id());
         let (xval, wval, bval) = (x.value().clone(), wv.value().clone(), bv.value().clone());
 
-        let mut out = vec![0.0f32; n * d];
+        let mut out = scratch::zeroed(n * d);
         for ni in 0..n {
             let o = &mut out[ni * d..(ni + 1) * d];
             o.copy_from_slice(bval.data());
@@ -148,11 +149,11 @@ impl LinearChannelMix {
         let out = Tensor::from_vec(out, Shape::new(&[n, d]));
         tape.custom(out, move |g, emit| {
             // dx[n,c,:] = g[n,:] ⊙ w[c,:]
-            let mut dx = vec![0.0f32; n * c * d];
+            let mut dx = scratch::zeroed(n * c * d);
             // dw[c,:]  = Σ_n x[n,c,:] ⊙ g[n,:]
-            let mut dw = vec![0.0f32; c * d];
+            let mut dw = scratch::zeroed(c * d);
             // db = Σ_n g[n,:]
-            let mut db = vec![0.0f32; d];
+            let mut db = scratch::zeroed(d);
             for ni in 0..n {
                 let gr = &g.data()[ni * d..(ni + 1) * d];
                 for (o, &gv) in db.iter_mut().zip(gr) {

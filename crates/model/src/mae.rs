@@ -4,6 +4,7 @@
 
 use dchag_tensor::ops;
 use dchag_tensor::prelude::*;
+use dchag_tensor::scratch;
 use dchag_tensor::Shape;
 
 use crate::config::{ModelConfig, TreeConfig};
@@ -193,7 +194,7 @@ impl<E: EncoderBackbone> MaeModel<E> {
         let cfg = self.enc.config();
         let row = cfg.out_channels * cfg.patch * cfg.patch;
         let p = cfg.num_patches();
-        let mut data = vec![0.0f32; b * p * row];
+        let mut data = scratch::zeroed(b * p * row);
         for bi in 0..b {
             for &m in &mask.masked {
                 let off = (bi * p + m) * row;

@@ -14,7 +14,7 @@
 //! emits only parameter gradients.
 
 use dchag_tensor::prelude::*;
-use dchag_tensor::{init, ops};
+use dchag_tensor::{init, ops, scratch};
 
 struct ChannelTok {
     w: ParamId,
@@ -120,7 +120,7 @@ impl PatchTokenizer {
         let xs: Vec<Tensor> = (0..c)
             .map(|i| ops::slice(&patches, 1, i, 1).reshape(&[b * np, pp]))
             .collect();
-        let mut out = vec![0.0f32; b * c * np * d];
+        let mut out = scratch::zeroed(b * c * np * d);
         for (i, (x, ((wv, bv), ev))) in xs.iter().zip(linear.iter().zip(&embeds)).enumerate() {
             let y = ops::add_bias(&ops::matmul(x, wv.value()), bv.value()); // [B·P, D]
             for (r, row) in y.data().chunks(d).enumerate() {

@@ -9,8 +9,8 @@
 //! `all_reduce_flat`.
 
 use dchag_collectives::Communicator;
-use dchag_tensor::ops;
 use dchag_tensor::prelude::*;
+use dchag_tensor::{ops, scratch};
 
 /// One rank's handle to a data-parallel replica group.
 #[derive(Clone)]
@@ -59,7 +59,7 @@ pub(crate) fn all_reduce_flat(comm: &Communicator, grads: &mut [Option<Tensor>],
     if total == 0 {
         return;
     }
-    let mut flat = Vec::with_capacity(total);
+    let mut flat = scratch::with_capacity(total);
     for g in grads.iter().flatten() {
         flat.extend_from_slice(g.data());
     }
@@ -67,10 +67,8 @@ pub(crate) fn all_reduce_flat(comm: &Communicator, grads: &mut [Option<Tensor>],
     let mut off = 0;
     for g in grads.iter_mut().flatten() {
         let n = g.numel();
-        let chunk = reduced.data()[off..off + n]
-            .iter()
-            .map(|&x| scale * x)
-            .collect();
+        let mut chunk = scratch::with_capacity(n);
+        chunk.extend(reduced.data()[off..off + n].iter().map(|&x| scale * x));
         *g = Tensor::from_vec(chunk, g.shape().clone());
         off += n;
     }

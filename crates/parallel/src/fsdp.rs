@@ -44,6 +44,7 @@ use std::rc::Rc;
 use dchag_collectives::{CommRequest, Communicator};
 use dchag_tensor::checkpoint::{CheckpointError, ShardMeta, SnapEntry, Snapshot};
 use dchag_tensor::prelude::*;
+use dchag_tensor::scratch;
 
 /// Size at which a flat unit closes: 1 MiB of f32, 16 pipeline chunks. A
 /// unit holds at least this many elements unless it is the last one. The
@@ -187,7 +188,7 @@ impl FsdpParams {
     /// shards.
     fn issue_gather(&self, u: usize) -> CommRequest {
         let unit = &self.units[u];
-        let mut buf = Vec::with_capacity(unit.len);
+        let mut buf = scratch::with_capacity(unit.len);
         for i in unit.members.clone() {
             buf.extend_from_slice(self.shard_store.get(self.shard_ids[i]).data());
         }
@@ -200,7 +201,7 @@ impl FsdpParams {
     fn member_full(&self, i: usize, gathered: &[f32]) -> Tensor {
         let meta = &self.metas[i];
         let stride = self.units[meta.unit].len;
-        let mut full = Vec::with_capacity(meta.numel);
+        let mut full = scratch::with_capacity(meta.numel);
         for r in 0..self.comm.size() {
             let take = meta.shard_len.min(meta.numel - full.len());
             let at = r * stride + meta.offset;
@@ -355,7 +356,8 @@ impl<'a> FsdpBinder<'a> {
             for i in self.params.units[u].members.clone() {
                 if sc.got[i] {
                     let meta = &self.params.metas[i];
-                    let shard = reduced.data()[meta.offset..meta.offset + meta.shard_len].to_vec();
+                    let shard =
+                        scratch::copied(&reduced.data()[meta.offset..meta.offset + meta.shard_len]);
                     grads[i] = Some(Tensor::from_vec(shard, meta.shard_shape()));
                 }
             }

@@ -9,6 +9,7 @@
 
 use super::{Tape, Var};
 use crate::ops as k;
+use crate::scratch;
 use crate::tensor::Tensor;
 
 impl Tape {
@@ -290,7 +291,7 @@ impl Tape {
         let ia = a.id;
         let mask = mask.clone();
         let av = a.value();
-        let mut d = vec![0.0f32; av.numel()];
+        let mut d = scratch::zeroed(av.numel());
         let (sq_sums, mask_sums): (Vec<f64>, Vec<f64>) = d
             .chunks_mut(4096)
             .zip(av.data().chunks(4096))

@@ -6,7 +6,8 @@
 //! drop happens on another thread, because the buffer captures an `Arc` to
 //! the counter at allocation time. Kernel scratch borrowed on that thread is
 //! charged for the borrow (see [`crate::scratch`]); scratch on the untracked
-//! pool workers is not. This gives functional runs a per-rank "allocator
+//! pool workers is not, and neither are the free buffers the thread's
+//! buffer pool keeps for reuse. This gives functional runs a per-rank "allocator
 //! view" comparable to `torch.cuda.max_memory_allocated`: the per-rank peaks
 //! that `perfbench` reports as `peak_mem_mb` and the quickstart example
 //! prints.

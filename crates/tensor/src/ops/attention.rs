@@ -24,7 +24,7 @@
 
 use crate::ops::gemm::{gemm_serial_or_small, Epilogue, GemmLayout};
 use crate::par;
-use crate::scratch::with_scratch;
+use crate::scratch::{self, with_scratch};
 use crate::shape::Shape;
 use crate::simd::{self, exp_fast};
 use crate::tensor::Tensor;
@@ -122,8 +122,8 @@ impl Slabs {
 pub fn flash_attention(q: &Tensor, k: &Tensor, v: &Tensor, scale: f32) -> (Tensor, Tensor) {
     let (b, sq, sk, d) = attn_dims(q, k, v);
     let q_tiles = sq.div_ceil(FLASH_BR).max(1);
-    let mut out = vec![0.0f32; b * sq * d];
-    let mut lse = vec![0.0f32; b * sq];
+    let mut out = scratch::zeroed(b * sq * d);
+    let mut lse = scratch::zeroed(b * sq);
     if b * sq * sk * d > 0 {
         let out_s = Slabs::new(&mut out);
         let lse_s = Slabs::new(&mut lse);
@@ -260,6 +260,7 @@ pub fn flash_attention_backward(
     } else {
         bwd.two_pass()
     };
+    scratch::recycle(bwd.drow);
     (
         Tensor::from_vec(dq, Shape::new(&[b, sq, d])),
         Tensor::from_vec(dk, Shape::new(&[b, sk, d])),
@@ -300,7 +301,7 @@ impl<'a> Backward<'a> {
         assert_eq!(out.dims(), &[b, sq, d], "flash backward out shape");
         assert_eq!(lse.dims(), &[b, sq], "flash backward lse shape");
         assert_eq!(dout.dims(), &[b, sq, d], "flash backward dout shape");
-        let mut drow = vec![0.0f32; b * sq];
+        let mut drow = scratch::zeroed(b * sq);
         par::for_each_row_indexed_if(
             b * sq * d >= par::PAR_NUMEL,
             &mut drow,
@@ -341,9 +342,9 @@ impl<'a> Backward<'a> {
     fn zeroed(&self) -> Grads {
         let (b, sq, sk, d) = (self.b, self.sq, self.sk, self.d);
         (
-            vec![0.0f32; b * sq * d],
-            vec![0.0f32; b * sk * d],
-            vec![0.0f32; b * sk * d],
+            scratch::zeroed(b * sq * d),
+            scratch::zeroed(b * sk * d),
+            scratch::zeroed(b * sk * d),
         )
     }
 

@@ -8,6 +8,7 @@
 //! buffer when it is uniquely owned).
 
 use crate::par::for_each_row;
+use crate::scratch;
 use crate::tensor::Tensor;
 
 /// `a + b`, same shapes.
@@ -118,7 +119,7 @@ pub fn add_bias_gelu(a: &Tensor, bias: &Tensor) -> (Tensor, Tensor) {
     );
     let b = bias.data();
     let mut pre = a.to_vec();
-    let mut out = vec![0.0f32; pre.len()];
+    let mut out = scratch::zeroed(pre.len());
     // Two tight passes rather than one interleaved loop: the bias add
     // vectorizes cleanly on its own, and the (tanh-bound) activation pass
     // reads `pre` straight back out of cache. Versus the unfused
@@ -141,7 +142,7 @@ pub fn add_bias_gelu_backward(h: &Tensor, g: &Tensor) -> (Tensor, Tensor) {
     assert_eq!(h.dims(), g.dims());
     let n = h.shape().last();
     let dx = h.zip(g, |hv, gv| gelu_grad_scalar(hv) * gv);
-    let mut dbias = vec![0.0f32; n];
+    let mut dbias = scratch::zeroed(n);
     for row in dx.data().chunks(n) {
         for (d, &v) in dbias.iter_mut().zip(row) {
             *d += v;

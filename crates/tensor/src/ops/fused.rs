@@ -14,6 +14,7 @@
 use crate::ops::gemm::{gemm, gemm_batch_into, gemm_bias, GemmJob, GemmLayout};
 use crate::ops::reduce::softmax_last;
 use crate::par;
+use crate::scratch;
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 
@@ -37,7 +38,7 @@ fn linear_dims(a: &Tensor, w: &Tensor, bias: &Tensor) -> (usize, usize, usize) {
 /// Leading axes of `x` are preserved.
 pub fn matmul_bias(a: &Tensor, w: &Tensor, bias: &Tensor) -> Tensor {
     let (m, k, n) = linear_dims(a, w, bias);
-    let mut c = vec![0.0f32; m * n];
+    let mut c = scratch::zeroed(m * n);
     gemm_bias(
         GemmLayout::NN,
         1.0,
@@ -59,7 +60,7 @@ pub fn matmul_bias(a: &Tensor, w: &Tensor, bias: &Tensor) -> Tensor {
 /// Returns `(y, h)` with `h = x·W + b` saved for the backward pass.
 pub fn linear_gelu(a: &Tensor, w: &Tensor, bias: &Tensor) -> (Tensor, Tensor) {
     let (m, k, n) = linear_dims(a, w, bias);
-    let mut h = vec![0.0f32; m * n];
+    let mut h = scratch::zeroed(m * n);
     gemm_bias(
         GemmLayout::NN,
         1.0,
@@ -71,7 +72,7 @@ pub fn linear_gelu(a: &Tensor, w: &Tensor, bias: &Tensor) -> (Tensor, Tensor) {
         k,
         n,
     );
-    let mut y = vec![0.0f32; h.len()];
+    let mut y = scratch::zeroed(h.len());
     par::for_each_row_zip(&mut y, n, &mut h, n, |_, y_row, h_row| {
         crate::simd::gelu_into(h_row, y_row);
     });
@@ -115,7 +116,7 @@ pub fn softmax_pool(y: &Tensor, pw: &Tensor) -> (Tensor, Tensor) {
     // Logits: every position's `[C,D]·[D,1]` product is the same GEMV over
     // consecutive rows, so the whole thing folds into ONE `[N·C, D]×[D, 1]`
     // product — one dispatch instead of N tiny ones.
-    let mut logits = vec![0.0f32; nn * c];
+    let mut logits = scratch::zeroed(nn * c);
     gemm(
         GemmLayout::NN,
         1.0,
@@ -144,7 +145,7 @@ pub fn softmax_pool(y: &Tensor, pw: &Tensor) -> (Tensor, Tensor) {
             c_off: n_idx * d,
         })
         .collect();
-    let mut out = vec![0.0f32; nn * d];
+    let mut out = scratch::zeroed(nn * d);
     gemm_batch_into(&jobs, &mut out);
 
     (Tensor::from_vec(out, [nn, d]), weights)
@@ -166,7 +167,7 @@ pub fn softmax_pool_backward(
 
     // Pass 1 — dl[n,c]: ds[c] = g·y[c] (grad wrt each softmax weight) run
     // through the softmax backward per position.
-    let mut dl = vec![0.0f32; nn * c];
+    let mut dl = scratch::zeroed(nn * c);
     par::for_each_row_indexed_if(par, &mut dl, c, |n_idx, dl_row| {
         let g_row = &g.data()[n_idx * d..(n_idx + 1) * d];
         let w_row = &weights.data()[n_idx * c..(n_idx + 1) * c];
@@ -186,7 +187,7 @@ pub fn softmax_pool_backward(
 
     // Pass 2 — dy[n,c,:] = w[n,c]·g[n,:] + dl[n,c]·pw (disjoint per-position
     // slabs, fully parallel).
-    let mut dy = vec![0.0f32; nn * c * d];
+    let mut dy = scratch::zeroed(nn * c * d);
     par::for_each_row_indexed_if(par, &mut dy, c * d, |n_idx, dy_slab| {
         let g_row = &g.data()[n_idx * d..(n_idx + 1) * d];
         for (ci, dy_row) in dy_slab.chunks_mut(d).enumerate() {
@@ -200,8 +201,9 @@ pub fn softmax_pool_backward(
 
     // Pass 3 — dpw = Σ_{n,c} dl[n,c]·y[n,c,:], which is exactly
     // yᵀ·dl over the folded [N·C, D] view: one TN GEMM.
-    let mut dpw = vec![0.0f32; d];
+    let mut dpw = scratch::zeroed(d);
     gemm(GemmLayout::TN, 1.0, y.data(), &dl, &mut dpw, d, nn * c, 1);
+    scratch::recycle(dl);
 
     (
         Tensor::from_vec(dy, Shape::new(&[nn, c, d])),

@@ -44,7 +44,7 @@
 
 use rayon::prelude::*;
 
-use crate::scratch::{with_scratch, with_scratch_zeroed};
+use crate::scratch::{self, with_scratch, with_scratch_zeroed};
 use crate::shape::Shape;
 use crate::simd::{self, Isa, MicroEpi};
 use crate::tensor::Tensor;
@@ -762,7 +762,7 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     let (m, k) = (a2.dims()[0], a2.dims()[1]);
     let (k2, n) = (b.dims()[0], b.dims()[1]);
     assert_eq!(k, k2, "matmul inner dims {} vs {}", a.shape(), b.shape());
-    let mut c = vec![0.0f32; m * n];
+    let mut c = scratch::zeroed(m * n);
     gemm(GemmLayout::NN, 1.0, a2.data(), b.data(), &mut c, m, k, n);
     // Preserve leading batch axes of `a`.
     let mut out_dims = a.dims().to_vec();
@@ -777,7 +777,7 @@ pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Tensor {
     let (m, k) = (a2.dims()[0], a2.dims()[1]);
     let (n, k2) = (b.dims()[0], b.dims()[1]);
     assert_eq!(k, k2, "matmul_nt inner dims {} vs {}", a.shape(), b.shape());
-    let mut c = vec![0.0f32; m * n];
+    let mut c = scratch::zeroed(m * n);
     gemm(GemmLayout::NT, 1.0, a2.data(), b.data(), &mut c, m, k, n);
     let mut out_dims = a.dims().to_vec();
     *out_dims.last_mut().unwrap() = n;
@@ -791,7 +791,7 @@ pub fn matmul_tn(a: &Tensor, b: &Tensor) -> Tensor {
     let (k, m) = (a2.dims()[0], a2.dims()[1]);
     let (k2, n) = (b2.dims()[0], b2.dims()[1]);
     assert_eq!(k, k2, "matmul_tn inner dims {} vs {}", a.shape(), b.shape());
-    let mut c = vec![0.0f32; m * n];
+    let mut c = scratch::zeroed(m * n);
     gemm(GemmLayout::TN, 1.0, a2.data(), b2.data(), &mut c, m, k, n);
     Tensor::from_vec(c, [m, n])
 }
@@ -968,7 +968,7 @@ fn bmm_driver(
     n: usize,
 ) -> Tensor {
     let (a_sz, b_sz) = (m * k, k * n);
-    let mut c = vec![0.0f32; bs * m * n];
+    let mut c = scratch::zeroed(bs * m * n);
     let (ao, bo) = (a.data(), b.data());
     if bs == 1 {
         gemm(layout, alpha, ao, bo, &mut c, m, k, n);
@@ -1094,6 +1094,38 @@ pub mod bench_api {
             a,
             b,
             Epilogue::Add,
+            c,
+            m,
+            k,
+            n,
+        );
+    }
+
+    /// [`gemm_fast_serial`] with the fused Linear epilogue: `C += α·op(A)·op(B)
+    /// + bias`, the serial body of [`crate::ops::matmul_bias`].
+    #[allow(clippy::too_many_arguments)]
+    pub fn gemm_bias_serial(
+        layout: GemmLayout,
+        alpha: f32,
+        a: &[f32],
+        b: &[f32],
+        bias: &[f32],
+        c: &mut [f32],
+        m: usize,
+        k: usize,
+        n: usize,
+    ) {
+        assert_eq!(bias.len(), n, "bias len {} vs n {n}", bias.len());
+        if m == 0 || n == 0 || k == 0 {
+            return;
+        }
+        gemm_serial(
+            simd::active_isa(),
+            layout,
+            alpha,
+            a,
+            b,
+            Epilogue::AddBias(bias),
             c,
             m,
             k,

@@ -16,6 +16,7 @@
 use rayon::prelude::*;
 
 use crate::par::{self, PAR_NUMEL};
+use crate::scratch;
 use crate::tensor::Tensor;
 
 pub const LN_EPS: f32 = 1e-5;
@@ -26,6 +27,13 @@ pub struct LayerNormCtx {
     pub mean: Vec<f32>,
     /// Per-row reciprocal std, length = rows.
     pub rstd: Vec<f32>,
+}
+
+impl Drop for LayerNormCtx {
+    fn drop(&mut self) {
+        scratch::recycle(std::mem::take(&mut self.mean));
+        scratch::recycle(std::mem::take(&mut self.rstd));
+    }
 }
 
 /// Single-sweep `(mean, variance)` of one row via chunked Welford — the
@@ -41,9 +49,9 @@ pub fn layernorm(x: &Tensor, gamma: &Tensor, beta: &Tensor) -> (Tensor, LayerNor
     assert_eq!(beta.numel(), n, "beta len");
     let rows = x.shape().rows();
     let (g, b) = (gamma.data(), beta.data());
-    let mut out = vec![0.0f32; x.numel()];
+    let mut out = scratch::zeroed(x.numel());
     // (mean, rstd) interleaved so one parallel sweep fills both.
-    let mut stats = vec![0.0f32; rows * 2];
+    let mut stats = scratch::zeroed(rows * 2);
 
     if n > 0 {
         par::for_each_row_zip(&mut out, n, &mut stats, 2, |r, o_row, stat| {
@@ -58,8 +66,11 @@ pub fn layernorm(x: &Tensor, gamma: &Tensor, beta: &Tensor) -> (Tensor, LayerNor
         });
     }
 
-    let mean = stats.iter().step_by(2).copied().collect();
-    let rstd = stats.iter().skip(1).step_by(2).copied().collect();
+    let mut mean = scratch::with_capacity(rows);
+    mean.extend(stats.iter().step_by(2));
+    let mut rstd = scratch::with_capacity(rows);
+    rstd.extend(stats.iter().skip(1).step_by(2));
+    scratch::recycle(stats);
     (
         Tensor::from_vec(out, x.shape().clone()),
         LayerNormCtx { mean, rstd },
@@ -76,7 +87,7 @@ pub fn layernorm_backward(
     let n = x.shape().last();
     let rows = x.shape().rows();
     let g = gamma.data();
-    let mut dx = vec![0.0f32; x.numel()];
+    let mut dx = scratch::zeroed(x.numel());
 
     // dx rows are independent.
     let dx_row = |r: usize, dx_row: &mut [f32]| {
@@ -104,8 +115,8 @@ pub fn layernorm_backward(
 
     // dγ/dβ reduce across rows: per-band partials, folded at the end.
     let band_partials = |r0: usize, r1: usize| {
-        let mut dgamma = vec![0.0f32; n];
-        let mut dbeta = vec![0.0f32; n];
+        let mut dgamma = scratch::zeroed(n);
+        let mut dbeta = scratch::zeroed(n);
         for r in r0..r1 {
             let x_row = &x.data()[r * n..(r + 1) * n];
             let dy_row = &dy.data()[r * n..(r + 1) * n];
@@ -132,8 +143,8 @@ pub fn layernorm_backward(
             .into_par_iter()
             .map(|t| band_partials(t * per, ((t + 1) * per).min(rows)))
             .collect();
-        let mut dgamma = vec![0.0f32; n];
-        let mut dbeta = vec![0.0f32; n];
+        let mut dgamma = scratch::zeroed(n);
+        let mut dbeta = scratch::zeroed(n);
         for (pg, pb) in partials {
             for (d, p) in dgamma.iter_mut().zip(&pg) {
                 *d += p;

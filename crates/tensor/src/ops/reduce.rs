@@ -2,6 +2,7 @@
 
 use rayon::prelude::*;
 
+use crate::scratch;
 use crate::simd;
 use crate::tensor::Tensor;
 
@@ -9,7 +10,7 @@ use crate::tensor::Tensor;
 /// This is the bias-gradient reduction.
 pub fn sum_to_last(a: &Tensor) -> Tensor {
     let n = a.shape().last();
-    let mut out = vec![0.0f32; n];
+    let mut out = scratch::zeroed(n);
     for row in a.data().chunks(n) {
         for (o, &x) in out.iter_mut().zip(row) {
             *o += x;
@@ -32,7 +33,7 @@ pub fn mean_all(a: &Tensor) -> Tensor {
 pub fn mean_axis1(a: &Tensor) -> Tensor {
     assert_eq!(a.ndim(), 3, "mean_axis1 wants 3-D, got {}", a.shape());
     let (b, c, d) = (a.dims()[0], a.dims()[1], a.dims()[2]);
-    let mut out = vec![0.0f32; b * d];
+    let mut out = scratch::zeroed(b * d);
     for bi in 0..b {
         let o = &mut out[bi * d..(bi + 1) * d];
         for ci in 0..c {
@@ -83,7 +84,7 @@ pub fn softmax_last(a: &Tensor) -> Tensor {
 pub fn softmax_last_backward(y: &Tensor, dy: &Tensor) -> Tensor {
     assert_eq!(y.dims(), dy.dims());
     let n = y.shape().last();
-    let mut out = vec![0.0f32; y.numel()];
+    let mut out = scratch::zeroed(y.numel());
     for ((o_row, y_row), dy_row) in out
         .chunks_mut(n)
         .zip(y.data().chunks(n))

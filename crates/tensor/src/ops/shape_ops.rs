@@ -1,6 +1,7 @@
 //! Data-movement kernels: axis swaps, concatenation, slicing, token
 //! selection, batch broadcasts and image patchification.
 
+use crate::scratch;
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 
@@ -13,7 +14,7 @@ pub fn swap_axes12(t: &Tensor) -> Tensor {
     assert_eq!(t.ndim(), 4, "swap_axes12 wants 4-D, got {}", t.shape());
     let (a, b, c, d) = (t.dims()[0], t.dims()[1], t.dims()[2], t.dims()[3]);
     let src = t.data();
-    let mut out = vec![0.0f32; t.numel()];
+    let mut out = scratch::zeroed(t.numel());
     for ai in 0..a {
         for bi in 0..b {
             for ci in 0..c {
@@ -46,7 +47,7 @@ pub fn concat(tensors: &[&Tensor], axis: usize) -> Tensor {
 
     let outer: usize = out_dims[..axis].iter().product();
     let inner: usize = out_dims[axis + 1..].iter().product();
-    let mut out = vec![0.0f32; outer * axis_total * inner];
+    let mut out = scratch::zeroed(outer * axis_total * inner);
     let out_stride = axis_total * inner;
 
     let mut offset = 0usize;
@@ -75,7 +76,7 @@ pub fn slice(t: &Tensor, axis: usize, start: usize, len: usize) -> Tensor {
     );
     let outer: usize = t.dims()[..axis].iter().product();
     let inner: usize = t.dims()[axis + 1..].iter().product();
-    let mut out = vec![0.0f32; outer * len * inner];
+    let mut out = scratch::zeroed(outer * len * inner);
     for o in 0..outer {
         let src = &t.data()[(o * ax + start) * inner..(o * ax + start + len) * inner];
         out[o * len * inner..(o + 1) * len * inner].copy_from_slice(src);
@@ -92,7 +93,7 @@ pub fn slice_backward(grad: &Tensor, orig_dims: &[usize], axis: usize, start: us
     let ax = orig_dims[axis];
     let outer: usize = orig_dims[..axis].iter().product();
     let inner: usize = orig_dims[axis + 1..].iter().product();
-    let mut out = vec![0.0f32; orig_dims.iter().product()];
+    let mut out = scratch::zeroed(orig_dims.iter().product());
     for o in 0..outer {
         let dst = &mut out[(o * ax + start) * inner..(o * ax + start + len) * inner];
         let src = &grad.data()[o * len * inner..(o + 1) * len * inner];
@@ -108,7 +109,7 @@ pub fn slice_backward(grad: &Tensor, orig_dims: &[usize], axis: usize, start: us
 pub fn select_axis1(t: &Tensor, idx: &[usize]) -> Tensor {
     assert_eq!(t.ndim(), 3, "select_axis1 wants 3-D, got {}", t.shape());
     let (b, s, d) = (t.dims()[0], t.dims()[1], t.dims()[2]);
-    let mut out = vec![0.0f32; b * idx.len() * d];
+    let mut out = scratch::zeroed(b * idx.len() * d);
     for bi in 0..b {
         for (i, &j) in idx.iter().enumerate() {
             assert!(j < s, "select index {j} out of {s}");
@@ -123,7 +124,7 @@ pub fn select_axis1(t: &Tensor, idx: &[usize]) -> Tensor {
 pub fn select_axis1_backward(grad: &Tensor, idx: &[usize], s: usize) -> Tensor {
     let (b, k, d) = (grad.dims()[0], grad.dims()[1], grad.dims()[2]);
     assert_eq!(k, idx.len());
-    let mut out = vec![0.0f32; b * s * d];
+    let mut out = scratch::zeroed(b * s * d);
     for bi in 0..b {
         for (i, &j) in idx.iter().enumerate() {
             let dst = &mut out[(bi * s + j) * d..(bi * s + j + 1) * d];
@@ -156,7 +157,7 @@ pub fn patchify(img: &Tensor, p: usize) -> Tensor {
     let (gh, gw) = (h / p, w / p);
     let np = gh * gw;
     let src = img.data();
-    let mut out = vec![0.0f32; img.numel()];
+    let mut out = scratch::zeroed(img.numel());
     for bc in 0..b * c {
         let plane = &src[bc * h * w..(bc + 1) * h * w];
         let dst = &mut out[bc * np * p * p..(bc + 1) * np * p * p];
@@ -186,7 +187,7 @@ pub fn unpatchify(t: &Tensor, h: usize, w: usize, p: usize) -> Tensor {
     let (gh, gw) = (h / p, w / p);
     assert_eq!(np, gh * gw, "patch count mismatch");
     let src = t.data();
-    let mut out = vec![0.0f32; b * c * h * w];
+    let mut out = scratch::zeroed(b * c * h * w);
     for bc in 0..b * c {
         let patches = &src[bc * np * pp..(bc + 1) * np * pp];
         let plane = &mut out[bc * h * w..(bc + 1) * h * w];
@@ -208,7 +209,7 @@ pub fn unpatchify(t: &Tensor, h: usize, w: usize, p: usize) -> Tensor {
 pub fn broadcast_to_batch(t: &Tensor, b: usize) -> Tensor {
     assert_eq!(t.ndim(), 2);
     let (s, d) = (t.dims()[0], t.dims()[1]);
-    let mut out = Vec::with_capacity(b * s * d);
+    let mut out = scratch::with_capacity(b * s * d);
     for _ in 0..b {
         out.extend_from_slice(t.data());
     }
@@ -219,7 +220,7 @@ pub fn broadcast_to_batch(t: &Tensor, b: usize) -> Tensor {
 pub fn sum_over_batch(grad: &Tensor) -> Tensor {
     assert_eq!(grad.ndim(), 3);
     let (b, s, d) = (grad.dims()[0], grad.dims()[1], grad.dims()[2]);
-    let mut out = vec![0.0f32; s * d];
+    let mut out = scratch::zeroed(s * d);
     for bi in 0..b {
         for (o, &g) in out
             .iter_mut()

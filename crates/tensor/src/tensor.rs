@@ -10,10 +10,12 @@ use std::sync::Arc;
 
 use crate::device::{current_tracker, MemCounter};
 use crate::rng::Rng;
+use crate::scratch;
 use crate::shape::Shape;
 
 /// Reference-counted buffer that charges the allocating thread's
-/// [`MemCounter`] and releases it on drop.
+/// [`MemCounter`] and releases it on drop, handing its storage back to the
+/// dropping thread's [`crate::scratch`] pool.
 pub(crate) struct Buf {
     data: Vec<f32>,
     tracker: Option<Arc<MemCounter>>,
@@ -34,6 +36,7 @@ impl Drop for Buf {
         if let Some(t) = &self.tracker {
             t.sub(std::mem::size_of_val(self.data.as_slice()));
         }
+        crate::scratch::recycle(std::mem::take(&mut self.data));
     }
 }
 
@@ -65,7 +68,7 @@ impl Tensor {
 
     pub fn zeros(shape: impl Into<Shape>) -> Self {
         let shape = shape.into();
-        Tensor::from_vec(vec![0.0; shape.numel()], shape)
+        Tensor::from_vec(scratch::zeroed(shape.numel()), shape)
     }
 
     pub fn ones(shape: impl Into<Shape>) -> Self {
@@ -74,7 +77,7 @@ impl Tensor {
 
     pub fn full(shape: impl Into<Shape>, value: f32) -> Self {
         let shape = shape.into();
-        Tensor::from_vec(vec![value; shape.numel()], shape)
+        Tensor::from_vec(scratch::filled(shape.numel(), value), shape)
     }
 
     pub fn scalar(value: f32) -> Self {
@@ -84,7 +87,7 @@ impl Tensor {
     /// I.i.d. normal entries with the given std.
     pub fn randn(shape: impl Into<Shape>, std: f32, rng: &mut Rng) -> Self {
         let shape = shape.into();
-        let mut data = vec![0.0; shape.numel()];
+        let mut data = scratch::zeroed(shape.numel());
         rng.fill_normal(&mut data, std);
         Tensor::from_vec(data, shape)
     }
@@ -161,9 +164,10 @@ impl Tensor {
         self.reshape(&[self.shape.rows(), self.shape.last()])
     }
 
-    /// Copy out an owned f32 Vec (for interop / assertions).
+    /// Copy out an owned f32 Vec, its buffer taken from the thread's
+    /// [`scratch`] pool.
     pub fn to_vec(&self) -> Vec<f32> {
-        self.buf.data.clone()
+        scratch::copied(&self.buf.data)
     }
 
     /// Take the underlying buffer for in-place mutation.
@@ -183,7 +187,7 @@ impl Tensor {
                 }
                 std::mem::take(&mut buf.data)
             }
-            Err(shared) => shared.data.clone(),
+            Err(shared) => scratch::copied(&shared.data),
         }
     }
 
@@ -198,12 +202,8 @@ impl Tensor {
     /// Elementwise `f(self, other)`.
     pub fn zip(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
         assert_eq!(self.dims(), other.dims(), "zip shape mismatch");
-        let data = self
-            .data()
-            .iter()
-            .zip(other.data())
-            .map(|(&x, &y)| f(x, y))
-            .collect();
+        let mut data = scratch::with_capacity(self.numel());
+        data.extend(self.data().iter().zip(other.data()).map(|(&x, &y)| f(x, y)));
         Tensor::from_vec(data, self.shape.clone())
     }
 
