@@ -82,7 +82,8 @@ impl ParamMeta {
     /// This rank's shard of a full (flattened) value.
     fn shard_of(&self, mut flat: Vec<f32>, rank: usize) -> Tensor {
         flat.resize(self.padded, 0.0);
-        let local = flat[rank * self.shard_len..(rank + 1) * self.shard_len].to_vec();
+        let local = scratch::copied(&flat[rank * self.shard_len..(rank + 1) * self.shard_len]);
+        scratch::recycle(flat);
         Tensor::from_vec(local, self.shard_shape())
     }
 }

@@ -416,10 +416,12 @@ impl<'a> Bytes<'a> {
 
     fn f32s(&mut self, n: usize) -> Result<Vec<f32>, CheckpointError> {
         let raw = self.take(n.checked_mul(4).ok_or_else(len_overflow)?)?;
-        Ok(raw
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-            .collect())
+        let mut out = crate::scratch::with_capacity(n);
+        out.extend(
+            raw.chunks_exact(4)
+                .map(|c| f32::from_le_bytes(c.try_into().unwrap())),
+        );
+        Ok(out)
     }
 
     fn string(&mut self) -> Result<String, CheckpointError> {
