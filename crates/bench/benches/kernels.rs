@@ -8,7 +8,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use dchag_bench::bench_json::{measure_ns, update_sections};
 use dchag_tensor::ops::gemm::{bench_api, GemmLayout};
-use dchag_tensor::{ops, Rng, Tensor};
+use dchag_tensor::{ops, Rng, Tape, Tensor};
 
 /// Requests of this many bytes or more are the `train_step_alloc` entry's
 /// large blocks (64 KiB): sizes the system allocator serves by mapping
@@ -388,23 +388,19 @@ fn bench_fusion(c: &mut Criterion) {
     g.finish();
 }
 
-/// Emit the `kernels` section of `BENCH_kernels.json` at the workspace
-/// root: before (seed kernels) vs after (blocked/fused kernels) wall times
-/// and the resulting speedups. Section-wise splice, so the `collectives`
-/// bench's sections and the frozen `retired_*` sections survive.
-/// Runs as a criterion target so `cargo bench --bench kernels` refreshes
-/// the file; in `--test` (smoke) mode it still writes, with single-shot
-/// timings.
-/// `flash_bwd_256x128x128x16`: flash attention's backward at flat_w1's
-/// Tree0-C channel-attention shape (`[B·H, Sq, Sk, d]` = 256 batches of a
-/// 128-channel, 16-wide head), per batch, through the public parallel op;
-/// next to one batch of the same shape alone, which runs on one thread.
-/// With `threads` workers the per-batch time could reach the one-batch
-/// time over `threads`.
-fn flash_bwd_per_batch(rng: &mut Rng, quick: bool) -> String {
-    let (b, s, d) = (256usize, 128usize, 16usize);
+/// `flash_bwd_{b}x{sq}x{sk}x{d}`: flash attention's backward over
+/// `[B·H, Sq, Sk, d]`, per batch, through the public parallel op; next to
+/// one batch of the same shape alone, which runs on one thread (a batch is
+/// one backward task). With `threads` workers the per-batch time could
+/// reach the one-batch time over `threads`.
+fn flash_bwd_per_batch(
+    rng: &mut Rng,
+    (b, sq, sk, d): (usize, usize, usize, usize),
+    quick: bool,
+) -> String {
     let scale = 1.0 / (d as f32).sqrt();
-    let [q, k, v, dout] = [(); 4].map(|_| Tensor::randn([b, s, d], 1.0, rng));
+    let [q, dout] = [(); 2].map(|_| Tensor::randn([b, sq, d], 1.0, rng));
+    let [k, v] = [(); 2].map(|_| Tensor::randn([b, sk, d], 1.0, rng));
     let time = |q: &Tensor, k: &Tensor, v: &Tensor, dout: &Tensor| {
         let (out, lse) = ops::flash_attention(q, k, v, scale);
         measure_ns(
@@ -417,10 +413,13 @@ fn flash_bwd_per_batch(rng: &mut Rng, quick: bool) -> String {
         )
     };
     let per_batch = time(&q, &k, &v, &dout) / b as f64;
-    let first = |t: &Tensor| Tensor::from_vec(t.data()[..s * d].to_vec(), [1, s, d]);
+    let first = |t: &Tensor| {
+        let s = t.dims()[1];
+        Tensor::from_vec(t.data()[..s * d].to_vec(), [1, s, d])
+    };
     let one = time(&first(&q), &first(&k), &first(&v), &first(&dout));
     format!(
-        "    \"flash_bwd_{b}x{s}x{s}x{d}\": {{ \"per_batch_ns\": {per_batch:.0}, \"one_batch_serial_ns\": {one:.0}, \"per_batch_over_serial\": {:.2}, \"threads\": {} }},\n",
+        "    \"flash_bwd_{b}x{sq}x{sk}x{d}\": {{ \"per_batch_ns\": {per_batch:.0}, \"one_batch_serial_ns\": {one:.0}, \"per_batch_over_serial\": {:.2}, \"threads\": {} }},\n",
         per_batch / one,
         rayon::current_num_threads()
     )
@@ -490,8 +489,8 @@ fn train_step_alloc(quick: bool) -> String {
     )
 }
 
-/// Flag under which the bench binary prints the two allocation entries
-/// and exits.
+/// Flag under which the bench binary prints the allocation entries and
+/// exits.
 const ALLOC_ENTRIES_FLAG: &str = "--alloc-entries";
 
 /// The `flash_bwd_*` and `train_step_alloc` entries, measured in a child
@@ -524,8 +523,13 @@ fn alloc_entries_child(_c: &mut Criterion) {
     let quick = std::env::args().any(|a| a == "--test");
     let entries = std::thread::scope(|s| {
         s.spawn(|| {
-            let flash = flash_bwd_per_batch(&mut Rng::new(31), quick);
-            flash + &train_step_alloc(quick)
+            // flat_w1's Tree0-C channel attention (256 batches of a
+            // 128-channel, 16-wide head) and ClimaX's ViT (128 patches plus
+            // the metadata token, 8 batch·heads of width 32).
+            let mut rng = Rng::new(31);
+            let flat = flash_bwd_per_batch(&mut rng, (256, 128, 128, 16), quick);
+            let climax = flash_bwd_per_batch(&mut rng, (8, 129, 129, 32), quick);
+            flat + &climax + &train_step_alloc(quick)
         })
         .join()
         .expect("the allocation entries' thread panicked")
@@ -534,6 +538,13 @@ fn alloc_entries_child(_c: &mut Criterion) {
     std::process::exit(0);
 }
 
+/// Emit the `kernels` section of `BENCH_kernels.json` at the workspace
+/// root: before (seed kernels) vs after (blocked/fused kernels) wall times
+/// and the resulting speedups. Section-wise splice, so the `collectives`
+/// bench's sections and the frozen `retired_*` sections survive.
+/// Runs as a criterion target so `cargo bench --bench kernels` refreshes
+/// the file; in `--test` (smoke) mode it still writes, with single-shot
+/// timings.
 fn emit_kernels_json(_c: &mut Criterion) {
     let quick = std::env::args().any(|a| a == "--test");
     let mut rng = Rng::new(31);
@@ -755,6 +766,30 @@ fn emit_kernels_json(_c: &mut Criterion) {
     );
     entries.push(("softmax_pool_1024x16x64".into(), before, after, 0, pool));
 
+    // The same pooling at flat_w1's aggregator shape (batch 4 × 16 patches,
+    // 128 channels, embed 64), forward and backward through the tape: the
+    // composed matmul → softmax_last → bmm chain (before) vs the fused op.
+    let mut pool_rng = Rng::new(41);
+    let (n, ch, d) = (64usize, 128usize, 64usize);
+    let y = Tensor::randn([n, ch, d], 1.0, &mut pool_rng);
+    let pw = Tensor::randn([d, 1], 1.0, &mut pool_rng);
+    let dpooled = Tensor::randn([n, d], 1.0, &mut pool_rng);
+    let pool_fwd_bwd = |fused: bool| {
+        let tape = Tape::new();
+        let (yv, pv) = (tape.leaf(y.clone()), tape.leaf(pw.clone()));
+        let pooled = if fused {
+            tape.softmax_pool(&yv, &pv)
+        } else {
+            let logits = tape.reshape(&tape.matmul(&yv, &pv), &[n, ch]);
+            let weights = tape.reshape(&tape.softmax_last(&logits), &[n, 1, ch]);
+            tape.reshape(&tape.bmm(&weights, &yv), &[n, d])
+        };
+        black_box(tape.backward_seeded(&pooled, dpooled.clone()));
+    };
+    let before = measure_ns(|| pool_fwd_bwd(false), quick);
+    let after = measure_ns(|| pool_fwd_bwd(true), quick);
+    entries.push(("softmax_pool_64x128x64".into(), before, after, 0, pool));
+
     // Attention: naive composed chain (before) vs flash (after), wall time
     // plus an analytic peak-resident-bytes estimate per variant.
     let (bh, d) = (8usize, 64usize);
@@ -793,12 +828,16 @@ fn emit_kernels_json(_c: &mut Criterion) {
          threads = the pool size the after side runs on: the gemm_* and matmul_bias \
          entries time the serial blocked driver (threads 1) against the seed's \
          row-parallel loops. pack_a_gather packs one A block on the scalar tier (before) \
-         vs the active tier (after). flash_bwd_256x128x128x16 is the flash backward at \
-         flat_w1's Tree0-C shape per batch through the parallel op, next to one batch \
+         vs the active tier (after). softmax_pool_64x128x64 times a tape forward and \
+         backward at flat_w1's aggregator shape: the composed matmul->softmax_last->bmm \
+         chain (before) vs the fused op (after). flash_bwd_256x128x128x16 and \
+         flash_bwd_8x129x129x32 are the flash backward at flat_w1's Tree0-C shape and \
+         at ClimaX's ViT shape, per batch through the parallel op, next to one batch \
          alone on one thread. train_step_alloc is one warm flat MAE step at flat_w1's \
          shape: minor page faults, and blocks of 64 KiB or more requested from the \
-         system allocator, per step. retired_unpooled holds both entries measured before \
-         tensor buffers were pooled. pack_a_contig_120x256, gemm_tn_128x128x16 and gemm_tn_64x8192x64 time \
+         system allocator, per step. retired_unpooled holds flash_bwd_256x128x128x16 \
+         and train_step_alloc measured before tensor buffers were pooled. \
+         pack_a_contig_120x256, gemm_tn_128x128x16 and gemm_tn_64x8192x64 time \
          transposed-A work (tn_ns) next to the non-transposed pack or product of the same \
          dimensions (nn_ns, its ceiling), both serial on the active tier. attention_* \
          compare the naive bmm_nt_scaled->softmax->bmm chain with the flash kernel, plus \
@@ -912,7 +951,6 @@ fn bench_attention_primitives(c: &mut Criterion) {
     // Full fwd+bwd through the tape: three-node naive chain vs one fused
     // node with tile recompute.
     {
-        use dchag_tensor::Tape;
         let s = 256usize;
         let mut rng = Rng::new(6);
         let q = Tensor::randn([bh, s, d], 1.0, &mut rng);
@@ -971,7 +1009,6 @@ fn bench_norm_and_patchify(c: &mut Criterion) {
 }
 
 fn bench_autograd_overhead(c: &mut Criterion) {
-    use dchag_tensor::Tape;
     let mut g = c.benchmark_group("autograd");
     let mut rng = Rng::new(4);
     let a = Tensor::randn([64, 64], 1.0, &mut rng);

@@ -11,16 +11,15 @@
 //!
 //! Every tile product routes through the packed GEMM micro-panels
 //! (`gemm_serial_or_small`), so the kernel inherits the cache blocking and
-//! register tiling of the matmul layer. Work fans out over (batch, Q-tile)
-//! tasks — (batch, K-tile) for the dK/dV pass — gated on total FLOPs like
-//! the GEMM dispatch, so ragged hierarchical-aggregation shapes still
-//! saturate cores. When the whole attention fits one tile, the backward
-//! is one task per batch that recomputes its score tile once and emits
-//! dQ, dK and dV together (the single-pass structure of FlashAttention-2's
-//! backward). Within a task the K/V (or Q) tile loop is strictly serial
-//! and the tile sizes are fixed constants, so partial-sum groupings are
-//! shape-derived and results are bitwise reproducible at any thread
-//! count.
+//! register tiling of the matmul layer. The forward fans out over
+//! (batch, Q-tile) tasks, gated on total FLOPs like the GEMM dispatch, so
+//! ragged hierarchical-aggregation shapes still saturate cores. The
+//! backward is one task per batch that walks its (Q-tile, K-tile) pairs,
+//! recomputes each score tile once and emits dQ, dK and dV from it (the
+//! single-pass structure of FlashAttention-2's backward). Within a task the
+//! tile loops are strictly serial and the tile sizes are fixed constants,
+//! so partial-sum groupings are shape-derived and results are bitwise
+//! reproducible at any thread count.
 
 use crate::ops::gemm::{gemm_serial_or_small, Epilogue, GemmLayout};
 use crate::par;
@@ -82,9 +81,10 @@ fn attn_dims(q: &Tensor, k: &Tensor, v: &Tensor) -> (usize, usize, usize, usize)
 }
 
 /// Exclusive writer over pairwise-disjoint slabs of a flat output buffer,
-/// the same raw-window pattern as the GEMM layer's `CTile`: tasks of the
-/// parallel drivers write (batch, tile) row ranges that never overlap, so a
-/// mutable slice only materializes per disjoint slab.
+/// the same raw-window pattern as the GEMM layer's `CTile`: forward tasks
+/// write (batch, Q-tile) row ranges and backward tasks whole-batch ranges
+/// that never overlap, so a mutable slice only materializes per disjoint
+/// slab.
 struct Slabs {
     base: *mut f32,
     len: usize,
@@ -92,7 +92,7 @@ struct Slabs {
 
 // SAFETY: a `Slabs` is an exclusive capability over its buffer for the
 // duration of one parallel region, and every `slab` range handed out is
-// pairwise disjoint (one per (batch, tile) task).
+// pairwise disjoint (one per task).
 unsafe impl Send for Slabs {}
 unsafe impl Sync for Slabs {}
 
@@ -237,13 +237,9 @@ fn flash_fwd_tile(
 ///
 /// Score tiles are recomputed from Q/K and the saved logsumexp — the
 /// classic flash recompute tradeoff that buys O(S) activation memory for
-/// more attention FLOPs. When the attention fits one tile
-/// (`sq ≤ FLASH_BR`, `sk ≤ FLASH_BC`), each batch is one task that
-/// recomputes the score tile once and emits dV, dQ and dK from it (five
-/// tile products). Larger shapes run two passes, dQ over Q tiles and
-/// dK/dV over K tiles, each recomputing its score tiles (seven products
-/// per tile pair). Within one tile the two paths issue the same products
-/// in the same order, so they agree bit for bit.
+/// more attention FLOPs. Each batch is one task (`flash_bwd_batch`) that
+/// walks its (Q-tile, K-tile) pairs and recomputes each score tile once,
+/// emitting dV, dQ and dK from it: five tile products per pair.
 pub fn flash_attention_backward(
     q: &Tensor,
     k: &Tensor,
@@ -253,205 +249,70 @@ pub fn flash_attention_backward(
     lse: &Tensor,
     dout: &Tensor,
 ) -> (Tensor, Tensor, Tensor) {
-    let bwd = Backward::new(q, k, v, scale, out, lse, dout);
-    let (b, sq, sk, d) = (bwd.b, bwd.sq, bwd.sk, bwd.d);
-    let (dq, dk, dv) = if bwd.single_tile() {
-        bwd.one_pass()
-    } else {
-        bwd.two_pass()
-    };
-    scratch::recycle(bwd.drow);
+    let (b, sq, sk, d) = attn_dims(q, k, v);
+    assert_eq!(out.dims(), &[b, sq, d], "flash backward out shape");
+    assert_eq!(lse.dims(), &[b, sq], "flash backward lse shape");
+    assert_eq!(dout.dims(), &[b, sq, d], "flash backward dout shape");
+    // The softmax-backward row dots D_i = Σ_j dO_ij · O_ij.
+    let mut drow = scratch::zeroed(b * sq);
+    par::for_each_row_indexed_if(
+        b * sq * d >= par::PAR_NUMEL,
+        &mut drow,
+        sq.max(1),
+        |bi, dr| {
+            for (i, dv) in dr.iter_mut().enumerate() {
+                let base = (bi * sq + i) * d;
+                let o = &out.data()[base..base + d];
+                let g = &dout.data()[base..base + d];
+                let mut acc = 0.0f32;
+                for (&ov, &gv) in o.iter().zip(g) {
+                    acc = ov.mul_add(gv, acc);
+                }
+                *dv = acc;
+            }
+        },
+    );
+    let mut dq = scratch::zeroed(b * sq * d);
+    let mut dk = scratch::zeroed(b * sk * d);
+    let mut dv = scratch::zeroed(b * sk * d);
+    if b * sq * sk * d > 0 {
+        let (dq_s, dk_s, dv_s) = (
+            Slabs::new(&mut dq),
+            Slabs::new(&mut dk),
+            Slabs::new(&mut dv),
+        );
+        par::for_each_task_if(b * sq * sk * d >= par::PAR_FLOPS, b, |bi| {
+            let (qs, ks) = (
+                bi * sq * d..(bi + 1) * sq * d,
+                bi * sk * d..(bi + 1) * sk * d,
+            );
+            // SAFETY: one task per batch, so the slabs are disjoint.
+            let grads = unsafe {
+                (
+                    dq_s.slab(qs.start, sq * d),
+                    dk_s.slab(ks.start, sk * d),
+                    dv_s.slab(ks.start, sk * d),
+                )
+            };
+            flash_bwd_batch(
+                &q.data()[qs.clone()],
+                &k.data()[ks.clone()],
+                &v.data()[ks],
+                &dout.data()[qs],
+                &lse.data()[bi * sq..(bi + 1) * sq],
+                &drow[bi * sq..(bi + 1) * sq],
+                scale,
+                (sq, sk, d),
+                grads,
+            );
+        });
+    }
+    scratch::recycle(drow);
     (
         Tensor::from_vec(dq, Shape::new(&[b, sq, d])),
         Tensor::from_vec(dk, Shape::new(&[b, sk, d])),
         Tensor::from_vec(dv, Shape::new(&[b, sk, d])),
     )
-}
-
-/// One backward call's inputs, with the softmax-backward row dots
-/// `D_i = Σ_j dO_ij · O_ij` that both drivers share.
-struct Backward<'a> {
-    q: &'a [f32],
-    k: &'a [f32],
-    v: &'a [f32],
-    lse: &'a [f32],
-    dout: &'a [f32],
-    drow: Vec<f32>,
-    scale: f32,
-    b: usize,
-    sq: usize,
-    sk: usize,
-    d: usize,
-}
-
-/// `(dq, dk, dv)` as flat buffers.
-type Grads = (Vec<f32>, Vec<f32>, Vec<f32>);
-
-impl<'a> Backward<'a> {
-    fn new(
-        q: &'a Tensor,
-        k: &'a Tensor,
-        v: &'a Tensor,
-        scale: f32,
-        out: &Tensor,
-        lse: &'a Tensor,
-        dout: &'a Tensor,
-    ) -> Self {
-        let (b, sq, sk, d) = attn_dims(q, k, v);
-        assert_eq!(out.dims(), &[b, sq, d], "flash backward out shape");
-        assert_eq!(lse.dims(), &[b, sq], "flash backward lse shape");
-        assert_eq!(dout.dims(), &[b, sq, d], "flash backward dout shape");
-        let mut drow = scratch::zeroed(b * sq);
-        par::for_each_row_indexed_if(
-            b * sq * d >= par::PAR_NUMEL,
-            &mut drow,
-            sq.max(1),
-            |bi, dr| {
-                for (i, dv) in dr.iter_mut().enumerate() {
-                    let base = (bi * sq + i) * d;
-                    let o = &out.data()[base..base + d];
-                    let g = &dout.data()[base..base + d];
-                    let mut acc = 0.0f32;
-                    for (&ov, &gv) in o.iter().zip(g) {
-                        acc = ov.mul_add(gv, acc);
-                    }
-                    *dv = acc;
-                }
-            },
-        );
-        Backward {
-            q: q.data(),
-            k: k.data(),
-            v: v.data(),
-            lse: lse.data(),
-            dout: dout.data(),
-            drow,
-            scale,
-            b,
-            sq,
-            sk,
-            d,
-        }
-    }
-
-    /// Whether every batch's attention is one `FLASH_BR × FLASH_BC` tile.
-    fn single_tile(&self) -> bool {
-        self.sq <= FLASH_BR && self.sk <= FLASH_BC
-    }
-
-    fn zeroed(&self) -> Grads {
-        let (b, sq, sk, d) = (self.b, self.sq, self.sk, self.d);
-        (
-            scratch::zeroed(b * sq * d),
-            scratch::zeroed(b * sk * d),
-            scratch::zeroed(b * sk * d),
-        )
-    }
-
-    fn par_ok(&self) -> bool {
-        self.b * self.sq * self.sk * self.d >= par::PAR_FLOPS
-    }
-
-    /// Single-tile shapes: one task per batch over the whole `[sq, sk]`
-    /// score tile.
-    fn one_pass(&self) -> Grads {
-        let (b, sq, sk, d) = (self.b, self.sq, self.sk, self.d);
-        debug_assert!(self.single_tile());
-        let (mut dq, mut dk, mut dv) = self.zeroed();
-        if b * sq * sk * d > 0 {
-            let dq_s = Slabs::new(&mut dq);
-            let dk_s = Slabs::new(&mut dk);
-            let dv_s = Slabs::new(&mut dv);
-            par::for_each_task_if(self.par_ok(), b, |bi| {
-                let (qs, ks) = (
-                    bi * sq * d..(bi + 1) * sq * d,
-                    bi * sk * d..(bi + 1) * sk * d,
-                );
-                // SAFETY: one task per batch, so the slabs are disjoint.
-                let (dq_b, dk_b, dv_b) = unsafe {
-                    (
-                        dq_s.slab(qs.start, sq * d),
-                        dk_s.slab(ks.start, sk * d),
-                        dv_s.slab(ks.start, sk * d),
-                    )
-                };
-                flash_bwd_single_tile(
-                    &self.q[qs.clone()],
-                    &self.k[ks.clone()],
-                    &self.v[ks],
-                    &self.dout[qs],
-                    &self.lse[bi * sq..(bi + 1) * sq],
-                    &self.drow[bi * sq..(bi + 1) * sq],
-                    self.scale,
-                    (sq, sk, d),
-                    (dq_b, dk_b, dv_b),
-                );
-            });
-        }
-        (dq, dk, dv)
-    }
-
-    /// Any shape: pass A forms dQ over (batch, Q-tile) tasks, pass B forms
-    /// dK/dV over (batch, K-tile) tasks.
-    fn two_pass(&self) -> Grads {
-        let (b, sq, sk, d) = (self.b, self.sq, self.sk, self.d);
-        let (q, k, v, dout, lse, drow) = (self.q, self.k, self.v, self.dout, self.lse, &self.drow);
-        let (mut dq, mut dk, mut dv) = self.zeroed();
-        if b * sq * sk * d > 0 {
-            let par_ok = self.par_ok();
-
-            // Pass A — dQ, parallel over (batch, Q-tile); K tiles stream
-            // serially inside each task so accumulation order is
-            // shape-derived.
-            let q_tiles = sq.div_ceil(FLASH_BR).max(1);
-            let dq_s = Slabs::new(&mut dq);
-            par::for_each_task_if(par_ok, b * q_tiles, |t| {
-                let (bi, qt) = (t / q_tiles, t % q_tiles);
-                let i0 = qt * FLASH_BR;
-                let br = FLASH_BR.min(sq - i0);
-                // SAFETY: disjoint (batch, Q-tile) row slabs.
-                let dq_tile = unsafe { dq_s.slab((bi * sq + i0) * d, br * d) };
-                flash_bwd_dq_tile(
-                    &q[(bi * sq + i0) * d..(bi * sq + i0 + br) * d],
-                    &k[bi * sk * d..(bi + 1) * sk * d],
-                    &v[bi * sk * d..(bi + 1) * sk * d],
-                    &dout[(bi * sq + i0) * d..(bi * sq + i0 + br) * d],
-                    &lse[bi * sq + i0..bi * sq + i0 + br],
-                    &drow[bi * sq + i0..bi * sq + i0 + br],
-                    self.scale,
-                    (br, sk, d),
-                    dq_tile,
-                );
-            });
-
-            // Pass B — dK/dV, parallel over (batch, K-tile); Q tiles stream
-            // serially inside each task.
-            let k_tiles = sk.div_ceil(FLASH_BC).max(1);
-            let dk_s = Slabs::new(&mut dk);
-            let dv_s = Slabs::new(&mut dv);
-            par::for_each_task_if(par_ok, b * k_tiles, |t| {
-                let (bi, kt) = (t / k_tiles, t % k_tiles);
-                let j0 = kt * FLASH_BC;
-                let bc = FLASH_BC.min(sk - j0);
-                // SAFETY: disjoint (batch, K-tile) row slabs.
-                let dk_tile = unsafe { dk_s.slab((bi * sk + j0) * d, bc * d) };
-                let dv_tile = unsafe { dv_s.slab((bi * sk + j0) * d, bc * d) };
-                flash_bwd_dkv_tile(
-                    &q[bi * sq * d..(bi + 1) * sq * d],
-                    &k[(bi * sk + j0) * d..(bi * sk + j0 + bc) * d],
-                    &v[(bi * sk + j0) * d..(bi * sk + j0 + bc) * d],
-                    &dout[bi * sq * d..(bi + 1) * sq * d],
-                    &lse[bi * sq..(bi + 1) * sq],
-                    &drow[bi * sq..(bi + 1) * sq],
-                    self.scale,
-                    (sq, bc, d),
-                    dk_tile,
-                    dv_tile,
-                );
-            });
-        }
-        (dq, dk, dv)
-    }
 }
 
 /// Recompute one probability tile `P = exp(scale·Q·Kᵀ − lse)` (exactly the
@@ -492,13 +353,14 @@ fn ds_from_p_dp(p: &mut [f32], dp: &[f32], drow: &[f32], bc: usize) {
     }
 }
 
-/// One batch whose attention is a single `[sq, sk]` tile: recompute P,
-/// then `dV += Pᵀ·dO` (before dS overwrites P), `dP = dO·Vᵀ`, dS,
-/// `dQ += scale · dS·K` and `dK += scale · dSᵀ·Q` — the products of
-/// [`flash_bwd_dq_tile`] and [`flash_bwd_dkv_tile`] with the score tile
-/// and dP formed once instead of twice.
+/// One batch's backward. Q tiles ([`FLASH_BR`] rows) run outer and K/V
+/// tiles ([`FLASH_BC`] rows) inner; per tile pair: recompute P, then
+/// `dV_j += Pᵀ·dO_i` (before dS overwrites P), `dP = dO_i·V_jᵀ`, dS,
+/// `dQ_i += scale · dS·K_j` and `dK_j += scale · dSᵀ·Q_i`. Both loops are
+/// serial, so dQ_i sums its K tiles in order and dK_j/dV_j sum their Q
+/// tiles in order: the groupings depend on the shape alone.
 #[allow(clippy::too_many_arguments)]
-fn flash_bwd_single_tile(
+fn flash_bwd_batch(
     qb: &[f32],
     kb: &[f32],
     vb: &[f32],
@@ -509,157 +371,75 @@ fn flash_bwd_single_tile(
     (sq, sk, d): (usize, usize, usize),
     (dq, dk, dv): (&mut [f32], &mut [f32], &mut [f32]),
 ) {
-    // The dQ pass's scratch borrow, so the one-pass path charges the
-    // arena no more than the two-pass path does. Both tiles are
-    // Assign-stored before any read.
-    with_scratch(2 * sq * FLASH_BC, |scratch| {
-        let (s, dp) = scratch.split_at_mut(sq * FLASH_BC);
-        let (s, dp) = (&mut s[..sq * sk], &mut dp[..sq * sk]);
-        recompute_p_tile(qb, kb, lse_b, scale, (sq, sk, d), s);
-        // dV += Pᵀ · dO  (P is [sq, sk] row-major = the TN layout's [k, m]).
-        gemm_serial_or_small(GemmLayout::TN, 1.0, s, dout_b, Epilogue::Add, dv, sk, sq, d);
-        // dP = dO · Vᵀ, then dS in place over P.
-        gemm_serial_or_small(
-            GemmLayout::NT,
-            1.0,
-            dout_b,
-            vb,
-            Epilogue::Assign,
-            dp,
-            sq,
-            d,
-            sk,
-        );
-        ds_from_p_dp(s, dp, drow_b, sk);
-        // dQ += scale · dS · K
-        gemm_serial_or_small(GemmLayout::NN, scale, s, kb, Epilogue::Add, dq, sq, sk, d);
-        // dK += scale · dSᵀ · Q
-        gemm_serial_or_small(GemmLayout::TN, scale, s, qb, Epilogue::Add, dk, sk, sq, d);
-    })
-}
-
-/// One (batch, Q-tile) backward task: `dQ_tile = scale · Σ_tiles dS · K`.
-#[allow(clippy::too_many_arguments)]
-fn flash_bwd_dq_tile(
-    qt: &[f32],
-    kb: &[f32],
-    vb: &[f32],
-    dout_t: &[f32],
-    lse_t: &[f32],
-    drow_t: &[f32],
-    scale: f32,
-    (br, sk, d): (usize, usize, usize),
-    dq_tile: &mut [f32],
-) {
-    // Both tiles are Assign-stored before any read, so pooled (dirty)
-    // scratch is safe.
-    with_scratch(2 * br * FLASH_BC, |scratch| {
-        let (s, dp) = scratch.split_at_mut(br * FLASH_BC);
-        let mut j0 = 0;
-        while j0 < sk {
-            let bc = FLASH_BC.min(sk - j0);
-            let kt = &kb[j0 * d..(j0 + bc) * d];
-            recompute_p_tile(qt, kt, lse_t, scale, (br, bc, d), &mut s[..br * bc]);
-            // dP = dO · Vᵀ
-            let dpt = &mut dp[..br * bc];
-            gemm_serial_or_small(
-                GemmLayout::NT,
-                1.0,
-                dout_t,
-                &vb[j0 * d..(j0 + bc) * d],
-                Epilogue::Assign,
-                dpt,
-                br,
-                d,
-                bc,
-            );
-            ds_from_p_dp(&mut s[..br * bc], dpt, drow_t, bc);
-            // dQ += scale · dS · K_tile
-            gemm_serial_or_small(
-                GemmLayout::NN,
-                scale,
-                &s[..br * bc],
-                kt,
-                Epilogue::Add,
-                dq_tile,
-                br,
-                bc,
-                d,
-            );
-            j0 += bc;
-        }
-    })
-}
-
-/// One (batch, K-tile) backward task:
-/// `dV_tile = Σ_tiles Pᵀ·dO`, `dK_tile = scale · Σ_tiles dSᵀ·Q`.
-#[allow(clippy::too_many_arguments)]
-fn flash_bwd_dkv_tile(
-    qb: &[f32],
-    kt: &[f32],
-    vt: &[f32],
-    dout_b: &[f32],
-    lse_b: &[f32],
-    drow_b: &[f32],
-    scale: f32,
-    (sq, bc, d): (usize, usize, usize),
-    dk_tile: &mut [f32],
-    dv_tile: &mut [f32],
-) {
-    with_scratch(2 * FLASH_BR * bc, |scratch| {
-        let (s, dp) = scratch.split_at_mut(FLASH_BR * bc);
-        let mut i0 = 0;
-        while i0 < sq {
+    // One score tile and one dP tile at full K width. Both are
+    // Assign-stored before any read, so pooled (dirty) scratch is safe.
+    let br_max = sq.min(FLASH_BR);
+    with_scratch(2 * br_max * FLASH_BC, |scratch| {
+        let (s, dp) = scratch.split_at_mut(br_max * FLASH_BC);
+        for i0 in (0..sq).step_by(FLASH_BR) {
             let br = FLASH_BR.min(sq - i0);
-            let qt = &qb[i0 * d..(i0 + br) * d];
-            let dout_t = &dout_b[i0 * d..(i0 + br) * d];
-            recompute_p_tile(
-                qt,
-                kt,
-                &lse_b[i0..i0 + br],
-                scale,
-                (br, bc, d),
-                &mut s[..br * bc],
-            );
-            // dV += Pᵀ · dO  (P is [br, bc] row-major = the TN layout's [k, m]).
-            gemm_serial_or_small(
-                GemmLayout::TN,
-                1.0,
-                &s[..br * bc],
-                dout_t,
-                Epilogue::Add,
-                dv_tile,
-                bc,
-                br,
-                d,
-            );
-            // dP = dO · Vᵀ, then dS in place over P.
-            let dpt = &mut dp[..br * bc];
-            gemm_serial_or_small(
-                GemmLayout::NT,
-                1.0,
-                dout_t,
-                vt,
-                Epilogue::Assign,
-                dpt,
-                br,
-                d,
-                bc,
-            );
-            ds_from_p_dp(&mut s[..br * bc], dpt, &drow_b[i0..i0 + br], bc);
-            // dK += scale · dSᵀ · Q
-            gemm_serial_or_small(
-                GemmLayout::TN,
-                scale,
-                &s[..br * bc],
-                qt,
-                Epilogue::Add,
-                dk_tile,
-                bc,
-                br,
-                d,
-            );
-            i0 += br;
+            let rows = i0 * d..(i0 + br) * d;
+            let (qt, dout_t) = (&qb[rows.clone()], &dout_b[rows.clone()]);
+            let (lse_t, drow_t) = (&lse_b[i0..i0 + br], &drow_b[i0..i0 + br]);
+            let dq_t = &mut dq[rows];
+            for j0 in (0..sk).step_by(FLASH_BC) {
+                let bc = FLASH_BC.min(sk - j0);
+                let cols = j0 * d..(j0 + bc) * d;
+                let (kt, vt) = (&kb[cols.clone()], &vb[cols.clone()]);
+                let (st, dpt) = (&mut s[..br * bc], &mut dp[..br * bc]);
+                recompute_p_tile(qt, kt, lse_t, scale, (br, bc, d), st);
+                // dV += Pᵀ · dO  (P is [br, bc] row-major = the TN layout's [k, m]).
+                let dv_t = &mut dv[cols.clone()];
+                gemm_serial_or_small(
+                    GemmLayout::TN,
+                    1.0,
+                    st,
+                    dout_t,
+                    Epilogue::Add,
+                    dv_t,
+                    bc,
+                    br,
+                    d,
+                );
+                // dP = dO · Vᵀ, then dS in place over P.
+                gemm_serial_or_small(
+                    GemmLayout::NT,
+                    1.0,
+                    dout_t,
+                    vt,
+                    Epilogue::Assign,
+                    dpt,
+                    br,
+                    d,
+                    bc,
+                );
+                ds_from_p_dp(st, dpt, drow_t, bc);
+                // dQ += scale · dS · K
+                gemm_serial_or_small(
+                    GemmLayout::NN,
+                    scale,
+                    st,
+                    kt,
+                    Epilogue::Add,
+                    dq_t,
+                    br,
+                    bc,
+                    d,
+                );
+                // dK += scale · dSᵀ · Q
+                let dk_t = &mut dk[cols];
+                gemm_serial_or_small(
+                    GemmLayout::TN,
+                    scale,
+                    st,
+                    qt,
+                    Epilogue::Add,
+                    dk_t,
+                    bc,
+                    br,
+                    d,
+                );
+            }
         }
     })
 }
@@ -813,15 +593,68 @@ mod tests {
     }
 
     #[test]
+    fn backward_parallel_task_grid_matches_per_batch_serial() {
+        // Several Q and K tiles per batch, and above the FLOPs gate:
+        // 4·260·300·32 = 10M ≥ 2^19, so the four batch tasks run on the
+        // pool; a one-batch call is one task, so it runs serially.
+        let mut rng = Rng::new(8);
+        let (b, sq, sk, d) = (4usize, 260usize, 300usize, 32usize);
+        let q = randn3(b, sq, d, &mut rng);
+        let k = randn3(b, sk, d, &mut rng);
+        let v = randn3(b, sk, d, &mut rng);
+        let g = randn3(b, sq, d, &mut rng);
+        let scale = 1.0 / (d as f32).sqrt();
+        let (out, lse) = flash_attention(&q, &k, &v, scale);
+        let (dq, dk, dv) = flash_attention_backward(&q, &k, &v, scale, &out, &lse, &g);
+        let batch = |t: &Tensor, bi: usize, s: usize| {
+            Tensor::from_vec(t.data()[bi * s * d..(bi + 1) * s * d].to_vec(), [1, s, d])
+        };
+        for bi in 0..b {
+            let (qs, ks, vs, gs) = (
+                batch(&q, bi, sq),
+                batch(&k, bi, sk),
+                batch(&v, bi, sk),
+                batch(&g, bi, sq),
+            );
+            let (os, ls) = flash_attention(&qs, &ks, &vs, scale);
+            let (dqs, dks, dvs) = flash_attention_backward(&qs, &ks, &vs, scale, &os, &ls, &gs);
+            for (name, whole, one, s) in [
+                ("dq", &dq, &dqs, sq),
+                ("dk", &dk, &dks, sk),
+                ("dv", &dv, &dvs, sk),
+            ] {
+                for (j, x) in one.data().iter().enumerate() {
+                    assert_eq!(
+                        whole.at(bi * s * d + j).to_bits(),
+                        x.to_bits(),
+                        "{name} batch {bi} elem {j}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn backward_matches_composed_autograd() {
         use crate::autograd::Tape;
         let mut rng = Rng::new(6);
-        for &(sq, sk, d) in &[
+        let mut shapes = vec![
             (7usize, 7usize, 4usize),
             (5, 130, 8),
             (70, 3, 8),
             (9, 300, 4),
-        ] {
+            // Several Q tiles: ClimaX's 128 patches plus the metadata
+            // token, and a shape with ragged Q and K tails.
+            (129, 129, 32),
+            (300, 520, 4),
+        ];
+        // Tile corners: one row, a full tile, and one row past it.
+        for sq in [1, FLASH_BR, FLASH_BR + 1] {
+            for sk in [1, FLASH_BC, FLASH_BC + 1] {
+                shapes.push((sq, sk, 8));
+            }
+        }
+        for &(sq, sk, d) in &shapes {
             let q = randn3(2, sq, d, &mut rng);
             let k = randn3(2, sk, d, &mut rng);
             let v = randn3(2, sk, d, &mut rng);
@@ -830,6 +663,11 @@ mod tests {
 
             let (out, lse) = flash_attention(&q, &k, &v, scale);
             let (dq, dk, dv) = flash_attention_backward(&q, &k, &v, scale, &out, &lse, &g);
+            // `max_abs_diff` skips NaN, so finiteness is checked on its own.
+            assert!(
+                dq.all_finite() && dk.all_finite() && dv.all_finite(),
+                "Sq={sq} Sk={sk}"
+            );
 
             let tape = Tape::new();
             let (qv, kv, vv) = (
@@ -853,59 +691,6 @@ mod tests {
                 dv.max_abs_diff(grads.get(&vv).unwrap()) <= 1e-4,
                 "dv Sq={sq} Sk={sk}"
             );
-        }
-    }
-
-    #[test]
-    fn single_tile_backward_is_bitwise_the_two_pass_path() {
-        let mut rng = Rng::new(7);
-        let mut inputs = |b: usize, sq: usize, sk: usize, d: usize| {
-            let q = randn3(b, sq, d, &mut rng);
-            let k = randn3(b, sk, d, &mut rng);
-            let v = randn3(b, sk, d, &mut rng);
-            let g = randn3(b, sq, d, &mut rng);
-            let scale = 1.0 / (d as f32).sqrt();
-            let (out, lse) = flash_attention(&q, &k, &v, scale);
-            (q, k, v, g, scale, out, lse)
-        };
-        // flat_w1's channel attention and decoder, a ragged cross shape, and
-        // the tile boundaries sq ∈ {1, FLASH_BR}, sk ∈ {1, FLASH_BC}.
-        for &(b, sq, sk, d) in &[
-            (256usize, 128usize, 128usize, 16usize),
-            (16, 16, 16, 16),
-            (4, 17, 200, 8),
-            (2, 1, 1, 8),
-            (2, 1, FLASH_BC, 8),
-            (2, FLASH_BR, 1, 8),
-            (2, FLASH_BR, FLASH_BC, 8),
-        ] {
-            let (q, k, v, g, scale, out, lse) = inputs(b, sq, sk, d);
-            let bwd = Backward::new(&q, &k, &v, scale, &out, &lse, &g);
-            assert!(bwd.single_tile(), "[{b},{sq},{sk},{d}]");
-            let (one, two) = (bwd.one_pass(), bwd.two_pass());
-            for (name, x, y) in [
-                ("dq", &one.0, &two.0),
-                ("dk", &one.1, &two.1),
-                ("dv", &one.2, &two.2),
-            ] {
-                assert!(
-                    x.iter().all(|v| v.is_finite()),
-                    "{name} [{b},{sq},{sk},{d}]"
-                );
-                for (i, (a, c)) in x.iter().zip(y).enumerate() {
-                    assert_eq!(
-                        a.to_bits(),
-                        c.to_bits(),
-                        "{name} [{b},{sq},{sk},{d}] at {i}"
-                    );
-                }
-            }
-        }
-        // One query or key past a tile takes the two-pass path.
-        for &(sq, sk) in &[(FLASH_BR + 1, 16usize), (16, FLASH_BC + 1)] {
-            let (q, k, v, g, scale, out, lse) = inputs(1, sq, sk, 4);
-            let bwd = Backward::new(&q, &k, &v, scale, &out, &lse, &g);
-            assert!(!bwd.single_tile(), "Sq={sq} Sk={sk}");
         }
     }
 
